@@ -157,14 +157,11 @@ def cmd_info(args, argv: list[str]) -> int:
 
 
 def _method_config(args) -> MLROSConfig | MLENNConfig | MLSMOTEConfig:
-    try:
-        if args.method == "mlros":
-            return MLROSConfig(p=args.p)
-        if args.method == "mlenn":
-            return MLENNConfig(ht=args.ht, nn=args.nn)
-        return MLSMOTEConfig(k_neighbors=args.k)
-    except ValueError as exc:
-        raise _ParameterError(str(exc)) from exc
+    if args.method == "mlros":
+        return MLROSConfig(p=args.p)
+    if args.method == "mlenn":
+        return MLENNConfig(ht=args.ht, nn=args.nn)
+    return MLSMOTEConfig(k_neighbors=args.k)
 
 
 def cmd_resample(args, argv: list[str]) -> int:
@@ -173,10 +170,7 @@ def cmd_resample(args, argv: list[str]) -> int:
     config = ResampleConfig(method=_method_config(args), seed=seed)
     suffix = config.method_name
     if args.remedial:
-        try:
-            decouple = DecoupleConfig.from_spec(args.remedial, drop_empty=args.drop_empty)
-        except ValueError as exc:
-            raise _ParameterError(str(exc)) from exc
+        decouple = DecoupleConfig.from_spec(args.remedial, drop_empty=args.drop_empty)
         out, report = hybrid_resample(d, HybridConfig(decouple=decouple, resample=config))
         suffix = f"{decouple.spec_string()}-{suffix}"
     else:
@@ -223,10 +217,7 @@ def cmd_resample(args, argv: list[str]) -> int:
 def cmd_partition(args, argv: list[str]) -> int:
     d = _read_dataset(args.arff, args.xml)
     seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        assignment = stratified_kfold(d, args.folds, seed)
-    except ValueError as exc:
-        raise _ParameterError(str(exc)) from exc
+    assignment = stratified_kfold(d, args.folds, seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -264,11 +255,8 @@ def cmd_evaluate(args, argv: list[str]) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.classifier != "mlknn":
         raise _ParameterError(f"unknown classifier {args.classifier!r}")
-    try:
-        model = mlknn_train(train, k_nn=args.k, smoothing=args.smoothing)
-        predictions = mlknn_predict(model, test)
-    except ValueError as exc:
-        raise _ParameterError(str(exc)) from exc
+    model = mlknn_train(train, k_nn=args.k, smoothing=args.smoothing)
+    predictions = mlknn_predict(model, test)
     report = evaluate(label_matrix(test), predictions)
     for key, value in report.to_dict().items():
         print(f"{key}: {value}")
@@ -296,10 +284,7 @@ def cmd_evaluate(args, argv: list[str]) -> int:
 
 def cmd_concurrence(args, argv: list[str]) -> int:
     d = _read_dataset(args.arff, args.xml)
-    try:
-        rows = concurrence_export(d, args.top, args.top)
-    except ValueError as exc:
-        raise _ParameterError(str(exc)) from exc
+    rows = concurrence_export(d, args.top, args.top)
     csv_text = concurrence_csv(rows)
     if args.out:
         out = Path(args.out)

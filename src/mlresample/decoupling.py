@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Instance, Labelset, MultiLabelDataset
-from .metrics import imbalance_summary, profile, scumble, scumble_values
-from .resampling import AddedInstance, ResampleConfig, ResampleReport, resample
+from .metrics import imbalance_summary, scumble, scumble_values
+from .resampling import AddedInstance, ResampleConfig, ResampleReport, _report, resample
 
 PERCENTILE_PRESETS = (0.25, 0.37, 0.50, 0.62, 0.75)
 
@@ -94,15 +94,12 @@ def remedial(
     """
     if d.n < 1:
         raise ValueError("cannot decouple an empty dataset")
-    summary = imbalance_summary(d)
     scores = scumble_values(d)
     if config.mode == "mean":
         threshold = scumble(d)
     else:
         threshold = nearest_rank_quantile(scores, config.q)
-    minority_mask = Labelset.from_indices(
-        l for l in range(d.k) if summary.counts[l] > 0 and summary.irlbl[l] > summary.mean_ir
-    )
+    minority_mask = Labelset.from_indices(np.flatnonzero(imbalance_summary(d).minority).tolist())
 
     kept: list[Instance] = []
     appended: list[Instance] = []
@@ -124,15 +121,7 @@ def remedial(
             appended.append(Instance(features=inst.features, labels=majority_side))
             added.append(AddedInstance(kind="clone", source=i))
     out = d.replace_instances(kept + appended)
-    return out, ResampleReport(
-        instances_before=d.n,
-        instances_after=out.n,
-        added=tuple(added),
-        removed=tuple(removed),
-        profile_before=profile(d),
-        profile_after=profile(out),
-        decoupled=tuple(decoupled),
-    )
+    return out, _report(d, out, added, removed, decoupled)
 
 
 def hybrid_resample(

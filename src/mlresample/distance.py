@@ -1,10 +1,15 @@
-"""Feature-space geometry shared by the neighbor-based algorithms.
+"""Feature-space distance and the one k-nearest-neighbor query.
 
 Numeric attributes are min-max scaled to the reference dataset's observed
 range and compared by squared difference; nominal attributes contribute 0
 when equal and 1 otherwise; a missing value is maximally distant (term 1)
 from everything, including another missing value.  The distance is the
 Euclidean norm over the per-attribute terms.
+
+:class:`FeatureSpace` encodes instances into arrays; :func:`neighbors`
+answers "which k reference rows are nearest?" for MLeNN, MLSMOTE and ML-kNN
+alike, nearest first with ties to the lower index.  It never holds the full
+distance matrix, only one block of query rows at a time.
 """
 
 from __future__ import annotations
@@ -14,6 +19,11 @@ from collections.abc import Sequence
 import numpy as np
 
 from .dataset import Instance, MultiLabelDataset
+
+# Distance cells per query block.  It bounds the block's distance, temporary
+# and sort arrays whatever the dataset size; at 256 KB per array they stay in
+# cache, which measured faster than 2 MB blocks on 2000-8000 rows.
+_BLOCK_CELLS = 1 << 15
 
 
 class FeatureSpace:
@@ -55,41 +65,46 @@ class FeatureSpace:
                     nominal[row, col] = v
         return numeric, nominal
 
-    def pairwise(
-        self,
-        a: tuple[np.ndarray, np.ndarray],
-        b: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """Distance matrix between two encoded instance blocks (or one with itself)."""
-        a_num, a_nom = a
-        b_num, b_nom = a if b is None else b
-        total = np.zeros((a_num.shape[0], b_num.shape[0]))
-        for col in range(a_num.shape[1]):
-            diff = a_num[:, col, None] - b_num[None, :, col]
+
+def neighbors(
+    query: tuple[np.ndarray, np.ndarray],
+    reference: tuple[np.ndarray, np.ndarray],
+    k: int,
+    exclude_self: bool = False,
+) -> np.ndarray:
+    """Indices of the ``k`` reference rows nearest to each query row.
+
+    Both arguments are ``(numeric, nominal)`` pairs from
+    :meth:`FeatureSpace.encode`.  Rows come out nearest first, ties broken
+    toward the lower reference index.  With ``exclude_self`` the query is the
+    reference itself and each row skips its own index.  Distances are built
+    for one block of query rows at a time, so memory stays O(block * n_ref).
+    """
+    q_num, q_nom = query
+    r_num, r_nom = reference
+    n_query, n_ref = q_num.shape[0], r_num.shape[0]
+    if not 0 < k <= n_ref - exclude_self:
+        raise ValueError(f"cannot pick {k} neighbors from {n_ref} reference rows")
+    out = np.empty((n_query, k), dtype=np.intp)
+    rows = max(1, _BLOCK_CELLS // n_ref)
+    for start in range(0, n_query, rows):
+        stop = min(start + rows, n_query)
+        total = np.zeros((stop - start, n_ref))
+        for col in range(q_num.shape[1]):
+            diff = q_num[start:stop, col, None] - r_num[None, :, col]
             term = diff * diff
             total += np.where(np.isnan(term), 1.0, term)
-        for col in range(a_nom.shape[1]):
-            av = a_nom[:, col, None]
-            bv = b_nom[None, :, col]
-            total += ((av != bv) | (av < 0) | (bv < 0)).astype(float)
-        return np.sqrt(total)
-
-
-def nearest_indices(distances: np.ndarray, count: int, exclude: int | None = None) -> list[int]:
-    """Indices of the ``count`` smallest entries, ties broken by lower index."""
-    order = np.lexsort((np.arange(distances.shape[0]), distances))
-    picked = []
-    for idx in order:
-        if exclude is not None and idx == exclude:
+        for col in range(q_nom.shape[1]):
+            qv = q_nom[start:stop, col, None]
+            rv = r_nom[None, :, col]
+            total += ((qv != rv) | (qv < 0) | (rv < 0)).astype(float)
+        order = np.argsort(np.sqrt(total), axis=1, kind="stable")
+        if not exclude_self:
+            out[start:stop] = order[:, :k]
             continue
-        picked.append(int(idx))
-        if len(picked) == count:
-            break
-    return picked
-
-
-def pairwise_distances(d: MultiLabelDataset) -> np.ndarray:
-    """All-pairs distance matrix of one dataset, scaled to its own ranges."""
-    space = FeatureSpace(d)
-    encoded = space.encode(d.instances)
-    return space.pairwise(encoded)
+        head = order[:, : k + 1]
+        keep = head != np.arange(start, stop)[:, None]
+        # a row whose own index fell outside the first k + 1 drops its last pick
+        keep[keep.all(axis=1), k] = False
+        out[start:stop] = head[keep].reshape(stop - start, k)
+    return out

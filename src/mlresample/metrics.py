@@ -37,6 +37,11 @@ class ImbalanceSummary(NamedTuple):
     irlbl: np.ndarray
     mean_ir: float
 
+    @property
+    def minority(self) -> np.ndarray:
+        """Boolean mask of the minority labels: occurring, with IRLbl above MeanIR."""
+        return (self.counts > 0) & (self.irlbl > self.mean_ir)
+
 
 def _require_instances(d: MultiLabelDataset) -> None:
     if d.n < 1:

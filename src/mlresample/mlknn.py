@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import MultiLabelDataset, label_matrix
-from .distance import FeatureSpace, nearest_indices
+from .distance import FeatureSpace, neighbors
 from .evaluation import PredictionSet
 
 
@@ -34,16 +34,6 @@ class MLkNNModel:
     prior: np.ndarray               # (k,) P(label active)
     cond_active: np.ndarray         # (k, k_nn + 1) P(count | active)
     cond_inactive: np.ndarray       # (k, k_nn + 1) P(count | inactive)
-
-
-def _neighbor_label_counts(
-    y: np.ndarray, distances: np.ndarray, k_nn: int, exclude_self: bool
-) -> np.ndarray:
-    counts = np.zeros((distances.shape[0], y.shape[1]), dtype=np.int64)
-    for i in range(distances.shape[0]):
-        neighbors = nearest_indices(distances[i], k_nn, exclude=i if exclude_self else None)
-        counts[i] = y[neighbors].sum(axis=0)
-    return counts
 
 
 def mlknn_train(d_train: MultiLabelDataset, k_nn: int = 10, smoothing: float = 1.0) -> MLkNNModel:
@@ -66,8 +56,7 @@ def mlknn_train(d_train: MultiLabelDataset, k_nn: int = 10, smoothing: float = 1
 
     prior = (smoothing + y.sum(axis=0)) / (2 * smoothing + n)
 
-    distances = space.pairwise(encoded)
-    neighbor_counts = _neighbor_label_counts(y, distances, k_nn, exclude_self=True)
+    neighbor_counts = y[neighbors(encoded, encoded, k_nn, exclude_self=True)].sum(axis=1)
 
     def smoothed(histogram: np.ndarray) -> np.ndarray:
         denominator = smoothing * (k_nn + 1) + histogram.sum()
@@ -109,10 +98,8 @@ def mlknn_predict(model: MLkNNModel, d_test: MultiLabelDataset) -> PredictionSet
     if tuple(d_test.attributes) != tuple(model.space.attributes):
         raise ValueError("test dataset schema does not match the model")
     test_encoded = model.space.encode(d_test.instances)
-    distances = model.space.pairwise(test_encoded, model.train_encoded)
-    neighbor_counts = _neighbor_label_counts(
-        model.train_labels, distances, model.k_nn, exclude_self=False
-    )
+    nearest = neighbors(test_encoded, model.train_encoded, model.k_nn)
+    neighbor_counts = model.train_labels[nearest].sum(axis=1)
 
     k = len(model.labels)
     scores = np.zeros((d_test.n, k))

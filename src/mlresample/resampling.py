@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import AttributeSpec, Instance, Labelset, MultiLabelDataset
-from .distance import FeatureSpace, nearest_indices
+from .distance import FeatureSpace, neighbors
 from .metrics import ImbalanceProfile, imbalance_summary, profile
 
 _SEED_MAX = 2**64 - 1
@@ -177,9 +177,7 @@ def ml_ros(
         rng = np.random.default_rng()
     summary = imbalance_summary(d)
     budget = math.floor(d.n * p / 100.0)
-    minority = [
-        l for l in range(d.k) if summary.counts[l] > 0 and summary.irlbl[l] > summary.mean_ir
-    ]
+    minority = np.flatnonzero(summary.minority).tolist()
     bags = {
         l: [i for i, inst in enumerate(d.instances) if l in inst.labels] for l in minority
     }
@@ -232,24 +230,20 @@ def mlenn(d: MultiLabelDataset, ht: float = 0.75, nn: int = 3) -> tuple[MultiLab
     MLENNConfig(ht=ht, nn=nn)
     if nn >= d.n:
         raise ValueError(f"need more instances ({d.n}) than neighbors ({nn})")
-    summary = imbalance_summary(d)
-    minority_mask = Labelset.from_indices(
-        l for l in range(d.k) if summary.counts[l] > 0 and summary.irlbl[l] > summary.mean_ir
-    )
-    space = FeatureSpace(d)
-    encoded = space.encode(d.instances)
-    distances = space.pairwise(encoded)
+    minority_mask = Labelset.from_indices(np.flatnonzero(imbalance_summary(d).minority).tolist())
+    encoded = FeatureSpace(d).encode(d.instances)
+    nearest = neighbors(encoded, encoded, nn, exclude_self=True)
     marked: list[int] = []
     for i, inst in enumerate(d.instances):
         if inst.labels & minority_mask:
             continue
-        neighbors = nearest_indices(distances[i], nn, exclude=i)
         differing = sum(
-            1 for j in neighbors if labelset_distance(inst.labels, d.instances[j].labels) > ht
+            1 for j in nearest[i] if labelset_distance(inst.labels, d.instances[j].labels) > ht
         )
         if differing >= nn / 2:
             marked.append(i)
-    keep = [i for i in range(d.n) if i not in set(marked)]
+    marked_set = set(marked)
+    keep = [i for i in range(d.n) if i not in marked_set]
     out = d.subset(keep)
     return out, _report(d, out, [], marked)
 
@@ -320,23 +314,18 @@ def mlsmote(
     MLSMOTEConfig(k_neighbors=k_neighbors)
     if rng is None:
         rng = np.random.default_rng()
-    summary = imbalance_summary(d)
-    space = FeatureSpace(d)
-    encoded = space.encode(d.instances)
+    encoded = FeatureSpace(d).encode(d.instances)
     new_instances = list(d.instances)
     added: list[AddedInstance] = []
-    for label in range(d.k):
-        if summary.counts[label] == 0 or not summary.irlbl[label] > summary.mean_ir:
-            continue
+    for label in np.flatnonzero(imbalance_summary(d).minority).tolist():
         bag = [i for i, inst in enumerate(d.instances) if label in inst.labels]
         if len(bag) < 2:
             continue
         bag_encoded = (encoded[0][bag], encoded[1][bag])
-        bag_distances = space.pairwise(bag_encoded)
         want = min(k_neighbors, len(bag) - 1)
+        nearest = neighbors(bag_encoded, bag_encoded, want, exclude_self=True)
         for pos, seed_idx in enumerate(bag):
-            neighbor_pos = nearest_indices(bag_distances[pos], want, exclude=pos)
-            neighbor_idx = [bag[j] for j in neighbor_pos]
+            neighbor_idx = [bag[j] for j in nearest[pos]]
             ref = neighbor_idx[int(rng.integers(0, len(neighbor_idx)))]
             synthetic = new_sample(
                 d.attributes,

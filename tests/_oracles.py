@@ -115,6 +115,24 @@ def oracle_minmax(d) -> tuple[dict, dict]:
     return mins, spans
 
 
+def oracle_neighbors(reference, query_instances, k, exclude_self=False) -> list[list[int]]:
+    """Per query instance, the ``k`` nearest reference indices by a full sort.
+
+    Distances use the reference dataset's scaling; ties go to the lower
+    index.  With ``exclude_self`` query ``i`` never picks reference ``i``.
+    """
+    mins, spans = oracle_minmax(reference)
+    out = []
+    for i, q in enumerate(query_instances):
+        ranked = sorted(
+            (oracle_distance(reference, q.features, r.features, mins, spans), j)
+            for j, r in enumerate(reference.instances)
+            if not (exclude_self and j == i)
+        )
+        out.append([j for _, j in ranked[:k]])
+    return out
+
+
 def oracle_minority_labels(d) -> set[int]:
     values = oracle_irlbl(d)
     defined = [v for v in values if v is not None]

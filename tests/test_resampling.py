@@ -15,6 +15,7 @@ from mlresample import (
     mlenn,
     mlsmote,
     new_sample,
+    remedial,
     resample,
 )
 from mlresample.synthetic import random_dataset
@@ -24,6 +25,7 @@ from _oracles import (
     oracle_distance,
     oracle_minmax,
     oracle_minority_labels as minority_label_set,
+    oracle_ml_ros_clones,
     oracle_mlenn_removed as brute_mlenn_removed,
 )
 
@@ -44,6 +46,65 @@ def pure_minority_fixture():
         rows,
         name="pure-minority",
     )
+
+
+def wide_label_fixture():
+    """70 labels; the six minority labels are the ones with index 64 and up.
+
+    Every instance carries the 48 common labels ``l`` with ``(l + i) % 4 != 0``
+    (45 of 60 instances each, IRLbl 1); instances 0-17 also carry one rare
+    label ``64 + i // 3`` (3 instances each, IRLbl 15).  MeanIR is
+    (64 + 6 * 15) / 70 = 2.2, so exactly labels 64-69 are minority.
+    """
+    rng = np.random.default_rng(64)
+    rows = []
+    for i in range(60):
+        active = [l for l in range(64) if (l + i) % 4 != 0]
+        if i < 18:
+            active.append(64 + i // 3)
+        rows.append(((float(rng.normal()), float(rng.normal())), active))
+    return make_dataset(
+        [AttributeSpec("x"), AttributeSpec("y")],
+        tuple(f"L{l}" for l in range(70)),
+        rows,
+        name="wide-labels",
+    )
+
+
+class TestLabelIndicesPast64:
+    """Minority labels beyond a 64-bit word must survive into the bitmasks."""
+
+    def test_fixture_minority(self):
+        assert minority_label_set(wide_label_fixture()) == set(range(64, 70))
+
+    def test_ml_ros(self):
+        d = wide_label_fixture()
+        out, report = ml_ros(d, 20, np.random.default_rng(5))
+        expected = oracle_ml_ros_clones(d, 20, np.random.default_rng(5))
+        assert [a.source for a in report.added] == expected
+        assert all(source < 18 for source in expected)
+
+    def test_mlenn(self):
+        d = wide_label_fixture()
+        out, report = mlenn(d, ht=0.4, nn=3)
+        assert list(report.removed) == brute_mlenn_removed(d, 0.4, 3)
+        assert report.removed and min(report.removed) >= 18
+
+    def test_mlsmote(self):
+        d = wide_label_fixture()
+        out, report = mlsmote(d, 5, np.random.default_rng(0))
+        assert [a.source for a in report.added] == list(range(18))
+        for a, synthetic in zip(report.added, out.instances[d.n :]):
+            assert 64 + a.source // 3 in synthetic.labels
+
+    def test_remedial(self):
+        d = wide_label_fixture()
+        out, report = remedial(d)
+        assert report.decoupled == tuple(range(18))
+        for i in range(18):
+            labels = d.instances[i].labels.indices
+            assert out.instances[i].labels.indices == (64 + i // 3,)
+            assert out.instances[d.n + i].labels.indices == labels[:-1]
 
 
 class TestMLROS:
