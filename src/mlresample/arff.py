@@ -6,13 +6,19 @@ declarations, dense comma-separated rows, sparse ``{index value, ...}`` rows,
 ``?`` for missing values and full-line ``%`` comments.  String and date
 attributes are out of scope.
 
+Numeric feature values must be finite: ``nan``, ``inf``, ``-Infinity`` and
+literals that overflow a float (``1e400``) are rejected with their line
+number.
+
 The XML header lists the label attributes; nested label hierarchies are
 flattened to their name list in document order.  Label columns must hold 0/1.
 """
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ElementTree
+from operator import getitem
 
 from .dataset import AttributeSpec, FeatureValue, Instance, Labelset, MultiLabelDataset
 
@@ -33,28 +39,44 @@ def _unquote(token: str) -> str:
     return token
 
 
-def _split_respecting_quotes(text: str, sep: str, line_no: int) -> list[str]:
-    """Split on ``sep`` outside quoted regions; tokens come back stripped."""
-    parts: list[str] = []
-    buf: list[str] = []
-    quote: str | None = None
-    for ch in text:
-        if quote is not None:
-            buf.append(ch)
-            if ch == quote:
-                quote = None
-        elif ch in "'\"":
-            quote = ch
-            buf.append(ch)
-        elif ch == sep:
-            parts.append("".join(buf).strip())
-            buf = []
+def _quote_after(piece: str, quote: str | None) -> str | None:
+    """The quote left open at the end of ``piece`` when ``quote`` was open at its start."""
+    pos = 0
+    while True:
+        if quote is None:
+            openings = [i for i in (piece.find("'", pos), piece.find('"', pos)) if i >= 0]
+            if not openings:
+                return None
+            pos = min(openings) + 1
+            quote = piece[pos - 1]
         else:
-            buf.append(ch)
+            end = piece.find(quote, pos)
+            if end < 0:
+                return quote
+            quote, pos = None, end + 1
+
+
+def _split(text: str, sep: str, line_no: int) -> list[str]:
+    """Split on ``sep`` outside quoted regions; tokens come back stripped.
+
+    A quote opens at any ``'`` or ``"`` outside a quoted region and closes at
+    the next occurrence of the same character.  The pieces of
+    ``text.split(sep)`` are joined back together while a quote is open, so
+    only the quote characters are looked at one by one.
+    """
+    pieces = text.split(sep)
+    if "'" not in text and '"' not in text:
+        return [piece.strip() for piece in pieces]
+    tokens: list[str] = []
+    quote: str | None = None
+    for piece in pieces:
+        token = piece if quote is None else token + sep + piece
+        quote = _quote_after(piece, quote)
+        if quote is None:
+            tokens.append(token.strip())
     if quote is not None:
         raise MulanFormatError("unterminated quote", line_no)
-    parts.append("".join(buf).strip())
-    return parts
+    return tokens
 
 
 def _take_token(text: str, line_no: int) -> tuple[str, str]:
@@ -82,7 +104,7 @@ def _parse_attribute(rest: str, line_no: int) -> AttributeSpec:
     if kind.startswith("{"):
         if not kind.endswith("}"):
             raise MulanFormatError(f"attribute {name!r}: unterminated value list", line_no)
-        raw = _split_respecting_quotes(kind[1:-1], ",", line_no)
+        raw = _split(kind[1:-1], ",", line_no)
         values = tuple(_unquote(v) for v in raw)
         if any(v == "" for v in values):
             raise MulanFormatError(f"attribute {name!r}: empty nominal value", line_no)
@@ -95,60 +117,106 @@ def _parse_attribute(rest: str, line_no: int) -> AttributeSpec:
     raise MulanFormatError(f"attribute {name!r}: unsupported type {kind!r}", line_no)
 
 
-def _parse_cell(token: str, attr: AttributeSpec, line_no: int) -> FeatureValue:
-    if token == "?":
-        return None
-    token = _unquote(token)
-    if attr.is_nominal:
+def _nominal_index(attr: AttributeSpec) -> dict[str, int]:
+    """Value index of every raw token that names a declared value, quoted or not.
+
+    ``?`` is left out: it is the missing value even where a value is spelled ``?``.
+    """
+    index = {}
+    for i, value in enumerate(attr.values):
+        index[f"'{value}'"] = i
+        index[f'"{value}"'] = i
+        if _unquote(value) == value:
+            index[value] = i
+    index.pop("?", None)
+    return index
+
+
+class _RowParser:
+    """Decodes the data rows of one attribute schema into lists of cells.
+
+    Each column gets its decoder once: a ``token -> index`` dict lookup for a
+    nominal column, ``float`` for a numeric one.  A row whose tokens all
+    decode and whose sum is finite is done in one pass; any other row is
+    decoded again cell by cell, which raises the error naming the first bad
+    token.  Numeric columns named in ``label_names`` are exempt from the
+    finiteness check, because the label check rejects anything but 0 and 1.
+    """
+
+    def __init__(self, columns: tuple[AttributeSpec, ...], label_names: tuple[str, ...]):
+        self.columns = columns
+        self.decoders = [
+            _nominal_index(attr).__getitem__ if attr.is_nominal else float for attr in columns
+        ]
+        self.defaults = [0 if attr.is_nominal else 0.0 for attr in columns]
+        self.finite = frozenset(
+            i
+            for i, attr in enumerate(columns)
+            if not attr.is_nominal and attr.name not in label_names
+        )
+
+    def cell(self, i: int, token: str, line_no: int) -> FeatureValue:
+        if token == "?":
+            return None
+        attr = self.columns[i]
+        if attr.is_nominal:
+            try:
+                return self.decoders[i](token)
+            except KeyError:
+                raise MulanFormatError(
+                    f"value {_unquote(token)!r} not in declared list of attribute {attr.name!r}",
+                    line_no,
+                ) from None
+        token = _unquote(token)
         try:
-            return attr.values.index(token)
+            value = float(token)
         except ValueError:
             raise MulanFormatError(
-                f"value {token!r} not in declared list of attribute {attr.name!r}", line_no
+                f"non-numeric value {token!r} for attribute {attr.name!r}", line_no
             ) from None
-    try:
-        return float(token)
-    except ValueError:
-        raise MulanFormatError(
-            f"non-numeric value {token!r} for attribute {attr.name!r}", line_no
-        ) from None
+        if i in self.finite and not math.isfinite(value):
+            raise MulanFormatError(
+                f"non-finite value {token!r} for attribute {attr.name!r}", line_no
+            )
+        return value
 
-
-def _sparse_default(attr: AttributeSpec) -> FeatureValue:
-    return 0 if attr.is_nominal else 0.0
-
-
-def _parse_row(line: str, columns: tuple[AttributeSpec, ...], line_no: int) -> list[FeatureValue]:
-    line = line.strip()
-    if line.startswith("{"):
-        if not line.endswith("}"):
-            raise MulanFormatError("unterminated sparse row", line_no)
-        cells: list[FeatureValue] = [_sparse_default(a) for a in columns]
-        body = line[1:-1].strip()
-        if not body:
+    def row(self, line: str, line_no: int) -> list[FeatureValue]:
+        columns = self.columns
+        if line.startswith("{"):
+            if not line.endswith("}"):
+                raise MulanFormatError("unterminated sparse row", line_no)
+            cells = list(self.defaults)
+            body = line[1:-1].strip()
+            if not body:
+                return cells
+            seen: set[int] = set()
+            for entry in _split(body, ",", line_no):
+                pieces = entry.split(None, 1)
+                if len(pieces) != 2:
+                    raise MulanFormatError(f"bad sparse entry {entry!r}", line_no)
+                try:
+                    idx = int(pieces[0])
+                except ValueError:
+                    raise MulanFormatError(f"bad sparse index {pieces[0]!r}", line_no) from None
+                if not 0 <= idx < len(columns):
+                    raise MulanFormatError(f"sparse index {idx} out of range", line_no)
+                if idx in seen:
+                    raise MulanFormatError(f"duplicate sparse index {idx}", line_no)
+                seen.add(idx)
+                cells[idx] = self.cell(idx, pieces[1].strip(), line_no)
             return cells
-        seen: set[int] = set()
-        for entry in _split_respecting_quotes(body, ",", line_no):
-            pieces = entry.split(None, 1)
-            if len(pieces) != 2:
-                raise MulanFormatError(f"bad sparse entry {entry!r}", line_no)
-            try:
-                idx = int(pieces[0])
-            except ValueError:
-                raise MulanFormatError(f"bad sparse index {pieces[0]!r}", line_no) from None
-            if not 0 <= idx < len(columns):
-                raise MulanFormatError(f"sparse index {idx} out of range", line_no)
-            if idx in seen:
-                raise MulanFormatError(f"duplicate sparse index {idx}", line_no)
-            seen.add(idx)
-            cells[idx] = _parse_cell(pieces[1].strip(), columns[idx], line_no)
-        return cells
-    tokens = _split_respecting_quotes(line, ",", line_no)
-    if len(tokens) != len(columns):
-        raise MulanFormatError(
-            f"expected {len(columns)} values, got {len(tokens)}", line_no
-        )
-    return [_parse_cell(tok, attr, line_no) for tok, attr in zip(tokens, columns)]
+        tokens = _split(line, ",", line_no)
+        if len(tokens) != len(columns):
+            raise MulanFormatError(
+                f"expected {len(columns)} values, got {len(tokens)}", line_no
+            )
+        try:
+            cells = [decode(token) for decode, token in zip(self.decoders, tokens)]
+            if math.isfinite(sum(cells)):
+                return cells
+        except (KeyError, ValueError):
+            pass
+        return [self.cell(i, token, line_no) for i, token in enumerate(tokens)]
 
 
 def parse_label_header(xml_text: str) -> tuple[str, ...]:
@@ -193,6 +261,21 @@ def _label_symbol_to_number(symbol: str, attr: AttributeSpec, line_no: int) -> f
         ) from None
 
 
+def _label_bits(attr: AttributeSpec, bit: int) -> dict[FeatureValue, int]:
+    """``cell -> bit or 0`` for the cells of a label column that read as 1 or 0."""
+    if not attr.is_nominal:
+        return {0.0: 0, 1.0: bit}
+    bits = {}
+    for code, symbol in enumerate(attr.values):
+        try:
+            number = float(symbol)
+        except ValueError:
+            continue
+        if number == 0.0 or number == 1.0:
+            bits[code] = bit if number == 1.0 else 0
+    return bits
+
+
 def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
     """Parse a MULAN ARFF/XML pair into a dataset.
 
@@ -210,14 +293,15 @@ def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
-        if not in_data and line.lower().startswith("@relation"):
+        if in_data:
+            rows.append((parser.row(line, line_no), line_no))
+        elif line.lower().startswith("@relation"):
             relation, _ = _take_token(line[len("@relation") :], line_no)
-        elif not in_data and line.lower().startswith("@attribute"):
+        elif line.lower().startswith("@attribute"):
             columns.append(_parse_attribute(line[len("@attribute") :], line_no))
-        elif not in_data and line.lower().startswith("@data"):
+        elif line.lower().startswith("@data"):
             in_data = True
-        elif in_data:
-            rows.append((_parse_row(line, tuple(columns), line_no), line_no))
+            parser = _RowParser(tuple(columns), label_names)
         else:
             raise MulanFormatError(f"unexpected content {line!r}", line_no)
 
@@ -232,16 +316,21 @@ def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
     label_set = set(label_positions)
     feature_positions = [i for i in range(len(columns)) if i not in label_set]
     attributes = tuple(columns[i] for i in feature_positions)
+    label_bits = [_label_bits(columns[pos], 1 << j) for j, pos in enumerate(label_positions)]
 
     instances = []
     for cells, line_no in rows:
-        features = tuple(cells[i] for i in feature_positions)
-        active = [
-            j
-            for j, pos in enumerate(label_positions)
-            if _label_value(cells[pos], columns[pos], line_no)
-        ]
-        instances.append(Instance(features=features, labels=Labelset.from_indices(active)))
+        try:
+            mask = sum(map(getitem, label_bits, [cells[pos] for pos in label_positions]))
+        except KeyError:
+            # decode the labels one by one: the first bad cell raises its error
+            mask = Labelset.from_indices(
+                j
+                for j, pos in enumerate(label_positions)
+                if _label_value(cells[pos], columns[pos], line_no)
+            ).mask
+        features = tuple([cells[i] for i in feature_positions])
+        instances.append(Instance(features=features, labels=Labelset(mask)))
 
     try:
         return MultiLabelDataset(
@@ -267,14 +356,6 @@ def _quote(text: str) -> str:
     raise ValueError(f"cannot serialize token mixing both quote kinds: {text!r}")
 
 
-def _format_cell(value: FeatureValue, attr: AttributeSpec) -> str:
-    if value is None:
-        return "?"
-    if attr.is_nominal:
-        return _quote(attr.values[value])
-    return repr(value)
-
-
 def write_mulan(d: MultiLabelDataset) -> tuple[str, str]:
     """Serialize a dataset to (arff_text, xml_label_header).
 
@@ -292,11 +373,21 @@ def write_mulan(d: MultiLabelDataset) -> tuple[str, str]:
         lines.append(f"@attribute {_quote(name)} {{0,1}}")
     lines.append("")
     lines.append("@data")
+    formats = [
+        tuple(_quote(v) for v in attr.values).__getitem__ if attr.is_nominal else repr
+        for attr in d.attributes
+    ]
+    label_cells: dict[int, tuple[str, ...]] = {}
     for inst in d.instances:
-        cells = [_format_cell(v, a) for v, a in zip(inst.features, d.attributes)]
-        cells.extend("1" if l in inst.labels else "0" for l in range(d.k))
+        cells = ["?" if v is None else fmt(v) for fmt, v in zip(formats, inst.features)]
+        mask = inst.labels.mask
+        bits = label_cells.get(mask)
+        if bits is None:
+            bits = label_cells[mask] = tuple("1" if mask >> l & 1 else "0" for l in range(d.k))
+        cells.extend(bits)
         lines.append(",".join(cells))
-    arff_text = "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    arff_text = "\n".join(lines)
 
     xml_lines = ['<?xml version="1.0" encoding="utf-8"?>']
     xml_lines.append('<labels xmlns="http://mulan.sourceforge.net/labels">')

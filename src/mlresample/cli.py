@@ -10,7 +10,7 @@ Every command writing files also writes a manifest capturing the argument
 vector, seed and input/output paths; re-running the manifest reproduces the
 outputs byte for byte.  Human-readable tables go to standard output, JSON
 and CSV reports to files.  Exit codes: 0 success, 2 unreadable or malformed
-input, 3 bad parameters, 4 internal invariant violation.
+input, 3 bad parameters, 4 internal invariant violation or allocation failure.
 """
 
 from __future__ import annotations
@@ -365,7 +365,12 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--classifier", default="mlknn")
     p_eval.add_argument("--k", type=int, default=10, help="neighbor count")
     p_eval.add_argument("--smoothing", type=float, default=1.0)
-    p_eval.add_argument("--seed", type=int, default=None)
+    p_eval.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="recorded in the manifest only: ML-kNN is deterministic",
+    )
     p_eval.add_argument("--out", help="write the evaluation report JSON here")
     p_eval.set_defaults(func=cmd_evaluate)
 
@@ -402,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (AssertionError, RuntimeError) as exc:
+    except (AssertionError, RuntimeError, MemoryError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 

@@ -13,8 +13,10 @@ pure function and safe to run concurrently.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -133,8 +135,45 @@ def _check_instance(inst: Instance, attributes: tuple[AttributeSpec, ...], k: in
                 )
         elif not isinstance(value, float):
             raise ValueError(f"{where}: numeric attribute {attr.name!r} needs a float")
+        elif not math.isfinite(value):
+            raise ValueError(f"{where}: numeric attribute {attr.name!r} needs a finite float")
     if inst.labels.mask >> k:
         raise ValueError(f"{where}: labelset references a label index >= {k}")
+
+
+_NOMINAL_TYPES = {int, type(None)}
+_NUMERIC_TYPES = {float, type(None)}
+
+
+def _all_valid(instances: tuple[Instance, ...], sizes: tuple[int | None, ...], k: int) -> bool:
+    """Whether every instance would pass :func:`_check_instance`.
+
+    ``sizes`` holds each attribute's number of declared values, ``None`` for
+    a numeric one.  The check runs column by column in builtins and is
+    stricter than :func:`_check_instance` (exact ``int`` and ``float``
+    types; a numeric column whose sum overflows fails), so ``False`` only
+    means the instances need the exact check.
+    """
+    if max(map(attrgetter("labels.mask"), instances), default=0) >> k:
+        return False
+    rows = list(map(attrgetter("features"), instances))
+    if set(map(len, rows)) - {len(sizes)}:
+        return False
+    for size, column in zip(sizes, zip(*rows)):
+        # filter(None, ...) drops missing values and zeros, which are always valid
+        if size is None:
+            if not (
+                set(map(type, column)) <= _NUMERIC_TYPES
+                and math.isfinite(sum(filter(None, column)))
+            ):
+                return False
+        elif not (
+            set(map(type, column)) <= _NOMINAL_TYPES
+            and min(filter(None, column), default=0) >= 0
+            and max(filter(None, column), default=0) < size
+        ):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -161,8 +200,10 @@ class MultiLabelDataset:
         if overlap:
             raise ValueError(f"names used both as attribute and label: {sorted(overlap)}")
         k = len(self.labels)
-        for i, inst in enumerate(self.instances):
-            _check_instance(inst, self.attributes, k, f"instance {i}")
+        sizes = tuple(len(a.values) if a.is_nominal else None for a in self.attributes)
+        if not _all_valid(self.instances, sizes, k):
+            for i, inst in enumerate(self.instances):
+                _check_instance(inst, self.attributes, k, f"instance {i}")
 
     @property
     def n(self) -> int:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from mlresample import MulanFormatError
+
 
 def oracle_label_counts(d) -> list[int]:
     return [sum(1 for inst in d.instances if l in inst.labels) for l in range(d.k)]
@@ -197,3 +199,75 @@ def oracle_mlenn_removed(d, ht, nn) -> list[int]:
         if differing >= nn / 2:
             removed.append(i)
     return removed
+
+
+def oracle_split(text, sep, line_no) -> list[str]:
+    """Split on ``sep`` outside quoted regions with a scan over every character.
+
+    The ARFF reader's original tokeniser; tokens come back stripped.
+    """
+    parts = []
+    buf = []
+    quote = None
+    for ch in text:
+        if quote is not None:
+            buf.append(ch)
+            if ch == quote:
+                quote = None
+        elif ch in "'\"":
+            quote = ch
+            buf.append(ch)
+        elif ch == sep:
+            parts.append("".join(buf).strip())
+            buf = []
+        else:
+            buf.append(ch)
+    if quote is not None:
+        raise MulanFormatError("unterminated quote", line_no)
+    parts.append("".join(buf).strip())
+    return parts
+
+
+def _oracle_quote(text) -> str:
+    if text and not (set(" ,{}%'\"\t") & set(text)):
+        return text
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    raise ValueError(f"cannot serialize token mixing both quote kinds: {text!r}")
+
+
+def oracle_write_mulan(d) -> tuple[str, str]:
+    """The ARFF writer's original cell-by-cell serialisation of a dataset."""
+    lines = [f"@relation {_oracle_quote(d.name)}", ""]
+    for attr in d.attributes:
+        if attr.is_nominal:
+            decl = "{" + ",".join(_oracle_quote(v) for v in attr.values) + "}"
+        else:
+            decl = "numeric"
+        lines.append(f"@attribute {_oracle_quote(attr.name)} {decl}")
+    for name in d.labels:
+        lines.append(f"@attribute {_oracle_quote(name)} {{0,1}}")
+    lines.append("")
+    lines.append("@data")
+    for inst in d.instances:
+        cells = []
+        for value, attr in zip(inst.features, d.attributes):
+            if value is None:
+                cells.append("?")
+            elif attr.is_nominal:
+                cells.append(_oracle_quote(attr.values[value]))
+            else:
+                cells.append(repr(value))
+        cells.extend("1" if l in inst.labels else "0" for l in range(d.k))
+        lines.append(",".join(cells))
+    arff_text = "\n".join(lines) + "\n"
+
+    xml_lines = ['<?xml version="1.0" encoding="utf-8"?>']
+    xml_lines.append('<labels xmlns="http://mulan.sourceforge.net/labels">')
+    for name in d.labels:
+        escaped = name.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
+        xml_lines.append(f'  <label name="{escaped}"></label>')
+    xml_lines.append("</labels>")
+    return arff_text, "\n".join(xml_lines) + "\n"

@@ -65,7 +65,10 @@ def datasets(
     allow_empty_labelsets=True,
     ensure_all_labels=False,
     quotable_names=False,
+    quotable_values=False,
 ):
+    """Random datasets; ``quotable_names`` and ``quotable_values`` draw
+    attribute names and nominal values that the ARFF writer must quote."""
     k = draw(st.integers(1, max_k))
     n = draw(st.integers(max(1, k) if ensure_all_labels else 1, max_n))
     n_attrs = draw(st.integers(1, max_attrs))
@@ -75,9 +78,14 @@ def datasets(
     for j in range(n_attrs):
         if draw(st.booleans()):
             size = draw(st.integers(2, 4))
-            attrs.append(
-                AttributeSpec(name=f"a{j}", values=tuple(f"v{j}_{u}" for u in range(size)))
-            )
+            if quotable_values:
+                # one quote kind per value: the writer cannot serialise both
+                quote = draw(st.sampled_from("'\""))
+                symbol = st.text(alphabet="v ,%{}" + quote, min_size=1, max_size=4)
+                values = tuple(draw(st.lists(symbol, min_size=size, max_size=size, unique=True)))
+            else:
+                values = tuple(f"v{j}_{u}" for u in range(size))
+            attrs.append(AttributeSpec(name=f"a{j}", values=values))
         else:
             suffix = draw(st.text(alphabet=name_alphabet, min_size=0, max_size=4)).strip()
             attrs.append(AttributeSpec(name=f"a{j}{suffix}" if suffix else f"a{j}"))

@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlresample import MulanFormatError, parse_mulan, write_mulan
-from mlresample.arff import parse_label_header
+from mlresample.arff import _split, parse_label_header
 
 from conftest import datasets, make_dataset
 from mlresample import AttributeSpec
+from _oracles import oracle_split, oracle_write_mulan
 
 XML_TWO = """<?xml version="1.0" encoding="utf-8"?>
 <labels xmlns="http://mulan.sourceforge.net/labels">
@@ -116,6 +118,69 @@ class TestParseErrors:
             parse_mulan("@relation x\n@attribute a numeric\n", XML_TWO)
 
 
+class TestQuotedTokens:
+    def test_quoted_numeric_and_nominal_cells(self):
+        text = DENSE_TWO.replace("1.0,red,1,0", "'1.5',\"red\",1,'0'")
+        d = parse_mulan(text, XML_TWO)
+        assert d.instances[0].features == (1.5, 0)
+        assert d.instances[0].labels.indices == (0,)
+
+    def test_value_spelled_like_missing(self):
+        text = DENSE_TWO.replace("{red,blue}", "{'?',blue}").replace(
+            "1.0,red,1,0\n2.0,blue,0,1", "1.0,?,1,0\n2.0,'?',0,1"
+        )
+        d = parse_mulan(text, XML_TWO)
+        assert [inst.features for inst in d.instances] == [(1.0, None), (2.0, 0)]
+
+    def test_value_that_is_quoted_in_full(self):
+        # the declared value is 'red' with its quotes: only a quoted token names it
+        text = DENSE_TWO.replace("{red,blue}", "{\"'red'\",blue}")
+        named = text.replace("1.0,red,1,0", "1.0,\"'red'\",1,0")
+        assert parse_mulan(named, XML_TWO).instances[0].features == (1.0, 0)
+        for token in ("red", "'red'"):
+            with pytest.raises(MulanFormatError, match="line 7: value 'red' not in declared list"):
+                parse_mulan(text.replace("1.0,red,1,0", f"1.0,{token},1,0"), XML_TWO)
+
+    def test_unterminated_quote_in_row(self):
+        text = DENSE_TWO.replace("2.0,blue,0,1", "2.0,'blue,0,1")
+        with pytest.raises(MulanFormatError, match="line 8: unterminated quote"):
+            parse_mulan(text, XML_TWO)
+
+    def test_first_bad_cell_of_a_row_is_reported(self):
+        text = DENSE_TWO.replace("2.0,blue,0,1", "x,green,0,1")
+        with pytest.raises(MulanFormatError, match="non-numeric value 'x' for attribute 'height'"):
+            parse_mulan(text, XML_TWO)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-Infinity", "1e400", "-1e400", "'inf'"])
+    def test_dense_numeric_rejected(self, token):
+        text = DENSE_TWO.replace("2.0,blue,0,1", f"{token},blue,0,1")
+        with pytest.raises(MulanFormatError, match="non-finite value .* for attribute 'height'") as err:
+            parse_mulan(text, XML_TWO)
+        assert err.value.line == 8
+
+    def test_sparse_numeric_rejected(self):
+        text = DENSE_TWO.replace("1.0,red,1,0\n2.0,blue,0,1", "{3 1}\n{0 nan, 3 1}")
+        with pytest.raises(MulanFormatError, match="line 8: non-finite value 'nan'"):
+            parse_mulan(text, XML_TWO)
+
+    def test_numeric_label_column_keeps_label_message(self):
+        text = DENSE_TWO.replace("@attribute q {0,1}", "@attribute q numeric").replace(
+            "2.0,blue,0,1", "2.0,blue,0,inf"
+        )
+        with pytest.raises(MulanFormatError, match="line 8: non-binary value inf in label column 'q'"):
+            parse_mulan(text, XML_TWO)
+
+    def test_extreme_finite_values_accepted(self):
+        # the row sum overflows although every value is finite
+        text = DENSE_TWO.replace("@attribute color {red,blue}", "@attribute w numeric").replace(
+            "1.0,red,1,0\n2.0,blue,0,1", "1.7e308,1.7e308,1,0\n-1.7e308,?,0,1"
+        )
+        d = parse_mulan(text, XML_TWO)
+        assert [inst.features for inst in d.instances] == [(1.7e308, 1.7e308), (-1.7e308, None)]
+
+
 class TestLabelOrdering:
     def test_xml_order_defines_label_indices(self):
         xml_swapped = XML_TWO.replace(
@@ -187,9 +252,28 @@ class TestWrite:
 
 
 @settings(max_examples=120, deadline=None)
-@given(datasets(quotable_names=True))
+@given(datasets(quotable_names=True, quotable_values=True))
 def test_parse_write_identity(d):
     assert parse_mulan(*write_mulan(d)) == d
+
+
+@settings(max_examples=120, deadline=None)
+@given(datasets(quotable_names=True, quotable_values=True))
+def test_writer_matches_cell_by_cell_writer(d):
+    assert write_mulan(d) == oracle_write_mulan(d)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="a 1,'\"{}\t?", max_size=24))
+def test_tokeniser_matches_character_scanner(line):
+    try:
+        expected = oracle_split(line, ",", 3)
+    except MulanFormatError as exc:
+        with pytest.raises(MulanFormatError) as err:
+            _split(line, ",", 3)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+    else:
+        assert _split(line, ",", 3) == expected
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from mlresample import parse_mulan
+from mlresample import cli, parse_mulan
 from mlresample.cli import main
 from mlresample.synthetic import separable_clusters
 
@@ -61,6 +61,18 @@ class TestInfo:
         code, _, err = run_cli(["info", bad, xml])
         assert code == 2
         assert "line" in err
+
+    def test_non_finite_value_exits_2(self, toy6_files, tmp_path):
+        _, xml = toy6_files
+        bad = tmp_path / "bad.arff"
+        bad.write_text(
+            "@relation x\n@attribute f0 numeric\n"
+            "@attribute A {0,1}\n@attribute B {0,1}\n@attribute C {0,1}\n"
+            "@data\n1.0,1,0,0\n-Infinity,0,1,0\n"
+        )
+        code, _, err = run_cli(["info", bad, xml])
+        assert code == 2
+        assert "line 8: non-finite value '-Infinity' for attribute 'f0'" in err
 
     def test_zero_count_label_warning(self, tmp_path, toy6):
         sparse = toy6.replace_instances(toy6.instances[:3])  # only label A used
@@ -249,3 +261,12 @@ class TestParsing:
         arff, xml = toy6_files
         assert main(["info", str(arff), str(xml)]) == 0
         assert "toy6" in capsys.readouterr().out
+
+    def test_allocation_failure_exits_4(self, toy6_files, capsys, monkeypatch):
+        def exhausted(args, argv):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(cli, "cmd_info", exhausted)
+        arff, xml = toy6_files
+        assert main(["info", str(arff), str(xml)]) == 4
+        assert capsys.readouterr().err == "internal error: cannot allocate\n"

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from mlresample import AttributeSpec, Labelset, label_counts, label_matrix
@@ -61,6 +64,30 @@ class TestDatasetValidation:
     def test_missing_values_accepted(self):
         d = make_dataset([AttributeSpec("a")], ("A",), [((None,), [0])])
         assert d.instances[0].features == (None,)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numeric_rejected(self, value):
+        with pytest.raises(ValueError, match="instance 1: numeric attribute 'a' needs a finite float"):
+            make_dataset([AttributeSpec("a")], ("A",), [((1.0,), [0]), ((value,), [0])])
+
+    def test_extreme_finite_values_accepted(self):
+        # the column sum overflows although every value is finite
+        rows = [((1.7e308,), [0]), ((1.7e308,), [0]), ((-1.7e308,), [])]
+        assert make_dataset([AttributeSpec("a")], ("A",), rows).n == 3
+
+    def test_first_failing_instance_is_reported(self):
+        attrs = [AttributeSpec("a"), AttributeSpec("c", values=("x", "y"))]
+        rows = [((1.0, 0), [0]), ((2.0, True), [0]), ((3, 5), [0])]
+        with pytest.raises(ValueError, match="instance 1: nominal attribute 'c' needs an int index"):
+            make_dataset(attrs, ("A",), rows)
+
+    def test_numeric_needs_a_float(self):
+        with pytest.raises(ValueError, match="instance 0: numeric attribute 'a' needs a float"):
+            make_dataset([AttributeSpec("a")], ("A",), [((1,), [0])])
+
+    def test_float_subclass_accepted(self):
+        d = make_dataset([AttributeSpec("a")], ("A",), [((np.float64(0.5),), [0])])
+        assert d.instances[0].features == (0.5,)
 
 
 class TestLabelCounts:

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from mlresample import AttributeSpec, distance
 from mlresample.distance import FeatureSpace, neighbors
@@ -122,3 +124,38 @@ def test_block_size_never_changes_the_answer(d):
     finally:
         distance._BLOCK_CELLS = original
     assert np.array_equal(whole, one_row)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(datasets(max_n=15))
+@example(
+    make_dataset(
+        (AttributeSpec("x"), ATTRS[1]),
+        ("A",),
+        [((-1.7e308, 0), [0]), ((None, 1), [0]), ((1.7e308, None), []), ((2.0, 2), [0])],
+    )
+)
+def test_distance_is_a_bounded_symmetric_dissimilarity(d):
+    enc = FeatureSpace(d).encode(d.instances)
+    dist = distance._distances(enc, enc)
+    assert np.isfinite(dist).all()
+    assert (dist >= 0).all() and (dist <= math.sqrt(len(d.attributes))).all()
+    assert np.array_equal(dist, dist.T)
+    # a missing value is at distance 1 from everything, itself included
+    missing = [sum(v is None for v in inst.features) for inst in d.instances]
+    assert np.array_equal(np.diag(dist), np.sqrt(missing))
+
+
+class TestOverflowingRange:
+    def test_column_spanning_more_than_the_float_maximum(self):
+        d = make_dataset(
+            [AttributeSpec("x")], ("A",), [((-1.7e308,), [0]), ((0.0,), [0]), ((1.7e308,), [0])]
+        )
+        numeric, _ = FeatureSpace(d).encode(d.instances)
+        assert numeric[:, 0].tolist() == [0.0, 0.5, 1.0]
+
+    def test_finite_span_columns_keep_their_values(self):
+        d = make_dataset([AttributeSpec("x")], ("A",), [((-3.0,), [0]), ((0.1,), [0]), ((7.0,), [0])])
+        numeric, _ = FeatureSpace(d).encode(d.instances)
+        assert numeric[:, 0].tolist() == [0.0, (0.1 - -3.0) / 10.0, 1.0]
