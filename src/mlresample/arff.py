@@ -347,7 +347,8 @@ _NEEDS_QUOTING = set(" ,{}%'\"\t")
 
 
 def _quote(text: str) -> str:
-    if text and not (_NEEDS_QUOTING & set(text)):
+    # a bare ? is the missing value, so a value spelled ? is written quoted
+    if text and text != "?" and not (_NEEDS_QUOTING & set(text)):
         return text
     if '"' not in text:
         return f'"{text}"'

@@ -56,7 +56,7 @@ def mlknn_train(d_train: MultiLabelDataset, k_nn: int = 10, smoothing: float = 1
 
     prior = (smoothing + y.sum(axis=0)) / (2 * smoothing + n)
 
-    neighbor_counts = y[neighbors(encoded, encoded, k_nn, exclude_self=True)].sum(axis=1)
+    neighbor_counts = y[neighbors(encoded, encoded, k_nn, exclude=np.arange(n))].sum(axis=1)
 
     def smoothed(histogram: np.ndarray) -> np.ndarray:
         denominator = smoothing * (k_nn + 1) + histogram.sum()

@@ -231,15 +231,16 @@ def mlenn(d: MultiLabelDataset, ht: float = 0.75, nn: int = 3) -> tuple[MultiLab
     if nn >= d.n:
         raise ValueError(f"need more instances ({d.n}) than neighbors ({nn})")
     minority_mask = Labelset.from_indices(np.flatnonzero(imbalance_summary(d).minority).tolist())
+    candidates = np.array(
+        [i for i, inst in enumerate(d.instances) if not inst.labels & minority_mask], dtype=np.intp
+    )
     encoded = FeatureSpace(d).encode(d.instances)
-    nearest = neighbors(encoded, encoded, nn, exclude_self=True)
+    query = (encoded[0][candidates], encoded[1][candidates])
+    nearest = neighbors(query, encoded, nn, exclude=candidates)
     marked: list[int] = []
-    for i, inst in enumerate(d.instances):
-        if inst.labels & minority_mask:
-            continue
-        differing = sum(
-            1 for j in nearest[i] if labelset_distance(inst.labels, d.instances[j].labels) > ht
-        )
+    for i, near in zip(candidates.tolist(), nearest.tolist()):
+        labels = d.instances[i].labels
+        differing = sum(1 for j in near if labelset_distance(labels, d.instances[j].labels) > ht)
         if differing >= nn / 2:
             marked.append(i)
     marked_set = set(marked)
@@ -272,7 +273,8 @@ def new_sample(
     """Build one synthetic instance from a seed and its neighborhood.
 
     Numeric features interpolate between seed and reference (fresh uniform
-    draw per feature; a missing endpoint degrades to the available one).
+    draw per feature; a missing endpoint degrades to the available one; a
+    span that overflows a float is interpolated as a weighted mean).
     Nominal features take the most frequent value among the neighbors (ties
     to the lowest value index, missing ignored).  The labelset keeps each
     label active in more than half of seed-plus-neighbors.
@@ -289,7 +291,10 @@ def new_sample(
         if sv is None or rv is None:
             features.append(sv if sv is not None else rv)
             continue
-        features.append(sv + rng.random() * (rv - sv))
+        r = rng.random()
+        span = rv - sv
+        # a span past the float maximum overflows; the weighted mean never does
+        features.append(sv + r * span if math.isfinite(span) else sv * (1 - r) + r * rv)
     votes: dict[int, int] = {}
     for inst in (seed_instance, *neighbors):
         for l in inst.labels:
@@ -323,7 +328,7 @@ def mlsmote(
             continue
         bag_encoded = (encoded[0][bag], encoded[1][bag])
         want = min(k_neighbors, len(bag) - 1)
-        nearest = neighbors(bag_encoded, bag_encoded, want, exclude_self=True)
+        nearest = neighbors(bag_encoded, bag_encoded, want, exclude=np.arange(len(bag)))
         for pos, seed_idx in enumerate(bag):
             neighbor_idx = [bag[j] for j in nearest[pos]]
             ref = neighbor_idx[int(rng.integers(0, len(neighbor_idx)))]

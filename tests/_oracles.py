@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from mlresample import MulanFormatError
 
 
@@ -133,6 +135,41 @@ def oracle_neighbors(reference, query_instances, k, exclude_self=False) -> list[
         )
         out.append([j for _, j in ranked[:k]])
     return out
+
+
+def oracle_distances(query, reference) -> np.ndarray:
+    """Distance matrix between encoded rows, one temporary array per column.
+
+    The neighbour engine's original kernel: numeric terms summed in column
+    order with a NaN term counted as 1.0, then one +1.0/+0.0 per nominal
+    column.
+    """
+    q_num, q_nom = query
+    r_num, r_nom = reference
+    total = np.zeros((q_num.shape[0], r_num.shape[0]))
+    for col in range(q_num.shape[1]):
+        diff = q_num[:, col, None] - r_num[None, :, col]
+        term = diff * diff
+        total += np.where(np.isnan(term), 1.0, term)
+    for col in range(q_nom.shape[1]):
+        qv = q_nom[:, col, None]
+        rv = r_nom[None, :, col]
+        total += ((qv != rv) | (qv < 0) | (rv < 0)).astype(float)
+    return np.sqrt(total)
+
+
+def oracle_encoded_neighbors(query, reference, k, exclude=None) -> np.ndarray:
+    """The ``k`` nearest reference rows of each encoded query row by a full stable sort.
+
+    Ties go to the lower index; query row ``i`` never picks ``exclude[i]``.
+    """
+    order = np.argsort(oracle_distances(query, reference), axis=1, kind="stable")
+    if exclude is None:
+        return order[:, :k]
+    return np.array(
+        [[j for j in row if j != skip][:k] for row, skip in zip(order.tolist(), exclude)],
+        dtype=np.intp,
+    ).reshape(len(order), k)
 
 
 def oracle_minority_labels(d) -> set[int]:

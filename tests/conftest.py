@@ -36,6 +36,12 @@ def make_dataset(attrs, labels, rows, name="fixture"):
     return MultiLabelDataset(tuple(attrs), tuple(labels), instances, name=name)
 
 
+def float_range_dataset():
+    """Twelve rows at both ends of the float range; the minority label B spans it."""
+    rows = [((1.7e308 if i % 2 else -1.7e308,), [0, 1] if i < 4 else [0]) for i in range(12)]
+    return make_dataset((AttributeSpec("x"),), ("A", "B"), rows)
+
+
 @pytest.fixture
 def toy6():
     """Six instances over labels A, B, C with labelsets {A}x3, {A,B}, {B}, {A,C}."""

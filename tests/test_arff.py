@@ -241,6 +241,13 @@ class TestWrite:
         assert "?,1" in arff_text
         assert parse_mulan(*write_mulan(d)) == d
 
+    def test_value_spelled_like_missing_round_trip(self):
+        attrs = [AttributeSpec("?", values=("?", "x"))]
+        d = make_dataset(attrs, ("A",), [((0,), [0]), ((None,), [0]), ((1,), [])], name="?")
+        arff_text, xml_text = write_mulan(d)
+        assert arff_text.splitlines()[-3:] == ['"?",1', "?,1", "x,0"]
+        assert parse_mulan(arff_text, xml_text) == d
+
     def test_names_needing_quotes(self):
         d = make_dataset(
             [AttributeSpec("odd name", values=("v 1", "v2"))],

@@ -8,7 +8,7 @@ from mlresample import cli, parse_mulan
 from mlresample.cli import main
 from mlresample.synthetic import separable_clusters
 
-from conftest import cli_env, write_dataset_files
+from conftest import cli_env, float_range_dataset, write_dataset_files
 
 
 def run_cli(args, env=None):
@@ -113,6 +113,17 @@ class TestResample:
         assert first["instances_after"] == second["instances_before"]
         assert report["instances_before"] == first["instances_before"]
         assert report["instances_after"] == second["instances_after"]
+
+    def test_mlsmote_across_the_float_range(self, tmp_path):
+        # interpolating between -1.7e308 and 1.7e308 must not overflow to inf
+        arff, xml = write_dataset_files(float_range_dataset(), tmp_path, "wide")
+        out_dir = tmp_path / "out"
+        args = ["resample", arff, xml, "--method", "mlsmote", "--k", 2, "--out-dir", out_dir]
+        assert main(list(map(str, args))) == 0
+        out = parse_mulan(
+            (out_dir / "resampled.arff").read_text(), (out_dir / "resampled.xml").read_text()
+        )
+        assert out.n == 16
 
     def test_bad_method_param_exits_3(self, toy6_files, tmp_path):
         arff, xml = toy6_files

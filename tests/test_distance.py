@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mlresample import AttributeSpec, distance
 from mlresample.distance import FeatureSpace, neighbors
 
 from conftest import datasets, make_dataset
-from _oracles import oracle_neighbors
+from _oracles import oracle_distances, oracle_encoded_neighbors, oracle_neighbors
 
 ATTRS = (
     AttributeSpec("x"),
@@ -51,7 +52,7 @@ class TestNeighborsAgainstOracle:
     def test_square_excluding_self(self, seed, k):
         ref, _ = reference_and_query(seed, 30, 0)
         enc = FeatureSpace(ref).encode(ref.instances)
-        got = neighbors(enc, enc, k, exclude_self=True)
+        got = neighbors(enc, enc, k, exclude=np.arange(ref.n))
         assert got.tolist() == oracle_neighbors(ref, ref.instances, k, exclude_self=True)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -77,14 +78,14 @@ class TestNeighborsAgainstOracle:
         monkeypatch.setattr(distance, "_BLOCK_CELLS", cells)
         ref, _ = reference_and_query(11, 40, 0)
         enc = FeatureSpace(ref).encode(ref.instances)
-        got = neighbors(enc, enc, 6, exclude_self=exclude_self)
+        got = neighbors(enc, enc, 6, exclude=np.arange(ref.n) if exclude_self else None)
         assert got.tolist() == oracle_neighbors(ref, ref.instances, 6, exclude_self)
 
     def test_duplicates_tie_to_lower_index(self):
         rows = [((1.0, 0, 1.0), [0])] * 5 + [((0.0, 1, 0.0), [1])]
         d = make_dataset(ATTRS, ("A", "B"), rows)
         enc = FeatureSpace(d).encode(d.instances)
-        assert neighbors(enc, enc, 3, exclude_self=True).tolist() == [
+        assert neighbors(enc, enc, 3, exclude=np.arange(6)).tolist() == [
             [1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2], [0, 1, 2], [0, 1, 2]
         ]
 
@@ -96,8 +97,8 @@ class TestNeighborsAgainstOracle:
         d = make_dataset(ATTRS, ("A", "B"), rows)
         enc = FeatureSpace(d).encode(d.instances)
         assert neighbors(enc, enc, 4).tolist()[3] == [0, 1, 2, 3]
-        assert neighbors(enc, enc, 2, exclude_self=True).tolist()[3] == [0, 1]
-        assert neighbors(enc, enc, 4, exclude_self=True).tolist()[3] == [0, 1, 2, 4]
+        assert neighbors(enc, enc, 2, exclude=np.arange(5)).tolist()[3] == [0, 1]
+        assert neighbors(enc, enc, 4, exclude=np.arange(5)).tolist()[3] == [0, 1, 2, 4]
 
 
 class TestNeighborsArguments:
@@ -106,8 +107,88 @@ class TestNeighborsArguments:
         with pytest.raises(ValueError):
             neighbors(enc, enc, 0)
         with pytest.raises(ValueError):
-            neighbors(enc, enc, 6, exclude_self=True)
+            neighbors(enc, enc, 6, exclude=np.arange(6))
         assert neighbors(enc, enc, 6).shape == (6, 6)
+
+
+def full_matrix(query, reference):
+    """Every distance cell, assembled from the engine's reused block buffers."""
+    blocks = [block.copy() for _, block in distance._distance_blocks(query, reference)]
+    return np.concatenate(blocks) if blocks else np.zeros((0, reference[0].shape[0]))
+
+
+def encode_rows(rows, n_numeric, n_nominal):
+    numeric = np.array([r[0] for r in rows], dtype=float).reshape(len(rows), n_numeric)
+    nominal = np.array([r[1] for r in rows], dtype=np.int64).reshape(len(rows), n_nominal)
+    return numeric, nominal
+
+
+# coarse values make exact ties; inf - inf makes a NaN term without a NaN input
+COARSE_VALUES = [0.0, 0.25, 1 / 3, 0.5, 1.0, math.nan, math.inf]
+NUMERIC_VALUES = st.sampled_from(COARSE_VALUES) | st.floats(-2, 2)
+
+
+@st.composite
+def encoded_cases(draw):
+    """(query, reference, k, exclude, block cells) over a mixed schema with missing values.
+
+    Rows repeat a few distinct ones, so many distances tie.  The query is the
+    reference itself, a subset of its rows (as MLeNN asks) or other rows.
+    """
+    n_numeric, n_nominal = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    row = st.tuples(
+        st.lists(NUMERIC_VALUES, min_size=n_numeric, max_size=n_numeric),
+        st.lists(st.integers(-1, 3), min_size=n_nominal, max_size=n_nominal),
+    )
+    distinct = draw(st.lists(row, min_size=1, max_size=8))
+    picks = st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=20)
+    ref_rows = [distinct[i] for i in draw(picks)]
+    reference = encode_rows(ref_rows, n_numeric, n_nominal)
+    n_ref = len(ref_rows)
+    kind = draw(st.sampled_from(["self", "subset", "other"]))
+    if kind == "other":
+        query_rows = [distinct[i] for i in draw(picks)] + draw(st.lists(row, max_size=4))
+        n_query = len(query_rows)
+        own = draw(st.lists(st.integers(0, n_ref - 1), min_size=n_query, max_size=n_query))
+    else:
+        own = list(range(n_ref))
+        if kind == "subset":
+            own = sorted(set(draw(st.lists(st.integers(0, n_ref - 1), max_size=n_ref))))
+        query_rows = [ref_rows[i] for i in own]
+    query = encode_rows(query_rows, n_numeric, n_nominal)
+    exclude = np.array(own, dtype=np.intp) if n_ref > 1 and draw(st.booleans()) else None
+    k = draw(st.integers(1, n_ref - (exclude is not None)))
+    return query, reference, k, exclude, draw(st.sampled_from([1, 7, distance._BLOCK_CELLS]))
+
+
+def pinned_case(numeric, k, exclude):
+    enc = encode_rows([((v,), (0,)) for v in numeric], 1, 1)
+    return enc, enc, k, np.arange(len(numeric)) if exclude else None, distance._BLOCK_CELLS
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@settings(max_examples=300, deadline=None)
+@given(encoded_cases())
+# k plus the excluded index spans the whole reference: the full stable sort
+@example(pinned_case([0.0, 1.0, 0.5, 0.5, 1.0], 4, exclude=True))
+@example(pinned_case([0.0, 1.0, 0.5, 0.5, 1.0], 5, exclude=False))
+# every row identical: every cell ties
+@example(pinned_case([0.25] * 6, 3, exclude=True))
+# row 3 is at distance 1 from every row, itself too, so its own index
+# falls outside its first k + 1 and its last pick is dropped instead
+@example(pinned_case([0.0, 0.0, 0.0, math.nan, 1.0], 2, exclude=True))
+def test_engine_matches_the_per_column_kernel_and_a_full_sort(case):
+    query, reference, k, exclude, cells = case
+    original = distance._BLOCK_CELLS
+    try:
+        distance._BLOCK_CELLS = cells
+        got_cells = full_matrix(query, reference)
+        got = neighbors(query, reference, k, exclude=exclude)
+    finally:
+        distance._BLOCK_CELLS = original
+    want_cells = oracle_distances(query, reference)
+    assert np.array_equal(got_cells.view(np.uint64), want_cells.view(np.uint64))
+    assert got.tolist() == oracle_encoded_neighbors(query, reference, k, exclude).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,12 +196,12 @@ class TestNeighborsArguments:
 def test_block_size_never_changes_the_answer(d):
     enc = FeatureSpace(d).encode(d.instances)
     k = d.n - 1 if d.n > 1 else 1
-    exclude = d.n > 1
-    whole = neighbors(enc, enc, k, exclude_self=exclude)
+    exclude = np.arange(d.n) if d.n > 1 else None
+    whole = neighbors(enc, enc, k, exclude=exclude)
     original = distance._BLOCK_CELLS
     try:
         distance._BLOCK_CELLS = 1
-        one_row = neighbors(enc, enc, k, exclude_self=exclude)
+        one_row = neighbors(enc, enc, k, exclude=exclude)
     finally:
         distance._BLOCK_CELLS = original
     assert np.array_equal(whole, one_row)
@@ -138,7 +219,7 @@ def test_block_size_never_changes_the_answer(d):
 )
 def test_distance_is_a_bounded_symmetric_dissimilarity(d):
     enc = FeatureSpace(d).encode(d.instances)
-    dist = distance._distances(enc, enc)
+    dist = full_matrix(enc, enc)
     assert np.isfinite(dist).all()
     assert (dist >= 0).all() and (dist <= math.sqrt(len(d.attributes))).all()
     assert np.array_equal(dist, dist.T)

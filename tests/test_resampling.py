@@ -20,7 +20,7 @@ from mlresample import (
 )
 from mlresample.synthetic import random_dataset
 
-from conftest import make_dataset
+from conftest import float_range_dataset, make_dataset
 from _oracles import (
     oracle_distance,
     oracle_minmax,
@@ -299,6 +299,16 @@ class TestNewSample:
         synth = new_sample(attrs, seed, n1, [n1, n2], np.random.default_rng(0))
         assert synth.features == (1,)
 
+    def test_span_past_the_float_maximum(self):
+        attrs = (AttributeSpec("x"), AttributeSpec("y"))
+        seed = Instance((-1.7e308, 1.0), Labelset.from_indices([0]))
+        ref = Instance((1.7e308, 3.0), Labelset.from_indices([0]))
+        synth = new_sample(attrs, seed, ref, [ref], np.random.default_rng(0))
+        r_x, r_y = np.random.default_rng(0).random(2)
+        # only the overflowing feature takes the weighted mean
+        assert synth.features == (-1.7e308 * (1 - r_x) + r_x * 1.7e308, 1.0 + r_y * 2.0)
+        assert -1.7e308 <= synth.features[0] <= 1.7e308
+
     def test_missing_endpoint_falls_back(self):
         attrs = (AttributeSpec("x"),)
         seed = Instance((None,), Labelset.from_indices([0]))
@@ -373,6 +383,14 @@ class TestMLSMOTE:
                     assert synth.features[idx] == min(allowed)
                 else:
                     assert min(pool) <= synth.features[idx] <= max(pool)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_values_spanning_the_float_range(self, seed):
+        d = float_range_dataset()
+        out, _ = resample(d, ResampleConfig(MLSMOTEConfig(k_neighbors=2), seed=seed))
+        synthetic = [inst.features[0] for inst in out.instances[d.n :]]
+        assert len(synthetic) == 4
+        assert all(-1.7e308 <= x <= 1.7e308 for x in synthetic)
 
     def test_deterministic_given_seed(self):
         d = pure_minority_fixture()
