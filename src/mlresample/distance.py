@@ -162,7 +162,8 @@ def _nearest(block: np.ndarray, m: int) -> np.ndarray:
     kth = np.partition(block, m - 1, axis=1)[:, m - 1, None]
     shortlist = block <= kth
     rows, cols = np.nonzero(shortlist)
-    order = np.lexsort((cols, block[shortlist], rows))
+    # lexsort is stable, so equal distances keep nonzero's ascending columns
+    order = np.lexsort((block[shortlist], rows))
     first = np.searchsorted(rows, np.arange(block.shape[0]))
     return cols[order[first[:, None] + np.arange(m)]]
 

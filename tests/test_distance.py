@@ -161,8 +161,10 @@ def encoded_cases(draw):
     return query, reference, k, exclude, draw(st.sampled_from([1, 7, distance._BLOCK_CELLS]))
 
 
-def pinned_case(numeric, k, exclude):
-    enc = encode_rows([((v,), (0,)) for v in numeric], 1, 1)
+def pinned_case(numeric, k, exclude, nominal=None):
+    """A square case: one numeric column, and nominal codes (one column of 0 by default)."""
+    nominal = nominal or [(0,)] * len(numeric)
+    enc = encode_rows([((v,), codes) for v, codes in zip(numeric, nominal)], 1, len(nominal[0]))
     return enc, enc, k, np.arange(len(numeric)) if exclude else None, distance._BLOCK_CELLS
 
 
@@ -177,6 +179,8 @@ def pinned_case(numeric, k, exclude):
 # row 3 is at distance 1 from every row, itself too, so its own index
 # falls outside its first k + 1 and its last pick is dropped instead
 @example(pinned_case([0.0, 0.0, 0.0, math.nan, 1.0], 2, exclude=True))
+# two mismatches after a numeric term: 0.49 + 1.0 + 1.0 is not 0.49 + 2.0
+@example(pinned_case([0.0, 0.7], 1, exclude=False, nominal=[(0, 0), (1, 1)]))
 def test_engine_matches_the_per_column_kernel_and_a_full_sort(case):
     query, reference, k, exclude, cells = case
     original = distance._BLOCK_CELLS
