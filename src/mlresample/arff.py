@@ -12,6 +12,12 @@ number.
 
 The XML header lists the label attributes; nested label hierarchies are
 flattened to their name list in document order.  Label columns must hold 0/1.
+
+The parser's decoders produce only valid cells (exact ``float`` values, codes
+in the declared list, finite numerics), so the parsed rows are not checked a
+second time.  The writer formats each distinct feature tuple once: clones and
+decoupled copies share their source's tuple, and a :class:`RowFormatter`
+shared across calls does the same for the folds cut from one dataset.
 """
 
 from __future__ import annotations
@@ -333,12 +339,7 @@ def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
         instances.append(Instance(features=features, labels=Labelset(mask)))
 
     try:
-        return MultiLabelDataset(
-            attributes=attributes,
-            labels=label_names,
-            instances=tuple(instances),
-            name=relation,
-        )
+        return MultiLabelDataset._trusted(attributes, label_names, tuple(instances), relation)
     except ValueError as exc:
         raise MulanFormatError(str(exc)) from exc
 
@@ -357,12 +358,64 @@ def _quote(text: str) -> str:
     raise ValueError(f"cannot serialize token mixing both quote kinds: {text!r}")
 
 
-def write_mulan(d: MultiLabelDataset) -> tuple[str, str]:
+class RowFormatter:
+    """Formats the data lines of one schema, each distinct feature tuple once.
+
+    A row whose feature tuple (the same object) this formatter has met
+    before reuses that line: whole when its label cells are the same too,
+    else with the label cells swapped.  The formatter keeps each tuple it
+    formats alive, so that no id it holds is reused; share one formatter
+    only across datasets that share rows.
+    """
+
+    def __init__(self, attributes: tuple[AttributeSpec, ...], k: int):
+        self.attributes = attributes
+        self.k = k
+        self._formats = [
+            tuple(_quote(v) for v in attr.values).__getitem__ if attr.is_nominal else repr
+            for attr in attributes
+        ]
+        # the separator before the label cells, where both kinds of cell exist
+        self._sep = "," if attributes and k else ""
+        # labelset mask -> separator and label cells; every tail has the same length
+        self._tails: dict[int, str] = {}
+        self._lines: dict[int, str] = {}  # id(features) -> the first line formatted for them
+        self._kept: list[tuple] = []
+
+    def lines(self, instances: tuple[Instance, ...]) -> list[str]:
+        formats, tails, known, kept = self._formats, self._tails, self._lines, self._kept
+        out = []
+        for inst in instances:
+            features, mask = inst.features, inst.labels.mask
+            tail = tails.get(mask)
+            if tail is None:
+                tail = tails[mask] = self._sep + ",".join(
+                    ["1" if mask >> l & 1 else "0" for l in range(self.k)]
+                )
+            line = known.get(id(features))
+            if line is None:
+                cells = ["?" if v is None else fmt(v) for fmt, v in zip(formats, features)]
+                line = known[id(features)] = ",".join(cells) + tail
+                kept.append(features)
+            elif not line.endswith(tail):
+                line = line[: len(line) - len(tail)] + tail
+            out.append(line)
+        return out
+
+
+def write_mulan(d: MultiLabelDataset, rows: RowFormatter | None = None) -> tuple[str, str]:
     """Serialize a dataset to (arff_text, xml_label_header).
 
     Numeric values use the shortest round-tripping representation, so
-    ``parse_mulan(*write_mulan(d))`` reproduces ``d`` structurally.
+    ``parse_mulan(*write_mulan(d))`` reproduces ``d`` structurally.  ``rows``
+    formats the data lines, a fresh :class:`RowFormatter` by default; give
+    several calls one formatter when their datasets share rows, such as the
+    folds of one dataset, and each shared row is formatted once for all.
     """
+    if rows is None:
+        rows = RowFormatter(d.attributes, d.k)
+    elif (rows.attributes, rows.k) != (d.attributes, d.k):
+        raise ValueError("the row formatter was built for another schema")
     lines = [f"@relation {_quote(d.name)}", ""]
     for attr in d.attributes:
         if attr.is_nominal:
@@ -374,19 +427,7 @@ def write_mulan(d: MultiLabelDataset) -> tuple[str, str]:
         lines.append(f"@attribute {_quote(name)} {{0,1}}")
     lines.append("")
     lines.append("@data")
-    formats = [
-        tuple(_quote(v) for v in attr.values).__getitem__ if attr.is_nominal else repr
-        for attr in d.attributes
-    ]
-    label_cells: dict[int, tuple[str, ...]] = {}
-    for inst in d.instances:
-        cells = ["?" if v is None else fmt(v) for fmt, v in zip(formats, inst.features)]
-        mask = inst.labels.mask
-        bits = label_cells.get(mask)
-        if bits is None:
-            bits = label_cells[mask] = tuple("1" if mask >> l & 1 else "0" for l in range(d.k))
-        cells.extend(bits)
-        lines.append(",".join(cells))
+    lines.extend(rows.lines(d.instances))
     lines.append("")  # the final newline, without a second copy of the text
     arff_text = "\n".join(lines)
 

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .arff import MulanFormatError, parse_mulan, write_mulan
+from .arff import MulanFormatError, RowFormatter, parse_mulan, write_mulan
 from .dataset import MultiLabelDataset, label_matrix
 from .decoupling import DecoupleConfig, HybridConfig, hybrid_resample
 from .evaluation import evaluate
@@ -66,8 +66,10 @@ def _read_dataset(arff_path: str, xml_path: str) -> MultiLabelDataset:
     return parse_mulan(arff_text, xml_text)
 
 
-def _write_dataset(d: MultiLabelDataset, arff_path: Path, xml_path: Path) -> None:
-    arff_text, xml_text = write_mulan(d)
+def _write_dataset(
+    d: MultiLabelDataset, arff_path: Path, xml_path: Path, rows: RowFormatter | None = None
+) -> None:
+    arff_text, xml_text = write_mulan(d, rows)
     arff_path.write_text(arff_text)
     xml_path.write_text(xml_text)
 
@@ -175,7 +177,7 @@ def cmd_resample(args, argv: list[str]) -> int:
         suffix = f"{decouple.spec_string()}-{suffix}"
     else:
         out, report = resample(d, config)
-    out = out.replace_instances(out.instances, name=f"{d.name}-{suffix}")
+    out = MultiLabelDataset._trusted(out.attributes, out.labels, out.instances, f"{d.name}-{suffix}")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -221,12 +223,13 @@ def cmd_partition(args, argv: list[str]) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
+    rows = RowFormatter(d.attributes, d.k)  # every fold file reuses the input's formatted rows
     for f in range(args.folds):
         train, test = fold_datasets(d, assignment, f)
         for part, ds in (("train", train), ("test", test)):
             arff_path = out_dir / f"fold{f}-{part}.arff"
             xml_path = out_dir / f"fold{f}-{part}.xml"
-            _write_dataset(ds, arff_path, xml_path)
+            _write_dataset(ds, arff_path, xml_path, rows)
             outputs[f"fold{f}-{part}"] = str(arff_path)
     csv_path = out_dir / "folds.csv"
     csv_path.write_text(assignment.to_csv())

@@ -9,12 +9,22 @@ collections stay cheap even for datasets with hundreds of labels.
 
 Datasets are immutable after construction; every operation over them is a
 pure function and safe to run concurrently.
+
+Each row is validated once, where it enters the program.  The public
+constructor and :meth:`MultiLabelDataset.replace_instances` check every row
+they are given.  Rows that come from a dataset validated before are not
+checked again: :meth:`~MultiLabelDataset.subset`, ML-ROS clones, REMEDIAL's
+split copies and a renamed CLI output reuse them through the private
+:meth:`~MultiLabelDataset._trusted` constructor, which checks the schema
+only.  ``parse_mulan`` uses it too, because its decoders only produce valid
+cells, and MLSMOTE checks only the synthetic rows it adds.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -176,6 +186,19 @@ def _all_valid(instances: tuple[Instance, ...], sizes: tuple[int | None, ...], k
     return True
 
 
+def _check_rows(
+    instances: Sequence[Instance],
+    attributes: tuple[AttributeSpec, ...],
+    k: int,
+    start: int = 0,
+) -> None:
+    """Raise the error of the first invalid instance, numbered from ``start``."""
+    sizes = tuple(len(a.values) if a.is_nominal else None for a in attributes)
+    if not _all_valid(instances, sizes, k):
+        for i, inst in enumerate(instances, start):
+            _check_instance(inst, attributes, k, f"instance {i}")
+
+
 @dataclass(frozen=True)
 class MultiLabelDataset:
     """Immutable multilabel dataset.
@@ -191,6 +214,10 @@ class MultiLabelDataset:
     name: str = "unnamed"
 
     def __post_init__(self):
+        self._check_schema()
+        _check_rows(self.instances, self.attributes, self.k)
+
+    def _check_schema(self) -> None:
         attr_names = [a.name for a in self.attributes]
         if len(set(attr_names)) != len(attr_names):
             raise ValueError("duplicate attribute names")
@@ -199,11 +226,31 @@ class MultiLabelDataset:
         overlap = set(attr_names) & set(self.labels)
         if overlap:
             raise ValueError(f"names used both as attribute and label: {sorted(overlap)}")
-        k = len(self.labels)
-        sizes = tuple(len(a.values) if a.is_nominal else None for a in self.attributes)
-        if not _all_valid(self.instances, sizes, k):
-            for i, inst in enumerate(self.instances):
-                _check_instance(inst, self.attributes, k, f"instance {i}")
+
+    @classmethod
+    def _trusted(
+        cls,
+        attributes: tuple[AttributeSpec, ...],
+        labels: tuple[str, ...],
+        instances: tuple[Instance, ...],
+        name: str,
+    ) -> MultiLabelDataset:
+        """Dataset over rows known to be valid for this schema.
+
+        Only the schema is checked.  Callers pass rows taken from a validated
+        dataset of the same schema, or rows built so that they cannot fail
+        the row check; any other rows go through the public constructor.
+        """
+        d = object.__new__(cls)
+        for field, value in (
+            ("attributes", attributes),
+            ("labels", labels),
+            ("instances", instances),
+            ("name", name),
+        ):
+            object.__setattr__(d, field, value)
+        d._check_schema()
+        return d
 
     @property
     def n(self) -> int:
@@ -216,7 +263,10 @@ class MultiLabelDataset:
     def replace_instances(
         self, instances: Iterable[Instance], name: str | None = None
     ) -> MultiLabelDataset:
-        """New dataset with the same schema but different instances."""
+        """New dataset with the same schema but different instances.
+
+        Every given instance is validated, as by the public constructor.
+        """
         return MultiLabelDataset(
             attributes=self.attributes,
             labels=self.labels,
@@ -225,17 +275,36 @@ class MultiLabelDataset:
         )
 
     def subset(self, indices: Iterable[int], name: str | None = None) -> MultiLabelDataset:
-        """New dataset keeping the given instances, in the given order."""
-        return self.replace_instances((self.instances[i] for i in indices), name=name)
+        """New dataset keeping the given instances, in the given order.
+
+        The kept instances were validated with this dataset, so they are not
+        checked again; an index may repeat.
+        """
+        rows = self.instances
+        return MultiLabelDataset._trusted(
+            self.attributes,
+            self.labels,
+            tuple([rows[i] for i in indices]),
+            self.name if name is None else name,
+        )
+
+
+def labelset_counts(d: MultiLabelDataset) -> Counter[int]:
+    """Number of instances carrying each distinct labelset, keyed by mask in first-seen order."""
+    return Counter(map(attrgetter("labels.mask"), d.instances))
+
+
+def counts_per_label(labelsets: Mapping[int, int], k: int) -> np.ndarray:
+    """Per-label instance counts from :func:`labelset_counts`."""
+    counts = np.zeros(k, dtype=np.int64)
+    for mask, times in labelsets.items():
+        counts[list(Labelset(mask).indices)] += times
+    return counts
 
 
 def label_counts(d: MultiLabelDataset) -> np.ndarray:
     """Per-label number of instances in which the label is active."""
-    counts = np.zeros(d.k, dtype=np.int64)
-    for inst in d.instances:
-        for l in inst.labels:
-            counts[l] += 1
-    return counts
+    return counts_per_label(labelset_counts(d), d.k)
 
 
 def label_matrix(d: MultiLabelDataset) -> np.ndarray:

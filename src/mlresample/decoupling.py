@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Instance, Labelset, MultiLabelDataset
-from .metrics import imbalance_summary, scumble, scumble_values
+from .metrics import imbalance_summary, profile, scumble_values
 from .resampling import AddedInstance, ResampleConfig, ResampleReport, _report, resample
 
 PERCENTILE_PRESETS = (0.25, 0.37, 0.50, 0.62, 0.75)
@@ -92,11 +92,19 @@ def remedial(
     clone keeps the rest.  Untouched instances pass through bit-identical and
     in order.  Deterministic; no randomness involved.
     """
+    out, added, removed, decoupled = _decouple(d, config)
+    return out, _report(d, out, added, removed, decoupled)
+
+
+def _decouple(
+    d: MultiLabelDataset, config: DecoupleConfig
+) -> tuple[MultiLabelDataset, list[AddedInstance], list[int], list[int]]:
+    """:func:`remedial`'s dataset with its added, removed and decoupled records."""
     if d.n < 1:
         raise ValueError("cannot decouple an empty dataset")
     scores = scumble_values(d)
     if config.mode == "mean":
-        threshold = scumble(d)
+        threshold = float(np.mean(scores))  # the dataset's SCUMBLE
     else:
         threshold = nearest_rank_quantile(scores, config.q)
     minority_mask = Labelset.from_indices(np.flatnonzero(imbalance_summary(d).minority).tolist())
@@ -120,8 +128,9 @@ def remedial(
         if not (config.drop_empty and not majority_side):
             appended.append(Instance(features=inst.features, labels=majority_side))
             added.append(AddedInstance(kind="clone", source=i))
-    out = d.replace_instances(kept + appended)
-    return out, _report(d, out, added, removed, decoupled)
+    # each side keeps a validated row's features and a subset of its labels
+    out = MultiLabelDataset._trusted(d.attributes, d.labels, tuple(kept + appended), d.name)
+    return out, added, removed, decoupled
 
 
 def hybrid_resample(
@@ -131,10 +140,21 @@ def hybrid_resample(
 
     The resampler sees the decoupled dataset, so its minority bags follow the
     decoupled IRLbl/MeanIR.  The combined report chains both stage records;
-    stage indices refer to the dataset each stage ran on.
+    stage indices refer to the dataset each stage ran on.  The decoupled
+    dataset is profiled once, by the resampler, and that profile closes the
+    decoupling stage too.
     """
-    decoupled_d, first = remedial(d, config.decouple)
+    decoupled_d, added, removed, decoupled = _decouple(d, config.decouple)
     out, second = resample(decoupled_d, config.resample)
+    first = ResampleReport(
+        instances_before=d.n,
+        instances_after=decoupled_d.n,
+        added=tuple(added),
+        removed=tuple(removed),
+        profile_before=profile(d),
+        profile_after=second.profile_before,
+        decoupled=tuple(decoupled),
+    )
     report = ResampleReport(
         instances_before=d.n,
         instances_after=out.n,

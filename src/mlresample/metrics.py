@@ -19,11 +19,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import MultiLabelDataset, label_counts
+from .dataset import Labelset, MultiLabelDataset, counts_per_label, label_counts, labelset_counts
 
 
 class UndefinedIRLblError(ValueError):
@@ -51,9 +52,12 @@ def _require_instances(d: MultiLabelDataset) -> None:
 def imbalance_summary(d: MultiLabelDataset) -> ImbalanceSummary:
     """Counts, IRLbl per label (NaN where undefined) and MeanIR over defined labels."""
     _require_instances(d)
-    counts = label_counts(d)
-    irlbl = np.full(d.k, np.nan)
-    max_count = counts.max() if d.k else 0
+    return _summary(label_counts(d))
+
+
+def _summary(counts: np.ndarray) -> ImbalanceSummary:
+    irlbl = np.full(counts.size, np.nan)
+    max_count = counts.max() if counts.size else 0
     defined = counts > 0
     if max_count > 0:
         irlbl[defined] = max_count / counts[defined]
@@ -64,13 +68,21 @@ def imbalance_summary(d: MultiLabelDataset) -> ImbalanceSummary:
 def card(d: MultiLabelDataset) -> float:
     """Mean labelset size."""
     _require_instances(d)
-    return sum(len(inst.labels) for inst in d.instances) / d.n
+    return _card(labelset_counts(d), d.n)
+
+
+def _card(labelsets: dict[int, int], n: int) -> float:
+    return sum(mask.bit_count() * times for mask, times in labelsets.items()) / n
+
+
+def _require_labels(d: MultiLabelDataset) -> None:
+    if d.k < 1:
+        raise ValueError("density requires at least one label")
 
 
 def dens(d: MultiLabelDataset) -> float:
     """Label cardinality normalized by the number of labels."""
-    if d.k < 1:
-        raise ValueError("density requires at least one label")
+    _require_labels(d)
     return card(d) / d.k
 
 
@@ -111,13 +123,21 @@ def _scumble_one(active_irlbl: list[float]) -> float:
     return max(0.0, 1.0 - geometric / arithmetic)
 
 
+def _scumble_rows(d: MultiLabelDataset, labelsets: dict[int, int], irlbl: np.ndarray) -> np.ndarray:
+    """Per-instance scores, computed once per distinct labelset."""
+    score = {
+        mask: _scumble_one([float(irlbl[l]) for l in Labelset(mask).indices])
+        for mask in labelsets
+    }
+    masks = map(attrgetter("labels.mask"), d.instances)
+    return np.fromiter(map(score.__getitem__, masks), dtype=float, count=d.n)
+
+
 def scumble_values(d: MultiLabelDataset) -> np.ndarray:
     """Per-instance concurrence scores, in instance order."""
-    summary = imbalance_summary(d)
-    out = np.zeros(d.n)
-    for i, inst in enumerate(d.instances):
-        out[i] = _scumble_one([float(summary.irlbl[l]) for l in inst.labels])
-    return out
+    _require_instances(d)
+    labelsets = labelset_counts(d)
+    return _scumble_rows(d, labelsets, _summary(counts_per_label(labelsets, d.k)).irlbl)
 
 
 def scumble_ins(d: MultiLabelDataset, i: int) -> float:
@@ -140,7 +160,7 @@ def scumble(d: MultiLabelDataset) -> float:
 def distinct_labelsets(d: MultiLabelDataset) -> int:
     """Number of distinct label combinations present."""
     _require_instances(d)
-    return len({inst.labels.mask for inst in d.instances})
+    return len(labelset_counts(d))
 
 
 def tcs_from_counts(attributes: int, labels: int, labelsets: int) -> float:
@@ -193,19 +213,23 @@ class ImbalanceProfile:
 
 
 def profile(d: MultiLabelDataset) -> ImbalanceProfile:
-    """Compute every metric of the suite in one pass."""
-    summary = imbalance_summary(d)
+    """Compute every metric of the suite in one pass over the distinct labelsets."""
+    _require_instances(d)
+    labelsets = labelset_counts(d)
+    summary = _summary(counts_per_label(labelsets, d.k))
     per_label = tuple(None if math.isnan(v) else float(v) for v in summary.irlbl)
-    s_values = scumble_values(d)
+    s_values = _scumble_rows(d, labelsets, summary.irlbl)
+    cardinality = _card(labelsets, d.n)
+    _require_labels(d)
     return ImbalanceProfile(
-        card=card(d),
-        dens=dens(d),
+        card=cardinality,
+        dens=cardinality / d.k,
         irlbl=per_label,
         mean_ir=summary.mean_ir,
         scumble=float(np.mean(s_values)),
-        scumble_ins=tuple(float(v) for v in s_values),
-        tcs=tcs(d),
-        distinct_labelsets=distinct_labelsets(d),
+        scumble_ins=tuple(s_values.tolist()),
+        tcs=tcs_from_counts(len(d.attributes), d.k, len(labelsets)),
+        distinct_labelsets=len(labelsets),
     )
 
 
@@ -222,7 +246,12 @@ class ConcurrenceRow:
 
 def co_occurrence_count(d: MultiLabelDataset, label_a: int, label_b: int) -> int:
     """Number of instances in which both labels are active (symmetric)."""
-    return sum(1 for inst in d.instances if label_a in inst.labels and label_b in inst.labels)
+    return _co_occurrences(labelset_counts(d), label_a, label_b)
+
+
+def _co_occurrences(labelsets: dict[int, int], label_a: int, label_b: int) -> int:
+    both = 1 << label_a | 1 << label_b
+    return sum(times for mask, times in labelsets.items() if mask & both == both)
 
 
 def concurrence_export(
@@ -244,6 +273,7 @@ def concurrence_export(
     majority = sorted(occurring, key=lambda l: (-summary.counts[l], l))[:top_majority]
     minority = sorted(occurring, key=lambda l: (summary.counts[l], l))[:top_minority]
     selected = sorted(set(majority) | set(minority))
+    labelsets = labelset_counts(d)
     rows = []
     for i, a in enumerate(selected):
         for b in selected[i + 1 :]:
@@ -251,7 +281,7 @@ def concurrence_export(
                 ConcurrenceRow(
                     label_a=d.labels[a],
                     label_b=d.labels[b],
-                    count=co_occurrence_count(d, a, b),
+                    count=_co_occurrences(labelsets, a, b),
                     irlbl_a=float(summary.irlbl[a]),
                     irlbl_b=float(summary.irlbl[b]),
                 )

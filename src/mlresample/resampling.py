@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import AttributeSpec, Instance, Labelset, MultiLabelDataset
+from .dataset import AttributeSpec, Instance, Labelset, MultiLabelDataset, _check_rows
 from .distance import FeatureSpace, neighbors
 from .metrics import ImbalanceProfile, imbalance_summary, profile
 
@@ -187,7 +187,6 @@ def ml_ros(
     counts = summary.counts.astype(np.int64).copy()
     max_count = int(counts.max())
     active = list(minority)
-    new_instances = list(d.instances)
     added: list[AddedInstance] = []
     while budget > 0 and active:
         for label in list(active):
@@ -196,7 +195,6 @@ def ml_ros(
             members = bags[label]
             pick = members[int(rng.integers(0, len(members)))]
             clone = d.instances[pick]
-            new_instances.append(clone)
             added.append(AddedInstance(kind="clone", source=pick))
             budget -= 1
             for l in clone.labels:
@@ -205,7 +203,8 @@ def ml_ros(
                     max_count = int(counts[l])
             if max_count / counts[label] <= summary.mean_ir:
                 active.remove(label)
-    out = d.replace_instances(new_instances)
+    # clones are the input's own instances, so the rows need no new check
+    out = d.subset([*range(d.n), *(a.source for a in added)])
     return out, _report(d, out, added, [])
 
 
@@ -320,7 +319,7 @@ def mlsmote(
     if rng is None:
         rng = np.random.default_rng()
     encoded = FeatureSpace(d).encode(d.instances)
-    new_instances = list(d.instances)
+    synthetic: list[Instance] = []
     added: list[AddedInstance] = []
     for label in np.flatnonzero(imbalance_summary(d).minority).tolist():
         bag = [i for i, inst in enumerate(d.instances) if label in inst.labels]
@@ -332,16 +331,19 @@ def mlsmote(
         for pos, seed_idx in enumerate(bag):
             neighbor_idx = [bag[j] for j in nearest[pos]]
             ref = neighbor_idx[int(rng.integers(0, len(neighbor_idx)))]
-            synthetic = new_sample(
-                d.attributes,
-                d.instances[seed_idx],
-                d.instances[ref],
-                [d.instances[j] for j in neighbor_idx],
-                rng,
+            synthetic.append(
+                new_sample(
+                    d.attributes,
+                    d.instances[seed_idx],
+                    d.instances[ref],
+                    [d.instances[j] for j in neighbor_idx],
+                    rng,
+                )
             )
-            new_instances.append(synthetic)
             added.append(AddedInstance(kind="synthetic", source=seed_idx))
-    out = d.replace_instances(new_instances)
+    # only the synthetic rows are new; they are numbered after the input's
+    _check_rows(synthetic, d.attributes, d.k, start=d.n)
+    out = MultiLabelDataset._trusted(d.attributes, d.labels, d.instances + tuple(synthetic), d.name)
     return out, _report(d, out, added, [])
 
 

@@ -49,6 +49,25 @@ def oracle_scumble_ins(d, i) -> float:
     return 1.0 - geometric / arithmetic
 
 
+def oracle_scumble_values(d) -> list[float]:
+    """The original per-instance SCUMBLE loop: the library's operations in its order,
+    for a bit-identity check."""
+    counts = np.array(oracle_label_counts(d), dtype=np.int64)
+    irlbl = np.full(d.k, np.nan)
+    irlbl[counts > 0] = counts.max() / counts[counts > 0]
+    out = []
+    for inst in d.instances:
+        values = [float(irlbl[l]) for l in range(d.k) if l in inst.labels]
+        if len(values) <= 1:
+            out.append(0.0)
+            continue
+        logs = [math.log(v) for v in values]
+        geometric = math.exp(sum(logs) / len(logs))
+        arithmetic = sum(values) / len(values)
+        out.append(max(0.0, 1.0 - geometric / arithmetic))
+    return out
+
+
 def oracle_scumble(d) -> float:
     return sum(oracle_scumble_ins(d, i) for i in range(d.n)) / d.n
 

@@ -1,9 +1,22 @@
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlresample import MulanFormatError, parse_mulan, write_mulan
-from mlresample.arff import _split, parse_label_header
+from mlresample import (
+    DecoupleConfig,
+    Instance,
+    Labelset,
+    MulanFormatError,
+    MultiLabelDataset,
+    ml_ros,
+    parse_mulan,
+    remedial,
+    write_mulan,
+)
+from mlresample.arff import RowFormatter, _split, parse_label_header
 
 from conftest import datasets, make_dataset
 from mlresample import AttributeSpec
@@ -289,3 +302,101 @@ def test_parse_preserves_order(d):
     back = parse_mulan(*write_mulan(d))
     assert [a.name for a in back.attributes] == [a.name for a in d.attributes]
     assert back.instances == d.instances
+
+
+def parse_with_full_check(arff_text, xml_text):
+    """``parse_mulan`` with every parsed row checked again by the public constructor."""
+    checked = classmethod(lambda cls, attributes, labels, instances, name: cls(
+        attributes, labels, instances, name
+    ))
+    with mock.patch.object(MultiLabelDataset, "_trusted", checked):
+        return parse_mulan(arff_text, xml_text)
+
+
+# non-finite, overflowing, undeclared, missing, quoted and non-binary tokens
+MUTANT_TOKENS = ["nan", "1e400", "-inf", "Infinity", "zz", "?", "'?'", "1.5", "0", "1", "2", "1_0"]
+
+
+@st.composite
+def mutated_mulan(draw):
+    """A written dataset whose data rows got bad tokens, some rewritten as sparse rows."""
+    d = draw(datasets(max_n=8))
+    arff_text, xml_text = write_mulan(d)
+    lines = arff_text.splitlines()
+    first = lines.index("@data") + 1
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(first, len(lines) - 1))
+        cells = lines[at].split(",")
+        if draw(st.booleans()):
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(MUTANT_TOKENS))
+        if draw(st.booleans()):
+            kept = sorted(draw(st.sets(st.integers(0, len(cells) - 1))))
+            lines[at] = "{" + ", ".join(f"{i} {cells[i]}" for i in kept) + "}"
+        else:
+            lines[at] = ",".join(cells)
+    return "\n".join(lines) + "\n", xml_text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_mulan())
+def test_parsed_rows_pass_the_full_check(files):
+    try:
+        expected = parse_with_full_check(*files)
+    except MulanFormatError as exc:
+        with pytest.raises(MulanFormatError) as err:
+            parse_mulan(*files)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+    else:
+        d = parse_mulan(*files)
+        assert d == expected
+        assert d == MultiLabelDataset(d.attributes, d.labels, d.instances, d.name)
+
+
+def test_parser_schema_errors_keep_their_format_error():
+    arff_text = "@relation r\n@attribute a numeric\n@attribute a numeric\n@attribute p {0,1}\n@data\n1,2,1\n"
+    xml_text = '<labels><label name="p"></label></labels>'
+    with pytest.raises(MulanFormatError, match="duplicate attribute names"):
+        parse_mulan(arff_text, xml_text)
+
+
+@st.composite
+def shared_feature_datasets(draw):
+    """Rows that reuse other rows' feature tuples, with the same or other labelsets."""
+    d = draw(datasets(quotable_names=True, quotable_values=True))
+    rows = []
+    for i in draw(st.lists(st.integers(0, d.n - 1), min_size=1, max_size=30)):
+        source = d.instances[i]
+        if draw(st.booleans()):
+            source = Instance(source.features, Labelset(draw(st.integers(0, 2**d.k - 1))))
+        rows.append(source)
+    return d.replace_instances(rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(shared_feature_datasets())
+def test_writer_reuses_shared_rows_byte_for_byte(d):
+    assert write_mulan(d) == oracle_write_mulan(d)
+    # one formatter across datasets sharing rows, as for the folds of one dataset
+    rows = RowFormatter(d.attributes, d.k)
+    for part in (d.subset(range(0, d.n, 2)), d, d.subset(reversed(range(d.n)))):
+        assert write_mulan(part, rows) == oracle_write_mulan(part)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    datasets(ensure_all_labels=True, quotable_values=True),
+    st.integers(0, 2**32),
+    st.sampled_from(["mean", "p25", "p50", "p75"]),
+)
+def test_cloned_and_decoupled_outputs_match_the_cell_by_cell_writer(d, seed, spec):
+    cloned, _ = ml_ros(d, 60, np.random.default_rng(seed))
+    split, _ = remedial(d, DecoupleConfig.from_spec(spec))
+    both, _ = ml_ros(split, 60, np.random.default_rng(seed))
+    for out in (cloned, split, both):
+        assert write_mulan(out) == oracle_write_mulan(out)
+
+
+def test_row_formatter_of_another_schema_rejected(toy6):
+    other = make_dataset([AttributeSpec("a")], ("A",), [((1.0,), [0])])
+    with pytest.raises(ValueError, match="another schema"):
+        write_mulan(toy6, RowFormatter(other.attributes, other.k))

@@ -4,9 +4,9 @@ import sys
 
 import pytest
 
-from mlresample import cli, parse_mulan
+from mlresample import cli, dataset, fold_datasets, parse_mulan, stratified_kfold, write_mulan
 from mlresample.cli import main
-from mlresample.synthetic import separable_clusters
+from mlresample.synthetic import imbalanced_dataset, separable_clusters
 
 from conftest import cli_env, float_range_dataset, write_dataset_files
 
@@ -205,6 +205,20 @@ class TestPartition:
         assert sum(t.n for t in test_sets) == 40
         assert all(t.n == 10 for t in test_sets)
 
+    def test_fold_files_equal_the_fold_datasets_written_alone(self, tmp_path):
+        d = imbalanced_dataset(3, n=45, k=5)
+        arff, xml = write_dataset_files(d, tmp_path, "data")
+        out_dir = tmp_path / "folds"
+        argv = ["partition", arff, xml, "--folds", 4, "--seed", 5, "--out-dir", out_dir]
+        assert main([str(a) for a in argv]) == 0
+        parsed = parse_mulan(arff.read_text(), xml.read_text())
+        assignment = stratified_kfold(parsed, 4, 5)
+        for f in range(4):
+            for part, ds in zip(("train", "test"), fold_datasets(parsed, assignment, f)):
+                arff_text, xml_text = write_mulan(ds)
+                assert (out_dir / f"fold{f}-{part}.arff").read_text() == arff_text
+                assert (out_dir / f"fold{f}-{part}.xml").read_text() == xml_text
+
     def test_too_many_folds_exits_3(self, toy6_files, tmp_path):
         arff, xml = toy6_files
         code, _, _ = run_cli(
@@ -281,3 +295,57 @@ class TestParsing:
         arff, xml = toy6_files
         assert main(["info", str(arff), str(xml)]) == 4
         assert capsys.readouterr().err == "internal error: cannot allocate\n"
+
+
+class TestRowsCheckedOnce:
+    """Rows are validated where they enter the program, and never again."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Every instance passed to the row check, patched wherever the check is bound."""
+        seen = []
+        original = dataset._check_rows
+
+        def recording(instances, *args, **kwargs):
+            seen.extend(instances)
+            return original(instances, *args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            name = getattr(module, "__name__", "")
+            if name.startswith("mlresample") and getattr(module, "_check_rows", None) is original:
+                monkeypatch.setattr(module, "_check_rows", recording)
+        return seen
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resample", "--method", "mlros", "--remedial", "p25"],
+            ["resample", "--method", "mlsmote", "--k", 3, "--remedial", "p25"],
+            ["partition", "--folds", 5],
+        ],
+        ids=["hybrid-mlros", "hybrid-mlsmote", "partition"],
+    )
+    def test_no_row_is_checked_twice(self, argv, tmp_path, checked):
+        arff, xml = write_dataset_files(imbalanced_dataset(4, n=80, k=6), tmp_path, "data")
+        checked.clear()
+        out_dir = tmp_path / "out"
+        command, *options = argv
+        argv = [command, arff, xml, *options, "--seed", 1, "--out-dir", out_dir]
+        assert main([str(a) for a in argv]) == 0
+        assert len({id(inst) for inst in checked}) == len(checked)
+        # parsed rows, clones, decoupled copies and folds are trusted; only
+        # MLSMOTE's synthetic rows are new
+        synthetic = 0
+        if command == "resample":
+            report = json.loads((out_dir / "report.json").read_text())
+            synthetic = sum(a["kind"] == "synthetic" for a in report["added"])
+            assert synthetic > 0 or options[1] == "mlros"
+        assert len(checked) == synthetic
+
+    def test_the_public_constructor_checks_every_row(self, checked):
+        d = imbalanced_dataset(4, n=30, k=6)
+        assert len(checked) == 30
+        d.replace_instances(d.instances[:10])
+        assert len(checked) == 40
+        d.subset(range(30))
+        assert len(checked) == 40

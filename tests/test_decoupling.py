@@ -12,6 +12,7 @@ from mlresample import (
     PERCENTILE_PRESETS,
     ResampleConfig,
     hybrid_resample,
+    resample,
     imbalance_summary,
     nearest_rank_quantile,
     remedial,
@@ -220,6 +221,17 @@ class TestHybrid:
         # synthetic labelsets stay on the minority side for this fixture
         for synth in out.instances[decoupled_d.n :]:
             assert set(synth.labels.indices) <= minority
+
+    @pytest.mark.parametrize("spec", ["mean", "p25"])
+    @pytest.mark.parametrize("method", [MLROSConfig(p=50), MLSMOTEConfig(k_neighbors=1)])
+    def test_stage_records_equal_the_stages_run_alone(self, spec, method):
+        d = concurrence_fixture()
+        config = HybridConfig(DecoupleConfig.from_spec(spec), ResampleConfig(method, seed=4))
+        out, report = hybrid_resample(d, config)
+        decoupled_d, first = remedial(d, config.decouple)
+        alone, second = resample(decoupled_d, config.resample)
+        assert report.stages == (first, second)
+        assert out == alone
 
     def test_report_chains_counts(self, toy6):
         config = HybridConfig(

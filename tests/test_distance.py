@@ -182,6 +182,10 @@ def pinned_case(numeric, k, exclude, nominal=None):
 # two mismatches after a numeric term: 0.49 + 1.0 + 1.0 is not 0.49 + 2.0
 @example(pinned_case([0.0, 0.7], 1, exclude=False, nominal=[(0, 0), (1, 1)]))
 def test_engine_matches_the_per_column_kernel_and_a_full_sort(case):
+    check_engine(case)
+
+
+def check_engine(case):
     query, reference, k, exclude, cells = case
     original = distance._BLOCK_CELLS
     try:
@@ -193,6 +197,39 @@ def test_engine_matches_the_per_column_kernel_and_a_full_sort(case):
     want_cells = oracle_distances(query, reference)
     assert np.array_equal(got_cells.view(np.uint64), want_cells.view(np.uint64))
     assert got.tolist() == oracle_encoded_neighbors(query, reference, k, exclude).tolist()
+
+
+# 0.0 sends every block to the stable argsort, 1.0 every block to the shortlist
+@pytest.mark.parametrize("share", [0.0, 1.0])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@settings(max_examples=150, deadline=None)
+@given(case=encoded_cases())
+@example(case=pinned_case([0.25] * 6, 3, exclude=True))
+@example(case=pinned_case([0.0, 0.0, 0.0, math.nan, 1.0], 2, exclude=True))
+def test_both_selection_paths_match_a_full_sort(share, case):
+    original = distance._MAX_SHORTLIST_SHARE
+    try:
+        distance._MAX_SHORTLIST_SHARE = share
+        check_engine(case)
+    finally:
+        distance._MAX_SHORTLIST_SHARE = original
+
+
+def test_tie_heavy_blocks_take_the_full_sort(monkeypatch):
+    sorted_shapes = []
+    real_argsort = np.argsort
+
+    def recording_argsort(a, *args, **kwargs):
+        sorted_shapes.append(a.shape)
+        return real_argsort(a, *args, **kwargs)
+
+    # 70 identical rows of 80: about 77% of the cells tie with their row's 3rd distance
+    rows = [((0.25,), (0,))] * 70 + [((float(i),), (1,)) for i in range(10)]
+    enc = encode_rows(rows, 1, 1)
+    monkeypatch.setattr(distance.np, "argsort", recording_argsort)
+    got = neighbors(enc, enc, 2, exclude=np.arange(80))
+    assert sorted_shapes == [(80, 80)]
+    assert got.tolist() == oracle_encoded_neighbors(enc, enc, 2, np.arange(80)).tolist()
 
 
 @settings(max_examples=60, deadline=None)

@@ -28,8 +28,10 @@ from _oracles import (
     oracle_dens,
     oracle_irlbl,
     oracle_mean_ir,
+    oracle_label_counts,
     oracle_scumble,
     oracle_scumble_ins,
+    oracle_scumble_values,
 )
 
 
@@ -226,6 +228,29 @@ def test_metrics_match_brute_force(d):
     for i in range(d.n):
         assert scumble_ins(d, i) == pytest.approx(oracle_scumble_ins(d, i), abs=1e-12)
     assert scumble(d) == pytest.approx(oracle_scumble(d), abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets(max_n=40, max_k=8))
+def test_per_labelset_statistics_equal_the_per_instance_loops(d):
+    from mlresample import label_counts
+    from mlresample.metrics import co_occurrence_count
+
+    assert label_counts(d).tolist() == oracle_label_counts(d)
+    values = scumble_values(d)
+    want = np.array(oracle_scumble_values(d))
+    assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+    for i in range(d.n):
+        assert values[i] == pytest.approx(oracle_scumble_ins(d, i), abs=1e-12)
+    p = profile(d)
+    assert p.scumble_ins == tuple(want.tolist())
+    assert p.scumble == float(np.mean(want))
+    assert p.card == sum(len(inst.labels) for inst in d.instances) / d.n
+    assert p.distinct_labelsets == len({inst.labels for inst in d.instances})
+    for a in range(d.k):
+        for b in range(d.k):
+            both = sum(a in inst.labels and b in inst.labels for inst in d.instances)
+            assert co_occurrence_count(d, a, b) == both
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from mlresample import (
     remedial,
     resample,
 )
+from mlresample import resampling
 from mlresample.synthetic import random_dataset
 
 from conftest import float_range_dataset, make_dataset
@@ -397,6 +400,20 @@ class TestMLSMOTE:
         a, _ = mlsmote(d, 2, np.random.default_rng(11))
         b, _ = mlsmote(d, 2, np.random.default_rng(11))
         assert a == b
+
+    def test_bad_synthetic_row_keeps_its_absolute_index(self, monkeypatch):
+        d = float_range_dataset()
+        made = []
+
+        def second_one_infinite(attributes, seed_instance, *args):
+            made.append(seed_instance)
+            value = math.inf if len(made) == 2 else 0.0
+            return Instance(features=(value,), labels=seed_instance.labels)
+
+        monkeypatch.setattr(resampling, "new_sample", second_one_infinite)
+        with pytest.raises(ValueError, match=f"^instance {d.n + 1}: numeric attribute 'x' needs a finite float$"):
+            mlsmote(d, 2, np.random.default_rng(0))
+        assert len(made) == 4
 
 
 class TestDispatcher:
