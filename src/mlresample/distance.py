@@ -7,25 +7,45 @@ when equal and 1 otherwise; a missing value is maximally distant (term 1)
 from everything, including another missing value.  The distance is the
 Euclidean norm over the per-attribute terms.
 
-:class:`FeatureSpace` encodes instances into arrays; :func:`neighbors`
+:class:`FeatureSpace` encodes instances into arrays, :func:`prepare_reference`
+prepares encoded rows once for any number of queries, and :func:`neighbors`
 answers "which k reference rows are nearest?" for MLeNN, MLSMOTE and ML-kNN
 alike, nearest first with ties to the lower index.  It never holds the full
-distance matrix, only one block of query rows at a time.  Within a block the
-numeric terms are summed column by column into reused buffers, and the
-nominal mismatch count of all columns comes from one matrix product of
-one-hot code indicators (``n_nominal - q_hot @ r_hot.T``), which is exact
-because it only adds small integers.  The k nearest are picked from a
-shortlist: the cells no farther than each row's m-th smallest distance
-(m = k, plus one when the row excludes an index), found with
-``np.partition`` and ordered by distance, then index.  When ties make the
-shortlist more than half of a block, a stable ``argsort`` of the whole block
-picks them instead.
+distance matrix, only one block of query rows at a time.
+
+Every distance that decides a neighbour is an *exact cell*: numeric terms
+summed column by column in attribute order (a NaN term counts 1.0), then one
+``+1.0`` per mismatching nominal column, then ``sqrt``.  The nominal
+mismatch count of all columns comes from one matrix product of one-hot code
+indicators (``n_nominal - q_hot @ r_hot.T``), which is exact because it only
+adds small integers.
+
+With numeric columns, a block is first ranked by an estimate: the Gram form
+``|q|^2 + |r|^2 - 2 q.r`` (one matrix product) over the columns that hold
+only finite values, plus the exact terms of the other columns and the exact
+nominal count.  Each row's m best estimates (m = k, plus one when the row
+excludes an index) get exact cells, and the largest of them, c, bounds the
+row's answer: at least m cells lie within c.  Every cell whose estimate could
+still be within c is kept, by a rigorous error bound (Higham, *Accuracy and
+Stability of Numerical Algorithms*, section 3.1), and only the kept cells
+are computed exactly and sorted.  The estimate only filters cells, so the
+order of a BLAS product, its threads and fused multiply-adds never change a
+neighbour list.  A row whose norms could overflow, and a block whose kept
+cells are more than ``_MAX_SHORTLIST_SHARE`` of it, take the exact block
+instead.  So does a whole query when no numeric column is finite on both
+sides (with no numeric column at all the nominal count is exact already) or
+when a row needs every reference row.  The exact block picks from a
+shortlist: the cells no farther than each row's m-th smallest distance,
+found with ``np.partition`` and ordered by distance, then index.  When ties
+make that shortlist more than half of a block, a stable ``argsort`` of the
+whole block picks them instead.  No option changes any of this.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +63,19 @@ _BLOCK_CELLS = 1 << 15
 # with their row's m-th distance, and at 100% the argsort is 7x faster.
 _MAX_SHORTLIST_SHARE = 0.5
 
+# Query rows per estimated block, at least.  With fewer, the per-block numpy
+# calls outweigh the matrix product once the reference has thousands of rows:
+# on 8000 rows x 50 columns (k = 3) a self-query took 1.30 s at _BLOCK_CELLS
+# alone (4 rows per block) against 0.71 s at 32 rows, and 64 or 128 rows gave
+# no more than 3% over 32.
+_MIN_ESTIMATE_ROWS = 32
+
+_UNIT_ROUNDOFF = 2.0**-53
+# An operation that underflows errs by at most 2**-1075 beyond its relative
+# error; this absolute slack covers all of an estimate's and a cell's
+# operations for any column count below 2**70.
+_UNDERFLOW_SLACK = 2.0**-1000
+
 
 class FeatureSpace:
     """Precomputed scaling for one attribute schema, anchored to a reference dataset."""
@@ -52,38 +85,112 @@ class FeatureSpace:
         self._numeric = [i for i, a in enumerate(self.attributes) if not a.is_nominal]
         self._nominal = [i for i, a in enumerate(self.attributes) if a.is_nominal]
         # a value v encodes as (v * scale - min) / span
-        scales = np.ones(len(self._numeric))
-        mins = np.zeros(len(self._numeric))
-        spans = np.ones(len(self._numeric))
-        for col, attr_idx in enumerate(self._numeric):
-            values = [
-                inst.features[attr_idx]
-                for inst in reference.instances
-                if inst.features[attr_idx] is not None
-            ]
-            if values:
-                lo, hi = min(values), max(values)
-                if hi - lo == math.inf:
-                    # the span overflows a float; half of it never does
-                    scales[col] = 0.5
-                    lo, hi = lo * 0.5, hi * 0.5
-                mins[col] = lo
-                if hi > lo:
-                    spans[col] = hi - lo
+        raw = self._raw_numeric([inst.features for inst in reference.instances])
+        present = ~np.isnan(raw).all(axis=0)
+        lo = np.where(present, np.fmin.reduce(raw, axis=0, initial=np.inf), 0.0)
+        hi = np.where(present, np.fmax.reduce(raw, axis=0, initial=-np.inf), 0.0)
+        with np.errstate(over="ignore"):
+            # the span overflows a float; half of it never does
+            halved = hi - lo == math.inf
+        scales = np.where(halved, 0.5, 1.0)
+        lo, hi = lo * scales, hi * scales
         self._scales = scales
-        self._mins = mins
-        self._spans = spans
+        self._mins = lo
+        self._spans = np.where(hi > lo, hi - lo, 1.0)
+
+    def _raw_numeric(self, rows: list[tuple]) -> np.ndarray:
+        """Unscaled numeric matrix of feature tuples, NaN for a missing value."""
+        if 2 * len(self._numeric) >= len(self.attributes):
+            # Mostly numeric: converting the tuples whole, then dropping the
+            # nominal columns, builds no per-row lists.  On 43,907 rows x 120
+            # numeric columns this cut a hybrid MLeNN run's peak RSS from 540
+            # to 473 MiB; 2,000 x 50 rows convert in 1.9 ms against 3.7 ms.
+            raw = np.array(rows, dtype=float).reshape(len(rows), len(self.attributes))
+            return raw[:, self._numeric]
+        raw = np.array([[f[i] for i in self._numeric] for f in rows], dtype=float)
+        return raw.reshape(len(rows), len(self._numeric))  # None became NaN
 
     def encode(self, instances: Sequence[Instance]) -> tuple[np.ndarray, np.ndarray]:
         """Scaled numeric matrix (NaN = missing) and nominal code matrix (-1 = missing)."""
         rows = [inst.features for inst in instances]
-        raw = np.array([[f[i] for i in self._numeric] for f in rows], dtype=float)
-        raw = raw.reshape(len(rows), len(self._numeric))  # None became NaN
         nominal = np.array(
             [[-1 if f[i] is None else f[i] for i in self._nominal] for f in rows], dtype=np.int64
         )
         nominal = nominal.reshape(len(rows), len(self._nominal))
-        return (raw * self._scales - self._mins) / self._spans, nominal
+        return (self._raw_numeric(rows) * self._scales - self._mins) / self._spans, nominal
+
+
+@dataclass(frozen=True, eq=False)
+class Reference:
+    """Encoded reference rows, prepared once by :func:`prepare_reference`.
+
+    ``numeric`` and ``nominal`` are the :meth:`FeatureSpace.encode` pair and
+    ``columns`` the numeric matrix column-major.  Nominal column ``c`` owns
+    one-hot indicators ``offsets[c]:offsets[c] + widths[c]`` of ``one_hot``
+    (width = the column's largest code + 1).  ``finite`` marks the numeric
+    columns without a NaN or infinity; ``norms`` holds each row's squared
+    norm over them and ``max_norm`` the largest norm.
+    """
+
+    numeric: np.ndarray
+    nominal: np.ndarray
+    columns: np.ndarray
+    widths: np.ndarray
+    offsets: np.ndarray
+    one_hot: np.ndarray
+    finite: np.ndarray
+    norms: np.ndarray
+    max_norm: float
+
+    @property
+    def n(self) -> int:
+        return self.numeric.shape[0]
+
+    def gram(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """Rows cut to the numeric columns in ``mask``, their squared norms and largest norm."""
+        if np.array_equal(mask, self.finite):
+            rows = self.numeric if mask.all() else self.numeric[:, mask]
+            return rows, self.norms, self.max_norm
+        rows = self.numeric[:, mask]
+        norms = np.einsum("ij,ij->i", rows, rows)
+        return rows, norms, _max_norm(norms)
+
+
+def _max_norm(squared: np.ndarray) -> float:
+    return math.sqrt(squared.max()) if squared.size else 0.0
+
+
+def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
+    """Everything :func:`neighbors` needs of the reference rows, built once.
+
+    Besides the encoded pair it holds the one-hot nominal codes
+    (n_ref * sum of codes * 4 bytes), a column-major copy of the numeric
+    matrix and the rows' squared norms.
+    """
+    numeric, nominal = encoded
+    n_ref, n_nominal = nominal.shape
+    widths = np.maximum(nominal.max(axis=0, initial=-1) + 1, 0)
+    offsets = np.cumsum(widths) - widths
+    one_hot = np.empty((n_ref, int(widths.sum())), dtype=np.float32)
+    # in chunks, so the index temporaries stay about _BLOCK_CELLS long
+    chunk = max(1, _BLOCK_CELLS // max(n_nominal, 1))
+    for at in range(0, n_ref, chunk):
+        _one_hot(nominal[at : at + chunk], offsets, widths, one_hot[at : at + chunk])
+    finite = np.isfinite(numeric).all(axis=0)
+    rows = numeric if finite.all() else numeric[:, finite]
+    with np.errstate(over="ignore"):
+        norms = np.einsum("ij,ij->i", rows, rows)
+    return Reference(
+        numeric=numeric,
+        nominal=nominal,
+        columns=np.ascontiguousarray(numeric.T),
+        widths=widths,
+        offsets=offsets,
+        one_hot=one_hot,
+        finite=finite,
+        norms=norms,
+        max_norm=_max_norm(norms),
+    )
 
 
 def _one_hot(
@@ -100,66 +207,227 @@ def _one_hot(
     out[np.nonzero(valid)[0], (codes + offsets)[valid]] = 1.0
 
 
+class _Buffers:
+    """Block-sized arrays that every block of one query reuses."""
+
+    def __init__(self, rows: int, reference: Reference):
+        n_numeric, n_nominal = reference.numeric.shape[1], reference.nominal.shape[1]
+        self.total = np.zeros((rows, reference.n))
+        self.terms = np.empty_like(self.total) if n_numeric else None
+        if n_nominal:
+            self.q_hot = np.empty((rows, reference.one_hot.shape[1]), dtype=np.float32)
+            self.count = np.empty(self.total.shape, dtype=np.float32)
+
+
+def _add_terms(
+    total: np.ndarray, q_num: np.ndarray, reference: Reference, cols, nan_cols, terms, write_first
+) -> None:
+    """Add to ``total`` the squared numeric terms of ``cols``, one column at a time in order.
+
+    A NaN term (a missing value, or inf - inf) counts 1.0.  With
+    ``write_first`` the first column's terms are written, not added:
+    0.0 + term is term.
+    """
+    for i, col in enumerate(cols):
+        term = total if write_first and i == 0 else terms[: total.shape[0]]
+        np.subtract(q_num[:, col, None], reference.columns[col], out=term)
+        np.multiply(term, term, out=term)
+        if nan_cols[col]:
+            term[np.isnan(term)] = 1.0
+        if term is not total:
+            total += term
+
+
+def _mismatches(q_nom: np.ndarray, reference: Reference, buffers: _Buffers) -> np.ndarray:
+    """Nominal mismatch counts of ``q_nom``'s rows against every reference row (float32, exact).
+
+    matches = q_hot @ r_hot.T counts equal, present codes; every partial sum
+    is a small integer, so float32 counts them exactly in any order.
+    """
+    rows = q_nom.shape[0]
+    q_hot, count = buffers.q_hot[:rows], buffers.count[:rows]
+    _one_hot(q_nom, reference.offsets, reference.widths, q_hot)
+    np.matmul(q_hot, reference.one_hot.T, out=count)
+    np.subtract(q_nom.shape[1], count, out=count)
+    return count
+
+
+def _add_ones(total: np.ndarray, count: np.ndarray) -> None:
+    """One +1.0 per mismatching column, as a per-column sum adds them.
+
+    The +0.0 of a matching column never changes a total >= 0.
+    """
+    for i in range(1, int(count.max(initial=0)) + 1):
+        np.add(total, 1.0, out=total, where=count >= i)
+
+
+def _exact_totals(
+    q_num: np.ndarray,
+    q_nom: np.ndarray,
+    reference: Reference,
+    nan_cols: np.ndarray,
+    buffers: _Buffers,
+) -> np.ndarray:
+    """Squared distances of the given query rows to every reference row, written in place.
+
+    Numeric terms are summed column by column in attribute order, then the
+    nominal mismatch count is added, so every cell is bit-identical to a
+    per-column sum of the HEOM terms.
+    """
+    n_numeric, n_nominal = q_num.shape[1], q_nom.shape[1]
+    total = buffers.total[: q_num.shape[0]]
+    _add_terms(total, q_num, reference, range(n_numeric), nan_cols, buffers.terms, write_first=True)
+    if n_nominal:
+        count = _mismatches(q_nom, reference, buffers)
+        if not n_numeric:
+            total[...] = count  # integer sums from 0.0: exact whatever the order
+        else:
+            _add_ones(total, count)
+    return total
+
+
+def _non_finite_columns(q_num: np.ndarray, reference: Reference) -> np.ndarray:
+    """Numeric columns where a term can be NaN: a NaN (missing) or an infinity on either side."""
+    return ~(np.isfinite(q_num).all(axis=0) & reference.finite)
+
+
+def _block_rows(reference: Reference) -> int:
+    return max(1, _BLOCK_CELLS // reference.n)
+
+
 def _distance_blocks(
-    query: tuple[np.ndarray, np.ndarray], reference: tuple[np.ndarray, np.ndarray]
+    query: tuple[np.ndarray, np.ndarray], reference: Reference
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start, block)``: distances from query rows ``start:start + len(block)``
     to every reference row, about ``_BLOCK_CELLS`` cells per block.
 
     Each block is written in place into buffers that the next block reuses.
-    Numeric terms are summed column by column in attribute order, then the
-    nominal mismatch count is added, so every cell is bit-identical to a
-    per-column sum of the HEOM terms.
     """
     q_num, q_nom = query
-    r_num, r_nom = reference
-    n_query, n_ref = q_num.shape[0], r_num.shape[0]
-    n_numeric, n_nominal = q_num.shape[1], q_nom.shape[1]
-    rows = max(1, _BLOCK_CELLS // n_ref)
-    totals = np.zeros((min(rows, n_query), n_ref))
-    r_cols = np.ascontiguousarray(r_num.T)
-    # a term can be NaN only in a column holding a NaN (missing) or an infinity
-    nan_cols = ~(np.isfinite(q_num).all(axis=0) & np.isfinite(r_num).all(axis=0))
-    terms = np.empty_like(totals) if n_numeric > 1 else None
-    if n_nominal:
-        # matches = q_hot @ r_hot.T counts equal, present codes; every partial
-        # sum is a small integer, so float32 counts them exactly in any order
-        widths = np.maximum(r_nom.max(axis=0, initial=-1) + 1, 0)
-        offsets = np.cumsum(widths) - widths
-        r_hot = np.empty((n_ref, int(widths.sum())), dtype=np.float32)
-        # in chunks, so the index temporaries stay about _BLOCK_CELLS long
-        chunk = max(1, _BLOCK_CELLS // n_nominal)
-        for at in range(0, n_ref, chunk):
-            _one_hot(r_nom[at : at + chunk], offsets, widths, r_hot[at : at + chunk])
-        q_hots = np.empty((totals.shape[0], r_hot.shape[1]), dtype=np.float32)
-        matches = np.empty(totals.shape, dtype=np.float32)
-    for start in range(0, n_query, rows):
-        stop = min(start + rows, n_query)
-        total = totals[: stop - start]
-        q_cols = q_num[start:stop]
-        for col in range(n_numeric):
-            # 0.0 + term is term, so the first column is written, not added
-            term = total if col == 0 else terms[: stop - start]
-            np.subtract(q_cols[:, col, None], r_cols[col], out=term)
-            np.multiply(term, term, out=term)
-            if nan_cols[col]:
-                term[np.isnan(term)] = 1.0
-            if col:
-                total += term
-        if n_nominal:
-            q_hot, count = q_hots[: stop - start], matches[: stop - start]
-            _one_hot(q_nom[start:stop], offsets, widths, q_hot)
-            np.matmul(q_hot, r_hot.T, out=count)
-            np.subtract(n_nominal, count, out=count)
-            if not n_numeric:
-                total[...] = count  # integer sums from 0.0: exact whatever the order
-            else:
-                # one +1.0 per mismatching column, as a per-column sum adds them;
-                # the +0.0 of a matching column never changes a total >= 0
-                for i in range(1, int(count.max()) + 1):
-                    np.add(total, 1.0, out=total, where=count >= i)
+    rows = _block_rows(reference)
+    buffers = _Buffers(min(rows, q_num.shape[0]), reference)
+    nan_cols = _non_finite_columns(q_num, reference)
+    for start in range(0, q_num.shape[0], rows):
+        stop = start + rows
+        total = _exact_totals(q_num[start:stop], q_nom[start:stop], reference, nan_cols, buffers)
         np.sqrt(total, out=total)
         yield start, total
+
+
+def _pair_distances(
+    q_num: np.ndarray, q_nom: np.ndarray, rows: np.ndarray, reference: Reference, cols: np.ndarray
+) -> np.ndarray:
+    """Exact cells ``(rows[i], cols[i])``: the operations of :func:`_exact_totals`, in its order."""
+    terms = q_num[rows] - reference.numeric[cols]
+    np.multiply(terms, terms, out=terms)
+    terms[np.isnan(terms)] = 1.0  # NaN only arises in the non-finite columns
+    # accumulate adds the columns strictly left to right, as the block does
+    total = np.add.accumulate(terms, axis=1)[:, -1].copy()
+    if q_nom.shape[1]:
+        q_codes, r_codes = q_nom[rows], reference.nominal[cols]
+        differ = (q_codes != r_codes) | (q_codes < 0) | (r_codes < 0)
+        _add_ones(total, differ.sum(axis=1))
+    return np.sqrt(total, out=total)
+
+
+def _rounding_factor(reference: Reference) -> float:
+    """gamma_{D+3} = (D+3)u / (1 - (D+3)u) for D summed terms per cell (Higham, section 3.1)."""
+    n = reference.numeric.shape[1] + reference.nominal.shape[1] + 3
+    return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+
+
+def _estimate(
+    q_num: np.ndarray,
+    q_nom: np.ndarray,
+    reference: Reference,
+    gram: tuple[np.ndarray, np.ndarray, float],
+    nan_cols: np.ndarray,
+    buffers: _Buffers,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimated squared distances of a block of query rows, and each row's error bound.
+
+    The estimate, written in place, is ``|q|^2 + |r|^2 - 2 q.r`` over the
+    finite columns (``gram``), plus the exact terms of the non-finite columns
+    and the exact nominal count.  For a cell whose exact squared total is X,
+    the estimate errs by at most ``bound + 4 * gamma * X`` with
+    ``bound = 2 * gamma * (|q| + max |r|)^2``: the norms, the dot product and
+    both sums each err by at most gamma relative to the magnitudes they add,
+    in any order (Higham, section 3.1), plus ``_UNDERFLOW_SLACK`` for
+    operations that underflow.  A row whose norms could overflow gets an
+    infinite bound and must not use its estimates.
+    """
+    r_gram, r_norms, r_max = gram
+    gamma = _rounding_factor(reference)
+    q = q_num[:, ~nan_cols]
+    est = buffers.total[: q_num.shape[0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        q_norms = np.einsum("ij,ij->i", q, q)
+        reach = (np.sqrt(q_norms) + r_max) ** 2
+        # no term of an estimate exceeds reach, so 2 * reach finite means no overflow
+        bound = np.where(np.isfinite(2.0 * reach), 2.0 * gamma * reach + _UNDERFLOW_SLACK, np.inf)
+        # scaling by -2 is exact, so the product is -2 q.r
+        q *= -2.0
+        np.matmul(q, r_gram.T, out=est)
+        est += q_norms[:, None]
+        est += r_norms
+        exact_cols = np.flatnonzero(nan_cols)
+        _add_terms(est, q_num, reference, exact_cols, nan_cols, buffers.terms, write_first=False)
+    if q_nom.shape[1]:
+        est += _mismatches(q_nom, reference, buffers)
+    return est, bound
+
+
+def _shortlist_heads(
+    query: tuple[np.ndarray, np.ndarray], reference: Reference, m: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, head)``: the ``m`` nearest reference rows of query rows
+    ``start:start + len(head)``, from estimates confirmed by exact cells.
+
+    Let c be the largest exact distance among a row's m best estimates.  A
+    cell at distance <= c has an exact squared total X <= c^2 (1 + 2u),
+    since ``sqrt`` rounds correctly, so by :func:`_estimate`'s bound its
+    estimate is at most ``c^2 (1 + 6 gamma) + bound``.  Every such cell is
+    kept, and the row's m nearest are among them.
+    """
+    q_num, q_nom = query
+    nan_cols = _non_finite_columns(q_num, reference)
+    gram = reference.gram(~nan_cols)
+    slack = 1.0 + 6.0 * _rounding_factor(reference)
+    rows = max(_block_rows(reference), _MIN_ESTIMATE_ROWS)
+    buffers = _Buffers(min(rows, q_num.shape[0]), reference)
+    picks = np.arange(m)
+    for start in range(0, q_num.shape[0], rows):
+        stop = min(start + rows, q_num.shape[0])
+        head = np.empty((stop - start, m), dtype=np.intp)
+        block = q_num[start:stop], q_nom[start:stop]
+        est, bound = _estimate(*block, reference, gram, nan_cols, buffers)
+        sure = np.flatnonzero(np.isfinite(bound))
+        exact = np.flatnonzero(~np.isfinite(bound))
+        if sure.size:
+            if exact.size:
+                est = est[sure]
+            at = start + sure
+            best = np.argpartition(est, m - 1, axis=1)[:, :m]
+            cutoff = _pair_distances(q_num, q_nom, np.repeat(at, m), reference, best.ravel())
+            cutoff = cutoff.reshape(-1, m).max(axis=1)
+            with np.errstate(over="ignore"):
+                limit = cutoff * cutoff * slack + bound[sure]
+            kept = np.flatnonzero(est <= limit[:, None])
+            if kept.size > _MAX_SHORTLIST_SHARE * est.size:
+                exact = np.arange(stop - start)
+            else:
+                # flat indices ascend, so each row's columns come in ascending order
+                r, c = np.divmod(kept, reference.n)
+                dist = _pair_distances(q_num, q_nom, at[r], reference, c)
+                # lexsort is stable, so equal distances keep the ascending columns
+                order = np.lexsort((dist, r))
+                first = np.searchsorted(r, np.arange(sure.size))
+                head[sure] = c[order[first[:, None] + picks]]
+        if exact.size:
+            at = start + exact
+            total = _exact_totals(q_num[at], q_nom[at], reference, nan_cols, buffers)
+            head[exact] = _nearest(np.sqrt(total, out=total), m)
+        yield start, head
 
 
 def _nearest(block: np.ndarray, m: int) -> np.ndarray:
@@ -170,8 +438,9 @@ def _nearest(block: np.ndarray, m: int) -> np.ndarray:
         kth = np.partition(block, m - 1, axis=1)[:, m - 1, None]
         shortlist = block <= kth
         if np.count_nonzero(shortlist) <= _MAX_SHORTLIST_SHARE * block.size:
-            rows, cols = np.nonzero(shortlist)
-            # lexsort is stable, so equal distances keep nonzero's ascending columns
+            # flat indices ascend, so each row's columns come in ascending order
+            rows, cols = np.divmod(np.flatnonzero(shortlist), block.shape[1])
+            # lexsort is stable, so equal distances keep the ascending columns
             order = np.lexsort((block[shortlist], rows))
             first = np.searchsorted(rows, np.arange(block.shape[0]))
             return cols[order[first[:, None] + np.arange(m)]]
@@ -180,30 +449,35 @@ def _nearest(block: np.ndarray, m: int) -> np.ndarray:
 
 def neighbors(
     query: tuple[np.ndarray, np.ndarray],
-    reference: tuple[np.ndarray, np.ndarray],
+    reference: Reference,
     k: int,
     exclude: np.ndarray | None = None,
 ) -> np.ndarray:
     """Indices of the ``k`` reference rows nearest to each query row.
 
-    Both arguments are ``(numeric, nominal)`` pairs from
-    :meth:`FeatureSpace.encode`.  Rows come out nearest first, ties broken
-    toward the lower reference index.  ``exclude``, when given, holds one
-    reference index per query row that the row never picks (``np.arange(n)``
-    when the query is the reference itself).  Distances are built for one
-    block of query rows at a time, so memory stays O(block * n_ref) beside
-    the reference's one-hot nominal codes (n_ref * sum of codes * 4 bytes).
+    ``query`` is a ``(numeric, nominal)`` pair from :meth:`FeatureSpace.encode`
+    and ``reference`` a :func:`prepare_reference` of another such pair.  Rows
+    come out nearest first, ties broken toward the lower reference index.
+    ``exclude``, when given, holds one reference index per query row that the
+    row never picks (``np.arange(n)`` when the query is the reference itself).
+    Distances are built for one block of query rows at a time, so memory
+    stays O(block * n_ref) beside the prepared reference.
     """
-    n_query, n_ref = query[0].shape[0], reference[0].shape[0]
+    n_query, n_ref = query[0].shape[0], reference.n
     skip = exclude is not None
     if not 0 < k <= n_ref - skip:
         raise ValueError(f"cannot pick {k} neighbors from {n_ref} reference rows")
     if skip and np.shape(exclude) != (n_query,):
         raise ValueError(f"need one excluded index per query row, got shape {np.shape(exclude)}")
+    m = k + skip
+    if m < n_ref and not _non_finite_columns(query[0], reference).all():
+        heads = _shortlist_heads(query, reference, m)
+    else:
+        # no finite numeric column to estimate from, or every cell is needed
+        heads = ((start, _nearest(block, m)) for start, block in _distance_blocks(query, reference))
     out = np.empty((n_query, k), dtype=np.intp)
-    for start, block in _distance_blocks(query, reference):
-        stop = start + block.shape[0]
-        head = _nearest(block, k + skip)
+    for start, head in heads:
+        stop = start + head.shape[0]
         if not skip:
             out[start:stop] = head
             continue

@@ -17,16 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import MultiLabelDataset, label_matrix
-from .distance import FeatureSpace, neighbors
+from .distance import FeatureSpace, Reference, neighbors, prepare_reference
 from .evaluation import PredictionSet
 
 
 @dataclass(frozen=True)
 class MLkNNModel:
-    """Frozen training state: feature scaling, priors and conditionals."""
+    """Frozen training state: scaling, prepared training rows, priors and conditionals."""
 
     space: FeatureSpace
-    train_encoded: tuple[np.ndarray, np.ndarray]
+    reference: Reference
     train_labels: np.ndarray        # (n_train, k) bool
     labels: tuple[str, ...]
     k_nn: int
@@ -51,12 +51,13 @@ def mlknn_train(d_train: MultiLabelDataset, k_nn: int = 10, smoothing: float = 1
         raise ValueError("smoothing must be non-negative")
     space = FeatureSpace(d_train)
     encoded = space.encode(d_train.instances)
+    reference = prepare_reference(encoded)
     y = label_matrix(d_train)
     n, k = y.shape
 
     prior = (smoothing + y.sum(axis=0)) / (2 * smoothing + n)
 
-    neighbor_counts = y[neighbors(encoded, encoded, k_nn, exclude=np.arange(n))].sum(axis=1)
+    neighbor_counts = y[neighbors(encoded, reference, k_nn, exclude=np.arange(n))].sum(axis=1)
 
     def smoothed(histogram: np.ndarray) -> np.ndarray:
         denominator = smoothing * (k_nn + 1) + histogram.sum()
@@ -75,7 +76,7 @@ def mlknn_train(d_train: MultiLabelDataset, k_nn: int = 10, smoothing: float = 1
         )
     return MLkNNModel(
         space=space,
-        train_encoded=encoded,
+        reference=reference,
         train_labels=y,
         labels=d_train.labels,
         k_nn=k_nn,
@@ -98,7 +99,7 @@ def mlknn_predict(model: MLkNNModel, d_test: MultiLabelDataset) -> PredictionSet
     if tuple(d_test.attributes) != tuple(model.space.attributes):
         raise ValueError("test dataset schema does not match the model")
     test_encoded = model.space.encode(d_test.instances)
-    nearest = neighbors(test_encoded, model.train_encoded, model.k_nn)
+    nearest = neighbors(test_encoded, model.reference, model.k_nn)
     neighbor_counts = model.train_labels[nearest].sum(axis=1)
 
     k = len(model.labels)

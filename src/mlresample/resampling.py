@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import AttributeSpec, Instance, Labelset, MultiLabelDataset, _check_rows
-from .distance import FeatureSpace, neighbors
+from .distance import FeatureSpace, neighbors, prepare_reference
 from .metrics import ImbalanceProfile, imbalance_summary, profile
 
 _SEED_MAX = 2**64 - 1
@@ -159,6 +159,22 @@ def _report(
     )
 
 
+def _bags(d: MultiLabelDataset, labels: Sequence[int]) -> dict[int, list[int]]:
+    """Per label, the indices of the instances carrying it, ascending; one pass over the masks.
+
+    Masks stay Python ints, since a label index may pass 63.
+    """
+    bags: dict[int, list[int]] = {l: [] for l in labels}
+    wanted = Labelset.from_indices(labels).mask
+    for i, inst in enumerate(d.instances):
+        hit = inst.labels.mask & wanted
+        while hit:
+            low = hit & -hit
+            bags[low.bit_length() - 1].append(i)
+            hit ^= low
+    return bags
+
+
 def ml_ros(
     d: MultiLabelDataset, p: float, rng: np.random.Generator | None = None
 ) -> tuple[MultiLabelDataset, ResampleReport]:
@@ -178,9 +194,7 @@ def ml_ros(
     summary = imbalance_summary(d)
     budget = math.floor(d.n * p / 100.0)
     minority = np.flatnonzero(summary.minority).tolist()
-    bags = {
-        l: [i for i, inst in enumerate(d.instances) if l in inst.labels] for l in minority
-    }
+    bags = _bags(d, minority)
     if not minority or budget == 0:
         return d, _report(d, d, [], [])
 
@@ -235,7 +249,7 @@ def mlenn(d: MultiLabelDataset, ht: float = 0.75, nn: int = 3) -> tuple[MultiLab
     )
     encoded = FeatureSpace(d).encode(d.instances)
     query = (encoded[0][candidates], encoded[1][candidates])
-    nearest = neighbors(query, encoded, nn, exclude=candidates)
+    nearest = neighbors(query, prepare_reference(encoded), nn, exclude=candidates)
     marked: list[int] = []
     for i, near in zip(candidates.tolist(), nearest.tolist()):
         labels = d.instances[i].labels
@@ -248,18 +262,39 @@ def mlenn(d: MultiLabelDataset, ht: float = 0.75, nn: int = 3) -> tuple[MultiLab
     return out, _report(d, out, [], marked)
 
 
-def _most_frequent_nominal(
-    neighbors: Sequence[Instance], attr_index: int, spec: AttributeSpec
-) -> int | None:
-    counts: dict[int, int] = {}
-    for inst in neighbors:
-        v = inst.features[attr_index]
-        if v is not None:
-            counts[v] = counts.get(v, 0) + 1
-    if not counts:
-        return None
-    best = max(counts.values())
-    return min(v for v, c in counts.items() if c == best)
+def _nominal_votes(
+    codes: np.ndarray, nearest: np.ndarray, sizes: np.ndarray
+) -> list[list[int | None]]:
+    """Per row ``i``, each nominal column's most frequent code among the rows ``nearest[i]``.
+
+    ``codes`` holds the nominal codes (-1 = missing) and ``sizes`` each
+    column's number of declared values.  Missing codes do not vote, ties go
+    to the lowest code, and a column no voter holds gets ``None``.
+    """
+    n_rows, n_columns = nearest.shape[0], codes.shape[1]
+    if not n_columns:
+        return [[] for _ in range(n_rows)]
+    offsets = np.cumsum(sizes) - sizes
+    # one-hot sums: counts[i, offsets[c] + v] voters of row i with code v in column c
+    counts = np.zeros((n_rows, int(sizes.sum())), dtype=np.int64)
+    for voters in nearest.T:
+        held = codes[voters]
+        rows, columns = np.nonzero(held >= 0)
+        counts[rows, offsets[columns] + held[rows, columns]] += 1
+    # the largest count * (top + 1) + (top - code) per column holds the most
+    # frequent code, and among equally frequent codes the lowest
+    top = int(sizes.max())
+    code = np.arange(counts.shape[1]) - np.repeat(offsets, sizes)
+    best = np.maximum.reduceat(counts * (top + 1) + (top - code), offsets, axis=1)
+    count, rest = np.divmod(best, top + 1)
+    return [
+        [None if v < 0 else v for v in row]
+        for row in np.where(count > 0, top - rest, -1).tolist()
+    ]
+
+
+def _nominal_sizes(attributes: Sequence[AttributeSpec]) -> np.ndarray:
+    return np.array([len(a.values) for a in attributes if a.is_nominal], dtype=np.int64)
 
 
 def new_sample(
@@ -268,6 +303,7 @@ def new_sample(
     ref_neighbor: Instance,
     neighbors: Sequence[Instance],
     rng: np.random.Generator,
+    nominal: Sequence[int | None] | None = None,
 ) -> Instance:
     """Build one synthetic instance from a seed and its neighborhood.
 
@@ -275,15 +311,24 @@ def new_sample(
     draw per feature; a missing endpoint degrades to the available one; a
     span that overflows a float is interpolated as a weighted mean).
     Nominal features take the most frequent value among the neighbors (ties
-    to the lowest value index, missing ignored).  The labelset keeps each
-    label active in more than half of seed-plus-neighbors.
+    to the lowest value index, missing ignored); ``nominal``, when given,
+    holds those values in attribute order, already voted.  The labelset
+    keeps each label active in more than half of seed-plus-neighbors.
     """
     if not neighbors:
         raise ValueError("need at least one neighbor")
+    if nominal is None:
+        columns = [i for i, a in enumerate(attributes) if a.is_nominal]
+        rows = [inst.features for inst in neighbors]
+        codes = [[-1 if f[i] is None else f[i] for i in columns] for f in rows]
+        codes = np.array(codes, dtype=np.int64).reshape(len(rows), len(columns))
+        everyone = np.arange(len(rows))[None, :]
+        nominal = _nominal_votes(codes, everyone, _nominal_sizes(attributes))[0]
+    voted = iter(nominal)
     features: list[float | int | None] = []
     for idx, attr in enumerate(attributes):
         if attr.is_nominal:
-            features.append(_most_frequent_nominal(neighbors, idx, attr))
+            features.append(next(voted))
             continue
         sv = seed_instance.features[idx]
         rv = ref_neighbor.features[idx]
@@ -319,15 +364,18 @@ def mlsmote(
     if rng is None:
         rng = np.random.default_rng()
     encoded = FeatureSpace(d).encode(d.instances)
+    sizes = _nominal_sizes(d.attributes)
     synthetic: list[Instance] = []
     added: list[AddedInstance] = []
-    for label in np.flatnonzero(imbalance_summary(d).minority).tolist():
-        bag = [i for i, inst in enumerate(d.instances) if label in inst.labels]
+    minority = np.flatnonzero(imbalance_summary(d).minority).tolist()
+    for bag in _bags(d, minority).values():
         if len(bag) < 2:
             continue
         bag_encoded = (encoded[0][bag], encoded[1][bag])
         want = min(k_neighbors, len(bag) - 1)
-        nearest = neighbors(bag_encoded, bag_encoded, want, exclude=np.arange(len(bag)))
+        reference = prepare_reference(bag_encoded)
+        nearest = neighbors(bag_encoded, reference, want, exclude=np.arange(len(bag)))
+        votes = _nominal_votes(bag_encoded[1], nearest, sizes)
         for pos, seed_idx in enumerate(bag):
             neighbor_idx = [bag[j] for j in nearest[pos]]
             ref = neighbor_idx[int(rng.integers(0, len(neighbor_idx)))]
@@ -338,6 +386,7 @@ def mlsmote(
                     d.instances[ref],
                     [d.instances[j] for j in neighbor_idx],
                     rng,
+                    votes[pos],
                 )
             )
             added.append(AddedInstance(kind="synthetic", source=seed_idx))

@@ -138,6 +138,47 @@ def oracle_minmax(d) -> tuple[dict, dict]:
     return mins, spans
 
 
+def oracle_feature_scaling(d) -> tuple[list[float], list[float], list[float]]:
+    """Per numeric attribute the (scale, min, span) of the encoding, one Python loop per column.
+
+    ``FeatureSpace``'s original construction: min and max over the present
+    values, both halved (scale 0.5) when their difference overflows a float.
+    """
+    scales, mins, spans = [], [], []
+    for idx, attr in enumerate(d.attributes):
+        if attr.is_nominal:
+            continue
+        values = [inst.features[idx] for inst in d.instances if inst.features[idx] is not None]
+        scale, lo, span = 1.0, 0.0, 1.0
+        if values:
+            lo, hi = min(values), max(values)
+            if hi - lo == math.inf:
+                scale, lo, hi = 0.5, lo * 0.5, hi * 0.5
+            if hi > lo:
+                span = hi - lo
+        scales.append(scale)
+        mins.append(lo)
+        spans.append(span)
+    return scales, mins, spans
+
+
+def oracle_most_frequent_nominal(neighbors, attr_index) -> int | None:
+    """Most frequent value of one nominal attribute among instances, ties to the lowest.
+
+    MLSMOTE's original per-attribute vote: missing values are ignored and an
+    attribute no instance holds gives ``None``.
+    """
+    counts: dict[int, int] = {}
+    for inst in neighbors:
+        v = inst.features[attr_index]
+        if v is not None:
+            counts[v] = counts.get(v, 0) + 1
+    if not counts:
+        return None
+    best = max(counts.values())
+    return min(v for v, c in counts.items() if c == best)
+
+
 def oracle_neighbors(reference, query_instances, k, exclude_self=False) -> list[list[int]]:
     """Per query instance, the ``k`` nearest reference indices by a full sort.
 
@@ -156,12 +197,12 @@ def oracle_neighbors(reference, query_instances, k, exclude_self=False) -> list[
     return out
 
 
-def oracle_distances(query, reference) -> np.ndarray:
-    """Distance matrix between encoded rows, one temporary array per column.
+def oracle_squared_distances(query, reference) -> np.ndarray:
+    """Squared distance matrix between encoded rows, one temporary array per column.
 
-    The neighbour engine's original kernel: numeric terms summed in column
-    order with a NaN term counted as 1.0, then one +1.0/+0.0 per nominal
-    column.
+    The neighbour engine's original kernel before its square root: numeric
+    terms summed in column order with a NaN term counted as 1.0, then one
+    +1.0/+0.0 per nominal column.
     """
     q_num, q_nom = query
     r_num, r_nom = reference
@@ -174,7 +215,12 @@ def oracle_distances(query, reference) -> np.ndarray:
         qv = q_nom[:, col, None]
         rv = r_nom[None, :, col]
         total += ((qv != rv) | (qv < 0) | (rv < 0)).astype(float)
-    return np.sqrt(total)
+    return total
+
+
+def oracle_distances(query, reference) -> np.ndarray:
+    """Distance matrix between encoded rows: the square root of :func:`oracle_squared_distances`."""
+    return np.sqrt(oracle_squared_distances(query, reference))
 
 
 def oracle_encoded_neighbors(query, reference, k, exclude=None) -> np.ndarray:

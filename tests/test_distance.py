@@ -6,10 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlresample import AttributeSpec, distance
-from mlresample.distance import FeatureSpace, neighbors
+from mlresample.distance import FeatureSpace, neighbors, prepare_reference
 
 from conftest import datasets, make_dataset
-from _oracles import oracle_distances, oracle_encoded_neighbors, oracle_neighbors
+from _oracles import (
+    oracle_distances,
+    oracle_encoded_neighbors,
+    oracle_feature_scaling,
+    oracle_neighbors,
+    oracle_squared_distances,
+)
 
 ATTRS = (
     AttributeSpec("x"),
@@ -52,7 +58,7 @@ class TestNeighborsAgainstOracle:
     def test_square_excluding_self(self, seed, k):
         ref, _ = reference_and_query(seed, 30, 0)
         enc = FeatureSpace(ref).encode(ref.instances)
-        got = neighbors(enc, enc, k, exclude=np.arange(ref.n))
+        got = neighbors(enc, prepare_reference(enc), k, exclude=np.arange(ref.n))
         assert got.tolist() == oracle_neighbors(ref, ref.instances, k, exclude_self=True)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -60,7 +66,7 @@ class TestNeighborsAgainstOracle:
     def test_square_including_self(self, seed, k):
         ref, _ = reference_and_query(seed, 30, 0)
         enc = FeatureSpace(ref).encode(ref.instances)
-        got = neighbors(enc, enc, k)
+        got = neighbors(enc, prepare_reference(enc), k)
         assert got.tolist() == oracle_neighbors(ref, ref.instances, k)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -68,7 +74,7 @@ class TestNeighborsAgainstOracle:
     def test_rectangular(self, seed, n_query):
         ref, query = reference_and_query(seed, 25, n_query)
         space = FeatureSpace(ref)
-        got = neighbors(space.encode(query.instances), space.encode(ref.instances), 5)
+        got = neighbors(space.encode(query.instances), prepare_reference(space.encode(ref.instances)), 5)
         assert got.shape == (n_query, 5)
         assert got.tolist() == oracle_neighbors(ref, query.instances, 5)
 
@@ -76,16 +82,18 @@ class TestNeighborsAgainstOracle:
     @pytest.mark.parametrize("exclude_self", [False, True])
     def test_many_blocks(self, monkeypatch, cells, exclude_self):
         monkeypatch.setattr(distance, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(distance, "_MIN_ESTIMATE_ROWS", 1)
         ref, _ = reference_and_query(11, 40, 0)
         enc = FeatureSpace(ref).encode(ref.instances)
-        got = neighbors(enc, enc, 6, exclude=np.arange(ref.n) if exclude_self else None)
+        exclude = np.arange(ref.n) if exclude_self else None
+        got = neighbors(enc, prepare_reference(enc), 6, exclude=exclude)
         assert got.tolist() == oracle_neighbors(ref, ref.instances, 6, exclude_self)
 
     def test_duplicates_tie_to_lower_index(self):
         rows = [((1.0, 0, 1.0), [0])] * 5 + [((0.0, 1, 0.0), [1])]
         d = make_dataset(ATTRS, ("A", "B"), rows)
         enc = FeatureSpace(d).encode(d.instances)
-        assert neighbors(enc, enc, 3, exclude=np.arange(6)).tolist() == [
+        assert neighbors(enc, prepare_reference(enc), 3, exclude=np.arange(6)).tolist() == [
             [1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2], [0, 1, 2], [0, 1, 2]
         ]
 
@@ -96,24 +104,26 @@ class TestNeighborsAgainstOracle:
         rows = [((0.0, 0, 0.0), [0])] * 3 + [((None, 0, 0.0), [0]), ((4.0, 2, 4.0), [1])]
         d = make_dataset(ATTRS, ("A", "B"), rows)
         enc = FeatureSpace(d).encode(d.instances)
-        assert neighbors(enc, enc, 4).tolist()[3] == [0, 1, 2, 3]
-        assert neighbors(enc, enc, 2, exclude=np.arange(5)).tolist()[3] == [0, 1]
-        assert neighbors(enc, enc, 4, exclude=np.arange(5)).tolist()[3] == [0, 1, 2, 4]
+        prepared = prepare_reference(enc)
+        assert neighbors(enc, prepared, 4).tolist()[3] == [0, 1, 2, 3]
+        assert neighbors(enc, prepared, 2, exclude=np.arange(5)).tolist()[3] == [0, 1]
+        assert neighbors(enc, prepared, 4, exclude=np.arange(5)).tolist()[3] == [0, 1, 2, 4]
 
 
 class TestNeighborsArguments:
     def test_k_out_of_range(self, toy6):
         enc = FeatureSpace(toy6).encode(toy6.instances)
         with pytest.raises(ValueError):
-            neighbors(enc, enc, 0)
+            neighbors(enc, prepare_reference(enc), 0)
         with pytest.raises(ValueError):
-            neighbors(enc, enc, 6, exclude=np.arange(6))
-        assert neighbors(enc, enc, 6).shape == (6, 6)
+            neighbors(enc, prepare_reference(enc), 6, exclude=np.arange(6))
+        assert neighbors(enc, prepare_reference(enc), 6).shape == (6, 6)
 
 
 def full_matrix(query, reference):
     """Every distance cell, assembled from the engine's reused block buffers."""
-    blocks = [block.copy() for _, block in distance._distance_blocks(query, reference)]
+    prepared = prepare_reference(reference)
+    blocks = [block.copy() for _, block in distance._distance_blocks(query, prepared)]
     return np.concatenate(blocks) if blocks else np.zeros((0, reference[0].shape[0]))
 
 
@@ -168,9 +178,42 @@ def pinned_case(numeric, k, exclude, nominal=None):
     return enc, enc, k, np.arange(len(numeric)) if exclude else None, distance._BLOCK_CELLS
 
 
+def rect_case(query_rows, ref_rows, k, exclude=None):
+    """A case of explicit ``(numeric, nominal)`` rows."""
+    shape = len(ref_rows[0][0]), len(ref_rows[0][1])
+    exclude = None if exclude is None else np.array(exclude, dtype=np.intp)
+    query, reference = encode_rows(query_rows, *shape), encode_rows(ref_rows, *shape)
+    return query, reference, k, exclude, distance._BLOCK_CELLS
+
+
+UNIT_GRID = [((v,), ()) for v in (0.0, 0.25, 0.5, 0.75, 1.0)]
+# every norm overflows, while every difference is a finite, distinct few ulps
+HUGE_ROWS = [((1e154 * (1 + i * 1e-15),) * 3, ()) for i in (0, 3, 1, 4, 2, 5)]
+# squares below the smallest normal float: the estimate and the cells underflow
+TINY_ROWS = [((v, 0.0), ()) for v in (0.0, 1e-162, 3e-162, 2e-162, 1e-160, 2.5e-162)]
+MISSING_ROWS = [
+    ((0.0, 1.0), (0,)), ((math.nan, math.nan), (0,)), ((1.0, 0.0), (1,)),
+    ((0.5, 0.5), (-1,)), ((math.nan, math.nan), (-1,)),
+]
+NOMINAL_ROWS = [((), (a, b)) for a, b in [(0, 1), (1, 1), (-1, 0), (0, 1), (2, -1), (1, 0)]]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
 @settings(max_examples=300, deadline=None)
 @given(encoded_cases())
+# the first row's norm overflows and takes the exact block; the others are estimated
+@example(rect_case([((1.3e154,), ()), ((0.5,), ()), ((0.2,), ())], UNIT_GRID, 2))
+@example(rect_case(HUGE_ROWS, HUGE_ROWS, 2, exclude=range(6)))
+@example(rect_case(TINY_ROWS, TINY_ROWS, 2, exclude=range(6)))
+@example(rect_case(TINY_ROWS[:2], TINY_ROWS, 4))
+# row 0 ties row 1 at distance 0, but only row 1's estimate underflows to 0
+@example(rect_case([((3e-162,), ())], [((2e-162,), ()), ((3e-162,), ()), ((5e-162,), ())], 1))
+# rows missing every numeric value, on both sides
+@example(rect_case(MISSING_ROWS, MISSING_ROWS, 2, exclude=range(5)))
+@example(rect_case(MISSING_ROWS[1:3], MISSING_ROWS[2:], 2))
+# a reference without numeric columns: the nominal count is exact already
+@example(rect_case(NOMINAL_ROWS, NOMINAL_ROWS, 3, exclude=range(6)))
+@example(rect_case(NOMINAL_ROWS[2:4], NOMINAL_ROWS, 2))
 # k plus the excluded index spans the whole reference: the full stable sort
 @example(pinned_case([0.0, 1.0, 0.5, 0.5, 1.0], 4, exclude=True))
 @example(pinned_case([0.0, 1.0, 0.5, 0.5, 1.0], 5, exclude=False))
@@ -185,18 +228,41 @@ def test_engine_matches_the_per_column_kernel_and_a_full_sort(case):
     check_engine(case)
 
 
+def estimates(case):
+    """Whether the engine ranks this case by estimates: some numeric column is
+    finite on both sides and a row needs fewer cells than the reference holds."""
+    query, reference, k, exclude, _ = case
+    finite = np.isfinite(query[0]).all(axis=0) & np.isfinite(reference[0]).all(axis=0)
+    return finite.any() and k + (exclude is not None) < reference[0].shape[0]
+
+
 def check_engine(case):
     query, reference, k, exclude, cells = case
-    original = distance._BLOCK_CELLS
+    saved = distance._BLOCK_CELLS, distance._MIN_ESTIMATE_ROWS, distance._estimate
+    real_estimate = saved[2]
+    estimated = []
+
+    def recording_estimate(*args):
+        estimated.append(args[0].shape[0])
+        return real_estimate(*args)
+
     try:
-        distance._BLOCK_CELLS = cells
+        # small cells give several blocks on the estimated path too
+        distance._BLOCK_CELLS, distance._MIN_ESTIMATE_ROWS = cells, 1
+        distance._estimate = recording_estimate
         got_cells = full_matrix(query, reference)
-        got = neighbors(query, reference, k, exclude=exclude)
+        got = neighbors(query, prepare_reference(reference), k, exclude=exclude)
     finally:
-        distance._BLOCK_CELLS = original
+        distance._BLOCK_CELLS, distance._MIN_ESTIMATE_ROWS, distance._estimate = saved
     want_cells = oracle_distances(query, reference)
     assert np.array_equal(got_cells.view(np.uint64), want_cells.view(np.uint64))
+    # the re-rank's cells, taken pair by pair, are the same bits
+    rows, cols = np.indices(want_cells.shape).reshape(2, -1)
+    if rows.size and query[0].shape[1]:
+        pairs = distance._pair_distances(*query, rows, prepare_reference(reference), cols)
+        assert np.array_equal(pairs.view(np.uint64), want_cells.ravel().view(np.uint64))
     assert got.tolist() == oracle_encoded_neighbors(query, reference, k, exclude).tolist()
+    assert sum(estimated) == (query[0].shape[0] if estimates(case) else 0)
 
 
 # 0.0 sends every block to the stable argsort, 1.0 every block to the shortlist
@@ -227,9 +293,74 @@ def test_tie_heavy_blocks_take_the_full_sort(monkeypatch):
     rows = [((0.25,), (0,))] * 70 + [((float(i),), (1,)) for i in range(10)]
     enc = encode_rows(rows, 1, 1)
     monkeypatch.setattr(distance.np, "argsort", recording_argsort)
-    got = neighbors(enc, enc, 2, exclude=np.arange(80))
+    got = neighbors(enc, prepare_reference(enc), 2, exclude=np.arange(80))
     assert sorted_shapes == [(80, 80)]
     assert got.tolist() == oracle_encoded_neighbors(enc, enc, 2, np.arange(80)).tolist()
+
+
+def test_cells_one_ulp_apart_that_the_estimates_misorder():
+    """Rows a few ulps apart: their exact distances differ by single ulps, which the
+    Gram estimates cannot resolve; only the exact re-rank orders them."""
+    misordered = 0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        base = rng.random(3)
+        rows = base + rng.integers(-3, 4, (30, 3)) * np.spacing(base)
+        query = (rng.random((1, 3)), np.zeros((1, 0), dtype=np.int64))
+        reference = (rows, np.zeros((30, 0), dtype=np.int64))
+        prepared = prepare_reference(reference)
+        nan_cols = distance._non_finite_columns(query[0], prepared)
+        est, _ = distance._estimate(
+            *query, prepared, prepared.gram(~nan_cols), nan_cols, distance._Buffers(1, prepared)
+        )
+        est, exact = est[0].copy(), oracle_distances(query, reference)[0]
+        misordered += sum(
+            est[i] > est[j]
+            for i in range(30)
+            for j in range(30)
+            if exact[j] == np.nextafter(exact[i], math.inf)
+        )
+        for k in (1, 2, 7, 29):
+            got = neighbors(query, prepared, k)
+            assert got.tolist() == oracle_encoded_neighbors(query, reference, k).tolist()
+    assert misordered
+
+
+@pytest.mark.parametrize("noise", ["up", "down", "signs", "uniform", "adversarial"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@settings(max_examples=100, deadline=None)
+@given(case=encoded_cases(), seed=st.integers(0, 2**32 - 1))
+@example(case=rect_case(TINY_ROWS, TINY_ROWS, 2, exclude=range(6)), seed=0)
+@example(case=pinned_case([0.25] * 6, 3, exclude=True), seed=0)
+def test_estimates_anywhere_within_their_bound_give_the_same_lists(noise, case, seed):
+    """Replace every usable estimate by the exact squared cell plus noise up to its row's bound."""
+    rng = np.random.default_rng(seed)
+    m = case[2] + (case[3] is not None)
+    real_estimate = distance._estimate
+
+    def perturbed(q_num, q_nom, reference, *rest):
+        est, bound = real_estimate(q_num, q_nom, reference, *rest)
+        exact = oracle_squared_distances((q_num, q_nom), (reference.numeric, reference.nominal))
+        if noise == "adversarial":
+            # the true nearest look farther and every other cell nearer
+            kth = np.sort(exact, axis=1)[:, min(m, exact.shape[1]) - 1, None]
+            sign = np.where(exact <= kth, 1.0, -1.0)
+        else:
+            sign = {
+                "up": lambda: np.ones(est.shape),
+                "down": lambda: -np.ones(est.shape),
+                "signs": lambda: rng.choice([-1.0, 1.0], est.shape),
+                "uniform": lambda: rng.uniform(-1.0, 1.0, est.shape),
+            }[noise]()
+        usable = np.isfinite(bound)
+        est[usable] = exact[usable] + sign[usable] * bound[usable, None]
+        return est, bound
+
+    try:
+        distance._estimate = perturbed
+        check_engine(case)
+    finally:
+        distance._estimate = real_estimate
 
 
 @settings(max_examples=60, deadline=None)
@@ -238,11 +369,11 @@ def test_block_size_never_changes_the_answer(d):
     enc = FeatureSpace(d).encode(d.instances)
     k = d.n - 1 if d.n > 1 else 1
     exclude = np.arange(d.n) if d.n > 1 else None
-    whole = neighbors(enc, enc, k, exclude=exclude)
+    whole = neighbors(enc, prepare_reference(enc), k, exclude=exclude)
     original = distance._BLOCK_CELLS
     try:
         distance._BLOCK_CELLS = 1
-        one_row = neighbors(enc, enc, k, exclude=exclude)
+        one_row = neighbors(enc, prepare_reference(enc), k, exclude=exclude)
     finally:
         distance._BLOCK_CELLS = original
     assert np.array_equal(whole, one_row)
@@ -281,3 +412,40 @@ class TestOverflowingRange:
         d = make_dataset([AttributeSpec("x")], ("A",), [((-3.0,), [0]), ((0.1,), [0]), ((7.0,), [0])])
         numeric, _ = FeatureSpace(d).encode(d.instances)
         assert numeric[:, 0].tolist() == [0.0, (0.1 - -3.0) / 10.0, 1.0]
+
+
+class TestScalingFromColumns:
+    @pytest.mark.parametrize(
+        "column, encoded",
+        [
+            ([0.0, -0.0, 1.0], [0.0, 0.0, 1.0]),
+            ([-0.0, 0.0, None], [0.0, 0.0, math.nan]),
+            ([-0.0, -0.0], [0.0, 0.0]),
+            ([-1.7e308, 1.7e308, None], [0.0, 1.0, math.nan]),
+            ([1.7e308, -1.7e308, 0.0], [1.0, 0.0, 0.5]),
+            ([1.7e308, 1.7e308], [0.0, 0.0]),
+            ([-1.7e308, 1e308], [0.0, 1.0]),
+            ([None, None], [math.nan, math.nan]),
+        ],
+    )
+    def test_pinned_columns(self, column, encoded):
+        d = make_dataset([AttributeSpec("x")], ("A",), [((v,), [0]) for v in column])
+        numeric, _ = FeatureSpace(d).encode(d.instances)
+        assert np.array_equal(numeric[:, 0], encoded, equal_nan=True)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(datasets(max_n=15))
+    @example(
+        make_dataset(
+            (AttributeSpec("x"), AttributeSpec("y"), AttributeSpec("z")),
+            ("A",),
+            [((-0.0, 1.7e308, None), [0]), ((0.0, -1.7e308, None), [0]), ((-0.0, 2.0, None), [])],
+        )
+    )
+    def test_scaling_equals_the_per_column_loop(self, d):
+        space = FeatureSpace(d)
+        scales, mins, spans = oracle_feature_scaling(d)
+        assert space._scales.tolist() == scales
+        assert space._mins.tolist() == mins
+        assert space._spans.tolist() == spans

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlresample import (
     AttributeSpec,
     Instance,
     Labelset,
     MLENNConfig,
+    MultiLabelDataset,
     MLROSConfig,
     MLSMOTEConfig,
     ResampleConfig,
@@ -30,6 +33,7 @@ from _oracles import (
     oracle_minority_labels as minority_label_set,
     oracle_ml_ros_clones,
     oracle_mlenn_removed as brute_mlenn_removed,
+    oracle_most_frequent_nominal,
 )
 
 
@@ -441,3 +445,51 @@ class TestDispatcher:
     def test_mlsmote_neighbor_bound(self, toy6):
         with pytest.raises(ValueError, match="smaller than the dataset"):
             resample(toy6, ResampleConfig(MLSMOTEConfig(k_neighbors=10)))
+
+
+@st.composite
+def vote_cases(draw):
+    """(codes, nearest, sizes): nominal codes with missing values and the rows voting for each row."""
+    sizes = draw(st.lists(st.integers(1, 4), max_size=4))
+    n = draw(st.integers(1, 8))
+    codes = [[draw(st.integers(-1, size - 1)) for size in sizes] for _ in range(n)]
+    want = draw(st.integers(1, 6))
+    voters = st.lists(st.integers(0, n - 1), min_size=want, max_size=want)
+    nearest = draw(st.lists(voters, min_size=1, max_size=n))
+    return (
+        np.array(codes, dtype=np.int64).reshape(n, len(sizes)),
+        np.array(nearest, dtype=np.intp),
+        np.array(sizes, dtype=np.int64),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(vote_cases())
+def test_nominal_votes_equal_the_per_attribute_count(case):
+    codes, nearest, sizes = case
+    instances = [
+        Instance(tuple(None if v < 0 else v for v in row), Labelset()) for row in codes.tolist()
+    ]
+    votes = resampling._nominal_votes(codes, nearest, sizes)
+    assert len(votes) == len(nearest)
+    for row, voters in zip(votes, nearest.tolist()):
+        neighbors = [instances[i] for i in voters]
+        assert row == [oracle_most_frequent_nominal(neighbors, c) for c in range(len(sizes))]
+        # Python ints: the row check rejects numpy integers
+        assert all(v is None or type(v) is int for v in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, 2**70 - 1), max_size=30),
+    st.lists(st.integers(0, 69), unique=True).map(sorted),
+)
+def test_bags_equal_the_per_label_scan(masks, labels):
+    d = MultiLabelDataset(
+        (AttributeSpec("x"),),
+        tuple(f"L{l}" for l in range(70)),
+        tuple(Instance((0.0,), Labelset(mask)) for mask in masks),
+    )
+    bags = resampling._bags(d, labels)
+    assert list(bags) == labels
+    assert bags == {l: [i for i, inst in enumerate(d.instances) if l in inst.labels] for l in labels}
