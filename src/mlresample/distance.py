@@ -98,43 +98,55 @@ class FeatureSpace:
         self._mins = lo
         self._spans = np.where(hi > lo, hi - lo, 1.0)
 
-    def _raw_numeric(self, rows: list[tuple]) -> np.ndarray:
-        """Unscaled numeric matrix of feature tuples, NaN for a missing value."""
-        if 2 * len(self._numeric) >= len(self.attributes):
-            # Mostly numeric: converting the tuples whole, then dropping the
-            # nominal columns, builds no per-row lists.  On 43,907 rows x 120
-            # numeric columns this cut a hybrid MLeNN run's peak RSS from 540
-            # to 473 MiB; 2,000 x 50 rows convert in 1.9 ms against 3.7 ms.
-            raw = np.array(rows, dtype=float).reshape(len(rows), len(self.attributes))
-            return raw[:, self._numeric]
-        raw = np.array([[f[i] for i in self._numeric] for f in rows], dtype=float)
-        return raw.reshape(len(rows), len(self._numeric))  # None became NaN
+    def _raw_numeric(self, rows: Sequence[tuple]) -> np.ndarray:
+        """Unscaled numeric matrix of feature tuples, column-major, NaN for a missing value.
+
+        Rows are converted in chunks of about ``_BLOCK_CELLS`` values, so the
+        per-row lists never hold more than one chunk.
+        """
+        numeric = self._numeric
+        raw = np.empty((len(numeric), len(rows))).T
+        step = max(1, _BLOCK_CELLS // max(len(numeric), 1))
+        for at in range(0, len(rows), step):
+            # numpy converts None to NaN
+            raw[at : at + step] = [[f[i] for i in numeric] for f in rows[at : at + step]]
+        return raw
 
     def encode(self, instances: Sequence[Instance]) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled numeric matrix (NaN = missing) and nominal code matrix (-1 = missing)."""
+        """Scaled numeric matrix (NaN = missing) and nominal code matrix (-1 = missing).
+
+        The numeric matrix is column-major, so :func:`prepare_reference` keeps
+        its transpose without a copy.
+        """
         rows = [inst.features for inst in instances]
-        nominal = np.array(
-            [[-1 if f[i] is None else f[i] for i in self._nominal] for f in rows], dtype=np.int64
-        )
-        nominal = nominal.reshape(len(rows), len(self._nominal))
-        return (self._raw_numeric(rows) * self._scales - self._mins) / self._spans, nominal
+        numeric = self._raw_numeric(rows)
+        numeric *= self._scales
+        numeric -= self._mins
+        numeric /= self._spans
+        return numeric, _nominal_codes(rows, self._nominal)
+
+
+def _nominal_codes(rows: Sequence[tuple], columns: Sequence[int]) -> np.ndarray:
+    """Code matrix of the feature tuples' nominal ``columns``, -1 for a missing value."""
+    codes = [[-1 if f[i] is None else f[i] for i in columns] for f in rows]
+    return np.array(codes, dtype=np.int64).reshape(len(rows), len(columns))
 
 
 @dataclass(frozen=True, eq=False)
 class Reference:
     """Encoded reference rows, prepared once by :func:`prepare_reference`.
 
-    ``numeric`` and ``nominal`` are the :meth:`FeatureSpace.encode` pair and
-    ``columns`` the numeric matrix column-major.  Nominal column ``c`` owns
+    ``columns`` is the transpose of the :meth:`FeatureSpace.encode` pair's
+    numeric matrix, C-contiguous (a view of that column-major matrix), and
+    ``nominal`` its code matrix.  Nominal column ``c`` owns
     one-hot indicators ``offsets[c]:offsets[c] + widths[c]`` of ``one_hot``
     (width = the column's largest code + 1).  ``finite`` marks the numeric
     columns without a NaN or infinity; ``norms`` holds each row's squared
     norm over them and ``max_norm`` the largest norm.
     """
 
-    numeric: np.ndarray
-    nominal: np.ndarray
     columns: np.ndarray
+    nominal: np.ndarray
     widths: np.ndarray
     offsets: np.ndarray
     one_hot: np.ndarray
@@ -144,16 +156,17 @@ class Reference:
 
     @property
     def n(self) -> int:
-        return self.numeric.shape[0]
+        return self.columns.shape[1]
 
     def gram(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Rows cut to the numeric columns in ``mask``, their squared norms and largest norm."""
+        """The numeric columns in ``mask`` (column-major), the rows' squared norms over them
+        and the largest norm."""
         if np.array_equal(mask, self.finite):
-            rows = self.numeric if mask.all() else self.numeric[:, mask]
-            return rows, self.norms, self.max_norm
-        rows = self.numeric[:, mask]
-        norms = np.einsum("ij,ij->i", rows, rows)
-        return rows, norms, _max_norm(norms)
+            cols = self.columns if mask.all() else self.columns[mask]
+            return cols, self.norms, self.max_norm
+        cols = self.columns[mask]
+        norms = np.einsum("ij,ij->j", cols, cols)
+        return cols, norms, _max_norm(norms)
 
 
 def _max_norm(squared: np.ndarray) -> float:
@@ -164,8 +177,9 @@ def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
     """Everything :func:`neighbors` needs of the reference rows, built once.
 
     Besides the encoded pair it holds the one-hot nominal codes
-    (n_ref * sum of codes * 4 bytes), a column-major copy of the numeric
-    matrix and the rows' squared norms.
+    (n_ref * sum of codes * 4 bytes) and the rows' squared norms.  The
+    numeric matrix is kept column-major: a view of one from
+    :meth:`FeatureSpace.encode`, a copy of any other.
     """
     numeric, nominal = encoded
     n_ref, n_nominal = nominal.shape
@@ -181,9 +195,8 @@ def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
     with np.errstate(over="ignore"):
         norms = np.einsum("ij,ij->i", rows, rows)
     return Reference(
-        numeric=numeric,
-        nominal=nominal,
         columns=np.ascontiguousarray(numeric.T),
+        nominal=nominal,
         widths=widths,
         offsets=offsets,
         one_hot=one_hot,
@@ -211,7 +224,7 @@ class _Buffers:
     """Block-sized arrays that every block of one query reuses."""
 
     def __init__(self, rows: int, reference: Reference):
-        n_numeric, n_nominal = reference.numeric.shape[1], reference.nominal.shape[1]
+        n_numeric, n_nominal = reference.columns.shape[0], reference.nominal.shape[1]
         self.total = np.zeros((rows, reference.n))
         self.terms = np.empty_like(self.total) if n_numeric else None
         if n_nominal:
@@ -318,7 +331,7 @@ def _pair_distances(
     q_num: np.ndarray, q_nom: np.ndarray, rows: np.ndarray, reference: Reference, cols: np.ndarray
 ) -> np.ndarray:
     """Exact cells ``(rows[i], cols[i])``: the operations of :func:`_exact_totals`, in its order."""
-    terms = q_num[rows] - reference.numeric[cols]
+    terms = q_num[rows] - reference.columns[:, cols].T
     np.multiply(terms, terms, out=terms)
     terms[np.isnan(terms)] = 1.0  # NaN only arises in the non-finite columns
     # accumulate adds the columns strictly left to right, as the block does
@@ -332,7 +345,7 @@ def _pair_distances(
 
 def _rounding_factor(reference: Reference) -> float:
     """gamma_{D+3} = (D+3)u / (1 - (D+3)u) for D summed terms per cell (Higham, section 3.1)."""
-    n = reference.numeric.shape[1] + reference.nominal.shape[1] + 3
+    n = reference.columns.shape[0] + reference.nominal.shape[1] + 3
     return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
 
 
@@ -356,7 +369,7 @@ def _estimate(
     operations that underflow.  A row whose norms could overflow gets an
     infinite bound and must not use its estimates.
     """
-    r_gram, r_norms, r_max = gram
+    r_cols, r_norms, r_max = gram
     gamma = _rounding_factor(reference)
     q = q_num[:, ~nan_cols]
     est = buffers.total[: q_num.shape[0]]
@@ -367,7 +380,7 @@ def _estimate(
         bound = np.where(np.isfinite(2.0 * reach), 2.0 * gamma * reach + _UNDERFLOW_SLACK, np.inf)
         # scaling by -2 is exact, so the product is -2 q.r
         q *= -2.0
-        np.matmul(q, r_gram.T, out=est)
+        np.matmul(q, r_cols, out=est)
         est += q_norms[:, None]
         est += r_norms
         exact_cols = np.flatnonzero(nan_cols)

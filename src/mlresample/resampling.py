@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import AttributeSpec, Instance, Labelset, MultiLabelDataset, _check_rows
-from .distance import FeatureSpace, neighbors, prepare_reference
+from .distance import FeatureSpace, _nominal_codes, neighbors, prepare_reference
 from .metrics import ImbalanceProfile, imbalance_summary, profile
 
 _SEED_MAX = 2**64 - 1
@@ -311,18 +311,19 @@ def new_sample(
     draw per feature; a missing endpoint degrades to the available one; a
     span that overflows a float is interpolated as a weighted mean).
     Nominal features take the most frequent value among the neighbors (ties
-    to the lowest value index, missing ignored); ``nominal``, when given,
-    holds those values in attribute order, already voted.  The labelset
-    keeps each label active in more than half of seed-plus-neighbors.
+    to the lowest value index, missing ignored).  The labelset keeps each
+    label active in more than half of seed-plus-neighbors.
+
+    ``nominal``, when given, must be that vote over ``neighbors``, one value
+    per nominal attribute in attribute order; it is used as given, unchecked.
+    :func:`mlsmote` passes the votes of a whole bag, counted at once.
     """
     if not neighbors:
         raise ValueError("need at least one neighbor")
     if nominal is None:
         columns = [i for i, a in enumerate(attributes) if a.is_nominal]
-        rows = [inst.features for inst in neighbors]
-        codes = [[-1 if f[i] is None else f[i] for i in columns] for f in rows]
-        codes = np.array(codes, dtype=np.int64).reshape(len(rows), len(columns))
-        everyone = np.arange(len(rows))[None, :]
+        codes = _nominal_codes([inst.features for inst in neighbors], columns)
+        everyone = np.arange(len(neighbors))[None, :]
         nominal = _nominal_votes(codes, everyone, _nominal_sizes(attributes))[0]
     voted = iter(nominal)
     features: list[float | int | None] = []

@@ -340,7 +340,7 @@ def test_estimates_anywhere_within_their_bound_give_the_same_lists(noise, case, 
 
     def perturbed(q_num, q_nom, reference, *rest):
         est, bound = real_estimate(q_num, q_nom, reference, *rest)
-        exact = oracle_squared_distances((q_num, q_nom), (reference.numeric, reference.nominal))
+        exact = oracle_squared_distances((q_num, q_nom), (reference.columns.T, reference.nominal))
         if noise == "adversarial":
             # the true nearest look farther and every other cell nearer
             kth = np.sort(exact, axis=1)[:, min(m, exact.shape[1]) - 1, None]
@@ -367,16 +367,18 @@ def test_estimates_anywhere_within_their_bound_give_the_same_lists(noise, case, 
 @given(datasets(max_n=25))
 def test_block_size_never_changes_the_answer(d):
     enc = FeatureSpace(d).encode(d.instances)
-    k = d.n - 1 if d.n > 1 else 1
     exclude = np.arange(d.n) if d.n > 1 else None
-    whole = neighbors(enc, prepare_reference(enc), k, exclude=exclude)
-    original = distance._BLOCK_CELLS
-    try:
-        distance._BLOCK_CELLS = 1
-        one_row = neighbors(enc, prepare_reference(enc), k, exclude=exclude)
-    finally:
-        distance._BLOCK_CELLS = original
-    assert np.array_equal(whole, one_row)
+    # every other row needs every cell; the nearest one leaves room for estimates
+    for k in {max(d.n - 1, 1), 1}:
+        whole = neighbors(enc, prepare_reference(enc), k, exclude=exclude)
+        original = distance._BLOCK_CELLS, distance._MIN_ESTIMATE_ROWS
+        try:
+            # one query row per block on the estimated path as well as the exact one
+            distance._BLOCK_CELLS, distance._MIN_ESTIMATE_ROWS = 1, 1
+            one_row = neighbors(enc, prepare_reference(enc), k, exclude=exclude)
+        finally:
+            distance._BLOCK_CELLS, distance._MIN_ESTIMATE_ROWS = original
+        assert np.array_equal(whole, one_row)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -449,3 +451,25 @@ class TestScalingFromColumns:
         assert space._scales.tolist() == scales
         assert space._mins.tolist() == mins
         assert space._spans.tolist() == spans
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets(max_n=15))
+def test_the_prepared_reference_keeps_the_encoded_numeric_matrix_once(d):
+    space = FeatureSpace(d)
+    numeric, _ = space.encode(d.instances)
+    # the same bits as scaling a row-major matrix of the raw values
+    raw = np.array([[inst.features[i] for i in space._numeric] for inst in d.instances], dtype=float)
+    raw = raw.reshape(d.n, len(space._numeric))
+    expected = (raw * space._scales - space._mins) / space._spans
+    assert np.array_equal(numeric.view(np.uint64), expected.view(np.uint64))
+    original = distance._BLOCK_CELLS
+    try:
+        distance._BLOCK_CELLS = 1  # one row per conversion chunk
+        one_row = space.encode(d.instances)[0]
+    finally:
+        distance._BLOCK_CELLS = original
+    assert np.array_equal(one_row.view(np.uint64), expected.view(np.uint64))
+    columns = prepare_reference((numeric, np.zeros((d.n, 0), dtype=np.int64))).columns
+    assert columns.flags.c_contiguous and np.array_equal(columns.T, numeric, equal_nan=True)
+    assert numeric.size == 0 or np.shares_memory(columns, numeric)
