@@ -19,9 +19,6 @@ import numpy as np
 from mlresample import (
     DecoupleConfig,
     HybridConfig,
-    MLENNConfig,
-    MLROSConfig,
-    MLSMOTEConfig,
     ResampleConfig,
     evaluate,
     hybrid_resample,
@@ -33,20 +30,9 @@ from mlresample import (
     scumble,
     stratified_kfold,
 )
+from mlresample.cli import _method_config
 from mlresample.partitioning import fold_datasets
 from mlresample.synthetic import imbalanced_dataset
-
-
-def method_config(name: str, args) -> ResampleConfig:
-    if name == "mlros":
-        return ResampleConfig(MLROSConfig(p=args.p), seed=0)
-    if name == "mlenn":
-        return ResampleConfig(MLENNConfig(ht=args.ht, nn=args.nn), seed=0)
-    return ResampleConfig(MLSMOTEConfig(k_neighbors=args.k), seed=0)
-
-
-def with_seed(config: ResampleConfig, seed: int) -> ResampleConfig:
-    return ResampleConfig(method=config.method, seed=seed)
 
 
 def fold_f_measure(d, assignment, preprocess, folds: int, k_nn: int) -> float:
@@ -77,7 +63,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     configs = ["Base"] + [f"H_{t[1:] if t.startswith('p') else t}" for t in args.thresholds]
-    base = method_config(args.method, args)
+    # the parser shares the CLI's attribute names: method, p, ht, nn and k
+    method = _method_config(args)
 
     print(f"post-resampling MeanIR, method={args.method}")
     print(f"{'seed':<6}{'SCUMBLE':>9}{'MeanIR':>9}" + "".join(f"{c:>10}" for c in configs))
@@ -85,13 +72,13 @@ def main(argv=None) -> int:
     for seed in range(args.seeds):
         d = imbalanced_dataset(seed, n=args.n, k=args.labels)
         row = [f"{seed:<6}", f"{scumble(d):>9.3f}", f"{mean_ir(d):>9.2f}"]
-        base_out, _ = resample(d, with_seed(base, seed))
+        base_out, _ = resample(d, ResampleConfig(method, seed=seed))
         base_after = mean_ir(base_out) if base_out.n else float("nan")
         row.append(f"{base_after:>10.3f}")
         for t_idx, threshold in enumerate(args.thresholds):
             config = HybridConfig(
                 decouple=DecoupleConfig.from_spec(threshold),
-                resample=with_seed(base, seed),
+                resample=ResampleConfig(method, seed=seed),
             )
             out, _ = hybrid_resample(d, config)
             after = mean_ir(out) if out.n else float("nan")
@@ -110,14 +97,14 @@ def main(argv=None) -> int:
         print(f"{'metric':<12}" + "".join(f"{c:>10}" for c in configs))
         scores = [
             fold_f_measure(
-                d, assignment, lambda t: resample(t, with_seed(base, 1))[0],
+                d, assignment, lambda t: resample(t, ResampleConfig(method, seed=1))[0],
                 args.folds, args.k_nn,
             )
         ]
         for threshold in args.thresholds:
             config = HybridConfig(
                 decouple=DecoupleConfig.from_spec(threshold),
-                resample=with_seed(base, 1),
+                resample=ResampleConfig(method, seed=1),
             )
             scores.append(
                 fold_f_measure(

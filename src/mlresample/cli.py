@@ -60,10 +60,15 @@ def _default_seed() -> int:
         raise _ParameterError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise MulanFormatError(f"cannot decode {path}: {exc}") from None
+
+
 def _read_dataset(arff_path: str, xml_path: str) -> MultiLabelDataset:
-    arff_text = Path(arff_path).read_text()
-    xml_text = Path(xml_path).read_text()
-    return parse_mulan(arff_text, xml_text)
+    return parse_mulan(_read_text(arff_path), _read_text(xml_path))
 
 
 def _write_dataset(
@@ -310,13 +315,17 @@ def cmd_concurrence(args, argv: list[str]) -> int:
 
 def cmd_rerun(args, argv: list[str]) -> int:
     try:
-        manifest = json.loads(Path(args.manifest).read_text())
-        recorded = manifest["argv"]
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        manifest = json.loads(_read_text(args.manifest))
+    except (OSError, json.JSONDecodeError) as exc:
         raise MulanFormatError(f"cannot load manifest {args.manifest}: {exc}") from exc
+    recorded = manifest.get("argv") if isinstance(manifest, dict) else None
     if not isinstance(recorded, list) or not recorded:
         raise MulanFormatError(f"manifest {args.manifest} records no argv")
-    return main([str(a) for a in recorded])
+    recorded = [str(a) for a in recorded]
+    if recorded[0] == "rerun":
+        # no command records a rerun, and following one could recurse without end
+        raise MulanFormatError(f"manifest {args.manifest} records a rerun, not a command")
+    return main(recorded)
 
 
 def build_parser() -> _Parser:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Instance, Labelset, MultiLabelDataset
-from .metrics import imbalance_summary, profile, scumble_values
+from .metrics import imbalance_summary, scumble_values
 from .resampling import AddedInstance, ResampleConfig, ResampleReport, _report, resample
 
 PERCENTILE_PRESETS = (0.25, 0.37, 0.50, 0.62, 0.75)
@@ -92,14 +92,6 @@ def remedial(
     clone keeps the rest.  Untouched instances pass through bit-identical and
     in order.  Deterministic; no randomness involved.
     """
-    out, added, removed, decoupled = _decouple(d, config)
-    return out, _report(d, out, added, removed, decoupled)
-
-
-def _decouple(
-    d: MultiLabelDataset, config: DecoupleConfig
-) -> tuple[MultiLabelDataset, list[AddedInstance], list[int], list[int]]:
-    """:func:`remedial`'s dataset with its added, removed and decoupled records."""
     if d.n < 1:
         raise ValueError("cannot decouple an empty dataset")
     scores = scumble_values(d)
@@ -130,7 +122,7 @@ def _decouple(
             added.append(AddedInstance(kind="clone", source=i))
     # each side keeps a validated row's features and a subset of its labels
     out = MultiLabelDataset._trusted(d.attributes, d.labels, tuple(kept + appended), d.name)
-    return out, added, removed, decoupled
+    return out, _report(d, out, added, removed, decoupled)
 
 
 def hybrid_resample(
@@ -140,21 +132,10 @@ def hybrid_resample(
 
     The resampler sees the decoupled dataset, so its minority bags follow the
     decoupled IRLbl/MeanIR.  The combined report chains both stage records;
-    stage indices refer to the dataset each stage ran on.  The decoupled
-    dataset is profiled once, by the resampler, and that profile closes the
-    decoupling stage too.
+    stage indices refer to the dataset each stage ran on.
     """
-    decoupled_d, added, removed, decoupled = _decouple(d, config.decouple)
+    decoupled_d, first = remedial(d, config.decouple)
     out, second = resample(decoupled_d, config.resample)
-    first = ResampleReport(
-        instances_before=d.n,
-        instances_after=decoupled_d.n,
-        added=tuple(added),
-        removed=tuple(removed),
-        profile_before=profile(d),
-        profile_after=second.profile_before,
-        decoupled=tuple(decoupled),
-    )
     report = ResampleReport(
         instances_before=d.n,
         instances_after=out.n,

@@ -11,7 +11,7 @@ Euclidean norm over the per-attribute terms.
 prepares encoded rows once for any number of queries, and :func:`neighbors`
 answers "which k reference rows are nearest?" for MLeNN, MLSMOTE and ML-kNN
 alike, nearest first with ties to the lower index.  It never holds the full
-distance matrix, only one block of query rows at a time.
+distance matrix: one loop walks the query a block of rows at a time.
 
 Every distance that decides a neighbour is an *exact cell*: numeric terms
 summed column by column in attribute order (a NaN term counts 1.0), then one
@@ -32,13 +32,15 @@ are computed exactly and sorted.  The estimate only filters cells, so the
 order of a BLAS product, its threads and fused multiply-adds never change a
 neighbour list.  A row whose norms could overflow, and a block whose kept
 cells are more than ``_MAX_SHORTLIST_SHARE`` of it, take the exact block
-instead.  So does a whole query when no numeric column is finite on both
-sides (with no numeric column at all the nominal count is exact already) or
-when a row needs every reference row.  The exact block picks from a
-shortlist: the cells no farther than each row's m-th smallest distance,
-found with ``np.partition`` and ordered by distance, then index.  When ties
-make that shortlist more than half of a block, a stable ``argsort`` of the
-whole block picks them instead.  No option changes any of this.
+instead.  So does every row of a query when no numeric column is finite on
+both sides (with no numeric column at all the nominal count is exact
+already) or when a row needs every reference row; such a query is never
+estimated, and its blocks hold ``_BLOCK_CELLS // n_ref`` rows instead of at
+least ``_MIN_ESTIMATE_ROWS``.  The exact block picks from a shortlist: the
+cells no farther than each row's m-th smallest distance, found with
+``np.partition`` and ordered by distance, then index.  When ties make that
+shortlist more than half of a block, a stable ``argsort`` of the whole
+block picks them instead.  No option changes any of this.
 """
 
 from __future__ import annotations
@@ -61,6 +63,13 @@ _BLOCK_CELLS = 1 << 15
 # Measured on 500, 2000 and 6000 rows (k + 1 = 4) holding one repeated row
 # and random others: the two cost the same when 40-60% of the cells tie
 # with their row's m-th distance, and at 100% the argsort is 7x faster.
+# The estimated path reuses it to choose between re-ranking a block's kept
+# cells pair by pair and building the exact block.  Measured the same way
+# (self-query, k = 3, BLAS on one thread, the kept share set by the share of
+# repeated rows), those two cost the same at 35-53% kept cells with 10
+# numeric columns but at 30-35% with 50, since the re-rank gathers every
+# column of every kept cell: there, 6000 rows keeping 49% of their cells
+# re-ranked in 5.6 s against 3.0 s for the exact blocks.
 _MAX_SHORTLIST_SHARE = 0.5
 
 # Query rows per estimated block, at least.  With fewer, the per-block numpy
@@ -78,17 +87,22 @@ _UNDERFLOW_SLACK = 2.0**-1000
 
 
 class FeatureSpace:
-    """Precomputed scaling for one attribute schema, anchored to a reference dataset."""
+    """Precomputed scaling for one attribute schema, anchored to a reference dataset.
+
+    ``encoded`` is the reference's own :meth:`encode` pair, scaled in place
+    from the matrix that fitted the scaling, so its rows are converted once.
+    """
 
     def __init__(self, reference: MultiLabelDataset):
         self.attributes = reference.attributes
         self._numeric = [i for i, a in enumerate(self.attributes) if not a.is_nominal]
         self._nominal = [i for i, a in enumerate(self.attributes) if a.is_nominal]
         # a value v encodes as (v * scale - min) / span
-        raw = self._raw_numeric([inst.features for inst in reference.instances])
-        present = ~np.isnan(raw).all(axis=0)
-        lo = np.where(present, np.fmin.reduce(raw, axis=0, initial=np.inf), 0.0)
-        hi = np.where(present, np.fmax.reduce(raw, axis=0, initial=-np.inf), 0.0)
+        rows = [inst.features for inst in reference.instances]
+        numeric = self._raw_numeric(rows)
+        present = ~np.isnan(numeric).all(axis=0)
+        lo = np.where(present, np.fmin.reduce(numeric, axis=0, initial=np.inf), 0.0)
+        hi = np.where(present, np.fmax.reduce(numeric, axis=0, initial=-np.inf), 0.0)
         with np.errstate(over="ignore"):
             # the span overflows a float; half of it never does
             halved = hi - lo == math.inf
@@ -97,6 +111,11 @@ class FeatureSpace:
         self._scales = scales
         self._mins = lo
         self._spans = np.where(hi > lo, hi - lo, 1.0)
+        # the reference's own encoding, from the same conversion
+        numeric *= self._scales
+        numeric -= self._mins
+        numeric /= self._spans
+        self.encoded = numeric, _nominal_codes(rows, self._nominal)
 
     def _raw_numeric(self, rows: Sequence[tuple]) -> np.ndarray:
         """Unscaled numeric matrix of feature tuples, column-major, NaN for a missing value.
@@ -179,7 +198,8 @@ def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
     Besides the encoded pair it holds the one-hot nominal codes
     (n_ref * sum of codes * 4 bytes) and the rows' squared norms.  The
     numeric matrix is kept column-major: a view of one from
-    :meth:`FeatureSpace.encode`, a copy of any other.
+    :meth:`FeatureSpace.encode` or :attr:`FeatureSpace.encoded`, a copy of
+    any other.
     """
     numeric, nominal = encoded
     n_ref, n_nominal = nominal.shape
@@ -304,29 +324,6 @@ def _non_finite_columns(q_num: np.ndarray, reference: Reference) -> np.ndarray:
     return ~(np.isfinite(q_num).all(axis=0) & reference.finite)
 
 
-def _block_rows(reference: Reference) -> int:
-    return max(1, _BLOCK_CELLS // reference.n)
-
-
-def _distance_blocks(
-    query: tuple[np.ndarray, np.ndarray], reference: Reference
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start, block)``: distances from query rows ``start:start + len(block)``
-    to every reference row, about ``_BLOCK_CELLS`` cells per block.
-
-    Each block is written in place into buffers that the next block reuses.
-    """
-    q_num, q_nom = query
-    rows = _block_rows(reference)
-    buffers = _Buffers(min(rows, q_num.shape[0]), reference)
-    nan_cols = _non_finite_columns(q_num, reference)
-    for start in range(0, q_num.shape[0], rows):
-        stop = start + rows
-        total = _exact_totals(q_num[start:stop], q_nom[start:stop], reference, nan_cols, buffers)
-        np.sqrt(total, out=total)
-        yield start, total
-
-
 def _pair_distances(
     q_num: np.ndarray, q_nom: np.ndarray, rows: np.ndarray, reference: Reference, cols: np.ndarray
 ) -> np.ndarray:
@@ -394,28 +391,37 @@ def _shortlist_heads(
     query: tuple[np.ndarray, np.ndarray], reference: Reference, m: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(start, head)``: the ``m`` nearest reference rows of query rows
-    ``start:start + len(head)``, from estimates confirmed by exact cells.
+    ``start:start + len(head)``, one block of rows at a time.
 
-    Let c be the largest exact distance among a row's m best estimates.  A
-    cell at distance <= c has an exact squared total X <= c^2 (1 + 2u),
-    since ``sqrt`` rounds correctly, so by :func:`_estimate`'s bound its
-    estimate is at most ``c^2 (1 + 6 gamma) + bound``.  Every such cell is
-    kept, and the row's m nearest are among them.
+    When some numeric column is finite on both sides and a row needs fewer
+    cells than the reference holds, each block is estimated first.  Let c be
+    the largest exact distance among a row's m best estimates.  A cell at
+    distance <= c has an exact squared total X <= c^2 (1 + 2u), since
+    ``sqrt`` rounds correctly, so by :func:`_estimate`'s bound its estimate
+    is at most ``c^2 (1 + 6 gamma) + bound``.  Every such cell is kept, and
+    the row's m nearest are among them.  Every other row takes the exact
+    block, written in place into buffers that the next block reuses.
     """
     q_num, q_nom = query
     nan_cols = _non_finite_columns(q_num, reference)
-    gram = reference.gram(~nan_cols)
-    slack = 1.0 + 6.0 * _rounding_factor(reference)
-    rows = max(_block_rows(reference), _MIN_ESTIMATE_ROWS)
+    estimated = m < reference.n and not nan_cols.all()
+    rows = max(1, _BLOCK_CELLS // reference.n)
+    if estimated:
+        gram = reference.gram(~nan_cols)
+        slack = 1.0 + 6.0 * _rounding_factor(reference)
+        rows = max(rows, _MIN_ESTIMATE_ROWS)
     buffers = _Buffers(min(rows, q_num.shape[0]), reference)
     picks = np.arange(m)
     for start in range(0, q_num.shape[0], rows):
         stop = min(start + rows, q_num.shape[0])
         head = np.empty((stop - start, m), dtype=np.intp)
-        block = q_num[start:stop], q_nom[start:stop]
-        est, bound = _estimate(*block, reference, gram, nan_cols, buffers)
-        sure = np.flatnonzero(np.isfinite(bound))
-        exact = np.flatnonzero(~np.isfinite(bound))
+        # rows re-ranked from their estimates, and rows that take the exact block
+        sure, exact = np.arange(0), np.arange(stop - start)
+        if estimated:
+            block = q_num[start:stop], q_nom[start:stop]
+            est, bound = _estimate(*block, reference, gram, nan_cols, buffers)
+            sure = np.flatnonzero(np.isfinite(bound))
+            exact = np.flatnonzero(~np.isfinite(bound))
         if sure.size:
             if exact.size:
                 est = est[sure]
@@ -473,8 +479,10 @@ def neighbors(
     come out nearest first, ties broken toward the lower reference index.
     ``exclude``, when given, holds one reference index per query row that the
     row never picks (``np.arange(n)`` when the query is the reference itself).
-    Distances are built for one block of query rows at a time, so memory
-    stays O(block * n_ref) beside the prepared reference.
+    One loop builds distances for one block of query rows at a time, so
+    memory stays O(block * n_ref) beside the prepared reference; each row
+    is re-ranked from its estimates or takes the exact block (see the
+    module docstring).
     """
     n_query, n_ref = query[0].shape[0], reference.n
     skip = exclude is not None
@@ -482,14 +490,8 @@ def neighbors(
         raise ValueError(f"cannot pick {k} neighbors from {n_ref} reference rows")
     if skip and np.shape(exclude) != (n_query,):
         raise ValueError(f"need one excluded index per query row, got shape {np.shape(exclude)}")
-    m = k + skip
-    if m < n_ref and not _non_finite_columns(query[0], reference).all():
-        heads = _shortlist_heads(query, reference, m)
-    else:
-        # no finite numeric column to estimate from, or every cell is needed
-        heads = ((start, _nearest(block, m)) for start, block in _distance_blocks(query, reference))
     out = np.empty((n_query, k), dtype=np.intp)
-    for start, head in heads:
+    for start, head in _shortlist_heads(query, reference, k + skip):
         stop = start + head.shape[0]
         if not skip:
             out[start:stop] = head

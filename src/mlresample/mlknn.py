@@ -50,7 +50,7 @@ def mlknn_train(d_train: MultiLabelDataset, k_nn: int = 10, smoothing: float = 1
     if smoothing < 0:
         raise ValueError("smoothing must be non-negative")
     space = FeatureSpace(d_train)
-    encoded = space.encode(d_train.instances)
+    encoded = space.encoded
     reference = prepare_reference(encoded)
     y = label_matrix(d_train)
     n, k = y.shape

@@ -247,7 +247,7 @@ def mlenn(d: MultiLabelDataset, ht: float = 0.75, nn: int = 3) -> tuple[MultiLab
     candidates = np.array(
         [i for i, inst in enumerate(d.instances) if not inst.labels & minority_mask], dtype=np.intp
     )
-    encoded = FeatureSpace(d).encode(d.instances)
+    encoded = FeatureSpace(d).encoded
     query = (encoded[0][candidates], encoded[1][candidates])
     nearest = neighbors(query, prepare_reference(encoded), nn, exclude=candidates)
     marked: list[int] = []
@@ -364,7 +364,7 @@ def mlsmote(
     MLSMOTEConfig(k_neighbors=k_neighbors)
     if rng is None:
         rng = np.random.default_rng()
-    encoded = FeatureSpace(d).encode(d.instances)
+    encoded = FeatureSpace(d).encoded
     sizes = _nominal_sizes(d.attributes)
     synthetic: list[Instance] = []
     added: list[AddedInstance] = []

@@ -179,6 +179,38 @@ class TestResample:
         assert tree_bytes(out_dir) == before
 
 
+class TestMalformedInputExits2:
+    def test_rerun_of_a_manifest_that_is_not_an_object(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[1, 2]\n")
+        assert main(["rerun", str(manifest)]) == 2
+        assert capsys.readouterr().err == f"error: manifest {manifest} records no argv\n"
+
+    def test_rerun_of_a_manifest_that_reruns_itself(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"argv": ["rerun", str(manifest)]}))
+        assert main(["rerun", str(manifest)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: manifest {manifest} records a rerun, not a command\n"
+        )
+
+    @pytest.mark.parametrize("bad", ["arff", "xml", "manifest"])
+    def test_a_file_that_is_not_utf8(self, bad, toy6_files, tmp_path, capsys):
+        arff, xml = toy6_files
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"argv": ["info", str(arff), str(xml)]}))
+        # one byte that is not UTF-8, inside a name, a comment or a path
+        path, text, spoiled = {
+            "arff": (arff, b"@relation toy6", b"@relation toy\xff"),
+            "xml": (xml, b"</labels>", b"</labels><!-- \xff -->"),
+            "manifest": (manifest, b"toy6.arff", b"toy\xff.arff"),
+        }[bad]
+        path.write_bytes(path.read_bytes().replace(text, spoiled))
+        assert main(["rerun", str(manifest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot decode {path}: ") and err.count("\n") == 1
+
+
 class TestPartition:
     def test_writes_fold_pairs(self, tmp_path):
         train, _ = separable_clusters(seed=0, n_train_per=20)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlresample import AttributeSpec, distance
+from mlresample import AttributeSpec, distance, mlenn, mlknn_train, mlsmote
 from mlresample.distance import FeatureSpace, neighbors, prepare_reference
+from mlresample.synthetic import imbalanced_dataset
 
 from conftest import datasets, make_dataset
 from _oracles import (
@@ -121,10 +122,18 @@ class TestNeighborsArguments:
 
 
 def full_matrix(query, reference):
-    """Every distance cell, assembled from the engine's reused block buffers."""
+    """Every distance cell from the engine's exact kernel, one block of query rows
+    at a time in the block buffers that every block reuses."""
     prepared = prepare_reference(reference)
-    blocks = [block.copy() for _, block in distance._distance_blocks(query, prepared)]
-    return np.concatenate(blocks) if blocks else np.zeros((0, reference[0].shape[0]))
+    q_num, q_nom = query
+    rows = max(1, distance._BLOCK_CELLS // prepared.n)
+    buffers = distance._Buffers(min(rows, q_num.shape[0]), prepared)
+    nan_cols = distance._non_finite_columns(q_num, prepared)
+    blocks = []
+    for at in range(0, q_num.shape[0], rows):
+        block = q_num[at : at + rows], q_nom[at : at + rows]
+        blocks.append(np.sqrt(distance._exact_totals(*block, prepared, nan_cols, buffers)))
+    return np.concatenate(blocks) if blocks else np.zeros((0, prepared.n))
 
 
 def encode_rows(rows, n_numeric, n_nominal):
@@ -457,7 +466,10 @@ class TestScalingFromColumns:
 @given(datasets(max_n=15))
 def test_the_prepared_reference_keeps_the_encoded_numeric_matrix_once(d):
     space = FeatureSpace(d)
-    numeric, _ = space.encode(d.instances)
+    numeric, nominal = space.encode(d.instances)
+    # the reference's own pair, from the conversion that fitted the scaling
+    assert np.array_equal(space.encoded[0].view(np.uint64), numeric.view(np.uint64))
+    assert np.array_equal(space.encoded[1], nominal)
     # the same bits as scaling a row-major matrix of the raw values
     raw = np.array([[inst.features[i] for i in space._numeric] for inst in d.instances], dtype=float)
     raw = raw.reshape(d.n, len(space._numeric))
@@ -473,3 +485,24 @@ def test_the_prepared_reference_keeps_the_encoded_numeric_matrix_once(d):
     columns = prepare_reference((numeric, np.zeros((d.n, 0), dtype=np.int64))).columns
     assert columns.flags.c_contiguous and np.array_equal(columns.T, numeric, equal_nan=True)
     assert numeric.size == 0 or np.shares_memory(columns, numeric)
+    own = prepare_reference(space.encoded).columns
+    assert numeric.size == 0 or np.shares_memory(own, space.encoded[0])
+
+
+@pytest.mark.parametrize(
+    "run",
+    [mlenn, lambda d: mlsmote(d, rng=np.random.default_rng(0)), mlknn_train],
+    ids=["mlenn", "mlsmote", "mlknn_train"],
+)
+def test_each_neighbour_user_converts_its_dataset_once(run, monkeypatch):
+    converted = []
+    real = FeatureSpace._raw_numeric
+
+    def counting(self, rows):
+        converted.append(len(rows))
+        return real(self, rows)
+
+    monkeypatch.setattr(FeatureSpace, "_raw_numeric", counting)
+    d = imbalanced_dataset(0, n=60, k=4)
+    run(d)
+    assert converted == [d.n]
