@@ -13,11 +13,12 @@ number.
 The XML header lists the label attributes; nested label hierarchies are
 flattened to their name list in document order.  Label columns must hold 0/1.
 
-The parser's decoders produce only valid cells (exact ``float`` values, codes
-in the declared list, finite numerics), so the parsed rows are not checked a
-second time.  The writer formats each distinct feature tuple once: clones and
-decoupled copies share their source's tuple, and a :class:`RowFormatter`
-shared across calls does the same for the folds cut from one dataset.
+The parser decodes every row into cells, converts them into the dataset's
+arrays in one call and checks the label columns as a whole; only a file with
+a bad label cell is decoded again row by row, for the error and its line.
+The writer formats each distinct feature row once: clones and decoupled
+copies repeat their source's values, and a :class:`RowFormatter` shared
+across calls does the same for the folds cut from one dataset.
 """
 
 from __future__ import annotations
@@ -26,9 +27,14 @@ import math
 import xml.etree.ElementTree as ElementTree
 from operator import getitem
 
-from .dataset import AttributeSpec, FeatureValue, Instance, Labelset, MultiLabelDataset
+import numpy as np
+
+from .dataset import AttributeSpec, FeatureValue, MultiLabelDataset
 
 _NUMERIC_KINDS = {"numeric", "real", "integer"}
+
+# Data rows decoded before they are converted to one float block.
+_PARSE_ROWS = 512
 
 
 class MulanFormatError(ValueError):
@@ -147,6 +153,7 @@ class _RowParser:
     decoded again cell by cell, which raises the error naming the first bad
     token.  Numeric columns named in ``label_names`` are exempt from the
     finiteness check, because the label check rejects anything but 0 and 1.
+    :meth:`block` turns a list of decoded rows into the dataset's arrays.
     """
 
     def __init__(self, columns: tuple[AttributeSpec, ...], label_names: tuple[str, ...]):
@@ -160,6 +167,18 @@ class _RowParser:
             for i, attr in enumerate(columns)
             if not attr.is_nominal and attr.name not in label_names
         )
+        # the label columns in XML order (a label missing from the ARFF
+        # attributes is reported after the data), and the feature columns
+        by_name = {attr.name: i for i, attr in enumerate(columns)}
+        self.label_columns = [by_name[name] for name in label_names if name in by_name]
+        labels = set(self.label_columns)
+        self.feature_columns = [i for i in range(len(columns)) if i not in labels]
+        self.numeric_columns = [i for i in self.feature_columns if not columns[i].is_nominal]
+        self.nominal_columns = [i for i in self.feature_columns if columns[i].is_nominal]
+        self.label_numbers = [
+            _label_numbers(columns[i]) if columns[i].is_nominal else None
+            for i in self.label_columns
+        ]
 
     def cell(self, i: int, token: str, line_no: int) -> FeatureValue:
         if token == "?":
@@ -224,6 +243,17 @@ class _RowParser:
             pass
         return [self.cell(i, token, line_no) for i, token in enumerate(tokens)]
 
+    def block(self, rows: list[list[FeatureValue]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The numeric features, nominal codes (-1 = missing) and label numbers of decoded rows."""
+        # numpy converts the missing value None to NaN; every code is a small int, held exactly
+        cells = np.array(rows, dtype=np.float64).reshape(len(rows), len(self.columns))
+        labels = cells[:, self.label_columns]
+        for j, numbers in enumerate(self.label_numbers):
+            if numbers is not None:
+                labels[:, j] = numbers[np.nan_to_num(labels[:, j], nan=-1.0).astype(np.intp)]
+        codes = np.nan_to_num(cells[:, self.nominal_columns], nan=-1.0).astype(np.int64)
+        return cells[:, self.numeric_columns], codes, labels
+
 
 def parse_label_header(xml_text: str) -> tuple[str, ...]:
     """Label names declared in a MULAN XML header, flattened in document order."""
@@ -246,40 +276,32 @@ def parse_label_header(xml_text: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _label_value(value: FeatureValue, attr: AttributeSpec, line_no: int) -> bool:
+def _check_label(value: FeatureValue, attr: AttributeSpec, line_no: int) -> None:
+    """Raise the error of a decoded label cell that does not read as 0 or 1."""
     if attr.is_nominal and value is not None:
-        value = _label_symbol_to_number(attr.values[value], attr, line_no)
-    if value == 0.0:
-        return False
-    if value == 1.0:
-        return True
-    raise MulanFormatError(
-        f"non-binary value {value!r} in label column {attr.name!r}", line_no
-    )
+        value = attr.values[value]
+        try:
+            value = float(value)
+        except ValueError:
+            pass  # the error names the symbol
+    if value != 0.0 and value != 1.0:
+        raise MulanFormatError(f"non-binary value {value!r} in label column {attr.name!r}", line_no)
 
 
-def _label_symbol_to_number(symbol: str, attr: AttributeSpec, line_no: int) -> float:
-    try:
-        return float(symbol)
-    except ValueError:
-        raise MulanFormatError(
-            f"non-binary value {symbol!r} in label column {attr.name!r}", line_no
-        ) from None
+def _label_numbers(attr: AttributeSpec) -> np.ndarray:
+    """The number each code of a nominal label column reads as, NaN unless it is 0 or 1.
 
-
-def _label_bits(attr: AttributeSpec, bit: int) -> dict[FeatureValue, int]:
-    """``cell -> bit or 0`` for the cells of a label column that read as 1 or 0."""
-    if not attr.is_nominal:
-        return {0.0: 0, 1.0: bit}
-    bits = {}
+    One more NaN entry at the end is what the missing code -1 picks.
+    """
+    numbers = np.full(len(attr.values) + 1, np.nan)
     for code, symbol in enumerate(attr.values):
         try:
             number = float(symbol)
         except ValueError:
             continue
         if number == 0.0 or number == 1.0:
-            bits[code] = bit if number == 1.0 else 0
-    return bits
+            numbers[code] = number
+    return numbers
 
 
 def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
@@ -293,14 +315,22 @@ def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
 
     relation = "unnamed"
     columns: list[AttributeSpec] = []
-    rows: list[tuple[list[FeatureValue], int]] = []
+    # every _PARSE_ROWS decoded rows become arrays, so that their cells never
+    # exist as Python objects all at once
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    rows: list[list[FeatureValue]] = []
+    line_numbers: list[int] = []
     in_data = False
     for line_no, raw in enumerate(arff_text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("%"):
             continue
         if in_data:
-            rows.append((parser.row(line, line_no), line_no))
+            rows.append(parser.row(line, line_no))
+            line_numbers.append(line_no)
+            if len(rows) == _PARSE_ROWS:
+                blocks.append(parser.block(rows))
+                rows = []
         elif line.lower().startswith("@relation"):
             relation, _ = _take_token(line[len("@relation") :], line_no)
         elif line.lower().startswith("@attribute"):
@@ -314,32 +344,26 @@ def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
     if not in_data:
         raise MulanFormatError("no @data section found")
 
-    by_name = {attr.name: i for i, attr in enumerate(columns)}
+    names = {attr.name for attr in columns}
     for name in label_names:
-        if name not in by_name:
+        if name not in names:
             raise MulanFormatError(f"XML label {name!r} is not an ARFF attribute")
-    label_positions = [by_name[name] for name in label_names]
-    label_set = set(label_positions)
-    feature_positions = [i for i in range(len(columns)) if i not in label_set]
-    attributes = tuple(columns[i] for i in feature_positions)
-    label_bits = [_label_bits(columns[pos], 1 << j) for j, pos in enumerate(label_positions)]
-
-    instances = []
-    for cells, line_no in rows:
-        try:
-            mask = sum(map(getitem, label_bits, [cells[pos] for pos in label_positions]))
-        except KeyError:
-            # decode the labels one by one: the first bad cell raises its error
-            mask = Labelset.from_indices(
-                j
-                for j, pos in enumerate(label_positions)
-                if _label_value(cells[pos], columns[pos], line_no)
-            ).mask
-        features = tuple([cells[i] for i in feature_positions])
-        instances.append(Instance(features=features, labels=Labelset(mask)))
-
+    blocks.append(parser.block(rows))
+    numeric, nominal, values = (np.concatenate(arrays) for arrays in zip(*blocks))
+    del blocks, rows
+    wrong = np.flatnonzero(~((values == 0.0) | (values == 1.0)).all(axis=1))
+    if wrong.size:
+        # decode the first bad row again and its labels one by one: its first
+        # bad cell raises its error
+        line_no = line_numbers[int(wrong[0])]
+        row = parser.row(arff_text.splitlines()[line_no - 1].strip(), line_no)
+        for pos in parser.label_columns:
+            _check_label(row[pos], columns[pos], line_no)
+    attributes = tuple(columns[i] for i in parser.feature_columns)
     try:
-        return MultiLabelDataset._trusted(attributes, label_names, tuple(instances), relation)
+        return MultiLabelDataset.from_arrays(
+            attributes, label_names, numeric, nominal, values == 1.0, relation
+        )
     except ValueError as exc:
         raise MulanFormatError(str(exc)) from exc
 
@@ -359,44 +383,51 @@ def _quote(text: str) -> str:
 
 
 class RowFormatter:
-    """Formats the data lines of one schema, each distinct feature tuple once.
+    """Formats the data lines of one schema, each distinct feature row once.
 
-    A row whose feature tuple (the same object) this formatter has met
-    before reuses that line: whole when its label cells are the same too,
-    else with the label cells swapped.  The formatter keeps each tuple it
-    formats alive, so that no id it holds is reused; share one formatter
-    only across datasets that share rows.
+    A row whose feature values (the bytes of its ``numeric`` and ``nominal``
+    rows) this formatter has met before reuses that line: whole when its
+    label cells are the same too, else with the label cells swapped.  So
+    clones, decoupled copies and the folds cut from one dataset are
+    formatted once when they share a formatter.
     """
 
     def __init__(self, attributes: tuple[AttributeSpec, ...], k: int):
         self.attributes = attributes
         self.k = k
-        self._formats = [
-            tuple(_quote(v) for v in attr.values).__getitem__ if attr.is_nominal else repr
-            for attr in attributes
+        n_numeric = sum(not attr.is_nominal for attr in attributes)
+        numeric, nominal = iter(range(n_numeric)), iter(range(n_numeric, len(attributes)))
+        # where each attribute's cell sits in a row's numeric values followed by its codes
+        self._order = [next(nominal) if attr.is_nominal else next(numeric) for attr in attributes]
+        # per nominal attribute its quoted symbols, then the "?" that the missing code -1 picks
+        self._symbols = [
+            (*(_quote(v) for v in attr.values), "?") for attr in attributes if attr.is_nominal
         ]
         # the separator before the label cells, where both kinds of cell exist
         self._sep = "," if attributes and k else ""
-        # labelset mask -> separator and label cells; every tail has the same length
-        self._tails: dict[int, str] = {}
-        self._lines: dict[int, str] = {}  # id(features) -> the first line formatted for them
-        self._kept: list[tuple] = []
+        # label row bytes -> separator and label cells; every tail has the same length
+        self._tails: dict[bytes, str] = {}
+        self._lines: dict[bytes, str] = {}  # feature row bytes -> the first line formatted for them
+        # the smallest integer type that holds every code, for shorter keys
+        self._codes = np.min_scalar_type(-max(map(len, self._symbols), default=1))
 
-    def lines(self, instances: tuple[Instance, ...]) -> list[str]:
-        formats, tails, known, kept = self._formats, self._tails, self._lines, self._kept
+    def lines(self, d: MultiLabelDataset) -> list[str]:
+        order, tails, known = self._order, self._tails, self._lines
         out = []
-        for inst in instances:
-            features, mask = inst.features, inst.labels.mask
-            tail = tails.get(mask)
+        for numeric, nominal, labels in zip(d.numeric, d.nominal.astype(self._codes), d.y):
+            tail = tails.get(labels.tobytes())
             if tail is None:
-                tail = tails[mask] = self._sep + ",".join(
-                    ["1" if mask >> l & 1 else "0" for l in range(self.k)]
+                tail = tails[labels.tobytes()] = self._sep + ",".join(
+                    ["1" if v else "0" for v in labels.tolist()]
                 )
-            line = known.get(id(features))
+            key = numeric.tobytes() + nominal.tobytes()
+            line = known.get(key)
             if line is None:
-                cells = ["?" if v is None else fmt(v) for fmt, v in zip(formats, features)]
-                line = known[id(features)] = ",".join(cells) + tail
-                kept.append(features)
+                cells = [*map(repr, numeric.tolist())]
+                if "nan" in cells:
+                    cells = ["?" if cell == "nan" else cell for cell in cells]  # NaN is missing
+                cells += map(getitem, self._symbols, nominal.tolist())
+                line = known[key] = ",".join(map(cells.__getitem__, order)) + tail
             elif not line.endswith(tail):
                 line = line[: len(line) - len(tail)] + tail
             out.append(line)
@@ -427,7 +458,7 @@ def write_mulan(d: MultiLabelDataset, rows: RowFormatter | None = None) -> tuple
         lines.append(f"@attribute {_quote(name)} {{0,1}}")
     lines.append("")
     lines.append("@data")
-    lines.extend(rows.lines(d.instances))
+    lines.extend(rows.lines(d))
     lines.append("")  # the final newline, without a second copy of the text
     arff_text = "\n".join(lines)
 

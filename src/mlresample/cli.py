@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .arff import MulanFormatError, RowFormatter, parse_mulan, write_mulan
-from .dataset import MultiLabelDataset, label_matrix
+from .dataset import MultiLabelDataset
 from .decoupling import DecoupleConfig, HybridConfig, hybrid_resample
 from .evaluation import evaluate
 from .metrics import ImbalanceProfile, concurrence_csv, concurrence_export, profile
@@ -182,7 +182,9 @@ def cmd_resample(args, argv: list[str]) -> int:
         suffix = f"{decouple.spec_string()}-{suffix}"
     else:
         out, report = resample(d, config)
-    out = MultiLabelDataset._trusted(out.attributes, out.labels, out.instances, f"{d.name}-{suffix}")
+    out = MultiLabelDataset.from_arrays(
+        out.attributes, out.labels, out.numeric, out.nominal, out.y, f"{d.name}-{suffix}"
+    )
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -265,7 +267,7 @@ def cmd_evaluate(args, argv: list[str]) -> int:
         raise _ParameterError(f"unknown classifier {args.classifier!r}")
     model = mlknn_train(train, k_nn=args.k, smoothing=args.smoothing)
     predictions = mlknn_predict(model, test)
-    report = evaluate(label_matrix(test), predictions)
+    report = evaluate(test.y, predictions)
     for key, value in report.to_dict().items():
         print(f"{key}: {value}")
     if args.out:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Instance, Labelset, MultiLabelDataset
+from .dataset import MultiLabelDataset
 from .metrics import imbalance_summary, scumble_values
 from .resampling import AddedInstance, ResampleConfig, ResampleReport, _report, resample
 
@@ -99,30 +99,27 @@ def remedial(
         threshold = float(np.mean(scores))  # the dataset's SCUMBLE
     else:
         threshold = nearest_rank_quantile(scores, config.q)
-    minority_mask = Labelset.from_indices(np.flatnonzero(imbalance_summary(d).minority).tolist())
+    minority = imbalance_summary(d).minority
 
-    kept: list[Instance] = []
-    appended: list[Instance] = []
-    added: list[AddedInstance] = []
-    removed: list[int] = []
-    decoupled: list[int] = []
-    for i, inst in enumerate(d.instances):
-        if not scores[i] > threshold:
-            kept.append(inst)
-            continue
-        decoupled.append(i)
-        minority_side = inst.labels & minority_mask
-        majority_side = inst.labels - minority_mask
-        if config.drop_empty and not minority_side:
-            removed.append(i)
-        else:
-            kept.append(Instance(features=inst.features, labels=minority_side))
-        if not (config.drop_empty and not majority_side):
-            appended.append(Instance(features=inst.features, labels=majority_side))
-            added.append(AddedInstance(kind="clone", source=i))
-    # each side keeps a validated row's features and a subset of its labels
-    out = MultiLabelDataset._trusted(d.attributes, d.labels, tuple(kept + appended), d.name)
-    return out, _report(d, out, added, removed, decoupled)
+    split = scores > threshold
+    # a split instance keeps its minority labels; an appended copy takes the rest
+    y = np.where(split[:, None], d.y & minority, d.y)
+    majority = d.y & ~minority
+    dropped = split & config.drop_empty & ~y.any(axis=1)
+    kept = np.flatnonzero(~dropped)
+    appended = np.flatnonzero(split & ~(config.drop_empty & ~majority.any(axis=1)))
+    rows = np.concatenate([kept, appended])
+    out = MultiLabelDataset.from_arrays(
+        d.attributes,
+        d.labels,
+        d.numeric[rows],
+        d.nominal[rows],
+        np.concatenate([y[kept], majority[appended]]),
+        d.name,
+    )
+    added = [AddedInstance(kind="clone", source=i) for i in appended.tolist()]
+    removed = np.flatnonzero(dropped).tolist()
+    return out, _report(d, out, added, removed, np.flatnonzero(split).tolist())
 
 
 def hybrid_resample(

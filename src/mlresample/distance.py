@@ -7,7 +7,7 @@ when equal and 1 otherwise; a missing value is maximally distant (term 1)
 from everything, including another missing value.  The distance is the
 Euclidean norm over the per-attribute terms.
 
-:class:`FeatureSpace` encodes instances into arrays, :func:`prepare_reference`
+:class:`FeatureSpace` scales a dataset's numeric matrix, :func:`prepare_reference`
 prepares encoded rows once for any number of queries, and :func:`neighbors`
 answers "which k reference rows are nearest?" for MLeNN, MLSMOTE and ML-kNN
 alike, nearest first with ties to the lower index.  It never holds the full
@@ -46,12 +46,12 @@ block picks them instead.  No option changes any of this.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Instance, MultiLabelDataset
+from .dataset import MultiLabelDataset
 
 # Distance cells per query block.  It bounds the block's distance, temporary
 # and sort arrays whatever the dataset size; at 256 KB per array they stay in
@@ -89,17 +89,13 @@ _UNDERFLOW_SLACK = 2.0**-1000
 class FeatureSpace:
     """Precomputed scaling for one attribute schema, anchored to a reference dataset.
 
-    ``encoded`` is the reference's own :meth:`encode` pair, scaled in place
-    from the matrix that fitted the scaling, so its rows are converted once.
+    ``encoded`` is the reference's own :meth:`encode` pair.
     """
 
     def __init__(self, reference: MultiLabelDataset):
         self.attributes = reference.attributes
-        self._numeric = [i for i, a in enumerate(self.attributes) if not a.is_nominal]
-        self._nominal = [i for i, a in enumerate(self.attributes) if a.is_nominal]
         # a value v encodes as (v * scale - min) / span
-        rows = [inst.features for inst in reference.instances]
-        numeric = self._raw_numeric(rows)
+        numeric = reference.numeric
         present = ~np.isnan(numeric).all(axis=0)
         lo = np.where(present, np.fmin.reduce(numeric, axis=0, initial=np.inf), 0.0)
         hi = np.where(present, np.fmax.reduce(numeric, axis=0, initial=-np.inf), 0.0)
@@ -111,44 +107,19 @@ class FeatureSpace:
         self._scales = scales
         self._mins = lo
         self._spans = np.where(hi > lo, hi - lo, 1.0)
-        # the reference's own encoding, from the same conversion
-        numeric *= self._scales
-        numeric -= self._mins
-        numeric /= self._spans
-        self.encoded = numeric, _nominal_codes(rows, self._nominal)
+        self.encoded = self.encode(reference)
 
-    def _raw_numeric(self, rows: Sequence[tuple]) -> np.ndarray:
-        """Unscaled numeric matrix of feature tuples, column-major, NaN for a missing value.
-
-        Rows are converted in chunks of about ``_BLOCK_CELLS`` values, so the
-        per-row lists never hold more than one chunk.
-        """
-        numeric = self._numeric
-        raw = np.empty((len(numeric), len(rows))).T
-        step = max(1, _BLOCK_CELLS // max(len(numeric), 1))
-        for at in range(0, len(rows), step):
-            # numpy converts None to NaN
-            raw[at : at + step] = [[f[i] for i in numeric] for f in rows[at : at + step]]
-        return raw
-
-    def encode(self, instances: Sequence[Instance]) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled numeric matrix (NaN = missing) and nominal code matrix (-1 = missing).
+    def encode(self, d: MultiLabelDataset) -> tuple[np.ndarray, np.ndarray]:
+        """Scaled numeric matrix (NaN = missing) and nominal code matrix (-1 = missing) of ``d``.
 
         The numeric matrix is column-major, so :func:`prepare_reference` keeps
-        its transpose without a copy.
+        its transpose without a copy; the code matrix is ``d.nominal`` itself.
         """
-        rows = [inst.features for inst in instances]
-        numeric = self._raw_numeric(rows)
-        numeric *= self._scales
+        numeric = np.empty(d.numeric.shape[::-1]).T
+        np.multiply(d.numeric, self._scales, out=numeric)
         numeric -= self._mins
         numeric /= self._spans
-        return numeric, _nominal_codes(rows, self._nominal)
-
-
-def _nominal_codes(rows: Sequence[tuple], columns: Sequence[int]) -> np.ndarray:
-    """Code matrix of the feature tuples' nominal ``columns``, -1 for a missing value."""
-    codes = [[-1 if f[i] is None else f[i] for i in columns] for f in rows]
-    return np.array(codes, dtype=np.int64).reshape(len(rows), len(columns))
+        return numeric, d.nominal
 
 
 @dataclass(frozen=True, eq=False)

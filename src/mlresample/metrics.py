@@ -19,12 +19,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import Labelset, MultiLabelDataset, counts_per_label, label_counts, labelset_counts
+from .dataset import MultiLabelDataset, label_counts
 
 
 class UndefinedIRLblError(ValueError):
@@ -52,10 +51,7 @@ def _require_instances(d: MultiLabelDataset) -> None:
 def imbalance_summary(d: MultiLabelDataset) -> ImbalanceSummary:
     """Counts, IRLbl per label (NaN where undefined) and MeanIR over defined labels."""
     _require_instances(d)
-    return _summary(label_counts(d))
-
-
-def _summary(counts: np.ndarray) -> ImbalanceSummary:
+    counts = label_counts(d)
     irlbl = np.full(counts.size, np.nan)
     max_count = counts.max() if counts.size else 0
     defined = counts > 0
@@ -68,11 +64,7 @@ def _summary(counts: np.ndarray) -> ImbalanceSummary:
 def card(d: MultiLabelDataset) -> float:
     """Mean labelset size."""
     _require_instances(d)
-    return _card(labelset_counts(d), d.n)
-
-
-def _card(labelsets: dict[int, int], n: int) -> float:
-    return sum(mask.bit_count() * times for mask, times in labelsets.items()) / n
+    return int(label_counts(d).sum()) / d.n
 
 
 def _require_labels(d: MultiLabelDataset) -> None:
@@ -123,21 +115,30 @@ def _scumble_one(active_irlbl: list[float]) -> float:
     return max(0.0, 1.0 - geometric / arithmetic)
 
 
-def _scumble_rows(d: MultiLabelDataset, labelsets: dict[int, int], irlbl: np.ndarray) -> np.ndarray:
+def _labelsets(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a label matrix, and the index of each row's distinct row.
+
+    Rows are grouped by their packed bits, viewed as one opaque value each.
+    """
+    packed = np.packbits(y, axis=1)
+    if not packed.shape[1]:
+        packed = np.zeros((y.shape[0], 1), dtype=np.uint8)  # no labels: one empty labelset
+    keys = packed.view(np.dtype((np.void, packed.shape[1])))
+    _, first, inverse = np.unique(keys.reshape(-1), return_index=True, return_inverse=True)
+    return y[first], inverse.reshape(-1)
+
+
+def _scumble_rows(labelsets: tuple[np.ndarray, np.ndarray], irlbl: np.ndarray) -> np.ndarray:
     """Per-instance scores, computed once per distinct labelset."""
-    score = {
-        mask: _scumble_one([float(irlbl[l]) for l in Labelset(mask).indices])
-        for mask in labelsets
-    }
-    masks = map(attrgetter("labels.mask"), d.instances)
-    return np.fromiter(map(score.__getitem__, masks), dtype=float, count=d.n)
+    distinct, row_labelset = labelsets
+    score = [_scumble_one([float(irlbl[l]) for l in np.flatnonzero(row)]) for row in distinct]
+    return np.array(score, dtype=float)[row_labelset]
 
 
 def scumble_values(d: MultiLabelDataset) -> np.ndarray:
     """Per-instance concurrence scores, in instance order."""
     _require_instances(d)
-    labelsets = labelset_counts(d)
-    return _scumble_rows(d, labelsets, _summary(counts_per_label(labelsets, d.k)).irlbl)
+    return _scumble_rows(_labelsets(d.y), imbalance_summary(d).irlbl)
 
 
 def scumble_ins(d: MultiLabelDataset, i: int) -> float:
@@ -160,7 +161,7 @@ def scumble(d: MultiLabelDataset) -> float:
 def distinct_labelsets(d: MultiLabelDataset) -> int:
     """Number of distinct label combinations present."""
     _require_instances(d)
-    return len(labelset_counts(d))
+    return len(_labelsets(d.y)[0])
 
 
 def tcs_from_counts(attributes: int, labels: int, labelsets: int) -> float:
@@ -215,12 +216,13 @@ class ImbalanceProfile:
 def profile(d: MultiLabelDataset) -> ImbalanceProfile:
     """Compute every metric of the suite in one pass over the distinct labelsets."""
     _require_instances(d)
-    labelsets = labelset_counts(d)
-    summary = _summary(counts_per_label(labelsets, d.k))
+    labelsets = _labelsets(d.y)
+    summary = imbalance_summary(d)
     per_label = tuple(None if math.isnan(v) else float(v) for v in summary.irlbl)
-    s_values = _scumble_rows(d, labelsets, summary.irlbl)
-    cardinality = _card(labelsets, d.n)
+    s_values = _scumble_rows(labelsets, summary.irlbl)
+    cardinality = int(summary.counts.sum()) / d.n
     _require_labels(d)
+    distinct = len(labelsets[0])
     return ImbalanceProfile(
         card=cardinality,
         dens=cardinality / d.k,
@@ -228,8 +230,8 @@ def profile(d: MultiLabelDataset) -> ImbalanceProfile:
         mean_ir=summary.mean_ir,
         scumble=float(np.mean(s_values)),
         scumble_ins=tuple(s_values.tolist()),
-        tcs=tcs_from_counts(len(d.attributes), d.k, len(labelsets)),
-        distinct_labelsets=len(labelsets),
+        tcs=tcs_from_counts(len(d.attributes), d.k, distinct),
+        distinct_labelsets=distinct,
     )
 
 
@@ -246,12 +248,7 @@ class ConcurrenceRow:
 
 def co_occurrence_count(d: MultiLabelDataset, label_a: int, label_b: int) -> int:
     """Number of instances in which both labels are active (symmetric)."""
-    return _co_occurrences(labelset_counts(d), label_a, label_b)
-
-
-def _co_occurrences(labelsets: dict[int, int], label_a: int, label_b: int) -> int:
-    both = 1 << label_a | 1 << label_b
-    return sum(times for mask, times in labelsets.items() if mask & both == both)
+    return int(np.count_nonzero(d.y[:, label_a] & d.y[:, label_b]))
 
 
 def concurrence_export(
@@ -273,15 +270,17 @@ def concurrence_export(
     majority = sorted(occurring, key=lambda l: (-summary.counts[l], l))[:top_majority]
     minority = sorted(occurring, key=lambda l: (summary.counts[l], l))[:top_minority]
     selected = sorted(set(majority) | set(minority))
-    labelsets = labelset_counts(d)
+    # every product sums 0/1 terms, so the float counts are exact
+    columns = d.y[:, selected].astype(float)
+    together = (columns.T @ columns).astype(np.int64).tolist()
     rows = []
     for i, a in enumerate(selected):
-        for b in selected[i + 1 :]:
+        for j, b in enumerate(selected[i + 1 :], i + 1):
             rows.append(
                 ConcurrenceRow(
                     label_a=d.labels[a],
                     label_b=d.labels[b],
-                    count=_co_occurrences(labelsets, a, b),
+                    count=together[i][j],
                     irlbl_a=float(summary.irlbl[a]),
                     irlbl_b=float(summary.irlbl[b]),
                 )

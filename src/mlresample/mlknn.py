@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MultiLabelDataset, label_matrix
+from .dataset import MultiLabelDataset
 from .distance import FeatureSpace, Reference, neighbors, prepare_reference
 from .evaluation import PredictionSet
 
@@ -52,28 +52,23 @@ def mlknn_train(d_train: MultiLabelDataset, k_nn: int = 10, smoothing: float = 1
     space = FeatureSpace(d_train)
     encoded = space.encoded
     reference = prepare_reference(encoded)
-    y = label_matrix(d_train)
+    y = d_train.y
     n, k = y.shape
 
     prior = (smoothing + y.sum(axis=0)) / (2 * smoothing + n)
 
     neighbor_counts = y[neighbors(encoded, reference, k_nn, exclude=np.arange(n))].sum(axis=1)
 
-    def smoothed(histogram: np.ndarray) -> np.ndarray:
-        denominator = smoothing * (k_nn + 1) + histogram.sum()
-        if denominator == 0:
-            # hypothesis never observed and no smoothing: uninformative
-            return np.full(k_nn + 1, 1.0 / (k_nn + 1))
-        return (smoothing + histogram) / denominator
-
-    cond_active = np.zeros((k, k_nn + 1))
-    cond_inactive = np.zeros((k, k_nn + 1))
-    for l in range(k):
-        active = y[:, l]
-        cond_active[l] = smoothed(np.bincount(neighbor_counts[active, l], minlength=k_nn + 1))
-        cond_inactive[l] = smoothed(
-            np.bincount(neighbor_counts[~active, l], minlength=k_nn + 1)
-        )
+    # histogram[a, l, c]: training rows with label l active (a = 1) or not (a = 0)
+    # whose neighbours carry l c times
+    cells = (y * k + np.arange(k)) * (k_nn + 1) + neighbor_counts
+    histogram = np.bincount(cells.ravel(), minlength=2 * k * (k_nn + 1)).reshape(2, k, k_nn + 1)
+    denominator = smoothing * (k_nn + 1) + histogram.sum(axis=2, keepdims=True)
+    observed = denominator > 0
+    # a hypothesis never observed, with no smoothing, is uninformative
+    cond_inactive, cond_active = np.where(
+        observed, (smoothing + histogram) / np.where(observed, denominator, 1.0), 1.0 / (k_nn + 1)
+    )
     return MLkNNModel(
         space=space,
         reference=reference,
@@ -98,7 +93,7 @@ def mlknn_predict(model: MLkNNModel, d_test: MultiLabelDataset) -> PredictionSet
         raise ValueError("test dataset declares different labels than the model")
     if tuple(d_test.attributes) != tuple(model.space.attributes):
         raise ValueError("test dataset schema does not match the model")
-    test_encoded = model.space.encode(d_test.instances)
+    test_encoded = model.space.encode(d_test)
     nearest = neighbors(test_encoded, model.reference, model.k_nn)
     neighbor_counts = model.train_labels[nearest].sum(axis=1)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MultiLabelDataset, label_matrix
+from .dataset import MultiLabelDataset
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def stratified_kfold(d: MultiLabelDataset, folds: int, seed: int = 0) -> FoldAss
         raise ValueError(f"cannot make {folds} folds from {d.n} instances")
     rng = np.random.default_rng(seed)
     n, k = d.n, d.k
-    y = label_matrix(d)
+    y = d.y
 
     base = n // folds
     capacity = np.full(folds, base, dtype=np.int64)
@@ -72,17 +72,17 @@ def stratified_kfold(d: MultiLabelDataset, folds: int, seed: int = 0) -> FoldAss
         pick = open_folds[0] if open_folds.size == 1 else rng.choice(open_folds)
         fold_of[i] = pick
         capacity[pick] -= 1
-        for l in np.flatnonzero(y[i]):
-            demand[pick, l] -= 1.0
-            remaining[l] -= 1
+        demand[pick, y[i]] -= 1.0
+        remaining[y[i]] -= 1
 
     while True:
         open_labels = np.flatnonzero(remaining > 0)
         if open_labels.size == 0:
             break
         label = open_labels[np.argmin(remaining[open_labels])]
-        pool = [i for i in np.flatnonzero(y[:, label]) if fold_of[i] < 0]
-        pool = list(rng.permutation(pool)) if len(pool) > 1 else pool
+        pool = np.flatnonzero(y[:, label] & (fold_of < 0))
+        if pool.size > 1:
+            pool = rng.permutation(pool)
         for i in pool:
             place(int(i), int(label))
 

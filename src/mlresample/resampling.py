@@ -23,13 +23,20 @@ both interpolation endpoints present.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import AttributeSpec, Instance, Labelset, MultiLabelDataset, _check_rows
-from .distance import FeatureSpace, _nominal_codes, neighbors, prepare_reference
+from .dataset import (
+    AttributeSpec,
+    Instance,
+    Labelset,
+    MultiLabelDataset,
+    _instance_arrays,
+    _instances_of,
+)
+from .distance import FeatureSpace, neighbors, prepare_reference
 from .metrics import ImbalanceProfile, imbalance_summary, profile
 
 _SEED_MAX = 2**64 - 1
@@ -159,22 +166,6 @@ def _report(
     )
 
 
-def _bags(d: MultiLabelDataset, labels: Sequence[int]) -> dict[int, list[int]]:
-    """Per label, the indices of the instances carrying it, ascending; one pass over the masks.
-
-    Masks stay Python ints, since a label index may pass 63.
-    """
-    bags: dict[int, list[int]] = {l: [] for l in labels}
-    wanted = Labelset.from_indices(labels).mask
-    for i, inst in enumerate(d.instances):
-        hit = inst.labels.mask & wanted
-        while hit:
-            low = hit & -hit
-            bags[low.bit_length() - 1].append(i)
-            hit ^= low
-    return bags
-
-
 def ml_ros(
     d: MultiLabelDataset, p: float, rng: np.random.Generator | None = None
 ) -> tuple[MultiLabelDataset, ResampleReport]:
@@ -194,10 +185,10 @@ def ml_ros(
     summary = imbalance_summary(d)
     budget = math.floor(d.n * p / 100.0)
     minority = np.flatnonzero(summary.minority).tolist()
-    bags = _bags(d, minority)
     if not minority or budget == 0:
         return d, _report(d, d, [], [])
 
+    bags = {label: np.flatnonzero(d.y[:, label]) for label in minority}
     counts = summary.counts.astype(np.int64).copy()
     max_count = int(counts.max())
     active = list(minority)
@@ -207,27 +198,30 @@ def ml_ros(
             if budget == 0:
                 break
             members = bags[label]
-            pick = members[int(rng.integers(0, len(members)))]
-            clone = d.instances[pick]
+            pick = int(members[int(rng.integers(0, len(members)))])
             added.append(AddedInstance(kind="clone", source=pick))
             budget -= 1
-            for l in clone.labels:
-                counts[l] += 1
-                if counts[l] > max_count:
-                    max_count = int(counts[l])
+            counts += d.y[pick]
+            max_count = int(counts.max())
             if max_count / counts[label] <= summary.mean_ir:
                 active.remove(label)
-    # clones are the input's own instances, so the rows need no new check
     out = d.subset([*range(d.n), *(a.source for a in added)])
     return out, _report(d, out, added, [])
 
 
+def _adjusted_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Adjusted Hamming distance between the label rows of ``a`` and ``b`` (bool, broadcast
+    over the last axis): differing labels over labels active in either, 0 when both are empty."""
+    differ = np.count_nonzero(a ^ b, axis=-1)
+    union = np.count_nonzero(a | b, axis=-1)
+    return np.where(union > 0, differ / np.maximum(union, 1), 0.0)
+
+
 def labelset_distance(a: Labelset, b: Labelset) -> float:
     """Adjusted Hamming distance: differing labels over labels active in either set."""
-    union = a.union_size(b)
-    if union == 0:
-        return 0.0
-    return a.hamming(b) / union
+    k = max(a.mask.bit_length(), b.mask.bit_length())
+    rows = np.array([[l in s for l in range(k)] for s in (a, b)], dtype=bool).reshape(2, k)
+    return float(_adjusted_hamming(rows[0], rows[1]))
 
 
 def mlenn(d: MultiLabelDataset, ht: float = 0.75, nn: int = 3) -> tuple[MultiLabelDataset, ResampleReport]:
@@ -243,37 +237,27 @@ def mlenn(d: MultiLabelDataset, ht: float = 0.75, nn: int = 3) -> tuple[MultiLab
     MLENNConfig(ht=ht, nn=nn)
     if nn >= d.n:
         raise ValueError(f"need more instances ({d.n}) than neighbors ({nn})")
-    minority_mask = Labelset.from_indices(np.flatnonzero(imbalance_summary(d).minority).tolist())
-    candidates = np.array(
-        [i for i, inst in enumerate(d.instances) if not inst.labels & minority_mask], dtype=np.intp
-    )
+    minority = imbalance_summary(d).minority
+    candidates = np.flatnonzero(~d.y[:, minority].any(axis=1))
     encoded = FeatureSpace(d).encoded
     query = (encoded[0][candidates], encoded[1][candidates])
     nearest = neighbors(query, prepare_reference(encoded), nn, exclude=candidates)
-    marked: list[int] = []
-    for i, near in zip(candidates.tolist(), nearest.tolist()):
-        labels = d.instances[i].labels
-        differing = sum(1 for j in near if labelset_distance(labels, d.instances[j].labels) > ht)
-        if differing >= nn / 2:
-            marked.append(i)
-    marked_set = set(marked)
-    keep = [i for i in range(d.n) if i not in marked_set]
-    out = d.subset(keep)
-    return out, _report(d, out, [], marked)
+    far = _adjusted_hamming(d.y[candidates, None, :], d.y[nearest]) > ht
+    marked = candidates[np.count_nonzero(far, axis=1) >= nn / 2]
+    out = d.subset(np.setdiff1d(np.arange(d.n), marked))
+    return out, _report(d, out, [], marked.tolist())
 
 
-def _nominal_votes(
-    codes: np.ndarray, nearest: np.ndarray, sizes: np.ndarray
-) -> list[list[int | None]]:
+def _nominal_votes(codes: np.ndarray, nearest: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Per row ``i``, each nominal column's most frequent code among the rows ``nearest[i]``.
 
     ``codes`` holds the nominal codes (-1 = missing) and ``sizes`` each
     column's number of declared values.  Missing codes do not vote, ties go
-    to the lowest code, and a column no voter holds gets ``None``.
+    to the lowest code, and a column no voter holds gets -1.
     """
     n_rows, n_columns = nearest.shape[0], codes.shape[1]
     if not n_columns:
-        return [[] for _ in range(n_rows)]
+        return np.empty((n_rows, 0), dtype=np.int64)
     offsets = np.cumsum(sizes) - sizes
     # one-hot sums: counts[i, offsets[c] + v] voters of row i with code v in column c
     counts = np.zeros((n_rows, int(sizes.sum())), dtype=np.int64)
@@ -287,14 +271,43 @@ def _nominal_votes(
     code = np.arange(counts.shape[1]) - np.repeat(offsets, sizes)
     best = np.maximum.reduceat(counts * (top + 1) + (top - code), offsets, axis=1)
     count, rest = np.divmod(best, top + 1)
-    return [
-        [None if v < 0 else v for v in row]
-        for row in np.where(count > 0, top - rest, -1).tolist()
-    ]
+    return np.where(count > 0, top - rest, -1)
 
 
 def _nominal_sizes(attributes: Sequence[AttributeSpec]) -> np.ndarray:
     return np.array([len(a.values) for a in attributes if a.is_nominal], dtype=np.int64)
+
+
+def _synthesize(
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+    seeds: np.ndarray,
+    nearest: np.ndarray,
+    choose: Callable[[int], int],
+    sizes: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``numeric``, ``nominal`` and ``y`` arrays of one synthetic row per seed, built as
+    :func:`new_sample` describes.
+
+    ``rows`` holds the arrays that the indices refer to: seed ``i`` is row
+    ``seeds[i]``, its neighbours are rows ``nearest[i]``, and its reference
+    row is ``choose(i)``, called just before that seed's draws: one per
+    numeric column with both endpoints present, in column order
+    (``rng.random(c)`` gives the same values as ``c`` single draws).
+    """
+    numeric, nominal, y = rows
+    made = numeric[seeds]
+    for i, seed in enumerate(made):
+        ref = numeric[choose(i)]
+        both = np.flatnonzero(~np.isnan(seed) & ~np.isnan(ref))
+        r, sv, rv = rng.random(both.size), seed[both], ref[both]
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = rv - sv
+            # a span past the float maximum overflows; the weighted mean never does
+            seed[both] = np.where(np.isfinite(span), sv + r * span, sv * (1 - r) + r * rv)
+        seed[np.isnan(seed)] = ref[np.isnan(seed)]  # a missing endpoint degrades to the other
+    votes = y[seeds] + np.count_nonzero(y[nearest], axis=1)
+    return made, _nominal_votes(nominal, nearest, sizes), votes > (nearest.shape[1] + 1) / 2
 
 
 def new_sample(
@@ -303,9 +316,8 @@ def new_sample(
     ref_neighbor: Instance,
     neighbors: Sequence[Instance],
     rng: np.random.Generator,
-    nominal: Sequence[int | None] | None = None,
 ) -> Instance:
-    """Build one synthetic instance from a seed and its neighborhood.
+    """Build one synthetic instance from a seed and its neighborhood, as :func:`mlsmote` does.
 
     Numeric features interpolate between seed and reference (fresh uniform
     draw per feature; a missing endpoint degrades to the available one; a
@@ -313,40 +325,15 @@ def new_sample(
     Nominal features take the most frequent value among the neighbors (ties
     to the lowest value index, missing ignored).  The labelset keeps each
     label active in more than half of seed-plus-neighbors.
-
-    ``nominal``, when given, must be that vote over ``neighbors``, one value
-    per nominal attribute in attribute order; it is used as given, unchecked.
-    :func:`mlsmote` passes the votes of a whole bag, counted at once.
     """
     if not neighbors:
         raise ValueError("need at least one neighbor")
-    if nominal is None:
-        columns = [i for i, a in enumerate(attributes) if a.is_nominal]
-        codes = _nominal_codes([inst.features for inst in neighbors], columns)
-        everyone = np.arange(len(neighbors))[None, :]
-        nominal = _nominal_votes(codes, everyone, _nominal_sizes(attributes))[0]
-    voted = iter(nominal)
-    features: list[float | int | None] = []
-    for idx, attr in enumerate(attributes):
-        if attr.is_nominal:
-            features.append(next(voted))
-            continue
-        sv = seed_instance.features[idx]
-        rv = ref_neighbor.features[idx]
-        if sv is None or rv is None:
-            features.append(sv if sv is not None else rv)
-            continue
-        r = rng.random()
-        span = rv - sv
-        # a span past the float maximum overflows; the weighted mean never does
-        features.append(sv + r * span if math.isfinite(span) else sv * (1 - r) + r * rv)
-    votes: dict[int, int] = {}
-    for inst in (seed_instance, *neighbors):
-        for l in inst.labels:
-            votes[l] = votes.get(l, 0) + 1
-    threshold = (len(neighbors) + 1) / 2
-    labels = Labelset.from_indices(sorted(l for l, c in votes.items() if c > threshold))
-    return Instance(features=tuple(features), labels=labels)
+    given = (seed_instance, ref_neighbor, *neighbors)
+    k = max(inst.labels.mask.bit_length() for inst in given)
+    rows = _instance_arrays(attributes, k, given)
+    nearest = np.arange(2, len(given))[None, :]
+    made = _synthesize(rows, np.array([0]), nearest, lambda i: 1, _nominal_sizes(attributes), rng)
+    return _instances_of(attributes, *made)[0]
 
 
 def mlsmote(
@@ -358,42 +345,32 @@ def mlsmote(
     instance carrying it acts as a seed: its ``k_neighbors`` nearest other
     bag members (fewer when the bag is small, ties to the lower index) form
     the neighborhood, a uniformly drawn reference neighbor anchors feature
-    interpolation, and one synthetic instance is appended per seed.  Bags
-    with a single member yield nothing.
+    interpolation, and one synthetic instance is appended per seed
+    (:func:`_synthesize`).  Bags with a single member yield nothing.
     """
     MLSMOTEConfig(k_neighbors=k_neighbors)
     if rng is None:
         rng = np.random.default_rng()
     encoded = FeatureSpace(d).encoded
     sizes = _nominal_sizes(d.attributes)
-    synthetic: list[Instance] = []
+    rows = d.numeric, d.nominal, d.y
+    parts = [rows]
     added: list[AddedInstance] = []
-    minority = np.flatnonzero(imbalance_summary(d).minority).tolist()
-    for bag in _bags(d, minority).values():
+    for label in np.flatnonzero(imbalance_summary(d).minority):
+        bag = np.flatnonzero(d.y[:, label])
         if len(bag) < 2:
             continue
         bag_encoded = (encoded[0][bag], encoded[1][bag])
         want = min(k_neighbors, len(bag) - 1)
         reference = prepare_reference(bag_encoded)
-        nearest = neighbors(bag_encoded, reference, want, exclude=np.arange(len(bag)))
-        votes = _nominal_votes(bag_encoded[1], nearest, sizes)
-        for pos, seed_idx in enumerate(bag):
-            neighbor_idx = [bag[j] for j in nearest[pos]]
-            ref = neighbor_idx[int(rng.integers(0, len(neighbor_idx)))]
-            synthetic.append(
-                new_sample(
-                    d.attributes,
-                    d.instances[seed_idx],
-                    d.instances[ref],
-                    [d.instances[j] for j in neighbor_idx],
-                    rng,
-                    votes[pos],
-                )
-            )
-            added.append(AddedInstance(kind="synthetic", source=seed_idx))
-    # only the synthetic rows are new; they are numbered after the input's
-    _check_rows(synthetic, d.attributes, d.k, start=d.n)
-    out = MultiLabelDataset._trusted(d.attributes, d.labels, d.instances + tuple(synthetic), d.name)
+        nearest = bag[neighbors(bag_encoded, reference, want, exclude=np.arange(len(bag)))]
+        parts.append(
+            _synthesize(rows, bag, nearest, lambda i: nearest[i, rng.integers(0, want)], sizes, rng)
+        )
+        added.extend(AddedInstance(kind="synthetic", source=i) for i in bag.tolist())
+    # synthetic rows are checked with the rest, numbered after the input's
+    numeric, nominal, y = (np.concatenate(arrays) for arrays in zip(*parts))
+    out = MultiLabelDataset.from_arrays(d.attributes, d.labels, numeric, nominal, y, d.name)
     return out, _report(d, out, added, [])
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import AttributeSpec, Instance, Labelset, MultiLabelDataset
+from .dataset import AttributeSpec, MultiLabelDataset
 
 
 def random_dataset(
@@ -41,38 +41,33 @@ def random_dataset(
         else:
             attributes.append(AttributeSpec(name=f"a{j}"))
 
-    instances = []
-    for _ in range(n):
-        features: list[float | int | None] = []
-        for attr in attributes:
+    cells = np.full((n, n_attrs), np.nan)  # a float holds every nominal code exactly
+    y = np.zeros((n, k), dtype=bool)
+    for i in range(n):
+        for j, attr in enumerate(attributes):
             if allow_missing and rng.random() < 0.06:
-                features.append(None)
+                continue
             elif attr.is_nominal:
-                features.append(int(rng.integers(0, len(attr.values))))
+                cells[i, j] = rng.integers(0, len(attr.values))
             else:
-                features.append(float(np.round(rng.normal(0, 3), 6)))
+                cells[i, j] = np.round(rng.normal(0, 3), 6)
         active = [l for l in range(k) if rng.random() < 0.4]
         if not active and not allow_empty_labelsets:
             active = [int(rng.integers(0, k))]
-        instances.append(
-            Instance(features=tuple(features), labels=Labelset.from_indices(active))
-        )
+        y[i, active] = True
 
     if ensure_all_labels:
-        for l in range(k):
-            if not any(l in inst.labels for inst in instances):
-                i = int(rng.integers(0, n))
-                inst = instances[i]
-                instances[i] = Instance(
-                    features=inst.features,
-                    labels=Labelset(inst.labels.mask | (1 << l)),
-                )
+        for l in np.flatnonzero(~y.any(axis=0)):
+            y[int(rng.integers(0, n)), l] = True
 
-    return MultiLabelDataset(
-        attributes=tuple(attributes),
-        labels=tuple(chr(ord("A") + l) if k <= 26 else f"L{l}" for l in range(k)),
-        instances=tuple(instances),
-        name=name or f"random-{n}x{k}",
+    nominal = np.array([attr.is_nominal for attr in attributes])
+    return MultiLabelDataset.from_arrays(
+        attributes,
+        tuple(chr(ord("A") + l) if k <= 26 else f"L{l}" for l in range(k)),
+        cells[:, ~nominal],
+        np.nan_to_num(cells[:, nominal], nan=-1.0).astype(np.int64),
+        y,
+        name or f"random-{n}x{k}",
     )
 
 
@@ -98,8 +93,10 @@ def imbalanced_dataset(
     rare_weights /= rare_weights.sum()
     centroids = rng.uniform(-3, 3, size=(k, n_numeric))
 
-    instances = []
-    for _ in range(n):
+    y = np.zeros((n, k), dtype=bool)
+    numeric = np.empty((n, n_numeric))
+    group = np.empty((n, 1), dtype=np.int64)
+    for i in range(n):
         active = set()
         if rng.random() < 0.80:
             active.add(0)
@@ -114,33 +111,22 @@ def imbalanced_dataset(
         if not active:
             active.add(0)
         ordered = sorted(active)
-        mean = centroids[ordered].mean(axis=0)
-        values = rng.normal(mean, 0.6)
-        features = tuple(float(v) for v in values) + (int(min(ordered) % 3),)
-        instances.append(
-            Instance(features=features, labels=Labelset.from_indices(ordered))
-        )
+        y[i, ordered] = True
+        numeric[i] = rng.normal(centroids[ordered].mean(axis=0), 0.6)
+        group[i] = min(ordered) % 3
 
     # Rare tail labels can miss small samples entirely; pin a floor of two
     # occurrences so every label keeps a defined imbalance ratio.
     for l in range(k):
-        holders = sum(1 for inst in instances if l in inst.labels)
-        need = 2 - holders
-        for _ in range(max(0, need)):
-            i = int(rng.integers(0, n))
-            inst = instances[i]
-            instances[i] = Instance(
-                features=inst.features, labels=Labelset(inst.labels.mask | (1 << l) | 1)
-            )
+        for _ in range(max(0, 2 - int(y[:, l].sum()))):
+            y[int(rng.integers(0, n)), [0, l]] = True
 
     attributes = tuple(AttributeSpec(name=f"x{j}") for j in range(n_numeric)) + (
         AttributeSpec(name="group", values=("g0", "g1", "g2")),
     )
-    return MultiLabelDataset(
-        attributes=attributes,
-        labels=tuple(f"L{l}" for l in range(k)),
-        instances=tuple(instances),
-        name=f"synthetic-imbalanced-{seed}",
+    labels = tuple(f"L{l}" for l in range(k))
+    return MultiLabelDataset.from_arrays(
+        attributes, labels, numeric, group, y, f"synthetic-imbalanced-{seed}"
     )
 
 
@@ -152,21 +138,14 @@ def separable_clusters(
     attributes = (AttributeSpec(name="x0"), AttributeSpec(name="x1"))
     labels = ("left", "right")
 
-    def draw(count: int, center: float, label: int) -> list[Instance]:
-        out = []
-        for _ in range(count):
-            point = rng.normal(center, 0.3, size=2)
-            out.append(
-                Instance(
-                    features=(float(point[0]), float(point[1])),
-                    labels=Labelset.from_indices([label]),
-                )
-            )
-        return out
+    def draw(count: int, center: float, label: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        y = np.zeros((count, 2), dtype=bool)
+        y[:, label] = True
+        return rng.normal(center, 0.3, size=(count, 2)), np.empty((count, 0), np.int64), y
 
-    train = draw(n_train_per, -5.0, 0) + draw(n_train_per, 5.0, 1)
-    test = draw(n_test_per, -5.0, 0) + draw(n_test_per, 5.0, 1)
-    return (
-        MultiLabelDataset(attributes, labels, tuple(train), name="clusters-train"),
-        MultiLabelDataset(attributes, labels, tuple(test), name="clusters-test"),
+    train = draw(n_train_per, -5.0, 0), draw(n_train_per, 5.0, 1)
+    test = draw(n_test_per, -5.0, 0), draw(n_test_per, 5.0, 1)
+    return tuple(
+        MultiLabelDataset.from_arrays(attributes, labels, *map(np.concatenate, zip(*parts)), name)
+        for parts, name in ((train, "clusters-train"), (test, "clusters-test"))
     )

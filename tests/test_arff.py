@@ -1,4 +1,3 @@
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -306,11 +305,8 @@ def test_parse_preserves_order(d):
 
 def parse_with_full_check(arff_text, xml_text):
     """``parse_mulan`` with every parsed row checked again by the public constructor."""
-    checked = classmethod(lambda cls, attributes, labels, instances, name: cls(
-        attributes, labels, instances, name
-    ))
-    with mock.patch.object(MultiLabelDataset, "_trusted", checked):
-        return parse_mulan(arff_text, xml_text)
+    d = parse_mulan(arff_text, xml_text)
+    return MultiLabelDataset(d.attributes, d.labels, d.instances, d.name)
 
 
 # non-finite, overflowing, undeclared, missing, quoted and non-binary tokens

@@ -4,7 +4,15 @@ import sys
 
 import pytest
 
-from mlresample import cli, dataset, fold_datasets, parse_mulan, stratified_kfold, write_mulan
+from mlresample import (
+    MultiLabelDataset,
+    cli,
+    dataset,
+    fold_datasets,
+    parse_mulan,
+    stratified_kfold,
+    write_mulan,
+)
 from mlresample.cli import main
 from mlresample.synthetic import imbalanced_dataset, separable_clusters
 
@@ -329,53 +337,55 @@ class TestParsing:
         assert capsys.readouterr().err == "internal error: cannot allocate\n"
 
 
+def _refuse(self):
+    raise AssertionError("the Instance view was built")
+
+
 class TestRowsCheckedOnce:
-    """Rows are validated where they enter the program, and never again."""
-
-    @pytest.fixture
-    def checked(self, monkeypatch):
-        """Every instance passed to the row check, patched wherever the check is bound."""
-        seen = []
-        original = dataset._check_rows
-
-        def recording(instances, *args, **kwargs):
-            seen.extend(instances)
-            return original(instances, *args, **kwargs)
-
-        for module in list(sys.modules.values()):
-            name = getattr(module, "__name__", "")
-            if name.startswith("mlresample") and getattr(module, "_check_rows", None) is original:
-                monkeypatch.setattr(module, "_check_rows", recording)
-        return seen
+    """Instance rows are checked one by one only where they enter through the
+    public API; every command works on the dataset arrays and never builds
+    ``MultiLabelDataset.instances``."""
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["resample", "--method", "mlros", "--remedial", "p25"],
-            ["resample", "--method", "mlsmote", "--k", 3, "--remedial", "p25"],
-            ["partition", "--folds", 5],
+            ["info", "data.arff", "data.xml", "--out", "profile.json"],
+            ["concurrence", "data.arff", "data.xml", "--top", "3", "--out", "pairs.csv"],
+            ["partition", "data.arff", "data.xml", "--folds", "3", "--out-dir", "folds"],
+            *(
+                ["resample", "data.arff", "data.xml", "--method", method, *remedial,
+                 "--seed", "1", "--out-dir", "out"]
+                for method in ("mlros", "mlenn", "mlsmote")
+                for remedial in ([], ["--remedial", "p25"])
+            ),
+            ["evaluate", "train.arff", "test.arff", "--k", "5", "--out", "eval.json"],
         ],
-        ids=["hybrid-mlros", "hybrid-mlsmote", "partition"],
+        ids=[
+            "info", "concurrence", "partition", "mlros", "mlros-p25", "mlenn", "mlenn-p25",
+            "mlsmote", "mlsmote-p25", "evaluate",
+        ],
     )
-    def test_no_row_is_checked_twice(self, argv, tmp_path, checked):
-        arff, xml = write_dataset_files(imbalanced_dataset(4, n=80, k=6), tmp_path, "data")
-        checked.clear()
-        out_dir = tmp_path / "out"
-        command, *options = argv
-        argv = [command, arff, xml, *options, "--seed", 1, "--out-dir", out_dir]
-        assert main([str(a) for a in argv]) == 0
-        assert len({id(inst) for inst in checked}) == len(checked)
-        # parsed rows, clones, decoupled copies and folds are trusted; only
-        # MLSMOTE's synthetic rows are new
-        synthetic = 0
-        if command == "resample":
-            report = json.loads((out_dir / "report.json").read_text())
-            synthetic = sum(a["kind"] == "synthetic" for a in report["added"])
-            assert synthetic > 0 or options[1] == "mlros"
-        assert len(checked) == synthetic
+    def test_no_command_builds_the_instance_view(self, argv, tmp_path, monkeypatch):
+        d = imbalanced_dataset(4, n=80, k=6)
+        write_dataset_files(d, tmp_path, "data")
+        train, test = fold_datasets(d, stratified_kfold(d, 4, seed=0), 0)
+        write_dataset_files(train, tmp_path, "train")
+        write_dataset_files(test, tmp_path, "test")
+        monkeypatch.setattr(MultiLabelDataset, "instances", property(_refuse))
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
 
-    def test_the_public_constructor_checks_every_row(self, checked):
-        d = imbalanced_dataset(4, n=30, k=6)
+    def test_the_public_constructor_checks_every_row(self, monkeypatch):
+        checked = []
+        real = dataset._check_instance
+
+        def recording(inst, *args):
+            checked.append(inst)
+            return real(inst, *args)
+
+        rows = imbalanced_dataset(4, n=30, k=6)
+        monkeypatch.setattr(dataset, "_check_instance", recording)
+        d = MultiLabelDataset(rows.attributes, rows.labels, rows.instances)
         assert len(checked) == 30
         d.replace_instances(d.instances[:10])
         assert len(checked) == 40

@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from mlresample import AttributeSpec, Labelset, label_counts, label_matrix
-from conftest import make_dataset
+from mlresample import (
+    AttributeSpec,
+    Labelset,
+    MultiLabelDataset,
+    label_counts,
+    label_matrix,
+    write_mulan,
+)
+from conftest import datasets, make_dataset
 
 
 class TestLabelset:
@@ -120,3 +128,56 @@ class TestSubset:
         assert sub.n == 2
         assert sub.instances[0] == toy6.instances[5]
         assert sub.attributes == toy6.attributes
+
+
+class TestArrays:
+    @settings(max_examples=150, deadline=None)
+    @given(datasets())
+    @example(make_dataset([AttributeSpec("a")], ("A",), [((-0.0,), [0]), ((1.7e308,), [])]))
+    def test_instances_round_trip_bit_for_bit(self, d):
+        again = MultiLabelDataset(d.attributes, d.labels, d.instances, d.name)
+        assert again == d
+        assert np.array_equal(again.numeric.view(np.uint64), d.numeric.view(np.uint64))
+        assert np.array_equal(again.nominal, d.nominal) and np.array_equal(again.y, d.y)
+        for array in (d.numeric, d.nominal, d.y):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_label_indices_past_64_round_trip(self):
+        labels = tuple(f"L{l}" for l in range(70))
+        d = make_dataset([AttributeSpec("a")], labels, [((0.0,), [3, 64, 69])])
+        assert np.flatnonzero(d.y[0]).tolist() == [3, 64, 69]
+        assert d.instances[0].labels.indices == (3, 64, 69)
+        assert MultiLabelDataset(d.attributes, d.labels, d.instances) == d.subset([0], "unnamed")
+
+    def test_missing_nominal_value_is_written_as_missing(self):
+        attrs = [AttributeSpec("c", values=("x", "y"))]
+        d = make_dataset(attrs, ("A",), [((None,), [0]), ((1,), [])])
+        assert d.nominal.tolist() == [[-1], [1]]
+        assert write_mulan(d)[0].splitlines()[-2:] == ["?,1", "y,0"]
+
+    def test_from_arrays_checks_every_row(self):
+        attrs = (AttributeSpec("x"), AttributeSpec("c", values=("u", "v")))
+        numeric = np.array([[0.0], [math.inf]])
+        nominal = np.array([[0], [1]])
+        y = np.ones((2, 1), dtype=bool)
+        with pytest.raises(ValueError, match="^instance 1: numeric attribute 'x' needs a finite float$"):
+            MultiLabelDataset.from_arrays(attrs, ("A",), numeric, nominal, y)
+        with pytest.raises(ValueError, match="^instance 0: nominal index 2 out of range for attribute 'c'$"):
+            MultiLabelDataset.from_arrays(attrs, ("A",), numeric[:1], nominal[:1] + 2, y[:1])
+        with pytest.raises(ValueError, match="shapes"):
+            MultiLabelDataset.from_arrays(attrs, ("A", "B"), numeric[:1], nominal[:1], y[:1])
+        with pytest.raises(ValueError, match="dtype"):
+            MultiLabelDataset.from_arrays(attrs, ("A",), numeric[:1], nominal[:1].astype(float), y[:1])
+
+    def test_from_arrays_takes_over_owned_arrays_and_copies_views(self):
+        numeric = np.zeros((3, 1))
+        whole = np.zeros((3, 2), dtype=np.int64)
+        d = MultiLabelDataset.from_arrays(
+            (AttributeSpec("x"), AttributeSpec("c", values=("u",))), ("A",),
+            numeric, whole[:, :1], np.zeros((3, 1), dtype=bool),
+        )
+        assert d.numeric is numeric and not numeric.flags.writeable
+        whole[0, 0] = 7
+        assert d.nominal[0, 0] == 0

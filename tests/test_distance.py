@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlresample import AttributeSpec, distance, mlenn, mlknn_train, mlsmote
+from mlresample import AttributeSpec, distance
 from mlresample.distance import FeatureSpace, neighbors, prepare_reference
-from mlresample.synthetic import imbalanced_dataset
 
 from conftest import datasets, make_dataset
 from _oracles import (
@@ -58,7 +57,7 @@ class TestNeighborsAgainstOracle:
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_square_excluding_self(self, seed, k):
         ref, _ = reference_and_query(seed, 30, 0)
-        enc = FeatureSpace(ref).encode(ref.instances)
+        enc = FeatureSpace(ref).encode(ref)
         got = neighbors(enc, prepare_reference(enc), k, exclude=np.arange(ref.n))
         assert got.tolist() == oracle_neighbors(ref, ref.instances, k, exclude_self=True)
 
@@ -66,7 +65,7 @@ class TestNeighborsAgainstOracle:
     @pytest.mark.parametrize("k", [1, 4, 30])
     def test_square_including_self(self, seed, k):
         ref, _ = reference_and_query(seed, 30, 0)
-        enc = FeatureSpace(ref).encode(ref.instances)
+        enc = FeatureSpace(ref).encode(ref)
         got = neighbors(enc, prepare_reference(enc), k)
         assert got.tolist() == oracle_neighbors(ref, ref.instances, k)
 
@@ -75,7 +74,7 @@ class TestNeighborsAgainstOracle:
     def test_rectangular(self, seed, n_query):
         ref, query = reference_and_query(seed, 25, n_query)
         space = FeatureSpace(ref)
-        got = neighbors(space.encode(query.instances), prepare_reference(space.encode(ref.instances)), 5)
+        got = neighbors(space.encode(query), prepare_reference(space.encode(ref)), 5)
         assert got.shape == (n_query, 5)
         assert got.tolist() == oracle_neighbors(ref, query.instances, 5)
 
@@ -85,7 +84,7 @@ class TestNeighborsAgainstOracle:
         monkeypatch.setattr(distance, "_BLOCK_CELLS", cells)
         monkeypatch.setattr(distance, "_MIN_ESTIMATE_ROWS", 1)
         ref, _ = reference_and_query(11, 40, 0)
-        enc = FeatureSpace(ref).encode(ref.instances)
+        enc = FeatureSpace(ref).encode(ref)
         exclude = np.arange(ref.n) if exclude_self else None
         got = neighbors(enc, prepare_reference(enc), 6, exclude=exclude)
         assert got.tolist() == oracle_neighbors(ref, ref.instances, 6, exclude_self)
@@ -93,7 +92,7 @@ class TestNeighborsAgainstOracle:
     def test_duplicates_tie_to_lower_index(self):
         rows = [((1.0, 0, 1.0), [0])] * 5 + [((0.0, 1, 0.0), [1])]
         d = make_dataset(ATTRS, ("A", "B"), rows)
-        enc = FeatureSpace(d).encode(d.instances)
+        enc = FeatureSpace(d).encode(d)
         assert neighbors(enc, prepare_reference(enc), 3, exclude=np.arange(6)).tolist() == [
             [1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2], [0, 1, 2], [0, 1, 2]
         ]
@@ -104,7 +103,7 @@ class TestNeighborsAgainstOracle:
         # k + 1 and nothing has to be dropped
         rows = [((0.0, 0, 0.0), [0])] * 3 + [((None, 0, 0.0), [0]), ((4.0, 2, 4.0), [1])]
         d = make_dataset(ATTRS, ("A", "B"), rows)
-        enc = FeatureSpace(d).encode(d.instances)
+        enc = FeatureSpace(d).encode(d)
         prepared = prepare_reference(enc)
         assert neighbors(enc, prepared, 4).tolist()[3] == [0, 1, 2, 3]
         assert neighbors(enc, prepared, 2, exclude=np.arange(5)).tolist()[3] == [0, 1]
@@ -113,7 +112,7 @@ class TestNeighborsAgainstOracle:
 
 class TestNeighborsArguments:
     def test_k_out_of_range(self, toy6):
-        enc = FeatureSpace(toy6).encode(toy6.instances)
+        enc = FeatureSpace(toy6).encode(toy6)
         with pytest.raises(ValueError):
             neighbors(enc, prepare_reference(enc), 0)
         with pytest.raises(ValueError):
@@ -375,7 +374,7 @@ def test_estimates_anywhere_within_their_bound_give_the_same_lists(noise, case, 
 @settings(max_examples=60, deadline=None)
 @given(datasets(max_n=25))
 def test_block_size_never_changes_the_answer(d):
-    enc = FeatureSpace(d).encode(d.instances)
+    enc = FeatureSpace(d).encode(d)
     exclude = np.arange(d.n) if d.n > 1 else None
     # every other row needs every cell; the nearest one leaves room for estimates
     for k in {max(d.n - 1, 1), 1}:
@@ -401,7 +400,7 @@ def test_block_size_never_changes_the_answer(d):
     )
 )
 def test_distance_is_a_bounded_symmetric_dissimilarity(d):
-    enc = FeatureSpace(d).encode(d.instances)
+    enc = FeatureSpace(d).encode(d)
     dist = full_matrix(enc, enc)
     assert np.isfinite(dist).all()
     assert (dist >= 0).all() and (dist <= math.sqrt(len(d.attributes))).all()
@@ -416,12 +415,12 @@ class TestOverflowingRange:
         d = make_dataset(
             [AttributeSpec("x")], ("A",), [((-1.7e308,), [0]), ((0.0,), [0]), ((1.7e308,), [0])]
         )
-        numeric, _ = FeatureSpace(d).encode(d.instances)
+        numeric, _ = FeatureSpace(d).encode(d)
         assert numeric[:, 0].tolist() == [0.0, 0.5, 1.0]
 
     def test_finite_span_columns_keep_their_values(self):
         d = make_dataset([AttributeSpec("x")], ("A",), [((-3.0,), [0]), ((0.1,), [0]), ((7.0,), [0])])
-        numeric, _ = FeatureSpace(d).encode(d.instances)
+        numeric, _ = FeatureSpace(d).encode(d)
         assert numeric[:, 0].tolist() == [0.0, (0.1 - -3.0) / 10.0, 1.0]
 
 
@@ -441,7 +440,7 @@ class TestScalingFromColumns:
     )
     def test_pinned_columns(self, column, encoded):
         d = make_dataset([AttributeSpec("x")], ("A",), [((v,), [0]) for v in column])
-        numeric, _ = FeatureSpace(d).encode(d.instances)
+        numeric, _ = FeatureSpace(d).encode(d)
         assert np.array_equal(numeric[:, 0], encoded, equal_nan=True)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -466,43 +465,18 @@ class TestScalingFromColumns:
 @given(datasets(max_n=15))
 def test_the_prepared_reference_keeps_the_encoded_numeric_matrix_once(d):
     space = FeatureSpace(d)
-    numeric, nominal = space.encode(d.instances)
+    numeric, nominal = space.encode(d)
     # the reference's own pair, from the conversion that fitted the scaling
     assert np.array_equal(space.encoded[0].view(np.uint64), numeric.view(np.uint64))
     assert np.array_equal(space.encoded[1], nominal)
     # the same bits as scaling a row-major matrix of the raw values
-    raw = np.array([[inst.features[i] for i in space._numeric] for inst in d.instances], dtype=float)
-    raw = raw.reshape(d.n, len(space._numeric))
+    columns = [i for i, a in enumerate(d.attributes) if not a.is_nominal]
+    raw = np.array([[inst.features[i] for i in columns] for inst in d.instances], dtype=float)
+    raw = raw.reshape(d.n, len(columns))
     expected = (raw * space._scales - space._mins) / space._spans
     assert np.array_equal(numeric.view(np.uint64), expected.view(np.uint64))
-    original = distance._BLOCK_CELLS
-    try:
-        distance._BLOCK_CELLS = 1  # one row per conversion chunk
-        one_row = space.encode(d.instances)[0]
-    finally:
-        distance._BLOCK_CELLS = original
-    assert np.array_equal(one_row.view(np.uint64), expected.view(np.uint64))
     columns = prepare_reference((numeric, np.zeros((d.n, 0), dtype=np.int64))).columns
     assert columns.flags.c_contiguous and np.array_equal(columns.T, numeric, equal_nan=True)
     assert numeric.size == 0 or np.shares_memory(columns, numeric)
     own = prepare_reference(space.encoded).columns
     assert numeric.size == 0 or np.shares_memory(own, space.encoded[0])
-
-
-@pytest.mark.parametrize(
-    "run",
-    [mlenn, lambda d: mlsmote(d, rng=np.random.default_rng(0)), mlknn_train],
-    ids=["mlenn", "mlsmote", "mlknn_train"],
-)
-def test_each_neighbour_user_converts_its_dataset_once(run, monkeypatch):
-    converted = []
-    real = FeatureSpace._raw_numeric
-
-    def counting(self, rows):
-        converted.append(len(rows))
-        return real(self, rows)
-
-    monkeypatch.setattr(FeatureSpace, "_raw_numeric", counting)
-    d = imbalanced_dataset(0, n=60, k=4)
-    run(d)
-    assert converted == [d.n]

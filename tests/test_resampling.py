@@ -10,7 +10,6 @@ from mlresample import (
     Instance,
     Labelset,
     MLENNConfig,
-    MultiLabelDataset,
     MLROSConfig,
     MLSMOTEConfig,
     ResampleConfig,
@@ -408,16 +407,18 @@ class TestMLSMOTE:
     def test_bad_synthetic_row_keeps_its_absolute_index(self, monkeypatch):
         d = float_range_dataset()
         made = []
+        real = resampling._synthesize
 
-        def second_one_infinite(attributes, seed_instance, *args):
-            made.append(seed_instance)
-            value = math.inf if len(made) == 2 else 0.0
-            return Instance(features=(value,), labels=seed_instance.labels)
+        def second_one_infinite(*args):
+            numeric, nominal, y = real(*args)
+            made.append(len(numeric))
+            numeric[1] = math.inf
+            return numeric, nominal, y
 
-        monkeypatch.setattr(resampling, "new_sample", second_one_infinite)
+        monkeypatch.setattr(resampling, "_synthesize", second_one_infinite)
         with pytest.raises(ValueError, match=f"^instance {d.n + 1}: numeric attribute 'x' needs a finite float$"):
             mlsmote(d, 2, np.random.default_rng(0))
-        assert len(made) == 4
+        assert made == [4]
 
 
 class TestDispatcher:
@@ -471,25 +472,8 @@ def test_nominal_votes_equal_the_per_attribute_count(case):
         Instance(tuple(None if v < 0 else v for v in row), Labelset()) for row in codes.tolist()
     ]
     votes = resampling._nominal_votes(codes, nearest, sizes)
-    assert len(votes) == len(nearest)
-    for row, voters in zip(votes, nearest.tolist()):
+    assert votes.shape == (len(nearest), len(sizes)) and votes.dtype == np.int64
+    for row, voters in zip(votes.tolist(), nearest.tolist()):
         neighbors = [instances[i] for i in voters]
-        assert row == [oracle_most_frequent_nominal(neighbors, c) for c in range(len(sizes))]
-        # Python ints: the row check rejects numpy integers
-        assert all(v is None or type(v) is int for v in row)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.integers(0, 2**70 - 1), max_size=30),
-    st.lists(st.integers(0, 69), unique=True).map(sorted),
-)
-def test_bags_equal_the_per_label_scan(masks, labels):
-    d = MultiLabelDataset(
-        (AttributeSpec("x"),),
-        tuple(f"L{l}" for l in range(70)),
-        tuple(Instance((0.0,), Labelset(mask)) for mask in masks),
-    )
-    bags = resampling._bags(d, labels)
-    assert list(bags) == labels
-    assert bags == {l: [i for i, inst in enumerate(d.instances) if l in inst.labels] for l in labels}
+        expected = [oracle_most_frequent_nominal(neighbors, c) for c in range(len(sizes))]
+        assert row == [-1 if v is None else v for v in expected]
