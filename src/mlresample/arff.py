@@ -13,12 +13,24 @@ number.
 The XML header lists the label attributes; nested label hierarchies are
 flattened to their name list in document order.  Label columns must hold 0/1.
 
-The parser decodes every row into cells, converts them into the dataset's
-arrays in one call and checks the label columns as a whole; only a file with
-a bad label cell is decoded again row by row, for the error and its line.
+The parser reads the data section in blocks of stripped lines.  A block with
+no brace (so no sparse row), no quote and no missing value ``?``, whose
+lines each hold one token per column, is split in one call and decoded one
+column at a time, each column by its own decoder in one pass, straight into
+a float block.  Any other block, and any block with a token that does not
+decode or a non-finite feature, is decoded line by line instead, and the
+first bad line raises its error with its line number; so every accepted
+file gives the same arrays, and every rejected file the same message and
+line, whichever path its blocks take.  The label columns are checked as a
+whole at the end; only a file with a bad label cell decodes its first bad row
+again, for the error and its line.
+
 The writer formats each distinct feature row once: clones and decoupled
 copies repeat their source's values, and a :class:`RowFormatter` shared
-across calls does the same for the folds cut from one dataset.
+across calls does the same for the folds cut from one dataset.  It quotes
+every name and value holding whitespace or ARFF syntax, and rejects one
+holding a line break, or a label name holding a character XML 1.0 lacks,
+because neither would read back.
 """
 
 from __future__ import annotations
@@ -33,7 +45,7 @@ from .dataset import AttributeSpec, FeatureValue, MultiLabelDataset
 
 _NUMERIC_KINDS = {"numeric", "real", "integer"}
 
-# Data rows decoded before they are converted to one float block.
+# Data lines decoded together into one float block.
 _PARSE_ROWS = 512
 
 
@@ -145,15 +157,18 @@ def _nominal_index(attr: AttributeSpec) -> dict[str, int]:
 
 
 class _RowParser:
-    """Decodes the data rows of one attribute schema into lists of cells.
+    """Decodes the data lines of one attribute schema into the dataset's arrays.
 
     Each column gets its decoder once: a ``token -> index`` dict lookup for a
-    nominal column, ``float`` for a numeric one.  A row whose tokens all
-    decode and whose sum is finite is done in one pass; any other row is
-    decoded again cell by cell, which raises the error naming the first bad
-    token.  Numeric columns named in ``label_names`` are exempt from the
-    finiteness check, because the label check rejects anything but 0 and 1.
-    :meth:`block` turns a list of decoded rows into the dataset's arrays.
+    nominal column, ``float`` for a numeric one.  :meth:`cells` decodes a
+    block of lines into floats: a clean dense block one column at a time,
+    with each decoder mapped over its column, and any other block through
+    :meth:`row`.  :meth:`row` decodes one line: a row whose tokens all decode
+    and whose sum is finite is done in one pass; any other row is decoded
+    again cell by cell, which raises the error naming the first bad token.
+    Numeric columns named in ``label_names`` are exempt from the finiteness
+    check, because the label check rejects anything but 0 and 1.
+    :meth:`block` turns a float block into the dataset's arrays.
     """
 
     def __init__(self, columns: tuple[AttributeSpec, ...], label_names: tuple[str, ...]):
@@ -162,11 +177,11 @@ class _RowParser:
             _nominal_index(attr).__getitem__ if attr.is_nominal else float for attr in columns
         ]
         self.defaults = [0 if attr.is_nominal else 0.0 for attr in columns]
-        self.finite = frozenset(
+        self.finite = [
             i
             for i, attr in enumerate(columns)
             if not attr.is_nominal and attr.name not in label_names
-        )
+        ]
         # the label columns in XML order (a label missing from the ARFF
         # attributes is reported after the data), and the feature columns
         by_name = {attr.name: i for i, attr in enumerate(columns)}
@@ -175,10 +190,16 @@ class _RowParser:
         self.feature_columns = [i for i in range(len(columns)) if i not in labels]
         self.numeric_columns = [i for i in self.feature_columns if not columns[i].is_nominal]
         self.nominal_columns = [i for i in self.feature_columns if columns[i].is_nominal]
-        self.label_numbers = [
-            _label_numbers(columns[i]) if columns[i].is_nominal else None
-            for i in self.label_columns
+        # the nominal label columns, by position among the label columns, and
+        # per such column the number each of its codes reads as
+        self.nominal_labels = [
+            j for j, i in enumerate(self.label_columns) if columns[i].is_nominal
         ]
+        nominal = [columns[self.label_columns[j]] for j in self.nominal_labels]
+        width = max((len(attr.values) for attr in nominal), default=0) + 1
+        self.label_numbers = np.array(
+            [_label_numbers(attr, width) for attr in nominal]
+        ).reshape(len(nominal), width)
 
     def cell(self, i: int, token: str, line_no: int) -> FeatureValue:
         if token == "?":
@@ -199,7 +220,7 @@ class _RowParser:
             raise MulanFormatError(
                 f"non-numeric value {token!r} for attribute {attr.name!r}", line_no
             ) from None
-        if i in self.finite and not math.isfinite(value):
+        if not math.isfinite(value) and i in self.finite:
             raise MulanFormatError(
                 f"non-finite value {token!r} for attribute {attr.name!r}", line_no
             )
@@ -243,14 +264,45 @@ class _RowParser:
             pass
         return [self.cell(i, token, line_no) for i, token in enumerate(tokens)]
 
-    def block(self, rows: list[list[FeatureValue]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The numeric features, nominal codes (-1 = missing) and label numbers of decoded rows."""
+    def cells(self, lines: list[str], line_numbers: list[int]) -> np.ndarray:
+        """The cells of stripped data lines as one float block, NaN for a missing value.
+
+        Lines without a brace, a quote or a ``?``, each with one token per
+        column, are split in one call and decoded one column at a time.  When
+        they hold one of those, have another token count or do not decode
+        whole (a token its decoder rejects, such as a padded nominal value,
+        or a non-finite feature), every line goes through :meth:`row`, which
+        raises the first error.
+        """
+        width = len(self.columns)
+        text = ",".join(lines)
+        # a missing value sends the block to the row path before it is split
+        if not any(mark in text for mark in "{'\"?") and all(
+            line.count(",") == width - 1 for line in lines
+        ):
+            # one flat token list, whose column j is every width-th token from
+            # j, holds a block's tokens in fewer objects than a list per line
+            tokens = text.split(",")
+            cells = np.empty((len(lines), width))
+            try:
+                for j, decode in enumerate(self.decoders):
+                    column = tokens[j::width]
+                    cells[:, j] = np.fromiter(map(decode, column), np.float64, len(lines))
+            except (KeyError, ValueError):
+                pass
+            else:
+                if np.isfinite(cells[:, self.finite]).all():
+                    return cells
+        rows = [self.row(line, line_no) for line, line_no in zip(lines, line_numbers)]
         # numpy converts the missing value None to NaN; every code is a small int, held exactly
-        cells = np.array(rows, dtype=np.float64).reshape(len(rows), len(self.columns))
+        return np.array(rows, dtype=np.float64).reshape(len(rows), width)
+
+    def block(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The numeric features, nominal codes (-1 = missing) and label numbers of a float block."""
         labels = cells[:, self.label_columns]
-        for j, numbers in enumerate(self.label_numbers):
-            if numbers is not None:
-                labels[:, j] = numbers[np.nan_to_num(labels[:, j], nan=-1.0).astype(np.intp)]
+        columns = self.nominal_labels
+        codes = np.nan_to_num(labels[:, columns], nan=-1.0).astype(np.intp)
+        labels[:, columns] = self.label_numbers[np.arange(len(columns)), codes]
         codes = np.nan_to_num(cells[:, self.nominal_columns], nan=-1.0).astype(np.int64)
         return cells[:, self.numeric_columns], codes, labels
 
@@ -288,12 +340,13 @@ def _check_label(value: FeatureValue, attr: AttributeSpec, line_no: int) -> None
         raise MulanFormatError(f"non-binary value {value!r} in label column {attr.name!r}", line_no)
 
 
-def _label_numbers(attr: AttributeSpec) -> np.ndarray:
+def _label_numbers(attr: AttributeSpec, width: int) -> np.ndarray:
     """The number each code of a nominal label column reads as, NaN unless it is 0 or 1.
 
-    One more NaN entry at the end is what the missing code -1 picks.
+    ``width`` exceeds the number of codes, so the NaN entry at the end is what
+    the missing code -1 picks.
     """
-    numbers = np.full(len(attr.values) + 1, np.nan)
+    numbers = np.full(width, np.nan)
     for code, symbol in enumerate(attr.values):
         try:
             number = float(symbol)
@@ -315,10 +368,10 @@ def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
 
     relation = "unnamed"
     columns: list[AttributeSpec] = []
-    # every _PARSE_ROWS decoded rows become arrays, so that their cells never
-    # exist as Python objects all at once
+    # every _PARSE_ROWS data lines are decoded into arrays, so that their
+    # tokens never exist as Python objects all at once
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    rows: list[list[FeatureValue]] = []
+    lines: list[str] = []
     line_numbers: list[int] = []
     in_data = False
     for line_no, raw in enumerate(arff_text.splitlines(), start=1):
@@ -326,11 +379,11 @@ def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
         if not line or line.startswith("%"):
             continue
         if in_data:
-            rows.append(parser.row(line, line_no))
+            lines.append(line)
             line_numbers.append(line_no)
-            if len(rows) == _PARSE_ROWS:
-                blocks.append(parser.block(rows))
-                rows = []
+            if len(lines) == _PARSE_ROWS:
+                blocks.append(parser.block(parser.cells(lines, line_numbers[-_PARSE_ROWS:])))
+                lines = []
         elif line.lower().startswith("@relation"):
             relation, _ = _take_token(line[len("@relation") :], line_no)
         elif line.lower().startswith("@attribute"):
@@ -343,14 +396,16 @@ def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
 
     if not in_data:
         raise MulanFormatError("no @data section found")
+    # a bad data row is reported before a label missing from the attributes
+    blocks.append(parser.block(parser.cells(lines, line_numbers[len(line_numbers) - len(lines) :])))
+    del lines
 
     names = {attr.name for attr in columns}
     for name in label_names:
         if name not in names:
             raise MulanFormatError(f"XML label {name!r} is not an ARFF attribute")
-    blocks.append(parser.block(rows))
     numeric, nominal, values = (np.concatenate(arrays) for arrays in zip(*blocks))
-    del blocks, rows
+    del blocks
     wrong = np.flatnonzero(~((values == 0.0) | (values == 1.0)).all(axis=1))
     if wrong.size:
         # decode the first bad row again and its labels one by one: its first
@@ -368,18 +423,37 @@ def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
         raise MulanFormatError(str(exc)) from exc
 
 
-_NEEDS_QUOTING = set(" ,{}%'\"\t")
+_NEEDS_QUOTING = frozenset(",{}%'\"")
+# the characters at which str.splitlines, and so the parser, ends a line
+_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def _quote(text: str) -> str:
-    # a bare ? is the missing value, so a value spelled ? is written quoted
-    if text and text != "?" and not (_NEEDS_QUOTING & set(text)):
+    if not _LINE_BREAKS.isdisjoint(text):
+        raise ValueError(f"cannot serialize token holding a line break: {text!r}")
+    # a bare ? is the missing value, so a value spelled ? is written quoted;
+    # whitespace ends an unquoted name
+    if (
+        text
+        and text != "?"
+        and _NEEDS_QUOTING.isdisjoint(text)
+        and not any(map(str.isspace, text))
+    ):
         return text
     if '"' not in text:
         return f'"{text}"'
     if "'" not in text:
         return f"'{text}'"
     raise ValueError(f"cannot serialize token mixing both quote kinds: {text!r}")
+
+
+def _xml_attribute(text: str) -> str:
+    """``text`` escaped for a double-quoted XML attribute value."""
+    if any(c < " " and c != "\t" or "\ud800" <= c <= "\udfff" or c in "\ufffe\uffff" for c in text):
+        raise ValueError(f"cannot serialize a character outside XML 1.0: {text!r}")
+    # an XML parser reads a literal tab in an attribute value as a space
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
+    return text.replace("\t", "&#9;")
 
 
 class RowFormatter:
@@ -465,9 +539,6 @@ def write_mulan(d: MultiLabelDataset, rows: RowFormatter | None = None) -> tuple
     xml_lines = ['<?xml version="1.0" encoding="utf-8"?>']
     xml_lines.append('<labels xmlns="http://mulan.sourceforge.net/labels">')
     for name in d.labels:
-        escaped = (
-            name.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
-        )
-        xml_lines.append(f'  <label name="{escaped}"></label>')
+        xml_lines.append(f'  <label name="{_xml_attribute(name)}"></label>')
     xml_lines.append("</labels>")
     return arff_text, "\n".join(xml_lines) + "\n"

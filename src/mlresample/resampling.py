@@ -349,6 +349,8 @@ def mlsmote(
     (:func:`_synthesize`).  Bags with a single member yield nothing.
     """
     MLSMOTEConfig(k_neighbors=k_neighbors)
+    if k_neighbors >= d.n:
+        raise ValueError(f"k_neighbors ({k_neighbors}) must be smaller than the dataset size ({d.n})")
     if rng is None:
         rng = np.random.default_rng()
     encoded = FeatureSpace(d).encoded
@@ -382,8 +384,4 @@ def resample(d: MultiLabelDataset, config: ResampleConfig) -> tuple[MultiLabelDa
         return ml_ros(d, m.p, rng)
     if isinstance(m, MLENNConfig):
         return mlenn(d, m.ht, m.nn)
-    if m.k_neighbors >= d.n:
-        raise ValueError(
-            f"k_neighbors ({m.k_neighbors}) must be smaller than the dataset size ({d.n})"
-        )
     return mlsmote(d, m.k_neighbors, rng)

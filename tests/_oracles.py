@@ -331,7 +331,7 @@ def oracle_split(text, sep, line_no) -> list[str]:
 
 
 def _oracle_quote(text) -> str:
-    if text and not (set(" ,{}%'\"\t") & set(text)):
+    if text and not any(c.isspace() or c in ",{}%'\"" for c in text):
         return text
     if '"' not in text:
         return f'"{text}"'
@@ -370,6 +370,7 @@ def oracle_write_mulan(d) -> tuple[str, str]:
     xml_lines.append('<labels xmlns="http://mulan.sourceforge.net/labels">')
     for name in d.labels:
         escaped = name.replace("&", "&amp;").replace("<", "&lt;").replace('"', "&quot;")
+        escaped = escaped.replace("\t", "&#9;")
         xml_lines.append(f'  <label name="{escaped}"></label>')
     xml_lines.append("</labels>")
     return arff_text, "\n".join(xml_lines) + "\n"

@@ -79,7 +79,7 @@ def datasets(
     n = draw(st.integers(max(1, k) if ensure_all_labels else 1, max_n))
     n_attrs = draw(st.integers(1, max_attrs))
 
-    name_alphabet = "abc_0 -" if quotable_names else "abc_0"
+    name_alphabet = "abc_0 -\xa0" if quotable_names else "abc_0"
     attrs = []
     for j in range(n_attrs):
         if draw(st.booleans()):

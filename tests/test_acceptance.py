@@ -283,6 +283,10 @@ class TestResamplerPostconditions:
                 allow_missing=False,
                 allow_empty_labelsets=False,
             )
+            if d.n <= k_neighbors:
+                with pytest.raises(ValueError, match="must be smaller than the dataset size"):
+                    mlsmote(d, k_neighbors, np.random.default_rng(seed))
+                continue
             out, report = mlsmote(d, k_neighbors, np.random.default_rng(seed))
             assert out.instances[: d.n] == d.instances
             mins, spans = oracle_minmax(d)

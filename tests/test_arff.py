@@ -1,7 +1,8 @@
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlresample import (
@@ -15,6 +16,7 @@ from mlresample import (
     remedial,
     write_mulan,
 )
+from mlresample import arff
 from mlresample.arff import RowFormatter, _split, parse_label_header
 
 from conftest import datasets, make_dataset
@@ -158,6 +160,21 @@ class TestQuotedTokens:
         with pytest.raises(MulanFormatError, match="line 8: unterminated quote"):
             parse_mulan(text, XML_TWO)
 
+    def test_unterminated_quote_spelling_a_declared_value(self):
+        # a dense block holding a quote goes row by row, even where every token decodes
+        text = DENSE_TWO.replace("{red,blue}", "{\"'red\",blue}").replace("1.0,red", "1.0,'red")
+        with pytest.raises(MulanFormatError, match="line 7: unterminated quote"):
+            parse_mulan(text, XML_TWO)
+
+    def test_line_opening_with_a_brace_is_a_sparse_row(self):
+        # even where its tokens would decode as a dense row
+        text = (
+            "@relation demo\n@attribute color {red,'{}'}\n@attribute height numeric\n"
+            "@attribute p {0,1}\n@attribute q {0,1}\n@data\nred,1.0,1,0\n{},2.0,0,1\n"
+        )
+        with pytest.raises(MulanFormatError, match="line 8: unterminated sparse row"):
+            parse_mulan(text, XML_TWO)
+
     def test_first_bad_cell_of_a_row_is_reported(self):
         text = DENSE_TWO.replace("2.0,blue,0,1", "x,green,0,1")
         with pytest.raises(MulanFormatError, match="non-numeric value 'x' for attribute 'height'"):
@@ -269,6 +286,36 @@ class TestWrite:
         )
         assert parse_mulan(*write_mulan(d)) == d
 
+    @pytest.mark.parametrize("name", ["L\xa00", "L\u30000", "L\x1f0", "L\t0", "L 0"])
+    def test_names_holding_any_whitespace_round_trip(self, name):
+        attrs = [AttributeSpec("a" + name), AttributeSpec("b" + name, values=(name, "x"))]
+        d = make_dataset(attrs, ("A",), [((1.5, 0), [0]), ((None, 1), [])], name=name)
+        assert parse_mulan(*write_mulan(d)) == d
+        if name != "L\x1f0":  # not a character of XML 1.0
+            d = make_dataset(attrs, (name,), [((1.5, 0), [0]), ((None, 1), [])], name=name)
+            assert parse_mulan(*write_mulan(d)) == d
+
+    @pytest.mark.parametrize("name", ["L\r0", "L\u20280", "L\x0b0"])
+    def test_label_name_holding_a_line_break_rejected(self, name):
+        d = make_dataset([AttributeSpec("a")], (name,), [((1.0,), [0])])
+        with pytest.raises(ValueError, match="line break: " + re.escape(repr(name))):
+            write_mulan(d)
+
+    def test_nominal_value_holding_a_line_break_rejected(self):
+        d = make_dataset([AttributeSpec("a", values=("x\ny", "z"))], ("A",), [((0,), [0])])
+        with pytest.raises(ValueError, match="line break: " + re.escape(repr("x\ny"))):
+            write_mulan(d)
+
+    @pytest.mark.parametrize("name", ["L\x010", "L\x1f0", "L\ufffe0"])
+    def test_label_name_outside_xml_rejected(self, name):
+        d = make_dataset([AttributeSpec("a")], (name,), [((1.0,), [0])])
+        with pytest.raises(ValueError, match="outside XML 1.0: " + re.escape(repr(name))):
+            write_mulan(d)
+
+    def test_line_breaks_are_those_of_splitlines(self):
+        breaks = {c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) > 1}
+        assert arff._LINE_BREAKS == breaks
+
 
 @settings(max_examples=120, deadline=None)
 @given(datasets(quotable_names=True, quotable_values=True))
@@ -309,14 +356,19 @@ def parse_with_full_check(arff_text, xml_text):
     return MultiLabelDataset(d.attributes, d.labels, d.instances, d.name)
 
 
-# non-finite, overflowing, undeclared, missing, quoted and non-binary tokens
-MUTANT_TOKENS = ["nan", "1e400", "-inf", "Infinity", "zz", "?", "'?'", "1.5", "0", "1", "2", "1_0"]
+# non-finite, overflowing, undeclared, missing, quoted and non-binary tokens, and one too many
+MUTANT_TOKENS = [
+    "nan", "1e400", "-inf", "Infinity", "zz", "?", "'?'", "1.5", "0", "1", "2", "1_0", "1,0"
+]
+PADDING = ["", " ", "\t", "\xa0"]
 
 
 @st.composite
 def mutated_mulan(draw):
-    """A written dataset whose data rows got bad tokens, some rewritten as sparse rows."""
-    d = draw(datasets(max_n=8))
+    """A written dataset whose data rows got bad tokens or whitespace around
+    their tokens, some rewritten as sparse rows."""
+    # files without missing values, half of them, hold dense blocks that decode whole
+    d = draw(datasets(max_n=8, allow_missing=draw(st.booleans())))
     arff_text, xml_text = write_mulan(d)
     lines = arff_text.splitlines()
     first = lines.index("@data") + 1
@@ -325,6 +377,9 @@ def mutated_mulan(draw):
         cells = lines[at].split(",")
         if draw(st.booleans()):
             cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(MUTANT_TOKENS))
+        if draw(st.booleans()):
+            pad = st.sampled_from(PADDING)
+            cells = [draw(pad) + cell + draw(pad) for cell in cells]
         if draw(st.booleans()):
             kept = sorted(draw(st.sets(st.integers(0, len(cells) - 1))))
             lines[at] = "{" + ", ".join(f"{i} {cells[i]}" for i in kept) + "}"
@@ -346,6 +401,141 @@ def test_parsed_rows_pass_the_full_check(files):
         d = parse_mulan(*files)
         assert d == expected
         assert d == MultiLabelDataset(d.attributes, d.labels, d.instances, d.name)
+
+
+def rows_only(parser, lines, line_numbers):
+    """The cells of data lines each decoded alone by ``_RowParser.row``."""
+    rows = [parser.row(line, line_no) for line, line_no in zip(lines, line_numbers)]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(parser.columns))
+
+
+def parse_outcome(arff_text, xml_text):
+    """The parsed dataset with its arrays' bits, or the error message and line."""
+    try:
+        d = parse_mulan(arff_text, xml_text)
+    except MulanFormatError as exc:
+        return str(exc), exc.line
+    arrays = (d.numeric.view(np.uint64), d.nominal, d.y)
+    return d.name, d.attributes, d.labels, [(a.shape, a.dtype, a.tolist()) for a in arrays]
+
+
+ONE_NUMERIC = "@relation r\n@attribute a numeric\n@attribute A {0,1}\n@data\n1.5,0\n"
+XML_A = '<labels><label name="A"></label></labels>'
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_mulan())
+@example((ONE_NUMERIC + "nan,1\n", XML_A))  # a non-finite feature
+@example((ONE_NUMERIC + "2.5,1,0\n", XML_A))  # a token too many
+@example((ONE_NUMERIC + "2.5\n", XML_A))  # a token too few
+def test_column_blocks_decode_as_every_row_alone(files):
+    with pytest.MonkeyPatch.context() as patch:
+        # three-row blocks, so that clean and fallback blocks meet inside a file
+        patch.setattr(arff, "_PARSE_ROWS", 3)
+        outcome = parse_outcome(*files)
+        patch.setattr(arff._RowParser, "cells", rows_only)
+        assert outcome == parse_outcome(*files)
+
+
+def dense_lines(n):
+    """The lines of a clean dense ARFF file for ``XML_TWO``: columns x, y, c, p, q."""
+    rng = np.random.default_rng(5)
+    colors = ("red", "blue", "green")
+    columns = zip(
+        rng.normal(size=n).tolist(),
+        (rng.normal(size=n) * 1e3).tolist(),
+        rng.integers(0, 3, n).tolist(),
+        rng.integers(0, 2, (n, 2)).tolist(),
+    )
+    rows = [f"{x!r},{y!r},{colors[c]},{p},{q}" for x, y, c, (p, q) in columns]
+    return [
+        "@relation blocks",
+        "@attribute x numeric",
+        "@attribute y numeric",
+        "@attribute c {red,blue,green}",
+        "@attribute p {0,1}",
+        "@attribute q {0,1}",
+        "@data",
+        *rows,
+    ]
+
+
+class TestBlockBoundaries:
+    """A dense file of three parse blocks, the last one partial."""
+
+    ROWS = 1100
+
+    def setup_method(self):
+        assert 2 * arff._PARSE_ROWS < self.ROWS < 3 * arff._PARSE_ROWS
+        self.lines = dense_lines(self.ROWS)
+        self.data = self.lines.index("@data") + 1  # list index of data row 0
+        self.clean = parse_mulan("\n".join(self.lines) + "\n", XML_TWO)
+
+    def with_cell(self, row, column, token, lines=None):
+        """The file's lines with one cell of data row ``row`` replaced by
+        ``token``, in which ``{}`` stands for the old cell."""
+        lines = list(self.lines if lines is None else lines)
+        cells = lines[self.data + row].split(",")
+        cells[column] = token.format(cells[column])
+        lines[self.data + row] = ",".join(cells)
+        return lines
+
+    def parse(self, lines, xml_text=XML_TWO, end="\n"):
+        return parse_mulan(end.join(lines) + end, xml_text)
+
+    def test_bad_token_in_the_third_block_reports_its_line(self):
+        row = 2 * arff._PARSE_ROWS + 40
+        with pytest.raises(MulanFormatError, match="non-numeric value 'zz' for attribute 'x'") as err:
+            self.parse(self.with_cell(row, 0, "zz"))
+        assert err.value.line == self.data + row + 1
+
+    def test_missing_values_in_the_second_block(self):
+        row = arff._PARSE_ROWS + 100
+        d = self.parse(self.with_cell(row + 1, 2, "?", self.with_cell(row, 0, "?")))
+        numeric, nominal = self.clean.numeric.copy(), self.clean.nominal.copy()
+        numeric[row, 0] = np.nan
+        nominal[row + 1, 0] = -1
+        assert np.array_equal(d.numeric.view(np.uint64), numeric.view(np.uint64))
+        assert np.array_equal(d.nominal, nominal)
+        assert np.array_equal(d.y, self.clean.y)
+
+    def test_only_a_block_that_does_not_decode_whole_goes_row_by_row(self, monkeypatch):
+        decoded = []
+        row_alone = arff._RowParser.row
+
+        def spy(parser, line, line_no):
+            decoded.append(line_no)
+            return row_alone(parser, line, line_no)
+
+        monkeypatch.setattr(arff._RowParser, "row", spy)
+        assert self.parse(self.lines) == self.clean
+        assert decoded == []
+        self.parse(self.with_cell(arff._PARSE_ROWS + 100, 0, "?"))
+        second = range(self.data + arff._PARSE_ROWS + 1, self.data + 2 * arff._PARSE_ROWS + 1)
+        assert decoded == list(second)
+
+    def test_padding_line_endings_comments_and_blank_lines(self):
+        lines = self.with_cell(5, 0, " {}\t")
+        lines = self.with_cell(600, 2, " {} ", lines)
+        lines = self.with_cell(1060, 1, "\t{} ", lines)
+        # a comment and a blank line inside the second block shift every later line
+        lines[self.data + 530 : self.data + 530] = ["% a comment", ""]
+        for end in ("\n", "\r\n"):
+            d = self.parse(lines, end=end)
+            assert d == self.clean
+            assert np.array_equal(d.numeric.view(np.uint64), self.clean.numeric.view(np.uint64))
+        with pytest.raises(MulanFormatError, match="non-numeric value 'zz'") as err:
+            self.parse(self.with_cell(1052, 0, "zz", lines), end="\r\n")  # data row 1050
+        assert err.value.line == self.data + 1052 + 1
+
+    @pytest.mark.parametrize("row", [3, 1090])
+    def test_bad_row_is_reported_before_a_label_missing_from_the_attributes(self, row):
+        xml_text = XML_TWO.replace("</labels>", '  <label name="zz"></label>\n</labels>')
+        with pytest.raises(MulanFormatError, match="XML label 'zz' is not an ARFF attribute"):
+            self.parse(self.lines, xml_text)
+        with pytest.raises(MulanFormatError, match="value 'purple' not in declared list") as err:
+            self.parse(self.with_cell(row, 2, "purple"), xml_text)
+        assert err.value.line == self.data + row + 1
 
 
 def test_parser_schema_errors_keep_their_format_error():

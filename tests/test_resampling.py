@@ -335,6 +335,14 @@ class TestMLSMOTE:
         out, report = mlsmote(d, 1, np.random.default_rng(0))
         assert out == d
 
+    def test_neighbour_count_must_be_below_the_dataset_size(self, toy6):
+        message = r"k_neighbors \(6\) must be smaller than the dataset size \(6\)"
+        with pytest.raises(ValueError, match=message):
+            mlsmote(toy6, toy6.n, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            resample(toy6, ResampleConfig(MLSMOTEConfig(k_neighbors=toy6.n)))
+        mlsmote(toy6, toy6.n - 1, np.random.default_rng(0))
+
     def test_pure_minority_fixture_counts(self):
         d = pure_minority_fixture()
         out, report = mlsmote(d, 1, np.random.default_rng(0))
@@ -349,6 +357,10 @@ class TestMLSMOTE:
         d = random_dataset(seed + 500, max_n=16, max_k=4, allow_missing=False,
                            allow_empty_labelsets=False)
         k_neighbors = 3
+        if d.n <= k_neighbors:
+            with pytest.raises(ValueError, match="must be smaller than the dataset size"):
+                mlsmote(d, k_neighbors, np.random.default_rng(seed))
+            return
         out, report = mlsmote(d, k_neighbors, np.random.default_rng(seed))
         assert out.instances[: d.n] == d.instances
         mins, spans = oracle_minmax(d)
