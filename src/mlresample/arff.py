@@ -13,17 +13,22 @@ number.
 The XML header lists the label attributes; nested label hierarchies are
 flattened to their name list in document order.  Label columns must hold 0/1.
 
-The parser reads the data section in blocks of stripped lines.  A block with
-no brace (so no sparse row), no quote and no missing value ``?``, whose
-lines each hold one token per column, is split in one call and decoded one
-column at a time, each column by its own decoder in one pass, straight into
-a float block.  Any other block, and any block with a token that does not
-decode or a non-finite feature, is decoded line by line instead, and the
-first bad line raises its error with its line number; so every accepted
-file gives the same arrays, and every rejected file the same message and
-line, whichever path its blocks take.  The label columns are checked as a
-whole at the end; only a file with a bad label cell decodes its first bad row
-again, for the error and its line.
+The parser reads the data section in blocks of stripped lines, which take
+one of three shapes.  A clean dense block (no brace, no quote, no missing
+value ``?``, one token per column on every line) is split in one call and
+decoded one column at a time, each column by its own decoder in one pass,
+straight into a float block.  A clean sparse block (every line one
+``{...}`` with no other brace, and no quote or ``?``) has all its
+``index value`` entries split at once; the indices are decoded in one pass,
+and the values land in a block holding every column's default, so no row is
+expanded to all columns.  Any other block, and any block with a token that
+does not decode, an entry that is not one index and one value, indices that
+are not ascending, or a non-finite feature, is decoded line by line instead,
+and the first bad line raises its error with its line number; so every
+accepted file gives the same arrays, and every rejected file the same
+message and line, whichever path its blocks take.  The label columns are
+checked as a whole at the end; only a file with a bad label cell decodes its
+first bad row again, for the error and its line.
 
 The writer formats each distinct feature row once: clones and decoupled
 copies repeat their source's values, and a :class:`RowFormatter` shared
@@ -37,7 +42,8 @@ from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ElementTree
-from operator import getitem
+from itertools import repeat
+from operator import getitem, itemgetter
 
 import numpy as np
 
@@ -161,14 +167,15 @@ class _RowParser:
 
     Each column gets its decoder once: a ``token -> index`` dict lookup for a
     nominal column, ``float`` for a numeric one.  :meth:`cells` decodes a
-    block of lines into floats: a clean dense block one column at a time,
-    with each decoder mapped over its column, and any other block through
-    :meth:`row`.  :meth:`row` decodes one line: a row whose tokens all decode
-    and whose sum is finite is done in one pass; any other row is decoded
-    again cell by cell, which raises the error naming the first bad token.
-    Numeric columns named in ``label_names`` are exempt from the finiteness
-    check, because the label check rejects anything but 0 and 1.
-    :meth:`block` turns a float block into the dataset's arrays.
+    block of lines into floats: a clean dense block one column at a time, a
+    clean sparse block in one pass over all its entries, and any other
+    block, or one that does not decode whole, through :meth:`row`.
+    :meth:`row` decodes one line: a row whose tokens all decode and whose
+    sum is finite is done in one pass; any other row is decoded again cell
+    by cell, which raises the error naming the first bad token.  Numeric
+    columns named in ``label_names`` are exempt from the finiteness check,
+    because the label check rejects anything but 0 and 1.  :meth:`block`
+    turns a float block into the dataset's arrays.
     """
 
     def __init__(self, columns: tuple[AttributeSpec, ...], label_names: tuple[str, ...]):
@@ -177,11 +184,9 @@ class _RowParser:
             _nominal_index(attr).__getitem__ if attr.is_nominal else float for attr in columns
         ]
         self.defaults = [0 if attr.is_nominal else 0.0 for attr in columns]
-        self.finite = [
-            i
-            for i, attr in enumerate(columns)
-            if not attr.is_nominal and attr.name not in label_names
-        ]
+        self.finite = np.array(
+            [not attr.is_nominal and attr.name not in label_names for attr in columns], bool
+        )
         # the label columns in XML order (a label missing from the ARFF
         # attributes is reported after the data), and the feature columns
         by_name = {attr.name: i for i, attr in enumerate(columns)}
@@ -220,7 +225,7 @@ class _RowParser:
             raise MulanFormatError(
                 f"non-numeric value {token!r} for attribute {attr.name!r}", line_no
             ) from None
-        if not math.isfinite(value) and i in self.finite:
+        if not math.isfinite(value) and self.finite[i]:
             raise MulanFormatError(
                 f"non-finite value {token!r} for attribute {attr.name!r}", line_no
             )
@@ -267,35 +272,95 @@ class _RowParser:
     def cells(self, lines: list[str], line_numbers: list[int]) -> np.ndarray:
         """The cells of stripped data lines as one float block, NaN for a missing value.
 
-        Lines without a brace, a quote or a ``?``, each with one token per
-        column, are split in one call and decoded one column at a time.  When
-        they hold one of those, have another token count or do not decode
-        whole (a token its decoder rejects, such as a padded nominal value,
-        or a non-finite feature), every line goes through :meth:`row`, which
-        raises the first error.
+        A block without a quote or a ``?`` takes a column path when its
+        lines are all dense, without a brace and each with one token per
+        column, or all sparse, each a ``{...}`` with no other brace.  Every
+        other block, and every block whose column path does not decode whole
+        (a token its decoder rejects, such as a padded nominal value, an
+        unsorted index, an entry of other than two tokens, or a non-finite
+        feature), goes through :meth:`row` line by line, which raises the
+        first error.
         """
-        width = len(self.columns)
         text = ",".join(lines)
-        # a missing value sends the block to the row path before it is split
-        if not any(mark in text for mark in "{'\"?") and all(
-            line.count(",") == width - 1 for line in lines
-        ):
-            # one flat token list, whose column j is every width-th token from
-            # j, holds a block's tokens in fewer objects than a list per line
-            tokens = text.split(",")
-            cells = np.empty((len(lines), width))
-            try:
-                for j, decode in enumerate(self.decoders):
-                    column = tokens[j::width]
-                    cells[:, j] = np.fromiter(map(decode, column), np.float64, len(lines))
-            except (KeyError, ValueError):
-                pass
-            else:
-                if np.isfinite(cells[:, self.finite]).all():
-                    return cells
+        cells = None
+        # a quote or a missing value sends the block to the row path before it is split
+        if not any(mark in text for mark in "'\"?"):
+            n = len(lines)
+            if "{" not in text:
+                if all(line.count(",") == len(self.columns) - 1 for line in lines):
+                    cells = self._dense(text, n)
+            elif (
+                text.count("{") == text.count("}") == n
+                and "".join(map(itemgetter(0), lines)) == "{" * n
+                and "".join(map(itemgetter(-1), lines)) == "}" * n
+            ):
+                cells = self._sparse(text[1:-1].split("},{"))
+        if cells is not None:
+            return cells
         rows = [self.row(line, line_no) for line, line_no in zip(lines, line_numbers)]
         # numpy converts the missing value None to NaN; every code is a small int, held exactly
-        return np.array(rows, dtype=np.float64).reshape(len(rows), width)
+        return np.array(rows, dtype=np.float64).reshape(len(rows), len(self.columns))
+
+    def _dense(self, text: str, n: int) -> np.ndarray | None:
+        """The cells of ``n`` comma-joined dense lines, one decoder pass per
+        column, or None when a token does not decode or a feature is not finite."""
+        width = len(self.columns)
+        # one flat token list, whose column j is every width-th token from j,
+        # holds a block's tokens in fewer objects than a list per line
+        tokens = text.split(",")
+        cells = np.empty((n, width))
+        try:
+            for j, decode in enumerate(self.decoders):
+                column = tokens[j::width]
+                cells[:, j] = np.fromiter(map(decode, column), np.float64, n)
+        except (KeyError, ValueError):
+            return None
+        if not np.isfinite(cells[:, self.finite]).all():
+            return None
+        return cells
+
+    def _sparse(self, bodies: list[str]) -> np.ndarray | None:
+        """The cells of sparse lines, given the text inside each line's braces,
+        or None when an entry is not two tokens, the indices of a line are
+        out of range or not ascending, a value does not decode or a feature
+        is not finite."""
+        n, width = len(bodies), len(self.columns)
+        entries = ",".join(bodies).split(",")
+        sizes = np.fromiter(map(len, map(str.split, entries)), np.intp, len(entries))
+        per_line = np.fromiter(map(str.count, bodies, repeat(",")), np.intp, n) + 1
+        rows = np.repeat(np.arange(n), per_line)
+        # a line without an entry, {} or { }, holds one blank entry alone
+        blank = (sizes == 0) & (per_line[rows] == 1)
+        if not ((sizes == 2) | blank).all():
+            return None
+        rows = rows[~blank]
+        # every entry is one index and one value, so the tokens alternate
+        tokens = " ".join(entries).split()
+        try:
+            columns = np.fromiter(map(int, tokens[::2]), np.int64, len(rows))
+        except (ValueError, OverflowError):
+            return None
+        if len(rows) and not (
+            0 <= columns.min()
+            and columns.max() < width
+            and (np.diff(rows * width + columns) > 0).all()
+        ):
+            return None
+        decoders = self.decoders
+        try:
+            values = np.fromiter(
+                [decoders[j](token) for j, token in zip(columns.tolist(), tokens[1::2])],
+                np.float64,
+                len(rows),
+            )
+        except (KeyError, ValueError):
+            return None
+        if not np.isfinite(values[self.finite[columns]]).all():
+            return None
+        cells = np.empty((n, width))
+        cells[:] = self.defaults
+        cells[rows, columns] = values
+        return cells
 
     def block(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The numeric features, nominal codes (-1 = missing) and label numbers of a float block."""

@@ -48,51 +48,63 @@ def stratified_kfold(d: MultiLabelDataset, folds: int, seed: int = 0) -> FoldAss
     if folds > d.n:
         raise ValueError(f"cannot make {folds} folds from {d.n} instances")
     rng = np.random.default_rng(seed)
-    n, k = d.n, d.k
+    n = d.n
     y = d.y
 
-    base = n // folds
-    capacity = np.full(folds, base, dtype=np.int64)
-    capacity[: n % folds] += 1
-    sizes = capacity.copy()
-    # Per-fold demand for each label, proportional to the fold's size.
-    demand = y.sum(axis=0, dtype=float)[None, :] * (sizes[:, None] / n)
+    sizes = np.full(folds, n // folds, dtype=np.int64)
+    sizes[: n % folds] += 1
+    capacity = sizes.tolist()
+    # Per-fold demand for each label, proportional to the fold's size, one list per fold.
+    demand = (y.sum(axis=0, dtype=float)[None, :] * (sizes[:, None] / n)).tolist()
+    # each instance's label indices
+    rows, labels = np.nonzero(y)
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    labels = labels.tolist()
+    labels_of = [labels[start:end] for start, end in zip([0, *ends], ends)]
 
     fold_of = np.full(n, -1, dtype=np.int64)
     remaining = y.sum(axis=0).astype(np.int64)
 
-    def place(i: int, label: int | None) -> None:
-        open_folds = np.flatnonzero(capacity > 0)
+    def place(i: int, label: int | None) -> int:
+        open_folds = [f for f, room in enumerate(capacity) if room > 0]
         if label is not None:
-            best = demand[open_folds, label].max()
-            open_folds = open_folds[np.isclose(demand[open_folds, label], best)]
-        if open_folds.size > 1:
-            most_room = capacity[open_folds].max()
-            open_folds = open_folds[capacity[open_folds] == most_room]
-        pick = open_folds[0] if open_folds.size == 1 else rng.choice(open_folds)
-        fold_of[i] = pick
+            wanted = [demand[f][label] for f in open_folds]
+            best = max(wanted)
+            # np.isclose(wanted, best) with its default tolerances
+            limit = 1e-08 + 1e-05 * abs(best)
+            open_folds = [
+                f for f, a in zip(open_folds, wanted) if abs(a - best) <= limit or a == best
+            ]
+        if len(open_folds) > 1:
+            most_room = max(capacity[f] for f in open_folds)
+            open_folds = [f for f in open_folds if capacity[f] == most_room]
+        if len(open_folds) == 1:
+            pick = open_folds[0]
+        else:
+            pick = int(rng.choice(np.array(open_folds, dtype=np.int64)))
         capacity[pick] -= 1
-        demand[pick, y[i]] -= 1.0
-        remaining[y[i]] -= 1
+        row = demand[pick]
+        for l in labels_of[i]:
+            row[l] -= 1.0
+        return pick
 
     while True:
         open_labels = np.flatnonzero(remaining > 0)
         if open_labels.size == 0:
             break
-        label = open_labels[np.argmin(remaining[open_labels])]
+        label = int(open_labels[np.argmin(remaining[open_labels])])
         pool = np.flatnonzero(y[:, label] & (fold_of < 0))
         if pool.size > 1:
             pool = rng.permutation(pool)
-        for i in pool:
-            place(int(i), int(label))
+        fold_of[pool] = [place(i, label) for i in pool.tolist()]
+        remaining -= y[pool].sum(axis=0)
 
     leftovers = np.flatnonzero(fold_of < 0)
     if leftovers.size > 1:
         leftovers = rng.permutation(leftovers)
-    for i in leftovers:
-        place(int(i), None)
+    fold_of[leftovers] = [place(i, None) for i in leftovers.tolist()]
 
-    return FoldAssignment(fold_of=tuple(int(f) for f in fold_of), folds=folds)
+    return FoldAssignment(fold_of=tuple(fold_of.tolist()), folds=folds)
 
 
 def fold_datasets(

@@ -303,6 +303,54 @@ def oracle_mlenn_removed(d, ht, nn) -> list[int]:
     return removed
 
 
+def oracle_stratified_fold_of(d, folds, seed) -> tuple[int, ...]:
+    """The fold of each instance as label-stratified k-fold first assigned it,
+    one numpy call per step for every instance placed."""
+    rng = np.random.default_rng(seed)
+    n = d.n
+    y = d.y
+
+    capacity = np.full(folds, n // folds, dtype=np.int64)
+    capacity[: n % folds] += 1
+    sizes = capacity.copy()
+    demand = y.sum(axis=0, dtype=float)[None, :] * (sizes[:, None] / n)
+
+    fold_of = np.full(n, -1, dtype=np.int64)
+    remaining = y.sum(axis=0).astype(np.int64)
+
+    def place(i, label):
+        open_folds = np.flatnonzero(capacity > 0)
+        if label is not None:
+            best = demand[open_folds, label].max()
+            open_folds = open_folds[np.isclose(demand[open_folds, label], best)]
+        if open_folds.size > 1:
+            most_room = capacity[open_folds].max()
+            open_folds = open_folds[capacity[open_folds] == most_room]
+        pick = open_folds[0] if open_folds.size == 1 else rng.choice(open_folds)
+        fold_of[i] = pick
+        capacity[pick] -= 1
+        demand[pick, y[i]] -= 1.0
+        remaining[y[i]] -= 1
+
+    while True:
+        open_labels = np.flatnonzero(remaining > 0)
+        if open_labels.size == 0:
+            break
+        label = open_labels[np.argmin(remaining[open_labels])]
+        pool = np.flatnonzero(y[:, label] & (fold_of < 0))
+        if pool.size > 1:
+            pool = rng.permutation(pool)
+        for i in pool:
+            place(int(i), int(label))
+
+    leftovers = np.flatnonzero(fold_of < 0)
+    if leftovers.size > 1:
+        leftovers = rng.permutation(leftovers)
+    for i in leftovers:
+        place(int(i), None)
+    return tuple(int(f) for f in fold_of)
+
+
 def oracle_split(text, sep, line_no) -> list[str]:
     """Split on ``sep`` outside quoted regions with a scan over every character.
 

@@ -92,6 +92,23 @@ class TestParseSparse:
         with pytest.raises(MulanFormatError, match="duplicate sparse index"):
             parse_mulan(text, XML_TWO)
 
+    def test_unsorted_sparse_indices(self):
+        text = DENSE_TWO.replace("1.0,red,1,0\n2.0,blue,0,1", "{3 1, 0 3.5}\n{1 blue}")
+        d = parse_mulan(text, XML_TWO)
+        assert [inst.features for inst in d.instances] == [(3.5, 0), (0.0, 1)]
+        assert d.instances[0].labels.indices == (1,)
+
+    def test_sparse_missing_values(self):
+        text = DENSE_TWO.replace("1.0,red,1,0\n2.0,blue,0,1", "{0 ?, 1 ?, 2 1}\n{ }")
+        d = parse_mulan(text, XML_TWO)
+        assert [inst.features for inst in d.instances] == [(None, None), (0.0, 0)]
+
+    def test_sparse_entry_of_three_tokens_names_a_value_holding_a_space(self):
+        text = DENSE_TWO.replace("{red,blue}", "{blue,'red hat'}").replace(
+            "1.0,red,1,0\n2.0,blue,0,1", "{0 1.5, 1 red hat}\n{2 1}"
+        )
+        assert parse_mulan(text, XML_TWO).instances[0].features == (1.5, 1)
+
     def test_sparse_index_out_of_range(self):
         text = DENSE_TWO.replace("1.0,red,1,0\n2.0,blue,0,1", "{9 1}")
         with pytest.raises(MulanFormatError, match="out of range"):
@@ -356,35 +373,70 @@ def parse_with_full_check(arff_text, xml_text):
     return MultiLabelDataset(d.attributes, d.labels, d.instances, d.name)
 
 
-# non-finite, overflowing, undeclared, missing, quoted and non-binary tokens, and one too many
+# non-finite, overflowing, undeclared, missing, quoted and non-binary tokens,
+# one holding a ? and one too many
 MUTANT_TOKENS = [
-    "nan", "1e400", "-inf", "Infinity", "zz", "?", "'?'", "1.5", "0", "1", "2", "1_0", "1,0"
+    "nan", "1e400", "-inf", "Infinity", "zz", "?", "'?'", "1?", "1.5", "0", "1", "2", "1_0", "1,0"
 ]
 PADDING = ["", " ", "\t", "\xa0"]
+# irregular sparse rows: entries out of order, an index twice or out of
+# range, an entry of three tokens or of one, rows with no entry or with an
+# empty one, and a missing or non-finite value
+SPARSE_FAULTS = [
+    "unsorted", "duplicate", "range", "three", "one", "{}", "{ }", "{,}", "?", "nan"
+]
+
+
+def sparse_line(draw, cells, fault=None):
+    """Some of ``cells`` as a sparse row, its indices ascending unless ``fault`` says otherwise."""
+    entries = [[str(i), cells[i]] for i in sorted(draw(st.sets(st.integers(0, len(cells) - 1))))]
+    if entries:
+        at = draw(st.integers(0, len(entries) - 1))
+        if fault in ("?", "nan"):
+            entries[at][1] = fault
+        elif fault == "three":
+            entries[at].append(draw(st.sampled_from(["0", "1", cells[-1]])))
+        elif fault == "one":
+            del entries[at][draw(st.integers(0, 1))]
+        elif fault == "range":
+            entries[at][0] = draw(st.sampled_from(["-1", str(len(cells))]))
+        elif fault == "duplicate":
+            entries.insert(at, [entries[at][0], draw(st.sampled_from(["0", "1", cells[-1]]))])
+        elif fault == "unsorted" and len(entries) > 1:
+            entries.insert(at, entries.pop(draw(st.integers(0, len(entries) - 1))))
+    body = draw(st.sampled_from([",", ", "])).join(" ".join(entry) for entry in entries)
+    if fault in ("{}", "{ }", "{,}"):
+        body = fault[1:-1]
+    return "{" + body + "}"
 
 
 @st.composite
 def mutated_mulan(draw):
     """A written dataset whose data rows got bad tokens or whitespace around
-    their tokens, some rewritten as sparse rows."""
+    their tokens, some rewritten as sparse rows, regular or not; in half the
+    files every row is sparse, so that whole blocks are."""
     # files without missing values, half of them, hold dense blocks that decode whole
     d = draw(datasets(max_n=8, allow_missing=draw(st.booleans())))
     arff_text, xml_text = write_mulan(d)
     lines = arff_text.splitlines()
     first = lines.index("@data") + 1
+    rows = [line.split(",") for line in lines[first:]]
+    sparse = [draw(st.booleans())] * len(rows)
+    faults = [None] * len(rows)
     for _ in range(draw(st.integers(0, 3))):
-        at = draw(st.integers(first, len(lines) - 1))
-        cells = lines[at].split(",")
+        at = draw(st.integers(0, len(rows) - 1))
+        cells = rows[at]
         if draw(st.booleans()):
             cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(MUTANT_TOKENS))
         if draw(st.booleans()):
             pad = st.sampled_from(PADDING)
-            cells = [draw(pad) + cell + draw(pad) for cell in cells]
-        if draw(st.booleans()):
-            kept = sorted(draw(st.sets(st.integers(0, len(cells) - 1))))
-            lines[at] = "{" + ", ".join(f"{i} {cells[i]}" for i in kept) + "}"
-        else:
-            lines[at] = ",".join(cells)
+            cells = rows[at] = [draw(pad) + cell + draw(pad) for cell in cells]
+        # a sparse row among dense ones, or the other way round
+        sparse[at] = draw(st.booleans())
+        faults[at] = draw(st.sampled_from([None, *SPARSE_FAULTS]))
+    for at, cells in enumerate(rows):
+        line = sparse_line(draw, cells, faults[at]) if sparse[at] else ",".join(cells)
+        lines[first + at] = line
     return "\n".join(lines) + "\n", xml_text
 
 
@@ -419,8 +471,11 @@ def parse_outcome(arff_text, xml_text):
     return d.name, d.attributes, d.labels, [(a.shape, a.dtype, a.tolist()) for a in arrays]
 
 
-ONE_NUMERIC = "@relation r\n@attribute a numeric\n@attribute A {0,1}\n@data\n1.5,0\n"
+NUMERIC_HEAD = "@relation r\n@attribute a numeric\n@attribute A {0,1}\n@data\n"
+ONE_NUMERIC = NUMERIC_HEAD + "1.5,0\n"
 XML_A = '<labels><label name="A"></label></labels>'
+# a declared value holding a space, so that a sparse entry of three tokens can name it
+SPACED = "@relation r\n@attribute c {'a b',c}\n@attribute A {0,1}\n@data\n"
 
 
 @settings(max_examples=300, deadline=None)
@@ -428,6 +483,18 @@ XML_A = '<labels><label name="A"></label></labels>'
 @example((ONE_NUMERIC + "nan,1\n", XML_A))  # a non-finite feature
 @example((ONE_NUMERIC + "2.5,1,0\n", XML_A))  # a token too many
 @example((ONE_NUMERIC + "2.5\n", XML_A))  # a token too few
+@example((ONE_NUMERIC + "?,1\n1?,0\n", XML_A))  # a missing value, and a token holding a ?
+@example((NUMERIC_HEAD + "{0 nan, 1 1}\n", XML_A))  # a non-finite sparse feature
+@example((NUMERIC_HEAD + "{1 1, 0 2.5}\n", XML_A))  # sparse indices out of order
+@example((NUMERIC_HEAD + "{0 ?, 1 1}\n{}\n{ }\n", XML_A))  # a missing value, rows without entries
+@example((NUMERIC_HEAD + "{0 2.5, 0 3.5}\n", XML_A))  # an index twice
+@example((NUMERIC_HEAD + "{,}\n", XML_A))  # an empty entry
+@example((NUMERIC_HEAD + "{-1 1}\n", XML_A))  # an index out of range, whose value would fit
+@example((NUMERIC_HEAD + "{2 1}\n", XML_A))  # an index one past the last column
+@example((NUMERIC_HEAD + "{0 1},{1 1}\n", XML_A))  # two sparse rows on one line
+@example((NUMERIC_HEAD + "{0 2.5 1}\n", XML_A))  # three tokens, the first two decoding
+@example((NUMERIC_HEAD + "{1}\n", XML_A))  # one token
+@example((SPACED + "{1 1}\n{0 a b, 1 1}\n", XML_A))  # three tokens naming one value
 def test_column_blocks_decode_as_every_row_alone(files):
     with pytest.MonkeyPatch.context() as patch:
         # three-row blocks, so that clean and fallback blocks meet inside a file
@@ -499,7 +566,8 @@ class TestBlockBoundaries:
         assert np.array_equal(d.nominal, nominal)
         assert np.array_equal(d.y, self.clean.y)
 
-    def test_only_a_block_that_does_not_decode_whole_goes_row_by_row(self, monkeypatch):
+    def rows_decoded_alone(self, monkeypatch):
+        """The line numbers that :meth:`arff._RowParser.row` decodes from now on."""
         decoded = []
         row_alone = arff._RowParser.row
 
@@ -508,11 +576,54 @@ class TestBlockBoundaries:
             return row_alone(parser, line, line_no)
 
         monkeypatch.setattr(arff._RowParser, "row", spy)
+        return decoded
+
+    def sparse(self, lines):
+        """The data rows of ``lines`` as sparse rows, without the cells that
+        hold their column's default (0 or the first declared value)."""
+        defaults = (None, None, "red", "0", "0")
+        rows = [
+            ",".join(f"{j} {cell}" for j, cell in enumerate(line.split(",")) if cell != defaults[j])
+            for line in lines[self.data :]
+        ]
+        return lines[: self.data] + ["{" + row + "}" for row in rows]
+
+    def test_only_a_block_that_does_not_decode_whole_goes_row_by_row(self, monkeypatch):
+        decoded = self.rows_decoded_alone(monkeypatch)
         assert self.parse(self.lines) == self.clean
         assert decoded == []
-        self.parse(self.with_cell(arff._PARSE_ROWS + 100, 0, "?"))
+        second = range(self.data + arff._PARSE_ROWS + 1, self.data + 2 * arff._PARSE_ROWS + 1)
+        # a missing value, and a padded nominal value, which only the row path strips
+        for column, token in ((0, "?"), (2, " {}")):
+            decoded.clear()
+            self.parse(self.with_cell(arff._PARSE_ROWS + 100, column, token))
+            assert decoded == list(second)
+
+    def test_sparse_rows_decode_by_column(self, monkeypatch):
+        decoded = self.rows_decoded_alone(monkeypatch)
+        row = arff._PARSE_ROWS + 100
+        with_missing = self.with_cell(row + 1, 2, "?", self.with_cell(row, 0, "?"))
+        missing = self.parse(with_missing)
+        decoded.clear()
+        for lines, expected in (
+            (self.sparse(self.lines), self.clean),
+            (self.sparse(with_missing), missing),
+        ):
+            d = self.parse(lines)
+            assert d == expected
+            assert np.array_equal(d.numeric.view(np.uint64), expected.numeric.view(np.uint64))
+        # only the sparse block holding a missing value goes row by row
         second = range(self.data + arff._PARSE_ROWS + 1, self.data + 2 * arff._PARSE_ROWS + 1)
         assert decoded == list(second)
+
+    def test_a_nan_token_beside_missing_values_keeps_its_error(self):
+        row = arff._PARSE_ROWS + 100
+        lines = self.with_cell(row + 2, 1, "nan", self.with_cell(row, 0, "?"))
+        for lines in (lines, self.sparse(lines)):
+            message = "non-finite value 'nan' for attribute 'y'"
+            with pytest.raises(MulanFormatError, match=message) as err:
+                self.parse(lines)
+            assert err.value.line == self.data + row + 3
 
     def test_padding_line_endings_comments_and_blank_lines(self):
         lines = self.with_cell(5, 0, " {}\t")

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from mlresample import AttributeSpec, label_matrix, stratified_kfold
+from mlresample import AttributeSpec, MultiLabelDataset, label_matrix, stratified_kfold
 from mlresample.partitioning import FoldAssignment, fold_datasets
 from mlresample.synthetic import random_dataset
 
+from _oracles import oracle_stratified_fold_of
 from conftest import make_dataset
 
 
@@ -83,6 +87,35 @@ class TestStratifiedKFold:
         assert lines[0] == "instance_index,fold"
         assert len(lines) == 7
         assert lines[1].startswith("0,")
+
+
+@st.composite
+def label_matrices(draw):
+    """A fold count and a label matrix with at least that many rows, many of them repeated."""
+    folds = draw(st.integers(2, 10))
+    n, k = draw(st.integers(folds, 60)), draw(st.integers(1, 6))
+    distinct = draw(arrays(np.bool_, (draw(st.integers(1, n)), k)))
+    picks = draw(arrays(np.intp, n, elements=st.integers(0, len(distinct) - 1)))
+    return folds, distinct[picks]
+
+
+# 500 of 501 rows hold the label, so the two folds' demands come to differ
+# by 1/501, which np.isclose's relative tolerance calls a tie
+RELATIVE_TIE = np.arange(501)[:, None] < 500
+
+
+@settings(max_examples=150, deadline=None)
+@given(label_matrices(), st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+@example((2, RELATIVE_TIE), [0])
+def test_folds_match_the_per_instance_numpy_placement(folds_and_y, seeds):
+    folds, y = folds_and_y
+    n, k = y.shape
+    labels = tuple(f"L{l}" for l in range(k))
+    d = MultiLabelDataset.from_arrays(
+        (AttributeSpec("x"),), labels, np.zeros((n, 1)), np.zeros((n, 0), np.int64), y
+    )
+    for seed in seeds:
+        assert stratified_kfold(d, folds, seed).fold_of == oracle_stratified_fold_of(d, folds, seed)
 
 
 class TestFoldDatasets:
