@@ -8,20 +8,21 @@ attributes are out of scope.
 
 Numeric feature values must be finite: ``nan``, ``inf``, ``-Infinity`` and
 literals that overflow a float (``1e400``) are rejected with their line
-number.
+number, as are numbers that only Python's ``float`` reads, with digit-group
+underscores (``1_0.5``) or non-ASCII digits.
 
 The XML header lists the label attributes; nested label hierarchies are
 flattened to their name list in document order.  Label columns must hold 0/1.
 
 The parser reads the data section in blocks of stripped lines, which take
-one of three shapes.  A clean dense block (no brace, no quote, no missing
-value ``?``, one token per column on every line) is split in one call and
-decoded one column at a time, each column by its own decoder in one pass,
-straight into a float block.  A clean sparse block (every line one
-``{...}`` with no other brace, and no quote or ``?``) has all its
-``index value`` entries split at once; the indices are decoded in one pass,
-and the values land in a block holding every column's default, so no row is
-expanded to all columns.  Any other block, and any block with a token that
+one of three shapes; a clean block is ASCII without a quote, a missing
+value ``?`` or an underscore.  A clean dense block (no brace, one token per
+column on every line) is split in one call and decoded one column at a
+time, each column by its own decoder in one pass, straight into a float
+block.  A clean sparse block (every line one ``{...}`` with no other brace)
+has all its ``index value`` entries split at once; the indices are decoded
+in one pass, and the values land in a block holding every column's
+default, so no row is expanded to all columns.  Any other block, and any block with a token that
 does not decode, an entry that is not one index and one value, indices that
 are not ascending, or a non-finite feature, is decoded line by line instead,
 and the first bad line raises its error with its line number; so every
@@ -32,17 +33,27 @@ first bad row again, for the error and its line.
 
 The writer formats each distinct feature row once: clones and decoupled
 copies repeat their source's values, and a :class:`RowFormatter` shared
-across calls does the same for the folds cut from one dataset.  It quotes
-every name and value holding whitespace or ARFF syntax, and rejects one
-holding a line break, or a label name holding a character XML 1.0 lacks,
-because neither would read back.
+across calls does the same for the folds cut from one dataset.
+:func:`read_mulan` parses like :func:`parse_mulan` and also returns a
+formatter that already holds every data line the writer would write
+unchanged for the row it decodes to, so that rows taken from the input are
+never spelled again.  Such a line lists the features in declaration order,
+then the labels in XML order, holds no quote, and spells each cell as the
+writer does: ``0`` or ``1`` for a label, ``?`` or a declared value that
+needs no quotes for a nominal feature, and ``?`` or a number in
+:data:`_CANONICAL_NUMBER` for a numeric one.  The writer quotes every name
+and value holding whitespace or ARFF syntax, and rejects one holding a line
+break, or a label name holding a character XML 1.0 lacks, because neither
+would read back.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import xml.etree.ElementTree as ElementTree
-from itertools import repeat
+from functools import cached_property
+from itertools import compress, groupby, repeat
 from operator import getitem, itemgetter
 
 import numpy as np
@@ -54,6 +65,15 @@ _NUMERIC_KINDS = {"numeric", "real", "integer"}
 # Data lines decoded together into one float block.
 _PARSE_ROWS = 512
 
+# A number that repr spells back unchanged: positional notation with at most
+# 15 significant digits, and zero or 1e-4 <= |x| < 1e16.  15 digits are the
+# unique shortest decimal that reads back as their double, and repr writes
+# such a double positionally.
+_CANONICAL_NUMBER = (
+    r"-?(?=[0-9.]{3,16}(?![0-9.]))"
+    r"(?:0\.0|[1-9][0-9]*\.(?:0|[0-9]*[1-9])|0\.0{0,3}[1-9](?:[0-9]*[1-9])?)"
+)
+
 
 class MulanFormatError(ValueError):
     """Malformed ARFF text or XML label header; carries a 1-based line number."""
@@ -61,6 +81,15 @@ class MulanFormatError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
+
+
+def _arff_number(token: str) -> str:
+    """``token``, or ValueError when it holds an underscore or a non-ASCII
+    character: ``float`` and ``int`` read digit-group underscores and
+    non-ASCII digits, which ARFF numbers do not have."""
+    if "_" in token or not token.isascii():
+        raise ValueError(token)
+    return token
 
 
 def _unquote(token: str) -> str:
@@ -220,7 +249,7 @@ class _RowParser:
                 ) from None
         token = _unquote(token)
         try:
-            value = float(token)
+            value = float(_arff_number(token))
         except ValueError:
             raise MulanFormatError(
                 f"non-numeric value {token!r} for attribute {attr.name!r}", line_no
@@ -246,7 +275,7 @@ class _RowParser:
                 if len(pieces) != 2:
                     raise MulanFormatError(f"bad sparse entry {entry!r}", line_no)
                 try:
-                    idx = int(pieces[0])
+                    idx = int(_arff_number(pieces[0]))
                 except ValueError:
                     raise MulanFormatError(f"bad sparse index {pieces[0]!r}", line_no) from None
                 if not 0 <= idx < len(columns):
@@ -261,18 +290,21 @@ class _RowParser:
             raise MulanFormatError(
                 f"expected {len(columns)} values, got {len(tokens)}", line_no
             )
-        try:
-            cells = [decode(token) for decode, token in zip(self.decoders, tokens)]
-            if math.isfinite(sum(cells)):
-                return cells
-        except (KeyError, ValueError):
-            pass
+        # only cell() rejects the underscores and non-ASCII digits that float() reads
+        if line.isascii() and "_" not in line:
+            try:
+                cells = [decode(token) for decode, token in zip(self.decoders, tokens)]
+                if math.isfinite(sum(cells)):
+                    return cells
+            except (KeyError, ValueError):
+                pass
         return [self.cell(i, token, line_no) for i, token in enumerate(tokens)]
 
     def cells(self, lines: list[str], line_numbers: list[int]) -> np.ndarray:
         """The cells of stripped data lines as one float block, NaN for a missing value.
 
-        A block without a quote or a ``?`` takes a column path when its
+        An ASCII block without a quote, a ``?`` or an underscore (which
+        ``float`` and ``int`` read in a number) takes a column path when its
         lines are all dense, without a brace and each with one token per
         column, or all sparse, each a ``{...}`` with no other brace.  Every
         other block, and every block whose column path does not decode whole
@@ -283,8 +315,9 @@ class _RowParser:
         """
         text = ",".join(lines)
         cells = None
-        # a quote or a missing value sends the block to the row path before it is split
-        if not any(mark in text for mark in "'\"?"):
+        # a quote, a missing value, an underscore or a non-ASCII character
+        # sends the block to the row path before it is split
+        if text.isascii() and not any(mark in text for mark in "'\"?_"):
             n = len(lines)
             if "{" not in text:
                 if all(line.count(",") == len(self.columns) - 1 for line in lines):
@@ -422,13 +455,35 @@ def _label_numbers(attr: AttributeSpec, width: int) -> np.ndarray:
     return numbers
 
 
-def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
-    """Parse a MULAN ARFF/XML pair into a dataset.
+def _writer_lines(parser: _RowParser) -> re.Pattern | None:
+    """The pattern of the data lines that the writer writes unchanged for the
+    rows they decode to, or None when the columns are not in the writer's
+    order: the features in declaration order, then the labels in XML order."""
+    if parser.feature_columns + parser.label_columns != list(range(len(parser.columns))):
+        return None
+    cells = []
+    for i in parser.feature_columns:
+        values = parser.columns[i].values
+        # the values the writer leaves unquoted; one free of ARFF syntax holds
+        # no quote, so _quote returns
+        spellings = (
+            [re.escape(v) for v in values if _NEEDS_QUOTING.isdisjoint(v) and _quote(v) == v]
+            if values
+            else [_CANONICAL_NUMBER]
+        )
+        cells.append("(?:" + "|".join([*spellings, r"\?"]) + ")")
+    cells += ["[01]"] * len(parser.label_columns)
+    # a run of equal cells is one repeat, so that a wide schema compiles fast
+    runs = [(cell, len(list(run))) for cell, run in groupby(cells)]
+    return re.compile(",".join(f"{cell}(?:,{cell}){{{n - 1}}}" for cell, n in runs))
 
-    The XML-declared attributes become the labels in XML order; the remaining
-    ARFF attributes become features in declaration order.  Instance and
-    attribute order is never changed.
-    """
+
+def _parse(
+    arff_text: str, xml_label_header: str, match_lines: bool
+) -> tuple[MultiLabelDataset, list[int], list[int]]:
+    """The dataset of a MULAN ARFF/XML pair, the indices of the rows whose
+    data lines :func:`_writer_lines` matches when ``match_lines``, and the
+    line number of each row."""
     label_names = parse_label_header(xml_label_header)
 
     relation = "unnamed"
@@ -438,6 +493,15 @@ def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     lines: list[str] = []
     line_numbers: list[int] = []
+    matched_rows: list[int] = []
+
+    def decode(lines: list[str]) -> None:
+        first = len(line_numbers) - len(lines)
+        blocks.append(parser.block(parser.cells(lines, line_numbers[first:])))
+        if writer_lines is not None:
+            matched = list(map(writer_lines.fullmatch, lines))
+            matched_rows.extend(compress(range(first, len(line_numbers)), matched))
+
     in_data = False
     for line_no, raw in enumerate(arff_text.splitlines(), start=1):
         line = raw.strip()
@@ -447,7 +511,7 @@ def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
             lines.append(line)
             line_numbers.append(line_no)
             if len(lines) == _PARSE_ROWS:
-                blocks.append(parser.block(parser.cells(lines, line_numbers[-_PARSE_ROWS:])))
+                decode(lines)
                 lines = []
         elif line.lower().startswith("@relation"):
             relation, _ = _take_token(line[len("@relation") :], line_no)
@@ -456,13 +520,14 @@ def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
         elif line.lower().startswith("@data"):
             in_data = True
             parser = _RowParser(tuple(columns), label_names)
+            writer_lines = _writer_lines(parser) if match_lines else None
         else:
             raise MulanFormatError(f"unexpected content {line!r}", line_no)
 
     if not in_data:
         raise MulanFormatError("no @data section found")
     # a bad data row is reported before a label missing from the attributes
-    blocks.append(parser.block(parser.cells(lines, line_numbers[len(line_numbers) - len(lines) :])))
+    decode(lines)
     del lines
 
     names = {attr.name for attr in columns}
@@ -481,11 +546,37 @@ def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
             _check_label(row[pos], columns[pos], line_no)
     attributes = tuple(columns[i] for i in parser.feature_columns)
     try:
-        return MultiLabelDataset.from_arrays(
+        d = MultiLabelDataset.from_arrays(
             attributes, label_names, numeric, nominal, values == 1.0, relation
         )
     except ValueError as exc:
         raise MulanFormatError(str(exc)) from exc
+    return d, matched_rows, line_numbers
+
+
+def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
+    """Parse a MULAN ARFF/XML pair into a dataset.
+
+    The XML-declared attributes become the labels in XML order; the remaining
+    ARFF attributes become features in declaration order.  Instance and
+    attribute order is never changed.
+    """
+    return _parse(arff_text, xml_label_header, False)[0]
+
+
+def read_mulan(arff_text: str, xml_label_header: str) -> tuple[MultiLabelDataset, RowFormatter]:
+    """:func:`parse_mulan`, plus a :class:`RowFormatter` for the dataset that
+    already holds each data line the writer would write unchanged.
+
+    Rows taken from the input, such as clones, decoupled copies and folds,
+    are then written with the input's own lines.
+    """
+    d, rows, line_numbers = _parse(arff_text, xml_label_header, True)
+    formatter = RowFormatter(d.attributes, d.k)
+    # the lines are cut from the text when the first rows are written: many
+    # small objects made now and kept would pin the memory freed around them
+    formatter._pending = (d.numeric, d.nominal, rows, [line_numbers[i] for i in rows], arff_text)
+    return d, formatter
 
 
 _NEEDS_QUOTING = frozenset(",{}%'\"")
@@ -528,7 +619,10 @@ class RowFormatter:
     rows) this formatter has met before reuses that line: whole when its
     label cells are the same too, else with the label cells swapped.  So
     clones, decoupled copies and the folds cut from one dataset are
-    formatted once when they share a formatter.
+    formatted once when they share a formatter, and :meth:`_spell` formats
+    only the rows met for the first time.  A schema that the writer cannot
+    write raises ``ValueError`` when a row is spelled, not when the
+    formatter is made.
     """
 
     def __init__(self, attributes: tuple[AttributeSpec, ...], k: int):
@@ -538,19 +632,44 @@ class RowFormatter:
         numeric, nominal = iter(range(n_numeric)), iter(range(n_numeric, len(attributes)))
         # where each attribute's cell sits in a row's numeric values followed by its codes
         self._order = [next(nominal) if attr.is_nominal else next(numeric) for attr in attributes]
-        # per nominal attribute its quoted symbols, then the "?" that the missing code -1 picks
-        self._symbols = [
-            (*(_quote(v) for v in attr.values), "?") for attr in attributes if attr.is_nominal
-        ]
         # the separator before the label cells, where both kinds of cell exist
         self._sep = "," if attributes and k else ""
         # label row bytes -> separator and label cells; every tail has the same length
         self._tails: dict[bytes, str] = {}
         self._lines: dict[bytes, str] = {}  # feature row bytes -> the first line formatted for them
-        # the smallest integer type that holds every code, for shorter keys
-        self._codes = np.min_scalar_type(-max(map(len, self._symbols), default=1))
+        # the smallest integer type that holds every code and -1, for shorter keys
+        sizes = [len(attr.values) for attr in attributes if attr.is_nominal]
+        self._codes = np.min_scalar_type(-max(sizes, default=0) - 1)
+        # from read_mulan: the input's numeric and nominal rows, the rows whose
+        # lines the writer would write unchanged, those lines' numbers, and the text
+        self._pending: tuple[np.ndarray, np.ndarray, list[int], list[int], str] | None = None
+
+    @cached_property
+    def _symbols(self) -> list[tuple[str, ...]]:
+        """Per nominal attribute its quoted symbols, then the "?" that the missing code -1 picks."""
+        return [(*(_quote(v) for v in attr.values), "?") for attr in self.attributes if attr.is_nominal]
+
+    def _spell(self, numeric: np.ndarray, nominal: np.ndarray) -> str:
+        """The feature cells of one row, in attribute order."""
+        cells = [*map(repr, numeric.tolist())]
+        if "nan" in cells:
+            cells = ["?" if cell == "nan" else cell for cell in cells]  # NaN is missing
+        cells += map(getitem, self._symbols, nominal.tolist())
+        return ",".join(map(cells.__getitem__, self._order))
+
+    def _plant(self) -> None:
+        """File the lines that :func:`read_mulan` found under their rows' bytes."""
+        numeric, nominal, rows, line_numbers, text = self._pending
+        self._pending = None
+        split = text.splitlines()
+        del text  # the last reference once the caller has let go of it
+        codes = nominal.astype(self._codes)
+        for row, line_no in zip(rows, line_numbers):
+            self._lines[numeric[row].tobytes() + codes[row].tobytes()] = split[line_no - 1].strip()
 
     def lines(self, d: MultiLabelDataset) -> list[str]:
+        if self._pending is not None:
+            self._plant()
         order, tails, known = self._order, self._tails, self._lines
         out = []
         for numeric, nominal, labels in zip(d.numeric, d.nominal.astype(self._codes), d.y):
@@ -562,11 +681,7 @@ class RowFormatter:
             key = numeric.tobytes() + nominal.tobytes()
             line = known.get(key)
             if line is None:
-                cells = [*map(repr, numeric.tolist())]
-                if "nan" in cells:
-                    cells = ["?" if cell == "nan" else cell for cell in cells]  # NaN is missing
-                cells += map(getitem, self._symbols, nominal.tolist())
-                line = known[key] = ",".join(map(cells.__getitem__, order)) + tail
+                line = known[key] = self._spell(numeric, nominal) + tail
             elif not line.endswith(tail):
                 line = line[: len(line) - len(tail)] + tail
             out.append(line)

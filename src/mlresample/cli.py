@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .arff import MulanFormatError, RowFormatter, parse_mulan, write_mulan
+from .arff import MulanFormatError, RowFormatter, parse_mulan, read_mulan, write_mulan
 from .dataset import MultiLabelDataset
 from .decoupling import DecoupleConfig, HybridConfig, hybrid_resample
 from .evaluation import evaluate
@@ -172,7 +172,8 @@ def _method_config(args) -> MLROSConfig | MLENNConfig | MLSMOTEConfig:
 
 
 def cmd_resample(args, argv: list[str]) -> int:
-    d = _read_dataset(args.arff, args.xml)
+    # rows holds the input's data lines, for the rows the output takes from it
+    d, rows = read_mulan(_read_text(args.arff), _read_text(args.xml))
     seed = args.seed if args.seed is not None else _default_seed()
     config = ResampleConfig(method=_method_config(args), seed=seed)
     suffix = config.method_name
@@ -190,7 +191,12 @@ def cmd_resample(args, argv: list[str]) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     arff_path = out_dir / "resampled.arff"
     xml_path = out_dir / "resampled.xml"
-    _write_dataset(out, arff_path, xml_path)
+    arff_text, xml_text = write_mulan(out, rows)
+    # the input's lines go before the output is encoded, and the output before the report is
+    del rows
+    arff_path.write_text(arff_text)
+    xml_path.write_text(xml_text)
+    del arff_text
     (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     parameters = {
         "method": args.method,
@@ -224,13 +230,13 @@ def cmd_resample(args, argv: list[str]) -> int:
 
 
 def cmd_partition(args, argv: list[str]) -> int:
-    d = _read_dataset(args.arff, args.xml)
+    # every fold file reuses the input's data lines
+    d, rows = read_mulan(_read_text(args.arff), _read_text(args.xml))
     seed = args.seed if args.seed is not None else _default_seed()
     assignment = stratified_kfold(d, args.folds, seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
-    rows = RowFormatter(d.attributes, d.k)  # every fold file reuses the input's formatted rows
     for f in range(args.folds):
         train, test = fold_datasets(d, assignment, f)
         for part, ds in (("train", train), ("test", test)):

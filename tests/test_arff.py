@@ -11,9 +11,12 @@ from mlresample import (
     Labelset,
     MulanFormatError,
     MultiLabelDataset,
+    fold_datasets,
     ml_ros,
+    mlsmote,
     parse_mulan,
     remedial,
+    stratified_kfold,
     write_mulan,
 )
 from mlresample import arff
@@ -374,9 +377,11 @@ def parse_with_full_check(arff_text, xml_text):
 
 
 # non-finite, overflowing, undeclared, missing, quoted and non-binary tokens,
-# one holding a ? and one too many
+# numbers that only Python's float() reads (digit-group underscores and
+# Arabic-Indic digits), one holding a ? and one too many
 MUTANT_TOKENS = [
-    "nan", "1e400", "-inf", "Infinity", "zz", "?", "'?'", "1?", "1.5", "0", "1", "2", "1_0", "1,0"
+    "nan", "1e400", "-inf", "Infinity", "zz", "?", "'?'", "1?", "1.5", "0", "1", "2", "1_0",
+    "\u0661\u0662", "1,0",
 ]
 PADDING = ["", " ", "\t", "\xa0"]
 # irregular sparse rows: entries out of order, an index twice or out of
@@ -697,3 +702,142 @@ def test_row_formatter_of_another_schema_rejected(toy6):
     other = make_dataset([AttributeSpec("a")], ("A",), [((1.0,), [0])])
     with pytest.raises(ValueError, match="another schema"):
         write_mulan(toy6, RowFormatter(other.attributes, other.k))
+
+
+class TestNumbersOnlyFloatReads:
+    """``float`` reads digit-group underscores and non-ASCII digits, which
+    ARFF numbers do not have; every path rejects them with the same message."""
+
+    @pytest.mark.parametrize("token", ["1_0.5", "\u0661\u0662", "'1_0.5'"])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            "{},1\n",  # a dense row
+            "{{0 {}, 1 1}}\n",  # a sparse row
+            "{},'1'\n",  # a dense row that the quote sends down the row path
+        ],
+    )
+    def test_rejected_with_line(self, token, data):
+        arff_text = ONE_NUMERIC + data.format(token)
+        message = f"non-numeric value {token.strip(chr(39))!r} for attribute 'a'"
+        with pytest.raises(MulanFormatError, match=re.escape(message)) as err:
+            parse_mulan(arff_text, XML_A)
+        assert err.value.line == 6
+
+    def test_sparse_index_with_an_underscore(self):
+        with pytest.raises(MulanFormatError, match="bad sparse index '0_0'") as err:
+            parse_mulan(NUMERIC_HEAD + "{0_0 1.5, 1 1}\n", XML_A)
+        assert err.value.line == 5
+
+    def test_nominal_values_may_hold_them(self):
+        arff_text = (
+            "@relation r\n@attribute c {a_b,\u00e9t\u00e9,\u0661}\n@attribute A {0,1}\n@data\n"
+            "a_b,1\n\u00e9t\u00e9,0\n{0 \u0661, 1 1}\n"
+        )
+        d, rows = arff.read_mulan(arff_text, XML_A)
+        assert d == parse_mulan(arff_text, XML_A)
+        assert d.nominal[:, 0].tolist() == [0, 1, 2]
+        assert write_mulan(d, rows) == oracle_write_mulan(d)
+
+
+# tokens that repr writes back unchanged, and tokens that must be spelled again
+CANONICAL_NUMBERS = ["0.0001", "-0.0", "0.0", "10.0", "100.5", "0.12345678901234"]
+OTHER_NUMBERS = [
+    "0.00009", "1.50", "01.5", "+1.5", ".5", "5.", "1e-05", "1_0.5", "9999999999999999.0",
+    "0.100000000000001",
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.from_regex(arff._CANONICAL_NUMBER, fullmatch=True))
+def test_every_canonical_number_is_what_repr_writes(token):
+    assert repr(float(token)) == token
+
+
+@pytest.mark.parametrize("token", CANONICAL_NUMBERS)
+def test_canonical_numbers_are_accepted(token):
+    assert re.fullmatch(arff._CANONICAL_NUMBER, token)
+    assert repr(float(token)) == token
+
+
+@pytest.mark.parametrize("token", OTHER_NUMBERS)
+def test_other_numbers_fall_back(token):
+    assert re.fullmatch(arff._CANONICAL_NUMBER, token) is None
+
+
+def written_from(d, seed):
+    """What ``resample`` and ``partition`` write from ``d``: ``d`` itself, its
+    subsets, ML-ROS clones, REMEDIAL copies, MLSMOTE output and two folds,
+    each where the method accepts ``d``."""
+    rng = np.random.default_rng(seed)
+    out = [d, d.subset(range(0, d.n, 2)), d.subset(reversed(range(d.n)))]
+    if d.y.any(axis=0).all():  # every label occurs, so every IRLbl is defined
+        split, _ = remedial(d, DecoupleConfig.from_spec("p25"))
+        out += [split, ml_ros(d, 60, rng)[0], ml_ros(split, 60, rng)[0]]
+        if d.n > 1:
+            try:
+                out.append(mlsmote(d, 1, rng)[0])
+            except ValueError:  # a synthetic value beyond the float range
+                pass
+    if d.n > 1:
+        assignment = stratified_kfold(d, 2, seed)
+        out += [part for f in range(2) for part in fold_datasets(d, assignment, f)]
+    return out
+
+
+def assert_seeded_writes_match(arff_text, xml_text, seed):
+    """Every dataset written from the file through the formatter that
+    ``read_mulan`` seeded reads as the cell-by-cell writer writes it."""
+    d, rows = arff.read_mulan(arff_text, xml_text)
+    assert d == parse_mulan(arff_text, xml_text)
+    for out in written_from(d, seed):
+        assert write_mulan(out, rows) == oracle_write_mulan(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets(ensure_all_labels=True, quotable_values=True), st.integers(0, 2**32))
+def test_seeded_writes_of_written_files(d, seed):
+    assert_seeded_writes_match(*write_mulan(d), seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_mulan(), st.integers(0, 2**32))
+def test_seeded_writes_of_mutated_files(files, seed):
+    try:
+        parse_mulan(*files)
+    except MulanFormatError as exc:
+        with pytest.raises(MulanFormatError) as err:
+            arff.read_mulan(*files)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+    else:
+        assert_seeded_writes_match(*files, seed)
+
+
+def test_only_lines_in_the_writers_form_are_reused(monkeypatch):
+    spelled = []
+    spell = RowFormatter._spell
+
+    def spy(formatter, numeric, nominal):
+        spelled.append(spell(formatter, numeric, nominal))
+        return spelled[-1]
+
+    monkeypatch.setattr(RowFormatter, "_spell", spy)
+    lines = ["0.0001,red,1,1", "1.50,blue,0,0", "-0.0,?,0,1", "?,red,1,0", "1e-05,red,1,1"]
+    arff_text = DENSE_TWO + "\n".join(lines) + "\n"
+    d, rows = arff.read_mulan(arff_text, XML_TWO)
+    assert write_mulan(d, rows) == oracle_write_mulan(d)
+    assert spelled == ["1.5,blue", "1e-05,red"]
+    # values that the writer quotes, here read unquoted
+    spelled.clear()
+    arff_text = "@relation r\n@attribute c {'a b','c%d',e}\n@attribute A {0,1}\n@data\n"
+    d, rows = arff.read_mulan(arff_text + "a b,1\nc%d,0\ne,1\n", XML_A)
+    assert write_mulan(d, rows) == oracle_write_mulan(d)
+    assert spelled == ['"a b"', '"c%d"']
+    # binary features with the labels declared among them: each line holds
+    # cells the writer writes, but not in its column order
+    spelled.clear()
+    arff_text = "@relation r\n" + "".join(f"@attribute {a} {{0,1}}\n" for a in "AfBg") + "@data\n"
+    xml_text = '<labels><label name="A"></label><label name="B"></label></labels>'
+    d, rows = arff.read_mulan(arff_text + "1,0,0,1\n0,1,1,1\n", xml_text)
+    assert write_mulan(d, rows) == oracle_write_mulan(d)
+    assert spelled == ["0,1", "1,1"]

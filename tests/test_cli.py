@@ -13,6 +13,7 @@ from mlresample import (
     stratified_kfold,
     write_mulan,
 )
+from mlresample.arff import RowFormatter
 from mlresample.cli import main
 from mlresample.synthetic import imbalanced_dataset, separable_clusters
 
@@ -391,3 +392,110 @@ class TestRowsCheckedOnce:
         assert len(checked) == 40
         d.subset(range(30))
         assert len(checked) == 40
+
+
+# one data set in two spellings: as the writer spells it, and with the labels
+# declared first, padded and signed numbers, an exponent and quoted cells
+CANONICAL_ARFF = """@relation spelled
+@attribute x numeric
+@attribute color {red,blue}
+@attribute A {0,1}
+@attribute B {0,1}
+@attribute C {0,1}
+@data
+"""
+OTHER_ARFF = """@relation spelled
+@attribute B {0,1}
+@attribute x numeric
+@attribute A {0,1}
+@attribute color {red,blue}
+@attribute C {0,1}
+@data
+"""
+SPELLED_XML = """<labels xmlns="http://mulan.sourceforge.net/labels">
+<label name="A"></label><label name="B"></label><label name="C"></label></labels>
+"""
+# x as repr writes it and otherwise, color, then labels A B C
+SPELLED_ROWS = [
+    ("1.5", "1.50", "red", "100"), ("2.0", "+2.0", "blue", "110"), ("1e-05", "0.00001", "red", "101"),
+    ("3.25", "'3.25'", "blue", "100"), ("-0.5", "-0.50", "red", "010"), ("10.0", "1e1", "red", "100"),
+    ("0.125", ".125", "blue", "110"), ("7.75", "7.750", "red", "100"), ("-4.0", "-4", "blue", "011"),
+    ("0.001", "1E-3", "red", "100"),
+]
+
+
+def spelled_inputs(directory):
+    """One data set as the writer spells it, with other numbers in the
+    writer's column order, and spelled otherwise; each an (arff, xml) pair."""
+    canonical = [f"{x},{c},{','.join(bits)}" for x, _, c, bits in SPELLED_ROWS]
+    numbers = [f"{x},{c},{','.join(bits)}" for _, x, c, bits in SPELLED_ROWS]
+    other = [f"{bits[1]},{x},'{bits[0]}',\"{c}\",{bits[2]}" for _, x, c, bits in SPELLED_ROWS]
+    pairs = []
+    for name, head, rows in (
+        ("canonical", CANONICAL_ARFF, canonical),
+        ("numbers", CANONICAL_ARFF, numbers),
+        ("other", OTHER_ARFF, other),
+    ):
+        (directory / f"{name}.arff").write_text(head + "\n".join(rows) + "\n")
+        (directory / f"{name}.xml").write_text(SPELLED_XML)
+        pairs.append((f"{name}.arff", f"{name}.xml"))
+    return pairs
+
+
+class TestInputSpelling:
+    """``resample`` and ``partition`` copy input lines already in the writer's
+    form and spell the rest, so their outputs never depend on the input's spelling."""
+
+    JOBS = [
+        ["resample", "--method", "mlros", "--remedial", "p25", "--seed", "3"],
+        ["resample", "--method", "mlsmote", "--k", "2", "--seed", "3"],
+        ["resample", "--method", "mlenn", "--nn", "2"],
+        ["partition", "--folds", "3", "--seed", "3"],
+    ]
+
+    @pytest.mark.parametrize("job", JOBS, ids=["mlros-p25", "mlsmote", "mlenn", "partition"])
+    def test_both_spellings_write_the_same_bytes(self, job, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for arff, xml in spelled_inputs(tmp_path):
+            out_dir = tmp_path / f"out-{arff}"
+            assert main([job[0], arff, xml, *job[1:], "--out-dir", str(out_dir)]) == 0
+            files = tree_bytes(out_dir)
+            del files["manifest.json"]  # it names the input files
+            outputs.append(files)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0]) >= 3
+
+    def spelled(self, monkeypatch):
+        """The rows that RowFormatter spells from now on, each as its feature cells."""
+        spelled = []
+        spell = RowFormatter._spell
+
+        def spy(formatter, numeric, nominal):
+            spelled.append(spell(formatter, numeric, nominal))
+            return spelled[-1]
+
+        monkeypatch.setattr(RowFormatter, "_spell", spy)
+        return spelled
+
+    @pytest.mark.parametrize(
+        "method", [["mlros", "--remedial", "p25"], ["mlsmote"], ["mlsmote", "--remedial", "p25"]]
+    )
+    def test_only_rows_new_to_the_input_are_spelled(self, method, tmp_path, monkeypatch):
+        d = imbalanced_dataset(2, n=150, k=6)
+        # three decimals, which repr writes as they are
+        d = MultiLabelDataset.from_arrays(
+            d.attributes, d.labels, d.numeric.round(3), d.nominal, d.y, d.name
+        )
+        arff, xml = write_dataset_files(d, tmp_path, "data")
+        spelled = self.spelled(monkeypatch)
+        argv = ["resample", arff, xml, "--method", *method, "--seed", 1, "--out-dir", tmp_path / "out"]
+        assert main([str(a) for a in argv]) == 0
+        added = json.loads((tmp_path / "out" / "report.json").read_text())["added"]
+        synthetic = sum(a["kind"] == "synthetic" for a in added)
+        assert len(added) > 0 and (synthetic > 0) == (method[0] == "mlsmote")
+        assert len(spelled) == synthetic
+        # partition writes every row with the input's lines
+        argv = ["partition", arff, xml, "--folds", 3, "--out-dir", tmp_path / "folds"]
+        assert main([str(a) for a in argv]) == 0
+        assert len(spelled) == synthetic
