@@ -23,7 +23,6 @@ from mlresample import (
     evaluate,
     hybrid_resample,
     imbalance_summary,
-    label_matrix,
     mean_ir,
     mlknn_predict,
     mlknn_train,
@@ -41,7 +40,7 @@ def fold_f_measure(d, assignment, preprocess, folds: int, k_nn: int) -> float:
     for f in range(folds):
         train, test = fold_datasets(d, assignment, f)
         model = mlknn_train(preprocess(train), k_nn=min(k_nn, train.n - 1))
-        report = evaluate(label_matrix(test), mlknn_predict(model, test))
+        report = evaluate(test.y, mlknn_predict(model, test))
         values.append(report.f_measure)
     return float(np.mean(values))
 

@@ -1,14 +1,7 @@
 """Imbalance metrics, resampling and label-decoupling tools for multilabel datasets."""
 
 from .arff import MulanFormatError, parse_label_header, parse_mulan, write_mulan
-from .dataset import (
-    AttributeSpec,
-    Instance,
-    Labelset,
-    MultiLabelDataset,
-    label_counts,
-    label_matrix,
-)
+from .dataset import AttributeSpec, MultiLabelDataset, label_counts
 from .decoupling import (
     PERCENTILE_PRESETS,
     DecoupleConfig,
@@ -56,11 +49,9 @@ from .resampling import (
     MLSMOTEConfig,
     ResampleConfig,
     ResampleReport,
-    labelset_distance,
     ml_ros,
     mlenn,
     mlsmote,
-    new_sample,
     resample,
 )
 

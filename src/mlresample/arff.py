@@ -58,7 +58,7 @@ from operator import getitem, itemgetter
 
 import numpy as np
 
-from .dataset import AttributeSpec, FeatureValue, MultiLabelDataset
+from .dataset import AttributeSpec, MultiLabelDataset
 
 _NUMERIC_KINDS = {"numeric", "real", "integer"}
 
@@ -235,7 +235,7 @@ class _RowParser:
             [_label_numbers(attr, width) for attr in nominal]
         ).reshape(len(nominal), width)
 
-    def cell(self, i: int, token: str, line_no: int) -> FeatureValue:
+    def cell(self, i: int, token: str, line_no: int) -> float | int | None:
         if token == "?":
             return None
         attr = self.columns[i]
@@ -260,7 +260,7 @@ class _RowParser:
             )
         return value
 
-    def row(self, line: str, line_no: int) -> list[FeatureValue]:
+    def row(self, line: str, line_no: int) -> list[float | int | None]:
         columns = self.columns
         if line.startswith("{"):
             if not line.endswith("}"):
@@ -426,7 +426,7 @@ def parse_label_header(xml_text: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _check_label(value: FeatureValue, attr: AttributeSpec, line_no: int) -> None:
+def _check_label(value: float | int | None, attr: AttributeSpec, line_no: int) -> None:
     """Raise the error of a decoded label cell that does not read as 0 or 1."""
     if attr.is_nominal and value is not None:
         value = attr.values[value]
@@ -546,9 +546,7 @@ def _parse(
             _check_label(row[pos], columns[pos], line_no)
     attributes = tuple(columns[i] for i in parser.feature_columns)
     try:
-        d = MultiLabelDataset.from_arrays(
-            attributes, label_names, numeric, nominal, values == 1.0, relation
-        )
+        d = MultiLabelDataset(attributes, label_names, numeric, nominal, values == 1.0, relation)
     except ValueError as exc:
         raise MulanFormatError(str(exc)) from exc
     return d, matched_rows, line_numbers
@@ -558,7 +556,7 @@ def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
     """Parse a MULAN ARFF/XML pair into a dataset.
 
     The XML-declared attributes become the labels in XML order; the remaining
-    ARFF attributes become features in declaration order.  Instance and
+    ARFF attributes become features in declaration order.  Row and
     attribute order is never changed.
     """
     return _parse(arff_text, xml_label_header, False)[0]

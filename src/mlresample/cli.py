@@ -183,7 +183,7 @@ def cmd_resample(args, argv: list[str]) -> int:
         suffix = f"{decouple.spec_string()}-{suffix}"
     else:
         out, report = resample(d, config)
-    out = MultiLabelDataset.from_arrays(
+    out = MultiLabelDataset(
         out.attributes, out.labels, out.numeric, out.nominal, out.y, f"{d.name}-{suffix}"
     )
 

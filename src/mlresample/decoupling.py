@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class DecoupleConfig:
         """Parse ``"mean"`` or ``"pNN"`` (NN percent, e.g. ``p25``)."""
         if text == "mean":
             return cls(drop_empty=drop_empty)
-        if text.startswith("p") and text[1:].isdigit():
+        if text.startswith("p") and text[1:].isascii() and text[1:].isdigit():
             q = int(text[1:]) / 100.0
             if 0 < q < 1:
                 return cls(mode="percentile", q=q, drop_empty=drop_empty)
@@ -72,12 +73,17 @@ class HybridConfig:
 
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
-    """Inclusive nearest-rank quantile: the ceil(q*n)-th smallest value."""
+    """Inclusive nearest-rank quantile: the ceil(q*n)-th smallest value.
+
+    The rank is computed exactly on ``q`` as written (``0.07`` is seven
+    hundredths, not the binary float nearest to it), so ``q * n`` rounding up
+    past a whole number cannot move it.
+    """
     if values.size == 0:
         raise ValueError("quantile of an empty vector")
     if not 0 < q < 1:
         raise ValueError("q must be in (0, 1)")
-    rank = max(1, math.ceil(q * values.size))
+    rank = max(1, math.ceil(Fraction(str(float(q))) * values.size))
     return float(np.sort(values, kind="stable")[rank - 1])
 
 
@@ -109,7 +115,7 @@ def remedial(
     kept = np.flatnonzero(~dropped)
     appended = np.flatnonzero(split & ~(config.drop_empty & ~majority.any(axis=1)))
     rows = np.concatenate([kept, appended])
-    out = MultiLabelDataset.from_arrays(
+    out = MultiLabelDataset(
         d.attributes,
         d.labels,
         d.numeric[rows],

@@ -1,4 +1,4 @@
-"""Instance-based multilabel classifier using label priors and neighbor counts.
+"""Nearest-neighbour (ML-kNN) multilabel classifier using label priors and neighbor counts.
 
 Training estimates, per label, a smoothed prior from the label's frequency
 and smoothed conditional distributions of "how many of an instance's nearest

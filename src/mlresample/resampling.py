@@ -28,14 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (
-    AttributeSpec,
-    Instance,
-    Labelset,
-    MultiLabelDataset,
-    _instance_arrays,
-    _instances_of,
-)
+from .dataset import AttributeSpec, MultiLabelDataset
 from .distance import FeatureSpace, neighbors, prepare_reference
 from .metrics import ImbalanceProfile, imbalance_summary, profile
 
@@ -217,13 +210,6 @@ def _adjusted_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(union > 0, differ / np.maximum(union, 1), 0.0)
 
 
-def labelset_distance(a: Labelset, b: Labelset) -> float:
-    """Adjusted Hamming distance: differing labels over labels active in either set."""
-    k = max(a.mask.bit_length(), b.mask.bit_length())
-    rows = np.array([[l in s for l in range(k)] for s in (a, b)], dtype=bool).reshape(2, k)
-    return float(_adjusted_hamming(rows[0], rows[1]))
-
-
 def mlenn(d: MultiLabelDataset, ht: float = 0.75, nn: int = 3) -> tuple[MultiLabelDataset, ResampleReport]:
     """Edited-nearest-neighbor undersampling.
 
@@ -286,8 +272,14 @@ def _synthesize(
     sizes: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``numeric``, ``nominal`` and ``y`` arrays of one synthetic row per seed, built as
-    :func:`new_sample` describes.
+    """The ``numeric``, ``nominal`` and ``y`` arrays of one synthetic row per seed.
+
+    Numeric features interpolate between seed and reference (fresh uniform
+    draw per feature; a missing endpoint degrades to the available one; a
+    span that overflows a float is interpolated as a weighted mean).
+    Nominal features take the most frequent value among the neighbours (ties
+    to the lowest value index, missing ignored).  The labelset keeps each
+    label active in more than half of seed-plus-neighbours.
 
     ``rows`` holds the arrays that the indices refer to: seed ``i`` is row
     ``seeds[i]``, its neighbours are rows ``nearest[i]``, and its reference
@@ -308,32 +300,6 @@ def _synthesize(
         seed[np.isnan(seed)] = ref[np.isnan(seed)]  # a missing endpoint degrades to the other
     votes = y[seeds] + np.count_nonzero(y[nearest], axis=1)
     return made, _nominal_votes(nominal, nearest, sizes), votes > (nearest.shape[1] + 1) / 2
-
-
-def new_sample(
-    attributes: tuple[AttributeSpec, ...],
-    seed_instance: Instance,
-    ref_neighbor: Instance,
-    neighbors: Sequence[Instance],
-    rng: np.random.Generator,
-) -> Instance:
-    """Build one synthetic instance from a seed and its neighborhood, as :func:`mlsmote` does.
-
-    Numeric features interpolate between seed and reference (fresh uniform
-    draw per feature; a missing endpoint degrades to the available one; a
-    span that overflows a float is interpolated as a weighted mean).
-    Nominal features take the most frequent value among the neighbors (ties
-    to the lowest value index, missing ignored).  The labelset keeps each
-    label active in more than half of seed-plus-neighbors.
-    """
-    if not neighbors:
-        raise ValueError("need at least one neighbor")
-    given = (seed_instance, ref_neighbor, *neighbors)
-    k = max(inst.labels.mask.bit_length() for inst in given)
-    rows = _instance_arrays(attributes, k, given)
-    nearest = np.arange(2, len(given))[None, :]
-    made = _synthesize(rows, np.array([0]), nearest, lambda i: 1, _nominal_sizes(attributes), rng)
-    return _instances_of(attributes, *made)[0]
 
 
 def mlsmote(
@@ -372,7 +338,7 @@ def mlsmote(
         added.extend(AddedInstance(kind="synthetic", source=i) for i in bag.tolist())
     # synthetic rows are checked with the rest, numbered after the input's
     numeric, nominal, y = (np.concatenate(arrays) for arrays in zip(*parts))
-    out = MultiLabelDataset.from_arrays(d.attributes, d.labels, numeric, nominal, y, d.name)
+    out = MultiLabelDataset(d.attributes, d.labels, numeric, nominal, y, d.name)
     return out, _report(d, out, added, [])
 
 

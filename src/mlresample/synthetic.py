@@ -61,7 +61,7 @@ def random_dataset(
             y[int(rng.integers(0, n)), l] = True
 
     nominal = np.array([attr.is_nominal for attr in attributes])
-    return MultiLabelDataset.from_arrays(
+    return MultiLabelDataset(
         attributes,
         tuple(chr(ord("A") + l) if k <= 26 else f"L{l}" for l in range(k)),
         cells[:, ~nominal],
@@ -125,9 +125,7 @@ def imbalanced_dataset(
         AttributeSpec(name="group", values=("g0", "g1", "g2")),
     )
     labels = tuple(f"L{l}" for l in range(k))
-    return MultiLabelDataset.from_arrays(
-        attributes, labels, numeric, group, y, f"synthetic-imbalanced-{seed}"
-    )
+    return MultiLabelDataset(attributes, labels, numeric, group, y, f"synthetic-imbalanced-{seed}")
 
 
 def separable_clusters(
@@ -146,6 +144,6 @@ def separable_clusters(
     train = draw(n_train_per, -5.0, 0), draw(n_train_per, 5.0, 1)
     test = draw(n_test_per, -5.0, 0), draw(n_test_per, 5.0, 1)
     return tuple(
-        MultiLabelDataset.from_arrays(attributes, labels, *map(np.concatenate, zip(*parts)), name)
+        MultiLabelDataset(attributes, labels, *map(np.concatenate, zip(*parts)), name)
         for parts, name in ((train, "clusters-train"), (test, "clusters-test"))
     )

@@ -8,18 +8,38 @@ products, sorting shortcuts, vectorization).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from mlresample import MulanFormatError
 
 
+Row = namedtuple("Row", "features labels")
+
+
+def rows(d) -> list[Row]:
+    """Per row of ``d``: its features as Python scalars in declaration order (None for a
+    missing value) and its sorted active label indices."""
+    numeric, nominal = iter(d.numeric.T.tolist()), iter(d.nominal.T.tolist())
+    columns = [
+        [None if v == -1 else v for v in next(nominal)]
+        if a.is_nominal
+        else [None if v != v else v for v in next(numeric)]  # NaN is missing
+        for a in d.attributes
+    ]
+    features = zip(*columns) if columns else [()] * d.n
+    labels = [tuple(l for l, active in enumerate(y) if active) for y in d.y.tolist()]
+    return [Row(f, ls) for f, ls in zip(features, labels)]
+
+
 def oracle_label_counts(d) -> list[int]:
-    return [sum(1 for inst in d.instances if l in inst.labels) for l in range(d.k)]
+    labelsets = [r.labels for r in rows(d)]
+    return [sum(1 for ls in labelsets if l in ls) for l in range(d.k)]
 
 
 def oracle_card(d) -> float:
-    return sum(len(inst.labels) for inst in d.instances) / d.n
+    return sum(len(r.labels) for r in rows(d)) / d.n
 
 
 def oracle_dens(d) -> float:
@@ -38,7 +58,8 @@ def oracle_mean_ir(d) -> float:
 
 
 def oracle_scumble_ins(d, i) -> float:
-    values = [v for l, v in enumerate(oracle_irlbl(d)) if l in d.instances[i].labels]
+    labels = rows(d)[i].labels
+    values = [v for l, v in enumerate(oracle_irlbl(d)) if l in labels]
     if len(values) <= 1:
         return 0.0
     product = 1.0
@@ -56,7 +77,7 @@ def oracle_scumble_values(d) -> list[float]:
     irlbl = np.full(d.k, np.nan)
     irlbl[counts > 0] = counts.max() / counts[counts > 0]
     out = []
-    for inst in d.instances:
+    for inst in rows(d):
         values = [float(irlbl[l]) for l in range(d.k) if l in inst.labels]
         if len(values) <= 1:
             out.append(0.0)
@@ -124,10 +145,11 @@ def oracle_distance(d, features_a, features_b, mins, spans) -> float:
 def oracle_minmax(d) -> tuple[dict, dict]:
     """Per-numeric-attribute observed min and span (>= tiny epsilon handling: span 1)."""
     mins, spans = {}, {}
+    features = [r.features for r in rows(d)]
     for idx, attr in enumerate(d.attributes):
         if attr.is_nominal:
             continue
-        values = [inst.features[idx] for inst in d.instances if inst.features[idx] is not None]
+        values = [f[idx] for f in features if f[idx] is not None]
         if values:
             lo, hi = min(values), max(values)
             mins[idx] = lo
@@ -145,10 +167,11 @@ def oracle_feature_scaling(d) -> tuple[list[float], list[float], list[float]]:
     values, both halved (scale 0.5) when their difference overflows a float.
     """
     scales, mins, spans = [], [], []
+    features = [r.features for r in rows(d)]
     for idx, attr in enumerate(d.attributes):
         if attr.is_nominal:
             continue
-        values = [inst.features[idx] for inst in d.instances if inst.features[idx] is not None]
+        values = [f[idx] for f in features if f[idx] is not None]
         scale, lo, span = 1.0, 0.0, 1.0
         if values:
             lo, hi = min(values), max(values)
@@ -179,18 +202,19 @@ def oracle_most_frequent_nominal(neighbors, attr_index) -> int | None:
     return min(v for v, c in counts.items() if c == best)
 
 
-def oracle_neighbors(reference, query_instances, k, exclude_self=False) -> list[list[int]]:
-    """Per query instance, the ``k`` nearest reference indices by a full sort.
+def oracle_neighbors(reference, query_rows, k, exclude_self=False) -> list[list[int]]:
+    """Per query row (see :func:`rows`), the ``k`` nearest reference indices by a full sort.
 
     Distances use the reference dataset's scaling; ties go to the lower
     index.  With ``exclude_self`` query ``i`` never picks reference ``i``.
     """
     mins, spans = oracle_minmax(reference)
+    reference_rows = rows(reference)
     out = []
-    for i, q in enumerate(query_instances):
+    for i, q in enumerate(query_rows):
         ranked = sorted(
             (oracle_distance(reference, q.features, r.features, mins, spans), j)
-            for j, r in enumerate(reference.instances)
+            for j, r in enumerate(reference_rows)
             if not (exclude_self and j == i)
         )
         out.append([j for _, j in ranked[:k]])
@@ -257,7 +281,8 @@ def oracle_ml_ros_clones(d, p, rng) -> list[int]:
     defined = [v for v in irs if v is not None]
     mean = sum(defined) / len(defined)
     minority = [l for l in range(d.k) if irs[l] is not None and irs[l] > mean]
-    bags = {l: [i for i, inst in enumerate(d.instances) if l in inst.labels] for l in minority}
+    labelsets = [r.labels for r in rows(d)]
+    bags = {l: [i for i, ls in enumerate(labelsets) if l in ls] for l in minority}
     if not minority or budget == 0:
         return []
     clones: list[int] = []
@@ -271,7 +296,7 @@ def oracle_ml_ros_clones(d, p, rng) -> list[int]:
             budget -= 1
             counts = list(base_counts)
             for c in clones:
-                for l in d.instances[c].labels:
+                for l in labelsets[c]:
                     counts[l] += 1
             if max(counts) / counts[label] <= mean:
                 active.remove(label)
@@ -283,18 +308,19 @@ def oracle_mlenn_removed(d, ht, nn) -> list[int]:
     minority = oracle_minority_labels(d)
     mins, spans = oracle_minmax(d)
     removed = []
-    for i, inst in enumerate(d.instances):
-        if set(inst.labels.indices) & minority:
+    all_rows = rows(d)
+    for i, inst in enumerate(all_rows):
+        if set(inst.labels) & minority:
             continue
         ranked = sorted(
             (oracle_distance(d, inst.features, other.features, mins, spans), j)
-            for j, other in enumerate(d.instances)
+            for j, other in enumerate(all_rows)
             if j != i
         )
         neighbors = [j for _, j in ranked[:nn]]
         differing = 0
         for j in neighbors:
-            a, b = set(inst.labels.indices), set(d.instances[j].labels.indices)
+            a, b = set(inst.labels), set(all_rows[j].labels)
             union = len(a | b)
             if union and len(a ^ b) / union > ht:
                 differing += 1
@@ -401,7 +427,7 @@ def oracle_write_mulan(d) -> tuple[str, str]:
         lines.append(f"@attribute {_oracle_quote(name)} {{0,1}}")
     lines.append("")
     lines.append("@data")
-    for inst in d.instances:
+    for inst in rows(d):
         cells = []
         for value, attr in zip(inst.features, d.attributes):
             if value is None:

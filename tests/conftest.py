@@ -1,11 +1,12 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import mlresample
-from mlresample import AttributeSpec, Instance, Labelset, MultiLabelDataset
+from mlresample import AttributeSpec, MultiLabelDataset
 
 
 def cli_env(extra=None):
@@ -29,11 +30,16 @@ def cli_env(extra=None):
 
 
 def make_dataset(attrs, labels, rows, name="fixture"):
-    """Compact dataset builder: rows are (features tuple, label index list)."""
-    instances = tuple(
-        Instance(features=tuple(f), labels=Labelset.from_indices(ls)) for f, ls in rows
-    )
-    return MultiLabelDataset(tuple(attrs), tuple(labels), instances, name=name)
+    """Compact dataset builder: rows are (features tuple, label index list), None for missing."""
+    attrs, rows = tuple(attrs), list(rows)
+    # numpy reads None as NaN, and a float holds every nominal code exactly
+    cells = np.array([f for f, _ in rows], dtype=np.float64).reshape(len(rows), len(attrs))
+    nominal = np.array([a.is_nominal for a in attrs], dtype=bool)
+    codes = np.where(np.isnan(cells[:, nominal]), -1, cells[:, nominal]).astype(np.int64)
+    y = np.zeros((len(rows), len(labels)), dtype=bool)
+    for i, (_, active) in enumerate(rows):
+        y[i, list(active)] = True
+    return MultiLabelDataset(attrs, labels, cells[:, ~nominal], codes, y, name)
 
 
 def float_range_dataset():

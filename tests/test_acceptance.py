@@ -31,7 +31,6 @@ from mlresample import (
     hybrid_resample,
     imbalance_summary,
     irlbl,
-    label_matrix,
     mean_ir,
     micro_auc,
     mlknn_predict,
@@ -70,6 +69,7 @@ from _oracles import (
     oracle_ranking_loss,
     oracle_scumble,
     oracle_scumble_ins,
+    rows,
 )
 
 # Published reference characteristics of ten standard multilabel benchmark
@@ -191,10 +191,11 @@ class TestRemedialPostconditions:
         out, report = remedial(toy6)
         assert report.decoupled == (3, 5)
         assert out.n == 8
-        expected_masks = [1, 1, 1, 0, 2, 4, 3, 1]
-        assert [inst.labels.mask for inst in out.instances] == expected_masks
-        assert out.instances[6].features == toy6.instances[3].features
-        assert out.instances[7].features == toy6.instances[5].features
+        before, after = rows(toy6), rows(out)
+        expected = [(0,), (0,), (0,), (), (1,), (2,), (0, 1), (0,)]
+        assert [row.labels for row in after] == expected
+        assert after[6].features == before[3].features
+        assert after[7].features == before[5].features
 
     def test_200_random_datasets(self):
         for seed in range(200):
@@ -216,17 +217,17 @@ class TestRemedialPostconditions:
             assert report.decoupled == expected_split
             assert out.n == d.n + len(report.decoupled)
             split = set(report.decoupled)
+            before, after = rows(d), rows(out)
             for i in range(d.n):
                 if i not in split:
-                    assert out.instances[i] == d.instances[i]
+                    assert after[i] == before[i]
             for j, i in enumerate(report.decoupled):
-                source, kept = d.instances[i], out.instances[i]
-                clone = out.instances[d.n + j]
+                source, kept, clone = before[i], after[i], after[d.n + j]
                 assert kept.features == source.features == clone.features
-                assert (kept.labels & clone.labels).mask == 0
-                assert (kept.labels | clone.labels) == source.labels
-                assert set(kept.labels.indices) <= minority
-                assert not set(clone.labels.indices) & minority
+                assert not set(kept.labels) & set(clone.labels)
+                assert set(kept.labels) | set(clone.labels) == set(source.labels)
+                assert set(kept.labels) <= minority
+                assert not set(clone.labels) & minority
         _accept("PASS: decoupling post-conditions on 200 random datasets")
 
 
@@ -239,13 +240,14 @@ class TestResamplerPostconditions:
             minority = oracle_minority_labels(d)
             out, report = ml_ros(d, 40, np.random.default_rng(seed))
             budget = math.floor(d.n * 40 / 100)
-            assert out.instances[: d.n] == d.instances
+            before, after = rows(d), rows(out)
+            assert after[: d.n] == before
             assert out.n == d.n + len(report.added)
             assert len(report.added) <= budget
             for offset, record in enumerate(report.added):
                 assert record.kind == "clone"
-                assert out.instances[d.n + offset] == d.instances[record.source]
-                assert set(d.instances[record.source].labels.indices) & minority
+                assert after[d.n + offset] == before[record.source]
+                assert set(before[record.source].labels) & minority
             # the naive re-simulation must pick the same clones in the same order
             expected = oracle_ml_ros_clones(d, 40, np.random.default_rng(seed))
             assert [r.source for r in report.added] == expected
@@ -265,12 +267,11 @@ class TestResamplerPostconditions:
             out, report = mlenn(d, ht=0.75, nn=3)
             assert list(report.removed) == oracle_mlenn_removed(d, 0.75, 3)
             removed = set(report.removed)
-            assert list(out.instances) == [
-                inst for i, inst in enumerate(d.instances) if i not in removed
-            ]
+            before = rows(d)
+            assert rows(out) == [row for i, row in enumerate(before) if i not in removed]
             minority = oracle_minority_labels(d)
             for i in report.removed:
-                assert not set(d.instances[i].labels.indices) & minority
+                assert not set(before[i].labels) & minority
         _accept("PASS: neighbor-editing post-conditions on 200 seeded fixtures")
 
     def test_mlsmote_200_fixtures(self):
@@ -288,41 +289,35 @@ class TestResamplerPostconditions:
                     mlsmote(d, k_neighbors, np.random.default_rng(seed))
                 continue
             out, report = mlsmote(d, k_neighbors, np.random.default_rng(seed))
-            assert out.instances[: d.n] == d.instances
+            before = rows(d)
+            assert rows(out)[: d.n] == before
             mins, spans = oracle_minmax(d)
             minority = sorted(oracle_minority_labels(d))
             expected = []
             for label in minority:
-                bag = [i for i, x in enumerate(d.instances) if label in x.labels]
+                bag = [i for i, x in enumerate(before) if label in x.labels]
                 if len(bag) < 2:
                     continue
                 expected.extend((s, bag) for s in bag)
             assert [r.source for r in report.added] == [s for s, _ in expected]
-            for (source, bag), synth in zip(expected, out.instances[d.n :]):
-                seed_inst = d.instances[source]
+            for (source, bag), synth in zip(expected, rows(out)[d.n :]):
+                seed_inst = before[source]
                 ranked = sorted(
-                    (
-                        oracle_distance(
-                            d, seed_inst.features, d.instances[j].features, mins, spans
-                        ),
-                        j,
-                    )
+                    (oracle_distance(d, seed_inst.features, before[j].features, mins, spans), j)
                     for j in bag
                     if j != source
                 )
                 neighbors = [j for _, j in ranked[:k_neighbors]]
                 votes = {}
-                for inst in [seed_inst] + [d.instances[j] for j in neighbors]:
+                for inst in [seed_inst] + [before[j] for j in neighbors]:
                     for l in inst.labels:
                         votes[l] = votes.get(l, 0) + 1
                 threshold = (len(neighbors) + 1) / 2
-                assert set(synth.labels.indices) == {
+                assert set(synth.labels) == {
                     l for l, c in votes.items() if c > threshold
                 }
                 for idx, attr in enumerate(d.attributes):
-                    pool = [seed_inst.features[idx]] + [
-                        d.instances[j].features[idx] for j in neighbors
-                    ]
+                    pool = [seed_inst.features[idx]] + [before[j].features[idx] for j in neighbors]
                     if not attr.is_nominal:
                         assert min(pool) <= synth.features[idx] <= max(pool)
         _accept("PASS: synthetic-oversampling post-conditions on 200 seeded fixtures")
@@ -395,7 +390,7 @@ class TestDirectionalCheck:
             for f in range(5):
                 train, test = fold_datasets(d, assignment, f)
                 model = mlknn_train(preprocess(train), k_nn=10)
-                report = evaluate(label_matrix(test), mlknn_predict(model, test))
+                report = evaluate(test.y, mlknn_predict(model, test))
                 values.append(report.f_measure)
             return float(np.mean(values))
 

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from mlresample import (
     DecoupleConfig,
-    Instance,
-    Labelset,
     MulanFormatError,
     MultiLabelDataset,
     fold_datasets,
@@ -24,7 +22,7 @@ from mlresample.arff import RowFormatter, _split, parse_label_header
 
 from conftest import datasets, make_dataset
 from mlresample import AttributeSpec
-from _oracles import oracle_split, oracle_write_mulan
+from _oracles import oracle_split, oracle_write_mulan, rows
 
 XML_TWO = """<?xml version="1.0" encoding="utf-8"?>
 <labels xmlns="http://mulan.sourceforge.net/labels">
@@ -51,9 +49,9 @@ class TestParseDense:
         assert d.name == "demo"
         assert [a.name for a in d.attributes] == ["height", "color"]
         assert d.labels == ("p", "q")
-        assert d.instances[0].features == (1.0, 0)
-        assert d.instances[0].labels.indices == (0,)
-        assert d.instances[1].labels.indices == (1,)
+        assert rows(d)[0].features == (1.0, 0)
+        assert rows(d)[0].labels == (0,)
+        assert rows(d)[1].labels == (1,)
 
     def test_comments_and_blank_lines_skipped(self):
         text = "% header comment\n" + DENSE_TWO.replace("@data", "@data\n% row comment\n")
@@ -63,14 +61,14 @@ class TestParseDense:
     def test_missing_value_token(self):
         text = DENSE_TWO.replace("1.0,red,1,0", "?,red,1,0")
         d = parse_mulan(text, XML_TWO)
-        assert d.instances[0].features == (None, 0)
+        assert rows(d)[0].features == (None, 0)
 
     def test_quoted_values(self):
         text = DENSE_TWO.replace("{red,blue}", "{'red hat',blue}").replace(
             "1.0,red,1,0", "1.0,'red hat',1,0"
         )
         d = parse_mulan(text, XML_TWO)
-        assert d.instances[0].features == (1.0, 0)
+        assert rows(d)[0].features == (1.0, 0)
 
     def test_case_insensitive_keywords(self):
         text = DENSE_TWO.replace("@relation", "@RELATION").replace("@data", "@DATA")
@@ -81,14 +79,14 @@ class TestParseSparse:
     def test_sparse_row_defaults(self):
         text = DENSE_TWO.replace("1.0,red,1,0\n2.0,blue,0,1", "{0 3.5, 3 1}")
         d = parse_mulan(text, XML_TWO)
-        assert d.instances[0].features == (3.5, 0)
-        assert d.instances[0].labels.indices == (1,)
+        assert rows(d)[0].features == (3.5, 0)
+        assert rows(d)[0].labels == (1,)
 
     def test_empty_sparse_row(self):
         text = DENSE_TWO.replace("1.0,red,1,0\n2.0,blue,0,1", "{}")
         d = parse_mulan(text, XML_TWO)
-        assert d.instances[0].features == (0.0, 0)
-        assert not d.instances[0].labels
+        assert rows(d)[0].features == (0.0, 0)
+        assert not rows(d)[0].labels
 
     def test_duplicate_sparse_index(self):
         text = DENSE_TWO.replace("1.0,red,1,0\n2.0,blue,0,1", "{0 1.0, 0 2.0}")
@@ -98,19 +96,19 @@ class TestParseSparse:
     def test_unsorted_sparse_indices(self):
         text = DENSE_TWO.replace("1.0,red,1,0\n2.0,blue,0,1", "{3 1, 0 3.5}\n{1 blue}")
         d = parse_mulan(text, XML_TWO)
-        assert [inst.features for inst in d.instances] == [(3.5, 0), (0.0, 1)]
-        assert d.instances[0].labels.indices == (1,)
+        assert [inst.features for inst in rows(d)] == [(3.5, 0), (0.0, 1)]
+        assert rows(d)[0].labels == (1,)
 
     def test_sparse_missing_values(self):
         text = DENSE_TWO.replace("1.0,red,1,0\n2.0,blue,0,1", "{0 ?, 1 ?, 2 1}\n{ }")
         d = parse_mulan(text, XML_TWO)
-        assert [inst.features for inst in d.instances] == [(None, None), (0.0, 0)]
+        assert [inst.features for inst in rows(d)] == [(None, None), (0.0, 0)]
 
     def test_sparse_entry_of_three_tokens_names_a_value_holding_a_space(self):
         text = DENSE_TWO.replace("{red,blue}", "{blue,'red hat'}").replace(
             "1.0,red,1,0\n2.0,blue,0,1", "{0 1.5, 1 red hat}\n{2 1}"
         )
-        assert parse_mulan(text, XML_TWO).instances[0].features == (1.5, 1)
+        assert rows(parse_mulan(text, XML_TWO))[0].features == (1.5, 1)
 
     def test_sparse_index_out_of_range(self):
         text = DENSE_TWO.replace("1.0,red,1,0\n2.0,blue,0,1", "{9 1}")
@@ -156,21 +154,21 @@ class TestQuotedTokens:
     def test_quoted_numeric_and_nominal_cells(self):
         text = DENSE_TWO.replace("1.0,red,1,0", "'1.5',\"red\",1,'0'")
         d = parse_mulan(text, XML_TWO)
-        assert d.instances[0].features == (1.5, 0)
-        assert d.instances[0].labels.indices == (0,)
+        assert rows(d)[0].features == (1.5, 0)
+        assert rows(d)[0].labels == (0,)
 
     def test_value_spelled_like_missing(self):
         text = DENSE_TWO.replace("{red,blue}", "{'?',blue}").replace(
             "1.0,red,1,0\n2.0,blue,0,1", "1.0,?,1,0\n2.0,'?',0,1"
         )
         d = parse_mulan(text, XML_TWO)
-        assert [inst.features for inst in d.instances] == [(1.0, None), (2.0, 0)]
+        assert [inst.features for inst in rows(d)] == [(1.0, None), (2.0, 0)]
 
     def test_value_that_is_quoted_in_full(self):
         # the declared value is 'red' with its quotes: only a quoted token names it
         text = DENSE_TWO.replace("{red,blue}", "{\"'red'\",blue}")
         named = text.replace("1.0,red,1,0", "1.0,\"'red'\",1,0")
-        assert parse_mulan(named, XML_TWO).instances[0].features == (1.0, 0)
+        assert rows(parse_mulan(named, XML_TWO))[0].features == (1.0, 0)
         for token in ("red", "'red'"):
             with pytest.raises(MulanFormatError, match="line 7: value 'red' not in declared list"):
                 parse_mulan(text.replace("1.0,red,1,0", f"1.0,{token},1,0"), XML_TWO)
@@ -227,7 +225,7 @@ class TestNonFinite:
             "1.0,red,1,0\n2.0,blue,0,1", "1.7e308,1.7e308,1,0\n-1.7e308,?,0,1"
         )
         d = parse_mulan(text, XML_TWO)
-        assert [inst.features for inst in d.instances] == [(1.7e308, 1.7e308), (-1.7e308, None)]
+        assert [inst.features for inst in rows(d)] == [(1.7e308, 1.7e308), (-1.7e308, None)]
 
 
 class TestLabelOrdering:
@@ -238,7 +236,7 @@ class TestLabelOrdering:
         )
         d = parse_mulan(DENSE_TWO, xml_swapped)
         assert d.labels == ("q", "p")
-        assert d.instances[0].labels.indices == (1,)  # p is now index 1
+        assert rows(d)[0].labels == (1,)  # p is now index 1
 
     def test_label_columns_before_features(self):
         text = """@relation demo
@@ -251,8 +249,8 @@ class TestLabelOrdering:
 """
         d = parse_mulan(text, XML_TWO)
         assert [a.name for a in d.attributes] == ["height"]
-        assert d.instances[0].features == (1.0,)
-        assert d.instances[0].labels.indices == (0,)
+        assert rows(d)[0].features == (1.0,)
+        assert rows(d)[0].labels == (0,)
 
 
 class TestLabelHeader:
@@ -282,7 +280,7 @@ class TestWrite:
         arff_text, xml_text = write_mulan(d)
         assert arff_text.splitlines()[-1] == "1.0,0,0"
         back = parse_mulan(arff_text, xml_text)
-        assert not back.instances[0].labels
+        assert not rows(back)[0].labels
 
     def test_missing_value_round_trip(self):
         d = make_dataset([AttributeSpec("a")], ("A",), [((None,), [0])])
@@ -367,13 +365,14 @@ def test_tokeniser_matches_character_scanner(line):
 def test_parse_preserves_order(d):
     back = parse_mulan(*write_mulan(d))
     assert [a.name for a in back.attributes] == [a.name for a in d.attributes]
-    assert back.instances == d.instances
+    assert rows(back) == rows(d)
 
 
 def parse_with_full_check(arff_text, xml_text):
-    """``parse_mulan`` with every parsed row checked again by the public constructor."""
+    """``parse_mulan`` with every parsed row turned into Python values and checked again by
+    the constructor."""
     d = parse_mulan(arff_text, xml_text)
-    return MultiLabelDataset(d.attributes, d.labels, d.instances, d.name)
+    return make_dataset(d.attributes, d.labels, rows(d), d.name)
 
 
 # non-finite, overflowing, undeclared, missing, quoted and non-binary tokens,
@@ -457,7 +456,7 @@ def test_parsed_rows_pass_the_full_check(files):
     else:
         d = parse_mulan(*files)
         assert d == expected
-        assert d == MultiLabelDataset(d.attributes, d.labels, d.instances, d.name)
+        assert d == MultiLabelDataset(d.attributes, d.labels, d.numeric, d.nominal, d.y, d.name)
 
 
 def rows_only(parser, lines, line_numbers):
@@ -665,13 +664,14 @@ def test_parser_schema_errors_keep_their_format_error():
 def shared_feature_datasets(draw):
     """Rows that reuse other rows' feature tuples, with the same or other labelsets."""
     d = draw(datasets(quotable_names=True, quotable_values=True))
-    rows = []
+    sources, picked = rows(d), []
     for i in draw(st.lists(st.integers(0, d.n - 1), min_size=1, max_size=30)):
-        source = d.instances[i]
+        features, labels = sources[i]
         if draw(st.booleans()):
-            source = Instance(source.features, Labelset(draw(st.integers(0, 2**d.k - 1))))
-        rows.append(source)
-    return d.replace_instances(rows)
+            mask = draw(st.integers(0, 2**d.k - 1))
+            labels = [l for l in range(d.k) if mask >> l & 1]
+        picked.append((features, labels))
+    return make_dataset(d.attributes, d.labels, picked, d.name)
 
 
 @settings(max_examples=120, deadline=None)

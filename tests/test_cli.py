@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -7,7 +8,6 @@ import pytest
 from mlresample import (
     MultiLabelDataset,
     cli,
-    dataset,
     fold_datasets,
     parse_mulan,
     stratified_kfold,
@@ -84,7 +84,7 @@ class TestInfo:
         assert "line 8: non-finite value '-Infinity' for attribute 'f0'" in err
 
     def test_zero_count_label_warning(self, tmp_path, toy6):
-        sparse = toy6.replace_instances(toy6.instances[:3])  # only label A used
+        sparse = toy6.subset(range(3))  # only label A used
         arff, xml = write_dataset_files(sparse, tmp_path, "sparse")
         code, _, err = run_cli(["info", arff, xml])
         assert code == 0
@@ -149,6 +149,15 @@ class TestResample:
              "--seed", 1, "--out-dir", tmp_path / "x"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("spec", ["p\u0661\u0662", "p\u00b2"])
+    def test_non_ascii_remedial_digits_exit_3(self, spec, toy6_files, tmp_path, capsys):
+        arff, xml = toy6_files
+        argv = ["resample", arff, xml, "--method", "mlros", "--remedial", spec, "--out-dir", tmp_path / "x"]
+        assert main([str(a) for a in argv]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: bad decoupling threshold {spec!r} (expected 'mean' or 'pNN')\n"
+        assert not (tmp_path / "x").exists()
 
     def test_byte_identical_given_seed(self, toy6_files, tmp_path):
         arff, xml = toy6_files
@@ -338,60 +347,17 @@ class TestParsing:
         assert capsys.readouterr().err == "internal error: cannot allocate\n"
 
 
-def _refuse(self):
-    raise AssertionError("the Instance view was built")
-
-
 class TestRowsCheckedOnce:
-    """Instance rows are checked one by one only where they enter through the
-    public API; every command works on the dataset arrays and never builds
-    ``MultiLabelDataset.instances``."""
+    """The constructor checks every row of the arrays it is given."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["info", "data.arff", "data.xml", "--out", "profile.json"],
-            ["concurrence", "data.arff", "data.xml", "--top", "3", "--out", "pairs.csv"],
-            ["partition", "data.arff", "data.xml", "--folds", "3", "--out-dir", "folds"],
-            *(
-                ["resample", "data.arff", "data.xml", "--method", method, *remedial,
-                 "--seed", "1", "--out-dir", "out"]
-                for method in ("mlros", "mlenn", "mlsmote")
-                for remedial in ([], ["--remedial", "p25"])
-            ),
-            ["evaluate", "train.arff", "test.arff", "--k", "5", "--out", "eval.json"],
-        ],
-        ids=[
-            "info", "concurrence", "partition", "mlros", "mlros-p25", "mlenn", "mlenn-p25",
-            "mlsmote", "mlsmote-p25", "evaluate",
-        ],
-    )
-    def test_no_command_builds_the_instance_view(self, argv, tmp_path, monkeypatch):
-        d = imbalanced_dataset(4, n=80, k=6)
-        write_dataset_files(d, tmp_path, "data")
-        train, test = fold_datasets(d, stratified_kfold(d, 4, seed=0), 0)
-        write_dataset_files(train, tmp_path, "train")
-        write_dataset_files(test, tmp_path, "test")
-        monkeypatch.setattr(MultiLabelDataset, "instances", property(_refuse))
-        monkeypatch.chdir(tmp_path)
-        assert main(argv) == 0
-
-    def test_the_public_constructor_checks_every_row(self, monkeypatch):
-        checked = []
-        real = dataset._check_instance
-
-        def recording(inst, *args):
-            checked.append(inst)
-            return real(inst, *args)
-
-        rows = imbalanced_dataset(4, n=30, k=6)
-        monkeypatch.setattr(dataset, "_check_instance", recording)
-        d = MultiLabelDataset(rows.attributes, rows.labels, rows.instances)
-        assert len(checked) == 30
-        d.replace_instances(d.instances[:10])
-        assert len(checked) == 40
-        d.subset(range(30))
-        assert len(checked) == 40
+    def test_the_public_constructor_checks_every_row(self):
+        d = imbalanced_dataset(4, n=30, k=6)
+        for i in range(d.n):
+            numeric = d.numeric.copy()
+            numeric[i, -1] = -math.inf
+            with pytest.raises(ValueError, match=f"^instance {i}: numeric attribute 'x5' needs a finite"):
+                MultiLabelDataset(d.attributes, d.labels, numeric, d.nominal, d.y)
+        assert MultiLabelDataset(d.attributes, d.labels, d.numeric, d.nominal, d.y, d.name) == d
 
 
 # one data set in two spellings: as the writer spells it, and with the labels
@@ -484,7 +450,7 @@ class TestInputSpelling:
     def test_only_rows_new_to_the_input_are_spelled(self, method, tmp_path, monkeypatch):
         d = imbalanced_dataset(2, n=150, k=6)
         # three decimals, which repr writes as they are
-        d = MultiLabelDataset.from_arrays(
+        d = MultiLabelDataset(
             d.attributes, d.labels, d.numeric.round(3), d.nominal, d.y, d.name
         )
         arff, xml = write_dataset_files(d, tmp_path, "data")

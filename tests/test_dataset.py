@@ -4,58 +4,33 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from mlresample import (
-    AttributeSpec,
-    Labelset,
-    MultiLabelDataset,
-    label_counts,
-    label_matrix,
-    write_mulan,
-)
+from mlresample import AttributeSpec, MultiLabelDataset, label_counts, write_mulan
+from _oracles import rows
 from conftest import datasets, make_dataset
 
 
-class TestLabelset:
-    def test_from_indices_roundtrip(self):
-        ls = Labelset.from_indices([4, 0, 2])
-        assert ls.indices == (0, 2, 4)
-        assert ls.active == frozenset({0, 2, 4})
-        assert len(ls) == 3
-        assert 2 in ls and 1 not in ls
+NOMINAL_C = AttributeSpec("c", values=("x", "y"))
 
-    def test_set_operations(self):
-        a = Labelset.from_indices([0, 1, 3])
-        b = Labelset.from_indices([1, 2])
-        assert (a | b).indices == (0, 1, 2, 3)
-        assert (a & b).indices == (1,)
-        assert (a - b).indices == (0, 3)
-        assert a.hamming(b) == 3
-        assert a.union_size(b) == 4
 
-    def test_empty(self):
-        ls = Labelset()
-        assert not ls
-        assert ls.indices == ()
-        assert ls.hamming(ls) == 0
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            Labelset.from_indices([-1])
+def arrays(numeric, nominal, k=1):
+    """The (numeric, nominal, y) arrays of rows carrying every one of ``k`` labels."""
+    numeric, nominal = np.array(numeric, dtype=np.float64), np.array(nominal, dtype=np.int64)
+    return numeric, nominal, np.ones((len(numeric), k), dtype=bool)
 
 
 class TestDatasetValidation:
     def test_feature_arity_checked(self):
-        with pytest.raises(ValueError, match="feature values"):
-            make_dataset([AttributeSpec("a"), AttributeSpec("b")], ("A",), [((1.0,), [0])])
+        attrs = [AttributeSpec("a"), AttributeSpec("b")]
+        with pytest.raises(ValueError, match=r"shapes .* do not fit 2 attributes, 0 of them nominal"):
+            MultiLabelDataset(attrs, ("A",), *arrays([[1.0]], np.empty((1, 0))))
 
     def test_nominal_index_bounds(self):
-        attr = AttributeSpec("c", values=("x", "y"))
         with pytest.raises(ValueError, match="out of range"):
-            make_dataset([attr], ("A",), [((2,), [0])])
+            make_dataset([NOMINAL_C], ("A",), [((2,), [0])])
 
     def test_label_index_bounds(self):
-        with pytest.raises(ValueError, match="label index"):
-            make_dataset([AttributeSpec("a")], ("A",), [((1.0,), [1])])
+        with pytest.raises(ValueError, match=r"shapes .* do not fit .* and 1 labels"):
+            MultiLabelDataset([AttributeSpec("a")], ("A",), *arrays([[1.0]], np.empty((1, 0)), k=2))
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate label"):
@@ -70,10 +45,11 @@ class TestDatasetValidation:
             AttributeSpec("c", values=("x", "x"))
 
     def test_missing_values_accepted(self):
-        d = make_dataset([AttributeSpec("a")], ("A",), [((None,), [0])])
-        assert d.instances[0].features == (None,)
+        d = make_dataset([AttributeSpec("a"), NOMINAL_C], ("A",), [((None, None), [0])])
+        assert rows(d)[0].features == (None, None)
+        assert np.isnan(d.numeric[0, 0]) and d.nominal[0, 0] == -1
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_non_finite_numeric_rejected(self, value):
         with pytest.raises(ValueError, match="instance 1: numeric attribute 'a' needs a finite float"):
             make_dataset([AttributeSpec("a")], ("A",), [((1.0,), [0]), ((value,), [0])])
@@ -84,18 +60,35 @@ class TestDatasetValidation:
         assert make_dataset([AttributeSpec("a")], ("A",), rows).n == 3
 
     def test_first_failing_instance_is_reported(self):
-        attrs = [AttributeSpec("a"), AttributeSpec("c", values=("x", "y"))]
-        rows = [((1.0, 0), [0]), ((2.0, True), [0]), ((3, 5), [0])]
-        with pytest.raises(ValueError, match="instance 1: nominal attribute 'c' needs an int index"):
-            make_dataset(attrs, ("A",), rows)
+        attrs = [AttributeSpec("a"), NOMINAL_C]
+        numeric = [[1.0], [2.0], [math.inf], [math.inf]]
+        with pytest.raises(ValueError, match="^instance 1: nominal index -2 out of range for attribute 'c'$"):
+            MultiLabelDataset(attrs, ("A",), *arrays(numeric, [[0], [-2], [0], [5]]))
+        with pytest.raises(ValueError, match="^instance 2: numeric attribute 'a' needs a finite float$"):
+            MultiLabelDataset(attrs, ("A",), *arrays(numeric, [[0], [1], [0], [5]]))
+
+    @pytest.mark.parametrize(
+        "attrs, message",
+        [
+            ([AttributeSpec("a"), NOMINAL_C], "numeric attribute 'a' needs a finite float"),
+            ([NOMINAL_C, AttributeSpec("a")], "nominal index 5 out of range for attribute 'c'"),
+        ],
+        ids=["numeric-first", "nominal-first"],
+    )
+    def test_first_bad_attribute_in_declaration_order(self, attrs, message):
+        # rows 0-2 are valid (row 2's code is missing); row 3 holds a bad code and an infinity
+        numeric, nominal = [[0.0], [1.0], [2.0], [math.inf]], [[0], [1], [-1], [5]]
+        with pytest.raises(ValueError, match=f"^instance 3: {message}$"):
+            MultiLabelDataset(attrs, ("A",), *arrays(numeric, nominal))
 
     def test_numeric_needs_a_float(self):
-        with pytest.raises(ValueError, match="instance 0: numeric attribute 'a' needs a float"):
-            make_dataset([AttributeSpec("a")], ("A",), [((1,), [0])])
+        _, nominal, y = arrays([[1.0]], np.empty((1, 0)))
+        with pytest.raises(ValueError, match="^numeric must have dtype float64, got int64$"):
+            MultiLabelDataset([AttributeSpec("a")], ("A",), np.ones((1, 1), np.int64), nominal, y)
 
     def test_float_subclass_accepted(self):
         d = make_dataset([AttributeSpec("a")], ("A",), [((np.float64(0.5),), [0])])
-        assert d.instances[0].features == (0.5,)
+        assert rows(d)[0].features == (0.5,)
 
 
 class TestLabelCounts:
@@ -116,7 +109,7 @@ class TestLabelCounts:
         assert label_counts(toy6).sum() == toy6.n * card(toy6)
 
     def test_label_matrix(self, toy6):
-        m = label_matrix(toy6)
+        m = toy6.y
         assert m.shape == (6, 3)
         assert m[3].tolist() == [True, True, False]
         assert m.sum() == 8
@@ -126,7 +119,7 @@ class TestSubset:
     def test_subset_preserves_order_and_schema(self, toy6):
         sub = toy6.subset([5, 1])
         assert sub.n == 2
-        assert sub.instances[0] == toy6.instances[5]
+        assert rows(sub)[0] == rows(toy6)[5]
         assert sub.attributes == toy6.attributes
 
 
@@ -135,7 +128,7 @@ class TestArrays:
     @given(datasets())
     @example(make_dataset([AttributeSpec("a")], ("A",), [((-0.0,), [0]), ((1.7e308,), [])]))
     def test_instances_round_trip_bit_for_bit(self, d):
-        again = MultiLabelDataset(d.attributes, d.labels, d.instances, d.name)
+        again = make_dataset(d.attributes, d.labels, rows(d), d.name)
         assert again == d
         assert np.array_equal(again.numeric.view(np.uint64), d.numeric.view(np.uint64))
         assert np.array_equal(again.nominal, d.nominal) and np.array_equal(again.y, d.y)
@@ -148,8 +141,8 @@ class TestArrays:
         labels = tuple(f"L{l}" for l in range(70))
         d = make_dataset([AttributeSpec("a")], labels, [((0.0,), [3, 64, 69])])
         assert np.flatnonzero(d.y[0]).tolist() == [3, 64, 69]
-        assert d.instances[0].labels.indices == (3, 64, 69)
-        assert MultiLabelDataset(d.attributes, d.labels, d.instances) == d.subset([0], "unnamed")
+        assert rows(d)[0].labels == (3, 64, 69)
+        assert make_dataset(d.attributes, d.labels, rows(d), "unnamed") == d.subset([0], "unnamed")
 
     def test_missing_nominal_value_is_written_as_missing(self):
         attrs = [AttributeSpec("c", values=("x", "y"))]
@@ -163,18 +156,18 @@ class TestArrays:
         nominal = np.array([[0], [1]])
         y = np.ones((2, 1), dtype=bool)
         with pytest.raises(ValueError, match="^instance 1: numeric attribute 'x' needs a finite float$"):
-            MultiLabelDataset.from_arrays(attrs, ("A",), numeric, nominal, y)
+            MultiLabelDataset(attrs, ("A",), numeric, nominal, y)
         with pytest.raises(ValueError, match="^instance 0: nominal index 2 out of range for attribute 'c'$"):
-            MultiLabelDataset.from_arrays(attrs, ("A",), numeric[:1], nominal[:1] + 2, y[:1])
+            MultiLabelDataset(attrs, ("A",), numeric[:1], nominal[:1] + 2, y[:1])
         with pytest.raises(ValueError, match="shapes"):
-            MultiLabelDataset.from_arrays(attrs, ("A", "B"), numeric[:1], nominal[:1], y[:1])
+            MultiLabelDataset(attrs, ("A", "B"), numeric[:1], nominal[:1], y[:1])
         with pytest.raises(ValueError, match="dtype"):
-            MultiLabelDataset.from_arrays(attrs, ("A",), numeric[:1], nominal[:1].astype(float), y[:1])
+            MultiLabelDataset(attrs, ("A",), numeric[:1], nominal[:1].astype(float), y[:1])
 
     def test_from_arrays_takes_over_owned_arrays_and_copies_views(self):
         numeric = np.zeros((3, 1))
         whole = np.zeros((3, 2), dtype=np.int64)
-        d = MultiLabelDataset.from_arrays(
+        d = MultiLabelDataset(
             (AttributeSpec("x"), AttributeSpec("c", values=("u",))), ("A",),
             numeric, whole[:, :1], np.zeros((3, 1), dtype=bool),
         )

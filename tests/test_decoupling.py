@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,6 @@ from mlresample import (
     AttributeSpec,
     DecoupleConfig,
     HybridConfig,
-    Labelset,
     MLROSConfig,
     MLSMOTEConfig,
     PERCENTILE_PRESETS,
@@ -20,6 +22,7 @@ from mlresample import (
     scumble_values,
 )
 
+from _oracles import rows
 from conftest import datasets, make_dataset
 
 
@@ -37,6 +40,14 @@ class TestConfig:
             DecoupleConfig.from_spec("p0")
         with pytest.raises(ValueError):
             DecoupleConfig.from_spec("median")
+
+    # Arabic-Indic 12, superscript 2, fullwidth 25, a superscript after a digit, no digits, sign, space
+    @pytest.mark.parametrize(
+        "spec", ["p\u0661\u0662", "p\u00b2", "p\uff12\uff15", "p2\u2075", "p", "p+25", "p 25"]
+    )
+    def test_from_spec_takes_ascii_digits_only(self, spec):
+        with pytest.raises(ValueError, match="^bad decoupling threshold"):
+            DecoupleConfig.from_spec(spec)
 
     def test_spec_string_round_trip(self):
         for text in ("mean", "p25", "p37", "p50", "p62", "p75"):
@@ -64,10 +75,27 @@ class TestNearestRankQuantile:
             values = rng.random(int(rng.integers(1, 30)))
             q = float(rng.uniform(0.01, 0.99))
             ordered = sorted(values)
-            import math
-
-            expected = ordered[max(1, math.ceil(q * len(values))) - 1]
+            expected = ordered[max(1, math.ceil(Fraction(repr(q)) * len(values))) - 1]
             assert nearest_rank_quantile(values, q) == expected
+
+    # for each of these percents, the smallest n at which q * n rounds to just
+    # above the whole number q * n, so that a float ceil gives one rank too many
+    @pytest.mark.parametrize(
+        "percent, n",
+        [(7, 100), (14, 50), (17, 300), (27, 900), (28, 25), (34, 150),
+         (54, 450), (55, 100), (56, 25), (67, 1500), (68, 75), (81, 300)],
+    )
+    def test_rank_is_exact_on_the_decimal(self, percent, n):
+        q, rank = DecoupleConfig.from_spec(f"p{percent:02d}").q, percent * n // 100
+        assert math.ceil(q * n) == rank + 1
+        assert nearest_rank_quantile(np.arange(1.0, n + 1.0), q) == rank
+
+    def test_every_spec_picks_its_exact_rank(self):
+        for n in (*range(1, 101), 300, 450, 900, 1500, 4999, 5000):
+            values = np.arange(1.0, n + 1.0)
+            for percent in range(1, 100):
+                q = DecoupleConfig.from_spec(f"p{percent:02d}").q
+                assert nearest_rank_quantile(values, q) == max(1, -(-percent * n // 100))
 
 
 class TestRemedialToy6:
@@ -76,17 +104,18 @@ class TestRemedialToy6:
         assert out.n == 8
         assert report.decoupled == (3, 5)
         # untouched rows pass through bit-identical, in order
+        before, after = rows(toy6), rows(out)
         for i in (0, 1, 2, 4):
-            assert out.instances[i] == toy6.instances[i]
+            assert after[i] == before[i]
         # the {A,B} instance keeps no labels (both on the majority side)
-        assert out.instances[3].features == toy6.instances[3].features
-        assert out.instances[3].labels.indices == ()
+        assert after[3].features == before[3].features
+        assert after[3].labels == ()
         # the {A,C} instance keeps the rare C, its clone keeps A
-        assert out.instances[5].labels.indices == (2,)
-        assert out.instances[6].features == toy6.instances[3].features
-        assert out.instances[6].labels.indices == (0, 1)
-        assert out.instances[7].features == toy6.instances[5].features
-        assert out.instances[7].labels.indices == (0,)
+        assert after[5].labels == (2,)
+        assert after[6].features == before[3].features
+        assert after[6].labels == (0, 1)
+        assert after[7].features == before[5].features
+        assert after[7].labels == (0,)
 
     def test_mean_threshold_equals_scumble_exactly(self, toy6):
         out, report = remedial(toy6)
@@ -120,8 +149,7 @@ class TestRemedialToy6:
         # i4's minority side is empty and gets dropped; its majority clone stays
         assert report.removed == (3,)
         assert out.n == 7
-        masks = [inst.labels.mask for inst in out.instances]
-        assert Labelset.from_indices([0, 1]).mask in masks
+        assert (0, 1) in [row.labels for row in rows(out)]
 
     def test_deterministic(self, toy6):
         a, _ = remedial(toy6)
@@ -140,19 +168,18 @@ def test_split_pair_postconditions(d):
         l for l in range(d.k) if summary.counts[l] > 0 and summary.irlbl[l] > summary.mean_ir
     }
     split = set(report.decoupled)
+    before, after = rows(d), rows(out)
     for i in range(d.n):
         if i not in split:
-            assert out.instances[i] == d.instances[i]
+            assert after[i] == before[i]
     for j, i in enumerate(report.decoupled):
-        source = d.instances[i]
-        kept = out.instances[i]
-        clone = out.instances[d.n + j]
+        source, kept, clone = before[i], after[i], after[d.n + j]
         assert report.added[j].source == i
         assert kept.features == source.features == clone.features
-        assert (kept.labels & clone.labels).mask == 0
-        assert (kept.labels | clone.labels) == source.labels
-        assert set(kept.labels.indices) <= minority
-        assert not set(clone.labels.indices) & minority
+        assert not set(kept.labels) & set(clone.labels)
+        assert set(kept.labels) | set(clone.labels) == set(source.labels)
+        assert set(kept.labels) <= minority
+        assert not set(clone.labels) & minority
 
 
 def concurrence_fixture():
@@ -216,11 +243,11 @@ class TestHybrid:
         }
         assert second.added, "the hybrid should synthesize something here"
         for record in second.added:
-            seed_labels = set(decoupled_d.instances[record.source].labels.indices)
+            seed_labels = set(rows(decoupled_d)[record.source].labels)
             assert seed_labels <= minority or not seed_labels & minority
         # synthetic labelsets stay on the minority side for this fixture
-        for synth in out.instances[decoupled_d.n :]:
-            assert set(synth.labels.indices) <= minority
+        for synth in rows(out)[decoupled_d.n :]:
+            assert set(synth.labels) <= minority
 
     @pytest.mark.parametrize("spec", ["mean", "p25"])
     @pytest.mark.parametrize("method", [MLROSConfig(p=50), MLSMOTEConfig(k_neighbors=1)])

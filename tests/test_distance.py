@@ -15,6 +15,7 @@ from _oracles import (
     oracle_feature_scaling,
     oracle_neighbors,
     oracle_squared_distances,
+    rows,
 )
 
 ATTRS = (
@@ -59,7 +60,7 @@ class TestNeighborsAgainstOracle:
         ref, _ = reference_and_query(seed, 30, 0)
         enc = FeatureSpace(ref).encode(ref)
         got = neighbors(enc, prepare_reference(enc), k, exclude=np.arange(ref.n))
-        assert got.tolist() == oracle_neighbors(ref, ref.instances, k, exclude_self=True)
+        assert got.tolist() == oracle_neighbors(ref, rows(ref), k, exclude_self=True)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("k", [1, 4, 30])
@@ -67,7 +68,7 @@ class TestNeighborsAgainstOracle:
         ref, _ = reference_and_query(seed, 30, 0)
         enc = FeatureSpace(ref).encode(ref)
         got = neighbors(enc, prepare_reference(enc), k)
-        assert got.tolist() == oracle_neighbors(ref, ref.instances, k)
+        assert got.tolist() == oracle_neighbors(ref, rows(ref), k)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("n_query", [0, 1, 17, 45])
@@ -76,7 +77,7 @@ class TestNeighborsAgainstOracle:
         space = FeatureSpace(ref)
         got = neighbors(space.encode(query), prepare_reference(space.encode(ref)), 5)
         assert got.shape == (n_query, 5)
-        assert got.tolist() == oracle_neighbors(ref, query.instances, 5)
+        assert got.tolist() == oracle_neighbors(ref, rows(query), 5)
 
     @pytest.mark.parametrize("cells", [1, 100, 500])  # 1, 2 and 12 rows per block
     @pytest.mark.parametrize("exclude_self", [False, True])
@@ -87,7 +88,7 @@ class TestNeighborsAgainstOracle:
         enc = FeatureSpace(ref).encode(ref)
         exclude = np.arange(ref.n) if exclude_self else None
         got = neighbors(enc, prepare_reference(enc), 6, exclude=exclude)
-        assert got.tolist() == oracle_neighbors(ref, ref.instances, 6, exclude_self)
+        assert got.tolist() == oracle_neighbors(ref, rows(ref), 6, exclude_self)
 
     def test_duplicates_tie_to_lower_index(self):
         rows = [((1.0, 0, 1.0), [0])] * 5 + [((0.0, 1, 0.0), [1])]
@@ -406,7 +407,7 @@ def test_distance_is_a_bounded_symmetric_dissimilarity(d):
     assert (dist >= 0).all() and (dist <= math.sqrt(len(d.attributes))).all()
     assert np.array_equal(dist, dist.T)
     # a missing value is at distance 1 from everything, itself included
-    missing = [sum(v is None for v in inst.features) for inst in d.instances]
+    missing = [sum(v is None for v in inst.features) for inst in rows(d)]
     assert np.array_equal(np.diag(dist), np.sqrt(missing))
 
 
@@ -471,7 +472,7 @@ def test_the_prepared_reference_keeps_the_encoded_numeric_matrix_once(d):
     assert np.array_equal(space.encoded[1], nominal)
     # the same bits as scaling a row-major matrix of the raw values
     columns = [i for i, a in enumerate(d.attributes) if not a.is_nominal]
-    raw = np.array([[inst.features[i] for i in columns] for inst in d.instances], dtype=float)
+    raw = np.array([[inst.features[i] for i in columns] for inst in rows(d)], dtype=float)
     raw = raw.reshape(d.n, len(columns))
     expected = (raw * space._scales - space._mins) / space._spans
     assert np.array_equal(numeric.view(np.uint64), expected.view(np.uint64))

@@ -32,6 +32,7 @@ from _oracles import (
     oracle_scumble,
     oracle_scumble_ins,
     oracle_scumble_values,
+    rows,
 )
 
 
@@ -245,11 +246,12 @@ def test_per_labelset_statistics_equal_the_per_instance_loops(d):
     p = profile(d)
     assert p.scumble_ins == tuple(want.tolist())
     assert p.scumble == float(np.mean(want))
-    assert p.card == sum(len(inst.labels) for inst in d.instances) / d.n
-    assert p.distinct_labelsets == len({inst.labels for inst in d.instances})
+    labelsets = [row.labels for row in rows(d)]
+    assert p.card == sum(len(ls) for ls in labelsets) / d.n
+    assert p.distinct_labelsets == len(set(labelsets))
     for a in range(d.k):
         for b in range(d.k):
-            both = sum(a in inst.labels and b in inst.labels for inst in d.instances)
+            both = sum(a in ls and b in ls for ls in labelsets)
             assert co_occurrence_count(d, a, b) == both
 
 
@@ -264,7 +266,7 @@ def test_scumble_ins_bounded(d):
 @settings(max_examples=60, deadline=None)
 @given(datasets(ensure_all_labels=True))
 def test_duplication_leaves_frequency_metrics_unchanged(d):
-    doubled = d.replace_instances(d.instances + d.instances)
+    doubled = d.subset([*range(d.n)] * 2)
     assert card(doubled) == pytest.approx(card(d), abs=1e-12)
     assert dens(doubled) == pytest.approx(dens(d), abs=1e-12)
     for l in range(d.k):

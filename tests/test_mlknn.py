@@ -5,7 +5,6 @@ from mlresample import (
     AttributeSpec,
     evaluate,
     hamming_loss,
-    label_matrix,
     mlknn_predict,
     mlknn_train,
 )
@@ -50,7 +49,7 @@ class TestPrediction:
         train, test = separable_clusters(seed=1)
         model = mlknn_train(train, k_nn=3)
         predictions = mlknn_predict(model, test)
-        assert hamming_loss(label_matrix(test), predictions) == 0.0
+        assert hamming_loss(test.y, predictions) == 0.0
 
     def test_training_point_in_pure_neighborhood(self):
         train, _ = separable_clusters(seed=2)
@@ -89,6 +88,6 @@ class TestPrediction:
     def test_end_to_end_report(self):
         train, test = separable_clusters(seed=7)
         model = mlknn_train(train, k_nn=3)
-        report = evaluate(label_matrix(test), mlknn_predict(model, test))
+        report = evaluate(test.y, mlknn_predict(model, test))
         assert report.hamming_loss == 0.0
         assert report.f_measure == 1.0

@@ -4,11 +4,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mlresample import AttributeSpec, MultiLabelDataset, label_matrix, stratified_kfold
+from mlresample import AttributeSpec, MultiLabelDataset, stratified_kfold
 from mlresample.partitioning import FoldAssignment, fold_datasets
 from mlresample.synthetic import random_dataset
 
-from _oracles import oracle_stratified_fold_of
+from _oracles import oracle_stratified_fold_of, rows
 from conftest import make_dataset
 
 
@@ -26,7 +26,7 @@ def frequency_fixture(seed=0, n=100, rate=0.2):
 class TestStratifiedKFold:
     def test_pigeonhole_when_n_equals_folds(self):
         d = random_dataset(3, max_n=1, max_k=3)
-        d = d.replace_instances(d.instances * 10)
+        d = d.subset([*range(d.n)] * 10)
         assignment = stratified_kfold(d, folds=10, seed=0)
         sizes = [len(assignment.test_indices(f)) for f in range(10)]
         assert sizes == [1] * 10
@@ -50,7 +50,7 @@ class TestStratifiedKFold:
 
     def test_label_frequency_near_global(self):
         d = frequency_fixture(seed=4, n=100, rate=0.2)
-        y = label_matrix(d)
+        y = d.y
         assignment = stratified_kfold(d, folds=5, seed=7)
         for f in range(5):
             idx = list(assignment.test_indices(f))
@@ -111,7 +111,7 @@ def test_folds_match_the_per_instance_numpy_placement(folds_and_y, seeds):
     folds, y = folds_and_y
     n, k = y.shape
     labels = tuple(f"L{l}" for l in range(k))
-    d = MultiLabelDataset.from_arrays(
+    d = MultiLabelDataset(
         (AttributeSpec("x"),), labels, np.zeros((n, 1)), np.zeros((n, 0), np.int64), y
     )
     for seed in seeds:
@@ -124,7 +124,7 @@ class TestFoldDatasets:
         train, test = fold_datasets(toy6, assignment, 0)
         assert train.n + test.n == toy6.n
         assert train.attributes == toy6.attributes
-        assert set(train.instances) | set(test.instances) == set(toy6.instances)
+        assert set(rows(train)) | set(rows(test)) == set(rows(toy6))
 
     def test_assignment_validation(self):
         with pytest.raises(ValueError):

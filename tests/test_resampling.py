@@ -7,18 +7,15 @@ from hypothesis import strategies as st
 
 from mlresample import (
     AttributeSpec,
-    Instance,
-    Labelset,
     MLENNConfig,
     MLROSConfig,
     MLSMOTEConfig,
+    MultiLabelDataset,
     ResampleConfig,
-    labelset_distance,
     mean_ir,
     ml_ros,
     mlenn,
     mlsmote,
-    new_sample,
     remedial,
     resample,
 )
@@ -27,12 +24,14 @@ from mlresample.synthetic import random_dataset
 
 from conftest import float_range_dataset, make_dataset
 from _oracles import (
+    Row,
     oracle_distance,
     oracle_minmax,
     oracle_minority_labels as minority_label_set,
     oracle_ml_ros_clones,
     oracle_mlenn_removed as brute_mlenn_removed,
     oracle_most_frequent_nominal,
+    rows,
 )
 
 
@@ -100,25 +99,24 @@ class TestLabelIndicesPast64:
         d = wide_label_fixture()
         out, report = mlsmote(d, 5, np.random.default_rng(0))
         assert [a.source for a in report.added] == list(range(18))
-        for a, synthetic in zip(report.added, out.instances[d.n :]):
+        for a, synthetic in zip(report.added, rows(out)[d.n :]):
             assert 64 + a.source // 3 in synthetic.labels
 
     def test_remedial(self):
         d = wide_label_fixture()
         out, report = remedial(d)
         assert report.decoupled == tuple(range(18))
+        before, after = rows(d), rows(out)
         for i in range(18):
-            labels = d.instances[i].labels.indices
-            assert out.instances[i].labels.indices == (64 + i // 3,)
-            assert out.instances[d.n + i].labels.indices == labels[:-1]
+            assert after[i].labels == (64 + i // 3,)
+            assert after[d.n + i].labels == before[i].labels[:-1]
 
 
 class TestMLROS:
     def test_toy6_hand_trace(self, toy6):
         out, report = ml_ros(toy6, 25, np.random.default_rng(7))
         assert out.n == 7
-        assert out.instances[:6] == toy6.instances
-        assert out.instances[6] == toy6.instances[5]
+        assert rows(out) == rows(toy6) + [rows(toy6)[5]]
         assert report.added == (report.added[0],)
         assert report.added[0].kind == "clone" and report.added[0].source == 5
 
@@ -146,20 +144,21 @@ class TestMLROS:
         minority = minority_label_set(d)
         out, report = ml_ros(d, 40, np.random.default_rng(seed))
         budget = int(d.n * 40 // 100)
-        assert out.instances[: d.n] == d.instances
+        before, after = rows(d), rows(out)
+        assert after[: d.n] == before
         assert out.n == d.n + len(report.added) <= d.n + budget
         for record in report.added:
             assert record.kind == "clone"
-            clone = out.instances[d.n + report.added.index(record)]
-            assert clone == d.instances[record.source]
-            assert set(d.instances[record.source].labels.indices) & minority
+            clone = after[d.n + report.added.index(record)]
+            assert clone == before[record.source]
+            assert set(before[record.source].labels) & minority
 
     def test_budget_spent_unless_bags_retired(self):
         d = pure_minority_fixture()
         out, report = ml_ros(d, 25, np.random.default_rng(3))
         # bag E retires once 20 / count <= 2.8, i.e. at count 8: six clones
         assert len(report.added) == 6
-        assert all(d.instances[r.source].labels.indices == (4,) for r in report.added)
+        assert all(rows(d)[r.source].labels == (4,) for r in report.added)
 
     def test_mean_ir_not_increased_on_pure_minority_fixture(self):
         d = pure_minority_fixture()
@@ -172,23 +171,27 @@ class TestMLROS:
         assert a == b
 
 
+def adjusted_hamming(a, b, k=3):
+    """``resampling._adjusted_hamming`` between two label index lists over ``k`` labels."""
+    y = np.zeros((2, k), dtype=bool)
+    y[0, a] = y[1, b] = True
+    return float(resampling._adjusted_hamming(y[0], y[1]))
+
+
 class TestLabelsetDistance:
+    """The adjusted Hamming distance MLeNN compares labelsets with."""
+
     def test_disjoint_singletons(self):
-        a = Labelset.from_indices([0])
-        b = Labelset.from_indices([1])
-        assert labelset_distance(a, b) == 1.0
+        assert adjusted_hamming([0], [1]) == 1.0
 
     def test_identical_sets(self):
-        a = Labelset.from_indices([0, 2])
-        assert labelset_distance(a, a) == 0.0
+        assert adjusted_hamming([0, 2], [0, 2]) == 0.0
 
     def test_both_empty(self):
-        assert labelset_distance(Labelset(), Labelset()) == 0.0
+        assert adjusted_hamming([], []) == 0.0
 
     def test_partial_overlap(self):
-        a = Labelset.from_indices([0, 1])
-        b = Labelset.from_indices([1, 2])
-        assert labelset_distance(a, b) == pytest.approx(2 / 3)
+        assert adjusted_hamming([0, 1], [1, 2]) == pytest.approx(2 / 3)
 
 
 class TestMLeNN:
@@ -246,7 +249,7 @@ class TestMLeNN:
         # though every neighbor disagrees with it.
         out, report = mlenn(d, ht=0.5, nn=3)
         assert 0 not in report.removed
-        assert d.instances[0] in out.instances
+        assert rows(d)[0] in rows(out)
 
     def test_uniform_labelsets_nothing_removed(self):
         d = make_dataset(
@@ -270,46 +273,52 @@ class TestMLeNN:
             return
         out, report = mlenn(d, ht=0.75, nn=3)
         assert list(report.removed) == brute_mlenn_removed(d, 0.75, 3)
-        kept = [inst for i, inst in enumerate(d.instances) if i not in set(report.removed)]
-        assert list(out.instances) == kept
+        kept = [row for i, row in enumerate(rows(d)) if i not in set(report.removed)]
+        assert rows(out) == kept
+
+
+def synthesize(attrs, seed, ref, neighbors, rng):
+    """The row ``resampling._synthesize`` makes from a seed, its reference and its
+    neighbours, each given as (features, label indices)."""
+    d = make_dataset(attrs, ("A", "B", "C"), [seed, ref, *neighbors])
+    nearest, sizes = np.arange(2, d.n)[None, :], resampling._nominal_sizes(attrs)
+    arrays = d.numeric, d.nominal, d.y
+    made = resampling._synthesize(arrays, np.array([0]), nearest, lambda i: 1, sizes, rng)
+    return rows(MultiLabelDataset(attrs, d.labels, *made))[0]
 
 
 class TestNewSample:
+    """One synthetic row from a seed and its neighbourhood, as MLSMOTE builds it."""
+
     def test_labelset_vote(self):
         attrs = (AttributeSpec("x"),)
-        seed = Instance((0.0,), Labelset.from_indices([0, 2]))
-        n1 = Instance((1.0,), Labelset.from_indices([0]))
-        n2 = Instance((2.0,), Labelset.from_indices([0, 2]))
-        synth = new_sample(attrs, seed, n1, [n1, n2], np.random.default_rng(0))
-        assert synth.labels.indices == (0, 2)  # counts 3 and 2, threshold 1.5
+        n1, n2 = ((1.0,), [0]), ((2.0,), [0, 2])
+        synth = synthesize(attrs, ((0.0,), [0, 2]), n1, [n1, n2], np.random.default_rng(0))
+        assert synth.labels == (0, 2)  # counts 3 and 2, threshold 1.5
 
     def test_zero_interpolation_span(self):
         attrs = (AttributeSpec("x"), AttributeSpec("y"))
-        seed = Instance((1.5, -2.0), Labelset.from_indices([0]))
-        synth = new_sample(attrs, seed, seed, [seed], np.random.default_rng(0))
+        seed = ((1.5, -2.0), [0])
+        synth = synthesize(attrs, seed, seed, [seed], np.random.default_rng(0))
         assert synth.features == (1.5, -2.0)
 
     def test_numeric_within_interval(self):
         attrs = (AttributeSpec("x"),)
-        seed = Instance((0.0,), Labelset.from_indices([0]))
-        ref = Instance((10.0,), Labelset.from_indices([0]))
+        seed, ref = ((0.0,), [0]), ((10.0,), [0])
         for s in range(20):
-            synth = new_sample(attrs, seed, ref, [ref], np.random.default_rng(s))
+            synth = synthesize(attrs, seed, ref, [ref], np.random.default_rng(s))
             assert 0.0 <= synth.features[0] <= 10.0
 
     def test_nominal_majority_with_tie_to_lowest(self):
         attrs = (AttributeSpec("c", values=("u", "v", "w")),)
-        seed = Instance((0,), Labelset.from_indices([0]))
-        n1 = Instance((2,), Labelset.from_indices([0]))
-        n2 = Instance((1,), Labelset.from_indices([0]))
-        synth = new_sample(attrs, seed, n1, [n1, n2], np.random.default_rng(0))
+        n1, n2 = ((2,), [0]), ((1,), [0])
+        synth = synthesize(attrs, ((0,), [0]), n1, [n1, n2], np.random.default_rng(0))
         assert synth.features == (1,)
 
     def test_span_past_the_float_maximum(self):
         attrs = (AttributeSpec("x"), AttributeSpec("y"))
-        seed = Instance((-1.7e308, 1.0), Labelset.from_indices([0]))
-        ref = Instance((1.7e308, 3.0), Labelset.from_indices([0]))
-        synth = new_sample(attrs, seed, ref, [ref], np.random.default_rng(0))
+        seed, ref = ((-1.7e308, 1.0), [0]), ((1.7e308, 3.0), [0])
+        synth = synthesize(attrs, seed, ref, [ref], np.random.default_rng(0))
         r_x, r_y = np.random.default_rng(0).random(2)
         # only the overflowing feature takes the weighted mean
         assert synth.features == (-1.7e308 * (1 - r_x) + r_x * 1.7e308, 1.0 + r_y * 2.0)
@@ -317,9 +326,8 @@ class TestNewSample:
 
     def test_missing_endpoint_falls_back(self):
         attrs = (AttributeSpec("x"),)
-        seed = Instance((None,), Labelset.from_indices([0]))
-        ref = Instance((3.0,), Labelset.from_indices([0]))
-        synth = new_sample(attrs, seed, ref, [ref], np.random.default_rng(0))
+        seed, ref = ((None,), [0]), ((3.0,), [0])
+        synth = synthesize(attrs, seed, ref, [ref], np.random.default_rng(0))
         assert synth.features == (3.0,)
 
 
@@ -348,8 +356,8 @@ class TestMLSMOTE:
         out, report = mlsmote(d, 1, np.random.default_rng(0))
         assert len(report.added) == 2
         assert all(r.kind == "synthetic" for r in report.added)
-        for synth in out.instances[d.n :]:
-            assert synth.labels.indices == (4,)
+        for synth in rows(out)[d.n :]:
+            assert synth.labels == (4,)
         assert mean_ir(out) <= mean_ir(d)
 
     @pytest.mark.parametrize("seed", range(25))
@@ -362,7 +370,8 @@ class TestMLSMOTE:
                 mlsmote(d, k_neighbors, np.random.default_rng(seed))
             return
         out, report = mlsmote(d, k_neighbors, np.random.default_rng(seed))
-        assert out.instances[: d.n] == d.instances
+        before = rows(d)
+        assert rows(out)[: d.n] == before
         mins, spans = oracle_minmax(d)
         minority = minority_label_set(d)
 
@@ -370,29 +379,29 @@ class TestMLSMOTE:
         # ascending order, bags in instance order, one synthetic per member
         expected = []
         for label in sorted(minority):
-            bag = [i for i, x in enumerate(d.instances) if label in x.labels]
+            bag = [i for i, x in enumerate(before) if label in x.labels]
             if len(bag) < 2:
                 continue
             expected.extend((s, bag) for s in bag)
         assert [r.source for r in report.added] == [s for s, _ in expected]
         assert all(r.kind == "synthetic" for r in report.added)
 
-        for (source, bag), synth in zip(expected, out.instances[d.n :]):
-            seed_inst = d.instances[source]
+        for (source, bag), synth in zip(expected, rows(out)[d.n :]):
+            seed_inst = before[source]
             ranked = sorted(
-                (oracle_distance(d, seed_inst.features, d.instances[j].features, mins, spans), j)
+                (oracle_distance(d, seed_inst.features, before[j].features, mins, spans), j)
                 for j in bag
                 if j != source
             )
             neighbors = [j for _, j in ranked[:k_neighbors]]
             votes = {}
-            for inst in [seed_inst] + [d.instances[j] for j in neighbors]:
+            for inst in [seed_inst] + [before[j] for j in neighbors]:
                 for l in inst.labels:
                     votes[l] = votes.get(l, 0) + 1
             threshold = (len(neighbors) + 1) / 2
-            assert set(synth.labels.indices) == {l for l, c in votes.items() if c > threshold}
+            assert set(synth.labels) == {l for l, c in votes.items() if c > threshold}
             for idx, attr in enumerate(d.attributes):
-                pool = [seed_inst.features[idx]] + [d.instances[j].features[idx] for j in neighbors]
+                pool = [seed_inst.features[idx]] + [before[j].features[idx] for j in neighbors]
                 if attr.is_nominal:
                     # most frequent among the neighbors only, ties to lowest index
                     neighbor_values = pool[1:]
@@ -406,7 +415,7 @@ class TestMLSMOTE:
     def test_values_spanning_the_float_range(self, seed):
         d = float_range_dataset()
         out, _ = resample(d, ResampleConfig(MLSMOTEConfig(k_neighbors=2), seed=seed))
-        synthetic = [inst.features[0] for inst in out.instances[d.n :]]
+        synthetic = [row.features[0] for row in rows(out)[d.n :]]
         assert len(synthetic) == 4
         assert all(-1.7e308 <= x <= 1.7e308 for x in synthetic)
 
@@ -480,9 +489,7 @@ def vote_cases(draw):
 @given(vote_cases())
 def test_nominal_votes_equal_the_per_attribute_count(case):
     codes, nearest, sizes = case
-    instances = [
-        Instance(tuple(None if v < 0 else v for v in row), Labelset()) for row in codes.tolist()
-    ]
+    instances = [Row(tuple(None if v < 0 else v for v in row), ()) for row in codes.tolist()]
     votes = resampling._nominal_votes(codes, nearest, sizes)
     assert votes.shape == (len(nearest), len(sizes)) and votes.dtype == np.int64
     for row, voters in zip(votes.tolist(), nearest.tolist()):

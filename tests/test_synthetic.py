@@ -3,6 +3,8 @@ import pytest
 from mlresample import label_counts, mean_ir, scumble
 from mlresample.synthetic import imbalanced_dataset, random_dataset, separable_clusters
 
+from _oracles import rows
+
 
 class TestRandomDataset:
     def test_deterministic(self):
@@ -23,7 +25,7 @@ class TestRandomDataset:
     def test_no_empty_labelsets_when_disallowed(self):
         for seed in range(30):
             d = random_dataset(seed, allow_empty_labelsets=False)
-            assert all(inst.labels for inst in d.instances)
+            assert all(inst.labels for inst in rows(d))
 
 
 class TestImbalancedDataset:
@@ -44,4 +46,4 @@ class TestSeparableClusters:
         train, test = separable_clusters(seed=0, n_train_per=7, n_test_per=2)
         assert train.n == 14 and test.n == 4
         assert train.labels == test.labels
-        assert all(len(inst.labels) == 1 for inst in train.instances)
+        assert all(len(inst.labels) == 1 for inst in rows(train))
