@@ -27,8 +27,8 @@ def main(argv=None) -> int:
     arff_text, xml_text = write_mulan(d)
     arff_path = Path(f"{args.out}.arff")
     xml_path = Path(f"{args.out}.xml")
-    arff_path.write_text(arff_text)
-    xml_path.write_text(xml_text)
+    arff_path.write_text(arff_text, encoding="utf-8")
+    xml_path.write_text(xml_text, encoding="utf-8")
     print(f"wrote {arff_path} and {xml_path} ({d.n} instances, {d.k} labels)")
     return 0
 

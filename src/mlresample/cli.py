@@ -6,19 +6,22 @@ decoupling-hybrid resampling, writing the transformed dataset plus report),
 with the built-in classifier), ``concurrence`` (co-occurrence CSV) and
 ``rerun`` (re-execute a recorded manifest).
 
-Every command writing files also writes a manifest capturing the argument
-vector, seed and input/output paths; re-running the manifest reproduces the
-outputs byte for byte.  Human-readable tables go to standard output, JSON
-and CSV reports to files.  Exit codes: 0 success, 2 unreadable or malformed
-input, 3 bad parameters, 4 internal invariant violation or allocation failure.
+Every command writing files also writes a manifest.  It records the tool
+and its version, the command, the argument vector, the seed (``null`` for
+commands that draw no random numbers) and the input and output paths.  The
+argument vector is the run's only record: every default is a constant, so
+``rerun`` replays it and reproduces the outputs byte for byte.  Files are
+read and written as UTF-8, whatever the locale.  Human-readable tables go to
+standard output, JSON and CSV reports to files.  Exit codes: 0 success, 2
+unreadable or malformed input, 3 bad parameters, 4 internal invariant
+violation or allocation failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
+import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -38,8 +41,6 @@ from .resampling import (
     resample,
 )
 
-SEED_ENV_VAR = "MLRESAMPLE_SEED"
-
 
 class _ParameterError(Exception):
     """Bad command-line parameters (exit code 3)."""
@@ -50,19 +51,9 @@ class _Parser(argparse.ArgumentParser):
         raise _ParameterError(message)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise _ParameterError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise MulanFormatError(f"cannot decode {path}: {exc}") from None
 
@@ -75,41 +66,23 @@ def _write_dataset(
     d: MultiLabelDataset, arff_path: Path, xml_path: Path, rows: RowFormatter | None = None
 ) -> None:
     arff_text, xml_text = write_mulan(d, rows)
-    arff_path.write_text(arff_text)
-    xml_path.write_text(xml_text)
-
-
-def _digest(payload: dict | None) -> str | None:
-    if payload is None:
-        return None
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+    arff_path.write_text(arff_text, encoding="utf-8")
+    xml_path.write_text(xml_text, encoding="utf-8")
 
 
 def _write_manifest(
-    path: Path,
-    command: str,
-    argv: list[str],
-    seed: int | None,
-    parameters: dict,
-    inputs: dict,
-    outputs: dict,
-    profile_before: ImbalanceProfile | None,
-    profile_after: ImbalanceProfile | None,
+    path: Path, argv: list[str], seed: int | None, inputs: dict, outputs: dict
 ) -> None:
     manifest = {
         "tool": "mlresample",
         "version": __version__,
-        "command": command,
+        "command": argv[0],
         "argv": argv,
         "seed": seed,
-        "parameters": parameters,
         "inputs": inputs,
         "outputs": outputs,
-        "profile_before_digest": _digest(profile_before.to_dict() if profile_before else None),
-        "profile_after_digest": _digest(profile_after.to_dict() if profile_after else None),
     }
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 def _warn_undefined(prof: ImbalanceProfile, d: MultiLabelDataset) -> None:
@@ -138,7 +111,7 @@ def _info_table(d: MultiLabelDataset, prof: ImbalanceProfile) -> str:
     )
     widths = [max(len(h), len(v)) for h, v in zip(header, row)]
     fmt = "  ".join(f"{{:<{w}}}" for w in widths)
-    return fmt.format(*header) + "\n" + fmt.format(*row)
+    return fmt.format(*header).rstrip() + "\n" + fmt.format(*row).rstrip()
 
 
 def cmd_info(args, argv: list[str]) -> int:
@@ -148,17 +121,13 @@ def cmd_info(args, argv: list[str]) -> int:
     print(_info_table(d, prof))
     if args.out:
         out = Path(args.out)
-        out.write_text(prof.to_json() + "\n")
+        out.write_text(prof.to_json() + "\n", encoding="utf-8")
         _write_manifest(
             out.with_name(out.name + ".manifest.json"),
-            "info",
             argv,
             None,
-            {},
             {"arff": args.arff, "xml": args.xml},
             {"profile": str(out)},
-            prof,
-            None,
         )
     return 0
 
@@ -174,8 +143,7 @@ def _method_config(args) -> MLROSConfig | MLENNConfig | MLSMOTEConfig:
 def cmd_resample(args, argv: list[str]) -> int:
     # rows holds the input's data lines, for the rows the output takes from it
     d, rows = read_mulan(_read_text(args.arff), _read_text(args.xml))
-    seed = args.seed if args.seed is not None else _default_seed()
-    config = ResampleConfig(method=_method_config(args), seed=seed)
+    config = ResampleConfig(method=_method_config(args), seed=args.seed)
     suffix = config.method_name
     if args.remedial:
         decouple = DecoupleConfig.from_spec(args.remedial, drop_empty=args.drop_empty)
@@ -194,33 +162,21 @@ def cmd_resample(args, argv: list[str]) -> int:
     arff_text, xml_text = write_mulan(out, rows)
     # the input's lines go before the output is encoded, and the output before the report is
     del rows
-    arff_path.write_text(arff_text)
-    xml_path.write_text(xml_text)
+    arff_path.write_text(arff_text, encoding="utf-8")
+    xml_path.write_text(xml_text, encoding="utf-8")
     del arff_text
-    (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    parameters = {
-        "method": args.method,
-        "p": args.p,
-        "ht": args.ht,
-        "nn": args.nn,
-        "k": args.k,
-        "remedial": args.remedial,
-        "drop_empty": args.drop_empty,
-    }
+    report_text = json.dumps(report.to_dict(), indent=2) + "\n"
+    (out_dir / "report.json").write_text(report_text, encoding="utf-8")
     _write_manifest(
         out_dir / "manifest.json",
-        "resample",
         argv,
-        seed,
-        parameters,
+        args.seed,
         {"arff": args.arff, "xml": args.xml},
         {
             "arff": str(arff_path),
             "xml": str(xml_path),
             "report": str(out_dir / "report.json"),
         },
-        report.profile_before,
-        report.profile_after,
     )
     print(
         f"{d.name}: {report.instances_before} -> {report.instances_after} instances "
@@ -232,8 +188,7 @@ def cmd_resample(args, argv: list[str]) -> int:
 def cmd_partition(args, argv: list[str]) -> int:
     # every fold file reuses the input's data lines
     d, rows = read_mulan(_read_text(args.arff), _read_text(args.xml))
-    seed = args.seed if args.seed is not None else _default_seed()
-    assignment = stratified_kfold(d, args.folds, seed)
+    assignment = stratified_kfold(d, args.folds, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -245,18 +200,10 @@ def cmd_partition(args, argv: list[str]) -> int:
             _write_dataset(ds, arff_path, xml_path, rows)
             outputs[f"fold{f}-{part}"] = str(arff_path)
     csv_path = out_dir / "folds.csv"
-    csv_path.write_text(assignment.to_csv())
+    csv_path.write_text(assignment.to_csv(), encoding="utf-8")
     outputs["assignment"] = str(csv_path)
     _write_manifest(
-        out_dir / "manifest.json",
-        "partition",
-        argv,
-        seed,
-        {"folds": args.folds},
-        {"arff": args.arff, "xml": args.xml},
-        outputs,
-        profile(d),
-        None,
+        out_dir / "manifest.json", argv, args.seed, {"arff": args.arff, "xml": args.xml}, outputs
     )
     sizes = [len(assignment.test_indices(f)) for f in range(args.folds)]
     print(f"{d.name}: {args.folds} folds, test sizes {sizes}")
@@ -268,9 +215,6 @@ def cmd_evaluate(args, argv: list[str]) -> int:
     test_xml = args.test_xml or str(Path(args.test_arff).with_suffix(".xml"))
     train = _read_dataset(args.train_arff, train_xml)
     test = _read_dataset(args.test_arff, test_xml)
-    seed = args.seed if args.seed is not None else _default_seed()
-    if args.classifier != "mlknn":
-        raise _ParameterError(f"unknown classifier {args.classifier!r}")
     model = mlknn_train(train, k_nn=args.k, smoothing=args.smoothing)
     predictions = mlknn_predict(model, test)
     report = evaluate(test.y, predictions)
@@ -278,13 +222,11 @@ def cmd_evaluate(args, argv: list[str]) -> int:
         print(f"{key}: {value}")
     if args.out:
         out = Path(args.out)
-        out.write_text(report.to_json() + "\n")
+        out.write_text(report.to_json() + "\n", encoding="utf-8")
         _write_manifest(
             out.with_name(out.name + ".manifest.json"),
-            "evaluate",
             argv,
-            seed,
-            {"classifier": args.classifier, "k": args.k, "smoothing": args.smoothing},
+            args.seed,
             {
                 "train_arff": args.train_arff,
                 "train_xml": train_xml,
@@ -292,8 +234,6 @@ def cmd_evaluate(args, argv: list[str]) -> int:
                 "test_xml": test_xml,
             },
             {"report": str(out)},
-            None,
-            None,
         )
     return 0
 
@@ -304,17 +244,13 @@ def cmd_concurrence(args, argv: list[str]) -> int:
     csv_text = concurrence_csv(rows)
     if args.out:
         out = Path(args.out)
-        out.write_text(csv_text)
+        out.write_text(csv_text, encoding="utf-8")
         _write_manifest(
             out.with_name(out.name + ".manifest.json"),
-            "concurrence",
             argv,
             None,
-            {"top": args.top},
             {"arff": args.arff, "xml": args.xml},
             {"csv": str(out)},
-            profile(d),
-            None,
         )
     else:
         print(csv_text, end="")
@@ -365,7 +301,7 @@ def build_parser() -> _Parser:
         action="store_true",
         help="discard decoupled sides left without labels",
     )
-    p_res.add_argument("--seed", type=int, default=None)
+    p_res.add_argument("--seed", type=int, default=0)
     p_res.add_argument("--out-dir", required=True)
     p_res.set_defaults(func=cmd_resample)
 
@@ -373,7 +309,7 @@ def build_parser() -> _Parser:
     p_part.add_argument("arff")
     p_part.add_argument("xml")
     p_part.add_argument("--folds", type=int, default=10)
-    p_part.add_argument("--seed", type=int, default=None)
+    p_part.add_argument("--seed", type=int, default=0)
     p_part.add_argument("--out-dir", required=True)
     p_part.set_defaults(func=cmd_partition)
 
@@ -382,14 +318,11 @@ def build_parser() -> _Parser:
     p_eval.add_argument("test_arff")
     p_eval.add_argument("--train-xml", help="default: train ARFF path with .xml suffix")
     p_eval.add_argument("--test-xml", help="default: test ARFF path with .xml suffix")
-    p_eval.add_argument("--classifier", default="mlknn")
+    p_eval.add_argument("--classifier", default="mlknn", choices=("mlknn",))
     p_eval.add_argument("--k", type=int, default=10, help="neighbor count")
     p_eval.add_argument("--smoothing", type=float, default=1.0)
     p_eval.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="recorded in the manifest only: ML-kNN is deterministic",
+        "--seed", type=int, default=0, help="recorded in the manifest only: ML-kNN is deterministic"
     )
     p_eval.add_argument("--out", help="write the evaluation report JSON here")
     p_eval.set_defaults(func=cmd_evaluate)
@@ -410,6 +343,9 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        # the tables name the data set and its labels; they are UTF-8 like every file
+        sys.stdout.reconfigure(encoding="utf-8")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

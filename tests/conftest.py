@@ -14,12 +14,9 @@ def cli_env(extra=None):
 
     The absolute root of the imported ``mlresample`` package goes first on
     ``PYTHONPATH`` (existing entries are kept after it), so the child finds
-    the same package whatever its cwd.  ``MLRESAMPLE_SEED`` is dropped so a
-    value in the calling shell cannot change the child's default seed;
-    ``extra`` is applied last.
+    the same package whatever its cwd.  ``extra`` is applied last.
     """
     env = dict(os.environ)
-    env.pop("MLRESAMPLE_SEED", None)
     src_root = str(Path(mlresample.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(
         [src_root, *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
@@ -135,6 +132,6 @@ def write_dataset_files(d, directory, stem="data"):
     arff_text, xml_text = write_mulan(d)
     arff_path = directory / f"{stem}.arff"
     xml_path = directory / f"{stem}.xml"
-    arff_path.write_text(arff_text)
-    xml_path.write_text(xml_text)
+    arff_path.write_text(arff_text, encoding="utf-8")
+    xml_path.write_text(xml_text, encoding="utf-8")
     return arff_path, xml_path

@@ -173,28 +173,129 @@ class TestResample:
                 continue  # records the differing --out-dir argument
             assert a[name] == b[name], name
 
-    def test_env_var_seed_default(self, toy6_files, tmp_path):
-        arff, xml = toy6_files
-        out_dir = tmp_path / "env"
-        code, _, _ = run_cli(
-            ["resample", arff, xml, "--method", "mlros", "--out-dir", out_dir],
-            env={"MLRESAMPLE_SEED": "123"},
-        )
-        assert code == 0
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["seed"] == 123
+    def test_the_environment_sets_no_seed(self, tmp_path):
+        # the seed comes from argv alone, so rerun replays a run in any environment
+        arff, xml = write_dataset_files(imbalanced_dataset(3, n=60, k=6), tmp_path, "data")
+        job = ["resample", arff, xml, "--method", "mlsmote", "--remedial", "p25"]
+        outputs = {}
+        for name, seed, env in (("zero", ["--seed", 0], None), ("seven", ["--seed", 7], None),
+                                ("env", [], {"MLRESAMPLE_SEED": "7"})):
+            assert run_cli([*job, *seed, "--out-dir", tmp_path / name], env=env)[0] == 0
+            outputs[name] = tree_bytes(tmp_path / name)
+            del outputs[name]["manifest.json"]  # it names the output directory
+        assert outputs["seven"] != outputs["zero"] == outputs["env"]
+        manifest = tmp_path / "env" / "manifest.json"
+        assert json.loads(manifest.read_text())["seed"] == 0
+        before = tree_bytes(tmp_path / "env")
+        (tmp_path / "env" / "resampled.arff").unlink()
+        assert run_cli(["rerun", manifest], env={"MLRESAMPLE_SEED": "8"})[0] == 0
+        assert tree_bytes(tmp_path / "env") == before
 
-    def test_manifest_rerun_reproduces_bytes(self, toy6_files, tmp_path):
+
+class TestRerun:
+    JOBS = {
+        "info": ["info", "{arff}", "{xml}", "--out", "{out}/profile.json"],
+        "resample-mlros": ["resample", "{arff}", "{xml}", "--method", "mlros", "--p", "50",
+                           "--seed", "5", "--out-dir", "{out}"],
+        "resample-p25-mlsmote": ["resample", "{arff}", "{xml}", "--method", "mlsmote",
+                                 "--remedial", "p25", "--seed", "5", "--out-dir", "{out}"],
+        "partition": ["partition", "{arff}", "{xml}", "--folds", "3", "--seed", "5",
+                      "--out-dir", "{out}"],
+        "evaluate": ["evaluate", "{train}", "{test}", "--k", "3", "--out", "{out}/eval.json"],
+        "concurrence": ["concurrence", "{arff}", "{xml}", "--top", "2", "--out", "{out}/pairs.csv"],
+    }
+
+    @pytest.mark.parametrize("job", JOBS)
+    def test_manifest_rerun_reproduces_bytes(self, job, tmp_path):
+        d = imbalanced_dataset(3, n=60, k=6)
+        arff, xml = write_dataset_files(d, tmp_path, "data")
+        train, _ = write_dataset_files(d.subset(range(40)), tmp_path, "train")
+        test, _ = write_dataset_files(d.subset(range(40, 60)), tmp_path, "test")
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = {"arff": arff, "xml": xml, "train": train, "test": test, "out": out}
+        assert main([arg.format(**paths) for arg in self.JOBS[job]]) == 0
+        before = tree_bytes(out)
+        [manifest] = [out / name for name in before if name.endswith("manifest.json")]
+        for name in before:
+            if out / name != manifest:
+                (out / name).unlink()
+        assert main(["rerun", str(manifest)]) == 0
+        assert tree_bytes(out) == before
+        assert len(before) >= 2
+
+    def test_manifest_records_argv_not_a_copy_of_it(self, toy6_files, tmp_path):
         arff, xml = toy6_files
-        out_dir = tmp_path / "rerun"
-        args = ["resample", arff, xml, "--method", "mlros", "--p", 50,
-                "--seed", 5, "--out-dir", out_dir]
-        assert run_cli(args)[0] == 0
-        before = tree_bytes(out_dir)
-        (out_dir / "resampled.arff").unlink()
-        code, _, _ = run_cli(["rerun", out_dir / "manifest.json"])
-        assert code == 0
-        assert tree_bytes(out_dir) == before
+        argv = ["resample", str(arff), str(xml), "--method", "mlros", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest == {
+            "tool": "mlresample",
+            "version": cli.__version__,
+            "command": "resample",
+            "argv": argv,
+            "seed": 0,
+            "inputs": {"arff": str(arff), "xml": str(xml)},
+            "outputs": {
+                "arff": str(tmp_path / "resampled.arff"),
+                "xml": str(tmp_path / "resampled.xml"),
+                "report": str(tmp_path / "report.json"),
+            },
+        }
+
+    def test_no_command_profiles_a_data_set_only_to_record_it(
+        self, toy6_files, tmp_path, monkeypatch
+    ):
+        def refused(d):
+            raise AssertionError("profile called")
+
+        monkeypatch.setattr(cli, "profile", refused)
+        arff, xml = toy6_files
+        argv = ["partition", arff, xml, "--folds", 2, "--out-dir", tmp_path / "folds"]
+        assert main([str(a) for a in argv]) == 0
+        argv = ["concurrence", arff, xml, "--top", 1, "--out", tmp_path / "pairs.csv"]
+        assert main([str(a) for a in argv]) == 0
+
+
+class TestLocale:
+    """Files and tables are UTF-8 whatever the locale's encoding."""
+
+    JOBS = [
+        ["info", "d.arff", "d.xml", "--out", "profile.json"],
+        ["resample", "d.arff", "d.xml", "--method", "mlros", "--remedial", "mean",
+         "--out-dir", "res"],
+        ["partition", "d.arff", "d.xml", "--folds", "3", "--out-dir", "folds"],
+        ["concurrence", "d.arff", "d.xml", "--top", "2", "--out", "pairs.csv"],
+    ]
+    LOCALES = {
+        "ascii": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+        "utf8": {"PYTHONUTF8": "1"},
+    }
+
+    def test_an_ascii_locale_writes_the_utf8_bytes(self, tmp_path):
+        d = imbalanced_dataset(3, n=45, k=5)
+        labels = ("caf\u00e9", *d.labels[1:])
+        d = MultiLabelDataset(d.attributes, labels, d.numeric, d.nominal, d.y, "na\u00efve")
+        trees, stdouts = {}, {}
+        for locale, env in self.LOCALES.items():
+            cwd = tmp_path / locale
+            cwd.mkdir()
+            write_dataset_files(d, cwd, "d")
+            stdouts[locale] = []
+            for job in self.JOBS:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "mlresample.cli", *job],
+                    capture_output=True,
+                    cwd=cwd,
+                    env=cli_env(env),
+                )
+                assert proc.returncode == 0, (locale, job, proc.stderr)
+                stdouts[locale].append(proc.stdout)
+            trees[locale] = tree_bytes(cwd)
+        assert trees["ascii"] == trees["utf8"]
+        assert stdouts["ascii"] == stdouts["utf8"]
+        assert "na\u00efve".encode() in stdouts["ascii"][0]
+        assert "caf\u00e9".encode() in trees["ascii"]["pairs.csv"] + trees["ascii"]["d.xml"]
 
 
 class TestMalformedInputExits2:
