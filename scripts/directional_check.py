@@ -22,10 +22,10 @@ from mlresample import (
     ResampleConfig,
     evaluate,
     hybrid_resample,
-    imbalance_summary,
     mean_ir,
     mlknn_predict,
     mlknn_train,
+    profile,
     resample,
     scumble,
     stratified_kfold,
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
         d = imbalanced_dataset(seed, n=args.n, k=args.labels)
         row = [f"{seed:<6}", f"{scumble(d):>9.3f}", f"{mean_ir(d):>9.2f}"]
         base_out, _ = resample(d, ResampleConfig(method, seed=seed))
-        base_after = imbalance_summary(base_out).mean_ir if base_out.n else float("nan")
+        base_after = profile(base_out).mean_ir if base_out.n else float("nan")
         row.append(f"{base_after:>10.3f}")
         for t_idx, threshold in enumerate(args.thresholds):
             config = HybridConfig(
@@ -81,7 +81,7 @@ def main(argv=None) -> int:
                 resample=ResampleConfig(method, seed=seed),
             )
             out, _ = hybrid_resample(d, config)
-            after = imbalance_summary(out).mean_ir if out.n else float("nan")
+            after = profile(out).mean_ir if out.n else float("nan")
             wins[t_idx] += after < base_after
             row.append(f"{after:>10.3f}")
         print("".join(row))

@@ -30,7 +30,6 @@ from .metrics import (
     concurrence_export,
     dens,
     distinct_labelsets,
-    imbalance_summary,
     irlbl,
     mean_ir,
     profile,

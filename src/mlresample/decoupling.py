@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dataset import MultiLabelDataset
-from .metrics import imbalance_summary, scumble_values
+from .metrics import profile
 from .resampling import AddedInstance, ResampleConfig, ResampleReport, _report, resample
 
 PERCENTILE_PRESETS = (0.25, 0.37, 0.50, 0.62, 0.75)
@@ -30,8 +30,10 @@ class DecoupleConfig:
 
     ``mode`` is ``"mean"`` (threshold = dataset concurrence score) or
     ``"percentile"`` with ``q`` in (0, 1); the study presets live in
-    :data:`PERCENTILE_PRESETS`.  With ``drop_empty`` a split side that ends
-    up with no labels is discarded instead of kept.
+    :data:`PERCENTILE_PRESETS`.  With ``drop_empty``, a split row with no
+    minority label is removed from its place and its majority copy appended
+    at the end, so the report lists it once as removed and once as added; a
+    split row with no majority label is kept whole and nothing is appended.
     """
 
     mode: str = "mean"
@@ -100,12 +102,13 @@ def remedial(
     """
     if d.n < 1:
         raise ValueError("cannot decouple an empty dataset")
-    scores = scumble_values(d)
+    before = profile(d)
+    scores = np.array(before.scumble_ins)
     if config.mode == "mean":
-        threshold = float(np.mean(scores))  # the dataset's SCUMBLE
+        threshold = before.scumble  # the mean of the scores
     else:
         threshold = nearest_rank_quantile(scores, config.q)
-    minority = imbalance_summary(d).minority
+    minority = before.minority
 
     split = scores > threshold
     # a split instance keeps its minority labels; an appended copy takes the rest
@@ -125,7 +128,7 @@ def remedial(
     )
     added = [AddedInstance(kind="clone", source=i) for i in appended.tolist()]
     removed = np.flatnonzero(dropped).tolist()
-    return out, _report(d, out, added, removed, np.flatnonzero(split).tolist())
+    return out, _report(d, out, before, added, removed, np.flatnonzero(split).tolist())
 
 
 def hybrid_resample(
@@ -139,7 +142,7 @@ def hybrid_resample(
     """
     decoupled_d, first = remedial(d, config.decouple)
     out, second = resample(decoupled_d, config.resample)
-    report = ResampleReport(
+    return out, ResampleReport(
         instances_before=d.n,
         instances_after=out.n,
         added=first.added + second.added,
@@ -149,4 +152,3 @@ def hybrid_resample(
         decoupled=first.decoupled,
         stages=(first, second),
     )
-    return out, report

@@ -3,23 +3,28 @@
 The suite covers label cardinality and density, the per-label imbalance
 ratio (IRLbl) and its mean (MeanIR), the concurrence score between minority
 and majority labels (SCUMBLE, globally and per instance), the theoretical
-complexity score (TCS) and the distinct-labelset count.
+complexity score (TCS) and the distinct-labelset count.  :func:`profile`
+alone derives them; each single metric returns one field of it.
 
-Conventions for degenerate inputs:
+Every metric needs a dataset with at least one instance, one label and (for
+TCS's logarithm) one attribute, and raises ``ValueError`` otherwise.  Within
+that domain:
 
 * A label active in no instance has an undefined IRLbl.  ``irlbl`` and
   ``mean_ir`` raise :class:`UndefinedIRLblError`; ``profile`` marks such
-  labels with ``None`` and averages MeanIR over the defined entries only.
+  labels with ``None`` and averages MeanIR over the defined entries only,
+  so its MeanIR is NaN (``null`` in JSON) when no label occurs.
 * Instances with zero or one active label have SCUMBLE_ins 0, and empty
   labelsets contribute 0 to Card.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,52 +35,21 @@ class UndefinedIRLblError(ValueError):
     """IRLbl requested for a label that never occurs (division by zero)."""
 
 
-class ImbalanceSummary(NamedTuple):
-    """Shared intermediate state: counts, nan-marked IRLbl and defined-mean IR."""
-
-    counts: np.ndarray
-    irlbl: np.ndarray
-    mean_ir: float
-
-    @property
-    def minority(self) -> np.ndarray:
-        """Boolean mask of the minority labels: occurring, with IRLbl above MeanIR."""
-        return (self.counts > 0) & (self.irlbl > self.mean_ir)
-
-
-def _require_instances(d: MultiLabelDataset) -> None:
+def _require_domain(d: MultiLabelDataset) -> None:
     if d.n < 1:
         raise ValueError("metric requires a dataset with at least one instance")
-
-
-def imbalance_summary(d: MultiLabelDataset) -> ImbalanceSummary:
-    """Counts, IRLbl per label (NaN where undefined) and MeanIR over defined labels."""
-    _require_instances(d)
-    counts = label_counts(d)
-    irlbl = np.full(counts.size, np.nan)
-    max_count = counts.max() if counts.size else 0
-    defined = counts > 0
-    if max_count > 0:
-        irlbl[defined] = max_count / counts[defined]
-    mean = float(np.mean(irlbl[defined])) if defined.any() else float("nan")
-    return ImbalanceSummary(counts=counts, irlbl=irlbl, mean_ir=mean)
+    if d.k < 1:
+        raise ValueError("metric requires a dataset with at least one label")
 
 
 def card(d: MultiLabelDataset) -> float:
     """Mean labelset size."""
-    _require_instances(d)
-    return int(label_counts(d).sum()) / d.n
-
-
-def _require_labels(d: MultiLabelDataset) -> None:
-    if d.k < 1:
-        raise ValueError("density requires at least one label")
+    return profile(d).card
 
 
 def dens(d: MultiLabelDataset) -> float:
     """Label cardinality normalized by the number of labels."""
-    _require_labels(d)
-    return card(d) / d.k
+    return profile(d).dens
 
 
 def irlbl(d: MultiLabelDataset, label: int) -> float:
@@ -83,26 +57,21 @@ def irlbl(d: MultiLabelDataset, label: int) -> float:
 
     The most frequent label scores exactly 1; rarer labels score higher.
     """
-    _require_instances(d)
     if not 0 <= label < d.k:
         raise ValueError(f"label index {label} out of range")
-    counts = label_counts(d)
-    if counts[label] == 0:
-        raise UndefinedIRLblError(
-            f"IRLbl undefined for label {d.labels[label]!r}: it never occurs"
-        )
-    return float(counts.max() / counts[label])
+    value = profile(d).irlbl[label]
+    if value is None:
+        raise UndefinedIRLblError(f"IRLbl undefined for label {d.labels[label]!r}: it never occurs")
+    return value
 
 
 def mean_ir(d: MultiLabelDataset) -> float:
     """Average IRLbl over all labels; raises if any label has no occurrences."""
-    _require_instances(d)
-    counts = label_counts(d)
-    zero = np.flatnonzero(counts == 0)
-    if zero.size:
-        names = [d.labels[i] for i in zero]
+    prof = profile(d)
+    if prof.undefined_labels:
+        names = [d.labels[i] for i in prof.undefined_labels]
         raise UndefinedIRLblError(f"IRLbl undefined for zero-count labels: {names}")
-    return float(np.mean(counts.max() / counts))
+    return prof.mean_ir
 
 
 def _scumble_one(active_irlbl: list[float]) -> float:
@@ -121,24 +90,14 @@ def _labelsets(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Rows are grouped by their packed bits, viewed as one opaque value each.
     """
     packed = np.packbits(y, axis=1)
-    if not packed.shape[1]:
-        packed = np.zeros((y.shape[0], 1), dtype=np.uint8)  # no labels: one empty labelset
     keys = packed.view(np.dtype((np.void, packed.shape[1])))
     _, first, inverse = np.unique(keys.reshape(-1), return_index=True, return_inverse=True)
     return y[first], inverse.reshape(-1)
 
 
-def _scumble_rows(labelsets: tuple[np.ndarray, np.ndarray], irlbl: np.ndarray) -> np.ndarray:
-    """Per-instance scores, computed once per distinct labelset."""
-    distinct, row_labelset = labelsets
-    score = [_scumble_one([float(irlbl[l]) for l in np.flatnonzero(row)]) for row in distinct]
-    return np.array(score, dtype=float)[row_labelset]
-
-
 def scumble_values(d: MultiLabelDataset) -> np.ndarray:
     """Per-instance concurrence scores, in instance order."""
-    _require_instances(d)
-    return _scumble_rows(_labelsets(d.y), imbalance_summary(d).irlbl)
+    return np.array(profile(d).scumble_ins)
 
 
 def scumble_ins(d: MultiLabelDataset, i: int) -> float:
@@ -150,18 +109,17 @@ def scumble_ins(d: MultiLabelDataset, i: int) -> float:
     """
     if not 0 <= i < d.n:
         raise ValueError(f"instance index {i} out of range")
-    return float(scumble_values(d)[i])
+    return profile(d).scumble_ins[i]
 
 
 def scumble(d: MultiLabelDataset) -> float:
     """Dataset concurrence score: mean of the per-instance scores."""
-    return float(np.mean(scumble_values(d)))
+    return profile(d).scumble
 
 
 def distinct_labelsets(d: MultiLabelDataset) -> int:
     """Number of distinct label combinations present."""
-    _require_instances(d)
-    return len(_labelsets(d.y)[0])
+    return profile(d).distinct_labelsets
 
 
 def tcs_from_counts(attributes: int, labels: int, labelsets: int) -> float:
@@ -173,7 +131,7 @@ def tcs_from_counts(attributes: int, labels: int, labelsets: int) -> float:
 
 def tcs(d: MultiLabelDataset) -> float:
     """Theoretical complexity score of a dataset."""
-    return tcs_from_counts(len(d.attributes), d.k, distinct_labelsets(d))
+    return profile(d).tcs
 
 
 @dataclass(frozen=True)
@@ -181,7 +139,7 @@ class ImbalanceProfile:
     """Full characterization of one dataset.
 
     ``irlbl`` holds ``None`` for labels that never occur; those labels are
-    excluded from ``mean_ir``.
+    excluded from ``mean_ir``, which is NaN when no label occurs.
     """
 
     card: float
@@ -197,12 +155,17 @@ class ImbalanceProfile:
     def undefined_labels(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.irlbl) if v is None)
 
+    @property
+    def minority(self) -> np.ndarray:
+        """Boolean mask of the minority labels: occurring, with IRLbl above MeanIR."""
+        return np.array([v is not None and v > self.mean_ir for v in self.irlbl], dtype=bool)
+
     def to_dict(self) -> dict:
         return {
             "card": self.card,
             "dens": self.dens,
             "irlbl": list(self.irlbl),
-            "mean_ir": self.mean_ir,
+            "mean_ir": None if math.isnan(self.mean_ir) else self.mean_ir,
             "scumble": self.scumble,
             "scumble_ins": list(self.scumble_ins),
             "tcs": self.tcs,
@@ -214,24 +177,26 @@ class ImbalanceProfile:
 
 
 def profile(d: MultiLabelDataset) -> ImbalanceProfile:
-    """Compute every metric of the suite in one pass over the distinct labelsets."""
-    _require_instances(d)
-    labelsets = _labelsets(d.y)
-    summary = imbalance_summary(d)
-    per_label = tuple(None if math.isnan(v) else float(v) for v in summary.irlbl)
-    s_values = _scumble_rows(labelsets, summary.irlbl)
-    cardinality = int(summary.counts.sum()) / d.n
-    _require_labels(d)
-    distinct = len(labelsets[0])
+    """Compute every metric of the suite from one count per label and one score per labelset."""
+    _require_domain(d)
+    counts = label_counts(d)
+    defined = counts > 0
+    irlbl = np.full(d.k, np.nan)
+    irlbl[defined] = counts.max() / counts[defined]
+    mean = float(np.mean(irlbl[defined])) if defined.any() else float("nan")
+    distinct, row_labelset = _labelsets(d.y)
+    scores = [_scumble_one([float(irlbl[l]) for l in np.flatnonzero(row)]) for row in distinct]
+    s_values = np.array(scores, dtype=float)[row_labelset]
+    cardinality = int(counts.sum()) / d.n
     return ImbalanceProfile(
         card=cardinality,
         dens=cardinality / d.k,
-        irlbl=per_label,
-        mean_ir=summary.mean_ir,
+        irlbl=tuple(None if math.isnan(v) else v for v in irlbl.tolist()),
+        mean_ir=mean,
         scumble=float(np.mean(s_values)),
         scumble_ins=tuple(s_values.tolist()),
-        tcs=tcs_from_counts(len(d.attributes), d.k, distinct),
-        distinct_labelsets=distinct,
+        tcs=tcs_from_counts(len(d.attributes), d.k, len(distinct)),
+        distinct_labelsets=len(distinct),
     )
 
 
@@ -265,10 +230,12 @@ def concurrence_export(
         raise ValueError("top counts must be non-negative")
     if top_majority > d.k or top_minority > d.k:
         raise ValueError("top counts cannot exceed the number of labels")
-    summary = imbalance_summary(d)
-    occurring = [l for l in range(d.k) if summary.counts[l] > 0]
-    majority = sorted(occurring, key=lambda l: (-summary.counts[l], l))[:top_majority]
-    minority = sorted(occurring, key=lambda l: (summary.counts[l], l))[:top_minority]
+    _require_domain(d)
+    counts = label_counts(d)
+    most = counts.max()
+    occurring = [l for l in range(d.k) if counts[l] > 0]
+    majority = sorted(occurring, key=lambda l: (-counts[l], l))[:top_majority]
+    minority = sorted(occurring, key=lambda l: (counts[l], l))[:top_minority]
     selected = sorted(set(majority) | set(minority))
     # every product sums 0/1 terms, so the float counts are exact
     columns = d.y[:, selected].astype(float)
@@ -281,8 +248,8 @@ def concurrence_export(
                     label_a=d.labels[a],
                     label_b=d.labels[b],
                     count=together[i][j],
-                    irlbl_a=float(summary.irlbl[a]),
-                    irlbl_b=float(summary.irlbl[b]),
+                    irlbl_a=float(most / counts[a]),
+                    irlbl_b=float(most / counts[b]),
                 )
             )
     rows.sort(key=lambda r: -r.count)
@@ -291,7 +258,8 @@ def concurrence_export(
 
 def concurrence_csv(rows: tuple[ConcurrenceRow, ...]) -> str:
     """CSV serialization of a concurrence table."""
-    lines = ["label_a,label_b,count,irlbl_a,irlbl_b"]
-    for r in rows:
-        lines.append(f"{r.label_a},{r.label_b},{r.count},{r.irlbl_a!r},{r.irlbl_b!r}")
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(("label_a", "label_b", "count", "irlbl_a", "irlbl_b"))
+    writer.writerows((r.label_a, r.label_b, r.count, r.irlbl_a, r.irlbl_b) for r in rows)
+    return out.getvalue()

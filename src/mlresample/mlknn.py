@@ -12,6 +12,7 @@ resampling algorithms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,11 @@ def mlknn_train(d_train: MultiLabelDataset, k_nn: int = 10, smoothing: float = 1
         raise ValueError("k_nn must be positive")
     if k_nn >= d_train.n:
         raise ValueError(f"k_nn ({k_nn}) must be smaller than the training size ({d_train.n})")
-    if smoothing < 0:
-        raise ValueError("smoothing must be non-negative")
+    # a nan, an infinity or a value whose denominators overflow scores every label nan
+    if not 0 <= smoothing * (k_nn + 1) < math.inf:
+        raise ValueError(
+            f"smoothing must be non-negative, with smoothing * (k_nn + 1) finite, got {smoothing}"
+        )
     space = FeatureSpace(d_train)
     encoded = space.encoded
     reference = prepare_reference(encoded)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .dataset import AttributeSpec, MultiLabelDataset
 from .distance import FeatureSpace, neighbors, prepare_reference
-from .metrics import ImbalanceProfile, imbalance_summary, profile
+from .metrics import ImbalanceProfile, profile
 
 _SEED_MAX = 2**64 - 1
 
@@ -113,6 +113,10 @@ class ResampleReport:
     producing stage ran on; a report with ``stages`` concatenates the stage
     records and keeps the outermost before/after profiles.  ``profile_after``
     is ``None`` when undersampling removed every instance.
+
+    In JSON, a report with ``stages`` writes only its instance counts,
+    ``added``, ``removed`` and the stage records, each in the one-stage form,
+    since its ``decoupled`` and profiles would repeat the stages' own.
     """
 
     instances_before: int
@@ -129,31 +133,37 @@ class ResampleReport:
             raise ValueError("inconsistent report: after != before + added - removed")
 
     def to_dict(self) -> dict:
-        return {
+        totals = {
             "instances_before": self.instances_before,
             "instances_after": self.instances_after,
             "added": [a.to_dict() for a in self.added],
             "removed": list(self.removed),
+        }
+        if self.stages:
+            return {**totals, "stages": [s.to_dict() for s in self.stages]}
+        return {
+            **totals,
             "decoupled": list(self.decoupled),
             "profile_before": self.profile_before.to_dict(),
             "profile_after": None if self.profile_after is None else self.profile_after.to_dict(),
-            "stages": [s.to_dict() for s in self.stages],
         }
 
 
 def _report(
     d: MultiLabelDataset,
     out: MultiLabelDataset,
+    profile_before: ImbalanceProfile,
     added: Sequence[AddedInstance],
     removed: Sequence[int],
     decoupled: Sequence[int] = (),
 ) -> ResampleReport:
+    """The record of one stage that turned ``d``, whose profile is ``profile_before``, into ``out``."""
     return ResampleReport(
         instances_before=d.n,
         instances_after=out.n,
         added=tuple(added),
         removed=tuple(removed),
-        profile_before=profile(d),
+        profile_before=profile_before,
         profile_after=profile(out) if out.n else None,
         decoupled=tuple(decoupled),
     )
@@ -175,15 +185,14 @@ def ml_ros(
     MLROSConfig(p=p)
     if rng is None:
         rng = np.random.default_rng()
-    summary = imbalance_summary(d)
+    before = profile(d)
     budget = math.floor(d.n * p / 100.0)
-    minority = np.flatnonzero(summary.minority).tolist()
+    minority = np.flatnonzero(before.minority).tolist()
     if not minority or budget == 0:
-        return d, _report(d, d, [], [])
+        return d, _report(d, d, before, [], [])
 
     bags = {label: np.flatnonzero(d.y[:, label]) for label in minority}
-    counts = summary.counts.astype(np.int64).copy()
-    max_count = int(counts.max())
+    counts = d.y.sum(axis=0, dtype=np.int64)
     active = list(minority)
     added: list[AddedInstance] = []
     while budget > 0 and active:
@@ -196,10 +205,10 @@ def ml_ros(
             budget -= 1
             counts += d.y[pick]
             max_count = int(counts.max())
-            if max_count / counts[label] <= summary.mean_ir:
+            if max_count / counts[label] <= before.mean_ir:
                 active.remove(label)
     out = d.subset([*range(d.n), *(a.source for a in added)])
-    return out, _report(d, out, added, [])
+    return out, _report(d, out, before, added, [])
 
 
 def _adjusted_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -223,15 +232,15 @@ def mlenn(d: MultiLabelDataset, ht: float = 0.75, nn: int = 3) -> tuple[MultiLab
     MLENNConfig(ht=ht, nn=nn)
     if nn >= d.n:
         raise ValueError(f"need more instances ({d.n}) than neighbors ({nn})")
-    minority = imbalance_summary(d).minority
-    candidates = np.flatnonzero(~d.y[:, minority].any(axis=1))
+    before = profile(d)
+    candidates = np.flatnonzero(~d.y[:, before.minority].any(axis=1))
     encoded = FeatureSpace(d).encoded
     query = (encoded[0][candidates], encoded[1][candidates])
     nearest = neighbors(query, prepare_reference(encoded), nn, exclude=candidates)
     far = _adjusted_hamming(d.y[candidates, None, :], d.y[nearest]) > ht
     marked = candidates[np.count_nonzero(far, axis=1) >= nn / 2]
     out = d.subset(np.setdiff1d(np.arange(d.n), marked))
-    return out, _report(d, out, [], marked.tolist())
+    return out, _report(d, out, before, [], marked.tolist())
 
 
 def _nominal_votes(codes: np.ndarray, nearest: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -319,12 +328,13 @@ def mlsmote(
         raise ValueError(f"k_neighbors ({k_neighbors}) must be smaller than the dataset size ({d.n})")
     if rng is None:
         rng = np.random.default_rng()
+    before = profile(d)
     encoded = FeatureSpace(d).encoded
     sizes = _nominal_sizes(d.attributes)
     rows = d.numeric, d.nominal, d.y
     parts = [rows]
     added: list[AddedInstance] = []
-    for label in np.flatnonzero(imbalance_summary(d).minority):
+    for label in np.flatnonzero(before.minority):
         bag = np.flatnonzero(d.y[:, label])
         if len(bag) < 2:
             continue
@@ -339,7 +349,7 @@ def mlsmote(
     # synthetic rows are checked with the rest, numbered after the input's
     numeric, nominal, y = (np.concatenate(arrays) for arrays in zip(*parts))
     out = MultiLabelDataset(d.attributes, d.labels, numeric, nominal, y, d.name)
-    return out, _report(d, out, added, [])
+    return out, _report(d, out, before, added, [])
 
 
 def resample(d: MultiLabelDataset, config: ResampleConfig) -> tuple[MultiLabelDataset, ResampleReport]:

@@ -29,7 +29,6 @@ from mlresample import (
     f_measure,
     hamming_loss,
     hybrid_resample,
-    imbalance_summary,
     irlbl,
     mean_ir,
     micro_auc,
@@ -202,13 +201,9 @@ class TestRemedialPostconditions:
             d = random_dataset(
                 seed + 3000, max_n=20, max_k=5, ensure_all_labels=True
             )
-            summary = imbalance_summary(d)
+            prof = profile(d)
             scores = scumble_values(d)
-            minority = {
-                l
-                for l in range(d.k)
-                if summary.counts[l] > 0 and summary.irlbl[l] > summary.mean_ir
-            }
+            minority = {l for l, v in enumerate(prof.irlbl) if v is not None and v > prof.mean_ir}
             out, report = remedial(d)
             # mean-mode threshold is exactly the dataset concurrence score
             expected_split = tuple(

@@ -1,11 +1,15 @@
+import csv
+import io
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mlresample import (
+    AttributeSpec,
     MultiLabelDataset,
     cli,
     fold_datasets,
@@ -17,7 +21,7 @@ from mlresample.arff import RowFormatter
 from mlresample.cli import main
 from mlresample.synthetic import imbalanced_dataset, separable_clusters
 
-from conftest import cli_env, float_range_dataset, write_dataset_files
+from conftest import cli_env, float_range_dataset, make_dataset, write_dataset_files
 
 
 def run_cli(args, env=None):
@@ -34,6 +38,12 @@ def run_cli(args, env=None):
 @pytest.fixture
 def toy6_files(toy6, tmp_path):
     return write_dataset_files(toy6, tmp_path, "toy6")
+
+
+ONE_STAGE_REPORT_KEYS = [
+    "instances_before", "instances_after", "added", "removed",
+    "decoupled", "profile_before", "profile_after",
+]
 
 
 def tree_bytes(root):
@@ -83,6 +93,27 @@ class TestInfo:
         assert code == 2
         assert "line 8: non-finite value '-Infinity' for attribute 'f0'" in err
 
+    def test_an_undefined_mean_ir_is_json_null(self, tmp_path, toy6):
+        # two rows whose labelsets are all empty: no label occurs, so MeanIR is undefined
+        empty = MultiLabelDataset(
+            toy6.attributes, toy6.labels, toy6.numeric[:2], toy6.nominal[:2],
+            np.zeros((2, toy6.k), dtype=bool), "empty",
+        )
+        arff, xml = map(str, write_dataset_files(empty, tmp_path, "empty"))
+        profile_path, out_dir = tmp_path / "p.json", tmp_path / "out"
+        assert main(["info", arff, xml, "--out", str(profile_path)]) == 0
+        args = ["resample", arff, xml, "--method", "mlros", "--out-dir", str(out_dir)]
+        assert main(args) == 0
+
+        def refuse(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        written = json.loads(profile_path.read_text(), parse_constant=refuse)
+        report = json.loads((out_dir / "report.json").read_text(), parse_constant=refuse)
+        assert written["mean_ir"] is None
+        assert report["profile_before"]["mean_ir"] is None
+        assert report["profile_after"]["mean_ir"] is None
+
     def test_zero_count_label_warning(self, tmp_path, toy6):
         sparse = toy6.subset(range(3))  # only label A used
         arff, xml = write_dataset_files(sparse, tmp_path, "sparse")
@@ -105,6 +136,7 @@ class TestResample:
         )
         assert result.n == 7
         report = json.loads((out_dir / "report.json").read_text())
+        assert list(report) == ONE_STAGE_REPORT_KEYS
         assert report["instances_after"] == 7
         assert report["added"] == [{"kind": "clone", "source": 5}]
 
@@ -117,8 +149,12 @@ class TestResample:
         )
         assert code == 0
         report = json.loads((out_dir / "report.json").read_text())
+        # the stages are written once, not again as the report's own profiles
+        assert list(report) == ["instances_before", "instances_after", "added", "removed", "stages"]
         assert len(report["stages"]) == 2
         first, second = report["stages"]
+        assert list(first) == list(second) == ONE_STAGE_REPORT_KEYS
+        assert first["profile_after"] == second["profile_before"]
         assert first["instances_after"] == second["instances_before"]
         assert report["instances_before"] == first["instances_before"]
         assert report["instances_after"] == second["instances_after"]
@@ -396,6 +432,16 @@ class TestEvaluate:
                    ("hamming_loss", "ranking_loss", "precision", "recall", "f_measure", "auc"))
         assert "hamming_loss: 0.0" in stdout
 
+    @pytest.mark.parametrize("smoothing", ["nan", "inf", "1e308"])
+    def test_a_smoothing_that_is_not_finite_exits_3(self, smoothing, tmp_path, capsys):
+        # 1e308 is finite, but 1e308 * (k + 1) is not
+        train, test = separable_clusters(seed=1)
+        train_arff, _ = write_dataset_files(train, tmp_path, "train")
+        test_arff, _ = write_dataset_files(test, tmp_path, "test")
+        args = ["evaluate", str(train_arff), str(test_arff), "--smoothing", smoothing]
+        assert main(args) == 3
+        assert "smoothing" in capsys.readouterr().err
+
     def test_unknown_classifier_exits_3(self, tmp_path):
         train, test = separable_clusters(seed=1)
         train_arff, _ = write_dataset_files(train, tmp_path, "train")
@@ -405,6 +451,18 @@ class TestEvaluate:
 
 
 class TestConcurrence:
+    def test_names_holding_a_comma_or_a_quote_read_back(self, tmp_path):
+        names = ("x,y", 'say "hi"', "plain")
+        d = make_dataset(
+            [AttributeSpec("f")], names, [((0.0,), [0, 1]), ((1.0,), [1, 2]), ((2.0,), [0, 2])]
+        )
+        arff, xml = write_dataset_files(d, tmp_path, "quoted")
+        out = tmp_path / "c.csv"
+        assert main(["concurrence", str(arff), str(xml), "--top", "3", "--out", str(out)]) == 0
+        _, *body = csv.reader(io.StringIO(out.read_text(encoding="utf-8")))
+        assert [len(row) for row in body] == [5, 5, 5]
+        assert {name for row in body for name in row[:2]} == set(names)
+
     def test_toy6_top1(self, toy6_files):
         arff, xml = toy6_files
         code, out, _ = run_cli(["concurrence", arff, xml, "--top", 1])

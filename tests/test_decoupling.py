@@ -14,9 +14,9 @@ from mlresample import (
     PERCENTILE_PRESETS,
     ResampleConfig,
     hybrid_resample,
-    resample,
-    imbalance_summary,
     nearest_rank_quantile,
+    profile,
+    resample,
     remedial,
     scumble,
     scumble_values,
@@ -160,13 +160,11 @@ class TestRemedialToy6:
 @settings(max_examples=80, deadline=None)
 @given(datasets(allow_empty_labelsets=False, ensure_all_labels=True))
 def test_split_pair_postconditions(d):
-    summary = imbalance_summary(d)
+    prof = profile(d)
     out, report = remedial(d)
     assert out.n == d.n + len(report.decoupled)
     assert len(report.added) == len(report.decoupled)
-    minority = {
-        l for l in range(d.k) if summary.counts[l] > 0 and summary.irlbl[l] > summary.mean_ir
-    }
+    minority = {l for l, v in enumerate(prof.irlbl) if v is not None and v > prof.mean_ir}
     split = set(report.decoupled)
     before, after = rows(d), rows(out)
     for i in range(d.n):
@@ -235,12 +233,8 @@ class TestHybrid:
         out, report = hybrid_resample(d, config)
         first, second = report.stages
         decoupled_d, _ = remedial(d)
-        summary = imbalance_summary(decoupled_d)
-        minority = {
-            l
-            for l in range(decoupled_d.k)
-            if summary.counts[l] > 0 and summary.irlbl[l] > summary.mean_ir
-        }
+        prof = profile(decoupled_d)
+        minority = {l for l, v in enumerate(prof.irlbl) if v is not None and v > prof.mean_ir}
         assert second.added, "the hybrid should synthesize something here"
         for record in second.added:
             seed_labels = set(rows(decoupled_d)[record.source].labels)

@@ -7,6 +7,10 @@ from hypothesis import given, settings
 from mlresample import (
     AttributeSpec,
     UndefinedIRLblError,
+    ml_ros,
+    mlenn,
+    mlsmote,
+    remedial,
     card,
     concurrence_csv,
     concurrence_export,
@@ -21,6 +25,9 @@ from mlresample import (
     tcs,
     tcs_from_counts,
 )
+
+from mlresample import metrics
+from mlresample.synthetic import imbalanced_dataset
 
 from conftest import datasets, make_dataset
 from _oracles import (
@@ -170,6 +177,69 @@ class TestProfile:
             "tcs",
             "distinct_labelsets",
         ]
+
+
+class TestMinority:
+    def test_toy6(self, toy6):
+        # IRLbl 1, 2.5 and 5 against MeanIR 2.8333: only C
+        assert profile(toy6).minority.tolist() == [False, False, True]
+
+    def test_a_label_that_never_occurs_is_not_minority(self, toy6):
+        # {A,B} and {B}: IRLbl 2 and 1 against MeanIR 1.5; C never occurs
+        assert profile(toy6.subset([3, 4])).minority.tolist() == [True, False, False]
+
+
+METRICS = {
+    "card": card,
+    "dens": dens,
+    "irlbl": lambda d: irlbl(d, 0),
+    "mean_ir": mean_ir,
+    "scumble": scumble,
+    "scumble_ins": lambda d: scumble_ins(d, 0),
+    "scumble_values": scumble_values,
+    "distinct_labelsets": distinct_labelsets,
+    "tcs": tcs,
+    "profile": profile,
+    "concurrence_export": lambda d: concurrence_export(d, 0, 0),
+}
+
+
+@pytest.mark.parametrize("metric", METRICS.values(), ids=METRICS.keys())
+@pytest.mark.parametrize(
+    "labels, rows",
+    [(("A", "B"), []), ((), [((0.0,), []), ((1.0,), [])])],
+    ids=["no-instances", "no-labels"],
+)
+def test_every_metric_needs_an_instance_and_a_label(metric, labels, rows):
+    d = make_dataset([AttributeSpec("a")], labels, rows)
+    with pytest.raises(ValueError):
+        metric(d)
+
+
+STAGES = {
+    "remedial": remedial,
+    "ml_ros": lambda d: ml_ros(d, 25.0, np.random.default_rng(0)),
+    "mlenn": mlenn,
+    "mlsmote": lambda d: mlsmote(d, 5, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("stage", STAGES.values(), ids=STAGES.keys())
+def test_a_stage_derives_label_statistics_once_for_its_input_and_once_for_its_output(
+    stage, monkeypatch
+):
+    seen = []
+    count = metrics.label_counts
+
+    def counted(d):
+        seen.append(d)
+        return count(d)
+
+    monkeypatch.setattr(metrics, "label_counts", counted)
+    d = imbalanced_dataset(0, n=200)
+    out, _ = stage(d)
+    assert len(seen) == 2
+    assert seen[0] is d and seen[1] is out
 
 
 class TestConcurrenceExport:
