@@ -12,39 +12,52 @@ number, as are numbers that only Python's ``float`` reads, with digit-group
 underscores (``1_0.5``) or non-ASCII digits.
 
 The XML header lists the label attributes; nested label hierarchies are
-flattened to their name list in document order.  Label columns must hold 0/1.
+flattened to their name list in document order.  Label columns must hold
+0/1, and at least one ARFF attribute must be a feature, not a label.
 
 The parser reads the data section in blocks of stripped lines, which take
 one of three shapes; a clean block is ASCII without a quote, a missing
 value ``?`` or an underscore.  A clean dense block (no brace, one token per
 column on every line) is split in one call and decoded one column at a
 time, each column by its own decoder in one pass, straight into a float
-block.  A clean sparse block (every line one ``{...}`` with no other brace)
-has all its ``index value`` entries split at once; the indices are decoded
-in one pass, and the values land in a block holding every column's
-default, so no row is expanded to all columns.  Any other block, and any block with a token that
-does not decode, an entry that is not one index and one value, indices that
-are not ascending, or a non-finite feature, is decoded line by line instead,
-and the first bad line raises its error with its line number; so every
-accepted file gives the same arrays, and every rejected file the same
-message and line, whichever path its blocks take.  The label columns are
-checked as a whole at the end; only a file with a bad label cell decodes its
-first bad row again, for the error and its line.
+block.  A column is one-character when it is nominal and every value it
+declares is one ASCII character, as labels declared ``{0,1}`` and binary
+word features are.  The trailing run of ``t`` such columns is not split
+into tokens: the last ``2t`` characters of each line are read as bytes, a
+comma before each cell and one byte per cell, which the column's code
+table, built from its decoder's own dict, reads.  Only the columns before
+them are decoded token by token.  A clean sparse block (every line one ``{...}`` with no
+other brace) has all its ``index value`` entries split at once; the
+indices are decoded in one pass, and the values land in a block holding
+every column's default, so no row is expanded to all columns.  Any other
+block, and any block with a token that does not decode, a one-character
+cell that is not one byte between commas, an entry that is not one index
+and one value, indices that are not ascending, or a non-finite feature, is
+decoded line by line instead, and the first bad line raises its error with
+its line number; so every accepted file gives the same arrays, and every
+rejected file the same message and line, whichever path its blocks take.
+The label columns are checked as a whole at the end; only a file with a
+bad label cell decodes its first bad row again, for the error and its line.
 
 The writer formats each distinct feature row once: clones and decoupled
 copies repeat their source's values, and a :class:`RowFormatter` shared
-across calls does the same for the folds cut from one dataset.
-:func:`read_mulan` parses like :func:`parse_mulan` and also returns a
-formatter that already holds every data line the writer would write
-unchanged for the row it decodes to, so that rows taken from the input are
-never spelled again.  Such a line lists the features in declaration order,
-then the labels in XML order, holds no quote, and spells each cell as the
-writer does: ``0`` or ``1`` for a label, ``?`` or a declared value that
-needs no quotes for a nominal feature, and ``?`` or a number in
-:data:`_CANONICAL_NUMBER` for a numeric one.  The writer quotes every name
-and value holding whitespace or ARFF syntax, and rejects one holding a line
-break, or a label name holding a character XML 1.0 lacks, because neither
-would read back.
+across calls does the same for the folds cut from one dataset, and formats
+their feature declarations once.  The rows that a call meets for the first
+time are spelled in one batch: the trailing run of nominal features whose
+every symbol is one character through a code-to-byte table, the other
+features one column at a time.  :func:`read_mulan` parses like
+:func:`parse_mulan` and also returns a formatter that already holds every
+data line the writer would write unchanged for the row it decodes to, so
+that rows taken from the input are never spelled again.  Such a line lists
+the features in declaration order, then the labels in XML order, holds no
+quote, and spells each cell as the writer does: ``0`` or ``1`` for a label,
+``?`` or a declared value that needs no quotes for a nominal feature, and
+``?`` or a number in :data:`_CANONICAL_NUMBER` for a numeric one.  A regex
+matches the cells before the trailing one-character columns, whose cells
+are checked as bytes, so a file whose columns are all one-character needs
+no regex.  The writer quotes every name and value holding whitespace or
+ARFF syntax, and rejects one holding a line break, or a label name holding
+a character XML 1.0 lacks, because neither would read back.
 """
 
 from __future__ import annotations
@@ -52,6 +65,7 @@ from __future__ import annotations
 import math
 import re
 import xml.etree.ElementTree as ElementTree
+from collections.abc import Callable
 from functools import cached_property
 from itertools import compress, groupby, repeat
 from operator import getitem, itemgetter
@@ -62,7 +76,7 @@ from .dataset import AttributeSpec, MultiLabelDataset
 
 _NUMERIC_KINDS = {"numeric", "real", "integer"}
 
-# Data lines decoded together into one float block.
+# Data lines decoded together into one float block, and rows spelled together.
 _PARSE_ROWS = 512
 
 # A number that repr spells back unchanged: positional notation with at most
@@ -185,10 +199,18 @@ def _nominal_index(attr: AttributeSpec) -> dict[str, int]:
     for i, value in enumerate(attr.values):
         index[f"'{value}'"] = i
         index[f'"{value}"'] = i
-        if _unquote(value) == value:
+        # the row path strips its tokens, so only a value without whitespace
+        # at its edges can be named unquoted
+        if _unquote(value) == value and value == value.strip():
             index[value] = i
     index.pop("?", None)
     return index
+
+
+def _one_character(attr: AttributeSpec) -> bool:
+    """Whether every value of ``attr`` is one ASCII character, so that every
+    token its decoder reads unquoted is one byte."""
+    return attr.is_nominal and all(len(value) == 1 and value.isascii() for value in attr.values)
 
 
 class _RowParser:
@@ -196,7 +218,8 @@ class _RowParser:
 
     Each column gets its decoder once: a ``token -> index`` dict lookup for a
     nominal column, ``float`` for a numeric one.  :meth:`cells` decodes a
-    block of lines into floats: a clean dense block one column at a time, a
+    block of lines into floats: a clean dense block one column at a time,
+    its trailing one-character columns as bytes (see :meth:`_dense`), a
     clean sparse block in one pass over all its entries, and any other
     block, or one that does not decode whole, through :meth:`row`.
     :meth:`row` decodes one line: a row whose tokens all decode and whose
@@ -209,9 +232,18 @@ class _RowParser:
 
     def __init__(self, columns: tuple[AttributeSpec, ...], label_names: tuple[str, ...]):
         self.columns = columns
-        self.decoders = [
-            _nominal_index(attr).__getitem__ if attr.is_nominal else float for attr in columns
-        ]
+        indexes = [_nominal_index(attr) if attr.is_nominal else None for attr in columns]
+        self.decoders = [float if index is None else index.__getitem__ for index in indexes]
+        # the trailing run of one-character columns, from self.head on, and per
+        # such column the code of each byte its decoder reads, -1 for the rest
+        self.head = len(columns)
+        while self.head and _one_character(columns[self.head - 1]):
+            self.head -= 1
+        self.tail_codes = np.full((len(columns) - self.head, 256), -1, np.int16)
+        for codes, index in zip(self.tail_codes, indexes[self.head :]):
+            for key, code in index.items():
+                if len(key) == 1 and key != ",":
+                    codes[ord(key)] = code
         self.defaults = [0 if attr.is_nominal else 0.0 for attr in columns]
         self.finite = np.array(
             [not attr.is_nominal and attr.name not in label_names for attr in columns], bool
@@ -308,9 +340,9 @@ class _RowParser:
         lines are all dense, without a brace and each with one token per
         column, or all sparse, each a ``{...}`` with no other brace.  Every
         other block, and every block whose column path does not decode whole
-        (a token its decoder rejects, such as a padded nominal value, an
-        unsorted index, an entry of other than two tokens, or a non-finite
-        feature), goes through :meth:`row` line by line, which raises the
+        (a token its decoder rejects, such as a padded nominal value, a
+        one-character cell of other than one byte, an unsorted index, an
+        entry of other than two tokens, or a non-finite feature), goes through :meth:`row` line by line, which raises the
         first error.
         """
         text = ",".join(lines)
@@ -321,7 +353,7 @@ class _RowParser:
             n = len(lines)
             if "{" not in text:
                 if all(line.count(",") == len(self.columns) - 1 for line in lines):
-                    cells = self._dense(text, n)
+                    cells = self._dense(lines, text)
             elif (
                 text.count("{") == text.count("}") == n
                 and "".join(map(itemgetter(0), lines)) == "{" * n
@@ -334,18 +366,44 @@ class _RowParser:
         # numpy converts the missing value None to NaN; every code is a small int, held exactly
         return np.array(rows, dtype=np.float64).reshape(len(rows), len(self.columns))
 
-    def _dense(self, text: str, n: int) -> np.ndarray | None:
-        """The cells of ``n`` comma-joined dense lines, one decoder pass per
-        column, or None when a token does not decode or a feature is not finite."""
-        width = len(self.columns)
+    def _dense(self, lines: list[str], text: str) -> np.ndarray | None:
+        """The cells of dense lines, ``text`` being their comma-joined text, or
+        None when a token does not decode or a feature is not finite.
+
+        The one-character columns at the end take the last ``2t``
+        characters of each line, ``t`` being their number: a comma before
+        each cell, which is one byte that the column's code table reads.  So
+        every line of a file whose columns are all one-character must be
+        ``2t - 1`` characters long.  The columns before them are decoded one
+        column at a time from the split of the whole block: its
+        one-character tokens cost list slots only, as CPython shares
+        one-character strings, where a copy of each line's head would not.
+        """
+        n, width, head = len(lines), len(self.columns), self.head
+        cells = np.empty((n, width))
+        if head < width:
+            span = 2 * (width - head)
+            if head:
+                tails = "".join([line[-span:] for line in lines])
+            elif all(len(line) == span - 1 for line in lines):
+                tails = "," + text
+            else:
+                return None
+            if len(tails) != n * span:
+                return None
+            chars = np.frombuffer(tails.encode(), np.uint8).reshape(n, span)
+            codes = self.tail_codes[np.arange(width - head), chars[:, 1::2]]
+            if not ((chars[:, ::2] == ord(",")).all() and (codes >= 0).all()):
+                return None
+            cells[:, head:] = codes
+            if not head:
+                return cells
         # one flat token list, whose column j is every width-th token from j,
         # holds a block's tokens in fewer objects than a list per line
         tokens = text.split(",")
-        cells = np.empty((n, width))
         try:
-            for j, decode in enumerate(self.decoders):
-                column = tokens[j::width]
-                cells[:, j] = np.fromiter(map(decode, column), np.float64, n)
+            for j, decode in enumerate(self.decoders[:head]):
+                cells[:, j] = np.fromiter(map(decode, tokens[j::width]), np.float64, n)
         except (KeyError, ValueError):
             return None
         if not np.isfinite(cells[:, self.finite]).all():
@@ -455,27 +513,67 @@ def _label_numbers(attr: AttributeSpec, width: int) -> np.ndarray:
     return numbers
 
 
-def _writer_lines(parser: _RowParser) -> re.Pattern | None:
-    """The pattern of the data lines that the writer writes unchanged for the
-    rows they decode to, or None when the columns are not in the writer's
-    order: the features in declaration order, then the labels in XML order."""
+def _bare(value: str) -> bool:
+    """Whether the writer writes the nominal value ``value`` unquoted."""
+    # a value free of ARFF syntax holds no quote, so _quote returns
+    return _NEEDS_QUOTING.isdisjoint(value) and _quote(value) == value
+
+
+def _writer_lines(parser: _RowParser) -> Callable[[str], bool] | None:
+    """Whether a data line is one that the writer writes unchanged for the row
+    it decodes to, or None when the columns are not in the writer's order:
+    the features in declaration order, then the labels in XML order.
+
+    A regex matches the cells before the one-character columns.  The
+    one-character cells are checked apart, at their fixed places at the end
+    of the line: each is in the writer's form when it is a feature value
+    that needs no quotes, ``?``, or a label's ``0`` or ``1``.
+    """
     if parser.feature_columns + parser.label_columns != list(range(len(parser.columns))):
         return None
+    columns, head = parser.columns, parser.head
     cells = []
-    for i in parser.feature_columns:
-        values = parser.columns[i].values
-        # the values the writer leaves unquoted; one free of ARFF syntax holds
-        # no quote, so _quote returns
-        spellings = (
-            [re.escape(v) for v in values if _NEEDS_QUOTING.isdisjoint(v) and _quote(v) == v]
-            if values
-            else [_CANONICAL_NUMBER]
-        )
+    for i in parser.feature_columns[:head]:
+        values = columns[i].values
+        spellings = [re.escape(v) for v in values if _bare(v)] if values else [_CANONICAL_NUMBER]
         cells.append("(?:" + "|".join([*spellings, r"\?"]) + ")")
-    cells += ["[01]"] * len(parser.label_columns)
-    # a run of equal cells is one repeat, so that a wide schema compiles fast
+    cells += ["[01]"] * (head - len(cells))
+    pattern = _repeats(cells, ",")
+    if head == len(columns):
+        return lambda line: pattern.fullmatch(line) is not None
+    # the characters of the one-character cells, one after the other
+    tail = []
+    for i in range(head, len(columns)):
+        if i in parser.label_columns:
+            tail.append("[01]")
+        else:
+            chars = [v for v in columns[i].values if _bare(v)]
+            tail.append("[" + "".join(map(re.escape, [*chars, "?"])) + "]")
+    tail = _repeats(tail, "")
+    span = 2 * (len(columns) - head)
+    commas = "," * (span // 2 - 1)
+
+    def in_form(line: str) -> bool:
+        # the comma before the first one-character cell sits at end; a line
+        # of one-character cells only starts where that comma would follow
+        end = len(line) - span
+        return (
+            (end > 0 if head else end == -1)
+            and line[end + 2 :: 2] == commas
+            and tail.fullmatch(line[end + 1 :: 2]) is not None
+            and (not head or line[end] == "," and pattern.fullmatch(line, 0, end) is not None)
+        )
+
+    return in_form
+
+
+def _repeats(cells: list[str], sep: str) -> re.Pattern:
+    """The pattern of ``cells`` joined by ``sep``; a run of equal cells is one
+    repeat, so that a wide schema compiles fast."""
     runs = [(cell, len(list(run))) for cell, run in groupby(cells)]
-    return re.compile(",".join(f"{cell}(?:,{cell}){{{n - 1}}}" for cell, n in runs))
+    return re.compile(
+        sep.join(f"{cell}(?:{sep}{cell}){{{n - 1}}}" if sep else f"{cell}{{{n}}}" for cell, n in runs)
+    )
 
 
 def _parse(
@@ -499,8 +597,7 @@ def _parse(
         first = len(line_numbers) - len(lines)
         blocks.append(parser.block(parser.cells(lines, line_numbers[first:])))
         if writer_lines is not None:
-            matched = list(map(writer_lines.fullmatch, lines))
-            matched_rows.extend(compress(range(first, len(line_numbers)), matched))
+            matched_rows.extend(compress(range(first, len(line_numbers)), map(writer_lines, lines)))
 
     in_data = False
     for line_no, raw in enumerate(arff_text.splitlines(), start=1):
@@ -534,6 +631,8 @@ def _parse(
     for name in label_names:
         if name not in names:
             raise MulanFormatError(f"XML label {name!r} is not an ARFF attribute")
+    if not parser.feature_columns:
+        raise MulanFormatError("the ARFF file declares no feature attribute, only labels")
     numeric, nominal, values = (np.concatenate(arrays) for arrays in zip(*blocks))
     del blocks
     wrong = np.flatnonzero(~((values == 0.0) | (values == 1.0)).all(axis=1))
@@ -618,9 +717,9 @@ class RowFormatter:
     label cells are the same too, else with the label cells swapped.  So
     clones, decoupled copies and the folds cut from one dataset are
     formatted once when they share a formatter, and :meth:`_spell` formats
-    only the rows met for the first time.  A schema that the writer cannot
-    write raises ``ValueError`` when a row is spelled, not when the
-    formatter is made.
+    the rows that a call meets for the first time, many rows at once.  A
+    schema that the writer cannot write raises ``ValueError`` when a row is
+    spelled or the declarations are formatted, not when the formatter is made.
     """
 
     def __init__(self, attributes: tuple[AttributeSpec, ...], k: int):
@@ -643,17 +742,64 @@ class RowFormatter:
         self._pending: tuple[np.ndarray, np.ndarray, list[int], list[int], str] | None = None
 
     @cached_property
+    def declarations(self) -> list[str]:
+        """The ``@attribute`` line of each feature."""
+        return [
+            f"@attribute {_quote(attr.name)} "
+            + ("{" + ",".join(map(_quote, attr.values)) + "}" if attr.is_nominal else "numeric")
+            for attr in self.attributes
+        ]
+
+    @cached_property
     def _symbols(self) -> list[tuple[str, ...]]:
         """Per nominal attribute its quoted symbols, then the "?" that the missing code -1 picks."""
         return [(*(_quote(v) for v in attr.values), "?") for attr in self.attributes if attr.is_nominal]
 
-    def _spell(self, numeric: np.ndarray, nominal: np.ndarray) -> str:
-        """The feature cells of one row, in attribute order."""
-        cells = [*map(repr, numeric.tolist())]
-        if "nan" in cells:
-            cells = ["?" if cell == "nan" else cell for cell in cells]  # NaN is missing
-        cells += map(getitem, self._symbols, nominal.tolist())
-        return ",".join(map(cells.__getitem__, self._order))
+    @cached_property
+    def _letters(self) -> np.ndarray:
+        """Per attribute of the trailing run of nominal attributes whose every
+        symbol is one ASCII character, "?" and then the byte of each code,
+        so that code ``c`` is at ``c + 1``."""
+        symbols = self._symbols
+        run = 0
+        while run < len(symbols) and self.attributes[-1 - run].is_nominal:
+            if not all(len(symbol) == 1 and symbol.isascii() for symbol in symbols[-1 - run]):
+                break
+            run += 1
+        letters = np.zeros((run, max(map(len, symbols[len(symbols) - run :]), default=0)), np.uint8)
+        for row, spelled in zip(letters, symbols[len(symbols) - run :]):
+            row[: len(spelled)] = [ord(symbol) for symbol in spelled[-1:] + spelled[:-1]]
+        return letters
+
+    def _spell(self, numeric: np.ndarray, nominal: np.ndarray) -> list[str]:
+        """The feature cells of each row, in attribute order.
+
+        The trailing one-character nominal attributes are spelled for all
+        rows at once, as bytes; the attributes before them row by row.
+        """
+        letters = self._letters
+        run = len(letters)
+        head = len(self.attributes) - run
+        rows = [""] * len(numeric)
+        if head:
+            symbols, order = self._symbols[: len(self._symbols) - run], self._order[:head]
+            for at, (values, codes) in enumerate(zip(numeric, nominal[:, : nominal.shape[1] - run])):
+                cells = [*map(repr, values.tolist())]
+                if "nan" in cells:
+                    cells = ["?" if cell == "nan" else cell for cell in cells]  # NaN is missing
+                cells += map(getitem, symbols, codes.tolist())
+                rows[at] = ",".join(map(cells.__getitem__, order))
+        if run:
+            span = 2 * run
+            cells = np.full((len(rows), span), ord(","), np.uint8)
+            # code c of the j-th attribute is byte c + 1 of the j-th row of letters
+            starts = np.arange(1, letters.size, letters.shape[1])
+            cells[:, 1::2] = letters.ravel().take(nominal[:, nominal.shape[1] - run :] + starts)
+            text = cells.tobytes().decode("ascii")
+            # the comma before the first one-character cell follows a head cell
+            first = 0 if head else 1
+            rows = [row + text[at + first : at + span] for row, at in zip(rows, range(0, len(text), span))]
+        return rows
 
     def _plant(self) -> None:
         """File the lines that :func:`read_mulan` found under their rows' bytes."""
@@ -668,9 +814,15 @@ class RowFormatter:
     def lines(self, d: MultiLabelDataset) -> list[str]:
         if self._pending is not None:
             self._plant()
-        order, tails, known = self._order, self._tails, self._lines
-        out = []
-        for numeric, nominal, labels in zip(d.numeric, d.nominal.astype(self._codes), d.y):
+        tails, known = self._tails, self._lines
+        codes = d.nominal.astype(self._codes)
+        out: list[str | None] = []
+        # the keys met for the first time, each with the first row holding it,
+        # and per row holding one, the row, the key's index and its label cells
+        new: dict[bytes, int] = {}
+        first: list[int] = []
+        waiting: list[tuple[int, int, str]] = []
+        for row, (numeric, nominal, labels) in enumerate(zip(d.numeric, codes, d.y)):
             tail = tails.get(labels.tobytes())
             if tail is None:
                 tail = tails[labels.tobytes()] = self._sep + ",".join(
@@ -679,10 +831,22 @@ class RowFormatter:
             key = numeric.tobytes() + nominal.tobytes()
             line = known.get(key)
             if line is None:
-                line = known[key] = self._spell(numeric, nominal) + tail
+                j = new.setdefault(key, len(first))
+                if j == len(first):
+                    first.append(row)
+                waiting.append((row, j, tail))
             elif not line.endswith(tail):
                 line = line[: len(line) - len(tail)] + tail
             out.append(line)
+        if first:
+            # in blocks, so that the byte arrays of a large write stay small
+            spelled = []
+            for at in range(0, len(first), _PARSE_ROWS):
+                rows = first[at : at + _PARSE_ROWS]
+                spelled += self._spell(d.numeric[rows], codes[rows])
+            for row, j, tail in waiting:
+                out[row] = spelled[j] + tail
+            known.update(zip(new, (out[row] for row in first)))
         return out
 
 
@@ -699,13 +863,7 @@ def write_mulan(d: MultiLabelDataset, rows: RowFormatter | None = None) -> tuple
         rows = RowFormatter(d.attributes, d.k)
     elif (rows.attributes, rows.k) != (d.attributes, d.k):
         raise ValueError("the row formatter was built for another schema")
-    lines = [f"@relation {_quote(d.name)}", ""]
-    for attr in d.attributes:
-        if attr.is_nominal:
-            decl = "{" + ",".join(_quote(v) for v in attr.values) + "}"
-        else:
-            decl = "numeric"
-        lines.append(f"@attribute {_quote(attr.name)} {decl}")
+    lines = [f"@relation {_quote(d.name)}", "", *rows.declarations]
     for name in d.labels:
         lines.append(f"@attribute {_quote(name)} {{0,1}}")
     lines.append("")

@@ -77,7 +77,11 @@ def datasets(
     quotable_values=False,
 ):
     """Random datasets; ``quotable_names`` and ``quotable_values`` draw
-    attribute names and nominal values that the ARFF writer must quote."""
+    attribute names and nominal values that the ARFF writer must quote.
+
+    Some nominal attributes hold one-character values from ``01ab%``, of
+    which the writer quotes ``%``, as binary word features do ``0`` and ``1``.
+    """
     k = draw(st.integers(1, max_k))
     n = draw(st.integers(max(1, k) if ensure_all_labels else 1, max_n))
     n_attrs = draw(st.integers(1, max_attrs))
@@ -85,7 +89,12 @@ def datasets(
     name_alphabet = "abc_0 -\xa0" if quotable_names else "abc_0"
     attrs = []
     for j in range(n_attrs):
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(["numeric", "nominal", "one-character"]))
+        if kind == "one-character":
+            letter = st.sampled_from("01ab%")
+            values = tuple(draw(st.lists(letter, min_size=1, max_size=4, unique=True)))
+            attrs.append(AttributeSpec(name=f"a{j}", values=values))
+        elif kind == "nominal":
             size = draw(st.integers(2, 4))
             if quotable_values:
                 # one quote kind per value: the writer cannot serialise both

@@ -380,7 +380,7 @@ def parse_with_full_check(arff_text, xml_text):
 # Arabic-Indic digits), one holding a ? and one too many
 MUTANT_TOKENS = [
     "nan", "1e400", "-inf", "Infinity", "zz", "?", "'?'", "1?", "1.5", "0", "1", "2", "1_0",
-    "\u0661\u0662", "1,0",
+    "\u0661\u0662", "1,0", "00", "a",
 ]
 PADDING = ["", " ", "\t", "\xa0"]
 # irregular sparse rows: entries out of order, an index twice or out of
@@ -480,6 +480,12 @@ ONE_NUMERIC = NUMERIC_HEAD + "1.5,0\n"
 XML_A = '<labels><label name="A"></label></labels>'
 # a declared value holding a space, so that a sparse entry of three tokens can name it
 SPACED = "@relation r\n@attribute c {'a b',c}\n@attribute A {0,1}\n@data\n"
+# declared values with a space at an edge, which only a quoted token names
+PADDED = "@relation r\n@attribute x numeric\n@attribute c {' a',a}\n@attribute A {0,1}\n@data\n"
+BLANK = "@relation r\n@attribute x numeric\n@attribute c {' ',a}\n@attribute A {0,1}\n@data\n"
+# one-character columns only, and a numeric column before two of them
+LETTERS = "@relation r\n@attribute f {0,1}\n@attribute A {0,1}\n@data\n"
+NUMBER_LETTERS = "@relation r\n@attribute x numeric\n@attribute f {0,1}\n@attribute A {0,1}\n@data\n"
 
 
 @settings(max_examples=300, deadline=None)
@@ -499,6 +505,12 @@ SPACED = "@relation r\n@attribute c {'a b',c}\n@attribute A {0,1}\n@data\n"
 @example((NUMERIC_HEAD + "{0 2.5 1}\n", XML_A))  # three tokens, the first two decoding
 @example((NUMERIC_HEAD + "{1}\n", XML_A))  # one token
 @example((SPACED + "{1 1}\n{0 a b, 1 1}\n", XML_A))  # three tokens naming one value
+@example((PADDED + "1.5, a,1\n", XML_A))  # a padded value in a clean block
+@example((PADDED + "1.5, a,1\n?,a,0\n", XML_A))  # and in a block holding a missing value
+@example((BLANK + "1.5, ,1\n", XML_A))  # a blank cell where a value is a space
+@example((LETTERS + "1,00\n,1\n", XML_A))  # lines whose characters join to 1,00,1
+@example((NUMBER_LETTERS + "1.5,10,1\n", XML_A))  # two characters in a one-character column
+@example((LETTERS + "0,1\n0, 1\n1,0\n", XML_A))  # lines of one-character cells differing in length
 def test_column_blocks_decode_as_every_row_alone(files):
     with pytest.MonkeyPatch.context() as patch:
         # three-row blocks, so that clean and fallback blocks meet inside a file
@@ -818,8 +830,9 @@ def test_only_lines_in_the_writers_form_are_reused(monkeypatch):
     spell = RowFormatter._spell
 
     def spy(formatter, numeric, nominal):
-        spelled.append(spell(formatter, numeric, nominal))
-        return spelled[-1]
+        rows = spell(formatter, numeric, nominal)
+        spelled.extend(rows)
+        return rows
 
     monkeypatch.setattr(RowFormatter, "_spell", spy)
     lines = ["0.0001,red,1,1", "1.50,blue,0,0", "-0.0,?,0,1", "?,red,1,0", "1e-05,red,1,1"]

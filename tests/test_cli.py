@@ -365,6 +365,28 @@ class TestMalformedInputExits2:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot decode {path}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "job",
+        [
+            ["info"],
+            ["resample", "--method", "mlros", "--out-dir", "out"],
+            ["partition", "--folds", "2", "--out-dir", "out"],
+            ["concurrence", "--top", "1"],
+        ],
+        ids=["info", "resample", "partition", "concurrence"],
+    )
+    def test_a_data_set_of_labels_only(self, job, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.arff").write_text(
+            "@relation r\n@attribute A {0,1}\n@attribute B {0,1}\n@data\n1,0\n0,1\n1,1\n"
+        )
+        (tmp_path / "d.xml").write_text('<labels><label name="A"/><label name="B"/></labels>')
+        assert main([job[0], "d.arff", "d.xml", *job[1:]]) == 2
+        assert capsys.readouterr().err == (
+            "error: the ARFF file declares no feature attribute, only labels\n"
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestPartition:
     def test_writes_fold_pairs(self, tmp_path):
@@ -597,8 +619,9 @@ class TestInputSpelling:
         spell = RowFormatter._spell
 
         def spy(formatter, numeric, nominal):
-            spelled.append(spell(formatter, numeric, nominal))
-            return spelled[-1]
+            rows = spell(formatter, numeric, nominal)
+            spelled.extend(rows)
+            return rows
 
         monkeypatch.setattr(RowFormatter, "_spell", spy)
         return spelled
