@@ -17,25 +17,27 @@ flattened to their name list in document order.  Label columns must hold
 
 The parser reads the data section in blocks of stripped lines, which take
 one of three shapes; a clean block is ASCII without a quote, a missing
-value ``?`` or an underscore.  A clean dense block (no brace, one token per
-column on every line) is split in one call and decoded one column at a
-time, each column by its own decoder in one pass, straight into a float
-block.  A column is one-character when it is nominal and every value it
-declares is one ASCII character, as labels declared ``{0,1}`` and binary
-word features are.  The trailing run of ``t`` such columns is not split
-into tokens: the last ``2t`` characters of each line are read as bytes, a
-comma before each cell and one byte per cell, which the column's code
-table, built from its decoder's own dict, reads.  Only the columns before
-them are decoded token by token.  A clean sparse block (every line one ``{...}`` with no
-other brace) has all its ``index value`` entries split at once; the
-indices are decoded in one pass, and the values land in a block holding
-every column's default, so no row is expanded to all columns.  Any other
-block, and any block with a token that does not decode, a one-character
-cell that is not one byte between commas, an entry that is not one index
-and one value, indices that are not ascending, or a non-finite feature, is
-decoded line by line instead, and the first bad line raises its error with
-its line number; so every accepted file gives the same arrays, and every
-rejected file the same message and line, whichever path its blocks take.
+value ``?`` or an underscore.  In a clean dense block (no brace, one token
+per column on every line), a column is one-character when it is nominal
+and every value it declares is one ASCII character, as labels declared
+``{0,1}`` and binary word features are.  The trailing run of ``t`` such
+columns is not split into tokens: the last ``2t`` characters of each line
+are read as bytes, a comma before each cell and one byte per cell, which
+the column's code table, built from its decoder's own dict, reads.  The
+columns before them, the block's head, are read by numpy's C text reader
+in one call, straight into a float block: it parses each number with the
+routine that ``float`` uses, so every value is bit-identical, and hands
+each nominal cell to its column's decoder.  A clean sparse block (every
+line one ``{...}`` with no other brace) has all its ``index value`` entries
+split at once; the indices are decoded in one pass, and the values land in
+a block holding every column's default, so no row is expanded to all
+columns.  Any other block, and any block with a token that does not
+decode, a one-character cell that is not one byte between commas, an
+entry that is not one index and one value, indices that are not
+ascending, or a non-finite feature, is decoded line by line instead, and
+the first bad line raises its error with its line number; so every
+accepted file gives the same arrays, and every rejected file the same
+message and line, whichever path its blocks take.
 The label columns are checked as a whole at the end; only a file with a
 bad label cell decodes its first bad row again, for the error and its line.
 
@@ -218,16 +220,16 @@ class _RowParser:
 
     Each column gets its decoder once: a ``token -> index`` dict lookup for a
     nominal column, ``float`` for a numeric one.  :meth:`cells` decodes a
-    block of lines into floats: a clean dense block one column at a time,
-    its trailing one-character columns as bytes (see :meth:`_dense`), a
-    clean sparse block in one pass over all its entries, and any other
-    block, or one that does not decode whole, through :meth:`row`.
-    :meth:`row` decodes one line: a row whose tokens all decode and whose
-    sum is finite is done in one pass; any other row is decoded again cell
-    by cell, which raises the error naming the first bad token.  Numeric
-    columns named in ``label_names`` are exempt from the finiteness check,
-    because the label check rejects anything but 0 and 1.  :meth:`block`
-    turns a float block into the dataset's arrays.
+    block of lines into floats: a clean dense block with numpy's text
+    reader, its trailing one-character columns as bytes (see
+    :meth:`_dense`), a clean sparse block in one pass over all its entries,
+    and any other block, or one that does not decode whole, through
+    :meth:`row`.  :meth:`row` decodes one line: a row whose tokens all
+    decode and whose sum is finite is done in one pass; any other row is
+    decoded again cell by cell, which raises the error naming the first bad
+    token.  Numeric columns named in ``label_names`` are exempt from the
+    finiteness check, because the label check rejects anything but 0 and 1.
+    :meth:`block` turns a float block into the dataset's arrays.
     """
 
     def __init__(self, columns: tuple[AttributeSpec, ...], label_names: tuple[str, ...]):
@@ -239,6 +241,11 @@ class _RowParser:
         self.head = len(columns)
         while self.head and _one_character(columns[self.head - 1]):
             self.head -= 1
+        # numpy reads the numeric columns before them as float() does, and the
+        # nominal ones through their decoders
+        self.head_converters = {
+            j: decode for j, decode in enumerate(self.decoders[: self.head]) if decode is not float
+        }
         self.tail_codes = np.full((len(columns) - self.head, 256), -1, np.int16)
         for codes, index in zip(self.tail_codes, indexes[self.head :]):
             for key, code in index.items():
@@ -342,8 +349,8 @@ class _RowParser:
         other block, and every block whose column path does not decode whole
         (a token its decoder rejects, such as a padded nominal value, a
         one-character cell of other than one byte, an unsorted index, an
-        entry of other than two tokens, or a non-finite feature), goes through :meth:`row` line by line, which raises the
-        first error.
+        entry of other than two tokens, or a non-finite feature), goes
+        through :meth:`row` line by line, which raises the first error.
         """
         text = ",".join(lines)
         cells = None
@@ -374,13 +381,15 @@ class _RowParser:
         characters of each line, ``t`` being their number: a comma before
         each cell, which is one byte that the column's code table reads.  So
         every line of a file whose columns are all one-character must be
-        ``2t - 1`` characters long.  The columns before them are decoded one
-        column at a time from the split of the whole block: its
-        one-character tokens cost list slots only, as CPython shares
-        one-character strings, where a copy of each line's head would not.
+        ``2t - 1`` characters long.  The columns before them are read by
+        ``np.loadtxt`` in one call: its C reader parses each number with the
+        routine ``float`` uses, so every value is bit-identical, and hands
+        each nominal cell to the column's decoder.
         """
         n, width, head = len(lines), len(self.columns), self.head
         cells = np.empty((n, width))
+        if not n:  # numpy warns that an empty input holds no data
+            return cells
         if head < width:
             span = 2 * (width - head)
             if head:
@@ -398,13 +407,20 @@ class _RowParser:
             cells[:, head:] = codes
             if not head:
                 return cells
-        # one flat token list, whose column j is every width-th token from j,
-        # holds a block's tokens in fewer objects than a list per line
-        tokens = text.split(",")
+        # no comment character, as float() reads none; str converters on every
+        # numpy (before 2.0 the default hands them bytes); and usecols drops
+        # the fields after head unchecked, which the caller's comma count covers
         try:
-            for j, decode in enumerate(self.decoders[:head]):
-                cells[:, j] = np.fromiter(map(decode, tokens[j::width]), np.float64, n)
-        except (KeyError, ValueError):
+            cells[:, :head] = np.loadtxt(
+                lines,
+                comments=None,
+                delimiter=",",
+                converters=self.head_converters,
+                usecols=range(head),
+                ndmin=2,
+                encoding=None,
+            )
+        except (KeyError, ValueError):  # numpy 2 wraps a converter's KeyError in a ValueError
             return None
         if not np.isfinite(cells[:, self.finite]).all():
             return None

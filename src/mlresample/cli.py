@@ -30,6 +30,7 @@ from .arff import MulanFormatError, RowFormatter, parse_mulan, read_mulan, write
 from .dataset import MultiLabelDataset
 from .decoupling import DecoupleConfig, HybridConfig, hybrid_resample
 from .evaluation import evaluate
+from .jsontext import dumps_indented
 from .metrics import ImbalanceProfile, concurrence_csv, concurrence_export, profile
 from .mlknn import mlknn_predict, mlknn_train
 from .partitioning import fold_datasets, stratified_kfold
@@ -82,7 +83,7 @@ def _write_manifest(
         "inputs": inputs,
         "outputs": outputs,
     }
-    path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    path.write_text(dumps_indented(manifest) + "\n", encoding="utf-8")
 
 
 def _warn_undefined(prof: ImbalanceProfile, d: MultiLabelDataset) -> None:
@@ -165,7 +166,7 @@ def cmd_resample(args, argv: list[str]) -> int:
     arff_path.write_text(arff_text, encoding="utf-8")
     xml_path.write_text(xml_text, encoding="utf-8")
     del arff_text
-    report_text = json.dumps(report.to_dict(), indent=2) + "\n"
+    report_text = dumps_indented(report.to_dict()) + "\n"
     (out_dir / "report.json").write_text(report_text, encoding="utf-8")
     _write_manifest(
         out_dir / "manifest.json",

@@ -14,10 +14,11 @@ All six metrics live in [0, 1].  Degenerate cases follow fixed conventions:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from .jsontext import dumps_indented
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class EvaluationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return dumps_indented(self.to_dict())
 
 
 def _check(truth: np.ndarray, pred: PredictionSet) -> np.ndarray:

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import MultiLabelDataset, label_counts
+from .jsontext import dumps_indented
 
 
 class UndefinedIRLblError(ValueError):
@@ -173,7 +173,7 @@ class ImbalanceProfile:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return dumps_indented(self.to_dict())
 
 
 def profile(d: MultiLabelDataset) -> ImbalanceProfile:

@@ -377,12 +377,16 @@ def parse_with_full_check(arff_text, xml_text):
 
 # non-finite, overflowing, undeclared, missing, quoted and non-binary tokens,
 # numbers that only Python's float() reads (digit-group underscores and
-# Arabic-Indic digits), one holding a ? and one too many
+# Arabic-Indic digits), one holding a ? and one too many; and tokens on which
+# a C number reader and float() could disagree: spellings both read, a bad
+# exponent, an empty token, hex, a NUL byte, comment characters and two numbers
 MUTANT_TOKENS = [
     "nan", "1e400", "-inf", "Infinity", "zz", "?", "'?'", "1?", "1.5", "0", "1", "2", "1_0",
     "\u0661\u0662", "1,0", "00", "a",
+    "+.5", "5.", "1E5", "1e", "", "0x1", "1\x00", "-0", "1.5e+3", "#1", "1#", "1 2",
 ]
-PADDING = ["", " ", "\t", "\xa0"]
+# \x1f is whitespace to str.strip and numpy's reader, but float() rejects it
+PADDING = ["", " ", "\t", "\xa0", "\x1f"]
 # irregular sparse rows: entries out of order, an index twice or out of
 # range, an entry of three tokens or of one, rows with no entry or with an
 # empty one, and a missing or non-finite value
@@ -486,6 +490,8 @@ BLANK = "@relation r\n@attribute x numeric\n@attribute c {' ',a}\n@attribute A {
 # one-character columns only, and a numeric column before two of them
 LETTERS = "@relation r\n@attribute f {0,1}\n@attribute A {0,1}\n@data\n"
 NUMBER_LETTERS = "@relation r\n@attribute x numeric\n@attribute f {0,1}\n@attribute A {0,1}\n@data\n"
+# a nominal column of multi-character values before a label
+NUMBER_WORDS = "@relation r\n@attribute x numeric\n@attribute c {g0,g1}\n@attribute A {0,1}\n@data\n"
 
 
 @settings(max_examples=300, deadline=None)
@@ -511,6 +517,10 @@ NUMBER_LETTERS = "@relation r\n@attribute x numeric\n@attribute f {0,1}\n@attrib
 @example((LETTERS + "1,00\n,1\n", XML_A))  # lines whose characters join to 1,00,1
 @example((NUMBER_LETTERS + "1.5,10,1\n", XML_A))  # two characters in a one-character column
 @example((LETTERS + "0,1\n0, 1\n1,0\n", XML_A))  # lines of one-character cells differing in length
+@example((ONE_NUMERIC + "\x1f2.5\x1f,1\n", XML_A))  # a number padded with \x1f
+@example((ONE_NUMERIC + "1.5#x,1\n", XML_A))  # a comment character after a number
+@example((NUMBER_WORDS + "1.5, g0,1\n", XML_A))  # a padded multi-character nominal cell
+@example((ONE_NUMERIC + "2.5,1\n3.5,0\n", XML_A))  # three rows, so the last block is empty
 def test_column_blocks_decode_as_every_row_alone(files):
     with pytest.MonkeyPatch.context() as patch:
         # three-row blocks, so that clean and fallback blocks meet inside a file
