@@ -19,8 +19,8 @@ The parser reads the data section in blocks of stripped lines, which take
 one of three shapes; a clean block is ASCII without a quote, a missing
 value ``?`` or an underscore.  In a clean dense block (no brace, one token
 per column on every line), a column is one-character when it is nominal
-and every value it declares is one ASCII character, as labels declared
-``{0,1}`` and binary word features are.  The trailing run of ``t`` such
+and every value it declares is one ASCII character that needs no quotes, as
+labels declared ``{0,1}`` and binary word features are.  The trailing run of ``t`` such
 columns is not split into tokens: the last ``2t`` characters of each line
 are read as bytes, a comma before each cell and one byte per cell, which
 the column's code table, built from its decoder's own dict, reads.  The
@@ -41,25 +41,26 @@ message and line, whichever path its blocks take.
 The label columns are checked as a whole at the end; only a file with a
 bad label cell decodes its first bad row again, for the error and its line.
 
-The writer formats each distinct feature row once: clones and decoupled
-copies repeat their source's values, and a :class:`RowFormatter` shared
-across calls does the same for the folds cut from one dataset, and formats
-their feature declarations once.  The rows that a call meets for the first
-time are spelled in one batch: the trailing run of nominal features whose
-every symbol is one character through a code-to-byte table, the other
-features one column at a time.  :func:`read_mulan` parses like
-:func:`parse_mulan` and also returns a formatter that already holds every
-data line the writer would write unchanged for the row it decodes to, so
-that rows taken from the input are never spelled again.  Such a line lists
-the features in declaration order, then the labels in XML order, holds no
-quote, and spells each cell as the writer does: ``0`` or ``1`` for a label,
-``?`` or a declared value that needs no quotes for a nominal feature, and
-``?`` or a number in :data:`_CANONICAL_NUMBER` for a numeric one.  A regex
-matches the cells before the trailing one-character columns, whose cells
-are checked as bytes, so a file whose columns are all one-character needs
-no regex.  The writer quotes every name and value holding whitespace or
-ARFF syntax, and rejects one holding a line break, or a label name holding
-a character XML 1.0 lacks, because neither would read back.
+The writer treats each data line as a head and a tail.  The tail is the
+trailing run of one-character features and then the labels, each cell one
+byte after a comma; it is spelled for a block of rows at once, from a
+code-to-byte table.  The head, the features before the run, is spelled once
+per distinct head: clones and decoupled copies repeat their source's
+features, and a :class:`RowFormatter` shared across calls does the same for
+the folds cut from one dataset, and formats their feature declarations
+once.  :func:`read_mulan` parses like :func:`parse_mulan` and also returns a
+formatter that already holds every data line whose head the writer would
+write unchanged for the row it decodes to, so that the features of rows
+taken from the input are never spelled again, and a copied line whose tail
+is not the row's own gets the row's tail.  Such a line lists the features
+in declaration order, then the labels in XML order, has one byte between
+commas in each tail cell, and spells each head cell as the writer does:
+``?``, a declared value that needs no quotes for a nominal feature, or a
+number in :data:`_CANONICAL_NUMBER` for a numeric one.  One predicate,
+:func:`_one_character`, says where the run starts for the reader, the
+matcher and the writer.  The writer quotes every name and value holding
+whitespace or ARFF syntax, and rejects one holding a line break, or a label
+name holding a character XML 1.0 lacks, because neither would read back.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from __future__ import annotations
 import math
 import re
 import xml.etree.ElementTree as ElementTree
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from functools import cached_property
 from itertools import compress, groupby, repeat
 from operator import getitem, itemgetter
@@ -210,9 +211,18 @@ def _nominal_index(attr: AttributeSpec) -> dict[str, int]:
 
 
 def _one_character(attr: AttributeSpec) -> bool:
-    """Whether every value of ``attr`` is one ASCII character, so that every
-    token its decoder reads unquoted is one byte."""
-    return attr.is_nominal and all(len(value) == 1 and value.isascii() for value in attr.values)
+    """Whether ``attr`` is nominal and every value it declares is one ASCII
+    character that the writer writes bare, so that each of its cells is one
+    byte for the reader, the matcher and the writer alike."""
+    return attr.is_nominal and all(len(v) == 1 and v.isascii() and _bare(v) for v in attr.values)
+
+
+def _run_start(attributes: tuple[AttributeSpec, ...]) -> int:
+    """Where the trailing run of one-character attributes starts."""
+    start = len(attributes)
+    while start and _one_character(attributes[start - 1]):
+        start -= 1
+    return start
 
 
 class _RowParser:
@@ -238,19 +248,15 @@ class _RowParser:
         self.decoders = [float if index is None else index.__getitem__ for index in indexes]
         # the trailing run of one-character columns, from self.head on, and per
         # such column the code of each byte its decoder reads, -1 for the rest
-        self.head = len(columns)
-        while self.head and _one_character(columns[self.head - 1]):
-            self.head -= 1
+        self.head = _run_start(columns)
         # numpy reads the numeric columns before them as float() does, and the
         # nominal ones through their decoders
         self.head_converters = {
             j: decode for j, decode in enumerate(self.decoders[: self.head]) if decode is not float
         }
         self.tail_codes = np.full((len(columns) - self.head, 256), -1, np.int16)
-        for codes, index in zip(self.tail_codes, indexes[self.head :]):
-            for key, code in index.items():
-                if len(key) == 1 and key != ",":
-                    codes[ord(key)] = code
+        for codes, attr in zip(self.tail_codes, columns[self.head :]):
+            codes[list(map(ord, attr.values))] = range(len(attr.values))
         self.defaults = [0 if attr.is_nominal else 0.0 for attr in columns]
         self.finite = np.array(
             [not attr.is_nominal and attr.name not in label_names for attr in columns], bool
@@ -529,67 +535,41 @@ def _label_numbers(attr: AttributeSpec, width: int) -> np.ndarray:
     return numbers
 
 
-def _bare(value: str) -> bool:
-    """Whether the writer writes the nominal value ``value`` unquoted."""
-    # a value free of ARFF syntax holds no quote, so _quote returns
-    return _NEEDS_QUOTING.isdisjoint(value) and _quote(value) == value
-
-
 def _writer_lines(parser: _RowParser) -> Callable[[str], bool] | None:
-    """Whether a data line is one that the writer writes unchanged for the row
-    it decodes to, or None when the columns are not in the writer's order:
-    the features in declaration order, then the labels in XML order.
+    """Whether a data line holds the head that the writer writes for the row
+    it decodes to, or None when no line can be copied: the columns are not in
+    the writer's order (the features in declaration order, then the labels
+    in XML order), or the writer's lines have no head.
 
-    A regex matches the cells before the one-character columns.  The
-    one-character cells are checked apart, at their fixed places at the end
-    of the line: each is in the writer's form when it is a feature value
-    that needs no quotes, ``?``, or a label's ``0`` or ``1``.
+    The tail, the run of one-character features and the labels, is the last
+    ``2t`` characters of the line, a comma before each one-byte cell; only
+    its commas are checked, since the writer replaces a tail that is not the
+    row's own.  A regex matches the head before it.
     """
     if parser.feature_columns + parser.label_columns != list(range(len(parser.columns))):
         return None
-    columns, head = parser.columns, parser.head
+    features = parser.columns[: len(parser.feature_columns)]
+    head = _run_start(features)
+    if not head:
+        return None
     cells = []
-    for i in parser.feature_columns[:head]:
-        values = columns[i].values
-        spellings = [re.escape(v) for v in values if _bare(v)] if values else [_CANONICAL_NUMBER]
+    for attr in features[:head]:
+        spellings = (
+            [re.escape(v) for v in attr.values if _bare(v)] if attr.is_nominal else [_CANONICAL_NUMBER]
+        )
         cells.append("(?:" + "|".join([*spellings, r"\?"]) + ")")
-    cells += ["[01]"] * (head - len(cells))
-    pattern = _repeats(cells, ",")
-    if head == len(columns):
-        return lambda line: pattern.fullmatch(line) is not None
-    # the characters of the one-character cells, one after the other
-    tail = []
-    for i in range(head, len(columns)):
-        if i in parser.label_columns:
-            tail.append("[01]")
-        else:
-            chars = [v for v in columns[i].values if _bare(v)]
-            tail.append("[" + "".join(map(re.escape, [*chars, "?"])) + "]")
-    tail = _repeats(tail, "")
-    span = 2 * (len(columns) - head)
-    commas = "," * (span // 2 - 1)
+    # a run of equal cells is one repeat, so that a wide schema compiles fast
+    pattern = re.compile(
+        ",".join(f"{cell}(?:,{cell}){{{len(list(run)) - 1}}}" for cell, run in groupby(cells))
+    )
+    span = 2 * (len(parser.columns) - head)
+    commas = "," * (span // 2)
 
     def in_form(line: str) -> bool:
-        # the comma before the first one-character cell sits at end; a line
-        # of one-character cells only starts where that comma would follow
         end = len(line) - span
-        return (
-            (end > 0 if head else end == -1)
-            and line[end + 2 :: 2] == commas
-            and tail.fullmatch(line[end + 1 :: 2]) is not None
-            and (not head or line[end] == "," and pattern.fullmatch(line, 0, end) is not None)
-        )
+        return end > 0 and line[end::2] == commas and pattern.fullmatch(line, 0, end) is not None
 
     return in_form
-
-
-def _repeats(cells: list[str], sep: str) -> re.Pattern:
-    """The pattern of ``cells`` joined by ``sep``; a run of equal cells is one
-    repeat, so that a wide schema compiles fast."""
-    runs = [(cell, len(list(run))) for cell, run in groupby(cells)]
-    return re.compile(
-        sep.join(f"{cell}(?:{sep}{cell}){{{n - 1}}}" if sep else f"{cell}{{{n}}}" for cell, n in runs)
-    )
 
 
 def _parse(
@@ -697,18 +677,23 @@ _NEEDS_QUOTING = frozenset(",{}%'\"")
 _LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
-def _quote(text: str) -> str:
-    if not _LINE_BREAKS.isdisjoint(text):
-        raise ValueError(f"cannot serialize token holding a line break: {text!r}")
+def _bare(text: str) -> bool:
+    """Whether the writer writes ``text`` unquoted."""
     # a bare ? is the missing value, so a value spelled ? is written quoted;
-    # whitespace ends an unquoted name
-    if (
-        text
+    # whitespace, every line break among it, ends an unquoted name
+    return (
+        text != ""
         and text != "?"
         and _NEEDS_QUOTING.isdisjoint(text)
         and not any(map(str.isspace, text))
-    ):
+    )
+
+
+def _quote(text: str) -> str:
+    if _bare(text):
         return text
+    if not _LINE_BREAKS.isdisjoint(text):
+        raise ValueError(f"cannot serialize token holding a line break: {text!r}")
     if '"' not in text:
         return f'"{text}"'
     if "'" not in text:
@@ -726,35 +711,38 @@ def _xml_attribute(text: str) -> str:
 
 
 class RowFormatter:
-    """Formats the data lines of one schema, each distinct feature row once.
+    """Formats the data lines of one schema, the head of each distinct row once.
 
-    A row whose feature values (the bytes of its ``numeric`` and ``nominal``
-    rows) this formatter has met before reuses that line: whole when its
-    label cells are the same too, else with the label cells swapped.  So
+    A line is a head and a tail.  The tail is the trailing run of
+    one-character features and then the labels, one byte per cell after a
+    comma, and :meth:`lines` spells it for a block of rows at once.  The
+    head, the features before the run, is looked up by its bytes (those of
+    the row's ``numeric`` values and head codes): a row whose head this
+    formatter has met before reuses that line, whole when it ends with the
+    row's tail, else with the tail replaced, and :meth:`_spell` spells the
+    heads that a call meets for the first time, many rows at once.  So
     clones, decoupled copies and the folds cut from one dataset are
-    formatted once when they share a formatter, and :meth:`_spell` formats
-    the rows that a call meets for the first time, many rows at once.  A
-    schema that the writer cannot write raises ``ValueError`` when a row is
-    spelled or the declarations are formatted, not when the formatter is made.
+    formatted once when they share a formatter.  A schema that the writer
+    cannot write raises ``ValueError`` when a row is spelled or the
+    declarations are formatted, not when the formatter is made.
     """
 
     def __init__(self, attributes: tuple[AttributeSpec, ...], k: int):
         self.attributes = attributes
         self.k = k
+        self._head = _run_start(attributes)
+        # the nominal attributes in the head come before those in the run
+        self._head_codes = sum(attr.is_nominal for attr in attributes[: self._head])
         n_numeric = sum(not attr.is_nominal for attr in attributes)
         numeric, nominal = iter(range(n_numeric)), iter(range(n_numeric, len(attributes)))
         # where each attribute's cell sits in a row's numeric values followed by its codes
         self._order = [next(nominal) if attr.is_nominal else next(numeric) for attr in attributes]
-        # the separator before the label cells, where both kinds of cell exist
-        self._sep = "," if attributes and k else ""
-        # label row bytes -> separator and label cells; every tail has the same length
-        self._tails: dict[bytes, str] = {}
-        self._lines: dict[bytes, str] = {}  # feature row bytes -> the first line formatted for them
+        self._lines: dict[bytes, str] = {}  # head bytes -> the first line formatted for them
         # the smallest integer type that holds every code and -1, for shorter keys
         sizes = [len(attr.values) for attr in attributes if attr.is_nominal]
         self._codes = np.min_scalar_type(-max(sizes, default=0) - 1)
         # from read_mulan: the input's numeric and nominal rows, the rows whose
-        # lines the writer would write unchanged, those lines' numbers, and the text
+        # lines hold the writer's head, those lines' numbers, and the text
         self._pending: tuple[np.ndarray, np.ndarray, list[int], list[int], str] | None = None
 
     @cached_property
@@ -768,102 +756,104 @@ class RowFormatter:
 
     @cached_property
     def _symbols(self) -> list[tuple[str, ...]]:
-        """Per nominal attribute its quoted symbols, then the "?" that the missing code -1 picks."""
-        return [(*(_quote(v) for v in attr.values), "?") for attr in self.attributes if attr.is_nominal]
+        """Per nominal attribute of the head its quoted symbols, then the "?"
+        that the missing code -1 picks."""
+        head = self.attributes[: self._head]
+        return [(*(_quote(v) for v in attr.values), "?") for attr in head if attr.is_nominal]
 
     @cached_property
     def _letters(self) -> np.ndarray:
-        """Per attribute of the trailing run of nominal attributes whose every
-        symbol is one ASCII character, "?" and then the byte of each code,
-        so that code ``c`` is at ``c + 1``."""
-        symbols = self._symbols
-        run = 0
-        while run < len(symbols) and self.attributes[-1 - run].is_nominal:
-            if not all(len(symbol) == 1 and symbol.isascii() for symbol in symbols[-1 - run]):
-                break
-            run += 1
-        letters = np.zeros((run, max(map(len, symbols[len(symbols) - run :]), default=0)), np.uint8)
-        for row, spelled in zip(letters, symbols[len(symbols) - run :]):
-            row[: len(spelled)] = [ord(symbol) for symbol in spelled[-1:] + spelled[:-1]]
+        """Per tail cell, the run's attributes and then the labels, "?" and
+        then the byte of each code, so that code ``c`` is at ``c + 1``."""
+        cells = [attr.values for attr in self.attributes[self._head :]] + [("0", "1")] * self.k
+        letters = np.zeros((len(cells), 1 + max(map(len, cells), default=0)), np.uint8)
+        for row, values in zip(letters, cells):
+            row[: 1 + len(values)] = list(("?" + "".join(values)).encode())
         return letters
 
-    def _spell(self, numeric: np.ndarray, nominal: np.ndarray) -> list[str]:
-        """The feature cells of each row, in attribute order.
-
-        The trailing one-character nominal attributes are spelled for all
-        rows at once, as bytes; the attributes before them row by row.
-        """
+    def _tails(self, codes: np.ndarray, y: np.ndarray) -> str:
+        """The tails of the rows, spelled as bytes one after the other, each a
+        comma and a byte per cell: the run's codes, then the labels."""
         letters = self._letters
-        run = len(letters)
-        head = len(self.attributes) - run
-        rows = [""] * len(numeric)
-        if head:
-            symbols, order = self._symbols[: len(self._symbols) - run], self._order[:head]
-            for at, (values, codes) in enumerate(zip(numeric, nominal[:, : nominal.shape[1] - run])):
-                cells = [*map(repr, values.tolist())]
-                if "nan" in cells:
-                    cells = ["?" if cell == "nan" else cell for cell in cells]  # NaN is missing
-                cells += map(getitem, symbols, codes.tolist())
-                rows[at] = ",".join(map(cells.__getitem__, order))
-        if run:
-            span = 2 * run
-            cells = np.full((len(rows), span), ord(","), np.uint8)
-            # code c of the j-th attribute is byte c + 1 of the j-th row of letters
-            starts = np.arange(1, letters.size, letters.shape[1])
-            cells[:, 1::2] = letters.ravel().take(nominal[:, nominal.shape[1] - run :] + starts)
-            text = cells.tobytes().decode("ascii")
-            # the comma before the first one-character cell follows a head cell
-            first = 0 if head else 1
-            rows = [row + text[at + first : at + span] for row, at in zip(rows, range(0, len(text), span))]
+        cells = np.full((len(y), 2 * len(letters)), ord(","), np.uint8)
+        # code c of the j-th cell is byte c + 1 of the j-th row of letters
+        starts = np.arange(1, letters.size, letters.shape[1])
+        cells[:, 1::2] = letters.ravel().take(np.hstack([codes[:, self._head_codes :], y]) + starts)
+        return cells.tobytes().decode("ascii")
+
+    def _keys(self, numeric: np.ndarray, codes: np.ndarray) -> Iterator[bytes]:
+        """The bytes of each row's head, its numeric values and then its head
+        codes, made as they are read."""
+        return (n.tobytes() + c.tobytes() for n, c in zip(numeric, codes[:, : self._head_codes]))
+
+    def _spell(self, numeric: np.ndarray, nominal: np.ndarray) -> list[str]:
+        """The head cells of each row, in attribute order."""
+        symbols, order = self._symbols, self._order[: self._head]
+        rows = []
+        # zip with the head's symbols stops before the codes of the run
+        for values, codes in zip(numeric.tolist(), nominal.tolist()):
+            cells = [*map(repr, values)]
+            if "nan" in cells:
+                cells = ["?" if cell == "nan" else cell for cell in cells]  # NaN is missing
+            cells += map(getitem, symbols, codes)
+            rows.append(",".join(map(cells.__getitem__, order)))
         return rows
 
     def _plant(self) -> None:
-        """File the lines that :func:`read_mulan` found under their rows' bytes."""
+        """File the lines that :func:`read_mulan` found under their heads' bytes."""
         numeric, nominal, rows, line_numbers, text = self._pending
         self._pending = None
         split = text.splitlines()
         del text  # the last reference once the caller has let go of it
-        codes = nominal.astype(self._codes)
-        for row, line_no in zip(rows, line_numbers):
-            self._lines[numeric[row].tobytes() + codes[row].tobytes()] = split[line_no - 1].strip()
+        matched = np.zeros(len(numeric), bool)
+        matched[rows] = True
+        keys = compress(self._keys(numeric, nominal.astype(self._codes)), matched)
+        self._lines.update(zip(keys, (split[line_no - 1].strip() for line_no in line_numbers)))
 
     def lines(self, d: MultiLabelDataset) -> list[str]:
         if self._pending is not None:
             self._plant()
-        tails, known = self._tails, self._lines
         codes = d.nominal.astype(self._codes)
-        out: list[str | None] = []
-        # the keys met for the first time, each with the first row holding it,
-        # and per row holding one, the row, the key's index and its label cells
-        new: dict[bytes, int] = {}
-        first: list[int] = []
-        waiting: list[tuple[int, int, str]] = []
-        for row, (numeric, nominal, labels) in enumerate(zip(d.numeric, codes, d.y)):
-            tail = tails.get(labels.tobytes())
-            if tail is None:
-                tail = tails[labels.tobytes()] = self._sep + ",".join(
-                    ["1" if v else "0" for v in labels.tolist()]
-                )
-            key = numeric.tobytes() + nominal.tobytes()
-            line = known.get(key)
-            if line is None:
-                j = new.setdefault(key, len(first))
-                if j == len(first):
-                    first.append(row)
-                waiting.append((row, j, tail))
-            elif not line.endswith(tail):
-                line = line[: len(line) - len(tail)] + tail
-            out.append(line)
-        if first:
-            # in blocks, so that the byte arrays of a large write stay small
-            spelled = []
-            for at in range(0, len(first), _PARSE_ROWS):
-                rows = first[at : at + _PARSE_ROWS]
-                spelled += self._spell(d.numeric[rows], codes[rows])
-            for row, j, tail in waiting:
-                out[row] = spelled[j] + tail
-            known.update(zip(new, (out[row] for row in first)))
+        out: list[str] = []
+        # in blocks, so that the byte arrays of a large write stay small
+        for at in range(0, d.n, _PARSE_ROWS):
+            block = slice(at, at + _PARSE_ROWS)
+            out += self._block(d.numeric[block], codes[block], d.y[block])
         return out
+
+    def _block(self, numeric: np.ndarray, codes: np.ndarray, y: np.ndarray) -> list[str]:
+        """The lines of a block of rows.
+
+        Each row's key and tail is made as it is used: a block's keys and
+        tails made at once raised the peak RSS of a resample by up to 1 MB.
+        """
+        text, span = self._tails(codes, y), 2 * len(self._letters)
+        # a line without a head starts at its first cell, not at a comma
+        first = 0 if self._head else 1
+
+        def tail(i: int) -> str:
+            return text[i * span + first : (i + 1) * span]
+
+        if not self._head:
+            return list(map(tail, range(len(y))))
+        known = self._lines
+        found = list(map(known.get, self._keys(numeric, codes)))
+        if None in found:
+            missing = [i for i, line in enumerate(found) if line is None]
+            keys = list(self._keys(numeric[missing], codes[missing]))
+            # each head met for the first time, with the first row holding it
+            new: dict[bytes, int] = {}
+            for key, i in zip(keys, missing):
+                new.setdefault(key, i)
+            rows = list(new.values())
+            heads = self._spell(numeric[rows], codes[rows])
+            known.update(zip(new, map(str.__add__, heads, map(tail, rows))))
+            for key, i in zip(keys, missing):
+                found[i] = known[key]
+        return [
+            line if line.endswith(end) else line[: len(line) - span] + end
+            for line, end in zip(found, map(tail, range(len(y))))
+        ]
 
 
 def write_mulan(d: MultiLabelDataset, rows: RowFormatter | None = None) -> tuple[str, str]:

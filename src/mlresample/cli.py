@@ -39,6 +39,7 @@ from .resampling import (
     MLROSConfig,
     MLSMOTEConfig,
     ResampleConfig,
+    _check_seed,
     resample,
 )
 
@@ -86,6 +87,14 @@ def _write_manifest(
     path.write_text(dumps_indented(manifest) + "\n", encoding="utf-8")
 
 
+def _write_report(
+    out: Path, text: str, argv: list[str], seed: int | None, inputs: dict, key: str
+) -> None:
+    """Write ``text`` to ``out``, and ``<out>.manifest.json`` naming it under ``key``."""
+    out.write_text(text, encoding="utf-8")
+    _write_manifest(out.with_name(out.name + ".manifest.json"), argv, seed, inputs, {key: str(out)})
+
+
 def _warn_undefined(prof: ImbalanceProfile, d: MultiLabelDataset) -> None:
     undefined = prof.undefined_labels
     if undefined:
@@ -121,15 +130,8 @@ def cmd_info(args, argv: list[str]) -> int:
     _warn_undefined(prof, d)
     print(_info_table(d, prof))
     if args.out:
-        out = Path(args.out)
-        out.write_text(prof.to_json() + "\n", encoding="utf-8")
-        _write_manifest(
-            out.with_name(out.name + ".manifest.json"),
-            argv,
-            None,
-            {"arff": args.arff, "xml": args.xml},
-            {"profile": str(out)},
-        )
+        inputs = {"arff": args.arff, "xml": args.xml}
+        _write_report(Path(args.out), prof.to_json() + "\n", argv, None, inputs, "profile")
     return 0
 
 
@@ -161,8 +163,10 @@ def cmd_resample(args, argv: list[str]) -> int:
     arff_path = out_dir / "resampled.arff"
     xml_path = out_dir / "resampled.xml"
     arff_text, xml_text = write_mulan(out, rows)
-    # the input's lines go before the output is encoded, and the output before the report is
-    del rows
+    name = d.name
+    # the input's lines and both datasets' arrays go before the output is
+    # encoded, and the output before the report is
+    del rows, d, out
     arff_path.write_text(arff_text, encoding="utf-8")
     xml_path.write_text(xml_text, encoding="utf-8")
     del arff_text
@@ -180,13 +184,14 @@ def cmd_resample(args, argv: list[str]) -> int:
         },
     )
     print(
-        f"{d.name}: {report.instances_before} -> {report.instances_after} instances "
+        f"{name}: {report.instances_before} -> {report.instances_after} instances "
         f"(+{len(report.added)} -{len(report.removed)}, {len(report.decoupled)} decoupled)"
     )
     return 0
 
 
 def cmd_partition(args, argv: list[str]) -> int:
+    _check_seed(args.seed)
     # every fold file reuses the input's data lines
     d, rows = read_mulan(_read_text(args.arff), _read_text(args.xml))
     assignment = stratified_kfold(d, args.folds, args.seed)
@@ -212,6 +217,7 @@ def cmd_partition(args, argv: list[str]) -> int:
 
 
 def cmd_evaluate(args, argv: list[str]) -> int:
+    _check_seed(args.seed)
     train_xml = args.train_xml or str(Path(args.train_arff).with_suffix(".xml"))
     test_xml = args.test_xml or str(Path(args.test_arff).with_suffix(".xml"))
     train = _read_dataset(args.train_arff, train_xml)
@@ -222,20 +228,13 @@ def cmd_evaluate(args, argv: list[str]) -> int:
     for key, value in report.to_dict().items():
         print(f"{key}: {value}")
     if args.out:
-        out = Path(args.out)
-        out.write_text(report.to_json() + "\n", encoding="utf-8")
-        _write_manifest(
-            out.with_name(out.name + ".manifest.json"),
-            argv,
-            args.seed,
-            {
-                "train_arff": args.train_arff,
-                "train_xml": train_xml,
-                "test_arff": args.test_arff,
-                "test_xml": test_xml,
-            },
-            {"report": str(out)},
-        )
+        inputs = {
+            "train_arff": args.train_arff,
+            "train_xml": train_xml,
+            "test_arff": args.test_arff,
+            "test_xml": test_xml,
+        }
+        _write_report(Path(args.out), report.to_json() + "\n", argv, args.seed, inputs, "report")
     return 0
 
 
@@ -244,15 +243,7 @@ def cmd_concurrence(args, argv: list[str]) -> int:
     rows = concurrence_export(d, args.top, args.top)
     csv_text = concurrence_csv(rows)
     if args.out:
-        out = Path(args.out)
-        out.write_text(csv_text, encoding="utf-8")
-        _write_manifest(
-            out.with_name(out.name + ".manifest.json"),
-            argv,
-            None,
-            {"arff": args.arff, "xml": args.xml},
-            {"csv": str(out)},
-        )
+        _write_report(Path(args.out), csv_text, argv, None, {"arff": args.arff, "xml": args.xml}, "csv")
     else:
         print(csv_text, end="")
     return 0

@@ -74,6 +74,13 @@ class MLSMOTEConfig:
 ResampleMethod = MLROSConfig | MLENNConfig | MLSMOTEConfig
 
 
+def _check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` fits in an unsigned 64-bit integer,
+    the range of every command's ``--seed``."""
+    if not 0 <= seed <= _SEED_MAX:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+
+
 @dataclass(frozen=True)
 class ResampleConfig:
     """Method choice plus the seed that fixes every stochastic draw."""
@@ -84,8 +91,7 @@ class ResampleConfig:
     def __post_init__(self):
         if not isinstance(self.method, (MLROSConfig, MLENNConfig, MLSMOTEConfig)):
             raise ValueError(f"unknown resampling method: {self.method!r}")
-        if not 0 <= self.seed <= _SEED_MAX:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        _check_seed(self.seed)
 
     @property
     def method_name(self) -> str:

@@ -856,11 +856,24 @@ def test_only_lines_in_the_writers_form_are_reused(monkeypatch):
     d, rows = arff.read_mulan(arff_text + "a b,1\nc%d,0\ne,1\n", XML_A)
     assert write_mulan(d, rows) == oracle_write_mulan(d)
     assert spelled == ['"a b"', '"c%d"']
-    # binary features with the labels declared among them: each line holds
-    # cells the writer writes, but not in its column order
+    # binary features with the labels declared among them: the writer's lines
+    # have no head, so none is spelled and each line is its byte tail
     spelled.clear()
     arff_text = "@relation r\n" + "".join(f"@attribute {a} {{0,1}}\n" for a in "AfBg") + "@data\n"
     xml_text = '<labels><label name="A"></label><label name="B"></label></labels>'
     d, rows = arff.read_mulan(arff_text + "1,0,0,1\n0,1,1,1\n", xml_text)
     assert write_mulan(d, rows) == oracle_write_mulan(d)
-    assert spelled == ["0,1", "1,1"]
+    assert write_mulan(d, rows)[0].splitlines()[-2:] == ["0,1,1,0", "1,1,0,1"]
+    assert spelled == []
+    # the labels declared around a numeric feature: each line holds cells the
+    # writer writes, but not in its column order
+    arff_text = "@relation r\n@attribute A {0,1}\n@attribute x numeric\n@attribute B {0,1}\n@data\n"
+    d, rows = arff.read_mulan(arff_text + "1,0.5,0\n0,1.5,1\n", xml_text)
+    assert write_mulan(d, rows) == oracle_write_mulan(d)
+    assert spelled == ["0.5", "1.5"]
+    # a one-character value that the writer quotes, just before the labels
+    spelled.clear()
+    arff_text = "@relation r\n@attribute x numeric\n@attribute c {%,a}\n@attribute A {0,1}\n@data\n"
+    d, rows = arff.read_mulan(arff_text + "0.5,%,1\n1.5,a,0\n", XML_A)
+    assert write_mulan(d, rows) == oracle_write_mulan(d)
+    assert spelled == ['0.5,"%"']

@@ -436,6 +436,37 @@ class TestPartition:
         assert code == 3
 
 
+class TestSeedRange:
+    """Every command that takes ``--seed`` accepts 0 .. 2**64 - 1, through the
+    check that ``ResampleConfig`` makes, and exits 3 outside it."""
+
+    @staticmethod
+    def argv(command, arff, xml, out):
+        return {
+            "resample": ["resample", arff, xml, "--method", "mlros", "--out-dir", out],
+            "partition": ["partition", arff, xml, "--folds", 2, "--out-dir", out],
+            "evaluate": ["evaluate", arff, arff, "--train-xml", xml, "--test-xml", xml, "--k", 3,
+                         "--out", out],
+        }[command]
+
+    @pytest.mark.parametrize("seed", [-5, 2**64, 99999999999999999999999])
+    @pytest.mark.parametrize("command", ["resample", "partition", "evaluate"])
+    def test_out_of_range_exits_3(self, command, seed, toy6_files, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [*self.argv(command, *toy6_files, out), "--seed", seed]
+        assert main([str(a) for a in argv]) == 3
+        assert capsys.readouterr().err == "error: seed must fit in an unsigned 64-bit integer\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["resample", "partition", "evaluate"])
+    def test_the_largest_seed_is_recorded(self, command, toy6_files, tmp_path):
+        out = tmp_path / "out"
+        argv = [*self.argv(command, *toy6_files, out), "--seed", 2**64 - 1]
+        assert main([str(a) for a in argv]) == 0
+        [manifest] = tmp_path.rglob("*manifest.json")
+        assert json.loads(manifest.read_text())["seed"] == 2**64 - 1
+
+
 class TestEvaluate:
     def test_separable_fixture_perfect(self, tmp_path):
         train, test = separable_clusters(seed=1)
