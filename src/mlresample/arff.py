@@ -53,10 +53,13 @@ formatter that already holds every data line whose head the writer would
 write unchanged for the row it decodes to, so that the features of rows
 taken from the input are never spelled again, and a copied line whose tail
 is not the row's own gets the row's tail.  Such a line lists the features
-in declaration order, then the labels in XML order, has one byte between
-commas in each tail cell, and spells each head cell as the writer does:
-``?``, a declared value that needs no quotes for a nominal feature, or a
-number in :data:`_CANONICAL_NUMBER` for a numeric one.  One predicate,
+in declaration order, then the labels in XML order, has a comma before each
+tail cell, and spells each head cell as the writer does: ``?``, a declared
+value that needs no quotes for a nominal feature, or a number that ``repr``
+writes back unchanged for a numeric one.  :func:`_writer_lines` matches the
+lines of a block at once, after the parser has decoded them: one pass over
+the bytes of their heads finds every non-digit, and a nominal cell is its
+decoded value when it has as many bytes.  One predicate,
 :func:`_one_character`, says where the run starts for the reader, the
 matcher and the writer.  The writer quotes every name and value holding
 whitespace or ARFF syntax, and rejects one holding a line break, or a label
@@ -66,11 +69,10 @@ name holding a character XML 1.0 lacks, because neither would read back.
 from __future__ import annotations
 
 import math
-import re
 import xml.etree.ElementTree as ElementTree
 from collections.abc import Callable, Iterator
 from functools import cached_property
-from itertools import compress, groupby, repeat
+from itertools import compress, repeat
 from operator import getitem, itemgetter
 
 import numpy as np
@@ -81,15 +83,6 @@ _NUMERIC_KINDS = {"numeric", "real", "integer"}
 
 # Data lines decoded together into one float block, and rows spelled together.
 _PARSE_ROWS = 512
-
-# A number that repr spells back unchanged: positional notation with at most
-# 15 significant digits, and zero or 1e-4 <= |x| < 1e16.  15 digits are the
-# unique shortest decimal that reads back as their double, and repr writes
-# such a double positionally.
-_CANONICAL_NUMBER = (
-    r"-?(?=[0-9.]{3,16}(?![0-9.]))"
-    r"(?:0\.0|[1-9][0-9]*\.(?:0|[0-9]*[1-9])|0\.0{0,3}[1-9](?:[0-9]*[1-9])?)"
-)
 
 
 class MulanFormatError(ValueError):
@@ -535,16 +528,29 @@ def _label_numbers(attr: AttributeSpec, width: int) -> np.ndarray:
     return numbers
 
 
-def _writer_lines(parser: _RowParser) -> Callable[[str], bool] | None:
-    """Whether a data line holds the head that the writer writes for the row
-    it decodes to, or None when no line can be copied: the columns are not in
-    the writer's order (the features in declaration order, then the labels
-    in XML order), or the writer's lines have no head.
+def _writer_lines(parser: _RowParser) -> Callable[[list[str], np.ndarray], np.ndarray] | None:
+    """A matcher that takes a block of stripped data lines and the float
+    block :meth:`_RowParser.cells` decoded from them, and says per line
+    whether it holds the head that the writer writes for the row it decodes
+    to; or None when no line can be copied: the columns are not in the
+    writer's order (the features in declaration order, then the labels in
+    XML order), or the writer's lines have no head.
 
     The tail, the run of one-character features and the labels, is the last
     ``2t`` characters of the line, a comma before each one-byte cell; only
     its commas are checked, since the writer replaces a tail that is not the
-    row's own.  A regex matches the head before it.
+    row's own.  The head before it must be one cell per head column between
+    commas, each spelled as the writer spells it: ``?`` for a missing value;
+    for a nominal column, the declared value the cell decoded to, when the
+    writer writes it bare, which the cell is exactly when it has as many
+    UTF-8 bytes (a token decodes to a value only as the value itself,
+    quoted or padded); for a numeric column, a number that ``repr`` writes back
+    unchanged.  That is positional notation with at most 15 significant
+    digits, and zero or 1e-4 <= |x| < 1e16, which is the unique shortest
+    decimal that reads back as its double: an optional ``-``, then digits
+    and one ``.`` that are 3 to 16 characters long, an integer part that is
+    ``0`` or has no leading zero, a fraction that is ``0`` or does not end
+    in ``0``, and at most three zeros after ``0.``.
     """
     if parser.feature_columns + parser.label_columns != list(range(len(parser.columns))):
         return None
@@ -552,32 +558,90 @@ def _writer_lines(parser: _RowParser) -> Callable[[str], bool] | None:
     head = _run_start(features)
     if not head:
         return None
-    cells = []
-    for attr in features[:head]:
-        spellings = (
-            [re.escape(v) for v in attr.values if _bare(v)] if attr.is_nominal else [_CANONICAL_NUMBER]
-        )
-        cells.append("(?:" + "|".join([*spellings, r"\?"]) + ")")
-    # a run of equal cells is one repeat, so that a wide schema compiles fast
-    pattern = re.compile(
-        ",".join(f"{cell}(?:,{cell}){{{len(list(run)) - 1}}}" for cell, run in groupby(cells))
-    )
     span = 2 * (len(parser.columns) - head)
-    commas = "," * (span // 2)
+    nominal = [j for j, attr in enumerate(features[:head]) if attr.is_nominal]
+    # per nominal head column, the UTF-8 size of each value the writer writes
+    # bare, -1 for the others, and at the end 1, the size of the "?" that the
+    # missing code -1 picks
+    width = max((len(features[j].values) for j in nominal), default=0) + 1
+    sizes = np.full((len(nominal), width), -1, np.intp)
+    sizes[:, -1] = 1
+    for row, j in zip(sizes, nominal):
+        for code, value in enumerate(features[j].values):
+            if _bare(value):
+                row[code] = len(value.encode("utf-8", "surrogatepass"))
 
-    def in_form(line: str) -> bool:
-        end = len(line) - span
-        return end > 0 and line[end::2] == commas and pattern.fullmatch(line, 0, end) is not None
+    def match(lines: list[str], cells: np.ndarray) -> np.ndarray:
+        copyable = np.zeros(len(lines), bool)
+        rows = np.flatnonzero(np.fromiter(map(len, lines), np.intp, len(lines)) > span)
+        if not rows.size:
+            return copyable
+        if rows.size < len(lines):
+            lines = [lines[i] for i in rows.tolist()]
+        commas = "".join([line[-span:] for line in lines])[::2]
+        # UTF-32 has one code unit per character
+        commas = np.frombuffer(commas.encode("utf-32-le", "surrogatepass"), np.uint32)
+        in_form = (commas.reshape(len(lines), span // 2) == ord(",")).all(axis=1)
+        # every head ends in a line break, so a comma or a line break ends each cell
+        text = "\n".join([line[:-span] for line in lines]) + "\n"
+        text = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+        # the non-digits in order: the commas, line breaks, dots, signs and
+        # stray bytes (uint8 takes the bytes below "0" round to above 9)
+        marks = np.flatnonzero(text - ord("0") > 9)
+        kinds = text[marks]
+        ends = np.flatnonzero((kinds == ord(",")) | (kinds == ord("\n")))
+        # cell c runs from start[c] to end[c], its comma or line break, and
+        # holds inner[c] marks before it, the last at dot[c]
+        end = marks[ends]
+        start = np.concatenate(([0], end[:-1] + 1))
+        inner = np.diff(ends, prepend=-1) - 1
+        dot = marks[ends - 1]
+        sign = text[start] == ord("-")
+        lo = start + sign
+        integer, fraction = dot - lo, end - dot - 1
+        # a number's only marks are its sign and its dot
+        number = (
+            (inner == 1 + sign)
+            & (text[dot] == ord("."))
+            & (3 <= end - lo)
+            & (end - lo <= 16)
+            & (integer >= 1)
+            & ((text[lo] != ord("0")) | (integer == 1))
+            & (fraction >= 1)
+            & ((text[end - 1] != ord("0")) | (fraction == 1))
+        )
+        # 0. followed by four zeros is below 1e-4
+        tiny = np.flatnonzero(number & (text[lo] == ord("0")) & (fraction > 4))
+        number[tiny] = np.any([text[dot[tiny] + k] != ord("0") for k in range(1, 5)], axis=0)
+        number |= (end - start == 1) & (text[start] == ord("?"))
+        # the lines with one cell per head column, and their cells
+        last = np.flatnonzero(kinds[ends] == ord("\n"))
+        whole = np.diff(last, prepend=-1) == head
+        in_form &= whole
+        cell = last[whole, None] + np.arange(1 - head, 1)
+        ok = number[cell]
+        if nominal:
+            codes = np.nan_to_num(cells[rows[whole][:, None], nominal], nan=-1.0).astype(np.intp)
+            size = end[cell[:, nominal]] - start[cell[:, nominal]]
+            ok[:, nominal] = size == sizes[np.arange(len(nominal)), codes]
+        in_form[whole] &= ok.all(axis=1)
+        copyable[rows] = in_form
+        return copyable
 
-    return in_form
+    return match
 
 
 def _parse(
     arff_text: str, xml_label_header: str, match_lines: bool
 ) -> tuple[MultiLabelDataset, list[int], list[int]]:
     """The dataset of a MULAN ARFF/XML pair, the indices of the rows whose
-    data lines :func:`_writer_lines` matches when ``match_lines``, and the
-    line number of each row."""
+    data lines the writer can copy when ``match_lines``, and the line number
+    of each row.
+
+    Each block of data lines is decoded into one float block, which the
+    matcher of :func:`_writer_lines` reads along with the lines; the last
+    block is empty when the row count is a multiple of :data:`_PARSE_ROWS`.
+    """
     label_names = parse_label_header(xml_label_header)
 
     relation = "unnamed"
@@ -591,9 +655,10 @@ def _parse(
 
     def decode(lines: list[str]) -> None:
         first = len(line_numbers) - len(lines)
-        blocks.append(parser.block(parser.cells(lines, line_numbers[first:])))
+        cells = parser.cells(lines, line_numbers[first:])
+        blocks.append(parser.block(cells))
         if writer_lines is not None:
-            matched_rows.extend(compress(range(first, len(line_numbers)), map(writer_lines, lines)))
+            matched_rows.extend((first + np.flatnonzero(writer_lines(lines, cells))).tolist())
 
     in_data = False
     for line_no, raw in enumerate(arff_text.splitlines(), start=1):
@@ -659,10 +724,12 @@ def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
 
 def read_mulan(arff_text: str, xml_label_header: str) -> tuple[MultiLabelDataset, RowFormatter]:
     """:func:`parse_mulan`, plus a :class:`RowFormatter` for the dataset that
-    already holds each data line the writer would write unchanged.
+    already holds each data line whose head the writer would write unchanged.
 
     Rows taken from the input, such as clones, decoupled copies and folds,
-    are then written with the input's own lines.
+    are then written with the input's own lines.  Which lines those are is
+    decided a block at a time, from the block's bytes and decoded cells (see
+    :func:`_writer_lines`).
     """
     d, rows, line_numbers = _parse(arff_text, xml_label_header, True)
     formatter = RowFormatter(d.attributes, d.k)

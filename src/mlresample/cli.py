@@ -144,6 +144,8 @@ def _method_config(args) -> MLROSConfig | MLENNConfig | MLSMOTEConfig:
 
 
 def cmd_resample(args, argv: list[str]) -> int:
+    if args.drop_empty and not args.remedial:
+        raise _ParameterError("--drop-empty needs --remedial")
     # rows holds the input's data lines, for the rows the output takes from it
     d, rows = read_mulan(_read_text(args.arff), _read_text(args.xml))
     config = ResampleConfig(method=_method_config(args), seed=args.seed)
@@ -291,7 +293,7 @@ def build_parser() -> _Parser:
     p_res.add_argument(
         "--drop-empty",
         action="store_true",
-        help="discard decoupled sides left without labels",
+        help="discard decoupled sides left without labels (needs --remedial)",
     )
     p_res.add_argument("--seed", type=int, default=0)
     p_res.add_argument("--out-dir", required=True)

@@ -8,11 +8,14 @@ products, sorting shortcuts, vectorization).
 from __future__ import annotations
 
 import math
+import re
 from collections import namedtuple
+from itertools import groupby
 
 import numpy as np
 
 from mlresample import MulanFormatError
+from mlresample.arff import _bare, _run_start
 
 
 Row = namedtuple("Row", "features labels")
@@ -448,3 +451,49 @@ def oracle_write_mulan(d) -> tuple[str, str]:
         xml_lines.append(f'  <label name="{escaped}"></label>')
     xml_lines.append("</labels>")
     return arff_text, "\n".join(xml_lines) + "\n"
+
+
+# A number that repr spells back unchanged: positional notation with at most
+# 15 significant digits, and zero or 1e-4 <= |x| < 1e16.  15 digits are the
+# unique shortest decimal that reads back as their double, and repr writes
+# such a double positionally.
+CANONICAL_NUMBER = (
+    r"-?(?=[0-9.]{3,16}(?![0-9.]))"
+    r"(?:0\.0|[1-9][0-9]*\.(?:0|[0-9]*[1-9])|0\.0{0,3}[1-9](?:[0-9]*[1-9])?)"
+)
+
+
+def oracle_writer_lines(parser):
+    """The ARFF reader's original per-line matcher: whether a data line holds
+    the head that the writer writes for the row it decodes to, as one regex
+    per line; or None when no line can be copied.
+
+    The columns must be in the writer's order and its lines must have a
+    head.  The tail, the last ``2t`` characters, must have a comma before
+    each cell; the head before it is ``?``, a declared value the writer
+    writes bare, or a :data:`CANONICAL_NUMBER` per cell.
+    """
+    if parser.feature_columns + parser.label_columns != list(range(len(parser.columns))):
+        return None
+    features = parser.columns[: len(parser.feature_columns)]
+    head = _run_start(features)
+    if not head:
+        return None
+    cells = []
+    for attr in features[:head]:
+        spellings = (
+            [re.escape(v) for v in attr.values if _bare(v)] if attr.is_nominal else [CANONICAL_NUMBER]
+        )
+        cells.append("(?:" + "|".join([*spellings, r"\?"]) + ")")
+    # a run of equal cells is one repeat, so that a wide schema compiles fast
+    pattern = re.compile(
+        ",".join(f"{cell}(?:,{cell}){{{len(list(run)) - 1}}}" for cell, run in groupby(cells))
+    )
+    span = 2 * (len(parser.columns) - head)
+    commas = "," * (span // 2)
+
+    def in_form(line: str) -> bool:
+        end = len(line) - span
+        return end > 0 and line[end::2] == commas and pattern.fullmatch(line, 0, end) is not None
+
+    return in_form

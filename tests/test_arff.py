@@ -22,7 +22,7 @@ from mlresample.arff import RowFormatter, _split, parse_label_header
 
 from conftest import datasets, make_dataset
 from mlresample import AttributeSpec
-from _oracles import oracle_split, oracle_write_mulan, rows
+from _oracles import CANONICAL_NUMBER, oracle_split, oracle_write_mulan, oracle_writer_lines, rows
 
 XML_TWO = """<?xml version="1.0" encoding="utf-8"?>
 <labels xmlns="http://mulan.sourceforge.net/labels">
@@ -762,6 +762,34 @@ class TestNumbersOnlyFloatReads:
         assert write_mulan(d, rows) == oracle_write_mulan(d)
 
 
+def matched_blocks(arff_text, xml_text):
+    """Per data block that ``read_mulan`` decodes, the mask of the lines the
+    writer can copy, each checked against the original per-line matcher;
+    raises what ``read_mulan`` raises."""
+    masks = []
+    writer_lines = arff._writer_lines
+
+    def checked(parser):
+        match, oracle = writer_lines(parser), oracle_writer_lines(parser)
+        assert (match is None) == (oracle is None)
+        if match is None:
+            return None
+
+        def both(lines, cells):
+            mask = match(lines, cells)
+            assert mask.dtype == bool
+            assert mask.tolist() == [oracle(line) for line in lines]
+            masks.append(mask.tolist())
+            return mask
+
+        return both
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arff, "_writer_lines", checked)
+        arff.read_mulan(arff_text, xml_text)
+    return masks
+
+
 # tokens that repr writes back unchanged, and tokens that must be spelled again
 CANONICAL_NUMBERS = ["0.0001", "-0.0", "0.0", "10.0", "100.5", "0.12345678901234"]
 OTHER_NUMBERS = [
@@ -771,20 +799,86 @@ OTHER_NUMBERS = [
 
 
 @settings(max_examples=1000, deadline=None)
-@given(st.from_regex(arff._CANONICAL_NUMBER, fullmatch=True))
+@given(st.from_regex(CANONICAL_NUMBER, fullmatch=True))
 def test_every_canonical_number_is_what_repr_writes(token):
     assert repr(float(token)) == token
 
 
 @pytest.mark.parametrize("token", CANONICAL_NUMBERS)
 def test_canonical_numbers_are_accepted(token):
-    assert re.fullmatch(arff._CANONICAL_NUMBER, token)
+    assert re.fullmatch(CANONICAL_NUMBER, token)
     assert repr(float(token)) == token
+    assert matched_blocks(ONE_NUMERIC + f"{token},1\n", XML_A) == [[True, True]]
 
 
 @pytest.mark.parametrize("token", OTHER_NUMBERS)
 def test_other_numbers_fall_back(token):
-    assert re.fullmatch(arff._CANONICAL_NUMBER, token) is None
+    assert re.fullmatch(CANONICAL_NUMBER, token) is None
+    if "_" not in token:  # the reader rejects 1_0.5
+        assert matched_blocks(ONE_NUMERIC + f"{token},1\n", XML_A) == [[True, False]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_mulan())
+def test_block_matcher_agrees_with_the_line_regex_on_mutated_files(files):
+    with pytest.MonkeyPatch.context() as patch:
+        # three-row blocks, so that clean and fallback blocks meet inside a file
+        patch.setattr(arff, "_PARSE_ROWS", 3)
+        try:
+            matched_blocks(*files)
+        except MulanFormatError:
+            pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets(quotable_values=True))
+def test_block_matcher_agrees_with_the_line_regex_on_written_files(d):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arff, "_PARSE_ROWS", 3)
+        matched_blocks(*write_mulan(d))
+
+
+def test_block_matcher_pins():
+    arff_text = (
+        "@relation r\n@attribute x numeric\n@attribute c {red,\u00e9,'x,y'}\n"
+        "@attribute f {0,1}\n@attribute A {0,1}\n@attribute B {0,1}\n@data\n"
+    )
+    lines = {
+        "?,red,0,1,0": True,  # a missing number
+        "1.5,?,0,1,0": True,  # a missing nominal value
+        "1.5,'x,y',1,1,0": False,  # a quoted cell holding a comma: a comma too many
+        "1.5, red,0,1,0": False,  # a padded cell
+        "1.5,\u00e9,1,0,1": True,  # a bare non-ASCII value
+        "0.0001,red,0,0,1": True,
+        "0.00001,red,0,0,1": False,  # repr writes 1e-05
+        "12345678901234.5,red,0,0,1": True,
+        "123456789012345.6,red,0,0,1": False,  # 17 digits
+        "-0.0,red,1,1,1": True,
+    }
+    data = "\n".join(lines) + "\n"
+    xml_text = '<labels><label name="A"></label><label name="B"></label></labels>'
+    assert matched_blocks(arff_text + data, xml_text) == [list(lines.values())]
+    d, rows = arff.read_mulan(arff_text + data, xml_text)
+    assert write_mulan(d, rows) == oracle_write_mulan(d)
+    # the same lines without the quoted one form a clean block
+    del lines["1.5,'x,y',1,1,0"]
+    data = "\n".join(lines) + "\n"
+    assert matched_blocks(arff_text + data, xml_text) == [list(lines.values())]
+
+
+@pytest.mark.parametrize("n", [0, 512, 1024])
+def test_a_last_block_without_rows(n):
+    """A row count that is a multiple of the block size leaves the last block
+    empty, as a file without data rows does."""
+    rng = np.random.default_rng(n)
+    attributes = [AttributeSpec("x"), AttributeSpec("c", ("g0", "g1")), AttributeSpec("f", ("0", "1"))]
+    # numbers of three decimals, most of which the writer copies
+    features = [(round(rng.normal(), 3), int(rng.integers(2)), int(rng.integers(2))) for _ in range(n)]
+    picked = [(f, [int(rng.integers(2))]) for f in features]
+    d = make_dataset(attributes, ("A", "B"), picked, "blocks")
+    files = write_mulan(d)
+    assert [len(mask) for mask in matched_blocks(*files)] == [512] * (n // 512) + [0]
+    assert_seeded_writes_match(*files, n)
 
 
 def written_from(d, seed):

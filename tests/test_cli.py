@@ -195,6 +195,13 @@ class TestResample:
         assert err == f"error: bad decoupling threshold {spec!r} (expected 'mean' or 'pNN')\n"
         assert not (tmp_path / "x").exists()
 
+    def test_drop_empty_without_remedial_exits_3(self, toy6_files, tmp_path, capsys):
+        arff, xml = toy6_files
+        argv = ["resample", arff, xml, "--method", "mlros", "--drop-empty", "--out-dir", tmp_path / "x"]
+        assert main([str(a) for a in argv]) == 3
+        assert capsys.readouterr().err == "error: --drop-empty needs --remedial\n"
+        assert not (tmp_path / "x").exists()
+
     def test_byte_identical_given_seed(self, toy6_files, tmp_path):
         arff, xml = toy6_files
         dirs = [tmp_path / "a", tmp_path / "b"]
