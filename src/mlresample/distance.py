@@ -16,9 +16,14 @@ distance matrix: one loop walks the query a block of rows at a time.
 Every distance that decides a neighbour is an *exact cell*: numeric terms
 summed column by column in attribute order (a NaN term counts 1.0), then one
 ``+1.0`` per mismatching nominal column, then ``sqrt``.  The nominal
-mismatch count of all columns comes from one matrix product of one-hot code
+mismatch count of all columns comes from one matrix product of code
 indicators (``n_nominal - q_hot @ r_hot.T``), which is exact because it only
-adds small integers.
+adds small integers.  A column whose reference codes all lie in {0, 1}, such
+as a binary word, has one indicator: x = (code == 1) on the reference side
+and v = 2x - present on the query side (present: the code is 0 or 1).  A
+query code equals a reference code in present_q - x_q + v * x_r of them, and
+the first two terms, summed over such columns, are one more indicator
+against a constant 1.  Every other column has one indicator per code.
 
 With numeric columns, a block is first ranked by an estimate: the Gram form
 ``|q|^2 + |r|^2 - 2 q.r`` (one matrix product) over the columns that hold
@@ -35,8 +40,8 @@ cells are more than ``_MAX_SHORTLIST_SHARE`` of it, take the exact block
 instead.  So does every row of a query when no numeric column is finite on
 both sides (with no numeric column at all the nominal count is exact
 already) or when a row needs every reference row; such a query is never
-estimated, and its blocks hold ``_BLOCK_CELLS // n_ref`` rows instead of at
-least ``_MIN_ESTIMATE_ROWS``.  The exact block picks from a shortlist: the
+estimated.  Either way a block holds ``_BLOCK_CELLS // n_ref`` query rows,
+and at least ``_MIN_BLOCK_ROWS``.  The exact block picks from a shortlist: the
 cells no farther than each row's m-th smallest distance, found with
 ``np.partition`` and ordered by distance, then index.  When ties make that
 shortlist more than half of a block, a stable ``argsort`` of the whole
@@ -53,9 +58,11 @@ import numpy as np
 
 from .dataset import MultiLabelDataset
 
-# Distance cells per query block.  It bounds the block's distance, temporary
-# and sort arrays whatever the dataset size; at 256 KB per array they stay in
-# cache, which measured faster than 2 MB blocks on 2000-8000 rows.
+# Distance cells per query block, down to _MIN_BLOCK_ROWS rows.  Up to about
+# 1000 reference rows it bounds the block's distance, temporary and sort
+# arrays; at 256 KB per array they stay in cache, which measured faster than
+# 2 MB blocks on 2000-8000 rows.  Beyond that the row floor sets the block:
+# 32 * n_ref cells, about 11 MB per float64 array at 43,907 reference rows.
 _BLOCK_CELLS = 1 << 15
 
 # Above this share of a block's cells the shortlist is slower than a stable
@@ -72,12 +79,16 @@ _BLOCK_CELLS = 1 << 15
 # re-ranked in 5.6 s against 3.0 s for the exact blocks.
 _MAX_SHORTLIST_SHARE = 0.5
 
-# Query rows per estimated block, at least.  With fewer, the per-block numpy
-# calls outweigh the matrix product once the reference has thousands of rows:
-# on 8000 rows x 50 columns (k = 3) a self-query took 1.30 s at _BLOCK_CELLS
-# alone (4 rows per block) against 0.71 s at 32 rows, and 64 or 128 rows gave
-# no more than 3% over 32.
-_MIN_ESTIMATE_ROWS = 32
+# Query rows per block, at least.  With fewer, the per-block numpy calls
+# outweigh the matrix products once the reference has thousands of rows, and
+# each product streams the whole reference for a few rows.  Estimated: on 8000
+# rows x 50 columns (k = 3) a self-query took 1.30 s at _BLOCK_CELLS alone (4
+# rows per block) against 0.71 s at 32 rows, and 64 or 128 rows gave no more
+# than 3% over 32.  Exact: on 6000 binary rows x 500 columns (k = 10,
+# exclude, BLAS on one thread) a self-query took 3.2-3.5 s at 5 rows per
+# block and 0.84-0.90 s at 32.  128 rows took 0.59-0.63 s, for four times
+# the block memory.
+_MIN_BLOCK_ROWS = 32
 
 _UNIT_ROUNDOFF = 2.0**-53
 # An operation that underflows errs by at most 2**-1075 beyond its relative
@@ -128,15 +139,19 @@ class Reference:
 
     ``columns`` is the transpose of the :meth:`FeatureSpace.encode` pair's
     numeric matrix, C-contiguous (a view of that column-major matrix), and
-    ``nominal`` its code matrix.  Nominal column ``c`` owns
-    one-hot indicators ``offsets[c]:offsets[c] + widths[c]`` of ``one_hot``
-    (width = the column's largest code + 1).  ``finite`` marks the numeric
+    ``nominal`` its code matrix.  ``one_hot`` holds the rows' nominal
+    indicators (see :func:`_one_hot`): a constant 1, then one indicator
+    (code == 1) per column of ``two_valued``, the nominal columns whose codes
+    all lie in {0, 1}, then for every other column ``c`` one indicator per
+    code, ``offsets[c]:offsets[c] + widths[c]`` (width = the column's largest
+    code + 1, and 0 for a two-valued column).  ``finite`` marks the numeric
     columns without a NaN or infinity; ``norms`` holds each row's squared
     norm over them and ``max_norm`` the largest norm.
     """
 
     columns: np.ndarray
     nominal: np.ndarray
+    two_valued: np.ndarray
     widths: np.ndarray
     offsets: np.ndarray
     one_hot: np.ndarray
@@ -166,21 +181,25 @@ def _max_norm(squared: np.ndarray) -> float:
 def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
     """Everything :func:`neighbors` needs of the reference rows, built once.
 
-    Besides the encoded pair it holds the one-hot nominal codes
-    (n_ref * sum of codes * 4 bytes) and the rows' squared norms.  The
-    numeric matrix is kept column-major: a view of one from
-    :meth:`FeatureSpace.encode` or :attr:`FeatureSpace.encoded`, a copy of
-    any other.
+    Besides the encoded pair it holds the nominal indicators (n_ref * 4
+    bytes per two-valued column, and per code of every other column) and the
+    rows' squared norms.  The numeric matrix is kept column-major: a view of
+    one from :meth:`FeatureSpace.encode` or :attr:`FeatureSpace.encoded`, a
+    copy of any other.
     """
     numeric, nominal = encoded
     n_ref, n_nominal = nominal.shape
-    widths = np.maximum(nominal.max(axis=0, initial=-1) + 1, 0)
-    offsets = np.cumsum(widths) - widths
-    one_hot = np.empty((n_ref, int(widths.sum())), dtype=np.float32)
+    highest = nominal.max(axis=0, initial=-1)
+    two_valued = np.flatnonzero((highest <= 1) & (nominal.min(axis=0, initial=0) >= 0))
+    widths = np.maximum(highest + 1, 0)
+    widths[two_valued] = 0
+    offsets = 1 + two_valued.size + np.cumsum(widths) - widths
+    one_hot = np.empty((n_ref, 1 + two_valued.size + int(widths.sum())), dtype=np.float32)
     # in chunks, so the index temporaries stay about _BLOCK_CELLS long
     chunk = max(1, _BLOCK_CELLS // max(n_nominal, 1))
+    layout = two_valued, offsets, widths
     for at in range(0, n_ref, chunk):
-        _one_hot(nominal[at : at + chunk], offsets, widths, one_hot[at : at + chunk])
+        _one_hot(nominal[at : at + chunk], *layout, one_hot[at : at + chunk], query=False)
     finite = np.isfinite(numeric).all(axis=0)
     rows = numeric if finite.all() else numeric[:, finite]
     with np.errstate(over="ignore"):
@@ -188,6 +207,7 @@ def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
     return Reference(
         columns=np.ascontiguousarray(numeric.T),
         nominal=nominal,
+        two_valued=two_valued,
         widths=widths,
         offsets=offsets,
         one_hot=one_hot,
@@ -198,17 +218,40 @@ def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
 
 
 def _one_hot(
-    codes: np.ndarray, offsets: np.ndarray, widths: np.ndarray, out: np.ndarray
+    codes: np.ndarray,
+    two_valued: np.ndarray,
+    offsets: np.ndarray,
+    widths: np.ndarray,
+    out: np.ndarray,
+    query: bool,
 ) -> None:
-    """Write into ``out`` one 0/1 indicator per (nominal column, code) for each row of ``codes``.
+    """Write into ``out`` the nominal indicators of each row of ``codes``, on
+    the reference side or the ``query`` side, so that ``q_hot @ r_hot.T``
+    counts each pair's equal, present codes.
 
-    Column ``c`` owns indicators ``offsets[c]:offsets[c] + widths[c]``.  A
-    missing code (-1), or one at or past the column's width, sets none, so it
-    matches nothing.
+    - Indicator 0 is 1 on the reference side and, on the query side, the
+      row's count of code 0 in the ``two_valued`` columns.
+    - Indicator ``1 + i`` belongs to column ``two_valued[i]``: x = (code == 1)
+      on the reference side, and v = 2x - present on the query side, that is
+      +1 for code 1, -1 for code 0 and 0 for a missing code or one of 2 or
+      more.  With indicator 0 such a column adds (code_q == 0) + v * x_r,
+      which is 1 exactly when both codes are 0 or both are 1.
+    - Every other column ``c`` owns indicators ``offsets[c]:offsets[c] +
+      widths[c]``, one per code.  A missing code (-1), or one at or past the
+      column's width, sets none, so it matches nothing.
     """
     out.fill(0.0)
     valid = (codes >= 0) & (codes < widths)
     out[np.nonzero(valid)[0], (codes + offsets)[valid]] = 1.0
+    held = codes[:, two_valued]
+    signs = out[:, 1 : 1 + two_valued.size]
+    signs[...] = held == 1
+    if query:
+        zeros = held == 0
+        signs -= zeros
+        out[:, 0] = np.count_nonzero(zeros, axis=1)
+    else:
+        out[:, 0] = 1.0
 
 
 class _Buffers:
@@ -246,11 +289,13 @@ def _mismatches(q_nom: np.ndarray, reference: Reference, buffers: _Buffers) -> n
     """Nominal mismatch counts of ``q_nom``'s rows against every reference row (float32, exact).
 
     matches = q_hot @ r_hot.T counts equal, present codes; every partial sum
-    is a small integer, so float32 counts them exactly in any order.
+    is an integer of magnitude at most twice the column count, so float32
+    counts them exactly in any order.
     """
     rows = q_nom.shape[0]
     q_hot, count = buffers.q_hot[:rows], buffers.count[:rows]
-    _one_hot(q_nom, reference.offsets, reference.widths, q_hot)
+    layout = reference.two_valued, reference.offsets, reference.widths
+    _one_hot(q_nom, *layout, q_hot, query=True)
     np.matmul(q_hot, reference.one_hot.T, out=count)
     np.subtract(q_nom.shape[1], count, out=count)
     return count
@@ -376,11 +421,10 @@ def _shortlist_heads(
     q_num, q_nom = query
     nan_cols = _non_finite_columns(q_num, reference)
     estimated = m < reference.n and not nan_cols.all()
-    rows = max(1, _BLOCK_CELLS // reference.n)
+    rows = max(_MIN_BLOCK_ROWS, _BLOCK_CELLS // reference.n)
     if estimated:
         gram = reference.gram(~nan_cols)
         slack = 1.0 + 6.0 * _rounding_factor(reference)
-        rows = max(rows, _MIN_ESTIMATE_ROWS)
     buffers = _Buffers(min(rows, q_num.shape[0]), reference)
     picks = np.arange(m)
     for start in range(0, q_num.shape[0], rows):

@@ -250,6 +250,26 @@ def oracle_distances(query, reference) -> np.ndarray:
     return np.sqrt(oracle_squared_distances(query, reference))
 
 
+def oracle_one_hot_mismatches(q_nom, r_nom) -> np.ndarray:
+    """Nominal mismatch counts (float32) by the neighbour engine's original kernel.
+
+    Every column owns one 0/1 indicator per code up to the reference's largest
+    (a missing code, or one past that, sets none), and the counts are
+    ``n_nominal - q_hot @ r_hot.T`` in float32.
+    """
+    widths = np.maximum(r_nom.max(axis=0, initial=-1) + 1, 0)
+    offsets = np.cumsum(widths) - widths
+
+    def one_hot(codes):
+        out = np.zeros((codes.shape[0], int(widths.sum())), dtype=np.float32)
+        valid = (codes >= 0) & (codes < widths)
+        out[np.nonzero(valid)[0], (codes + offsets)[valid]] = 1.0
+        return out
+
+    count = np.matmul(one_hot(q_nom), one_hot(r_nom).T)
+    return np.subtract(q_nom.shape[1], count, out=count)
+
+
 def oracle_encoded_neighbors(query, reference, k, exclude=None) -> np.ndarray:
     """The ``k`` nearest reference rows of each encoded query row by a full stable sort.
 

@@ -14,6 +14,7 @@ from _oracles import (
     oracle_encoded_neighbors,
     oracle_feature_scaling,
     oracle_neighbors,
+    oracle_one_hot_mismatches,
     oracle_squared_distances,
     rows,
 )
@@ -83,7 +84,7 @@ class TestNeighborsAgainstOracle:
     @pytest.mark.parametrize("exclude_self", [False, True])
     def test_many_blocks(self, monkeypatch, cells, exclude_self):
         monkeypatch.setattr(distance, "_BLOCK_CELLS", cells)
-        monkeypatch.setattr(distance, "_MIN_ESTIMATE_ROWS", 1)
+        monkeypatch.setattr(distance, "_MIN_BLOCK_ROWS", 1)
         ref, _ = reference_and_query(11, 40, 0)
         enc = FeatureSpace(ref).encode(ref)
         exclude = np.arange(ref.n) if exclude_self else None
@@ -123,10 +124,10 @@ class TestNeighborsArguments:
 
 def full_matrix(query, reference):
     """Every distance cell from the engine's exact kernel, one block of query rows
-    at a time in the block buffers that every block reuses."""
+    at a time in the block buffers that every block reuses, blocked as the engine blocks."""
     prepared = prepare_reference(reference)
     q_num, q_nom = query
-    rows = max(1, distance._BLOCK_CELLS // prepared.n)
+    rows = max(distance._MIN_BLOCK_ROWS, distance._BLOCK_CELLS // prepared.n)
     buffers = distance._Buffers(min(rows, q_num.shape[0]), prepared)
     nan_cols = distance._non_finite_columns(q_num, prepared)
     blocks = []
@@ -147,26 +148,47 @@ COARSE_VALUES = [0.0, 0.25, 1 / 3, 0.5, 1.0, math.nan, math.inf]
 NUMERIC_VALUES = st.sampled_from(COARSE_VALUES) | st.floats(-2, 2)
 
 
+ENGINE_BLOCKS = distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS
+
+
 @st.composite
 def encoded_cases(draw):
-    """(query, reference, k, exclude, block cells) over a mixed schema with missing values.
+    """(query, reference, k, exclude, blocks) over a mixed schema with missing values.
 
     Rows repeat a few distinct ones, so many distances tie.  The query is the
     reference itself, a subset of its rows (as MLeNN asks) or other rows.
+    ``blocks`` is the engine's (block cells, row floor).  In the binary-heavy
+    mode the reference's codes lie in {0, 1} and some of its columns hold only
+    0; the other query rows also hold codes of 2 or more, past the
+    reference's width, and -1 appears in the reference's rows or in those
+    other rows, never both.
     """
+    binary = draw(st.booleans())
     n_numeric, n_nominal = draw(st.integers(0, 4)), draw(st.integers(0, 5))
-    row = st.tuples(
-        st.lists(NUMERIC_VALUES, min_size=n_numeric, max_size=n_numeric),
-        st.lists(st.integers(-1, 3), min_size=n_nominal, max_size=n_nominal),
-    )
-    distinct = draw(st.lists(row, min_size=1, max_size=8))
+    ref_codes = other_codes = st.integers(-1, 3)
+    if binary:
+        missing_in_reference = draw(st.booleans())
+        ref_codes = st.integers(-1 if missing_in_reference else 0, 1)
+        other_codes = st.integers(0 if missing_in_reference else -1, 3)
+        zeros = draw(st.sets(st.integers(0, n_nominal - 1))) if n_nominal else set()
+
+    def row(codes):
+        return st.tuples(
+            st.lists(NUMERIC_VALUES, min_size=n_numeric, max_size=n_numeric),
+            st.lists(codes, min_size=n_nominal, max_size=n_nominal),
+        )
+
+    distinct = draw(st.lists(row(ref_codes), min_size=1, max_size=8))
+    if binary:
+        distinct = [(v, [0 if c in zeros else x for c, x in enumerate(cs)]) for v, cs in distinct]
     picks = st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=20)
     ref_rows = [distinct[i] for i in draw(picks)]
     reference = encode_rows(ref_rows, n_numeric, n_nominal)
     n_ref = len(ref_rows)
     kind = draw(st.sampled_from(["self", "subset", "other"]))
     if kind == "other":
-        query_rows = [distinct[i] for i in draw(picks)] + draw(st.lists(row, max_size=4))
+        others = draw(st.lists(row(other_codes), max_size=4))
+        query_rows = [distinct[i] for i in draw(picks)] + others
         n_query = len(query_rows)
         own = draw(st.lists(st.integers(0, n_ref - 1), min_size=n_query, max_size=n_query))
     else:
@@ -177,22 +199,40 @@ def encoded_cases(draw):
     query = encode_rows(query_rows, n_numeric, n_nominal)
     exclude = np.array(own, dtype=np.intp) if n_ref > 1 and draw(st.booleans()) else None
     k = draw(st.integers(1, n_ref - (exclude is not None)))
-    return query, reference, k, exclude, draw(st.sampled_from([1, 7, distance._BLOCK_CELLS]))
+    return query, reference, k, exclude, draw(st.sampled_from([(1, 1), (7, 1), ENGINE_BLOCKS]))
 
 
 def pinned_case(numeric, k, exclude, nominal=None):
     """A square case: one numeric column, and nominal codes (one column of 0 by default)."""
     nominal = nominal or [(0,)] * len(numeric)
     enc = encode_rows([((v,), codes) for v, codes in zip(numeric, nominal)], 1, len(nominal[0]))
-    return enc, enc, k, np.arange(len(numeric)) if exclude else None, distance._BLOCK_CELLS
+    return enc, enc, k, np.arange(len(numeric)) if exclude else None, ENGINE_BLOCKS
 
 
-def rect_case(query_rows, ref_rows, k, exclude=None):
+def rect_case(query_rows, ref_rows, k, exclude=None, blocks=ENGINE_BLOCKS):
     """A case of explicit ``(numeric, nominal)`` rows."""
     shape = len(ref_rows[0][0]), len(ref_rows[0][1])
     exclude = None if exclude is None else np.array(exclude, dtype=np.intp)
     query, reference = encode_rows(query_rows, *shape), encode_rows(ref_rows, *shape)
-    return query, reference, k, exclude, distance._BLOCK_CELLS
+    return query, reference, k, exclude, blocks
+
+
+def binary_rows(n, seed, codes, zero_columns=()):
+    """``n`` rows of four nominal codes drawn from ``codes`` (0 in ``zero_columns``),
+    repeating five distinct rows so that distances tie."""
+    rng = np.random.default_rng(seed)
+    distinct = rng.choice(codes, (5, 4))
+    distinct[:, list(zero_columns)] = 0
+    return [((), tuple(distinct[i])) for i in rng.integers(0, 5, n)]
+
+
+# one query row more, and one fewer, than the row floor, over one block cell
+# per reference row, so that the floor alone sets the blocks.  The reference
+# is two-valued and its third column holds only 0; the query holds missing
+# codes, codes past the reference's width and 1 in that column.
+FLOOR_BLOCKS = 1, distance._MIN_BLOCK_ROWS
+FLOOR_SELF = binary_rows(FLOOR_BLOCKS[1] + 1, 0, (0, 1), zero_columns=[2])
+FLOOR_QUERY = binary_rows(FLOOR_BLOCKS[1] - 1, 4, (-1, 0, 1, 2))
 
 
 UNIT_GRID = [((v,), ()) for v in (0.0, 0.25, 0.5, 0.75, 1.0)]
@@ -233,6 +273,9 @@ NOMINAL_ROWS = [((), (a, b)) for a, b in [(0, 1), (1, 1), (-1, 0), (0, 1), (2, -
 @example(pinned_case([0.0, 0.0, 0.0, math.nan, 1.0], 2, exclude=True))
 # two mismatches after a numeric term: 0.49 + 1.0 + 1.0 is not 0.49 + 2.0
 @example(pinned_case([0.0, 0.7], 1, exclude=False, nominal=[(0, 0), (1, 1)]))
+# two-valued columns, blocked by the row floor: 33 rows in two blocks, 31 in one
+@example(rect_case(FLOOR_SELF, FLOOR_SELF, 3, exclude=range(len(FLOOR_SELF)), blocks=FLOOR_BLOCKS))
+@example(rect_case(FLOOR_QUERY, FLOOR_SELF, 4, blocks=FLOOR_BLOCKS))
 def test_engine_matches_the_per_column_kernel_and_a_full_sort(case):
     check_engine(case)
 
@@ -246,8 +289,8 @@ def estimates(case):
 
 
 def check_engine(case):
-    query, reference, k, exclude, cells = case
-    saved = distance._BLOCK_CELLS, distance._MIN_ESTIMATE_ROWS, distance._estimate
+    query, reference, k, exclude, blocks = case
+    saved = distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS, distance._estimate
     real_estimate = saved[2]
     estimated = []
 
@@ -256,13 +299,13 @@ def check_engine(case):
         return real_estimate(*args)
 
     try:
-        # small cells give several blocks on the estimated path too
-        distance._BLOCK_CELLS, distance._MIN_ESTIMATE_ROWS = cells, 1
+        # small cells and a floor of 1 give several blocks on either path
+        distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS = blocks
         distance._estimate = recording_estimate
         got_cells = full_matrix(query, reference)
         got = neighbors(query, prepare_reference(reference), k, exclude=exclude)
     finally:
-        distance._BLOCK_CELLS, distance._MIN_ESTIMATE_ROWS, distance._estimate = saved
+        distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS, distance._estimate = saved
     want_cells = oracle_distances(query, reference)
     assert np.array_equal(got_cells.view(np.uint64), want_cells.view(np.uint64))
     # the re-rank's cells, taken pair by pair, are the same bits
@@ -372,22 +415,63 @@ def test_estimates_anywhere_within_their_bound_give_the_same_lists(noise, case, 
         distance._estimate = real_estimate
 
 
+@st.composite
+def binary_datasets(draw, max_n=40):
+    """Bag-of-words-like datasets: binary word columns, now and then a missing
+    word, and rows that repeat a few distinct ones, so that most distances tie."""
+    n_words = draw(st.integers(1, 6))
+    attrs = [AttributeSpec(f"w{j}", values=("0", "1")) for j in range(n_words)]
+    word = st.sampled_from([0, 1, None])
+    distinct = draw(st.lists(st.tuples(*[word] * n_words), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=max_n))
+    return make_dataset(attrs, ("A",), [(distinct[i], [0]) for i in picks])
+
+
 @settings(max_examples=60, deadline=None)
-@given(datasets(max_n=25))
+@given(datasets(max_n=25) | binary_datasets())
 def test_block_size_never_changes_the_answer(d):
     enc = FeatureSpace(d).encode(d)
     exclude = np.arange(d.n) if d.n > 1 else None
     # every other row needs every cell; the nearest one leaves room for estimates
     for k in {max(d.n - 1, 1), 1}:
         whole = neighbors(enc, prepare_reference(enc), k, exclude=exclude)
-        original = distance._BLOCK_CELLS, distance._MIN_ESTIMATE_ROWS
+        original = distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS
         try:
             # one query row per block on the estimated path as well as the exact one
-            distance._BLOCK_CELLS, distance._MIN_ESTIMATE_ROWS = 1, 1
+            distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS = 1, 1
             one_row = neighbors(enc, prepare_reference(enc), k, exclude=exclude)
         finally:
-            distance._BLOCK_CELLS, distance._MIN_ESTIMATE_ROWS = original
+            distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS = original
         assert np.array_equal(whole, one_row)
+
+
+@st.composite
+def nominal_pairs(draw):
+    """(query codes, reference codes) with missing codes and mixed widths: per
+    column two-valued, two-valued with -1 in the reference, all 0, all missing
+    or up to six values, and query codes up to 7, past every width."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_query, n_ref = draw(st.integers(0, 40)), draw(st.integers(1, 40))
+    n_nominal = draw(st.integers(1, 12))
+    reference = np.empty((n_ref, n_nominal), dtype=np.int64)
+    for c in range(n_nominal):
+        low, high = draw(st.sampled_from([(0, 1), (-1, 1), (0, 0), (-1, -1), (-1, 5), (0, 5)]))
+        reference[:, c] = rng.integers(low, high + 1, n_ref)
+    return rng.integers(-1, 8, (n_query, n_nominal)), reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(nominal_pairs())
+@example((np.array([[0, 1, -1, 2]]), np.array([[0, 0, 0, 0], [1, 0, 1, 1]])))
+@example((np.array([[0, 1], [-1, 3]]), np.array([[-1, 0], [1, 0], [0, 2]])))
+def test_mismatch_counts_equal_the_full_one_hot_kernel(pair):
+    """Bit for bit the counts of the kernel that gave every column one indicator per code."""
+    query, reference = pair
+    prepared = prepare_reference((np.zeros((reference.shape[0], 0)), reference))
+    got = distance._mismatches(query, prepared, distance._Buffers(query.shape[0], prepared))
+    want = oracle_one_hot_mismatches(query, reference)
+    assert got.dtype == want.dtype == np.float32
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
