@@ -17,62 +17,56 @@ flattened to their name list in document order.  Label columns must hold
 
 The parser reads the data section in blocks of stripped lines, which take
 one of three shapes; a clean block is ASCII without a quote, a missing
-value ``?`` or an underscore.  In a clean dense block (no brace, one token
-per column on every line), a column is one-character when it is nominal
-and every value it declares is one ASCII character that needs no quotes, as
-labels declared ``{0,1}`` and binary word features are.  The trailing run of ``t`` such
-columns is not split into tokens: the last ``2t`` characters of each line
-are read as bytes, a comma before each cell and one byte per cell, which
-the column's code table, built from its decoder's own dict, reads.  The
-columns before them, the block's head, are read by numpy's C text reader
-in one call, straight into a float block: it parses each number with the
-routine that ``float`` uses, so every value is bit-identical, and hands
-each nominal cell to its column's decoder.  A clean sparse block (every
-line one ``{...}`` with no other brace) has all its ``index value`` entries
-split at once; the indices are decoded in one pass, and the values land in
-a block holding every column's default, so no row is expanded to all
-columns.  Any other block, and any block with a token that does not
-decode, a one-character cell that is not one byte between commas, an
-entry that is not one index and one value, indices that are not
-ascending, or a non-finite feature, is decoded line by line instead, and
-the first bad line raises its error with its line number; so every
-accepted file gives the same arrays, and every rejected file the same
-message and line, whichever path its blocks take.
-The label columns are checked as a whole at the end; only a file with a
-bad label cell decodes its first bad row again, for the error and its line.
+value ``?`` or an underscore.  In a clean dense block (no brace), a column
+is one-character when it is nominal and every value it declares is one
+ASCII character that needs no quotes, as labels declared ``{0,1}`` and
+binary word features are.  Each line is cut once into a head and a tail,
+its last ``2t`` characters for the trailing run of ``t`` such columns: a
+comma before each cell and one byte per cell, which the column's code
+table, built from its decoder's own dict, reads.  The heads are read by
+numpy's C text reader in one call, straight into a float block: it parses
+each number with the routine that ``float`` uses, so every value is
+bit-identical, hands each nominal cell to its column's decoder, and with
+the shape of its result checks that every head holds one cell per head
+column.  A clean sparse block (every line one ``{...}`` with no other
+brace) has all its ``index value`` entries split at once; the indices are
+decoded in one pass, and the values land in a block holding every column's
+default, so no row is expanded to all columns.  Any other block, and any
+block with a line of other than one token per column, a token that does
+not decode, a one-character cell that is not one byte between commas, an
+entry that is not one index and one value, indices that are not ascending,
+or a non-finite feature, is decoded line by line instead, and the first bad
+line raises its error with its line number; so every accepted file gives
+the same arrays, and every rejected file the same message and line,
+whichever path its blocks take.  The label columns are checked as a whole
+at the end; only a file with a bad label cell decodes its first bad row
+again, for the error and its line.
 
-The writer treats each data line as a head and a tail.  The tail is the
+The writer writes each data line as a head and a tail.  The tail is the
 trailing run of one-character features and then the labels, each cell one
 byte after a comma; it is spelled for a block of rows at once, from a
-code-to-byte table.  The head, the features before the run, is spelled once
-per distinct head: clones and decoupled copies repeat their source's
-features, and a :class:`RowFormatter` shared across calls does the same for
-the folds cut from one dataset, and formats their feature declarations
-once.  :func:`read_mulan` parses like :func:`parse_mulan` and also returns a
-formatter that already holds every data line whose head the writer would
-write unchanged for the row it decodes to, so that the features of rows
-taken from the input are never spelled again, and a copied line whose tail
-is not the row's own gets the row's tail.  Such a line lists the features
-in declaration order, then the labels in XML order, has a comma before each
-tail cell, and spells each head cell as the writer does: ``?``, a declared
-value that needs no quotes for a nominal feature, or a number that ``repr``
-writes back unchanged for a numeric one.  :func:`_writer_lines` matches the
-lines of a block at once, after the parser has decoded them: one pass over
-the bytes of their heads finds every non-digit, and a nominal cell is its
-decoded value when it has as many bytes.  One predicate,
-:func:`_one_character`, says where the run starts for the reader, the
-matcher and the writer.  The writer quotes every name and value holding
-whitespace or ARFF syntax, and rejects one holding a line break, or a label
-name holding a character XML 1.0 lacks, because neither would read back.
+code-to-byte table.  The head, the features before the run, is spelled per
+row unless the row was taken from the input.  :func:`read_mulan` parses
+like :func:`parse_mulan` and also returns a :class:`RowFormatter` that
+holds, by row index, every data line whose head the writer would write
+unchanged for the row it decodes to (:func:`_writer_lines` finds them a
+block at a time, from the heads the parser cut); :func:`write_mulan` takes
+per output row the input row it came from, copies that line when the row's
+features are the source's, with the row's own tail, and spells a source
+whose line it cannot copy once.  One predicate, :func:`_one_character`,
+says where the run starts for the reader, the matcher and the writer.  The
+writer quotes every name and value holding whitespace or ARFF syntax, and
+rejects one holding a line break, or a label name holding a character XML
+1.0 lacks, because neither would read back.
 """
 
 from __future__ import annotations
 
 import math
 import xml.etree.ElementTree as ElementTree
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Sequence
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import repeat
 from operator import getitem, itemgetter
 
 import numpy as np
@@ -223,16 +217,14 @@ class _RowParser:
 
     Each column gets its decoder once: a ``token -> index`` dict lookup for a
     nominal column, ``float`` for a numeric one.  :meth:`cells` decodes a
-    block of lines into floats: a clean dense block with numpy's text
-    reader, its trailing one-character columns as bytes (see
-    :meth:`_dense`), a clean sparse block in one pass over all its entries,
-    and any other block, or one that does not decode whole, through
-    :meth:`row`.  :meth:`row` decodes one line: a row whose tokens all
-    decode and whose sum is finite is done in one pass; any other row is
-    decoded again cell by cell, which raises the error naming the first bad
-    token.  Numeric columns named in ``label_names`` are exempt from the
-    finiteness check, because the label check rejects anything but 0 and 1.
-    :meth:`block` turns a float block into the dataset's arrays.
+    block of lines into floats, by column where it can (:meth:`_dense`,
+    :meth:`_sparse`), else through :meth:`row`, which decodes one line: a
+    row whose tokens all decode and whose sum is finite is done in one pass;
+    any other row is decoded again cell by cell, which raises the error
+    naming the first bad token.  Numeric columns named in ``label_names``
+    are exempt from the finiteness check, because the label check rejects
+    anything but 0 and 1.  :meth:`block` turns a float block into the
+    dataset's arrays.
     """
 
     def __init__(self, columns: tuple[AttributeSpec, ...], label_names: tuple[str, ...]):
@@ -338,66 +330,62 @@ class _RowParser:
                 pass
         return [self.cell(i, token, line_no) for i, token in enumerate(tokens)]
 
-    def cells(self, lines: list[str], line_numbers: list[int]) -> np.ndarray:
-        """The cells of stripped data lines as one float block, NaN for a missing value.
+    def cells(self, lines: list[str], line_numbers: list[int]) -> tuple[np.ndarray, list[str] | None]:
+        """The cells of stripped data lines as one float block, NaN for a
+        missing value, and the heads that :meth:`_dense` cut from the lines,
+        or None when it did not decode them.
 
-        An ASCII block without a quote, a ``?`` or an underscore (which
-        ``float`` and ``int`` read in a number) takes a column path when its
-        lines are all dense, without a brace and each with one token per
-        column, or all sparse, each a ``{...}`` with no other brace.  Every
-        other block, and every block whose column path does not decode whole
-        (a token its decoder rejects, such as a padded nominal value, a
-        one-character cell of other than one byte, an unsorted index, an
-        entry of other than two tokens, or a non-finite feature), goes
-        through :meth:`row` line by line, which raises the first error.
+        A clean block takes :meth:`_dense` when no line holds a brace, and
+        :meth:`_sparse` when each is a ``{...}`` with no other brace.  Every
+        other block, and every block whose column path does not decode whole,
+        goes through :meth:`row` line by line, which raises the first error.
         """
         text = ",".join(lines)
-        cells = None
         # a quote, a missing value, an underscore or a non-ASCII character
         # sends the block to the row path before it is split
         if text.isascii() and not any(mark in text for mark in "'\"?_"):
             n = len(lines)
             if "{" not in text:
-                if all(line.count(",") == len(self.columns) - 1 for line in lines):
-                    cells = self._dense(lines, text)
+                dense = self._dense(lines, text)
+                if dense is not None:
+                    return dense
             elif (
                 text.count("{") == text.count("}") == n
                 and "".join(map(itemgetter(0), lines)) == "{" * n
                 and "".join(map(itemgetter(-1), lines)) == "}" * n
             ):
                 cells = self._sparse(text[1:-1].split("},{"))
-        if cells is not None:
-            return cells
+                if cells is not None:
+                    return cells, None
         rows = [self.row(line, line_no) for line, line_no in zip(lines, line_numbers)]
         # numpy converts the missing value None to NaN; every code is a small int, held exactly
-        return np.array(rows, dtype=np.float64).reshape(len(rows), len(self.columns))
+        return np.array(rows, dtype=np.float64).reshape(len(rows), len(self.columns)), None
 
-    def _dense(self, lines: list[str], text: str) -> np.ndarray | None:
-        """The cells of dense lines, ``text`` being their comma-joined text, or
-        None when a token does not decode or a feature is not finite.
+    def _dense(self, lines: list[str], text: str) -> tuple[np.ndarray, list[str]] | None:
+        """The cells of dense lines, ``text`` being their comma-joined text,
+        and their heads; or None when a line is not one token per column, a
+        token does not decode or a feature is not finite.
 
-        The one-character columns at the end take the last ``2t``
-        characters of each line, ``t`` being their number: a comma before
-        each cell, which is one byte that the column's code table reads.  So
-        every line of a file whose columns are all one-character must be
-        ``2t - 1`` characters long.  The columns before them are read by
-        ``np.loadtxt`` in one call: its C reader parses each number with the
-        routine ``float`` uses, so every value is bit-identical, and hands
-        each nominal cell to the column's decoder.
+        Each line is cut once into a head and a tail, its last ``2t``
+        characters for the ``t`` one-character columns at the end.  A file of
+        such columns only has lines of ``2t - 1`` characters and no head; any
+        other line must be longer than its tail, as numpy skips an empty
+        line.  ``np.loadtxt`` reads the heads and raises when the number of
+        cells changes from line to line; the shape of its result says whether
+        they hold one cell per head column.
         """
         n, width, head = len(lines), len(self.columns), self.head
-        cells = np.empty((n, width))
+        cells, heads = np.empty((n, width)), lines
         if not n:  # numpy warns that an empty input holds no data
-            return cells
+            return cells, heads
         if head < width:
             span = 2 * (width - head)
-            if head:
+            if head and min(map(len, lines)) > span:
+                heads = [line[:-span] for line in lines]
                 tails = "".join([line[-span:] for line in lines])
-            elif all(len(line) == span - 1 for line in lines):
+            elif not head and all(len(line) == span - 1 for line in lines):
                 tails = "," + text
             else:
-                return None
-            if len(tails) != n * span:
                 return None
             chars = np.frombuffer(tails.encode(), np.uint8).reshape(n, span)
             codes = self.tail_codes[np.arange(width - head), chars[:, 1::2]]
@@ -405,25 +393,21 @@ class _RowParser:
                 return None
             cells[:, head:] = codes
             if not head:
-                return cells
-        # no comment character, as float() reads none; str converters on every
-        # numpy (before 2.0 the default hands them bytes); and usecols drops
-        # the fields after head unchecked, which the caller's comma count covers
+                return cells, None
+        # no comment character, as float() reads none; and str converters on
+        # every numpy (before 2.0 the default hands them bytes)
         try:
-            cells[:, :head] = np.loadtxt(
-                lines,
-                comments=None,
-                delimiter=",",
-                converters=self.head_converters,
-                usecols=range(head),
-                ndmin=2,
-                encoding=None,
+            values = np.loadtxt(
+                heads, comments=None, delimiter=",", converters=self.head_converters, ndmin=2, encoding=None
             )
         except (KeyError, ValueError):  # numpy 2 wraps a converter's KeyError in a ValueError
             return None
+        if values.shape != (n, head):
+            return None
+        cells[:, :head] = values
         if not np.isfinite(cells[:, self.finite]).all():
             return None
-        return cells
+        return cells, heads
 
     def _sparse(self, bodies: list[str]) -> np.ndarray | None:
         """The cells of sparse lines, given the text inside each line's braces,
@@ -528,23 +512,25 @@ def _label_numbers(attr: AttributeSpec, width: int) -> np.ndarray:
     return numbers
 
 
-def _writer_lines(parser: _RowParser) -> Callable[[list[str], np.ndarray], np.ndarray] | None:
-    """A matcher that takes a block of stripped data lines and the float
-    block :meth:`_RowParser.cells` decoded from them, and says per line
-    whether it holds the head that the writer writes for the row it decodes
-    to; or None when no line can be copied: the columns are not in the
-    writer's order (the features in declaration order, then the labels in
-    XML order), or the writer's lines have no head.
+def _writer_lines(parser: _RowParser) -> Callable[..., np.ndarray] | None:
+    """A matcher that takes a block of stripped data lines, the float block
+    and the heads that :meth:`_RowParser.cells` made of them, and says per
+    line whether it holds the head that the writer writes for the row it
+    decodes to; or None when no line can be copied: the columns are not in
+    the writer's order (the features in declaration order, then the labels
+    in XML order), or the writer's lines have no head.
 
     The tail, the run of one-character features and the labels, is the last
     ``2t`` characters of the line, a comma before each one-byte cell; only
     its commas are checked, since the writer replaces a tail that is not the
-    row's own.  The head before it must be one cell per head column between
-    commas, each spelled as the writer spells it: ``?`` for a missing value;
-    for a nominal column, the declared value the cell decoded to, when the
-    writer writes it bare, which the cell is exactly when it has as many
-    UTF-8 bytes (a token decodes to a value only as the value itself,
-    quoted or padded); for a numeric column, a number that ``repr`` writes back
+    row's own.  The parser's heads, whose tails it checked, are the writer's
+    when every label is one-character; otherwise, and after the row path,
+    the matcher cuts the lines.  The head must be one cell per head column
+    between commas, each spelled as the writer spells it: ``?`` for a missing
+    value; for a nominal column, the declared value the cell decoded to, when
+    the writer writes it bare, which the cell is exactly when it has as many
+    UTF-8 bytes (a token decodes to a value only as the value itself, quoted
+    or padded); for a numeric column, a number that ``repr`` writes back
     unchanged.  That is positional notation with at most 15 significant
     digits, and zero or 1e-4 <= |x| < 1e16, which is the unique shortest
     decimal that reads back as its double: an optional ``-``, then digits
@@ -571,19 +557,23 @@ def _writer_lines(parser: _RowParser) -> Callable[[list[str], np.ndarray], np.nd
             if _bare(value):
                 row[code] = len(value.encode("utf-8", "surrogatepass"))
 
-    def match(lines: list[str], cells: np.ndarray) -> np.ndarray:
+    def match(lines: list[str], cells: np.ndarray, heads: list[str] | None) -> np.ndarray:
         copyable = np.zeros(len(lines), bool)
-        rows = np.flatnonzero(np.fromiter(map(len, lines), np.intp, len(lines)) > span)
+        if heads is not None and parser.head == head:
+            rows, in_form = np.arange(len(lines)), np.ones(len(lines), bool)
+        else:
+            rows = np.flatnonzero(np.fromiter(map(len, lines), np.intp, len(lines)) > span)
+            if rows.size < len(lines):
+                lines = [lines[i] for i in rows.tolist()]
+            commas = "".join([line[-span:] for line in lines])[::2]
+            # UTF-32 has one code unit per character
+            commas = np.frombuffer(commas.encode("utf-32-le", "surrogatepass"), np.uint32)
+            in_form = (commas.reshape(len(lines), span // 2) == ord(",")).all(axis=1)
+            heads = [line[:-span] for line in lines]
         if not rows.size:
             return copyable
-        if rows.size < len(lines):
-            lines = [lines[i] for i in rows.tolist()]
-        commas = "".join([line[-span:] for line in lines])[::2]
-        # UTF-32 has one code unit per character
-        commas = np.frombuffer(commas.encode("utf-32-le", "surrogatepass"), np.uint32)
-        in_form = (commas.reshape(len(lines), span // 2) == ord(",")).all(axis=1)
         # every head ends in a line break, so a comma or a line break ends each cell
-        text = "\n".join([line[:-span] for line in lines]) + "\n"
+        text = "\n".join(heads) + "\n"
         text = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
         # the non-digits in order: the commas, line breaks, dots, signs and
         # stray bytes (uint8 takes the bytes below "0" round to above 9)
@@ -633,14 +623,15 @@ def _writer_lines(parser: _RowParser) -> Callable[[list[str], np.ndarray], np.nd
 
 def _parse(
     arff_text: str, xml_label_header: str, match_lines: bool
-) -> tuple[MultiLabelDataset, list[int], list[int]]:
-    """The dataset of a MULAN ARFF/XML pair, the indices of the rows whose
-    data lines the writer can copy when ``match_lines``, and the line number
-    of each row.
+) -> tuple[MultiLabelDataset, list[str | None]]:
+    """The dataset of a MULAN ARFF/XML pair and, when ``match_lines`` and
+    :func:`_writer_lines` makes a matcher, per row its stripped data line if
+    the writer can copy it, else None; otherwise no lines.
 
     Each block of data lines is decoded into one float block, which the
-    matcher of :func:`_writer_lines` reads along with the lines; the last
-    block is empty when the row count is a multiple of :data:`_PARSE_ROWS`.
+    matcher of :func:`_writer_lines` reads along with the lines and their
+    heads; the last block is empty when the row count is a multiple of
+    :data:`_PARSE_ROWS`.
     """
     label_names = parse_label_header(xml_label_header)
 
@@ -651,14 +642,14 @@ def _parse(
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     lines: list[str] = []
     line_numbers: list[int] = []
-    matched_rows: list[int] = []
+    copies: list[str | None] = []
 
     def decode(lines: list[str]) -> None:
-        first = len(line_numbers) - len(lines)
-        cells = parser.cells(lines, line_numbers[first:])
+        cells, heads = parser.cells(lines, line_numbers[len(line_numbers) - len(lines) :])
         blocks.append(parser.block(cells))
-        if writer_lines is not None:
-            matched_rows.extend((first + np.flatnonzero(writer_lines(lines, cells))).tolist())
+        if match is not None:
+            copyable = match(lines, cells, heads).tolist()
+            copies.extend([line if ok else None for line, ok in zip(lines, copyable)])
 
     in_data = False
     for line_no, raw in enumerate(arff_text.splitlines(), start=1):
@@ -678,7 +669,7 @@ def _parse(
         elif line.lower().startswith("@data"):
             in_data = True
             parser = _RowParser(tuple(columns), label_names)
-            writer_lines = _writer_lines(parser) if match_lines else None
+            match = _writer_lines(parser) if match_lines else None
         else:
             raise MulanFormatError(f"unexpected content {line!r}", line_no)
 
@@ -709,7 +700,7 @@ def _parse(
         d = MultiLabelDataset(attributes, label_names, numeric, nominal, values == 1.0, relation)
     except ValueError as exc:
         raise MulanFormatError(str(exc)) from exc
-    return d, matched_rows, line_numbers
+    return d, copies
 
 
 def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
@@ -724,18 +715,14 @@ def parse_mulan(arff_text: str, xml_label_header: str) -> MultiLabelDataset:
 
 def read_mulan(arff_text: str, xml_label_header: str) -> tuple[MultiLabelDataset, RowFormatter]:
     """:func:`parse_mulan`, plus a :class:`RowFormatter` for the dataset that
-    already holds each data line whose head the writer would write unchanged.
-
-    Rows taken from the input, such as clones, decoupled copies and folds,
-    are then written with the input's own lines.  Which lines those are is
-    decided a block at a time, from the block's bytes and decoded cells (see
-    :func:`_writer_lines`).
+    holds, by row index, each data line whose head the writer would write
+    unchanged (see :func:`_writer_lines`), so that a write that names the
+    sources of its rows (see :meth:`RowFormatter.lines`) copies the lines of
+    the rows taken from the input, such as clones, decoupled copies and folds.
     """
-    d, rows, line_numbers = _parse(arff_text, xml_label_header, True)
+    d, copies = _parse(arff_text, xml_label_header, True)
     formatter = RowFormatter(d.attributes, d.k)
-    # the lines are cut from the text when the first rows are written: many
-    # small objects made now and kept would pin the memory freed around them
-    formatter._pending = (d.numeric, d.nominal, rows, [line_numbers[i] for i in rows], arff_text)
+    formatter._input, formatter._known = d, copies or [None] * d.n
     return d, formatter
 
 
@@ -778,20 +765,17 @@ def _xml_attribute(text: str) -> str:
 
 
 class RowFormatter:
-    """Formats the data lines of one schema, the head of each distinct row once.
+    """Formats the data lines of one schema.
 
     A line is a head and a tail.  The tail is the trailing run of
     one-character features and then the labels, one byte per cell after a
     comma, and :meth:`lines` spells it for a block of rows at once.  The
-    head, the features before the run, is looked up by its bytes (those of
-    the row's ``numeric`` values and head codes): a row whose head this
-    formatter has met before reuses that line, whole when it ends with the
-    row's tail, else with the tail replaced, and :meth:`_spell` spells the
-    heads that a call meets for the first time, many rows at once.  So
-    clones, decoupled copies and the folds cut from one dataset are
-    formatted once when they share a formatter.  A schema that the writer
-    cannot write raises ``ValueError`` when a row is spelled or the
-    declarations are formatted, not when the formatter is made.
+    head, the features before the run, is spelled by :meth:`_spell`, many
+    rows at once, unless the row was taken from the input of a formatter
+    from :func:`read_mulan`, which holds each input line the writer can copy
+    by row index.  A schema that the writer cannot write raises
+    ``ValueError`` when a row is spelled or the declarations are formatted,
+    not when the formatter is made.
     """
 
     def __init__(self, attributes: tuple[AttributeSpec, ...], k: int):
@@ -804,13 +788,9 @@ class RowFormatter:
         numeric, nominal = iter(range(n_numeric)), iter(range(n_numeric, len(attributes)))
         # where each attribute's cell sits in a row's numeric values followed by its codes
         self._order = [next(nominal) if attr.is_nominal else next(numeric) for attr in attributes]
-        self._lines: dict[bytes, str] = {}  # head bytes -> the first line formatted for them
-        # the smallest integer type that holds every code and -1, for shorter keys
-        sizes = [len(attr.values) for attr in attributes if attr.is_nominal]
-        self._codes = np.min_scalar_type(-max(sizes, default=0) - 1)
-        # from read_mulan: the input's numeric and nominal rows, the rows whose
-        # lines hold the writer's head, those lines' numbers, and the text
-        self._pending: tuple[np.ndarray, np.ndarray, list[int], list[int], str] | None = None
+        # from read_mulan: the input, and per input row its line once known
+        self._input: MultiLabelDataset | None = None
+        self._known: list[str | None] = []
 
     @cached_property
     def declarations(self) -> list[str]:
@@ -848,11 +828,6 @@ class RowFormatter:
         cells[:, 1::2] = letters.ravel().take(np.hstack([codes[:, self._head_codes :], y]) + starts)
         return cells.tobytes().decode("ascii")
 
-    def _keys(self, numeric: np.ndarray, codes: np.ndarray) -> Iterator[bytes]:
-        """The bytes of each row's head, its numeric values and then its head
-        codes, made as they are read."""
-        return (n.tobytes() + c.tobytes() for n, c in zip(numeric, codes[:, : self._head_codes]))
-
     def _spell(self, numeric: np.ndarray, nominal: np.ndarray) -> list[str]:
         """The head cells of each row, in attribute order."""
         symbols, order = self._symbols, self._order[: self._head]
@@ -866,35 +841,31 @@ class RowFormatter:
             rows.append(",".join(map(cells.__getitem__, order)))
         return rows
 
-    def _plant(self) -> None:
-        """File the lines that :func:`read_mulan` found under their heads' bytes."""
-        numeric, nominal, rows, line_numbers, text = self._pending
-        self._pending = None
-        split = text.splitlines()
-        del text  # the last reference once the caller has let go of it
-        matched = np.zeros(len(numeric), bool)
-        matched[rows] = True
-        keys = compress(self._keys(numeric, nominal.astype(self._codes)), matched)
-        self._lines.update(zip(keys, (split[line_no - 1].strip() for line_no in line_numbers)))
+    def lines(self, d: MultiLabelDataset, sources: Sequence[int] | None = None) -> list[str]:
+        """The data lines of ``d``.
 
-    def lines(self, d: MultiLabelDataset) -> list[str]:
-        if self._pending is not None:
-            self._plant()
-        codes = d.nominal.astype(self._codes)
+        ``sources`` gives per row the input row it was taken from, or -1.  A
+        row whose numeric bits and head codes equal its source's gets the
+        source's line, with the row's tail; a source whose line the writer
+        cannot copy is spelled once and kept, so clones, decoupled copies and
+        folds are formatted once.  Every other row is spelled, and so is
+        every row without ``sources`` or without an input.
+        """
+        sources = np.full(d.n, -1) if sources is None else np.asarray(sources, np.intp)
+        if sources.shape != (d.n,):
+            raise ValueError(f"need one source per row, got shape {sources.shape}")
         out: list[str] = []
         # in blocks, so that the byte arrays of a large write stay small
         for at in range(0, d.n, _PARSE_ROWS):
             block = slice(at, at + _PARSE_ROWS)
-            out += self._block(d.numeric[block], codes[block], d.y[block])
+            out += self._block(d.numeric[block], d.nominal[block], d.y[block], sources[block])
         return out
 
-    def _block(self, numeric: np.ndarray, codes: np.ndarray, y: np.ndarray) -> list[str]:
-        """The lines of a block of rows.
-
-        Each row's key and tail is made as it is used: a block's keys and
-        tails made at once raised the peak RSS of a resample by up to 1 MB.
-        """
-        text, span = self._tails(codes, y), 2 * len(self._letters)
+    def _block(
+        self, numeric: np.ndarray, codes: np.ndarray, y: np.ndarray, sources: np.ndarray
+    ) -> list[str]:
+        """The lines of a block of rows, each tail cut from the block's as it is used."""
+        text, span, n = self._tails(codes, y), 2 * len(self._letters), len(y)
         # a line without a head starts at its first cell, not at a comma
         first = 0 if self._head else 1
 
@@ -902,35 +873,46 @@ class RowFormatter:
             return text[i * span + first : (i + 1) * span]
 
         if not self._head:
-            return list(map(tail, range(len(y))))
-        known = self._lines
-        found = list(map(known.get, self._keys(numeric, codes)))
-        if None in found:
-            missing = [i for i, line in enumerate(found) if line is None]
-            keys = list(self._keys(numeric[missing], codes[missing]))
-            # each head met for the first time, with the first row holding it
-            new: dict[bytes, int] = {}
-            for key, i in zip(keys, missing):
+            return list(map(tail, range(n)))
+        # per row the input row whose line it takes, else a key of its own below 0
+        keys = -1 - np.arange(n)
+        taken = np.flatnonzero((sources >= 0) & (sources < len(self._known)))
+        if taken.size:
+            rows, h = sources[taken], self._head_codes
+            same = (numeric[taken].view(np.uint64) == self._input.numeric[rows].view(np.uint64)).all(1)
+            same &= (codes[taken, :h] == self._input.nominal[rows, :h]).all(1)
+            keys[taken[same]] = rows[same]
+        known, keys = self._known, keys.tolist()
+        found = [known[key] if key >= 0 else None for key in keys]
+        # each key without a line, with the first row holding it
+        new: dict[int, int] = {}
+        for i, (key, line) in enumerate(zip(keys, found)):
+            if line is None:
                 new.setdefault(key, i)
+        if new:
             rows = list(new.values())
             heads = self._spell(numeric[rows], codes[rows])
-            known.update(zip(new, map(str.__add__, heads, map(tail, rows))))
-            for key, i in zip(keys, missing):
-                found[i] = known[key]
+            spelled = dict(zip(new, map(str.__add__, heads, map(tail, rows))))
+            for key, line in spelled.items():
+                if key >= 0:
+                    known[key] = line
+            found = [spelled[key] if line is None else line for key, line in zip(keys, found)]
         return [
             line if line.endswith(end) else line[: len(line) - span] + end
-            for line, end in zip(found, map(tail, range(len(y))))
+            for line, end in zip(found, map(tail, range(n)))
         ]
 
 
-def write_mulan(d: MultiLabelDataset, rows: RowFormatter | None = None) -> tuple[str, str]:
+def write_mulan(
+    d: MultiLabelDataset, rows: RowFormatter | None = None, sources: Sequence[int] | None = None
+) -> tuple[str, str]:
     """Serialize a dataset to (arff_text, xml_label_header).
 
     Numeric values use the shortest round-tripping representation, so
     ``parse_mulan(*write_mulan(d))`` reproduces ``d`` structurally.  ``rows``
-    formats the data lines, a fresh :class:`RowFormatter` by default; give
-    several calls one formatter when their datasets share rows, such as the
-    folds of one dataset, and each shared row is formatted once for all.
+    formats the data lines, a fresh :class:`RowFormatter` by default; with the
+    one :func:`read_mulan` returned, ``sources`` names per row of ``d`` the
+    input row it was taken from, or -1 (see :meth:`RowFormatter.lines`).
     """
     if rows is None:
         rows = RowFormatter(d.attributes, d.k)
@@ -941,7 +923,7 @@ def write_mulan(d: MultiLabelDataset, rows: RowFormatter | None = None) -> tuple
         lines.append(f"@attribute {_quote(name)} {{0,1}}")
     lines.append("")
     lines.append("@data")
-    lines.extend(rows.lines(d))
+    lines.extend(rows.lines(d, sources))
     lines.append("")  # the final newline, without a second copy of the text
     arff_text = "\n".join(lines)
 

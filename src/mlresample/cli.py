@@ -23,6 +23,7 @@ import argparse
 import io
 import json
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from . import __version__
@@ -64,12 +65,19 @@ def _read_dataset(arff_path: str, xml_path: str) -> MultiLabelDataset:
     return parse_mulan(_read_text(arff_path), _read_text(xml_path))
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 in slices of 2**20 characters, never encoding it whole."""
+    with path.open("w", encoding="utf-8") as file:
+        for at in range(0, len(text), 2**20):
+            file.write(text[at : at + 2**20])
+
+
 def _write_dataset(
-    d: MultiLabelDataset, arff_path: Path, xml_path: Path, rows: RowFormatter | None = None
+    d: MultiLabelDataset, arff_path: Path, xml_path: Path, rows: RowFormatter, sources: Sequence[int]
 ) -> None:
-    arff_text, xml_text = write_mulan(d, rows)
-    arff_path.write_text(arff_text, encoding="utf-8")
-    xml_path.write_text(xml_text, encoding="utf-8")
+    arff_text, xml_text = write_mulan(d, rows, sources)
+    _write_text(arff_path, arff_text)
+    _write_text(xml_path, xml_text)
 
 
 def _write_manifest(
@@ -84,14 +92,14 @@ def _write_manifest(
         "inputs": inputs,
         "outputs": outputs,
     }
-    path.write_text(dumps_indented(manifest) + "\n", encoding="utf-8")
+    _write_text(path, dumps_indented(manifest) + "\n")
 
 
 def _write_report(
     out: Path, text: str, argv: list[str], seed: int | None, inputs: dict, key: str
 ) -> None:
     """Write ``text`` to ``out``, and ``<out>.manifest.json`` naming it under ``key``."""
-    out.write_text(text, encoding="utf-8")
+    _write_text(out, text)
     _write_manifest(out.with_name(out.name + ".manifest.json"), argv, seed, inputs, {key: str(out)})
 
 
@@ -164,16 +172,11 @@ def cmd_resample(args, argv: list[str]) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     arff_path = out_dir / "resampled.arff"
     xml_path = out_dir / "resampled.xml"
-    arff_text, xml_text = write_mulan(out, rows)
+    _write_dataset(out, arff_path, xml_path, rows, report.sources())
     name = d.name
-    # the input's lines and both datasets' arrays go before the output is
-    # encoded, and the output before the report is
+    # the input's lines and both datasets' arrays go before the report is made
     del rows, d, out
-    arff_path.write_text(arff_text, encoding="utf-8")
-    xml_path.write_text(xml_text, encoding="utf-8")
-    del arff_text
-    report_text = dumps_indented(report.to_dict()) + "\n"
-    (out_dir / "report.json").write_text(report_text, encoding="utf-8")
+    _write_text(out_dir / "report.json", dumps_indented(report.to_dict()) + "\n")
     _write_manifest(
         out_dir / "manifest.json",
         argv,
@@ -202,13 +205,13 @@ def cmd_partition(args, argv: list[str]) -> int:
     outputs = {}
     for f in range(args.folds):
         train, test = fold_datasets(d, assignment, f)
-        for part, ds in (("train", train), ("test", test)):
+        sources = assignment.train_indices(f), assignment.test_indices(f)
+        for part, ds, picked in zip(("train", "test"), (train, test), sources):
             arff_path = out_dir / f"fold{f}-{part}.arff"
-            xml_path = out_dir / f"fold{f}-{part}.xml"
-            _write_dataset(ds, arff_path, xml_path, rows)
+            _write_dataset(ds, arff_path, out_dir / f"fold{f}-{part}.xml", rows, picked)
             outputs[f"fold{f}-{part}"] = str(arff_path)
     csv_path = out_dir / "folds.csv"
-    csv_path.write_text(assignment.to_csv(), encoding="utf-8")
+    _write_text(csv_path, assignment.to_csv())
     outputs["assignment"] = str(csv_path)
     _write_manifest(
         out_dir / "manifest.json", argv, args.seed, {"arff": args.arff, "xml": args.xml}, outputs

@@ -138,6 +138,19 @@ class ResampleReport:
         if self.instances_after != self.instances_before + len(self.added) - len(self.removed):
             raise ValueError("inconsistent report: after != before + added - removed")
 
+    def sources(self) -> np.ndarray:
+        """Per output row, the input row it was taken from, or -1 for a synthetic
+        row; every stage outputs the rows it keeps, in order, then those it adds."""
+        if self.stages:
+            sources = np.arange(self.instances_before)
+            for stage in self.stages:
+                # a -1 at the end, which a -1 of the next stage picks
+                sources = np.append(sources, -1)[stage.sources()]
+            return sources
+        kept = np.delete(np.arange(self.instances_before), self.removed)
+        added = [a.source if a.kind == "clone" else -1 for a in self.added]
+        return np.concatenate([kept, np.array(added, np.intp)])
+
     def to_dict(self) -> dict:
         totals = {
             "instances_before": self.instances_before,

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from mlresample import (
     DecoupleConfig,
+    HybridConfig,
+    MLROSConfig,
     MulanFormatError,
     MultiLabelDataset,
     fold_datasets,
@@ -14,6 +16,8 @@ from mlresample import (
     mlsmote,
     parse_mulan,
     remedial,
+    ResampleConfig,
+    hybrid_resample,
     stratified_kfold,
     write_mulan,
 )
@@ -464,9 +468,9 @@ def test_parsed_rows_pass_the_full_check(files):
 
 
 def rows_only(parser, lines, line_numbers):
-    """The cells of data lines each decoded alone by ``_RowParser.row``."""
+    """The cells of data lines each decoded alone by ``_RowParser.row``, and no heads."""
     rows = [parser.row(line, line_no) for line, line_no in zip(lines, line_numbers)]
-    return np.array(rows, dtype=np.float64).reshape(len(rows), len(parser.columns))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(parser.columns)), None
 
 
 def parse_outcome(arff_text, xml_text):
@@ -682,6 +686,46 @@ def test_parser_schema_errors_keep_their_format_error():
         parse_mulan(arff_text, xml_text)
 
 
+LABELS_PQ = "@attribute p {0,1}\n@attribute q {0,1}\n@data\n"
+DENSE_HEAD = "@relation r\n@attribute h numeric\n@attribute c {red,blue}\n" + LABELS_PQ
+TWO_NUMBERS = "@relation r\n@attribute x numeric\n@attribute y numeric\n" + LABELS_PQ
+ONE_NUMBER = "@relation r\n@attribute x numeric\n" + LABELS_PQ
+# a numeric label, so that no line has a one-character tail
+NO_TAIL = "@relation r\n@attribute x numeric\n@attribute A numeric\n@data\n"
+
+
+@pytest.mark.parametrize(
+    "arff_text, xml_text, message, line",
+    [
+        # one comma moved from the tail into the head
+        (DENSE_HEAD + "1.0,red,1,0\n2.0,,blue0,1\n", XML_TWO, "value '' not in declared list", 8),
+        (DENSE_HEAD + "1.0,red,1,0\n2.0,red,blue,0,1\n", XML_TWO, "expected 4 values, got 5", 8),
+        # a head one cell short in every line of the block
+        (TWO_NUMBERS + "1.5,1,0\n2.5,0,1\n", XML_TWO, "expected 4 values, got 3", 7),
+        # an empty head cell
+        (TWO_NUMBERS + "1.5,2.5,1,0\n2.5,,0,1\n", XML_TWO, "non-numeric value '' for attribute 'y'", 8),
+        # a line exactly as long as its tail, and one shorter
+        (ONE_NUMBER + "1.5,1,0\n,1,0\n", XML_TWO, "non-numeric value '' for attribute 'x'", 7),
+        (ONE_NUMBER + "1.5,1,0\n1,0\n", XML_TWO, "expected 3 values, got 2", 7),
+        # ragged rows in a file without a tail, and every row a cell too many
+        (NO_TAIL + "1.5,1\n2.5,3.5,0\n3.5,1\n", XML_A, "expected 2 values, got 3", 6),
+        (NO_TAIL + "1.5,1\n2.5\n", XML_A, "expected 2 values, got 1", 6),
+        (NO_TAIL + "1.5,2.5,1\n2.5,3.5,0\n", XML_A, "expected 2 values, got 3", 5),
+    ],
+    ids=[
+        "comma-moved-to-head", "cell-too-many-in-head", "head-short-in-every-line",
+        "empty-head-cell", "line-as-long-as-tail", "line-shorter-than-tail",
+        "ragged-without-tail", "short-without-tail", "every-line-long-without-tail",
+    ],
+)
+def test_lines_of_other_than_one_token_per_column(arff_text, xml_text, message, line):
+    """numpy's reader and the shape of what it reads check the heads' cells,
+    the tail check the tails' commas; either sends a misfit to the row path."""
+    with pytest.raises(MulanFormatError, match=re.escape(message)) as err:
+        parse_mulan(arff_text, xml_text)
+    assert err.value.line == line
+
+
 @st.composite
 def shared_feature_datasets(draw):
     """Rows that reuse other rows' feature tuples, with the same or other labelsets."""
@@ -696,14 +740,23 @@ def shared_feature_datasets(draw):
     return make_dataset(d.attributes, d.labels, picked, d.name)
 
 
-@settings(max_examples=120, deadline=None)
-@given(shared_feature_datasets())
-def test_writer_reuses_shared_rows_byte_for_byte(d):
+@settings(max_examples=150, deadline=None)
+@given(shared_feature_datasets(), st.data())
+def test_writer_reuses_shared_rows_byte_for_byte(d, data):
+    """Rows taken from one input, written through the formatter that
+    ``read_mulan`` returned, as the folds of one dataset are.  A source only
+    offers its line: a wrong one, -1 or an index past the input costs a
+    spelling, never a byte."""
     assert write_mulan(d) == oracle_write_mulan(d)
-    # one formatter across datasets sharing rows, as for the folds of one dataset
-    rows = RowFormatter(d.attributes, d.k)
-    for part in (d.subset(range(0, d.n, 2)), d, d.subset(reversed(range(d.n)))):
-        assert write_mulan(part, rows) == oracle_write_mulan(part)
+    _, rows = arff.read_mulan(*write_mulan(d))
+    index = st.integers(0, d.n - 1)
+    for _ in range(3):  # later writes also meet the rows that earlier ones spelled and kept
+        picked = data.draw(st.lists(index, max_size=30))
+        sources = [
+            data.draw(st.one_of(st.just(i), st.just(-1), st.just(d.n), index)) for i in picked
+        ]
+        part = d.subset(picked)
+        assert write_mulan(part, rows, sources) == oracle_write_mulan(part)
 
 
 @settings(max_examples=60, deadline=None)
@@ -775,8 +828,8 @@ def matched_blocks(arff_text, xml_text):
         if match is None:
             return None
 
-        def both(lines, cells):
-            mask = match(lines, cells)
+        def both(lines, cells, heads):
+            mask = match(lines, cells, heads)
             assert mask.dtype == bool
             assert mask.tolist() == [oracle(line) for line in lines]
             masks.append(mask.tolist())
@@ -882,32 +935,39 @@ def test_a_last_block_without_rows(n):
 
 
 def written_from(d, seed):
-    """What ``resample`` and ``partition`` write from ``d``: ``d`` itself, its
-    subsets, ML-ROS clones, REMEDIAL copies, MLSMOTE output and two folds,
-    each where the method accepts ``d``."""
+    """What ``resample`` and ``partition`` write from ``d``, each with the
+    rows of ``d`` it was taken from: ``d`` itself, its subsets, ML-ROS
+    clones, REMEDIAL copies, MLSMOTE output and two folds, each where the
+    method accepts ``d``."""
     rng = np.random.default_rng(seed)
-    out = [d, d.subset(range(0, d.n, 2)), d.subset(reversed(range(d.n)))]
+    picks = [range(d.n), range(0, d.n, 2), reversed(range(d.n))]
+    out = [(d.subset(picked), np.array(picked, np.intp)) for picked in map(list, picks)]
     if d.y.any(axis=0).all():  # every label occurs, so every IRLbl is defined
-        split, _ = remedial(d, DecoupleConfig.from_spec("p25"))
-        out += [split, ml_ros(d, 60, rng)[0], ml_ros(split, 60, rng)[0]]
+        stages = [remedial(d, DecoupleConfig.from_spec("p25")), ml_ros(d, 60, rng)]
+        ros = ResampleConfig(MLROSConfig(60), seed)
+        stages.append(hybrid_resample(d, HybridConfig(DecoupleConfig.from_spec("p25"), ros)))
         if d.n > 1:
             try:
-                out.append(mlsmote(d, 1, rng)[0])
+                stages.append(mlsmote(d, 1, rng))
             except ValueError:  # a synthetic value beyond the float range
                 pass
+        out += [(written, report.sources()) for written, report in stages]
     if d.n > 1:
         assignment = stratified_kfold(d, 2, seed)
-        out += [part for f in range(2) for part in fold_datasets(d, assignment, f)]
+        for f in range(2):
+            picks = assignment.train_indices(f), assignment.test_indices(f)
+            out += zip(fold_datasets(d, assignment, f), picks)
     return out
 
 
 def assert_seeded_writes_match(arff_text, xml_text, seed):
     """Every dataset written from the file through the formatter that
-    ``read_mulan`` seeded reads as the cell-by-cell writer writes it."""
+    ``read_mulan`` seeded, with the rows it was taken from, reads as the
+    cell-by-cell writer writes it."""
     d, rows = arff.read_mulan(arff_text, xml_text)
     assert d == parse_mulan(arff_text, xml_text)
-    for out in written_from(d, seed):
-        assert write_mulan(out, rows) == oracle_write_mulan(out)
+    for out, sources in written_from(d, seed):
+        assert write_mulan(out, rows, sources) == oracle_write_mulan(out)
 
 
 @settings(max_examples=100, deadline=None)
@@ -942,13 +1002,13 @@ def test_only_lines_in_the_writers_form_are_reused(monkeypatch):
     lines = ["0.0001,red,1,1", "1.50,blue,0,0", "-0.0,?,0,1", "?,red,1,0", "1e-05,red,1,1"]
     arff_text = DENSE_TWO + "\n".join(lines) + "\n"
     d, rows = arff.read_mulan(arff_text, XML_TWO)
-    assert write_mulan(d, rows) == oracle_write_mulan(d)
+    assert write_mulan(d, rows, range(d.n)) == oracle_write_mulan(d)
     assert spelled == ["1.5,blue", "1e-05,red"]
     # values that the writer quotes, here read unquoted
     spelled.clear()
     arff_text = "@relation r\n@attribute c {'a b','c%d',e}\n@attribute A {0,1}\n@data\n"
     d, rows = arff.read_mulan(arff_text + "a b,1\nc%d,0\ne,1\n", XML_A)
-    assert write_mulan(d, rows) == oracle_write_mulan(d)
+    assert write_mulan(d, rows, range(d.n)) == oracle_write_mulan(d)
     assert spelled == ['"a b"', '"c%d"']
     # binary features with the labels declared among them: the writer's lines
     # have no head, so none is spelled and each line is its byte tail
@@ -956,18 +1016,18 @@ def test_only_lines_in_the_writers_form_are_reused(monkeypatch):
     arff_text = "@relation r\n" + "".join(f"@attribute {a} {{0,1}}\n" for a in "AfBg") + "@data\n"
     xml_text = '<labels><label name="A"></label><label name="B"></label></labels>'
     d, rows = arff.read_mulan(arff_text + "1,0,0,1\n0,1,1,1\n", xml_text)
-    assert write_mulan(d, rows) == oracle_write_mulan(d)
-    assert write_mulan(d, rows)[0].splitlines()[-2:] == ["0,1,1,0", "1,1,0,1"]
+    assert write_mulan(d, rows, range(d.n)) == oracle_write_mulan(d)
+    assert write_mulan(d, rows, range(d.n))[0].splitlines()[-2:] == ["0,1,1,0", "1,1,0,1"]
     assert spelled == []
     # the labels declared around a numeric feature: each line holds cells the
     # writer writes, but not in its column order
     arff_text = "@relation r\n@attribute A {0,1}\n@attribute x numeric\n@attribute B {0,1}\n@data\n"
     d, rows = arff.read_mulan(arff_text + "1,0.5,0\n0,1.5,1\n", xml_text)
-    assert write_mulan(d, rows) == oracle_write_mulan(d)
+    assert write_mulan(d, rows, range(d.n)) == oracle_write_mulan(d)
     assert spelled == ["0.5", "1.5"]
     # a one-character value that the writer quotes, just before the labels
     spelled.clear()
     arff_text = "@relation r\n@attribute x numeric\n@attribute c {%,a}\n@attribute A {0,1}\n@data\n"
     d, rows = arff.read_mulan(arff_text + "0.5,%,1\n1.5,a,0\n", XML_A)
-    assert write_mulan(d, rows) == oracle_write_mulan(d)
+    assert write_mulan(d, rows, range(d.n)) == oracle_write_mulan(d)
     assert spelled == ['0.5,"%"']

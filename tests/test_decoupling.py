@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mlresample import (
     AttributeSpec,
     DecoupleConfig,
     HybridConfig,
+    MLENNConfig,
     MLROSConfig,
     MLSMOTEConfig,
     PERCENTILE_PRESETS,
@@ -20,6 +22,7 @@ from mlresample import (
     remedial,
     scumble,
     scumble_values,
+    stratified_kfold,
 )
 
 from _oracles import rows
@@ -267,3 +270,42 @@ class TestHybrid:
         )
         assert report.profile_before == first.profile_before
         assert report.profile_after == second.profile_after
+
+
+def same_features(out, d, sources):
+    """Whether every row of ``out`` with a source holds the numeric bits and
+    nominal codes of row ``sources[i]`` of ``d``."""
+    taken = np.flatnonzero(sources >= 0)
+    numeric = out.numeric[taken].view(np.uint64) == d.numeric[sources[taken]].view(np.uint64)
+    return numeric.all() and (out.nominal[taken] == d.nominal[sources[taken]]).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    datasets(ensure_all_labels=True),
+    st.sampled_from([MLROSConfig(p=60), MLENNConfig(nn=1), MLSMOTEConfig(k_neighbors=1)]),
+    st.sampled_from([None, "mean", "p25", "p75"]),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_sources_gather_rows_with_the_outputs_features(d, method, spec, drop_empty, seed):
+    """The sources that a report derives, for every method alone or after
+    REMEDIAL, and a fold's index lists, name for each output row an input
+    row with its features; only synthetic rows have none."""
+    assume(d.n > 2)
+    # a synthetic value beyond the float range is rejected
+    assume(not isinstance(method, MLSMOTEConfig) or (np.abs(np.nan_to_num(d.numeric)) < 1e300).all())
+    config = ResampleConfig(method, seed)
+    if spec is None:
+        out, report = resample(d, config)
+    else:
+        decouple = DecoupleConfig.from_spec(spec, drop_empty=drop_empty)
+        out, report = hybrid_resample(d, HybridConfig(decouple, config))
+    sources = report.sources()
+    assert sources.shape == (out.n,)
+    assert (sources < d.n).all() and same_features(out, d, sources)
+    synthetic = sum(a.kind == "synthetic" for a in report.added)
+    assert np.count_nonzero(sources < 0) == synthetic
+    assignment = stratified_kfold(d, 2, seed)
+    for picked in assignment.train_indices(0), assignment.test_indices(0):
+        assert same_features(d.subset(picked), d, np.array(picked))
