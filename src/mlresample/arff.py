@@ -49,15 +49,16 @@ code-to-byte table.  The head, the features before the run, is spelled per
 row unless the row was taken from the input.  :func:`read_mulan` parses
 like :func:`parse_mulan` and also returns a :class:`RowFormatter` that
 holds, by row index, every data line whose head the writer would write
-unchanged for the row it decodes to (:func:`_writer_lines` finds them a
-block at a time, from the heads the parser cut); :func:`write_mulan` takes
-per output row the input row it came from, copies that line when the row's
-features are the source's, with the row's own tail, and spells a source
-whose line it cannot copy once.  One predicate, :func:`_one_character`,
-says where the run starts for the reader, the matcher and the writer.  The
-writer quotes every name and value holding whitespace or ARFF syntax, and
-rejects one holding a line break, or a label name holding a character XML
-1.0 lacks, because neither would read back.
+unchanged for the row it decodes to; :func:`_writer_lines` finds them a
+block at a time among the heads the parser cut, so only a clean dense
+block offers lines.  :func:`write_mulan` takes per output row the input
+row it came from, copies that line when the row's features are the
+source's, with the row's own tail, and spells a source whose line it
+cannot copy once.  One predicate, :func:`_one_character`, says where the
+run starts for the reader, the matcher and the writer.  The writer quotes
+every name and value holding whitespace or ARFF syntax, and rejects one
+holding a line break, or a label name holding a character XML 1.0 lacks,
+because neither would read back.
 """
 
 from __future__ import annotations
@@ -218,10 +219,10 @@ class _RowParser:
     Each column gets its decoder once: a ``token -> index`` dict lookup for a
     nominal column, ``float`` for a numeric one.  :meth:`cells` decodes a
     block of lines into floats, by column where it can (:meth:`_dense`,
-    :meth:`_sparse`), else through :meth:`row`, which decodes one line: a
-    row whose tokens all decode and whose sum is finite is done in one pass;
-    any other row is decoded again cell by cell, which raises the error
-    naming the first bad token.  Numeric columns named in ``label_names``
+    :meth:`_sparse`), else through :meth:`row`, which decodes one line cell
+    by cell and raises the error naming the first bad token.  Only
+    :meth:`_dense` cuts the lines into heads and tails, so only its blocks
+    offer lines to the writer.  Numeric columns named in ``label_names``
     are exempt from the finiteness check, because the label check rejects
     anything but 0 and 1.  :meth:`block` turns a float block into the
     dataset's arrays.
@@ -320,14 +321,6 @@ class _RowParser:
             raise MulanFormatError(
                 f"expected {len(columns)} values, got {len(tokens)}", line_no
             )
-        # only cell() rejects the underscores and non-ASCII digits that float() reads
-        if line.isascii() and "_" not in line:
-            try:
-                cells = [decode(token) for decode, token in zip(self.decoders, tokens)]
-                if math.isfinite(sum(cells)):
-                    return cells
-            except (KeyError, ValueError):
-                pass
         return [self.cell(i, token, line_no) for i, token in enumerate(tokens)]
 
     def cells(self, lines: list[str], line_numbers: list[int]) -> tuple[np.ndarray, list[str] | None]:
@@ -512,69 +505,50 @@ def _label_numbers(attr: AttributeSpec, width: int) -> np.ndarray:
     return numbers
 
 
-def _writer_lines(parser: _RowParser) -> Callable[..., np.ndarray] | None:
-    """A matcher that takes a block of stripped data lines, the float block
-    and the heads that :meth:`_RowParser.cells` made of them, and says per
-    line whether it holds the head that the writer writes for the row it
+def _writer_lines(parser: _RowParser) -> Callable[[list[str], np.ndarray], np.ndarray] | None:
+    """A matcher that takes the heads that :meth:`_RowParser._dense` cut from
+    a block of data lines and the block's nominal feature codes, and says
+    per head whether it is the head that the writer writes for the row it
     decodes to; or None when no line can be copied: the columns are not in
     the writer's order (the features in declaration order, then the labels
-    in XML order), or the writer's lines have no head.
+    in XML order), the writer's lines have no head, or a label is not
+    one-character, so that the parser's heads are not the writer's.
 
-    The tail, the run of one-character features and the labels, is the last
-    ``2t`` characters of the line, a comma before each one-byte cell; only
-    its commas are checked, since the writer replaces a tail that is not the
-    row's own.  The parser's heads, whose tails it checked, are the writer's
-    when every label is one-character; otherwise, and after the row path,
-    the matcher cuts the lines.  The head must be one cell per head column
-    between commas, each spelled as the writer spells it: ``?`` for a missing
-    value; for a nominal column, the declared value the cell decoded to, when
-    the writer writes it bare, which the cell is exactly when it has as many
-    UTF-8 bytes (a token decodes to a value only as the value itself, quoted
-    or padded); for a numeric column, a number that ``repr`` writes back
-    unchanged.  That is positional notation with at most 15 significant
-    digits, and zero or 1e-4 <= |x| < 1e16, which is the unique shortest
-    decimal that reads back as its double: an optional ``-``, then digits
-    and one ``.`` that are 3 to 16 characters long, an integer part that is
-    ``0`` or has no leading zero, a fraction that is ``0`` or does not end
-    in ``0``, and at most three zeros after ``0.``.
+    The parser checked the comma before each one-byte cell of every tail,
+    which the writer replaces when it is not the row's own, and read one
+    cell per head column from every head of a clean block (ASCII, without
+    a quote, a ``?`` or an underscore).  Each cell must be spelled as the
+    writer spells it: for a nominal column, the declared value the cell
+    decoded to, when the writer writes it bare, which the cell is exactly
+    when it is as long (a token decodes to a value only as the value
+    itself, or padded); for a numeric column, a number that ``repr`` writes
+    back unchanged.  That is positional notation with at most 15
+    significant digits, and zero or 1e-4 <= |x| < 1e16, which is the unique
+    shortest decimal that reads back as its double: an optional ``-``, then
+    digits and one ``.`` that are 3 to 16 characters long, an integer part
+    that is ``0`` or has no leading zero, a fraction that is ``0`` or does
+    not end in ``0``, and at most three zeros after ``0.``.
     """
     if parser.feature_columns + parser.label_columns != list(range(len(parser.columns))):
         return None
-    features = parser.columns[: len(parser.feature_columns)]
-    head = _run_start(features)
-    if not head:
+    features, head = parser.columns[: len(parser.feature_columns)], parser.head
+    if not head or _run_start(features) != head:
         return None
-    span = 2 * (len(parser.columns) - head)
     nominal = [j for j, attr in enumerate(features[:head]) if attr.is_nominal]
-    # per nominal head column, the UTF-8 size of each value the writer writes
-    # bare, -1 for the others, and at the end 1, the size of the "?" that the
-    # missing code -1 picks
-    width = max((len(features[j].values) for j in nominal), default=0) + 1
+    # per nominal head column, the size of each value the writer writes bare,
+    # -1 for the others
+    width = max((len(features[j].values) for j in nominal), default=0)
     sizes = np.full((len(nominal), width), -1, np.intp)
-    sizes[:, -1] = 1
     for row, j in zip(sizes, nominal):
         for code, value in enumerate(features[j].values):
             if _bare(value):
-                row[code] = len(value.encode("utf-8", "surrogatepass"))
+                row[code] = len(value)
 
-    def match(lines: list[str], cells: np.ndarray, heads: list[str] | None) -> np.ndarray:
-        copyable = np.zeros(len(lines), bool)
-        if heads is not None and parser.head == head:
-            rows, in_form = np.arange(len(lines)), np.ones(len(lines), bool)
-        else:
-            rows = np.flatnonzero(np.fromiter(map(len, lines), np.intp, len(lines)) > span)
-            if rows.size < len(lines):
-                lines = [lines[i] for i in rows.tolist()]
-            commas = "".join([line[-span:] for line in lines])[::2]
-            # UTF-32 has one code unit per character
-            commas = np.frombuffer(commas.encode("utf-32-le", "surrogatepass"), np.uint32)
-            in_form = (commas.reshape(len(lines), span // 2) == ord(",")).all(axis=1)
-            heads = [line[:-span] for line in lines]
-        if not rows.size:
-            return copyable
+    def match(heads: list[str], codes: np.ndarray) -> np.ndarray:
+        if not heads:  # the empty last block
+            return np.zeros(0, bool)
         # every head ends in a line break, so a comma or a line break ends each cell
-        text = "\n".join(heads) + "\n"
-        text = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+        text = np.frombuffer(("\n".join(heads) + "\n").encode(), np.uint8)
         # the non-digits in order: the commas, line breaks, dots, signs and
         # stray bytes (uint8 takes the bytes below "0" round to above 9)
         marks = np.flatnonzero(text - ord("0") > 9)
@@ -603,20 +577,12 @@ def _writer_lines(parser: _RowParser) -> Callable[..., np.ndarray] | None:
         # 0. followed by four zeros is below 1e-4
         tiny = np.flatnonzero(number & (text[lo] == ord("0")) & (fraction > 4))
         number[tiny] = np.any([text[dot[tiny] + k] != ord("0") for k in range(1, 5)], axis=0)
-        number |= (end - start == 1) & (text[start] == ord("?"))
-        # the lines with one cell per head column, and their cells
-        last = np.flatnonzero(kinds[ends] == ord("\n"))
-        whole = np.diff(last, prepend=-1) == head
-        in_form &= whole
-        cell = last[whole, None] + np.arange(1 - head, 1)
-        ok = number[cell]
+        # the parser read one cell per head column from every head
+        ok = number.reshape(len(heads), head)
         if nominal:
-            codes = np.nan_to_num(cells[rows[whole][:, None], nominal], nan=-1.0).astype(np.intp)
-            size = end[cell[:, nominal]] - start[cell[:, nominal]]
-            ok[:, nominal] = size == sizes[np.arange(len(nominal)), codes]
-        in_form[whole] &= ok.all(axis=1)
-        copyable[rows] = in_form
-        return copyable
+            size = (end - start).reshape(len(heads), head)[:, nominal]
+            ok[:, nominal] = size == sizes[np.arange(len(nominal)), codes[:, : len(nominal)]]
+        return ok.all(axis=1)
 
     return match
 
@@ -628,10 +594,11 @@ def _parse(
     :func:`_writer_lines` makes a matcher, per row its stripped data line if
     the writer can copy it, else None; otherwise no lines.
 
-    Each block of data lines is decoded into one float block, which the
-    matcher of :func:`_writer_lines` reads along with the lines and their
-    heads; the last block is empty when the row count is a multiple of
-    :data:`_PARSE_ROWS`.
+    Each block of data lines is decoded into one float block.  The matcher
+    of :func:`_writer_lines` reads the heads that :meth:`_RowParser._dense`
+    cut from a block, with the block's nominal codes; a block decoded any
+    other way copies no line.  The last block is empty when the row count
+    is a multiple of :data:`_PARSE_ROWS`.
     """
     label_names = parse_label_header(xml_label_header)
 
@@ -648,7 +615,7 @@ def _parse(
         cells, heads = parser.cells(lines, line_numbers[len(line_numbers) - len(lines) :])
         blocks.append(parser.block(cells))
         if match is not None:
-            copyable = match(lines, cells, heads).tolist()
+            copyable = repeat(False) if heads is None else match(heads, blocks[-1][1]).tolist()
             copies.extend([line if ok else None for line, ok in zip(lines, copyable)])
 
     in_data = False
@@ -719,6 +686,8 @@ def read_mulan(arff_text: str, xml_label_header: str) -> tuple[MultiLabelDataset
     unchanged (see :func:`_writer_lines`), so that a write that names the
     sources of its rows (see :meth:`RowFormatter.lines`) copies the lines of
     the rows taken from the input, such as clones, decoupled copies and folds.
+    Only a block that the parser read column by column, dense and clean,
+    offers its lines; the rows of any other block are spelled when written.
     """
     d, copies = _parse(arff_text, xml_label_header, True)
     formatter = RowFormatter(d.attributes, d.k)
@@ -772,10 +741,10 @@ class RowFormatter:
     comma, and :meth:`lines` spells it for a block of rows at once.  The
     head, the features before the run, is spelled by :meth:`_spell`, many
     rows at once, unless the row was taken from the input of a formatter
-    from :func:`read_mulan`, which holds each input line the writer can copy
-    by row index.  A schema that the writer cannot write raises
-    ``ValueError`` when a row is spelled or the declarations are formatted,
-    not when the formatter is made.
+    from :func:`read_mulan`, which holds by row index each line of a block
+    read column by column that the writer can copy.  A schema that the
+    writer cannot write raises ``ValueError`` when a row is spelled or the
+    declarations are formatted, not when the formatter is made.
     """
 
     def __init__(self, attributes: tuple[AttributeSpec, ...], k: int):

@@ -45,13 +45,9 @@ from .resampling import (
 )
 
 
-class _ParameterError(Exception):
-    """Bad command-line parameters (exit code 3)."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _ParameterError(message)
+        raise ValueError(message)  # bad parameters: exit code 3
 
 
 def _read_text(path: str) -> str:
@@ -153,7 +149,7 @@ def _method_config(args) -> MLROSConfig | MLENNConfig | MLSMOTEConfig:
 
 def cmd_resample(args, argv: list[str]) -> int:
     if args.drop_empty and not args.remedial:
-        raise _ParameterError("--drop-empty needs --remedial")
+        raise ValueError("--drop-empty needs --remedial")
     # rows holds the input's data lines, for the rows the output takes from it
     d, rows = read_mulan(_read_text(args.arff), _read_text(args.xml))
     config = ResampleConfig(method=_method_config(args), seed=args.seed)
@@ -343,17 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     if isinstance(sys.stdout, io.TextIOWrapper):
         # the tables name the data set and its labels; they are UTF-8 like every file
         sys.stdout.reconfigure(encoding="utf-8")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args, argv)
-    except _ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (MulanFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

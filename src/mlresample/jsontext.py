@@ -3,12 +3,11 @@
 ``json.dumps`` with an indent always runs the pure-Python encoder.  Here a
 dict, list or tuple whose members are all scalars is encoded in one call of
 the C encoder, whose item separator carries the line break and the indent of
-its members.  So is a list whose members are all non-empty dicts of scalars,
-or all non-empty lists of scalars, such as a report's list of added rows;
-only other containers are walked in Python.  The text is that of
-``json.dumps(obj, indent=2)``: the same float spellings (``NaN``,
-``Infinity``, ``-0.0``), ASCII escapes and key order, and tuples written as
-lists.
+its members.  So is a list whose members are all non-empty dicts of
+scalars, such as a report's list of added rows; only other containers are
+walked in Python.  The text is that of ``json.dumps(obj, indent=2)``: the
+same float spellings (``NaN``, ``Infinity``, ``-0.0``), ASCII escapes and
+key order, and tuples written as lists.
 """
 
 from __future__ import annotations
@@ -48,18 +47,12 @@ def dumps_indented(obj, newline: str = "\n") -> str:
         return "{" + inner + ("," + inner).join(cells) + newline + "}"
     if _scalars(obj):
         return _lines(obj, inner, newline)
-    kinds = set(map(type, obj))
-    if all(obj) and (
-        kinds == {dict} and _scalars(chain.from_iterable(map(dict.values, obj)))
-        or kinds <= {list, tuple} and _scalars(chain.from_iterable(obj))
-    ):
+    dicts = set(map(type, obj)) == {dict} and all(obj)
+    if dicts and _scalars(chain.from_iterable(map(dict.values, obj))):
         # one call with the members' separator: it holds a line break, which
-        # no encoded string does, and it follows a bracket only between members
+        # no encoded string does, and it follows a brace only between members
         member = inner + "  "
         text = json.JSONEncoder(separators=("," + member, ": ")).encode(obj)
-        opening, closing = text[1], text[-2]
-        between = text[2:-2].replace(
-            closing + "," + member + opening, inner + closing + "," + inner + opening + member
-        )
-        return "[" + inner + opening + member + between + inner + closing + newline + "]"
+        between = text[2:-2].replace("}," + member + "{", inner + "}," + inner + "{" + member)
+        return "[" + inner + "{" + member + between + inner + "}" + newline + "]"
     return "[" + inner + ("," + inner).join(dumps_indented(m, inner) for m in obj) + newline + "]"

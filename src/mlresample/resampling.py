@@ -258,7 +258,7 @@ def mlenn(d: MultiLabelDataset, ht: float = 0.75, nn: int = 3) -> tuple[MultiLab
     nearest = neighbors(query, prepare_reference(encoded), nn, exclude=candidates)
     far = _adjusted_hamming(d.y[candidates, None, :], d.y[nearest]) > ht
     marked = candidates[np.count_nonzero(far, axis=1) >= nn / 2]
-    out = d.subset(np.setdiff1d(np.arange(d.n), marked))
+    out = d.subset(np.delete(np.arange(d.n), marked))
     return out, _report(d, out, before, [], marked.tolist())
 
 

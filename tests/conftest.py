@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import mlresample
 from mlresample import AttributeSpec, MultiLabelDataset
+from mlresample.arff import RowFormatter
 
 
 def cli_env(extra=None):
@@ -24,6 +25,20 @@ def cli_env(extra=None):
     if extra:
         env.update(extra)
     return env
+
+
+def spelled_heads(monkeypatch):
+    """The rows that ``RowFormatter`` spells from now on, each as its head cells."""
+    spelled = []
+    spell = RowFormatter._spell
+
+    def spy(formatter, numeric, nominal):
+        rows = spell(formatter, numeric, nominal)
+        spelled.extend(rows)
+        return rows
+
+    monkeypatch.setattr(RowFormatter, "_spell", spy)
+    return spelled
 
 
 def make_dataset(attrs, labels, rows, name="fixture"):

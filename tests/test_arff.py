@@ -24,7 +24,7 @@ from mlresample import (
 from mlresample import arff
 from mlresample.arff import RowFormatter, _split, parse_label_header
 
-from conftest import datasets, make_dataset
+from conftest import datasets, make_dataset, spelled_heads
 from mlresample import AttributeSpec
 from _oracles import CANONICAL_NUMBER, oracle_split, oracle_write_mulan, oracle_writer_lines, rows
 
@@ -816,11 +816,20 @@ class TestNumbersOnlyFloatReads:
 
 
 def matched_blocks(arff_text, xml_text):
-    """Per data block that ``read_mulan`` decodes, the mask of the lines the
-    writer can copy, each checked against the original per-line matcher;
-    raises what ``read_mulan`` raises."""
-    masks = []
-    writer_lines = arff._writer_lines
+    """Per data block whose heads ``read_mulan`` matches, the mask of the
+    lines the writer can copy, each checked against the original per-line
+    matcher on the block's lines; raises what ``read_mulan`` raises.
+
+    The matcher gets each head that the column path cut, and the block's
+    nominal codes; no block holding a ``?``, a quote or a non-ASCII
+    character reaches it.
+    """
+    masks, blocks, received = [], [], []
+    writer_lines, cells = arff._writer_lines, arff._RowParser.cells
+
+    def recorded(parser, lines, line_numbers):
+        blocks.append(lines)
+        return cells(parser, lines, line_numbers)
 
     def checked(parser):
         match, oracle = writer_lines(parser), oracle_writer_lines(parser)
@@ -828,8 +837,14 @@ def matched_blocks(arff_text, xml_text):
         if match is None:
             return None
 
-        def both(lines, cells, heads):
-            mask = match(lines, cells, heads)
+        def both(heads, codes):
+            lines = blocks[-1]
+            assert not any(mark in line for line in lines for mark in "?'\"")
+            assert all(map(str.isascii, lines))
+            assert len(heads) == len(lines)
+            assert all(map(str.startswith, lines, heads))
+            received.append((sum(map(len, blocks[:-1])), codes))
+            mask = match(heads, codes)
             assert mask.dtype == bool
             assert mask.tolist() == [oracle(line) for line in lines]
             masks.append(mask.tolist())
@@ -839,7 +854,10 @@ def matched_blocks(arff_text, xml_text):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(arff, "_writer_lines", checked)
-        arff.read_mulan(arff_text, xml_text)
+        patch.setattr(arff._RowParser, "cells", recorded)
+        d, _ = arff.read_mulan(arff_text, xml_text)
+    for at, codes in received:
+        assert np.array_equal(codes, d.nominal[at : at + len(codes)])
     return masks
 
 
@@ -891,32 +909,51 @@ def test_block_matcher_agrees_with_the_line_regex_on_written_files(d):
         matched_blocks(*write_mulan(d))
 
 
-def test_block_matcher_pins():
+def test_block_matcher_pins(monkeypatch):
     arff_text = (
         "@relation r\n@attribute x numeric\n@attribute c {red,\u00e9,'x,y'}\n"
         "@attribute f {0,1}\n@attribute A {0,1}\n@attribute B {0,1}\n@data\n"
     )
     lines = {
-        "?,red,0,1,0": True,  # a missing number
-        "1.5,?,0,1,0": True,  # a missing nominal value
-        "1.5,'x,y',1,1,0": False,  # a quoted cell holding a comma: a comma too many
-        "1.5, red,0,1,0": False,  # a padded cell
-        "1.5,\u00e9,1,0,1": True,  # a bare non-ASCII value
         "0.0001,red,0,0,1": True,
         "0.00001,red,0,0,1": False,  # repr writes 1e-05
         "12345678901234.5,red,0,0,1": True,
         "123456789012345.6,red,0,0,1": False,  # 17 digits
         "-0.0,red,1,1,1": True,
     }
-    data = "\n".join(lines) + "\n"
+    # a block that no column path reads: a missing number, a missing nominal
+    # value, a quoted cell holding a comma, a padded cell, a bare non-ASCII value
+    refused = ["?,red,0,1,0", "1.5,?,0,1,0", "1.5,'x,y',1,1,0", "1.5, red,0,1,0", "1.5,\u00e9,1,0,1"]
+    data = "\n".join([*lines, *refused]) + "\n"
     xml_text = '<labels><label name="A"></label><label name="B"></label></labels>'
-    assert matched_blocks(arff_text + data, xml_text) == [list(lines.values())]
+    monkeypatch.setattr(arff, "_PARSE_ROWS", len(lines))
+    # the clean block, then the refused one, then the empty last block
+    assert matched_blocks(arff_text + data, xml_text) == [list(lines.values()), []]
     d, rows = arff.read_mulan(arff_text + data, xml_text)
-    assert write_mulan(d, rows) == oracle_write_mulan(d)
-    # the same lines without the quoted one form a clean block
-    del lines["1.5,'x,y',1,1,0"]
-    data = "\n".join(lines) + "\n"
-    assert matched_blocks(arff_text + data, xml_text) == [list(lines.values())]
+    spelled = spelled_heads(monkeypatch)
+    assert write_mulan(d, rows, range(d.n)) == oracle_write_mulan(d)
+    # each line of the clean block that is not in the writer's form, then
+    # every line of the refused one
+    assert spelled == [
+        "1e-05,red", "123456789012345.6,red", "?,red", "1.5,?", '1.5,"x,y"', "1.5,red", "1.5,\u00e9",
+    ]
+
+
+def test_a_block_with_a_missing_value_spells_every_row(monkeypatch):
+    """Lines in the writer's form are copied only from a block the column
+    path read: a block with one ``?`` is spelled whole, the next one copied."""
+    attributes = [AttributeSpec("x"), AttributeSpec("c", ("g0", "g1")), AttributeSpec("f", ("0", "1"))]
+    features = [(i % 97 + 0.25, i % 2, i // 2 % 2) for i in range(1024)]
+    features[7] = (None, 1, 0)
+    picked = [(f, [0] if i % 3 else [1]) for i, f in enumerate(features)]
+    d = make_dataset(attributes, ("A", "B"), picked, "blocks")
+    files = write_mulan(d)
+    assert matched_blocks(*files) == [[True] * 512, []]
+    d, rows = arff.read_mulan(*files)
+    spelled = spelled_heads(monkeypatch)
+    assert write_mulan(d, rows, range(d.n)) == files == oracle_write_mulan(d)
+    # every head of the first block, its last six characters being the tail
+    assert spelled == [line[:-6] for line in files[0].splitlines()[-1024:-512]]
 
 
 @pytest.mark.parametrize("n", [0, 512, 1024])
@@ -990,17 +1027,16 @@ def test_seeded_writes_of_mutated_files(files, seed):
 
 
 def test_only_lines_in_the_writers_form_are_reused(monkeypatch):
-    spelled = []
-    spell = RowFormatter._spell
-
-    def spy(formatter, numeric, nominal):
-        rows = spell(formatter, numeric, nominal)
-        spelled.extend(rows)
-        return rows
-
-    monkeypatch.setattr(RowFormatter, "_spell", spy)
+    spelled = spelled_heads(monkeypatch)
+    # a block holding a ? is spelled whole
     lines = ["0.0001,red,1,1", "1.50,blue,0,0", "-0.0,?,0,1", "?,red,1,0", "1e-05,red,1,1"]
     arff_text = DENSE_TWO + "\n".join(lines) + "\n"
+    d, rows = arff.read_mulan(arff_text, XML_TWO)
+    assert write_mulan(d, rows, range(d.n)) == oracle_write_mulan(d)
+    assert spelled == ["1.0,red", "2.0,blue", "0.0001,red", "1.5,blue", "-0.0,?", "?,red", "1e-05,red"]
+    # the same block without its missing values
+    spelled.clear()
+    arff_text = DENSE_TWO + "\n".join(lines[:2] + lines[4:]) + "\n"
     d, rows = arff.read_mulan(arff_text, XML_TWO)
     assert write_mulan(d, rows, range(d.n)) == oracle_write_mulan(d)
     assert spelled == ["1.5,blue", "1e-05,red"]
@@ -1031,3 +1067,10 @@ def test_only_lines_in_the_writers_form_are_reused(monkeypatch):
     d, rows = arff.read_mulan(arff_text + "0.5,%,1\n1.5,a,0\n", XML_A)
     assert write_mulan(d, rows, range(d.n)) == oracle_write_mulan(d)
     assert spelled == ['0.5,"%"']
+    # labels declared numeric: the parser's heads hold the label cells, so
+    # none is the writer's head, even where each cell is a number it copies
+    spelled.clear()
+    arff_text = "@relation r\n@attribute x numeric\n@attribute A numeric\n@data\n"
+    d, rows = arff.read_mulan(arff_text + "0.5,1.0\n1.5,0.0\n", XML_A)
+    assert write_mulan(d, rows, range(d.n)) == oracle_write_mulan(d)
+    assert spelled == ["0.5", "1.5"]

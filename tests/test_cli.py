@@ -17,11 +17,12 @@ from mlresample import (
     stratified_kfold,
     write_mulan,
 )
-from mlresample.arff import RowFormatter
 from mlresample.cli import main
 from mlresample.synthetic import imbalanced_dataset, separable_clusters
 
-from conftest import cli_env, float_range_dataset, make_dataset, write_dataset_files
+from conftest import (
+    cli_env, float_range_dataset, make_dataset, spelled_heads, write_dataset_files
+)
 
 
 def run_cli(args, env=None):
@@ -215,6 +216,21 @@ class TestResample:
             if name == "manifest.json":
                 continue  # records the differing --out-dir argument
             assert a[name] == b[name], name
+
+    def test_mlenn_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.setdiff1d imports numpy.ma on its first call, about 15 ms of a fresh process
+        arff, xml = write_dataset_files(imbalanced_dataset(3, n=120, k=6), tmp_path, "data")
+        argv = ["resample", arff, xml, "--method", "mlenn", "--ht", 0.5, "--out-dir", tmp_path / "out"]
+        script = (
+            "import sys\nfrom mlresample.cli import main\n"
+            f"code = main({list(map(str, argv))!r})\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=cli_env()
+        )
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+        assert json.loads((tmp_path / "out" / "report.json").read_text())["removed"]
 
     def test_the_environment_sets_no_seed(self, tmp_path):
         # the seed comes from argv alone, so rerun replays a run in any environment
@@ -651,19 +667,6 @@ class TestInputSpelling:
         assert outputs[0] == outputs[1] == outputs[2]
         assert len(outputs[0]) >= 3
 
-    def spelled(self, monkeypatch):
-        """The rows that RowFormatter spells from now on, each as its feature cells."""
-        spelled = []
-        spell = RowFormatter._spell
-
-        def spy(formatter, numeric, nominal):
-            rows = spell(formatter, numeric, nominal)
-            spelled.extend(rows)
-            return rows
-
-        monkeypatch.setattr(RowFormatter, "_spell", spy)
-        return spelled
-
     @pytest.mark.parametrize(
         "method", [["mlros", "--remedial", "p25"], ["mlsmote"], ["mlsmote", "--remedial", "p25"]]
     )
@@ -674,7 +677,7 @@ class TestInputSpelling:
             d.attributes, d.labels, d.numeric.round(3), d.nominal, d.y, d.name
         )
         arff, xml = write_dataset_files(d, tmp_path, "data")
-        spelled = self.spelled(monkeypatch)
+        spelled = spelled_heads(monkeypatch)
         argv = ["resample", arff, xml, "--method", *method, "--seed", 1, "--out-dir", tmp_path / "out"]
         assert main([str(a) for a in argv]) == 0
         added = json.loads((tmp_path / "out" / "report.json").read_text())["added"]

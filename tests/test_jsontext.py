@@ -28,7 +28,8 @@ def containers(children):
 
 
 values = st.recursive(scalars, containers, max_leaves=24)
-# lists of dicts of scalars, or of lists of scalars, which are encoded in one call
+# lists of dicts of scalars, which are encoded in one call, or of lists of
+# scalars, which are walked member by member
 tables = st.lists(
     st.dictionaries(texts, scalars, min_size=1, max_size=3)
     | st.lists(scalars, min_size=1, max_size=3)
