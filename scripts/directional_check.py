@@ -18,8 +18,9 @@ import numpy as np
 
 from mlresample import (
     DecoupleConfig,
-    HybridConfig,
-    ResampleConfig,
+    MLENNConfig,
+    MLROSConfig,
+    MLSMOTEConfig,
     evaluate,
     hybrid_resample,
     mean_ir,
@@ -48,10 +49,10 @@ def fold_f_measure(d, assignment, preprocess, folds: int, k_nn: int) -> float:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--method", choices=("mlros", "mlenn", "mlsmote"), default="mlsmote")
-    parser.add_argument("--p", type=float, default=25.0)
-    parser.add_argument("--ht", type=float, default=0.75)
-    parser.add_argument("--nn", type=int, default=3)
-    parser.add_argument("--k", type=int, default=5)
+    parser.add_argument("--p", type=float, default=MLROSConfig.p)
+    parser.add_argument("--ht", type=float, default=MLENNConfig.ht)
+    parser.add_argument("--nn", type=int, default=MLENNConfig.nn)
+    parser.add_argument("--k", type=int, default=MLSMOTEConfig.k_neighbors)
     parser.add_argument("--seeds", type=int, default=10, help="number of generated datasets")
     parser.add_argument("--n", type=int, default=500, help="instances per generated dataset")
     parser.add_argument("--labels", type=int, default=8)
@@ -72,15 +73,11 @@ def main(argv=None) -> int:
     for seed in range(args.seeds):
         d = imbalanced_dataset(seed, n=args.n, k=args.labels)
         row = [f"{seed:<6}", f"{scumble(d):>9.3f}", f"{mean_ir(d):>9.2f}"]
-        base_out, _ = resample(d, ResampleConfig(method, seed=seed))
+        base_out, _ = resample(d, method, seed)
         base_after = profile(base_out).mean_ir if base_out.n else float("nan")
         row.append(f"{base_after:>10.3f}")
         for t_idx, threshold in enumerate(args.thresholds):
-            config = HybridConfig(
-                decouple=DecoupleConfig.from_spec(threshold),
-                resample=ResampleConfig(method, seed=seed),
-            )
-            out, _ = hybrid_resample(d, config)
+            out, _ = hybrid_resample(d, DecoupleConfig.from_spec(threshold), method, seed)
             after = profile(out).mean_ir if out.n else float("nan")
             wins[t_idx] += after < base_after
             row.append(f"{after:>10.3f}")
@@ -97,18 +94,15 @@ def main(argv=None) -> int:
         print(f"{'metric':<12}" + "".join(f"{c:>10}" for c in configs))
         scores = [
             fold_f_measure(
-                d, assignment, lambda t: resample(t, ResampleConfig(method, seed=1))[0],
+                d, assignment, lambda t: resample(t, method, 1)[0],
                 args.folds, args.k_nn,
             )
         ]
         for threshold in args.thresholds:
-            config = HybridConfig(
-                decouple=DecoupleConfig.from_spec(threshold),
-                resample=ResampleConfig(method, seed=1),
-            )
+            decouple = DecoupleConfig.from_spec(threshold)
             scores.append(
                 fold_f_measure(
-                    d, assignment, lambda t: hybrid_resample(t, config)[0],
+                    d, assignment, lambda t: hybrid_resample(t, decouple, method, 1)[0],
                     args.folds, args.k_nn,
                 )
             )

@@ -20,7 +20,7 @@ import hashlib
 import sys
 import time
 
-from mlresample import DecoupleConfig, HybridConfig, MLROSConfig, MultiLabelDataset, ResampleConfig
+from mlresample import DecoupleConfig, MLROSConfig, MultiLabelDataset
 from mlresample import hybrid_resample, write_mulan
 from mlresample.arff import read_mulan
 from mlresample.synthetic import imbalanced_dataset
@@ -44,7 +44,7 @@ def main(argv=None) -> int:
     if args.repeat < 1 or min(args.rows) < LABELS:
         parser.error(f"need --repeat >= 1 and every --rows >= {LABELS}")
 
-    config = HybridConfig(DecoupleConfig.from_spec("p25"), ResampleConfig(MLROSConfig(p=25), seed=0))
+    decouple, method = DecoupleConfig.from_spec("p25"), MLROSConfig(p=25)
     for n in args.rows:
         arff_text, xml_text = input_files(n)
         best = {"read": float("inf"), "resample": float("inf"), "write": float("inf")}
@@ -53,7 +53,7 @@ def main(argv=None) -> int:
             start = time.perf_counter()
             d, rows = read_mulan(arff_text, xml_text)
             read = time.perf_counter()
-            out, report = hybrid_resample(d, config)
+            out, report = hybrid_resample(d, decouple, method, seed=0)
             resampled = time.perf_counter()
             written = write_mulan(out, rows, report.sources())
             end = time.perf_counter()

@@ -5,7 +5,6 @@ from .dataset import AttributeSpec, MultiLabelDataset, label_counts
 from .decoupling import (
     PERCENTILE_PRESETS,
     DecoupleConfig,
-    HybridConfig,
     hybrid_resample,
     nearest_rank_quantile,
     remedial,
@@ -46,7 +45,6 @@ from .resampling import (
     MLENNConfig,
     MLROSConfig,
     MLSMOTEConfig,
-    ResampleConfig,
     ResampleReport,
     ml_ros,
     mlenn,

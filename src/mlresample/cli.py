@@ -29,20 +29,13 @@ from pathlib import Path
 from . import __version__
 from .arff import MulanFormatError, RowFormatter, parse_mulan, read_mulan, write_mulan
 from .dataset import MultiLabelDataset
-from .decoupling import DecoupleConfig, HybridConfig, hybrid_resample
+from .decoupling import DecoupleConfig, hybrid_resample
 from .evaluation import evaluate
 from .jsontext import dumps_indented
 from .metrics import ImbalanceProfile, concurrence_csv, concurrence_export, profile
 from .mlknn import mlknn_predict, mlknn_train
 from .partitioning import fold_datasets, stratified_kfold
-from .resampling import (
-    MLENNConfig,
-    MLROSConfig,
-    MLSMOTEConfig,
-    ResampleConfig,
-    _check_seed,
-    resample,
-)
+from .resampling import MLENNConfig, MLROSConfig, MLSMOTEConfig, ResampleMethod, _check_seed, resample
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,11 +128,12 @@ def cmd_info(args, argv: list[str]) -> int:
     print(_info_table(d, prof))
     if args.out:
         inputs = {"arff": args.arff, "xml": args.xml}
-        _write_report(Path(args.out), prof.to_json() + "\n", argv, None, inputs, "profile")
+        text = dumps_indented(prof.to_dict()) + "\n"
+        _write_report(Path(args.out), text, argv, None, inputs, "profile")
     return 0
 
 
-def _method_config(args) -> MLROSConfig | MLENNConfig | MLSMOTEConfig:
+def _method_config(args) -> ResampleMethod:
     if args.method == "mlros":
         return MLROSConfig(p=args.p)
     if args.method == "mlenn":
@@ -150,16 +144,20 @@ def _method_config(args) -> MLROSConfig | MLENNConfig | MLSMOTEConfig:
 def cmd_resample(args, argv: list[str]) -> int:
     if args.drop_empty and not args.remedial:
         raise ValueError("--drop-empty needs --remedial")
-    # rows holds the input's data lines, for the rows the output takes from it
-    d, rows = read_mulan(_read_text(args.arff), _read_text(args.xml))
-    config = ResampleConfig(method=_method_config(args), seed=args.seed)
-    suffix = config.method_name
+    # every parameter is checked before the input is read; checks against the data come later
+    method = _method_config(args)
+    _check_seed(args.seed)
+    decouple = None
     if args.remedial:
         decouple = DecoupleConfig.from_spec(args.remedial, drop_empty=args.drop_empty)
-        out, report = hybrid_resample(d, HybridConfig(decouple=decouple, resample=config))
-        suffix = f"{decouple.spec_string()}-{suffix}"
+    # rows holds the input's data lines, for the rows the output takes from it
+    d, rows = read_mulan(_read_text(args.arff), _read_text(args.xml))
+    if decouple is None:
+        out, report = resample(d, method, args.seed)
+        suffix = args.method
     else:
-        out, report = resample(d, config)
+        out, report = hybrid_resample(d, decouple, method, args.seed)
+        suffix = f"{decouple.spec_string()}-{args.method}"
     out = MultiLabelDataset(
         out.attributes, out.labels, out.numeric, out.nominal, out.y, f"{d.name}-{suffix}"
     )
@@ -235,7 +233,8 @@ def cmd_evaluate(args, argv: list[str]) -> int:
             "test_arff": args.test_arff,
             "test_xml": test_xml,
         }
-        _write_report(Path(args.out), report.to_json() + "\n", argv, args.seed, inputs, "report")
+        text = dumps_indented(report.to_dict()) + "\n"
+        _write_report(Path(args.out), text, argv, args.seed, inputs, "report")
     return 0
 
 
@@ -280,10 +279,14 @@ def build_parser() -> _Parser:
     p_res.add_argument("arff")
     p_res.add_argument("xml")
     p_res.add_argument("--method", required=True, choices=("mlros", "mlenn", "mlsmote"))
-    p_res.add_argument("--p", type=float, default=25.0, help="oversampling percentage (mlros)")
-    p_res.add_argument("--ht", type=float, default=0.75, help="labelset distance threshold (mlenn)")
-    p_res.add_argument("--nn", type=int, default=3, help="neighbor count (mlenn)")
-    p_res.add_argument("--k", type=int, default=5, help="neighbor count (mlsmote)")
+    p_res.add_argument("--p", type=float, default=MLROSConfig.p, help="oversampling percentage (mlros)")
+    p_res.add_argument(
+        "--ht", type=float, default=MLENNConfig.ht, help="labelset distance threshold (mlenn)"
+    )
+    p_res.add_argument("--nn", type=int, default=MLENNConfig.nn, help="neighbor count (mlenn)")
+    p_res.add_argument(
+        "--k", type=int, default=MLSMOTEConfig.k_neighbors, help="neighbor count (mlsmote)"
+    )
     p_res.add_argument(
         "--remedial",
         metavar="MODE",

@@ -5,8 +5,8 @@ exceeds a threshold into two instances sharing the feature vector: the
 original keeps the minority labels (IRLbl above the dataset IRLbl mean), an
 appended clone keeps the majority labels.  The threshold is either the mean
 of the per-instance scores or a chosen quantile of them.  ``hybrid_resample``
-chains the decoupling with one of the base resamplers, which then operates on
-the decoupled dataset.
+takes a :class:`DecoupleConfig`, a base method config and a seed, and runs
+that resampler on the decoupled dataset.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import MultiLabelDataset
 from .metrics import profile
-from .resampling import AddedInstance, ResampleConfig, ResampleReport, _report, resample
+from .resampling import AddedInstance, ResampleMethod, ResampleReport, _check_run, _report, resample
 
 PERCENTILE_PRESETS = (0.25, 0.37, 0.50, 0.62, 0.75)
 
@@ -64,14 +64,6 @@ class DecoupleConfig:
         if self.mode == "mean":
             return "mean"
         return f"p{round(self.q * 100):02d}"
-
-
-@dataclass(frozen=True)
-class HybridConfig:
-    """Decoupling stage followed by a resampling stage."""
-
-    decouple: DecoupleConfig
-    resample: ResampleConfig
 
 
 def nearest_rank_quantile(values: np.ndarray, q: float) -> float:
@@ -132,16 +124,18 @@ def remedial(
 
 
 def hybrid_resample(
-    d: MultiLabelDataset, config: HybridConfig
+    d: MultiLabelDataset, decouple: DecoupleConfig, method: ResampleMethod, seed: int = 0
 ) -> tuple[MultiLabelDataset, ResampleReport]:
-    """Decouple, then resample the decoupled dataset.
+    """Decouple with ``decouple``, then :func:`resample` the result with ``method``
+    and ``seed``, which are checked before the decoupling pass runs.
 
     The resampler sees the decoupled dataset, so its minority bags follow the
     decoupled IRLbl/MeanIR.  The combined report chains both stage records;
     stage indices refer to the dataset each stage ran on.
     """
-    decoupled_d, first = remedial(d, config.decouple)
-    out, second = resample(decoupled_d, config.resample)
+    _check_run(method, seed)
+    decoupled_d, first = remedial(d, decouple)
+    out, second = resample(decoupled_d, method, seed)
     return out, ResampleReport(
         instances_before=d.n,
         instances_after=out.n,

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jsontext import dumps_indented
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,6 @@ class EvaluationReport:
             "empty_truths": self.empty_truths,
         }
 
-    def to_json(self) -> str:
-        return dumps_indented(self.to_dict())
-
 
 def _check(truth: np.ndarray, pred: PredictionSet) -> np.ndarray:
     truth = np.asarray(truth, dtype=bool)
@@ -101,13 +97,13 @@ def recall(truth: np.ndarray, pred: PredictionSet) -> float:
     return float(np.mean(terms))
 
 
+def _harmonic_mean(p: float, r: float) -> float:
+    return 0.0 if p + r == 0 else 2 * p * r / (p + r)
+
+
 def f_measure(truth: np.ndarray, pred: PredictionSet) -> float:
     """Harmonic mean of precision and recall (0 when both are 0)."""
-    p = precision(truth, pred)
-    r = recall(truth, pred)
-    if p + r == 0:
-        return 0.0
-    return 2 * p * r / (p + r)
+    return _harmonic_mean(precision(truth, pred), recall(truth, pred))
 
 
 def ranking_loss(truth: np.ndarray, pred: PredictionSet) -> float:
@@ -150,12 +146,14 @@ def micro_auc(truth: np.ndarray, pred: PredictionSet) -> float:
 def evaluate(truth: np.ndarray, pred: PredictionSet) -> EvaluationReport:
     """Bundle all six metrics for one prediction set."""
     truth = _check(truth, pred)
+    p = precision(truth, pred)
+    r = recall(truth, pred)
     return EvaluationReport(
         hamming_loss=hamming_loss(truth, pred),
         ranking_loss=ranking_loss(truth, pred),
-        precision=precision(truth, pred),
-        recall=recall(truth, pred),
-        f_measure=f_measure(truth, pred),
+        precision=p,
+        recall=r,
+        f_measure=_harmonic_mean(p, r),
         auc=micro_auc(truth, pred),
         empty_predictions=int((pred.bipartition.sum(axis=1) == 0).sum()),
         empty_truths=int((truth.sum(axis=1) == 0).sum()),

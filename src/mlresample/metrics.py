@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import MultiLabelDataset, label_counts
-from .jsontext import dumps_indented
 
 
 class UndefinedIRLblError(ValueError):
@@ -171,9 +170,6 @@ class ImbalanceProfile:
             "tcs": self.tcs,
             "distinct_labelsets": self.distinct_labelsets,
         }
-
-    def to_json(self) -> str:
-        return dumps_indented(self.to_dict())
 
 
 def profile(d: MultiLabelDataset) -> ImbalanceProfile:

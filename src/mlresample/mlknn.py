@@ -101,12 +101,10 @@ def mlknn_predict(model: MLkNNModel, d_test: MultiLabelDataset) -> PredictionSet
     nearest = neighbors(test_encoded, model.reference, model.k_nn)
     neighbor_counts = model.train_labels[nearest].sum(axis=1)
 
-    k = len(model.labels)
-    scores = np.zeros((d_test.n, k))
-    for l in range(k):
-        c = neighbor_counts[:, l]
-        p_active = model.prior[l] * model.cond_active[l, c]
-        p_inactive = (1 - model.prior[l]) * model.cond_inactive[l, c]
-        total = p_active + p_inactive
-        scores[:, l] = np.where(total > 0, p_active / np.where(total > 0, total, 1.0), 0.5)
+    # column l of each lookup reads label l's row of the conditionals
+    labels = np.arange(len(model.labels))
+    p_active = model.prior * model.cond_active[labels, neighbor_counts]
+    p_inactive = (1 - model.prior) * model.cond_inactive[labels, neighbor_counts]
+    total = p_active + p_inactive
+    scores = np.where(total > 0, p_active / np.where(total > 0, total, 1.0), 0.5)
     return PredictionSet(scores=scores, bipartition=scores > 0.5)

@@ -81,23 +81,11 @@ def _check_seed(seed: int) -> None:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-@dataclass(frozen=True)
-class ResampleConfig:
-    """Method choice plus the seed that fixes every stochastic draw."""
-
-    method: ResampleMethod
-    seed: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.method, (MLROSConfig, MLENNConfig, MLSMOTEConfig)):
-            raise ValueError(f"unknown resampling method: {self.method!r}")
-        _check_seed(self.seed)
-
-    @property
-    def method_name(self) -> str:
-        return {MLROSConfig: "mlros", MLENNConfig: "mlenn", MLSMOTEConfig: "mlsmote"}[
-            type(self.method)
-        ]
+def _check_run(method: ResampleMethod, seed: int) -> None:
+    """Raise ValueError unless ``method`` is a method config and ``seed`` is in range."""
+    if not isinstance(method, ResampleMethod):
+        raise ValueError(f"unknown resampling method: {method!r}")
+    _check_seed(seed)
 
 
 @dataclass(frozen=True)
@@ -238,7 +226,9 @@ def _adjusted_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(union > 0, differ / np.maximum(union, 1), 0.0)
 
 
-def mlenn(d: MultiLabelDataset, ht: float = 0.75, nn: int = 3) -> tuple[MultiLabelDataset, ResampleReport]:
+def mlenn(
+    d: MultiLabelDataset, ht: float = MLENNConfig.ht, nn: int = MLENNConfig.nn
+) -> tuple[MultiLabelDataset, ResampleReport]:
     """Edited-nearest-neighbor undersampling.
 
     An instance is a removal candidate only when none of its labels is a
@@ -331,7 +321,9 @@ def _synthesize(
 
 
 def mlsmote(
-    d: MultiLabelDataset, k_neighbors: int = 5, rng: np.random.Generator | None = None
+    d: MultiLabelDataset,
+    k_neighbors: int = MLSMOTEConfig.k_neighbors,
+    rng: np.random.Generator | None = None,
 ) -> tuple[MultiLabelDataset, ResampleReport]:
     """Synthetic minority oversampling.
 
@@ -371,12 +363,14 @@ def mlsmote(
     return out, _report(d, out, before, added, [])
 
 
-def resample(d: MultiLabelDataset, config: ResampleConfig) -> tuple[MultiLabelDataset, ResampleReport]:
-    """Run the configured method with a fresh PCG64 generator from the seed."""
-    rng = np.random.default_rng(config.seed)
-    m = config.method
-    if isinstance(m, MLROSConfig):
-        return ml_ros(d, m.p, rng)
-    if isinstance(m, MLENNConfig):
-        return mlenn(d, m.ht, m.nn)
-    return mlsmote(d, m.k_neighbors, rng)
+def resample(
+    d: MultiLabelDataset, method: ResampleMethod, seed: int = 0
+) -> tuple[MultiLabelDataset, ResampleReport]:
+    """Run ``method`` with a fresh PCG64 generator from ``seed``, in 0 to 2**64 - 1."""
+    _check_run(method, seed)
+    rng = np.random.default_rng(seed)
+    if isinstance(method, MLROSConfig):
+        return ml_ros(d, method.p, rng)
+    if isinstance(method, MLENNConfig):
+        return mlenn(d, method.ht, method.nn)
+    return mlsmote(d, method.k_neighbors, rng)

@@ -19,10 +19,8 @@ import pytest
 
 from mlresample import (
     DecoupleConfig,
-    HybridConfig,
     MLSMOTEConfig,
     PredictionSet,
-    ResampleConfig,
     card,
     dens,
     evaluate,
@@ -367,11 +365,7 @@ class TestDirectionalCheck:
             assert scumble(d) > 0.1 and mean_ir(d) > 5
             base_out, _ = mlsmote(d, 5, np.random.default_rng(seed))
             hybrid_out, _ = hybrid_resample(
-                d,
-                HybridConfig(
-                    decouple=DecoupleConfig(mode="percentile", q=0.25),
-                    resample=ResampleConfig(MLSMOTEConfig(5), seed=seed),
-                ),
+                d, DecoupleConfig(mode="percentile", q=0.25), MLSMOTEConfig(5), seed
             )
             if mean_ir(hybrid_out) < mean_ir(base_out):
                 wins += 1
@@ -392,11 +386,7 @@ class TestDirectionalCheck:
         base_f = fold_f(lambda t: mlsmote(t, 5, np.random.default_rng(1))[0])
         hybrid_f = fold_f(
             lambda t: hybrid_resample(
-                t,
-                HybridConfig(
-                    decouple=DecoupleConfig(mode="percentile", q=0.25),
-                    resample=ResampleConfig(MLSMOTEConfig(5), seed=1),
-                ),
+                t, DecoupleConfig(mode="percentile", q=0.25), MLSMOTEConfig(5), seed=1
             )[0]
         )
         assert 0.0 <= base_f <= 1.0 and 0.0 <= hybrid_f <= 1.0

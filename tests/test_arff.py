@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mlresample import (
     DecoupleConfig,
-    HybridConfig,
     MLROSConfig,
     MulanFormatError,
     MultiLabelDataset,
@@ -16,7 +15,6 @@ from mlresample import (
     mlsmote,
     parse_mulan,
     remedial,
-    ResampleConfig,
     hybrid_resample,
     stratified_kfold,
     write_mulan,
@@ -981,8 +979,7 @@ def written_from(d, seed):
     out = [(d.subset(picked), np.array(picked, np.intp)) for picked in map(list, picks)]
     if d.y.any(axis=0).all():  # every label occurs, so every IRLbl is defined
         stages = [remedial(d, DecoupleConfig.from_spec("p25")), ml_ros(d, 60, rng)]
-        ros = ResampleConfig(MLROSConfig(60), seed)
-        stages.append(hybrid_resample(d, HybridConfig(DecoupleConfig.from_spec("p25"), ros)))
+        stages.append(hybrid_resample(d, DecoupleConfig.from_spec("p25"), MLROSConfig(60), seed))
         if d.n > 1:
             try:
                 stages.append(mlsmote(d, 1, rng))

@@ -10,6 +10,9 @@ import pytest
 
 from mlresample import (
     AttributeSpec,
+    MLENNConfig,
+    MLROSConfig,
+    MLSMOTEConfig,
     MultiLabelDataset,
     cli,
     fold_datasets,
@@ -136,6 +139,7 @@ class TestResample:
             (out_dir / "resampled.arff").read_text(), (out_dir / "resampled.xml").read_text()
         )
         assert result.n == 7
+        assert result.name == "toy6-mlros"
         report = json.loads((out_dir / "report.json").read_text())
         assert list(report) == ONE_STAGE_REPORT_KEYS
         assert report["instances_after"] == 7
@@ -149,6 +153,7 @@ class TestResample:
              "--remedial", "p50", "--seed", 3, "--out-dir", out_dir]
         )
         assert code == 0
+        assert (out_dir / "resampled.arff").read_text().startswith("@relation toy6-p50-mlsmote\n")
         report = json.loads((out_dir / "report.json").read_text())
         # the stages are written once, not again as the report's own profiles
         assert list(report) == ["instances_before", "instances_after", "added", "removed", "stages"]
@@ -202,6 +207,32 @@ class TestResample:
         assert main([str(a) for a in argv]) == 3
         assert capsys.readouterr().err == "error: --drop-empty needs --remedial\n"
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--seed", -1], "seed must fit in an unsigned 64-bit integer"),
+            (["--p", 0], "percentage must be in (0, 1000], got 0.0"),
+            (["--remedial", "p0"], "bad decoupling threshold 'p0' (expected 'mean' or 'pNN')"),
+        ],
+        ids=["seed", "p", "remedial"],
+    )
+    def test_parameters_are_checked_before_the_input_is_read(
+        self, option, message, tmp_path, capsys
+    ):
+        missing = tmp_path / "nope"
+        argv = ["resample", missing.with_suffix(".arff"), missing.with_suffix(".xml"),
+                "--method", "mlros", *option, "--out-dir", tmp_path / "x"]
+        assert main([str(a) for a in argv]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_the_parser_defaults_are_the_configs_defaults(self):
+        args = cli.build_parser().parse_args(
+            ["resample", "a.arff", "a.xml", "--method", "mlros", "--out-dir", "x"]
+        )
+        assert args.p == MLROSConfig().p
+        assert (args.ht, args.nn) == (MLENNConfig().ht, MLENNConfig().nn)
+        assert args.k == MLSMOTEConfig().k_neighbors
 
     def test_byte_identical_given_seed(self, toy6_files, tmp_path):
         arff, xml = toy6_files
@@ -460,8 +491,8 @@ class TestPartition:
 
 
 class TestSeedRange:
-    """Every command that takes ``--seed`` accepts 0 .. 2**64 - 1, through the
-    check that ``ResampleConfig`` makes, and exits 3 outside it."""
+    """Every command that takes ``--seed`` accepts 0 .. 2**64 - 1, through one
+    shared check made before any input is read, and exits 3 outside it."""
 
     @staticmethod
     def argv(command, arff, xml, out):

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from mlresample import (
     AttributeSpec,
     DecoupleConfig,
-    HybridConfig,
     MLENNConfig,
     MLROSConfig,
     MLSMOTEConfig,
     PERCENTILE_PRESETS,
-    ResampleConfig,
     hybrid_resample,
     nearest_rank_quantile,
     profile,
@@ -24,6 +22,7 @@ from mlresample import (
     scumble_values,
     stratified_kfold,
 )
+from mlresample import decoupling
 
 from _oracles import rows
 from conftest import datasets, make_dataset
@@ -201,11 +200,7 @@ def concurrence_fixture():
 
 class TestHybrid:
     def test_mlros_runs_on_decoupled_dataset(self, toy6):
-        config = HybridConfig(
-            decouple=DecoupleConfig(),
-            resample=ResampleConfig(MLROSConfig(p=25), seed=7),
-        )
-        out, report = hybrid_resample(toy6, config)
+        out, report = hybrid_resample(toy6, DecoupleConfig(), MLROSConfig(p=25), seed=7)
         first, second = report.stages
         assert first.instances_after == 8
         assert second.instances_before == 8
@@ -220,20 +215,12 @@ class TestHybrid:
         d = make_dataset(
             [AttributeSpec("a")], ("A", "B"), [((0.0,), [0]), ((1.0,), [1])]
         )
-        config = HybridConfig(
-            decouple=DecoupleConfig.from_spec("p75"),
-            resample=ResampleConfig(MLROSConfig(p=100), seed=1),
-        )
-        out, report = hybrid_resample(d, config)
+        out, report = hybrid_resample(d, DecoupleConfig.from_spec("p75"), MLROSConfig(p=100), seed=1)
         assert out == d
 
     def test_mlsmote_seeds_are_pure_sides(self):
         d = concurrence_fixture()
-        config = HybridConfig(
-            decouple=DecoupleConfig(),
-            resample=ResampleConfig(MLSMOTEConfig(k_neighbors=1), seed=0),
-        )
-        out, report = hybrid_resample(d, config)
+        out, report = hybrid_resample(d, DecoupleConfig(), MLSMOTEConfig(k_neighbors=1), seed=0)
         first, second = report.stages
         decoupled_d, _ = remedial(d)
         prof = profile(decoupled_d)
@@ -250,19 +237,15 @@ class TestHybrid:
     @pytest.mark.parametrize("method", [MLROSConfig(p=50), MLSMOTEConfig(k_neighbors=1)])
     def test_stage_records_equal_the_stages_run_alone(self, spec, method):
         d = concurrence_fixture()
-        config = HybridConfig(DecoupleConfig.from_spec(spec), ResampleConfig(method, seed=4))
-        out, report = hybrid_resample(d, config)
-        decoupled_d, first = remedial(d, config.decouple)
-        alone, second = resample(decoupled_d, config.resample)
+        decouple = DecoupleConfig.from_spec(spec)
+        out, report = hybrid_resample(d, decouple, method, seed=4)
+        decoupled_d, first = remedial(d, decouple)
+        alone, second = resample(decoupled_d, method, seed=4)
         assert report.stages == (first, second)
         assert out == alone
 
     def test_report_chains_counts(self, toy6):
-        config = HybridConfig(
-            decouple=DecoupleConfig(),
-            resample=ResampleConfig(MLROSConfig(p=25), seed=3),
-        )
-        _, report = hybrid_resample(toy6, config)
+        _, report = hybrid_resample(toy6, DecoupleConfig(), MLROSConfig(p=25), seed=3)
         first, second = report.stages
         assert report.added == first.added + second.added
         assert report.instances_after == (
@@ -270,6 +253,13 @@ class TestHybrid:
         )
         assert report.profile_before == first.profile_before
         assert report.profile_after == second.profile_after
+
+    def test_method_and_seed_are_checked_before_decoupling(self, toy6, monkeypatch):
+        monkeypatch.setattr(decoupling, "remedial", lambda *args: pytest.fail("decoupled"))
+        with pytest.raises(ValueError, match="^seed must fit in an unsigned 64-bit integer$"):
+            hybrid_resample(toy6, DecoupleConfig(), MLROSConfig(), seed=-1)
+        with pytest.raises(ValueError, match="^unknown resampling method: 'mlros'$"):
+            hybrid_resample(toy6, DecoupleConfig(), "mlros")
 
 
 def same_features(out, d, sources):
@@ -295,12 +285,11 @@ def test_sources_gather_rows_with_the_outputs_features(d, method, spec, drop_emp
     assume(d.n > 2)
     # a synthetic value beyond the float range is rejected
     assume(not isinstance(method, MLSMOTEConfig) or (np.abs(np.nan_to_num(d.numeric)) < 1e300).all())
-    config = ResampleConfig(method, seed)
     if spec is None:
-        out, report = resample(d, config)
+        out, report = resample(d, method, seed)
     else:
         decouple = DecoupleConfig.from_spec(spec, drop_empty=drop_empty)
-        out, report = hybrid_resample(d, HybridConfig(decouple, config))
+        out, report = hybrid_resample(d, decouple, method, seed)
     sources = report.sources()
     assert sources.shape == (out.n,)
     assert (sources < d.n).all() and same_features(out, d, sources)

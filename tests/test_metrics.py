@@ -166,7 +166,9 @@ class TestProfile:
     def test_json_is_flat_and_ordered(self, toy6):
         import json
 
-        payload = json.loads(profile(toy6).to_json())
+        from mlresample.jsontext import dumps_indented
+
+        payload = json.loads(dumps_indented(profile(toy6).to_dict()))
         assert list(payload) == [
             "card",
             "dens",

@@ -11,7 +11,6 @@ from mlresample import (
     MLROSConfig,
     MLSMOTEConfig,
     MultiLabelDataset,
-    ResampleConfig,
     mean_ir,
     ml_ros,
     mlenn,
@@ -348,7 +347,7 @@ class TestMLSMOTE:
         with pytest.raises(ValueError, match=message):
             mlsmote(toy6, toy6.n, np.random.default_rng(0))
         with pytest.raises(ValueError, match=message):
-            resample(toy6, ResampleConfig(MLSMOTEConfig(k_neighbors=toy6.n)))
+            resample(toy6, MLSMOTEConfig(k_neighbors=toy6.n))
         mlsmote(toy6, toy6.n - 1, np.random.default_rng(0))
 
     def test_pure_minority_fixture_counts(self):
@@ -414,7 +413,7 @@ class TestMLSMOTE:
     @pytest.mark.parametrize("seed", range(4))
     def test_values_spanning_the_float_range(self, seed):
         d = float_range_dataset()
-        out, _ = resample(d, ResampleConfig(MLSMOTEConfig(k_neighbors=2), seed=seed))
+        out, _ = resample(d, MLSMOTEConfig(k_neighbors=2), seed)
         synthetic = [row.features[0] for row in rows(out)[d.n :]]
         assert len(synthetic) == 4
         assert all(-1.7e308 <= x <= 1.7e308 for x in synthetic)
@@ -443,30 +442,24 @@ class TestMLSMOTE:
 
 
 class TestDispatcher:
-    def test_config_validation(self):
+    def test_config_validation(self, toy6):
         with pytest.raises(ValueError):
             MLROSConfig(p=0)
         with pytest.raises(ValueError):
             MLENNConfig(ht=0)
         with pytest.raises(ValueError):
             MLSMOTEConfig(k_neighbors=0)
-        with pytest.raises(ValueError):
-            ResampleConfig(method="mlros")
-
-    def test_method_names(self):
-        assert ResampleConfig(MLROSConfig()).method_name == "mlros"
-        assert ResampleConfig(MLENNConfig()).method_name == "mlenn"
-        assert ResampleConfig(MLSMOTEConfig()).method_name == "mlsmote"
+        with pytest.raises(ValueError, match="^unknown resampling method: 'mlros'$"):
+            resample(toy6, "mlros")
 
     def test_seeded_dispatch_reproducible(self, toy6):
-        config = ResampleConfig(MLROSConfig(p=100), seed=9)
-        a, _ = resample(toy6, config)
-        b, _ = resample(toy6, config)
+        a, _ = resample(toy6, MLROSConfig(p=100), seed=9)
+        b, _ = resample(toy6, MLROSConfig(p=100), seed=9)
         assert a == b
 
     def test_mlsmote_neighbor_bound(self, toy6):
         with pytest.raises(ValueError, match="smaller than the dataset"):
-            resample(toy6, ResampleConfig(MLSMOTEConfig(k_neighbors=10)))
+            resample(toy6, MLSMOTEConfig(k_neighbors=10))
 
 
 @st.composite
