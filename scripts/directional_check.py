@@ -23,12 +23,10 @@ from mlresample import (
     MLSMOTEConfig,
     evaluate,
     hybrid_resample,
-    mean_ir,
     mlknn_predict,
     mlknn_train,
     profile,
     resample,
-    scumble,
     stratified_kfold,
 )
 from mlresample.cli import _method_config
@@ -72,7 +70,8 @@ def main(argv=None) -> int:
     wins = [0] * len(args.thresholds)
     for seed in range(args.seeds):
         d = imbalanced_dataset(seed, n=args.n, k=args.labels)
-        row = [f"{seed:<6}", f"{scumble(d):>9.3f}", f"{mean_ir(d):>9.2f}"]
+        prof = profile(d)
+        row = [f"{seed:<6}", f"{prof.scumble:>9.3f}", f"{prof.mean_ir:>9.2f}"]
         base_out, _ = resample(d, method, seed)
         base_after = profile(base_out).mean_ir if base_out.n else float("nan")
         row.append(f"{base_after:>10.3f}")

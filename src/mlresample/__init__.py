@@ -23,19 +23,9 @@ from .evaluation import (
 from .metrics import (
     ConcurrenceRow,
     ImbalanceProfile,
-    UndefinedIRLblError,
-    card,
     concurrence_csv,
     concurrence_export,
-    dens,
-    distinct_labelsets,
-    irlbl,
-    mean_ir,
     profile,
-    scumble,
-    scumble_ins,
-    scumble_values,
-    tcs,
     tcs_from_counts,
 )
 from .mlknn import MLkNNModel, mlknn_predict, mlknn_train
@@ -46,9 +36,6 @@ from .resampling import (
     MLROSConfig,
     MLSMOTEConfig,
     ResampleReport,
-    ml_ros,
-    mlenn,
-    mlsmote,
     resample,
 )
 

@@ -14,7 +14,8 @@ argument vector is the run's only record: every default is a constant, so
 read and written as UTF-8, whatever the locale.  Human-readable tables go to
 standard output, JSON and CSV reports to files.  Exit codes: 0 success, 2
 unreadable or malformed input, 3 bad parameters, 4 internal invariant
-violation or allocation failure.
+violation or allocation failure.  Every check of a parameter that needs no
+data runs before any input is read.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from .dataset import MultiLabelDataset
 from .decoupling import DecoupleConfig, hybrid_resample
 from .evaluation import evaluate
 from .jsontext import dumps_indented
-from .metrics import ImbalanceProfile, concurrence_csv, concurrence_export, profile
-from .mlknn import mlknn_predict, mlknn_train
-from .partitioning import fold_datasets, stratified_kfold
+from .metrics import ImbalanceProfile, _check_tops, concurrence_csv, concurrence_export, profile
+from .mlknn import _check_mlknn, mlknn_predict, mlknn_train
+from .partitioning import _check_folds, fold_datasets, stratified_kfold
 from .resampling import MLENNConfig, MLROSConfig, MLSMOTEConfig, ResampleMethod, _check_seed, resample
 
 
@@ -191,6 +192,7 @@ def cmd_resample(args, argv: list[str]) -> int:
 
 def cmd_partition(args, argv: list[str]) -> int:
     _check_seed(args.seed)
+    _check_folds(args.folds)
     # every fold file reuses the input's data lines
     d, rows = read_mulan(_read_text(args.arff), _read_text(args.xml))
     assignment = stratified_kfold(d, args.folds, args.seed)
@@ -217,6 +219,7 @@ def cmd_partition(args, argv: list[str]) -> int:
 
 def cmd_evaluate(args, argv: list[str]) -> int:
     _check_seed(args.seed)
+    _check_mlknn(args.k, args.smoothing)
     train_xml = args.train_xml or str(Path(args.train_arff).with_suffix(".xml"))
     test_xml = args.test_xml or str(Path(args.test_arff).with_suffix(".xml"))
     train = _read_dataset(args.train_arff, train_xml)
@@ -239,6 +242,7 @@ def cmd_evaluate(args, argv: list[str]) -> int:
 
 
 def cmd_concurrence(args, argv: list[str]) -> int:
+    _check_tops(args.top, args.top)
     d = _read_dataset(args.arff, args.xml)
     rows = concurrence_export(d, args.top, args.top)
     csv_text = concurrence_csv(rows)

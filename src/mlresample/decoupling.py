@@ -28,26 +28,21 @@ PERCENTILE_PRESETS = (0.25, 0.37, 0.50, 0.62, 0.75)
 class DecoupleConfig:
     """Threshold choice for the decoupling pass.
 
-    ``mode`` is ``"mean"`` (threshold = dataset concurrence score) or
-    ``"percentile"`` with ``q`` in (0, 1); the study presets live in
+    With ``q`` unset the threshold is the mean of the per-instance scores
+    (the dataset concurrence score); otherwise it is their ``q`` quantile,
+    with ``q`` in (0, 1).  The study presets live in
     :data:`PERCENTILE_PRESETS`.  With ``drop_empty``, a split row with no
     minority label is removed from its place and its majority copy appended
     at the end, so the report lists it once as removed and once as added; a
     split row with no majority label is kept whole and nothing is appended.
     """
 
-    mode: str = "mean"
     q: float | None = None
     drop_empty: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("mean", "percentile"):
-            raise ValueError(f"unknown threshold mode {self.mode!r}")
-        if self.mode == "percentile":
-            if self.q is None or not 0 < self.q < 1:
-                raise ValueError("percentile mode needs q in (0, 1)")
-        elif self.q is not None:
-            raise ValueError("mean mode takes no quantile")
+        if self.q is not None and not 0 < self.q < 1:
+            raise ValueError("percentile threshold needs q in (0, 1)")
 
     @classmethod
     def from_spec(cls, text: str, drop_empty: bool = False) -> DecoupleConfig:
@@ -57,11 +52,11 @@ class DecoupleConfig:
         if text.startswith("p") and text[1:].isascii() and text[1:].isdigit():
             q = int(text[1:]) / 100.0
             if 0 < q < 1:
-                return cls(mode="percentile", q=q, drop_empty=drop_empty)
+                return cls(q=q, drop_empty=drop_empty)
         raise ValueError(f"bad decoupling threshold {text!r} (expected 'mean' or 'pNN')")
 
     def spec_string(self) -> str:
-        if self.mode == "mean":
+        if self.q is None:
             return "mean"
         return f"p{round(self.q * 100):02d}"
 
@@ -96,7 +91,7 @@ def remedial(
         raise ValueError("cannot decouple an empty dataset")
     before = profile(d)
     scores = np.array(before.scumble_ins)
-    if config.mode == "mean":
+    if config.q is None:
         threshold = before.scumble  # the mean of the scores
     else:
         threshold = nearest_rank_quantile(scores, config.q)

@@ -4,16 +4,15 @@ The suite covers label cardinality and density, the per-label imbalance
 ratio (IRLbl) and its mean (MeanIR), the concurrence score between minority
 and majority labels (SCUMBLE, globally and per instance), the theoretical
 complexity score (TCS) and the distinct-labelset count.  :func:`profile`
-alone derives them; each single metric returns one field of it.
+derives them all at once, each as one field of an :class:`ImbalanceProfile`.
 
-Every metric needs a dataset with at least one instance, one label and (for
+``profile`` needs a dataset with at least one instance, one label and (for
 TCS's logarithm) one attribute, and raises ``ValueError`` otherwise.  Within
 that domain:
 
-* A label active in no instance has an undefined IRLbl.  ``irlbl`` and
-  ``mean_ir`` raise :class:`UndefinedIRLblError`; ``profile`` marks such
-  labels with ``None`` and averages MeanIR over the defined entries only,
-  so its MeanIR is NaN (``null`` in JSON) when no label occurs.
+* A label active in no instance has an undefined IRLbl, marked ``None``;
+  MeanIR averages the defined entries only, so it is NaN (``null`` in JSON)
+  when no label occurs.
 * Instances with zero or one active label have SCUMBLE_ins 0, and empty
   labelsets contribute 0 to Card.
 """
@@ -30,47 +29,11 @@ import numpy as np
 from .dataset import MultiLabelDataset, label_counts
 
 
-class UndefinedIRLblError(ValueError):
-    """IRLbl requested for a label that never occurs (division by zero)."""
-
-
 def _require_domain(d: MultiLabelDataset) -> None:
     if d.n < 1:
         raise ValueError("metric requires a dataset with at least one instance")
     if d.k < 1:
         raise ValueError("metric requires a dataset with at least one label")
-
-
-def card(d: MultiLabelDataset) -> float:
-    """Mean labelset size."""
-    return profile(d).card
-
-
-def dens(d: MultiLabelDataset) -> float:
-    """Label cardinality normalized by the number of labels."""
-    return profile(d).dens
-
-
-def irlbl(d: MultiLabelDataset, label: int) -> float:
-    """Imbalance ratio of one label: most frequent label's count over this one's.
-
-    The most frequent label scores exactly 1; rarer labels score higher.
-    """
-    if not 0 <= label < d.k:
-        raise ValueError(f"label index {label} out of range")
-    value = profile(d).irlbl[label]
-    if value is None:
-        raise UndefinedIRLblError(f"IRLbl undefined for label {d.labels[label]!r}: it never occurs")
-    return value
-
-
-def mean_ir(d: MultiLabelDataset) -> float:
-    """Average IRLbl over all labels; raises if any label has no occurrences."""
-    prof = profile(d)
-    if prof.undefined_labels:
-        names = [d.labels[i] for i in prof.undefined_labels]
-        raise UndefinedIRLblError(f"IRLbl undefined for zero-count labels: {names}")
-    return prof.mean_ir
 
 
 def _scumble_one(active_irlbl: list[float]) -> float:
@@ -94,43 +57,11 @@ def _labelsets(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return y[first], inverse.reshape(-1)
 
 
-def scumble_values(d: MultiLabelDataset) -> np.ndarray:
-    """Per-instance concurrence scores, in instance order."""
-    return np.array(profile(d).scumble_ins)
-
-
-def scumble_ins(d: MultiLabelDataset, i: int) -> float:
-    """Concurrence score of one instance.
-
-    One minus the ratio of geometric to arithmetic mean of the IRLbl values
-    of the instance's active labels; 0 for instances with fewer than two
-    active labels.
-    """
-    if not 0 <= i < d.n:
-        raise ValueError(f"instance index {i} out of range")
-    return profile(d).scumble_ins[i]
-
-
-def scumble(d: MultiLabelDataset) -> float:
-    """Dataset concurrence score: mean of the per-instance scores."""
-    return profile(d).scumble
-
-
-def distinct_labelsets(d: MultiLabelDataset) -> int:
-    """Number of distinct label combinations present."""
-    return profile(d).distinct_labelsets
-
-
 def tcs_from_counts(attributes: int, labels: int, labelsets: int) -> float:
     """Theoretical complexity score from raw counts: ln(attributes * labels * labelsets)."""
     if attributes < 1 or labels < 1 or labelsets < 1:
         raise ValueError("TCS requires all three factors to be >= 1")
     return math.log(attributes) + math.log(labels) + math.log(labelsets)
-
-
-def tcs(d: MultiLabelDataset) -> float:
-    """Theoretical complexity score of a dataset."""
-    return profile(d).tcs
 
 
 @dataclass(frozen=True)
@@ -141,13 +72,14 @@ class ImbalanceProfile:
     excluded from ``mean_ir``, which is NaN when no label occurs.
     """
 
-    card: float
-    dens: float
-    irlbl: tuple[float | None, ...]
+    card: float  # mean labelset size
+    dens: float  # card over the number of labels
+    irlbl: tuple[float | None, ...]  # per label: the largest label count over its own
     mean_ir: float
-    scumble: float
+    scumble: float  # mean of scumble_ins
+    # per instance: 1 - geometric / arithmetic mean of its labels' IRLbl, 0 below two labels
     scumble_ins: tuple[float, ...]
-    tcs: float
+    tcs: float  # ln(attributes * labels * distinct labelsets)
     distinct_labelsets: int
 
     @property
@@ -207,9 +139,10 @@ class ConcurrenceRow:
     irlbl_b: float
 
 
-def co_occurrence_count(d: MultiLabelDataset, label_a: int, label_b: int) -> int:
-    """Number of instances in which both labels are active (symmetric)."""
-    return int(np.count_nonzero(d.y[:, label_a] & d.y[:, label_b]))
+def _check_tops(top_majority: int, top_minority: int) -> None:
+    """Raise ValueError unless both top counts are non-negative."""
+    if top_majority < 0 or top_minority < 0:
+        raise ValueError("top counts must be non-negative")
 
 
 def concurrence_export(
@@ -222,8 +155,7 @@ def concurrence_export(
     then emits one row per unordered pair of selected labels, sorted by joint
     count descending with a stable pair-index order.
     """
-    if top_majority < 0 or top_minority < 0:
-        raise ValueError("top counts must be non-negative")
+    _check_tops(top_majority, top_minority)
     if top_majority > d.k or top_minority > d.k:
         raise ValueError("top counts cannot exceed the number of labels")
     _require_domain(d)

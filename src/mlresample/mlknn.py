@@ -37,6 +37,17 @@ class MLkNNModel:
     cond_inactive: np.ndarray       # (k, k_nn + 1) P(count | inactive)
 
 
+def _check_mlknn(k_nn: int, smoothing: float) -> None:
+    """Raise ValueError unless ``k_nn`` is positive and ``smoothing`` is usable with it."""
+    if k_nn < 1:
+        raise ValueError("k_nn must be positive")
+    # a nan, an infinity or a value whose denominators overflow scores every label nan
+    if not 0 <= smoothing * (k_nn + 1) < math.inf:
+        raise ValueError(
+            f"smoothing must be non-negative, with smoothing * (k_nn + 1) finite, got {smoothing}"
+        )
+
+
 def mlknn_train(d_train: MultiLabelDataset, k_nn: int = 10, smoothing: float = 1.0) -> MLkNNModel:
     """Fit the model on a training dataset.
 
@@ -44,15 +55,9 @@ def mlknn_train(d_train: MultiLabelDataset, k_nn: int = 10, smoothing: float = 1
     frequencies, larger values pull priors toward 1/2 and conditionals
     toward uniform.
     """
-    if k_nn < 1:
-        raise ValueError("k_nn must be positive")
+    _check_mlknn(k_nn, smoothing)
     if k_nn >= d_train.n:
         raise ValueError(f"k_nn ({k_nn}) must be smaller than the training size ({d_train.n})")
-    # a nan, an infinity or a value whose denominators overflow scores every label nan
-    if not 0 <= smoothing * (k_nn + 1) < math.inf:
-        raise ValueError(
-            f"smoothing must be non-negative, with smoothing * (k_nn + 1) finite, got {smoothing}"
-        )
     space = FeatureSpace(d_train)
     encoded = space.encoded
     reference = prepare_reference(encoded)

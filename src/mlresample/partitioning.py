@@ -16,6 +16,12 @@ import numpy as np
 from .dataset import MultiLabelDataset
 
 
+def _check_folds(folds: int) -> None:
+    """Raise ValueError unless ``folds`` is at least two."""
+    if folds < 2:
+        raise ValueError("need at least two folds")
+
+
 @dataclass(frozen=True)
 class FoldAssignment:
     """Fold index per instance."""
@@ -24,8 +30,7 @@ class FoldAssignment:
     folds: int
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise ValueError("need at least two folds")
+        _check_folds(self.folds)
         if any(not 0 <= f < self.folds for f in self.fold_of):
             raise ValueError("fold index out of range")
 
@@ -43,8 +48,7 @@ class FoldAssignment:
 
 def stratified_kfold(d: MultiLabelDataset, folds: int, seed: int = 0) -> FoldAssignment:
     """Partition a dataset into label-stratified folds."""
-    if folds < 2:
-        raise ValueError("need at least two folds")
+    _check_folds(folds)
     if folds > d.n:
         raise ValueError(f"cannot make {folds} folds from {d.n} instances")
     rng = np.random.default_rng(seed)

@@ -1,23 +1,25 @@
 """Resampling algorithms that rebalance the label distribution of a dataset.
 
-Three methods are provided:
+:func:`resample` runs one of three methods, chosen by the type of its config:
 
-* random oversampling (``ml_ros``): clones random instances from each
-  minority-label bag up to a percentage budget;
-* edited-nearest-neighbor undersampling (``mlenn``): removes majority-only
-  instances whose labelsets disagree with most of their nearest neighbors;
-* synthetic oversampling (``mlsmote``): one synthetic instance per
+* random oversampling (:class:`MLROSConfig`): clones random instances from
+  each minority-label bag up to a percentage budget;
+* edited-nearest-neighbor undersampling (:class:`MLENNConfig`): removes
+  majority-only instances whose labelsets disagree with most of their
+  nearest neighbors;
+* synthetic oversampling (:class:`MLSMOTEConfig`): one synthetic instance per
   minority-bag member, interpolating features toward a random near neighbor
   and voting the labelset among the neighborhood.
 
 A label is *minority* when its imbalance ratio exceeds the dataset MeanIR;
 both are computed once on the input (zero-count labels excluded from the
-mean).  Randomized methods take a ``numpy.random.Generator``; given the same
-PCG64 seed the output is bit-identical across runs and platforms.  Draw
-order: ``ml_ros`` makes one ``integers`` draw per clone in bag rotation
-order; ``mlsmote`` makes, per seed instance, one ``integers`` draw for the
-reference neighbor followed by one ``random`` draw per numeric feature with
-both interpolation endpoints present.
+mean).  Randomized methods draw from a PCG64 generator seeded with
+``resample``'s seed, so the output is bit-identical across runs and
+platforms.  Draw order: random oversampling makes one ``integers`` draw per
+clone in bag rotation order; synthetic oversampling makes, per seed
+instance, one ``integers`` draw for the reference neighbor followed by one
+``random`` draw per numeric feature with both interpolation endpoints
+present.
 """
 
 from __future__ import annotations
@@ -176,8 +178,8 @@ def _report(
     )
 
 
-def ml_ros(
-    d: MultiLabelDataset, p: float, rng: np.random.Generator | None = None
+def _ml_ros(
+    d: MultiLabelDataset, config: MLROSConfig, rng: np.random.Generator
 ) -> tuple[MultiLabelDataset, ResampleReport]:
     """Random oversampling of minority-label bags.
 
@@ -189,11 +191,8 @@ def ml_ros(
     retired once it no longer exceeds the initial MeanIR.  The loop ends when
     the budget is spent or every bag is retired.
     """
-    MLROSConfig(p=p)
-    if rng is None:
-        rng = np.random.default_rng()
     before = profile(d)
-    budget = math.floor(d.n * p / 100.0)
+    budget = math.floor(d.n * config.p / 100.0)
     minority = np.flatnonzero(before.minority).tolist()
     if not minority or budget == 0:
         return d, _report(d, d, before, [], [])
@@ -226,9 +225,7 @@ def _adjusted_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(union > 0, differ / np.maximum(union, 1), 0.0)
 
 
-def mlenn(
-    d: MultiLabelDataset, ht: float = MLENNConfig.ht, nn: int = MLENNConfig.nn
-) -> tuple[MultiLabelDataset, ResampleReport]:
+def _mlenn(d: MultiLabelDataset, config: MLENNConfig) -> tuple[MultiLabelDataset, ResampleReport]:
     """Edited-nearest-neighbor undersampling.
 
     An instance is a removal candidate only when none of its labels is a
@@ -238,7 +235,7 @@ def mlenn(
     against the unmodified input and deleted in one final pass, so the result
     is independent of iteration order.
     """
-    MLENNConfig(ht=ht, nn=nn)
+    ht, nn = config.ht, config.nn
     if nn >= d.n:
         raise ValueError(f"need more instances ({d.n}) than neighbors ({nn})")
     before = profile(d)
@@ -320,10 +317,8 @@ def _synthesize(
     return made, _nominal_votes(nominal, nearest, sizes), votes > (nearest.shape[1] + 1) / 2
 
 
-def mlsmote(
-    d: MultiLabelDataset,
-    k_neighbors: int = MLSMOTEConfig.k_neighbors,
-    rng: np.random.Generator | None = None,
+def _mlsmote(
+    d: MultiLabelDataset, config: MLSMOTEConfig, rng: np.random.Generator
 ) -> tuple[MultiLabelDataset, ResampleReport]:
     """Synthetic minority oversampling.
 
@@ -334,11 +329,9 @@ def mlsmote(
     interpolation, and one synthetic instance is appended per seed
     (:func:`_synthesize`).  Bags with a single member yield nothing.
     """
-    MLSMOTEConfig(k_neighbors=k_neighbors)
+    k_neighbors = config.k_neighbors
     if k_neighbors >= d.n:
         raise ValueError(f"k_neighbors ({k_neighbors}) must be smaller than the dataset size ({d.n})")
-    if rng is None:
-        rng = np.random.default_rng()
     before = profile(d)
     encoded = FeatureSpace(d).encoded
     sizes = _nominal_sizes(d.attributes)
@@ -370,7 +363,7 @@ def resample(
     _check_run(method, seed)
     rng = np.random.default_rng(seed)
     if isinstance(method, MLROSConfig):
-        return ml_ros(d, method.p, rng)
+        return _ml_ros(d, method, rng)
     if isinstance(method, MLENNConfig):
-        return mlenn(d, method.ht, method.nn)
-    return mlsmote(d, method.k_neighbors, rng)
+        return _mlenn(d, method)
+    return _mlsmote(d, method, rng)

@@ -19,33 +19,25 @@ import pytest
 
 from mlresample import (
     DecoupleConfig,
+    MLENNConfig,
+    MLROSConfig,
     MLSMOTEConfig,
     PredictionSet,
-    card,
-    dens,
     evaluate,
     f_measure,
     hamming_loss,
     hybrid_resample,
-    irlbl,
-    mean_ir,
     micro_auc,
     mlknn_predict,
     mlknn_train,
-    ml_ros,
-    mlenn,
-    mlsmote,
     parse_mulan,
     precision,
     profile,
     ranking_loss,
     recall,
     remedial,
-    scumble,
-    scumble_ins,
-    scumble_values,
+    resample,
     stratified_kfold,
-    tcs,
     tcs_from_counts,
 )
 from mlresample.partitioning import fold_datasets
@@ -111,15 +103,16 @@ class TestMetricOracleSuite:
         start = time.perf_counter()
         for seed in range(500):
             d = random_dataset(seed, max_n=20, max_k=5, ensure_all_labels=True)
-            assert abs(card(d) - oracle_card(d)) <= 1e-12
-            assert abs(dens(d) - oracle_dens(d)) <= 1e-12
+            p = profile(d)
+            assert abs(p.card - oracle_card(d)) <= 1e-12
+            assert abs(p.dens - oracle_dens(d)) <= 1e-12
             expected_ir = oracle_irlbl(d)
             for l in range(d.k):
-                assert abs(irlbl(d, l) - expected_ir[l]) <= 1e-12
-            assert abs(mean_ir(d) - oracle_mean_ir(d)) <= 1e-12
+                assert abs(p.irlbl[l] - expected_ir[l]) <= 1e-12
+            assert abs(p.mean_ir - oracle_mean_ir(d)) <= 1e-12
             for i in range(d.n):
-                assert abs(scumble_ins(d, i) - oracle_scumble_ins(d, i)) <= 1e-12
-            assert abs(scumble(d) - oracle_scumble(d)) <= 1e-12
+                assert abs(p.scumble_ins[i] - oracle_scumble_ins(d, i)) <= 1e-12
+            assert abs(p.scumble - oracle_scumble(d)) <= 1e-12
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"oracle suite took {elapsed:.1f}s"
         _accept(
@@ -166,7 +159,7 @@ class TestTCSRegression:
     @pytest.mark.parametrize("name", sorted(PUBLISHED_BENCHMARKS))
     def test_supplied_dataset_tcs(self, name):
         d = _load_benchmark(name)
-        assert tcs(d) == pytest.approx(PUBLISHED_BENCHMARKS[name][8], abs=0.005)
+        assert profile(d).tcs == pytest.approx(PUBLISHED_BENCHMARKS[name][8], abs=0.005)
         _accept(f"PASS: TCS on supplied {name} within 0.005")
 
 
@@ -200,12 +193,12 @@ class TestRemedialPostconditions:
                 seed + 3000, max_n=20, max_k=5, ensure_all_labels=True
             )
             prof = profile(d)
-            scores = scumble_values(d)
+            scores = prof.scumble_ins
             minority = {l for l, v in enumerate(prof.irlbl) if v is not None and v > prof.mean_ir}
             out, report = remedial(d)
             # mean-mode threshold is exactly the dataset concurrence score
             expected_split = tuple(
-                i for i in range(d.n) if scores[i] > scumble(d)
+                i for i in range(d.n) if scores[i] > prof.scumble
             )
             assert report.decoupled == expected_split
             assert out.n == d.n + len(report.decoupled)
@@ -231,7 +224,7 @@ class TestResamplerPostconditions:
                 seed + 4000, max_n=20, max_k=5, allow_empty_labelsets=False
             )
             minority = oracle_minority_labels(d)
-            out, report = ml_ros(d, 40, np.random.default_rng(seed))
+            out, report = resample(d, MLROSConfig(p=40), seed)
             budget = math.floor(d.n * 40 / 100)
             before, after = rows(d), rows(out)
             assert after[: d.n] == before
@@ -257,7 +250,7 @@ class TestResamplerPostconditions:
             if d.n <= 3:
                 continue
             checked += 1
-            out, report = mlenn(d, ht=0.75, nn=3)
+            out, report = resample(d, MLENNConfig(ht=0.75, nn=3))
             assert list(report.removed) == oracle_mlenn_removed(d, 0.75, 3)
             removed = set(report.removed)
             before = rows(d)
@@ -279,9 +272,9 @@ class TestResamplerPostconditions:
             )
             if d.n <= k_neighbors:
                 with pytest.raises(ValueError, match="must be smaller than the dataset size"):
-                    mlsmote(d, k_neighbors, np.random.default_rng(seed))
+                    resample(d, MLSMOTEConfig(k_neighbors), seed)
                 continue
-            out, report = mlsmote(d, k_neighbors, np.random.default_rng(seed))
+            out, report = resample(d, MLSMOTEConfig(k_neighbors), seed)
             before = rows(d)
             assert rows(out)[: d.n] == before
             mins, spans = oracle_minmax(d)
@@ -362,12 +355,13 @@ class TestDirectionalCheck:
         wins = 0
         for seed in range(10):
             d = imbalanced_dataset(seed)
-            assert scumble(d) > 0.1 and mean_ir(d) > 5
-            base_out, _ = mlsmote(d, 5, np.random.default_rng(seed))
+            prof = profile(d)
+            assert prof.scumble > 0.1 and prof.mean_ir > 5
+            base_out, _ = resample(d, MLSMOTEConfig(5), seed)
             hybrid_out, _ = hybrid_resample(
-                d, DecoupleConfig(mode="percentile", q=0.25), MLSMOTEConfig(5), seed
+                d, DecoupleConfig(q=0.25), MLSMOTEConfig(5), seed
             )
-            if mean_ir(hybrid_out) < mean_ir(base_out):
+            if profile(hybrid_out).mean_ir < profile(base_out).mean_ir:
                 wins += 1
         assert wins >= 8, f"hybrid improved the balance on only {wins}/10 seeds"
 
@@ -383,10 +377,10 @@ class TestDirectionalCheck:
                 values.append(report.f_measure)
             return float(np.mean(values))
 
-        base_f = fold_f(lambda t: mlsmote(t, 5, np.random.default_rng(1))[0])
+        base_f = fold_f(lambda t: resample(t, MLSMOTEConfig(5), 1)[0])
         hybrid_f = fold_f(
             lambda t: hybrid_resample(
-                t, DecoupleConfig(mode="percentile", q=0.25), MLSMOTEConfig(5), seed=1
+                t, DecoupleConfig(q=0.25), MLSMOTEConfig(5), seed=1
             )[0]
         )
         assert 0.0 <= base_f <= 1.0 and 0.0 <= hybrid_f <= 1.0

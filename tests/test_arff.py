@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from mlresample import (
     DecoupleConfig,
     MLROSConfig,
+    MLSMOTEConfig,
     MulanFormatError,
     MultiLabelDataset,
     fold_datasets,
-    ml_ros,
-    mlsmote,
     parse_mulan,
     remedial,
+    resample,
     hybrid_resample,
     stratified_kfold,
     write_mulan,
@@ -764,9 +764,9 @@ def test_writer_reuses_shared_rows_byte_for_byte(d, data):
     st.sampled_from(["mean", "p25", "p50", "p75"]),
 )
 def test_cloned_and_decoupled_outputs_match_the_cell_by_cell_writer(d, seed, spec):
-    cloned, _ = ml_ros(d, 60, np.random.default_rng(seed))
+    cloned, _ = resample(d, MLROSConfig(p=60), seed)
     split, _ = remedial(d, DecoupleConfig.from_spec(spec))
-    both, _ = ml_ros(split, 60, np.random.default_rng(seed))
+    both, _ = resample(split, MLROSConfig(p=60), seed)
     for out in (cloned, split, both):
         assert write_mulan(out) == oracle_write_mulan(out)
 
@@ -974,15 +974,14 @@ def written_from(d, seed):
     rows of ``d`` it was taken from: ``d`` itself, its subsets, ML-ROS
     clones, REMEDIAL copies, MLSMOTE output and two folds, each where the
     method accepts ``d``."""
-    rng = np.random.default_rng(seed)
     picks = [range(d.n), range(0, d.n, 2), reversed(range(d.n))]
     out = [(d.subset(picked), np.array(picked, np.intp)) for picked in map(list, picks)]
     if d.y.any(axis=0).all():  # every label occurs, so every IRLbl is defined
-        stages = [remedial(d, DecoupleConfig.from_spec("p25")), ml_ros(d, 60, rng)]
+        stages = [remedial(d, DecoupleConfig.from_spec("p25")), resample(d, MLROSConfig(60), seed)]
         stages.append(hybrid_resample(d, DecoupleConfig.from_spec("p25"), MLROSConfig(60), seed))
         if d.n > 1:
             try:
-                stages.append(mlsmote(d, 1, rng))
+                stages.append(resample(d, MLSMOTEConfig(1), seed))
             except ValueError:  # a synthetic value beyond the float range
                 pass
         out += [(written, report.sources()) for written, report in stages]

@@ -521,6 +521,30 @@ class TestSeedRange:
         assert json.loads(manifest.read_text())["seed"] == 2**64 - 1
 
 
+class TestParametersBeforeInput:
+    """A parameter that is bad whatever the data exits 3 with its message even
+    when an input file is missing, as it does on existing files."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evaluate", "{a}", "{a}", "--k", 0], "k_nn must be positive"),
+            (
+                ["evaluate", "{a}", "{a}", "--smoothing", "nan"],
+                "smoothing must be non-negative, with smoothing * (k_nn + 1) finite, got nan",
+            ),
+            (["partition", "{a}", "{x}", "--folds", 0, "--out-dir", "{out}"], "need at least two folds"),
+            (["concurrence", "{a}", "{x}", "--top", -1], "top counts must be non-negative"),
+        ],
+        ids=["evaluate-k", "evaluate-smoothing", "partition-folds", "concurrence-top"],
+    )
+    def test_a_missing_input_does_not_hide_them(self, argv, message, tmp_path, capsys):
+        paths = {"a": tmp_path / "nope.arff", "x": tmp_path / "nope.xml", "out": tmp_path / "x"}
+        assert main([str(a).format(**paths) for a in argv]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+
 class TestEvaluate:
     def test_separable_fixture_perfect(self, tmp_path):
         train, test = separable_clusters(seed=1)

@@ -104,9 +104,9 @@ class TestLabelCounts:
         assert label_counts(d).tolist() == [1, 0]
 
     def test_counts_sum_matches_cardinality(self, toy6):
-        from mlresample import card
+        from mlresample import profile
 
-        assert label_counts(toy6).sum() == toy6.n * card(toy6)
+        assert label_counts(toy6).sum() == toy6.n * profile(toy6).card
 
     def test_label_matrix(self, toy6):
         m = toy6.y

@@ -18,8 +18,6 @@ from mlresample import (
     profile,
     resample,
     remedial,
-    scumble,
-    scumble_values,
     stratified_kfold,
 )
 from mlresample import decoupling
@@ -31,7 +29,7 @@ from conftest import datasets, make_dataset
 class TestConfig:
     def test_presets_are_valid(self):
         for q in PERCENTILE_PRESETS:
-            DecoupleConfig(mode="percentile", q=q)
+            DecoupleConfig(q=q)
 
     def test_from_spec(self):
         assert DecoupleConfig.from_spec("mean") == DecoupleConfig()
@@ -56,12 +54,9 @@ class TestConfig:
             assert DecoupleConfig.from_spec(text).spec_string() == text
 
     def test_invalid_combinations(self):
-        with pytest.raises(ValueError):
-            DecoupleConfig(mode="percentile")
-        with pytest.raises(ValueError):
-            DecoupleConfig(mode="mean", q=0.5)
-        with pytest.raises(ValueError):
-            DecoupleConfig(mode="percentile", q=1.5)
+        for q in (0, 1, 1.5, -0.25, float("nan")):
+            with pytest.raises(ValueError, match=r"needs q in \(0, 1\)"):
+                DecoupleConfig(q=q)
 
 
 class TestNearestRankQuantile:
@@ -121,14 +116,12 @@ class TestRemedialToy6:
 
     def test_mean_threshold_equals_scumble_exactly(self, toy6):
         out, report = remedial(toy6)
-        threshold = scumble(toy6)
-        expected_split = tuple(
-            i for i, v in enumerate(scumble_values(toy6)) if v > threshold
-        )
+        prof = profile(toy6)
+        expected_split = tuple(i for i, v in enumerate(prof.scumble_ins) if v > prof.scumble)
         assert report.decoupled == expected_split
 
     def test_percentile_75_splits_only_top_instance(self, toy6):
-        out, report = remedial(toy6, DecoupleConfig(mode="percentile", q=0.75))
+        out, report = remedial(toy6, DecoupleConfig(q=0.75))
         assert report.decoupled == (5,)
         assert out.n == 7
 

@@ -6,23 +6,15 @@ from hypothesis import given, settings
 
 from mlresample import (
     AttributeSpec,
-    UndefinedIRLblError,
-    ml_ros,
-    mlenn,
-    mlsmote,
-    remedial,
-    card,
+    MLENNConfig,
+    MLROSConfig,
+    MLSMOTEConfig,
     concurrence_csv,
     concurrence_export,
-    dens,
-    distinct_labelsets,
-    irlbl,
-    mean_ir,
+    label_counts,
     profile,
-    scumble,
-    scumble_ins,
-    scumble_values,
-    tcs,
+    remedial,
+    resample,
     tcs_from_counts,
 )
 
@@ -45,62 +37,55 @@ from _oracles import (
 
 class TestCardDens:
     def test_toy6(self, toy6):
-        assert card(toy6) == pytest.approx(8 / 6, abs=1e-12)
-        assert dens(toy6) == pytest.approx(8 / 18, abs=1e-12)
+        p = profile(toy6)
+        assert p.card == pytest.approx(8 / 6, abs=1e-12)
+        assert p.dens == pytest.approx(8 / 18, abs=1e-12)
 
     def test_single_label_instances(self):
         d = make_dataset([AttributeSpec("a")], ("A", "B"), [((0.0,), [0]), ((1.0,), [1])])
-        assert card(d) == 1.0
+        assert profile(d).card == 1.0
 
     def test_single_label_dataset_density_one(self):
         d = make_dataset([AttributeSpec("a")], ("A",), [((0.0,), [0]), ((1.0,), [0])])
-        assert dens(d) == 1.0
+        assert profile(d).dens == 1.0
 
     def test_empty_dataset_rejected(self):
         d = make_dataset([AttributeSpec("a")], ("A",), [])
         with pytest.raises(ValueError):
-            card(d)
+            profile(d)
 
 
 class TestIRLbl:
     def test_toy6_values(self, toy6):
-        assert irlbl(toy6, 0) == 1.0
-        assert irlbl(toy6, 1) == 2.5
-        assert irlbl(toy6, 2) == 5.0
+        assert profile(toy6).irlbl == (1.0, 2.5, 5.0)
 
     def test_balanced_dataset_all_one(self):
         d = make_dataset(
             [AttributeSpec("a")], ("A", "B"), [((0.0,), [0]), ((1.0,), [1])]
         )
-        assert irlbl(d, 0) == irlbl(d, 1) == 1.0
-        assert mean_ir(d) == 1.0
+        p = profile(d)
+        assert p.irlbl == (1.0, 1.0)
+        assert p.mean_ir == 1.0
 
     def test_toy6_mean(self, toy6):
-        assert mean_ir(toy6) == pytest.approx((1 + 2.5 + 5) / 3, abs=1e-12)
-
-    def test_zero_count_label_errors(self):
-        d = make_dataset([AttributeSpec("a")], ("A", "B"), [((0.0,), [0])])
-        with pytest.raises(UndefinedIRLblError, match="'B'"):
-            irlbl(d, 1)
-        with pytest.raises(UndefinedIRLblError):
-            mean_ir(d)
+        assert profile(toy6).mean_ir == pytest.approx((1 + 2.5 + 5) / 3, abs=1e-12)
 
     def test_minimum_is_most_frequent(self, toy6):
-        values = [irlbl(toy6, l) for l in range(3)]
-        assert min(values) == 1.0
+        assert min(profile(toy6).irlbl) == 1.0
 
 
 class TestScumble:
     def test_toy6_instance_values(self, toy6):
-        assert scumble_ins(toy6, 5) == pytest.approx(1 - math.sqrt(5) / 3, abs=1e-12)
-        assert scumble_ins(toy6, 3) == pytest.approx(1 - math.sqrt(2.5) / 1.75, abs=1e-12)
+        values = profile(toy6).scumble_ins
+        assert values[5] == pytest.approx(1 - math.sqrt(5) / 3, abs=1e-12)
+        assert values[3] == pytest.approx(1 - math.sqrt(2.5) / 1.75, abs=1e-12)
 
     def test_single_label_instance_zero(self, toy6):
-        assert scumble_ins(toy6, 0) == 0.0
+        assert profile(toy6).scumble_ins[0] == 0.0
 
     def test_empty_labelset_zero(self):
         d = make_dataset([AttributeSpec("a")], ("A",), [((0.0,), []), ((1.0,), [0])])
-        assert scumble_ins(d, 0) == 0.0
+        assert profile(d).scumble_ins[0] == 0.0
 
     def test_equal_irlbl_labels_zero(self):
         # both labels appear twice, so their ratios coincide and AM = GM
@@ -109,16 +94,17 @@ class TestScumble:
             ("A", "B"),
             [((0.0,), [0, 1]), ((1.0,), [0, 1])],
         )
-        assert scumble_ins(d, 0) == 0.0
+        assert profile(d).scumble_ins[0] == 0.0
 
     def test_dataset_level_mean(self, toy6):
-        expected = (scumble_ins(toy6, 3) + scumble_ins(toy6, 5)) / 6
-        assert scumble(toy6) == pytest.approx(expected, abs=1e-15)
-        assert scumble(toy6) == pytest.approx(0.0585, abs=5e-5)
+        p = profile(toy6)
+        expected = (p.scumble_ins[3] + p.scumble_ins[5]) / 6
+        assert p.scumble == pytest.approx(expected, abs=1e-15)
+        assert p.scumble == pytest.approx(0.0585, abs=5e-5)
 
     def test_all_single_label_zero(self):
         d = make_dataset([AttributeSpec("a")], ("A", "B"), [((0.0,), [0]), ((1.0,), [1])])
-        assert scumble(d) == 0.0
+        assert profile(d).scumble == 0.0
 
 
 class TestTCS:
@@ -130,7 +116,7 @@ class TestTCS:
         assert tcs_from_counts(1449, 45, 94) == pytest.approx(15.629, abs=5e-4)
 
     def test_dataset_tcs(self, toy6):
-        assert tcs(toy6) == pytest.approx(math.log(2 * 3 * 4), abs=1e-12)
+        assert profile(toy6).tcs == pytest.approx(math.log(2 * 3 * 4), abs=1e-12)
 
     def test_requires_positive_factors(self):
         with pytest.raises(ValueError):
@@ -152,7 +138,7 @@ class TestProfile:
         d = make_dataset([AttributeSpec("a")], ("A", "B"), [((0.0,), [0, 1])])
         p = profile(d)
         assert p.card == 2.0
-        assert p.scumble == scumble_ins(d, 0)
+        assert p.scumble == p.scumble_ins[0]
 
     def test_zero_count_label_marked_and_excluded(self):
         d = make_dataset(
@@ -191,16 +177,10 @@ class TestMinority:
         assert profile(toy6.subset([3, 4])).minority.tolist() == [True, False, False]
 
 
+# each statistic is a field of the profile, and reading one derives them all
+FIELDS = ("card", "dens", "irlbl", "mean_ir", "scumble", "scumble_ins", "distinct_labelsets", "tcs")
 METRICS = {
-    "card": card,
-    "dens": dens,
-    "irlbl": lambda d: irlbl(d, 0),
-    "mean_ir": mean_ir,
-    "scumble": scumble,
-    "scumble_ins": lambda d: scumble_ins(d, 0),
-    "scumble_values": scumble_values,
-    "distinct_labelsets": distinct_labelsets,
-    "tcs": tcs,
+    **{field: lambda d, field=field: getattr(profile(d), field) for field in FIELDS},
     "profile": profile,
     "concurrence_export": lambda d: concurrence_export(d, 0, 0),
 }
@@ -220,9 +200,9 @@ def test_every_metric_needs_an_instance_and_a_label(metric, labels, rows):
 
 STAGES = {
     "remedial": remedial,
-    "ml_ros": lambda d: ml_ros(d, 25.0, np.random.default_rng(0)),
-    "mlenn": mlenn,
-    "mlsmote": lambda d: mlsmote(d, 5, np.random.default_rng(0)),
+    "mlros": lambda d: resample(d, MLROSConfig(25.0)),
+    "mlenn": lambda d: resample(d, MLENNConfig()),
+    "mlsmote": lambda d: resample(d, MLSMOTEConfig(5)),
 }
 
 
@@ -260,13 +240,6 @@ class TestConcurrenceExport:
         rows = concurrence_export(d, 1, 1)
         assert [r.count for r in rows] == [0]
 
-    def test_symmetry_of_pair_counts(self, toy6):
-        from mlresample.metrics import co_occurrence_count
-
-        for a in range(3):
-            for b in range(3):
-                assert co_occurrence_count(toy6, a, b) == co_occurrence_count(toy6, b, a)
-
     def test_sorted_by_count_descending(self):
         d = make_dataset(
             [AttributeSpec("a")],
@@ -292,45 +265,54 @@ class TestConcurrenceExport:
 @settings(max_examples=100, deadline=None)
 @given(datasets(ensure_all_labels=True, allow_empty_labelsets=True))
 def test_metrics_match_brute_force(d):
-    assert card(d) == pytest.approx(oracle_card(d), abs=1e-12)
-    assert dens(d) == pytest.approx(oracle_dens(d), abs=1e-12)
-    expected_ir = oracle_irlbl(d)
-    for l in range(d.k):
-        assert irlbl(d, l) == pytest.approx(expected_ir[l], abs=1e-12)
-    assert mean_ir(d) == pytest.approx(oracle_mean_ir(d), abs=1e-12)
+    p = profile(d)
+    assert p.card == pytest.approx(oracle_card(d), abs=1e-12)
+    assert p.dens == pytest.approx(oracle_dens(d), abs=1e-12)
+    assert p.irlbl == pytest.approx(oracle_irlbl(d), abs=1e-12)
+    assert p.mean_ir == pytest.approx(oracle_mean_ir(d), abs=1e-12)
     for i in range(d.n):
-        assert scumble_ins(d, i) == pytest.approx(oracle_scumble_ins(d, i), abs=1e-12)
-    assert scumble(d) == pytest.approx(oracle_scumble(d), abs=1e-12)
+        assert p.scumble_ins[i] == pytest.approx(oracle_scumble_ins(d, i), abs=1e-12)
+    assert p.scumble == pytest.approx(oracle_scumble(d), abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
 @given(datasets(max_n=40, max_k=8))
 def test_per_labelset_statistics_equal_the_per_instance_loops(d):
-    from mlresample import label_counts
-    from mlresample.metrics import co_occurrence_count
-
     assert label_counts(d).tolist() == oracle_label_counts(d)
-    values = scumble_values(d)
+    p = profile(d)
     want = np.array(oracle_scumble_values(d))
+    values = np.array(p.scumble_ins)
     assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
     for i in range(d.n):
         assert values[i] == pytest.approx(oracle_scumble_ins(d, i), abs=1e-12)
-    p = profile(d)
-    assert p.scumble_ins == tuple(want.tolist())
     assert p.scumble == float(np.mean(want))
     labelsets = [row.labels for row in rows(d)]
     assert p.card == sum(len(ls) for ls in labelsets) / d.n
     assert p.distinct_labelsets == len(set(labelsets))
-    for a in range(d.k):
-        for b in range(d.k):
-            both = sum(a in ls and b in ls for ls in labelsets)
-            assert co_occurrence_count(d, a, b) == both
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets(max_n=40, max_k=8))
+def test_concurrence_pairs_equal_the_per_row_counts(d):
+    """Every pair of occurring labels, its joint count and both IRLbl values."""
+    labelsets = [row.labels for row in rows(d)]
+    index = {name: l for l, name in enumerate(d.labels)}
+    irlbl = oracle_irlbl(d)
+    occurring = [l for l in range(d.k) if irlbl[l] is not None]
+    exported = concurrence_export(d, d.k, d.k)
+    pairs = {(index[r.label_a], index[r.label_b]) for r in exported}
+    assert len(pairs) == len(exported)
+    assert pairs == {(a, b) for a in occurring for b in occurring if a < b}
+    for r in exported:
+        a, b = index[r.label_a], index[r.label_b]
+        assert r.count == sum(a in ls and b in ls for ls in labelsets)
+        assert (r.irlbl_a, r.irlbl_b) == pytest.approx((irlbl[a], irlbl[b]), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(datasets())
 def test_scumble_ins_bounded(d):
-    values = scumble_values(d)
+    values = np.array(profile(d).scumble_ins)
     assert np.all(values >= 0.0)
     assert np.all(values <= 1.0)
 
@@ -338,22 +320,19 @@ def test_scumble_ins_bounded(d):
 @settings(max_examples=60, deadline=None)
 @given(datasets(ensure_all_labels=True))
 def test_duplication_leaves_frequency_metrics_unchanged(d):
-    doubled = d.subset([*range(d.n)] * 2)
-    assert card(doubled) == pytest.approx(card(d), abs=1e-12)
-    assert dens(doubled) == pytest.approx(dens(d), abs=1e-12)
-    for l in range(d.k):
-        assert irlbl(doubled, l) == pytest.approx(irlbl(d, l), abs=1e-12)
-    assert mean_ir(doubled) == pytest.approx(mean_ir(d), abs=1e-12)
-    assert scumble(doubled) == pytest.approx(scumble(d), abs=1e-12)
+    p, doubled = profile(d), profile(d.subset([*range(d.n)] * 2))
+    assert doubled.card == pytest.approx(p.card, abs=1e-12)
+    assert doubled.dens == pytest.approx(p.dens, abs=1e-12)
+    assert doubled.irlbl == pytest.approx(p.irlbl, abs=1e-12)
+    assert doubled.mean_ir == pytest.approx(p.mean_ir, abs=1e-12)
+    assert doubled.scumble == pytest.approx(p.scumble, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(datasets(ensure_all_labels=True))
 def test_irlbl_floor_and_argmin(d):
-    from mlresample import label_counts
-
     counts = label_counts(d)
-    values = [irlbl(d, l) for l in range(d.k)]
+    values = profile(d).irlbl
     assert min(values) == 1.0
     best = int(np.argmin(values))
     assert counts[best] == counts.max()

@@ -11,10 +11,7 @@ from mlresample import (
     MLROSConfig,
     MLSMOTEConfig,
     MultiLabelDataset,
-    mean_ir,
-    ml_ros,
-    mlenn,
-    mlsmote,
+    profile,
     remedial,
     resample,
 )
@@ -83,20 +80,20 @@ class TestLabelIndicesPast64:
 
     def test_ml_ros(self):
         d = wide_label_fixture()
-        out, report = ml_ros(d, 20, np.random.default_rng(5))
+        out, report = resample(d, MLROSConfig(p=20), 5)
         expected = oracle_ml_ros_clones(d, 20, np.random.default_rng(5))
         assert [a.source for a in report.added] == expected
         assert all(source < 18 for source in expected)
 
     def test_mlenn(self):
         d = wide_label_fixture()
-        out, report = mlenn(d, ht=0.4, nn=3)
+        out, report = resample(d, MLENNConfig(ht=0.4, nn=3))
         assert list(report.removed) == brute_mlenn_removed(d, 0.4, 3)
         assert report.removed and min(report.removed) >= 18
 
     def test_mlsmote(self):
         d = wide_label_fixture()
-        out, report = mlsmote(d, 5, np.random.default_rng(0))
+        out, report = resample(d, MLSMOTEConfig(5), 0)
         assert [a.source for a in report.added] == list(range(18))
         for a, synthetic in zip(report.added, rows(out)[d.n :]):
             assert 64 + a.source // 3 in synthetic.labels
@@ -113,14 +110,14 @@ class TestLabelIndicesPast64:
 
 class TestMLROS:
     def test_toy6_hand_trace(self, toy6):
-        out, report = ml_ros(toy6, 25, np.random.default_rng(7))
+        out, report = resample(toy6, MLROSConfig(p=25), 7)
         assert out.n == 7
         assert rows(out) == rows(toy6) + [rows(toy6)[5]]
         assert report.added == (report.added[0],)
         assert report.added[0].kind == "clone" and report.added[0].source == 5
 
     def test_zero_budget_identity(self, toy6):
-        out, report = ml_ros(toy6, 10, np.random.default_rng(0))  # floor(0.6) = 0
+        out, report = resample(toy6, MLROSConfig(p=10), 0)  # floor(0.6) = 0
         assert out == toy6
         assert report.added == () and report.removed == ()
 
@@ -128,20 +125,20 @@ class TestMLROS:
         d = make_dataset(
             [AttributeSpec("a")], ("A", "B"), [((0.0,), [0]), ((1.0,), [1])]
         )
-        out, report = ml_ros(d, 100, np.random.default_rng(0))
+        out, report = resample(d, MLROSConfig(p=100), 0)
         assert out == d and report.added == ()
 
     def test_invalid_percentage(self, toy6):
         with pytest.raises(ValueError):
-            ml_ros(toy6, 0, np.random.default_rng(0))
+            resample(toy6, MLROSConfig(p=0), 0)
         with pytest.raises(ValueError):
-            ml_ros(toy6, 2000, np.random.default_rng(0))
+            resample(toy6, MLROSConfig(p=2000), 0)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_clone_properties(self, seed):
         d = random_dataset(seed, max_n=18, max_k=5, allow_empty_labelsets=False)
         minority = minority_label_set(d)
-        out, report = ml_ros(d, 40, np.random.default_rng(seed))
+        out, report = resample(d, MLROSConfig(p=40), seed)
         budget = int(d.n * 40 // 100)
         before, after = rows(d), rows(out)
         assert after[: d.n] == before
@@ -154,19 +151,19 @@ class TestMLROS:
 
     def test_budget_spent_unless_bags_retired(self):
         d = pure_minority_fixture()
-        out, report = ml_ros(d, 25, np.random.default_rng(3))
+        out, report = resample(d, MLROSConfig(p=25), 3)
         # bag E retires once 20 / count <= 2.8, i.e. at count 8: six clones
         assert len(report.added) == 6
         assert all(rows(d)[r.source].labels == (4,) for r in report.added)
 
     def test_mean_ir_not_increased_on_pure_minority_fixture(self):
         d = pure_minority_fixture()
-        out, _ = ml_ros(d, 25, np.random.default_rng(5))
-        assert mean_ir(out) <= mean_ir(d)
+        out, _ = resample(d, MLROSConfig(p=25), 5)
+        assert profile(out).mean_ir <= profile(d).mean_ir
 
     def test_deterministic_given_seed(self, toy6):
-        a, _ = ml_ros(toy6, 200, np.random.default_rng(42))
-        b, _ = ml_ros(toy6, 200, np.random.default_rng(42))
+        a, _ = resample(toy6, MLROSConfig(p=200), 42)
+        b, _ = resample(toy6, MLROSConfig(p=200), 42)
         assert a == b
 
 
@@ -212,7 +209,7 @@ class TestMLeNN:
                 ((20.2,), [0]),
             ],
         )
-        out, report = mlenn(d, ht=0.75, nn=3)
+        out, report = resample(d, MLENNConfig(ht=0.75, nn=3))
         assert 0 in report.removed
         assert {4, 5, 6} & set(report.removed) == set()
         assert out.n >= 3
@@ -228,7 +225,7 @@ class TestMLeNN:
                 ((3.0,), [1]),
             ],
         )
-        out, report = mlenn(d, ht=0.5, nn=3)
+        out, report = resample(d, MLENNConfig(ht=0.5, nn=3))
         assert out.n == 0
         assert report.profile_after is None
 
@@ -246,7 +243,7 @@ class TestMLeNN:
         )
         # B is rare (IRLbl 4 > MeanIR 2.5): instance 0 is protected even
         # though every neighbor disagrees with it.
-        out, report = mlenn(d, ht=0.5, nn=3)
+        out, report = resample(d, MLENNConfig(ht=0.5, nn=3))
         assert 0 not in report.removed
         assert rows(d)[0] in rows(out)
 
@@ -256,12 +253,12 @@ class TestMLeNN:
             ("A",),
             [((float(i),), [0]) for i in range(6)],
         )
-        out, report = mlenn(d, ht=0.75, nn=3)
+        out, report = resample(d, MLENNConfig(ht=0.75, nn=3))
         assert out == d and report.removed == ()
 
     def test_too_few_instances(self, toy6):
         with pytest.raises(ValueError):
-            mlenn(toy6, ht=0.75, nn=6)
+            resample(toy6, MLENNConfig(ht=0.75, nn=6))
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_brute_force(self, seed):
@@ -270,7 +267,7 @@ class TestMLeNN:
         )
         if d.n <= 3:
             return
-        out, report = mlenn(d, ht=0.75, nn=3)
+        out, report = resample(d, MLENNConfig(ht=0.75, nn=3))
         assert list(report.removed) == brute_mlenn_removed(d, 0.75, 3)
         kept = [row for i, row in enumerate(rows(d)) if i not in set(report.removed)]
         assert rows(out) == kept
@@ -332,32 +329,30 @@ class TestNewSample:
 
 class TestMLSMOTE:
     def test_toy6_identity(self, toy6):
-        out, report = mlsmote(toy6, 1, np.random.default_rng(3))
+        out, report = resample(toy6, MLSMOTEConfig(1), 3)
         assert out == toy6 and report.added == ()
 
     def test_balanced_identity(self):
         d = make_dataset(
             [AttributeSpec("a")], ("A", "B"), [((0.0,), [0]), ((1.0,), [1])]
         )
-        out, report = mlsmote(d, 1, np.random.default_rng(0))
+        out, report = resample(d, MLSMOTEConfig(1), 0)
         assert out == d
 
     def test_neighbour_count_must_be_below_the_dataset_size(self, toy6):
         message = r"k_neighbors \(6\) must be smaller than the dataset size \(6\)"
         with pytest.raises(ValueError, match=message):
-            mlsmote(toy6, toy6.n, np.random.default_rng(0))
-        with pytest.raises(ValueError, match=message):
-            resample(toy6, MLSMOTEConfig(k_neighbors=toy6.n))
-        mlsmote(toy6, toy6.n - 1, np.random.default_rng(0))
+            resample(toy6, MLSMOTEConfig(toy6.n))
+        resample(toy6, MLSMOTEConfig(toy6.n - 1))
 
     def test_pure_minority_fixture_counts(self):
         d = pure_minority_fixture()
-        out, report = mlsmote(d, 1, np.random.default_rng(0))
+        out, report = resample(d, MLSMOTEConfig(1), 0)
         assert len(report.added) == 2
         assert all(r.kind == "synthetic" for r in report.added)
         for synth in rows(out)[d.n :]:
             assert synth.labels == (4,)
-        assert mean_ir(out) <= mean_ir(d)
+        assert profile(out).mean_ir <= profile(d).mean_ir
 
     @pytest.mark.parametrize("seed", range(25))
     def test_synthetic_properties(self, seed):
@@ -366,9 +361,9 @@ class TestMLSMOTE:
         k_neighbors = 3
         if d.n <= k_neighbors:
             with pytest.raises(ValueError, match="must be smaller than the dataset size"):
-                mlsmote(d, k_neighbors, np.random.default_rng(seed))
+                resample(d, MLSMOTEConfig(k_neighbors), seed)
             return
-        out, report = mlsmote(d, k_neighbors, np.random.default_rng(seed))
+        out, report = resample(d, MLSMOTEConfig(k_neighbors), seed)
         before = rows(d)
         assert rows(out)[: d.n] == before
         mins, spans = oracle_minmax(d)
@@ -420,8 +415,8 @@ class TestMLSMOTE:
 
     def test_deterministic_given_seed(self):
         d = pure_minority_fixture()
-        a, _ = mlsmote(d, 2, np.random.default_rng(11))
-        b, _ = mlsmote(d, 2, np.random.default_rng(11))
+        a, _ = resample(d, MLSMOTEConfig(2), 11)
+        b, _ = resample(d, MLSMOTEConfig(2), 11)
         assert a == b
 
     def test_bad_synthetic_row_keeps_its_absolute_index(self, monkeypatch):
@@ -437,7 +432,7 @@ class TestMLSMOTE:
 
         monkeypatch.setattr(resampling, "_synthesize", second_one_infinite)
         with pytest.raises(ValueError, match=f"^instance {d.n + 1}: numeric attribute 'x' needs a finite float$"):
-            mlsmote(d, 2, np.random.default_rng(0))
+            resample(d, MLSMOTEConfig(2), 0)
         assert made == [4]
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from mlresample import label_counts, mean_ir, scumble
+from mlresample import label_counts, profile
 from mlresample.synthetic import imbalanced_dataset, random_dataset, separable_clusters
 
 from _oracles import rows
@@ -34,8 +34,9 @@ class TestImbalancedDataset:
         d = imbalanced_dataset(seed)
         assert d.n == 500 and d.k == 8
         assert (label_counts(d) >= 2).all()
-        assert scumble(d) > 0.1
-        assert mean_ir(d) > 5
+        prof = profile(d)
+        assert prof.scumble > 0.1
+        assert prof.mean_ir > 5
 
     def test_deterministic(self):
         assert imbalanced_dataset(4) == imbalanced_dataset(4)
