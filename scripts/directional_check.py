@@ -22,6 +22,7 @@ from mlresample import (
     MLROSConfig,
     MLSMOTEConfig,
     evaluate,
+    fold_datasets,
     hybrid_resample,
     mlknn_predict,
     mlknn_train,
@@ -30,14 +31,13 @@ from mlresample import (
     stratified_kfold,
 )
 from mlresample.cli import _method_config
-from mlresample.partitioning import fold_datasets
 from mlresample.synthetic import imbalanced_dataset
 
 
-def fold_f_measure(d, assignment, preprocess, folds: int, k_nn: int) -> float:
+def fold_f_measure(d, fold_of, preprocess, folds: int, k_nn: int) -> float:
     values = []
     for f in range(folds):
-        train, test = fold_datasets(d, assignment, f)
+        train, test = fold_datasets(d, fold_of, f)
         model = mlknn_train(preprocess(train), k_nn=min(k_nn, train.n - 1))
         report = evaluate(test.y, mlknn_predict(model, test))
         values.append(report.f_measure)
@@ -88,12 +88,12 @@ def main(argv=None) -> int:
 
     if args.folds:
         d = imbalanced_dataset(0, n=args.n, k=args.labels)
-        assignment = stratified_kfold(d, folds=args.folds, seed=0)
+        fold_of = stratified_kfold(d, folds=args.folds, seed=0)
         print(f"\n{args.folds}-fold F-measure (higher is better)")
         print(f"{'metric':<12}" + "".join(f"{c:>10}" for c in configs))
         scores = [
             fold_f_measure(
-                d, assignment, lambda t: resample(t, method, 1)[0],
+                d, fold_of, lambda t: resample(t, method, 1)[0],
                 args.folds, args.k_nn,
             )
         ]
@@ -101,7 +101,7 @@ def main(argv=None) -> int:
             decouple = DecoupleConfig.from_spec(threshold)
             scores.append(
                 fold_f_measure(
-                    d, assignment, lambda t: hybrid_resample(t, decouple, method, 1)[0],
+                    d, fold_of, lambda t: hybrid_resample(t, decouple, method, 1)[0],
                     args.folds, args.k_nn,
                 )
             )

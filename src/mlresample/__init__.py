@@ -9,17 +9,7 @@ from .decoupling import (
     nearest_rank_quantile,
     remedial,
 )
-from .evaluation import (
-    EvaluationReport,
-    PredictionSet,
-    evaluate,
-    f_measure,
-    hamming_loss,
-    micro_auc,
-    precision,
-    ranking_loss,
-    recall,
-)
+from .evaluation import EvaluationReport, PredictionSet, evaluate
 from .metrics import (
     ConcurrenceRow,
     ImbalanceProfile,
@@ -29,7 +19,7 @@ from .metrics import (
     tcs_from_counts,
 )
 from .mlknn import MLkNNModel, mlknn_predict, mlknn_train
-from .partitioning import FoldAssignment, fold_datasets, stratified_kfold
+from .partitioning import fold_datasets, stratified_kfold
 from .resampling import (
     AddedInstance,
     MLENNConfig,

@@ -27,6 +27,8 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .arff import MulanFormatError, RowFormatter, parse_mulan, read_mulan, write_mulan
 from .dataset import MultiLabelDataset
@@ -195,24 +197,25 @@ def cmd_partition(args, argv: list[str]) -> int:
     _check_folds(args.folds)
     # every fold file reuses the input's data lines
     d, rows = read_mulan(_read_text(args.arff), _read_text(args.xml))
-    assignment = stratified_kfold(d, args.folds, args.seed)
+    fold_of = stratified_kfold(d, args.folds, args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
     for f in range(args.folds):
-        train, test = fold_datasets(d, assignment, f)
-        sources = assignment.train_indices(f), assignment.test_indices(f)
-        for part, ds, picked in zip(("train", "test"), (train, test), sources):
+        in_test = fold_of == f
+        sources = np.flatnonzero(~in_test), np.flatnonzero(in_test)
+        for part, ds, picked in zip(("train", "test"), fold_datasets(d, fold_of, f), sources):
             arff_path = out_dir / f"fold{f}-{part}.arff"
             _write_dataset(ds, arff_path, out_dir / f"fold{f}-{part}.xml", rows, picked)
             outputs[f"fold{f}-{part}"] = str(arff_path)
     csv_path = out_dir / "folds.csv"
-    _write_text(csv_path, assignment.to_csv())
+    lines = map("{},{}\n".format, range(d.n), fold_of.tolist())
+    _write_text(csv_path, "instance_index,fold\n" + "".join(lines))
     outputs["assignment"] = str(csv_path)
     _write_manifest(
         out_dir / "manifest.json", argv, args.seed, {"arff": args.arff, "xml": args.xml}, outputs
     )
-    sizes = [len(assignment.test_indices(f)) for f in range(args.folds)]
+    sizes = np.bincount(fold_of, minlength=args.folds).tolist()
     print(f"{d.name}: {args.folds} folds, test sizes {sizes}")
     return 0
 

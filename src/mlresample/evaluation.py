@@ -1,6 +1,8 @@
 """Example-based evaluation metrics for multilabel predictions.
 
-All six metrics live in [0, 1].  Degenerate cases follow fixed conventions:
+``evaluate(truth, pred)`` is the one call: it checks the truth matrix once and
+returns all six metrics on an ``EvaluationReport``, with no separate function
+per metric.  All six live in [0, 1].  Degenerate cases follow fixed conventions:
 
 * instances predicting no label contribute 0 to the precision mean, and
   instances with an empty true labelset contribute 0 to recall; both counts
@@ -14,10 +16,9 @@ All six metrics live in [0, 1].  Degenerate cases follow fixed conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,13 @@ class PredictionSet:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """The six metric values, plus how many degenerate terms were zeroed."""
+    """The six metric values, plus how many degenerate terms were zeroed.
+
+    ``hamming_loss`` is the fraction of label assignments that disagree with
+    the truth; ``precision`` and ``recall`` are the per-instance means of the
+    predicted labels that are true and of the true labels that were
+    predicted, and ``f_measure`` is their harmonic mean (0 when both are 0).
+    """
 
     hamming_loss: float
     ranking_loss: float
@@ -50,74 +57,20 @@ class EvaluationReport:
     empty_truths: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "hamming_loss": self.hamming_loss,
-            "ranking_loss": self.ranking_loss,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_measure": self.f_measure,
-            "auc": self.auc,
-            "empty_predictions": self.empty_predictions,
-            "empty_truths": self.empty_truths,
-        }
+        return asdict(self)
 
 
-def _check(truth: np.ndarray, pred: PredictionSet) -> np.ndarray:
-    truth = np.asarray(truth, dtype=bool)
-    if truth.shape != pred.scores.shape:
-        raise ValueError(
-            f"truth shape {truth.shape} does not match predictions {pred.scores.shape}"
-        )
-    if truth.size == 0:
-        raise ValueError("cannot evaluate an empty prediction set")
-    return truth
-
-
-def hamming_loss(truth: np.ndarray, pred: PredictionSet) -> float:
-    """Fraction of label assignments that disagree with the truth."""
-    truth = _check(truth, pred)
-    return float(np.mean(truth ^ pred.bipartition))
-
-
-def precision(truth: np.ndarray, pred: PredictionSet) -> float:
-    """Mean per-instance fraction of predicted labels that are true."""
-    truth = _check(truth, pred)
-    hits = (truth & pred.bipartition).sum(axis=1)
-    predicted = pred.bipartition.sum(axis=1)
-    terms = np.where(predicted > 0, hits / np.maximum(predicted, 1), 0.0)
-    return float(np.mean(terms))
-
-
-def recall(truth: np.ndarray, pred: PredictionSet) -> float:
-    """Mean per-instance fraction of true labels that were predicted."""
-    truth = _check(truth, pred)
-    hits = (truth & pred.bipartition).sum(axis=1)
-    actual = truth.sum(axis=1)
-    terms = np.where(actual > 0, hits / np.maximum(actual, 1), 0.0)
-    return float(np.mean(terms))
-
-
-def _harmonic_mean(p: float, r: float) -> float:
-    return 0.0 if p + r == 0 else 2 * p * r / (p + r)
-
-
-def f_measure(truth: np.ndarray, pred: PredictionSet) -> float:
-    """Harmonic mean of precision and recall (0 when both are 0)."""
-    return _harmonic_mean(precision(truth, pred), recall(truth, pred))
-
-
-def ranking_loss(truth: np.ndarray, pred: PredictionSet) -> float:
+def _ranking_loss(truth: np.ndarray, scores: np.ndarray) -> float:
     """Fraction of (relevant, irrelevant) label pairs ranked the wrong way round.
 
     A pair counts when the irrelevant label scores strictly above the
     relevant one.  Instances with an empty or full true labelset have no
     pairs and are excluded from the average.
     """
-    truth = _check(truth, pred)
     per_instance = []
     for i in range(truth.shape[0]):
-        relevant = pred.scores[i, truth[i]]
-        irrelevant = pred.scores[i, ~truth[i]]
+        relevant = scores[i, truth[i]]
+        irrelevant = scores[i, ~truth[i]]
         if relevant.size == 0 or irrelevant.size == 0:
             continue
         ordered = np.sort(irrelevant, kind="stable")
@@ -128,15 +81,14 @@ def ranking_loss(truth: np.ndarray, pred: PredictionSet) -> float:
     return float(np.mean(per_instance))
 
 
-def micro_auc(truth: np.ndarray, pred: PredictionSet) -> float:
+def _micro_auc(truth: np.ndarray, scores: np.ndarray) -> float:
     """Fraction of (positive, negative) assignment pairs with score(pos) >= score(neg).
 
     Pairs range over the whole matrix, not per instance.  With no positives
     or no negatives the pair set is empty and the result is 1.
     """
-    truth = _check(truth, pred)
-    positive = np.sort(pred.scores[truth], kind="stable")
-    negative = pred.scores[~truth]
+    positive = np.sort(scores[truth], kind="stable")
+    negative = scores[~truth]
     if positive.size == 0 or negative.size == 0:
         return 1.0
     at_least = positive.size - np.searchsorted(positive, negative, side="left")
@@ -144,17 +96,27 @@ def micro_auc(truth: np.ndarray, pred: PredictionSet) -> float:
 
 
 def evaluate(truth: np.ndarray, pred: PredictionSet) -> EvaluationReport:
-    """Bundle all six metrics for one prediction set."""
-    truth = _check(truth, pred)
-    p = precision(truth, pred)
-    r = recall(truth, pred)
+    """All six metrics for one prediction set against the true label matrix."""
+    truth = np.asarray(truth, dtype=bool)
+    if truth.shape != pred.scores.shape:
+        raise ValueError(
+            f"truth shape {truth.shape} does not match predictions {pred.scores.shape}"
+        )
+    if truth.size == 0:
+        raise ValueError("cannot evaluate an empty prediction set")
+    decided = pred.bipartition
+    hits = (truth & decided).sum(axis=1)
+    predicted = decided.sum(axis=1)
+    actual = truth.sum(axis=1)
+    p = float(np.mean(np.where(predicted > 0, hits / np.maximum(predicted, 1), 0.0)))
+    r = float(np.mean(np.where(actual > 0, hits / np.maximum(actual, 1), 0.0)))
     return EvaluationReport(
-        hamming_loss=hamming_loss(truth, pred),
-        ranking_loss=ranking_loss(truth, pred),
+        hamming_loss=float(np.mean(truth ^ decided)),
+        ranking_loss=_ranking_loss(truth, pred.scores),
         precision=p,
         recall=r,
-        f_measure=_harmonic_mean(p, r),
-        auc=micro_auc(truth, pred),
-        empty_predictions=int((pred.bipartition.sum(axis=1) == 0).sum()),
-        empty_truths=int((truth.sum(axis=1) == 0).sum()),
+        f_measure=0.0 if p + r == 0 else 2 * p * r / (p + r),
+        auc=_micro_auc(truth, pred.scores),
+        empty_predictions=int((predicted == 0).sum()),
+        empty_truths=int((actual == 0).sum()),
     )

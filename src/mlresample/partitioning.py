@@ -5,11 +5,12 @@ the fold with the greatest remaining demand for that label (ties: most
 remaining capacity, then a seeded draw).  Fold capacities are fixed up front
 to floor/ceil(n / folds), so fold sizes differ by at most one and every fold
 is non-empty whenever n >= folds.  Deterministic for a given seed.
+
+``stratified_kfold`` returns each instance's fold as one int64 array, and
+``fold_datasets`` cuts a fold's train and test datasets from it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,32 +23,8 @@ def _check_folds(folds: int) -> None:
         raise ValueError("need at least two folds")
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Fold index per instance."""
-
-    fold_of: tuple[int, ...]
-    folds: int
-
-    def __post_init__(self):
-        _check_folds(self.folds)
-        if any(not 0 <= f < self.folds for f in self.fold_of):
-            raise ValueError("fold index out of range")
-
-    def test_indices(self, fold: int) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.fold_of) if f == fold)
-
-    def train_indices(self, fold: int) -> tuple[int, ...]:
-        return tuple(i for i, f in enumerate(self.fold_of) if f != fold)
-
-    def to_csv(self) -> str:
-        lines = ["instance_index,fold"]
-        lines.extend(f"{i},{f}" for i, f in enumerate(self.fold_of))
-        return "\n".join(lines) + "\n"
-
-
-def stratified_kfold(d: MultiLabelDataset, folds: int, seed: int = 0) -> FoldAssignment:
-    """Partition a dataset into label-stratified folds."""
+def stratified_kfold(d: MultiLabelDataset, folds: int, seed: int = 0) -> np.ndarray:
+    """Each instance's fold, in 0..folds-1, as a read-only int64 array."""
     _check_folds(folds)
     if folds > d.n:
         raise ValueError(f"cannot make {folds} folds from {d.n} instances")
@@ -108,13 +85,14 @@ def stratified_kfold(d: MultiLabelDataset, folds: int, seed: int = 0) -> FoldAss
         leftovers = rng.permutation(leftovers)
     fold_of[leftovers] = [place(i, None) for i in leftovers.tolist()]
 
-    return FoldAssignment(fold_of=tuple(fold_of.tolist()), folds=folds)
+    fold_of.flags.writeable = False
+    return fold_of
 
 
 def fold_datasets(
-    d: MultiLabelDataset, assignment: FoldAssignment, fold: int
+    d: MultiLabelDataset, fold_of: np.ndarray, fold: int
 ) -> tuple[MultiLabelDataset, MultiLabelDataset]:
     """(train, test) datasets for one fold, instance order preserved."""
-    train = d.subset(assignment.train_indices(fold), name=f"{d.name}-f{fold}-train")
-    test = d.subset(assignment.test_indices(fold), name=f"{d.name}-f{fold}-test")
+    train = d.subset(np.flatnonzero(fold_of != fold), name=f"{d.name}-f{fold}-train")
+    test = d.subset(np.flatnonzero(fold_of == fold), name=f"{d.name}-f{fold}-test")
     return train, test

@@ -60,17 +60,22 @@ def oracle_mean_ir(d) -> float:
     return sum(defined) / len(defined)
 
 
-def oracle_scumble_ins(d, i) -> float:
-    labels = rows(d)[i].labels
-    values = [v for l, v in enumerate(oracle_irlbl(d)) if l in labels]
-    if len(values) <= 1:
-        return 0.0
-    product = 1.0
-    for v in values:
-        product *= v
-    geometric = product ** (1.0 / len(values))
-    arithmetic = sum(values) / len(values)
-    return 1.0 - geometric / arithmetic
+def oracle_scumble_ins(d) -> list[float]:
+    """Per row of ``d``: its SCUMBLE score, through the product/power form."""
+    irlbl = oracle_irlbl(d)
+    out = []
+    for r in rows(d):
+        values = [v for l, v in enumerate(irlbl) if l in r.labels]
+        if len(values) <= 1:
+            out.append(0.0)
+            continue
+        product = 1.0
+        for v in values:
+            product *= v
+        geometric = product ** (1.0 / len(values))
+        arithmetic = sum(values) / len(values)
+        out.append(1.0 - geometric / arithmetic)
+    return out
 
 
 def oracle_scumble_values(d) -> list[float]:
@@ -93,7 +98,7 @@ def oracle_scumble_values(d) -> list[float]:
 
 
 def oracle_scumble(d) -> float:
-    return sum(oracle_scumble_ins(d, i) for i in range(d.n)) / d.n
+    return sum(oracle_scumble_ins(d)) / d.n
 
 
 def oracle_ranking_loss(truth, scores) -> float:

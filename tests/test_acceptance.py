@@ -6,6 +6,7 @@ see them.  Benchmark-conditional checks look for ``<name>.arff`` and
 and skip when a dataset is not supplied.
 """
 
+import hashlib
 import math
 import os
 import shutil
@@ -24,23 +25,17 @@ from mlresample import (
     MLSMOTEConfig,
     PredictionSet,
     evaluate,
-    f_measure,
-    hamming_loss,
+    fold_datasets,
     hybrid_resample,
-    micro_auc,
     mlknn_predict,
     mlknn_train,
     parse_mulan,
-    precision,
     profile,
-    ranking_loss,
-    recall,
     remedial,
     resample,
     stratified_kfold,
     tcs_from_counts,
 )
-from mlresample.partitioning import fold_datasets
 from mlresample.synthetic import imbalanced_dataset, random_dataset, separable_clusters
 
 from conftest import cli_env, write_dataset_files
@@ -110,8 +105,8 @@ class TestMetricOracleSuite:
             for l in range(d.k):
                 assert abs(p.irlbl[l] - expected_ir[l]) <= 1e-12
             assert abs(p.mean_ir - oracle_mean_ir(d)) <= 1e-12
-            for i in range(d.n):
-                assert abs(p.scumble_ins[i] - oracle_scumble_ins(d, i)) <= 1e-12
+            for got, want in zip(p.scumble_ins, oracle_scumble_ins(d), strict=True):
+                assert abs(got - want) <= 1e-12
             assert abs(p.scumble - oracle_scumble(d)) <= 1e-12
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"oracle suite took {elapsed:.1f}s"
@@ -316,12 +311,13 @@ class TestEvaluationMetrics:
             scores=np.array([[0.9, 0.8, 0.3]]),
             bipartition=np.array([[True, True, False]]),
         )
-        assert hamming_loss(truth, p) == 2 / 3
-        assert precision(truth, p) == 0.5
-        assert recall(truth, p) == 0.5
-        assert f_measure(truth, p) == 0.5
-        assert ranking_loss(truth, p) == 0.5
-        assert micro_auc(truth, p) == 0.5
+        report = evaluate(truth, p)
+        assert report.hamming_loss == 2 / 3
+        assert report.precision == 0.5
+        assert report.recall == 0.5
+        assert report.f_measure == 0.5
+        assert report.ranking_loss == 0.5
+        assert report.auc == 0.5
         _accept("PASS: evaluation hand examples reproduced exactly")
 
     def test_pair_metrics_match_enumeration(self):
@@ -331,13 +327,11 @@ class TestEvaluationMetrics:
             k = int(rng.integers(1, 6))
             truth = rng.random((n, k)) < 0.4
             scores = np.round(rng.random((n, k)), 3)
-            p = PredictionSet(scores=scores, bipartition=scores > 0.5)
+            report = evaluate(truth, PredictionSet(scores=scores, bipartition=scores > 0.5))
             assert abs(
-                ranking_loss(truth, p) - oracle_ranking_loss(truth.tolist(), scores.tolist())
+                report.ranking_loss - oracle_ranking_loss(truth.tolist(), scores.tolist())
             ) <= 1e-12
-            assert abs(
-                micro_auc(truth, p) - oracle_micro_auc(truth.tolist(), scores.tolist())
-            ) <= 1e-12
+            assert abs(report.auc - oracle_micro_auc(truth.tolist(), scores.tolist())) <= 1e-12
         _accept("PASS: rank metrics equal brute-force enumeration on 300 matrices")
 
 
@@ -366,12 +360,12 @@ class TestDirectionalCheck:
         assert wins >= 8, f"hybrid improved the balance on only {wins}/10 seeds"
 
         d = imbalanced_dataset(0)
-        assignment = stratified_kfold(d, folds=5, seed=0)
+        fold_of = stratified_kfold(d, folds=5, seed=0)
 
         def fold_f(preprocess):
             values = []
             for f in range(5):
-                train, test = fold_datasets(d, assignment, f)
+                train, test = fold_datasets(d, fold_of, f)
                 model = mlknn_train(preprocess(train), k_nn=10)
                 report = evaluate(test.y, mlknn_predict(model, test))
                 values.append(report.f_measure)
@@ -449,4 +443,80 @@ class TestCliDeterminism:
         _accept(
             f"PASS: {len(commands)} seeded commands reproduced "
             f"{len(first_files)} output files byte-identically"
+        )
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+# each forced OpenBLAS kernel with the instruction set it runs; forcing a kernel
+# the CPU lacks can kill the process with an illegal instruction, so a kernel
+# whose instruction set the CPU does not report is left out
+BLAS_CORE_TYPES = (("Sandybridge", "AVX"), ("Haswell", "AVX2"))
+
+
+class TestBlasSettings:
+    """Every output byte is the same whatever BLAS thread count or kernel runs.
+
+    Each setting runs the same four commands in a child process: two
+    resamplings, a partition and an evaluation of fold 0.  The settings are
+    ``OPENBLAS_NUM_THREADS`` 1 and 2, and ``OPENBLAS_CORETYPE`` forced to each
+    kernel of ``BLAS_CORE_TYPES`` that the CPU supports.  A numpy built
+    without OpenBLAS ignores these variables, and then the test only shows
+    that the runs repeat.
+    """
+
+    def test_outputs_do_not_depend_on_blas_settings(self, tmp_path):
+        data = imbalanced_dataset(0, n=1500, k=12, n_numeric=50)
+        arff, xml = write_dataset_files(data, tmp_path, "fixture")
+        commands = [
+            ["resample", arff, xml, "--method", "mlsmote", "--remedial", "p25",
+             "--out-dir", "hybrid"],
+            ["resample", arff, xml, "--method", "mlenn", "--out-dir", "mlenn"],
+            ["partition", arff, xml, "--folds", 2, "--out-dir", "folds"],
+            ["evaluate", "folds/fold0-train.arff", "folds/fold0-test.arff",
+             "--out", "eval.json"],
+        ]
+        features = _cpu_features()
+        settings = [("OPENBLAS_NUM_THREADS", "1"), ("OPENBLAS_NUM_THREADS", "2")]
+        settings += [
+            ("OPENBLAS_CORETYPE", core) for core, isa in BLAS_CORE_TYPES if features.get(isa)
+        ]
+        hashes = {}
+        for variable, value in settings:
+            label = f"{variable}={value}"
+            # the commands write relative paths, so the manifests name the same files
+            cwd = tmp_path / f"{variable}-{value}"
+            cwd.mkdir()
+            env = cli_env()
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            env.pop("OPENBLAS_CORETYPE", None)
+            env[variable] = value
+            for args in commands:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "mlresample.cli", *map(str, args)],
+                    capture_output=True,
+                    text=True,
+                    cwd=cwd,
+                    env=env,
+                )
+                assert proc.returncode == 0, f"{label}: {args[0]} failed: {proc.stderr}"
+            hashes[label] = {
+                path.relative_to(cwd).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(cwd.rglob("*"))
+                if path.is_file()
+            }
+        (first, expected), *others = hashes.items()
+        assert "eval.json" in expected and "hybrid/resampled.arff" in expected
+        for label, got in others:
+            assert got.keys() == expected.keys(), f"{label} wrote other files than {first}"
+            for name in expected:
+                assert got[name] == expected[name], f"{name} differs between {first} and {label}"
+        _accept(
+            f"PASS: {len(expected)} output files byte-identical under {', '.join(hashes)}"
         )

@@ -986,10 +986,10 @@ def written_from(d, seed):
                 pass
         out += [(written, report.sources()) for written, report in stages]
     if d.n > 1:
-        assignment = stratified_kfold(d, 2, seed)
+        fold_of = stratified_kfold(d, 2, seed)
         for f in range(2):
-            picks = assignment.train_indices(f), assignment.test_indices(f)
-            out += zip(fold_datasets(d, assignment, f), picks)
+            picks = np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f)
+            out += zip(fold_datasets(d, fold_of, f), picks)
     return out
 
 

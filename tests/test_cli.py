@@ -458,6 +458,11 @@ class TestPartition:
         csv_lines = (out_dir / "folds.csv").read_text().splitlines()
         assert csv_lines[0] == "instance_index,fold"
         assert len(csv_lines) == 41
+        pairs = [line.split(",") for line in csv_lines[1:]]
+        assert [int(i) for i, _ in pairs] == list(range(40))
+        fold_of = [int(f) for _, f in pairs]
+        assert [fold_of.count(f) for f in range(4)] == [10] * 4
+        assert "test sizes [10, 10, 10, 10]" in out
         test_sets = [
             parse_mulan(
                 (out_dir / f"fold{f}-test.arff").read_text(),
@@ -475,9 +480,11 @@ class TestPartition:
         argv = ["partition", arff, xml, "--folds", 4, "--seed", 5, "--out-dir", out_dir]
         assert main([str(a) for a in argv]) == 0
         parsed = parse_mulan(arff.read_text(), xml.read_text())
-        assignment = stratified_kfold(parsed, 4, 5)
+        fold_of = stratified_kfold(parsed, 4, 5)
+        csv_text = "".join(f"{i},{f}\n" for i, f in enumerate(fold_of.tolist()))
+        assert (out_dir / "folds.csv").read_text() == "instance_index,fold\n" + csv_text
         for f in range(4):
-            for part, ds in zip(("train", "test"), fold_datasets(parsed, assignment, f)):
+            for part, ds in zip(("train", "test"), fold_datasets(parsed, fold_of, f)):
                 arff_text, xml_text = write_mulan(ds)
                 assert (out_dir / f"fold{f}-{part}.arff").read_text() == arff_text
                 assert (out_dir / f"fold{f}-{part}.xml").read_text() == xml_text

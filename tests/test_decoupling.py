@@ -288,6 +288,6 @@ def test_sources_gather_rows_with_the_outputs_features(d, method, spec, drop_emp
     assert (sources < d.n).all() and same_features(out, d, sources)
     synthetic = sum(a.kind == "synthetic" for a in report.added)
     assert np.count_nonzero(sources < 0) == synthetic
-    assignment = stratified_kfold(d, 2, seed)
-    for picked in assignment.train_indices(0), assignment.test_indices(0):
-        assert same_features(d.subset(picked), d, np.array(picked))
+    fold_of = stratified_kfold(d, 2, seed)
+    for picked in np.flatnonzero(fold_of != 0), np.flatnonzero(fold_of == 0):
+        assert same_features(d.subset(picked), d, picked)

@@ -4,16 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mlresample import (
-    PredictionSet,
-    evaluate,
-    f_measure,
-    hamming_loss,
-    micro_auc,
-    precision,
-    ranking_loss,
-    recall,
-)
+from mlresample import PredictionSet, evaluate
 
 from _oracles import oracle_micro_auc, oracle_ranking_loss
 
@@ -38,48 +29,47 @@ class TestHandExamples:
     )
 
     def test_hamming_loss_two_thirds(self):
-        assert hamming_loss(self.truth, self.prediction) == pytest.approx(2 / 3)
+        assert evaluate(self.truth, self.prediction).hamming_loss == pytest.approx(2 / 3)
 
     def test_precision_recall_f(self):
-        assert precision(self.truth, self.prediction) == 0.5
-        assert recall(self.truth, self.prediction) == 0.5
-        assert f_measure(self.truth, self.prediction) == 0.5
+        report = evaluate(self.truth, self.prediction)
+        assert report.precision == report.recall == report.f_measure == 0.5
 
     def test_ranking_loss_half(self):
-        assert ranking_loss(self.truth, self.prediction) == 0.5
+        assert evaluate(self.truth, self.prediction).ranking_loss == 0.5
 
     def test_micro_auc_half(self):
-        assert micro_auc(self.truth, self.prediction) == 0.5
+        assert evaluate(self.truth, self.prediction).auc == 0.5
 
 
 class TestTrivialCases:
     def test_perfect_prediction(self):
         truth = np.array([[True, False], [False, True]])
         p = PredictionSet(scores=truth.astype(float), bipartition=truth.copy())
-        assert hamming_loss(truth, p) == 0.0
-        assert precision(truth, p) == recall(truth, p) == f_measure(truth, p) == 1.0
-        assert ranking_loss(truth, p) == 0.0
-        assert micro_auc(truth, p) == 1.0
+        report = evaluate(truth, p)
+        assert report.hamming_loss == 0.0
+        assert report.precision == report.recall == report.f_measure == 1.0
+        assert report.ranking_loss == 0.0
+        assert report.auc == 1.0
 
     def test_complement_prediction_hamming_one(self):
         truth = np.array([[True, False, True]])
         p = PredictionSet(scores=np.zeros((1, 3)), bipartition=~truth)
-        assert hamming_loss(truth, p) == 1.0
+        assert evaluate(truth, p).hamming_loss == 1.0
 
     def test_disjoint_prediction_all_zero(self):
         truth = np.array([[True, False]])
         p = PredictionSet(scores=np.array([[0.0, 1.0]]), bipartition=np.array([[False, True]]))
-        assert precision(truth, p) == 0.0
-        assert recall(truth, p) == 0.0
-        assert f_measure(truth, p) == 0.0
+        report = evaluate(truth, p)
+        assert report.precision == report.recall == report.f_measure == 0.0
 
     def test_fully_inverted_ranking(self):
         truth, p = single([True, True, False, False], [0.1, 0.2, 0.8, 0.9])
-        assert ranking_loss(truth, p) == 1.0
+        assert evaluate(truth, p).ranking_loss == 1.0
 
     def test_all_equal_scores_auc_one(self):
         truth, p = single([True, False], [0.5, 0.5])
-        assert micro_auc(truth, p) == 1.0
+        assert evaluate(truth, p).auc == 1.0
 
     def test_empty_prediction_contributes_zero_precision(self):
         truth = np.array([[True, False], [True, False]])
@@ -104,13 +94,13 @@ class TestTrivialCases:
     def test_ranking_loss_skips_empty_and_full(self):
         truth = np.array([[True, True], [False, False]])
         p = pred([[0.1, 0.9], [0.2, 0.3]])
-        assert ranking_loss(truth, p) == 0.0
+        assert evaluate(truth, p).ranking_loss == 0.0
 
 
 class TestValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            hamming_loss(np.zeros((2, 2), dtype=bool), pred([[0.1, 0.2]]))
+            evaluate(np.zeros((2, 2), dtype=bool), pred([[0.1, 0.2]]))
 
     def test_bad_prediction_set(self):
         with pytest.raises(ValueError):
@@ -136,11 +126,11 @@ def truth_and_scores(max_n=8, max_k=5):
 @given(truth_and_scores())
 def test_pair_metrics_match_brute_force(data):
     truth, scores = data
-    p = pred(scores)
-    assert ranking_loss(truth, p) == pytest.approx(
+    report = evaluate(truth, pred(scores))
+    assert report.ranking_loss == pytest.approx(
         oracle_ranking_loss(truth.tolist(), scores.tolist()), abs=1e-12
     )
-    assert micro_auc(truth, p) == pytest.approx(
+    assert report.auc == pytest.approx(
         oracle_micro_auc(truth.tolist(), scores.tolist()), abs=1e-12
     )
 
@@ -165,8 +155,8 @@ def test_all_metrics_bounded(data):
 @given(truth_and_scores())
 def test_f_measure_is_harmonic_mean(data):
     truth, scores = data
-    p = pred(scores)
-    pr, rc, f = precision(truth, p), recall(truth, p), f_measure(truth, p)
+    report = evaluate(truth, pred(scores))
+    pr, rc, f = report.precision, report.recall, report.f_measure
     if pr + rc > 0:
         assert f == pytest.approx(2 * pr * rc / (pr + rc), abs=1e-12)
     else:
@@ -182,13 +172,15 @@ def test_rank_metrics_invariant_under_monotone_transform(data):
     p1 = pred(scores)
     transformed = np.exp(3.0 * scores) + 1.0
     p2 = PredictionSet(scores=transformed, bipartition=p1.bipartition)
-    assert ranking_loss(truth, p1) == pytest.approx(ranking_loss(truth, p2), abs=1e-12)
-    assert micro_auc(truth, p1) == pytest.approx(micro_auc(truth, p2), abs=1e-12)
+    r1, r2 = evaluate(truth, p1), evaluate(truth, p2)
+    assert r1.ranking_loss == pytest.approx(r2.ranking_loss, abs=1e-12)
+    assert r1.auc == pytest.approx(r2.auc, abs=1e-12)
 
 
 def test_strict_separation_gives_extremes():
     truth = np.array([[True, False, True], [False, True, False]])
     scores = np.where(truth, 0.9, 0.1)
     p = PredictionSet(scores=scores, bipartition=truth.copy())
-    assert micro_auc(truth, p) == 1.0
-    assert ranking_loss(truth, p) == 0.0
+    report = evaluate(truth, p)
+    assert report.auc == 1.0
+    assert report.ranking_loss == 0.0

@@ -4,7 +4,6 @@ import pytest
 from mlresample import (
     AttributeSpec,
     evaluate,
-    hamming_loss,
     mlknn_predict,
     mlknn_train,
 )
@@ -49,7 +48,7 @@ class TestPrediction:
         train, test = separable_clusters(seed=1)
         model = mlknn_train(train, k_nn=3)
         predictions = mlknn_predict(model, test)
-        assert hamming_loss(test.y, predictions) == 0.0
+        assert evaluate(test.y, predictions).hamming_loss == 0.0
 
     def test_training_point_in_pure_neighborhood(self):
         train, _ = separable_clusters(seed=2)
