@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mlresample import AttributeSpec, MultiLabelDataset, fold_datasets, stratified_kfold
+from mlresample.cli import main
 from mlresample.synthetic import random_dataset
 
 from _oracles import oracle_stratified_fold_of, rows
-from conftest import make_dataset
+from conftest import make_dataset, write_dataset_files
 
 
 def frequency_fixture(seed=0, n=100, rate=0.2):
@@ -72,6 +73,18 @@ class TestStratifiedKFold:
         rows = [((float(i),), [0] if i % 2 else []) for i in range(12)]
         d = make_dataset([AttributeSpec("x")], ("A",), rows)
         assert np.bincount(stratified_kfold(d, folds=3, seed=0)).tolist() == [4, 4, 4]
+
+    def test_csv_format(self, toy6, tmp_path):
+        arff, xml = write_dataset_files(toy6, tmp_path, "toy6")
+        out_dir = tmp_path / "folds"
+        argv = ["partition", arff, xml, "--folds", 2, "--seed", 0, "--out-dir", out_dir]
+        assert main([str(a) for a in argv]) == 0
+        lines = (out_dir / "folds.csv").read_text().splitlines()
+        assert lines[0] == "instance_index,fold"
+        assert len(lines) == 7
+        assert lines[1].startswith("0,")
+        fold_of = stratified_kfold(toy6, folds=2, seed=0)
+        assert lines[1:] == [f"{i},{f}" for i, f in enumerate(fold_of.tolist())]
 
 
 @st.composite
