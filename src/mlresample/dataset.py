@@ -176,8 +176,17 @@ class MultiLabelDataset:
         return len(self.labels)
 
     def subset(self, indices: Iterable[int], name: str | None = None) -> MultiLabelDataset:
-        """New dataset keeping the given instances, in the given order; an index may repeat."""
-        rows = np.fromiter(indices, dtype=np.intp)
+        """New dataset keeping the given instances, in the given order; an index may repeat.
+
+        An integer array is used as it is, and any other iterable of ints is
+        read once.  Bool or float indices raise ValueError: a mask would
+        select rows 0 and 1, and a float would be floored.
+        """
+        rows = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
+        if rows.dtype.kind not in "iu":
+            if rows.size:
+                raise ValueError(f"subset needs integer indices, got {rows.dtype} values")
+            rows = rows.astype(np.intp)
         return MultiLabelDataset(
             self.attributes,
             self.labels,

@@ -15,37 +15,40 @@ distance matrix: one loop walks the query a block of rows at a time.
 
 Every distance that decides a neighbour is an *exact cell*: numeric terms
 summed column by column in attribute order (a NaN term counts 1.0), then one
-``+1.0`` per mismatching nominal column, then ``sqrt``.  The nominal
-mismatch count of all columns comes from one matrix product of code
-indicators (``n_nominal - q_hot @ r_hot.T``), which is exact because it only
-adds small integers.  A column whose reference codes all lie in {0, 1}, such
+``+1.0`` per mismatching nominal column, then ``sqrt``.  In an exact
+block the nominal mismatch count of all columns comes from one float32
+matrix product of code indicators (``n_nominal - q_hot @ r_hot.T``), which
+is exact because it only adds small integers; the estimate takes the same
+indicators in float64.  A column whose reference codes all lie in {0, 1}, such
 as a binary word, has one indicator: x = (code == 1) on the reference side
 and v = 2x - present on the query side (present: the code is 0 or 1).  A
 query code equals a reference code in present_q - x_q + v * x_r of them, and
 the first two terms, summed over such columns, are one more indicator
 against a constant 1.  Every other column has one indicator per code.
 
-With numeric columns, a block is first ranked by an estimate: the Gram form
-``|q|^2 + |r|^2 - 2 q.r`` (one matrix product) over the columns that hold
-only finite values, plus the exact terms of the other columns and the exact
-nominal count.  Each row's m best estimates (m = k, plus one when the row
-excludes an index) get exact cells, and the largest of them, c, bounds the
-row's answer: at least m cells lie within c.  Every cell whose estimate could
-still be within c is kept, by a rigorous error bound (Higham, *Accuracy and
-Stability of Numerical Algorithms*, section 3.1), and only the kept cells
-are computed exactly and sorted.  The estimate only filters cells, so the
-order of a BLAS product, its threads and fused multiply-adds never change a
-neighbour list.  A row whose norms could overflow, and a block whose kept
-cells are more than ``_MAX_SHORTLIST_SHARE`` of it, take the exact block
-instead.  So does every row of a query when no numeric column is finite on
-both sides (with no numeric column at all the nominal count is exact
-already) or when a row needs every reference row; such a query is never
-estimated.  Either way a block holds ``_BLOCK_CELLS // n_ref`` query rows,
-and at least ``_MIN_BLOCK_ROWS``.  The exact block picks from a shortlist: the
-cells no farther than each row's m-th smallest distance, found with
-``np.partition`` and ordered by distance, then index.  When ties make that
-shortlist more than half of a block, a stable ``argsort`` of the whole
-block picks them instead.  No option changes any of this.
+With numeric columns, a block is first estimated by one matrix product
+(:func:`_estimate`): the Gram form ``|q|^2 + |r|^2 - 2 q.r`` over the columns
+that hold only finite values and the nominal mismatch count come out of the
+same product, and the exact terms of the other columns are added to it.  The
+reference columns fall into strided groups, and each row's m-th smallest
+group minimum (m = k, plus one when the row excludes an index) bounds the
+row's answer: at least m cells lie within it.  Every cell whose estimate
+could still be within it is kept, by a rigorous error bound (Higham,
+*Accuracy and Stability of Numerical Algorithms*, section 3.1), and only the
+kept cells are computed exactly and sorted.  The estimate only filters
+cells, so the order of a BLAS product, its threads and fused multiply-adds
+never change a neighbour list.  A row whose norms could overflow, and a
+block whose kept cells are more than ``_MAX_SHORTLIST_SHARE`` of it, take
+the exact block instead.  So does every row of a query when no numeric
+column is finite on both sides (with no numeric column at all the nominal
+count is exact already) or when a row needs every reference row; such a
+query is never estimated.  Either way a block holds ``_BLOCK_CELLS //
+n_ref`` query rows, and at least ``_MIN_BLOCK_ROWS``.  The exact block picks
+from a shortlist: the cells no farther than each row's m-th smallest
+distance, found with ``np.partition`` and ordered by distance, then index.
+When ties make that shortlist more than half of a block, a stable
+``argsort`` of the whole block picks them instead.  No option changes any of
+this.
 """
 
 from __future__ import annotations
@@ -138,15 +141,18 @@ class Reference:
     """Encoded reference rows, prepared once by :func:`prepare_reference`.
 
     ``columns`` is the transpose of the :meth:`FeatureSpace.encode` pair's
-    numeric matrix, C-contiguous (a view of that column-major matrix), and
-    ``nominal`` its code matrix.  ``one_hot`` holds the rows' nominal
-    indicators (see :func:`_one_hot`): a constant 1, then one indicator
-    (code == 1) per column of ``two_valued``, the nominal columns whose codes
-    all lie in {0, 1}, then for every other column ``c`` one indicator per
-    code, ``offsets[c]:offsets[c] + widths[c]`` (width = the column's largest
-    code + 1, and 0 for a two-valued column).  ``finite`` marks the numeric
-    columns without a NaN or infinity; ``norms`` holds each row's squared
-    norm over them and ``max_norm`` the largest norm.
+    numeric matrix, C-contiguous, and ``nominal`` its code matrix.
+    ``one_hot`` holds the rows' nominal indicators (see :func:`_one_hot`): a
+    constant 1, then one indicator (code == 1) per column of ``two_valued``,
+    the nominal columns whose codes all lie in {0, 1}, then for every other
+    column ``c`` one indicator per code, ``offsets[c]:offsets[c] +
+    widths[c]`` (width = the column's largest code + 1, and 0 for a
+    two-valued column).  ``finite`` marks the numeric columns without a NaN
+    or infinity.  ``fused`` is the reference side of :func:`_estimate` over
+    them (see :func:`_fused`), None when no numeric column is finite, and
+    ``max_norm`` the largest norm in it.  When every numeric column is
+    finite, ``columns`` is a view of ``fused``'s first rows, so the numeric
+    matrix is held once; otherwise it is a view of the encoded matrix.
     """
 
     columns: np.ndarray
@@ -156,36 +162,43 @@ class Reference:
     offsets: np.ndarray
     one_hot: np.ndarray
     finite: np.ndarray
-    norms: np.ndarray
+    fused: np.ndarray | None
     max_norm: float
 
     @property
     def n(self) -> int:
         return self.columns.shape[1]
 
-    def gram(self, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """The numeric columns in ``mask`` (column-major), the rows' squared norms over them
-        and the largest norm."""
-        if np.array_equal(mask, self.finite):
-            cols = self.columns if mask.all() else self.columns[mask]
-            return cols, self.norms, self.max_norm
-        cols = self.columns[mask]
-        norms = np.einsum("ij,ij->j", cols, cols)
-        return cols, norms, _max_norm(norms)
 
+def _fused(rows: np.ndarray, one_hot: np.ndarray) -> tuple[np.ndarray, float]:
+    """The reference side of the fused estimate, and the largest norm in it.
 
-def _max_norm(squared: np.ndarray) -> float:
-    return math.sqrt(squared.max()) if squared.size else 0.0
+    One C-contiguous float64 matrix: the numeric ``rows`` (one per column),
+    a row of ones, the squared norms over ``rows``, ``one_hot`` transposed
+    and another row of ones.
+    """
+    f = rows.shape[0]
+    fused = np.empty((f + 3 + one_hot.shape[1], rows.shape[1]))
+    fused[:f] = rows
+    fused[f] = 1.0
+    with np.errstate(over="ignore"):
+        np.einsum("ij,ij->j", fused[:f], fused[:f], out=fused[f + 1])
+    fused[f + 2 : -1] = one_hot.T
+    fused[-1] = 1.0
+    return fused, math.sqrt(fused[f + 1].max(initial=0.0))
 
 
 def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
     """Everything :func:`neighbors` needs of the reference rows, built once.
 
     Besides the encoded pair it holds the nominal indicators (n_ref * 4
-    bytes per two-valued column, and per code of every other column) and the
-    rows' squared norms.  The numeric matrix is kept column-major: a view of
-    one from :meth:`FeatureSpace.encode` or :attr:`FeatureSpace.encoded`, a
-    copy of any other.
+    bytes per two-valued column, and per code of every other column) and,
+    when some numeric column is finite, the fused matrix of
+    :func:`_fused` (n_ref * 8 bytes per finite numeric column and per
+    indicator, plus three rows).  The fused matrix takes a copy of the
+    finite numeric columns; when they are all the columns, ``columns`` is a
+    view of that copy, and otherwise a view of the encoded column-major
+    numeric matrix (a copy of any other layout).
     """
     numeric, nominal = encoded
     n_ref, n_nominal = nominal.shape
@@ -201,19 +214,24 @@ def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
     for at in range(0, n_ref, chunk):
         _one_hot(nominal[at : at + chunk], *layout, one_hot[at : at + chunk], query=False)
     finite = np.isfinite(numeric).all(axis=0)
-    rows = numeric if finite.all() else numeric[:, finite]
-    with np.errstate(over="ignore"):
-        norms = np.einsum("ij,ij->i", rows, rows)
+    fused, max_norm = None, 0.0
+    if finite.all() and finite.size:
+        fused, max_norm = _fused(numeric.T, one_hot)
+        columns = fused[: finite.size]
+    else:
+        columns = np.ascontiguousarray(numeric.T)
+        if finite.any():
+            fused, max_norm = _fused(columns[finite], one_hot)
     return Reference(
-        columns=np.ascontiguousarray(numeric.T),
+        columns=columns,
         nominal=nominal,
         two_valued=two_valued,
         widths=widths,
         offsets=offsets,
         one_hot=one_hot,
         finite=finite,
-        norms=norms,
-        max_norm=_max_norm(norms),
+        fused=fused,
+        max_norm=max_norm,
     )
 
 
@@ -261,6 +279,9 @@ class _Buffers:
         n_numeric, n_nominal = reference.columns.shape[0], reference.nominal.shape[1]
         self.total = np.zeros((rows, reference.n))
         self.terms = np.empty_like(self.total) if n_numeric else None
+        if reference.fused is not None:
+            # the query side of the fused estimate, K columns wide at most
+            self.fused = np.empty((rows, reference.fused.shape[0]))
         if n_nominal:
             self.q_hot = np.empty((rows, reference.one_hot.shape[1]), dtype=np.float32)
             self.count = np.empty(self.total.shape, dtype=np.float32)
@@ -356,51 +377,100 @@ def _pair_distances(
     return np.sqrt(total, out=total)
 
 
-def _rounding_factor(reference: Reference) -> float:
-    """gamma_{D+3} = (D+3)u / (1 - (D+3)u) for D summed terms per cell (Higham, section 3.1)."""
-    n = reference.columns.shape[0] + reference.nominal.shape[1] + 3
+def _rounding_factor(reference: Reference, fused: np.ndarray) -> float:
+    """gamma_n = nu / (1 - nu) (Higham, section 3.1) for n = K + D + 3: the
+    ``fused`` matrix's K rows and the D summed terms of a cell."""
+    n = fused.shape[0] + reference.columns.shape[0] + reference.nominal.shape[1] + 3
     return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+
+
+def _fused_for(reference: Reference, mask: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`_fused` over the numeric columns in ``mask``, all of them finite: the
+    prepared one when ``mask`` is every finite column, else built anew."""
+    if np.array_equal(mask, reference.finite):
+        return reference.fused, reference.max_norm
+    return _fused(reference.columns[mask], reference.one_hot)
 
 
 def _estimate(
     q_num: np.ndarray,
     q_nom: np.ndarray,
     reference: Reference,
-    gram: tuple[np.ndarray, np.ndarray, float],
+    fused: tuple[np.ndarray, float],
     nan_cols: np.ndarray,
     buffers: _Buffers,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimated squared distances of a block of query rows, and each row's error bound.
 
-    The estimate, written in place, is ``|q|^2 + |r|^2 - 2 q.r`` over the
-    finite columns (``gram``), plus the exact terms of the non-finite columns
-    and the exact nominal count.  For a cell whose exact squared total is X,
-    the estimate errs by at most ``bound + 4 * gamma * X`` with
-    ``bound = 2 * gamma * (|q| + max |r|)^2``: the norms, the dot product and
-    both sums each err by at most gamma relative to the magnitudes they add,
-    in any order (Higham, section 3.1), plus ``_UNDERFLOW_SLACK`` for
-    operations that underflow.  A row whose norms could overflow gets an
-    infinite bound and must not use its estimates.
+    ``fused`` is :func:`_fused_for` over the columns outside ``nan_cols``:
+    R, with rows r (f finite columns), 1, |r|^2, the reference indicators
+    and 1, and the largest |r|.  The block fills Q with -2q, |q|^2, 1, minus
+    the query indicators and the nominal column count, so that one product
+    ``Q @ R`` gives ``|q|^2 + |r|^2 - 2 q.r + (n_nominal - matches)``.  The
+    exact terms of the ``nan_cols`` are then added one column at a time.
+
+    Error bound.  Let X be the kernel's own squared total of a cell
+    (:func:`_exact_totals`) and V the real sum of its terms, taking the terms
+    of the ``nan_cols`` as computed.  X adds D = n_numeric + n_nominal terms
+    of at most two roundings each in at most D - 1 additions, so |X - V| <=
+    gamma_{D+1} V.  The stored norms |q|^2 and |r|^2 err by at most gamma_f
+    relative.  The product sums its K = f + 3 + width terms in any order, so
+    it errs by at most gamma_K times the sum of their magnitudes (Higham,
+    section 3.1).  That sum is at most (1 + gamma_f)(|q| + |r|)^2 for the
+    numeric part, since |q.r| <= |q||r|, plus 3 n_nominal for the nominal
+    part: indicator 0 pairs a count of code 0 (at most one per two-valued
+    column) with 1, every other pair of indicators multiplies to -1, 0 or 1
+    with at most one nonzero pair per column, and the last pair is n_nominal
+    times 1.  Adding the g exact terms errs by gamma_g relative.  With gamma
+    = :func:`_rounding_factor` >= gamma_{K+D} these give |E - X| <= gamma
+    ((|q| + max |r|)^2 + 3 n_nominal) + 4 gamma X.  The returned ``bound`` is
+    twice that first term, which covers the rounding of the computed norms it
+    is made of, plus ``_UNDERFLOW_SLACK`` for operations that underflow.  No
+    magnitude in the product exceeds half of ``bound / gamma``, so where that
+    is finite nothing overflows; a row where it is not gets an infinite bound
+    and must not use its estimates.
     """
-    r_cols, r_norms, r_max = gram
-    gamma = _rounding_factor(reference)
-    q = q_num[:, ~nan_cols]
-    est = buffers.total[: q_num.shape[0]]
+    r_fused, r_max = fused
+    rows, n_nominal = q_num.shape[0], q_nom.shape[1]
+    f = r_fused.shape[0] - reference.one_hot.shape[1] - 3
+    gamma = _rounding_factor(reference, r_fused)
+    q = buffers.fused[:rows, : r_fused.shape[0]]
+    est = buffers.total[:rows]
     with np.errstate(over="ignore", invalid="ignore"):
-        q_norms = np.einsum("ij,ij->i", q, q)
-        reach = (np.sqrt(q_norms) + r_max) ** 2
-        # no term of an estimate exceeds reach, so 2 * reach finite means no overflow
+        np.compress(~nan_cols, q_num, axis=1, out=q[:, :f])
+        q_norms = q[:, f]
+        np.einsum("ij,ij->i", q[:, :f], q[:, :f], out=q_norms)
+        reach = (np.sqrt(q_norms) + r_max) ** 2 + 3.0 * n_nominal
         bound = np.where(np.isfinite(2.0 * reach), 2.0 * gamma * reach + _UNDERFLOW_SLACK, np.inf)
-        # scaling by -2 is exact, so the product is -2 q.r
-        q *= -2.0
-        np.matmul(q, r_cols, out=est)
-        est += q_norms[:, None]
-        est += r_norms
+        # scaling by -2 is exact
+        q[:, :f] *= -2.0
+        q[:, f + 1] = 1.0
+        hot = q[:, f + 2 : -1]
+        _one_hot(q_nom, reference.two_valued, reference.offsets, reference.widths, hot, query=True)
+        # not np.negative, which in numpy 2.4.6 negates a view whose rows lie
+        # 64 bytes apart in place from the wrong elements
+        hot *= -1.0
+        q[:, -1] = n_nominal
+        np.matmul(q, r_fused, out=est)
         exact_cols = np.flatnonzero(nan_cols)
         _add_terms(est, q_num, reference, exact_cols, nan_cols, buffers.terms, write_first=False)
-    if q_nom.shape[1]:
-        est += _mismatches(q_nom, reference, buffers)
     return est, bound
+
+
+def _groups(m: int, n_ref: int) -> int:
+    """Strided groups of reference columns whose minima give an estimated block's
+    cutoff: 16 per neighbour, or one per column when the reference has fewer
+    than twice as many columns.
+
+    The m-th smallest of G group minima is on average about the (m + m^2 /
+    2G)-th smallest estimate.  Measured with BLAS on one thread on a 1,747-row
+    query against 2,000 rows (m = 4) and a 10,000-row self-query (m = 11, 121
+    columns), 4 to 32 groups per neighbour took the same time within the
+    runs' spread; on the self-query rows kept 1.13 m cells at 4 groups per
+    neighbour, 1.03 m at 16 and 1.01 m at 32.
+    """
+    groups = 16 * m
+    return n_ref if n_ref < 2 * groups else groups
 
 
 def _shortlist_heads(
@@ -410,21 +480,31 @@ def _shortlist_heads(
     ``start:start + len(head)``, one block of rows at a time.
 
     When some numeric column is finite on both sides and a row needs fewer
-    cells than the reference holds, each block is estimated first.  Let c be
-    the largest exact distance among a row's m best estimates.  A cell at
-    distance <= c has an exact squared total X <= c^2 (1 + 2u), since
-    ``sqrt`` rounds correctly, so by :func:`_estimate`'s bound its estimate
-    is at most ``c^2 (1 + 6 gamma) + bound``.  Every such cell is kept, and
-    the row's m nearest are among them.  Every other row takes the exact
-    block, written in place into buffers that the next block reuses.
+    cells than the reference holds, each block is estimated first.  The
+    reference columns fall into G >= m strided groups (``_groups``), column
+    j into group j mod G, and the columns past the last whole slice of G
+    join the first groups.  Let t be a row's m-th smallest group minimum of
+    the estimates: m cells, one per group, have E <= t, so by
+    :func:`_estimate`'s bound their totals are X <= C^2 = (t + b)/(1 - 4
+    gamma).  ``sqrt`` rounds correctly, so the row's m-th smallest distance
+    is at most C (1 + u), and a cell no farther has X <= C^2 (1 + 5u) and an
+    estimate of at most C^2 (1 + 5u)(1 + 4 gamma) + b.  The block keeps every
+    cell within ``(t + b)(1 + 8 gamma)/(1 - 4 gamma) + 2b``, which exceeds
+    that despite the rounding of its own operations (gamma >= 8u), computes
+    only those cells exactly and sorts them; the row's m nearest are among
+    them.  Every other row takes the exact block, written in place into
+    buffers that the next block reuses.
     """
     q_num, q_nom = query
     nan_cols = _non_finite_columns(q_num, reference)
     estimated = m < reference.n and not nan_cols.all()
     rows = max(_MIN_BLOCK_ROWS, _BLOCK_CELLS // reference.n)
     if estimated:
-        gram = reference.gram(~nan_cols)
-        slack = 1.0 + 6.0 * _rounding_factor(reference)
+        fused = _fused_for(reference, ~nan_cols)
+        gamma = _rounding_factor(reference, fused[0])
+        grow = (1.0 + 8.0 * gamma) / (1.0 - 4.0 * gamma)
+        groups = _groups(m, reference.n)
+        whole = reference.n - reference.n % groups
     buffers = _Buffers(min(rows, q_num.shape[0]), reference)
     picks = np.arange(m)
     for start in range(0, q_num.shape[0], rows):
@@ -434,18 +514,21 @@ def _shortlist_heads(
         sure, exact = np.arange(0), np.arange(stop - start)
         if estimated:
             block = q_num[start:stop], q_nom[start:stop]
-            est, bound = _estimate(*block, reference, gram, nan_cols, buffers)
+            est, bound = _estimate(*block, reference, fused, nan_cols, buffers)
             sure = np.flatnonzero(np.isfinite(bound))
             exact = np.flatnonzero(~np.isfinite(bound))
         if sure.size:
             if exact.size:
-                est = est[sure]
+                est, bound = est[sure], bound[sure]
             at = start + sure
-            best = np.argpartition(est, m - 1, axis=1)[:, :m]
-            cutoff = _pair_distances(q_num, q_nom, np.repeat(at, m), reference, best.ravel())
-            cutoff = cutoff.reshape(-1, m).max(axis=1)
+            # each row's smallest estimate per group, one slice of G columns at
+            # a time; the columns past the last whole slice join the first groups
+            mins = np.minimum.reduce(est[:, :whole].reshape(sure.size, -1, groups), axis=1)
+            rest = est[:, whole:]
+            np.minimum(mins[:, : rest.shape[1]], rest, out=mins[:, : rest.shape[1]])
+            t = np.partition(mins, m - 1, axis=1)[:, m - 1]
             with np.errstate(over="ignore"):
-                limit = cutoff * cutoff * slack + bound[sure]
+                limit = (t + bound) * grow + 2.0 * bound
             kept = np.flatnonzero(est <= limit[:, None])
             if kept.size > _MAX_SHORTLIST_SHARE * est.size:
                 exact = np.arange(stop - start)

@@ -59,8 +59,9 @@ def mlknn_train(d_train: MultiLabelDataset, k_nn: int = 10, smoothing: float = 1
     if k_nn >= d_train.n:
         raise ValueError(f"k_nn ({k_nn}) must be smaller than the training size ({d_train.n})")
     space = FeatureSpace(d_train)
-    encoded = space.encoded
-    reference = prepare_reference(encoded)
+    reference = prepare_reference(space.encoded)
+    # the model holds the numeric matrix once: the reference's copy, when it took one
+    space.encoded = encoded = reference.columns.T, reference.nominal
     y = d_train.y
     n, k = y.shape
 

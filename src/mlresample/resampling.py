@@ -240,9 +240,9 @@ def _mlenn(d: MultiLabelDataset, config: MLENNConfig) -> tuple[MultiLabelDataset
         raise ValueError(f"need more instances ({d.n}) than neighbors ({nn})")
     before = profile(d)
     candidates = np.flatnonzero(~d.y[:, before.minority].any(axis=1))
-    encoded = FeatureSpace(d).encoded
-    query = (encoded[0][candidates], encoded[1][candidates])
-    nearest = neighbors(query, prepare_reference(encoded), nn, exclude=candidates)
+    reference = prepare_reference(FeatureSpace(d).encoded)
+    query = (reference.columns.T[candidates], reference.nominal[candidates])
+    nearest = neighbors(query, reference, nn, exclude=candidates)
     far = _adjusted_hamming(d.y[candidates, None, :], d.y[nearest]) > ht
     marked = candidates[np.count_nonzero(far, axis=1) >= nn / 2]
     out = d.subset(np.delete(np.arange(d.n), marked))

@@ -122,6 +122,29 @@ class TestSubset:
         assert rows(sub)[0] == rows(toy6)[5]
         assert sub.attributes == toy6.attributes
 
+    def test_an_integer_array_is_used_as_it_is(self, toy6):
+        class Unwalked(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("an index array was walked element by element")
+
+        sub = toy6.subset(np.array([5, 1, 5], dtype=np.int64).view(Unwalked))
+        assert [rows(sub)[i] for i in range(3)] == [rows(toy6)[i] for i in (5, 1, 5)]
+        assert toy6.subset(np.array([], dtype=np.intp)).n == 0
+
+    @pytest.mark.parametrize(
+        "indices", [[4, 0], range(4, -1, -4), (i for i in (4, 0)), np.array([4, 0], dtype=np.uint8)]
+    )
+    def test_lists_ranges_and_generators_still_work(self, toy6, indices):
+        assert toy6.subset(indices) == toy6.subset(np.array([4, 0]))
+        assert toy6.subset([]).n == 0
+
+    @pytest.mark.parametrize(
+        "indices", [np.ones(6, dtype=bool), [True, False], np.array([1.5]), [0.0, 2.0]]
+    )
+    def test_bool_and_float_indices_are_refused(self, toy6, indices):
+        with pytest.raises(ValueError, match="integer indices"):
+            toy6.subset(indices)
+
 
 class TestArrays:
     @settings(max_examples=150, deadline=None)

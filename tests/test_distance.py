@@ -352,7 +352,7 @@ def test_tie_heavy_blocks_take_the_full_sort(monkeypatch):
 
 def test_cells_one_ulp_apart_that_the_estimates_misorder():
     """Rows a few ulps apart: their exact distances differ by single ulps, which the
-    Gram estimates cannot resolve; only the exact re-rank orders them."""
+    fused estimates cannot resolve; only the exact re-rank orders them."""
     misordered = 0
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -363,7 +363,11 @@ def test_cells_one_ulp_apart_that_the_estimates_misorder():
         prepared = prepare_reference(reference)
         nan_cols = distance._non_finite_columns(query[0], prepared)
         est, _ = distance._estimate(
-            *query, prepared, prepared.gram(~nan_cols), nan_cols, distance._Buffers(1, prepared)
+            *query,
+            prepared,
+            distance._fused_for(prepared, ~nan_cols),
+            nan_cols,
+            distance._Buffers(1, prepared),
         )
         est, exact = est[0].copy(), oracle_distances(query, reference)[0]
         misordered += sum(
@@ -413,6 +417,125 @@ def test_estimates_anywhere_within_their_bound_give_the_same_lists(noise, case, 
         check_engine(case)
     finally:
         distance._estimate = real_estimate
+
+
+@st.composite
+def bound_cases(draw):
+    """(query, reference) of :func:`encoded_cases`, with the numeric values scaled
+    from far below 1 up to near overflow and the nominal codes spread over up
+    to 40 values.  Unscaled codes keep the two-valued columns."""
+    query, reference, *_ = draw(encoded_cases())
+    scale = draw(st.sampled_from([1.0, 1e-10, 1e-8, 1e100, 1e152, 1e153, 2e153]))
+    spread = draw(st.sampled_from([1, 5, 13]))
+
+    def widen(pair):
+        numeric, codes = pair
+        return numeric * scale, np.where(codes >= 0, codes * spread, codes)
+
+    return widen(query), widen(reference)
+
+
+# tiny numeric terms beside matching codes: the product's partial sums pass
+# through the nominal counts, and only the bound's nominal term covers that
+TINY_MATCHING = [((1e-9 * i, 2e-9), (i % 3, 7, 1)) for i in range(6)]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@settings(max_examples=300, deadline=None)
+@given(bound_cases())
+@example(tuple(encode_rows(TINY_MATCHING, 2, 3) for _ in range(2)))
+@example((encode_rows(HUGE_ROWS, 3, 0), encode_rows(HUGE_ROWS, 3, 0)))
+@example((encode_rows(MISSING_ROWS, 2, 1), encode_rows(MISSING_ROWS[::-1], 2, 1)))
+def test_the_fused_estimate_errs_by_at_most_its_bound(case):
+    """|E - X| <= bound + 4 gamma X for every cell of a row with a finite bound,
+    where X is the kernel's own squared total."""
+    query, reference = case
+    prepared = prepare_reference(reference)
+    nan_cols = distance._non_finite_columns(query[0], prepared)
+    if nan_cols.all():
+        return  # no numeric column to estimate with
+    fused = distance._fused_for(prepared, ~nan_cols)
+    buffers = distance._Buffers(query[0].shape[0], prepared)
+    est, bound = distance._estimate(*query, prepared, fused, nan_cols, buffers)
+    gamma = distance._rounding_factor(prepared, fused[0])
+    usable = np.isfinite(bound)
+    est, bound = est[usable], bound[usable, None]
+    exact = oracle_squared_distances(query, reference)[usable]
+    # an infinite term makes both totals infinite; every other cell is finite
+    assert np.array_equal(np.isinf(est), np.isinf(exact)) and not np.isnan(est).any()
+    finite = np.isfinite(exact)
+    error = np.abs(est - exact)[finite]
+    assert (error <= (bound + 4 * gamma * exact)[finite]).all()
+
+
+def run_recorded(monkeypatch, query, reference, k, exclude=None, groups=None):
+    """The engine's lists, checked against a full sort; returns the group counts
+    it chose and whether it built an exact block."""
+    real_groups, real_exact = distance._groups, distance._exact_totals
+    chosen, exact_blocks = [], []
+
+    def recording_groups(m, n_ref):
+        chosen.append(real_groups(m, n_ref) if groups is None else groups)
+        return chosen[-1]
+
+    def recording_exact(*args):
+        exact_blocks.append(args[0].shape[0])
+        return real_exact(*args)
+
+    monkeypatch.setattr(distance, "_groups", recording_groups)
+    monkeypatch.setattr(distance, "_exact_totals", recording_exact)
+    got = neighbors(query, prepare_reference(reference), k, exclude=exclude)
+    assert got.tolist() == oracle_encoded_neighbors(query, reference, k, exclude).tolist()
+    return chosen, bool(exact_blocks)
+
+
+def spread_rows(n, near):
+    """``n`` rows of one numeric column at 1 + j/1000, except the rows in ``near``
+    (index: value), and one nominal column of 0."""
+    values = [near.get(j, 1.0 + j / 1000) for j in range(n)]
+    return encode_rows([((v,), (0,)) for v in values], 1, 1)
+
+
+class TestCutoff:
+    """The estimated path's cutoff from the minima of strided column groups."""
+
+    QUERY = encode_rows([((0.0,), (0,)), ((0.5,), (0,))], 1, 1)
+
+    def test_the_nearest_rows_all_in_one_group(self, monkeypatch):
+        # 100 rows, m = 2: 32 groups; rows 5, 37 and 69 are group 5
+        reference = spread_rows(100, {5: 0.01, 37: 0.02, 69: 0.03})
+        chosen, exact = run_recorded(monkeypatch, self.QUERY, reference, 2)
+        assert chosen == [32] and not exact
+
+    def test_the_nearest_rows_among_the_columns_past_the_last_whole_slice(self, monkeypatch):
+        # 100 rows, 32 groups: columns 96-99 join groups 0-3
+        reference = spread_rows(100, {97: 0.01, 99: 0.02, 98: 0.5})
+        chosen, exact = run_recorded(monkeypatch, self.QUERY, reference, 3)
+        assert chosen == [48] and not exact
+        chosen, exact = run_recorded(monkeypatch, self.QUERY, reference, 1)
+        assert chosen == [16] and not exact
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_as_many_groups_as_neighbours(self, monkeypatch, m):
+        rng = np.random.default_rng(m)
+        reference = encode_rows([((v,), (c,)) for v, c in zip(rng.random(101), rng.integers(0, 3, 101))], 1, 1)
+        query = encode_rows([((v,), (c,)) for v, c in zip(rng.random(40), rng.integers(0, 3, 40))], 1, 1)
+        chosen, exact = run_recorded(monkeypatch, query, reference, m, groups=m)
+        assert chosen == [m] and not exact
+
+    def test_a_small_reference_has_one_group_per_column(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        reference = encode_rows([((a, b), ()) for a, b in rng.random((20, 2))], 2, 0)
+        exclude = np.arange(20)
+        chosen, exact = run_recorded(monkeypatch, reference, reference, 2, exclude=exclude)
+        assert chosen == [20] and not exact
+
+    def test_tie_heavy_rows_past_the_shortlist_share_take_the_exact_block(self, monkeypatch):
+        # 150 identical rows of 200 tie with every such row's 3rd nearest
+        rows = [((0.25,), (0,))] * 150 + [((1.0 + i,), (1,)) for i in range(50)]
+        enc = encode_rows(rows, 1, 1)
+        chosen, exact = run_recorded(monkeypatch, enc, enc, 2, exclude=np.arange(200))
+        assert chosen == [48] and exact
 
 
 @st.composite
@@ -560,8 +683,13 @@ def test_the_prepared_reference_keeps_the_encoded_numeric_matrix_once(d):
     raw = raw.reshape(d.n, len(columns))
     expected = (raw * space._scales - space._mins) / space._spans
     assert np.array_equal(numeric.view(np.uint64), expected.view(np.uint64))
-    columns = prepare_reference((numeric, np.zeros((d.n, 0), dtype=np.int64))).columns
+    # one numeric matrix: the fused matrix's first rows when every column is
+    # finite, and otherwise the encoded matrix itself
+    finite = np.isfinite(numeric).all()
+    prepared = prepare_reference((numeric, np.zeros((d.n, 0), dtype=np.int64)))
+    columns = prepared.columns
     assert columns.flags.c_contiguous and np.array_equal(columns.T, numeric, equal_nan=True)
-    assert numeric.size == 0 or np.shares_memory(columns, numeric)
-    own = prepare_reference(space.encoded).columns
-    assert numeric.size == 0 or np.shares_memory(own, space.encoded[0])
+    assert numeric.size == 0 or np.shares_memory(columns, prepared.fused if finite else numeric)
+    own = prepare_reference(space.encoded)
+    holder = own.fused if finite else space.encoded[0]
+    assert numeric.size == 0 or np.shares_memory(own.columns, holder)

@@ -36,6 +36,14 @@ class TestTraining:
         assert model.cond_active.sum(axis=1) == pytest.approx(np.ones(3))
         assert model.cond_inactive.sum(axis=1) == pytest.approx(np.ones(3))
 
+    def test_the_model_holds_the_numeric_matrix_once(self):
+        train, _ = separable_clusters(seed=1)
+        model = mlknn_train(train, k_nn=3)
+        numeric = model.space.encoded[0]
+        assert np.array_equal(numeric, model.space.encode(train)[0])
+        # the scaling's copy of the training rows is the reference's fused matrix
+        assert np.shares_memory(numeric, model.reference.fused)
+
     def test_k_nn_bounds(self, toy6):
         with pytest.raises(ValueError):
             mlknn_train(toy6, k_nn=6)
