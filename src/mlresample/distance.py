@@ -42,13 +42,17 @@ block whose kept cells are more than ``_MAX_SHORTLIST_SHARE`` of it, take
 the exact block instead.  So does every row of a query when no numeric
 column is finite on both sides (with no numeric column at all the nominal
 count is exact already) or when a row needs every reference row; such a
-query is never estimated.  Either way a block holds ``_BLOCK_CELLS //
-n_ref`` query rows, and at least ``_MIN_BLOCK_ROWS``.  The exact block picks
-from a shortlist: the cells no farther than each row's m-th smallest
-distance, found with ``np.partition`` and ordered by distance, then index.
-When ties make that shortlist more than half of a block, a stable
-``argsort`` of the whole block picks them instead.  No option changes any of
-this.
+query is never estimated.  A block holds ``_BLOCK_CELLS // n_ref`` query
+rows, and at least ``_MIN_NOMINAL_ROWS`` when the query has no numeric
+column or ``_MIN_BLOCK_ROWS`` when it has one (:func:`_block_rows`).  A
+query with nominal columns and no numeric one ranks its exact block on the
+float32 mismatch counts themselves: they are exact small integers and
+``sqrt`` is strictly monotone on them, so they order and tie as the
+distances do.  The exact block picks from a shortlist: the cells no
+farther than each row's m-th smallest distance, found with ``np.partition``
+and ordered by distance, then index.  When ties make that shortlist more
+than half of a block, a stable ``argsort`` of the whole block picks them
+instead.  No option changes any of this.
 """
 
 from __future__ import annotations
@@ -61,11 +65,11 @@ import numpy as np
 
 from .dataset import MultiLabelDataset
 
-# Distance cells per query block, down to _MIN_BLOCK_ROWS rows.  Up to about
-# 1000 reference rows it bounds the block's distance, temporary and sort
-# arrays; at 256 KB per array they stay in cache, which measured faster than
-# 2 MB blocks on 2000-8000 rows.  Beyond that the row floor sets the block:
-# 32 * n_ref cells, about 11 MB per float64 array at 43,907 reference rows.
+# Distance cells per query block, down to a row floor (_block_rows).  Up to
+# about 250 reference rows without numeric columns, and about 1000 with them,
+# it bounds the block's distance, temporary and sort arrays; at 256 KB
+# per array they stay in cache, which measured faster than 2 MB blocks on
+# 2000-8000 rows.  Beyond that the row floor sets the block.
 _BLOCK_CELLS = 1 << 15
 
 # Above this share of a block's cells the shortlist is slower than a stable
@@ -82,16 +86,24 @@ _BLOCK_CELLS = 1 << 15
 # re-ranked in 5.6 s against 3.0 s for the exact blocks.
 _MAX_SHORTLIST_SHARE = 0.5
 
-# Query rows per block, at least.  With fewer, the per-block numpy calls
-# outweigh the matrix products once the reference has thousands of rows, and
-# each product streams the whole reference for a few rows.  Estimated: on 8000
-# rows x 50 columns (k = 3) a self-query took 1.30 s at _BLOCK_CELLS alone (4
-# rows per block) against 0.71 s at 32 rows, and 64 or 128 rows gave no more
-# than 3% over 32.  Exact: on 6000 binary rows x 500 columns (k = 10,
-# exclude, BLAS on one thread) a self-query took 3.2-3.5 s at 5 rows per
-# block and 0.84-0.90 s at 32.  128 rows took 0.59-0.63 s, for four times
-# the block memory.
+# Query rows per block, at least, with numeric columns.  With fewer, the
+# per-block numpy calls outweigh the matrix products once the reference has
+# thousands of rows.  On 8000 rows x 50 columns (k = 3) a self-query took
+# 1.30 s at _BLOCK_CELLS alone (4 rows per block) against 0.71 s at 32 rows,
+# and 64 or 128 rows gave no more than 3% over 32.  A query that is never
+# estimated sums its terms column by column over the block, which slows once
+# the block leaves the cache: 4000 rows x 20 columns, each holding a NaN
+# (k = 10, BLAS on one thread), took 1.0 s at 32 rows and 1.2 s at 128.
 _MIN_BLOCK_ROWS = 32
+
+# Query rows per block, at least, without numeric columns.  The block is one
+# matrix product, which streams the whole reference indicator matrix, so
+# more rows per block read it fewer times.  13,766 rows x 500 binary columns
+# (k = 10, exclude, BLAS on one thread) took 4.9 s at 32 rows of float64
+# distances and 2.6-2.7 s at 128 rows of float32 counts.  Such a block holds
+# about 9 bytes per cell (counts, their partitioned copy and the shortlist
+# mask): 51 MB at 43,907 reference rows.
+_MIN_NOMINAL_ROWS = 128
 
 _UNIT_ROUNDOFF = 2.0**-53
 # An operation that underflows errs by at most 2**-1075 beyond its relative
@@ -277,14 +289,16 @@ class _Buffers:
 
     def __init__(self, rows: int, reference: Reference):
         n_numeric, n_nominal = reference.columns.shape[0], reference.nominal.shape[1]
-        self.total = np.zeros((rows, reference.n))
-        self.terms = np.empty_like(self.total) if n_numeric else None
+        if n_numeric or not n_nominal:
+            # a query of nominal columns alone ranks on its float32 counts
+            self.total = np.zeros((rows, reference.n))
+            self.terms = np.empty_like(self.total) if n_numeric else None
         if reference.fused is not None:
             # the query side of the fused estimate, K columns wide at most
             self.fused = np.empty((rows, reference.fused.shape[0]))
         if n_nominal:
             self.q_hot = np.empty((rows, reference.one_hot.shape[1]), dtype=np.float32)
-            self.count = np.empty(self.total.shape, dtype=np.float32)
+            self.count = np.empty((rows, reference.n), dtype=np.float32)
 
 
 def _add_terms(
@@ -342,17 +356,17 @@ def _exact_totals(
 
     Numeric terms are summed column by column in attribute order, then the
     nominal mismatch count is added, so every cell is bit-identical to a
-    per-column sum of the HEOM terms.
+    per-column sum of the HEOM terms.  With nominal columns alone the totals
+    are the float32 mismatch counts themselves: integer sums from 0.0, exact
+    whatever the order.
     """
     n_numeric, n_nominal = q_num.shape[1], q_nom.shape[1]
+    if n_nominal and not n_numeric:
+        return _mismatches(q_nom, reference, buffers)
     total = buffers.total[: q_num.shape[0]]
     _add_terms(total, q_num, reference, range(n_numeric), nan_cols, buffers.terms, write_first=True)
     if n_nominal:
-        count = _mismatches(q_nom, reference, buffers)
-        if not n_numeric:
-            total[...] = count  # integer sums from 0.0: exact whatever the order
-        else:
-            _add_ones(total, count)
+        _add_ones(total, _mismatches(q_nom, reference, buffers))
     return total
 
 
@@ -473,6 +487,13 @@ def _groups(m: int, n_ref: int) -> int:
     return n_ref if n_ref < 2 * groups else groups
 
 
+def _block_rows(n_numeric: int, n_ref: int) -> int:
+    """Query rows per block against ``n_ref`` reference rows: ``_BLOCK_CELLS //
+    n_ref``, and at least ``_MIN_BLOCK_ROWS`` when the query has numeric
+    columns (``n_numeric`` > 0) or ``_MIN_NOMINAL_ROWS`` when it has none."""
+    return max(_MIN_BLOCK_ROWS if n_numeric else _MIN_NOMINAL_ROWS, _BLOCK_CELLS // n_ref)
+
+
 def _shortlist_heads(
     query: tuple[np.ndarray, np.ndarray], reference: Reference, m: int
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -498,7 +519,7 @@ def _shortlist_heads(
     q_num, q_nom = query
     nan_cols = _non_finite_columns(q_num, reference)
     estimated = m < reference.n and not nan_cols.all()
-    rows = max(_MIN_BLOCK_ROWS, _BLOCK_CELLS // reference.n)
+    rows = _block_rows(q_num.shape[1], reference.n)
     if estimated:
         fused = _fused_for(reference, ~nan_cols)
         gamma = _rounding_factor(reference, fused[0])
@@ -543,7 +564,11 @@ def _shortlist_heads(
         if exact.size:
             at = start + exact
             total = _exact_totals(q_num[at], q_nom[at], reference, nan_cols, buffers)
-            head[exact] = _nearest(np.sqrt(total, out=total), m)
+            if q_num.shape[1]:
+                np.sqrt(total, out=total)
+            # without numeric columns the totals are counts (or all 0), which
+            # sqrt maps strictly increasingly: they rank as the distances do
+            head[exact] = _nearest(total, m)
         yield start, head
 
 

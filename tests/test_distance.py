@@ -124,16 +124,19 @@ class TestNeighborsArguments:
 
 def full_matrix(query, reference):
     """Every distance cell from the engine's exact kernel, one block of query rows
-    at a time in the block buffers that every block reuses, blocked as the engine blocks."""
+    at a time in the block buffers that every block reuses, blocked as the engine
+    blocks.  The float32 counts of a query without numeric columns take their
+    square root in float64."""
     prepared = prepare_reference(reference)
     q_num, q_nom = query
-    rows = max(distance._MIN_BLOCK_ROWS, distance._BLOCK_CELLS // prepared.n)
+    rows = distance._block_rows(q_num.shape[1], prepared.n)
     buffers = distance._Buffers(min(rows, q_num.shape[0]), prepared)
     nan_cols = distance._non_finite_columns(q_num, prepared)
     blocks = []
     for at in range(0, q_num.shape[0], rows):
         block = q_num[at : at + rows], q_nom[at : at + rows]
-        blocks.append(np.sqrt(distance._exact_totals(*block, prepared, nan_cols, buffers)))
+        totals = distance._exact_totals(*block, prepared, nan_cols, buffers)
+        blocks.append(np.sqrt(totals, dtype=np.float64))
     return np.concatenate(blocks) if blocks else np.zeros((0, prepared.n))
 
 
@@ -148,7 +151,7 @@ COARSE_VALUES = [0.0, 0.25, 1 / 3, 0.5, 1.0, math.nan, math.inf]
 NUMERIC_VALUES = st.sampled_from(COARSE_VALUES) | st.floats(-2, 2)
 
 
-ENGINE_BLOCKS = distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS
+ENGINE_BLOCKS = distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS, distance._MIN_NOMINAL_ROWS
 
 
 @st.composite
@@ -157,11 +160,11 @@ def encoded_cases(draw):
 
     Rows repeat a few distinct ones, so many distances tie.  The query is the
     reference itself, a subset of its rows (as MLeNN asks) or other rows.
-    ``blocks`` is the engine's (block cells, row floor).  In the binary-heavy
-    mode the reference's codes lie in {0, 1} and some of its columns hold only
-    0; the other query rows also hold codes of 2 or more, past the
-    reference's width, and -1 appears in the reference's rows or in those
-    other rows, never both.
+    ``blocks`` is the engine's (block cells, row floor with numeric columns,
+    row floor without).  In the binary-heavy mode the reference's codes lie
+    in {0, 1} and some of its columns hold only 0; the other query rows also
+    hold codes of 2 or more, past the reference's width, and -1 appears in
+    the reference's rows or in those other rows, never both.
     """
     binary = draw(st.booleans())
     n_numeric, n_nominal = draw(st.integers(0, 4)), draw(st.integers(0, 5))
@@ -199,7 +202,7 @@ def encoded_cases(draw):
     query = encode_rows(query_rows, n_numeric, n_nominal)
     exclude = np.array(own, dtype=np.intp) if n_ref > 1 and draw(st.booleans()) else None
     k = draw(st.integers(1, n_ref - (exclude is not None)))
-    return query, reference, k, exclude, draw(st.sampled_from([(1, 1), (7, 1), ENGINE_BLOCKS]))
+    return query, reference, k, exclude, draw(st.sampled_from([(1, 1, 1), (7, 1, 1), ENGINE_BLOCKS]))
 
 
 def pinned_case(numeric, k, exclude, nominal=None):
@@ -226,13 +229,17 @@ def binary_rows(n, seed, codes, zero_columns=()):
     return [((), tuple(distinct[i])) for i in rng.integers(0, 5, n)]
 
 
-# one query row more, and one fewer, than the row floor, over one block cell
-# per reference row, so that the floor alone sets the blocks.  The reference
-# is two-valued and its third column holds only 0; the query holds missing
-# codes, codes past the reference's width and 1 in that column.
-FLOOR_BLOCKS = 1, distance._MIN_BLOCK_ROWS
-FLOOR_SELF = binary_rows(FLOOR_BLOCKS[1] + 1, 0, (0, 1), zero_columns=[2])
-FLOOR_QUERY = binary_rows(FLOOR_BLOCKS[1] - 1, 4, (-1, 0, 1, 2))
+# one query row more, and one fewer, than the nominal row floor, over one block
+# cell per reference row, so that the floor alone sets the blocks.  The
+# reference is two-valued and its third column holds only 0; the query holds
+# missing codes, codes past the reference's width and 1 in that column.
+FLOOR_BLOCKS = 1, distance._MIN_BLOCK_ROWS, distance._MIN_NOMINAL_ROWS
+FLOOR_SELF = binary_rows(distance._MIN_NOMINAL_ROWS + 1, 0, (0, 1), zero_columns=[2])
+FLOOR_QUERY = binary_rows(distance._MIN_NOMINAL_ROWS - 1, 4, (-1, 0, 1, 2))
+# the same codes beside a numeric column, finite (estimated) or with a NaN
+# (never estimated): blocks of the lower floor
+NUMERIC_FLOOR = [((i / 10,), codes) for i, (_, codes) in enumerate(FLOOR_SELF)]
+NAN_FLOOR = [((math.nan,), NUMERIC_FLOOR[0][1])] + NUMERIC_FLOOR[1:]
 
 
 UNIT_GRID = [((v,), ()) for v in (0.0, 0.25, 0.5, 0.75, 1.0)]
@@ -245,6 +252,7 @@ MISSING_ROWS = [
     ((0.5, 0.5), (-1,)), ((math.nan, math.nan), (-1,)),
 ]
 NOMINAL_ROWS = [((), (a, b)) for a, b in [(0, 1), (1, 1), (-1, 0), (0, 1), (2, -1), (1, 0)]]
+NO_COLUMNS = [((), ())] * 5
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
@@ -263,6 +271,12 @@ NOMINAL_ROWS = [((), (a, b)) for a, b in [(0, 1), (1, 1), (-1, 0), (0, 1), (2, -
 # a reference without numeric columns: the nominal count is exact already
 @example(rect_case(NOMINAL_ROWS, NOMINAL_ROWS, 3, exclude=range(6)))
 @example(rect_case(NOMINAL_ROWS[2:4], NOMINAL_ROWS, 2))
+# nominal columns only, k plus the excluded index spans the whole reference:
+# the stable argsort of the counts
+@example(rect_case(NOMINAL_ROWS, NOMINAL_ROWS, 5, exclude=range(6)))
+# no columns at all: every distance is 0
+@example(rect_case(NO_COLUMNS, NO_COLUMNS, 2, exclude=range(5)))
+@example(rect_case(NO_COLUMNS[:2], NO_COLUMNS, 5))
 # k plus the excluded index spans the whole reference: the full stable sort
 @example(pinned_case([0.0, 1.0, 0.5, 0.5, 1.0], 4, exclude=True))
 @example(pinned_case([0.0, 1.0, 0.5, 0.5, 1.0], 5, exclude=False))
@@ -273,9 +287,12 @@ NOMINAL_ROWS = [((), (a, b)) for a, b in [(0, 1), (1, 1), (-1, 0), (0, 1), (2, -
 @example(pinned_case([0.0, 0.0, 0.0, math.nan, 1.0], 2, exclude=True))
 # two mismatches after a numeric term: 0.49 + 1.0 + 1.0 is not 0.49 + 2.0
 @example(pinned_case([0.0, 0.7], 1, exclude=False, nominal=[(0, 0), (1, 1)]))
-# two-valued columns, blocked by the row floor: 33 rows in two blocks, 31 in one
+# two-valued columns, blocked by the nominal row floor: 129 rows in two
+# blocks, 127 in one; with a numeric column, 129 rows in five blocks
 @example(rect_case(FLOOR_SELF, FLOOR_SELF, 3, exclude=range(len(FLOOR_SELF)), blocks=FLOOR_BLOCKS))
 @example(rect_case(FLOOR_QUERY, FLOOR_SELF, 4, blocks=FLOOR_BLOCKS))
+@example(rect_case(NUMERIC_FLOOR, NUMERIC_FLOOR, 3, exclude=range(129), blocks=FLOOR_BLOCKS))
+@example(rect_case(NAN_FLOOR, NAN_FLOOR, 3, exclude=range(129), blocks=FLOOR_BLOCKS))
 def test_engine_matches_the_per_column_kernel_and_a_full_sort(case):
     check_engine(case)
 
@@ -290,8 +307,9 @@ def estimates(case):
 
 def check_engine(case):
     query, reference, k, exclude, blocks = case
-    saved = distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS, distance._estimate
-    real_estimate = saved[2]
+    floors = "_BLOCK_CELLS", "_MIN_BLOCK_ROWS", "_MIN_NOMINAL_ROWS"
+    saved = [getattr(distance, name) for name in floors], distance._estimate
+    real_estimate = saved[1]
     estimated = []
 
     def recording_estimate(*args):
@@ -299,13 +317,16 @@ def check_engine(case):
         return real_estimate(*args)
 
     try:
-        # small cells and a floor of 1 give several blocks on either path
-        distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS = blocks
+        # small cells and floors of 1 give several blocks on either path
+        for name, value in zip(floors, blocks):
+            setattr(distance, name, value)
         distance._estimate = recording_estimate
         got_cells = full_matrix(query, reference)
         got = neighbors(query, prepare_reference(reference), k, exclude=exclude)
     finally:
-        distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS, distance._estimate = saved
+        for name, value in zip(floors, saved[0]):
+            setattr(distance, name, value)
+        distance._estimate = saved[1]
     want_cells = oracle_distances(query, reference)
     assert np.array_equal(got_cells.view(np.uint64), want_cells.view(np.uint64))
     # the re-rank's cells, taken pair by pair, are the same bits
@@ -348,6 +369,86 @@ def test_tie_heavy_blocks_take_the_full_sort(monkeypatch):
     got = neighbors(enc, prepare_reference(enc), 2, exclude=np.arange(80))
     assert sorted_shapes == [(80, 80)]
     assert got.tolist() == oracle_encoded_neighbors(enc, enc, 2, np.arange(80)).tolist()
+
+
+def word_rows(n, seed, repeated=0):
+    """``n`` rows of 40 binary words, each set with probability 0.1; the last
+    ``repeated`` rows are copies of one row."""
+    words = (np.random.default_rng(seed).random((n, 40)) < 0.1).astype(np.int64)
+    words[n - repeated :] = words[0]
+    return np.zeros((n, 0)), words
+
+
+class TestExactBlocks:
+    """A query without numeric columns takes blocks of at least
+    ``_MIN_NOMINAL_ROWS`` rows, ranked on the float32 mismatch counts; one
+    with numeric columns keeps ``_MIN_BLOCK_ROWS``."""
+
+    def run(self, monkeypatch, query, reference, k, exclude=None):
+        """The engine's lists, checked against a full sort; returns the (rows, dtype)
+        of every block it ranked and the shapes it sorted whole."""
+        ranked, sorted_shapes = [], []
+        real_nearest, real_argsort = distance._nearest, np.argsort
+
+        def recording_nearest(block, m):
+            ranked.append((block.shape[0], block.dtype))
+            return real_nearest(block, m)
+
+        def recording_argsort(a, *args, **kwargs):
+            sorted_shapes.append(a.shape)
+            return real_argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(distance, "_nearest", recording_nearest)
+        monkeypatch.setattr(distance.np, "argsort", recording_argsort)
+        got = neighbors(query, prepare_reference(reference), k, exclude=exclude)
+        monkeypatch.undo()
+        assert got.tolist() == oracle_encoded_neighbors(query, reference, k, exclude).tolist()
+        return ranked, sorted_shapes
+
+    @pytest.mark.parametrize("n", [distance._MIN_NOMINAL_ROWS - 1, distance._MIN_NOMINAL_ROWS + 1])
+    def test_one_row_fewer_and_one_more_than_the_floor(self, monkeypatch, n):
+        monkeypatch.setattr(distance, "_BLOCK_CELLS", 1)
+        enc = word_rows(n, n)
+        ranked, _ = self.run(monkeypatch, enc, enc, 4, exclude=np.arange(n))
+        floor = distance._MIN_NOMINAL_ROWS
+        assert ranked == [(min(n, floor), np.float32)] + [(1, np.float32)] * (n > floor)
+
+    def test_the_floor_holds_beyond_the_block_cells(self, monkeypatch):
+        # 300 reference rows: _BLOCK_CELLS alone would give blocks of 109 rows
+        enc = word_rows(300, 1)
+        ranked, _ = self.run(monkeypatch, enc, enc, 10, exclude=np.arange(300))
+        assert ranked == [(128, np.float32), (128, np.float32), (44, np.float32)]
+
+    def test_k_plus_the_excluded_index_spans_the_reference(self, monkeypatch):
+        enc = word_rows(30, 2, repeated=10)
+        ranked, sorted_shapes = self.run(monkeypatch, enc, enc, 29, exclude=np.arange(30))
+        assert ranked == [(30, np.float32)] and sorted_shapes == [(30, 30)]
+
+    def test_tie_heavy_blocks_past_the_shortlist_share_take_the_full_sort(self, monkeypatch):
+        # row 0 and its 280 copies, of 300 rows: each ties with 280 others at 0
+        enc = word_rows(300, 3, repeated=280)
+        ranked, sorted_shapes = self.run(monkeypatch, enc, enc, 3, exclude=np.arange(300))
+        assert [rows for rows, _ in ranked] == [128, 128, 44]
+        assert sorted_shapes == [(128, 300), (128, 300), (44, 300)]
+
+    def test_a_query_without_columns_ranks_float64_zeros(self, monkeypatch):
+        enc = np.zeros((5, 0)), np.zeros((5, 0), dtype=np.int64)
+        ranked, _ = self.run(monkeypatch, enc, enc, 2, exclude=np.arange(5))
+        assert ranked == [(5, np.float64)]
+        got = neighbors(enc, prepare_reference(enc), 2, exclude=np.arange(5))
+        assert got.tolist() == [[1, 2], [0, 2], [0, 1], [0, 1], [0, 1]]
+
+    def test_numeric_columns_keep_the_lower_floor(self, monkeypatch):
+        # one NaN: never estimated, and ranked on float64 distances
+        monkeypatch.setattr(distance, "_BLOCK_CELLS", 1)
+        enc = encode_rows(NAN_FLOOR, 1, 4)
+        ranked, _ = self.run(monkeypatch, enc, enc, 3, exclude=np.arange(129))
+        assert ranked == [(32, np.float64)] * 4 + [(1, np.float64)]
+
+    def test_no_float64_block_buffers(self):
+        prepared = prepare_reference(word_rows(50, 4))
+        buffers = distance._Buffers(10, prepared)
+        assert not hasattr(buffers, "total") and buffers.count.shape == (10, 50)
 
 
 def test_cells_one_ulp_apart_that_the_estimates_misorder():
@@ -558,13 +659,13 @@ def test_block_size_never_changes_the_answer(d):
     # every other row needs every cell; the nearest one leaves room for estimates
     for k in {max(d.n - 1, 1), 1}:
         whole = neighbors(enc, prepare_reference(enc), k, exclude=exclude)
-        original = distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS
+        original = distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS, distance._MIN_NOMINAL_ROWS
         try:
             # one query row per block on the estimated path as well as the exact one
-            distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS = 1, 1
+            distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS, distance._MIN_NOMINAL_ROWS = 1, 1, 1
             one_row = neighbors(enc, prepare_reference(enc), k, exclude=exclude)
         finally:
-            distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS = original
+            distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS, distance._MIN_NOMINAL_ROWS = original
         assert np.array_equal(whole, one_row)
 
 

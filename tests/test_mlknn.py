@@ -7,9 +7,11 @@ from mlresample import (
     mlknn_predict,
     mlknn_train,
 )
+from mlresample import distance
 from mlresample.synthetic import separable_clusters
 
 from conftest import make_dataset
+from _oracles import oracle_encoded_neighbors
 
 
 class TestTraining:
@@ -98,3 +100,61 @@ class TestPrediction:
         report = evaluate(test.y, mlknn_predict(model, test))
         assert report.hamming_loss == 0.0
         assert report.f_measure == 1.0
+
+
+def bag_of_words(seed, n, n_words=60, n_labels=4):
+    """``n`` rows of binary words, each set with a probability from 2% to 20%;
+    label l is active where word l is set, or at random one time in ten."""
+    rng = np.random.default_rng(seed)
+    words = (rng.random((n, n_words)) < rng.uniform(0.02, 0.2, n_words)).astype(int)
+    active = (words[:, :n_labels] == 1) | (rng.random((n, n_labels)) < 0.1)
+    attrs = [AttributeSpec(f"w{j}", values=("0", "1")) for j in range(n_words)]
+    labels = tuple(f"L{l}" for l in range(n_labels))
+    return make_dataset(attrs, labels, [(tuple(w), np.flatnonzero(a)) for w, a in zip(words, active)])
+
+
+class TestAllNominal:
+    """ML-kNN on binary words: every neighbour query is all-nominal."""
+
+    K_NN = 10
+
+    def test_training_counts_and_predictions_follow_the_oracle_neighbours(self, monkeypatch):
+        # 300 training rows: more than two blocks of the nominal row floor
+        train, test = bag_of_words(0, 300), bag_of_words(1, 80)
+        ranked = []
+        real_nearest = distance._nearest
+
+        def recording_nearest(block, m):
+            ranked.append((block.shape[0], block.dtype))
+            return real_nearest(block, m)
+
+        monkeypatch.setattr(distance, "_nearest", recording_nearest)
+        model = mlknn_train(train, k_nn=self.K_NN)
+        predictions = mlknn_predict(model, test)
+        monkeypatch.undo()
+        assert ranked == [(128, np.float32), (128, np.float32), (44, np.float32), (80, np.float32)]
+
+        encoded = model.space.encode(train)
+        exclude = np.arange(train.n)
+        nearest = oracle_encoded_neighbors(encoded, encoded, self.K_NN, exclude)
+        counts = train.y[nearest].sum(axis=1)
+        # the conditionals, counted one training row and label at a time
+        labels = range(train.k)
+        for l in labels:
+            for active, cond in ((True, model.cond_active), (False, model.cond_inactive)):
+                rows = [i for i in range(train.n) if train.y[i, l] == active]
+                for c in range(self.K_NN + 1):
+                    hits = sum(counts[i, l] == c for i in rows)
+                    want = (1.0 + hits) / (1.0 * (self.K_NN + 1) + len(rows))
+                    assert cond[l, c] == pytest.approx(want, rel=1e-15)
+
+        test_nearest = oracle_encoded_neighbors(model.space.encode(test), encoded, self.K_NN)
+        test_counts = train.y[test_nearest].sum(axis=1)
+        for i in range(test.n):
+            for l in labels:
+                p_active = model.prior[l] * model.cond_active[l, test_counts[i, l]]
+                p_inactive = (1 - model.prior[l]) * model.cond_inactive[l, test_counts[i, l]]
+                assert predictions.scores[i, l] == pytest.approx(
+                    p_active / (p_active + p_inactive), rel=1e-15
+                )
+        assert np.array_equal(predictions.bipartition, predictions.scores > 0.5)
