@@ -15,6 +15,13 @@ The XML header lists the label attributes; nested label hierarchies are
 flattened to their name list in document order.  Label columns must hold
 0/1, and at least one ARFF attribute must be a feature, not a label.
 
+Text sets declare hundreds to thousands of identical ``{0,1}`` attributes,
+so the schema is derived once per distinct declaration: the header pass
+splits and unquotes each distinct type text once per file, and the reader,
+the line matcher and the writer each build the tables of a value list once
+and share them among its columns.  Nothing is kept from one parse or
+formatter to the next, and every error still names its own line.
+
 The parser reads the data section in blocks of stripped lines, which take
 one of three shapes; a clean block is ASCII without a quote, a missing
 value ``?`` or an underscore.  In a clean dense block (no brace), a column
@@ -55,7 +62,8 @@ block offers lines.  :func:`write_mulan` takes per output row the input
 row it came from, copies that line when the row's features are the
 source's, with the row's own tail, and spells a source whose line it
 cannot copy once.  One predicate, :func:`_one_character`, says where the
-run starts for the reader, the matcher and the writer.  The writer quotes
+run starts for the reader and the writer, and the matcher takes the
+reader's run.  The writer quotes
 every name and value holding whitespace or ARFF syntax, and rejects one
 holding a line break, or a label name holding a character XML 1.0 lacks,
 because neither would read back.
@@ -154,40 +162,58 @@ def _take_token(text: str, line_no: int) -> tuple[str, str]:
         if end < 0:
             raise MulanFormatError("unterminated quote", line_no)
         return text[1:end], text[end + 1 :]
-    for i, ch in enumerate(text):
-        if ch.isspace():
-            return text[:i], text[i:]
-    return text, ""
+    # split, like str.isspace, ends a token at any whitespace character
+    token, *rest = text.split(None, 1)
+    return token, "".join(rest)
 
 
-def _parse_attribute(rest: str, line_no: int) -> AttributeSpec:
-    name, remainder = _take_token(rest, line_no)
-    kind = remainder.strip()
-    if not kind:
-        raise MulanFormatError(f"attribute {name!r} has no type", line_no)
-    if kind.startswith("{"):
-        if not kind.endswith("}"):
-            raise MulanFormatError(f"attribute {name!r}: unterminated value list", line_no)
-        raw = _split(kind[1:-1], ",", line_no)
-        values = tuple(_unquote(v) for v in raw)
-        if any(v == "" for v in values):
-            raise MulanFormatError(f"attribute {name!r}: empty nominal value", line_no)
-        try:
-            return AttributeSpec(name=name, values=values)
-        except ValueError as exc:
-            raise MulanFormatError(str(exc), line_no) from exc
-    if kind.lower() in _NUMERIC_KINDS:
-        return AttributeSpec(name=name)
-    raise MulanFormatError(f"attribute {name!r}: unsupported type {kind!r}", line_no)
+def _parse_attribute(
+    rest: str, line_no: int, declared: dict[str, tuple[str, ...] | None]
+) -> AttributeSpec:
+    """The attribute of an ``@attribute`` line, ``rest`` being the text after
+    the keyword.  ``declared`` maps each type text met before in the file to
+    its value list, None for numeric, so that each distinct declaration is
+    split and unquoted once; a type text that fails is not kept."""
+    name, kind = _take_token(rest, line_no)
+    kind = kind.strip()
+    if kind not in declared:
+        if not kind:
+            raise MulanFormatError(f"attribute {name!r} has no type", line_no)
+        if kind.startswith("{"):
+            if not kind.endswith("}"):
+                raise MulanFormatError(f"attribute {name!r}: unterminated value list", line_no)
+            values = tuple(_unquote(v) for v in _split(kind[1:-1], ",", line_no))
+            if any(v == "" for v in values):
+                raise MulanFormatError(f"attribute {name!r}: empty nominal value", line_no)
+            declared[kind] = values
+        elif kind.lower() in _NUMERIC_KINDS:
+            declared[kind] = None
+        else:
+            raise MulanFormatError(f"attribute {name!r}: unsupported type {kind!r}", line_no)
+    try:
+        return AttributeSpec(name=name, values=declared[kind])
+    except ValueError as exc:
+        raise MulanFormatError(str(exc), line_no) from exc
 
 
-def _nominal_index(attr: AttributeSpec) -> dict[str, int]:
+def _distinct_values(
+    attributes: Sequence[AttributeSpec],
+) -> tuple[list[tuple[str, ...] | None], list[int]]:
+    """The distinct value lists of ``attributes`` in order of first use, None
+    for numeric, and per attribute the position of its own among them, so
+    that a table of a value list is built once and shared by its columns."""
+    distinct: dict[tuple[str, ...] | None, int] = {}
+    at = [distinct.setdefault(attr.values, len(distinct)) for attr in attributes]
+    return list(distinct), at
+
+
+def _nominal_index(values: tuple[str, ...]) -> dict[str, int]:
     """Value index of every raw token that names a declared value, quoted or not.
 
     ``?`` is left out: it is the missing value even where a value is spelled ``?``.
     """
     index = {}
-    for i, value in enumerate(attr.values):
+    for i, value in enumerate(values):
         index[f"'{value}'"] = i
         index[f'"{value}"'] = i
         # the row path strips its tokens, so only a value without whitespace
@@ -198,17 +224,19 @@ def _nominal_index(attr: AttributeSpec) -> dict[str, int]:
     return index
 
 
-def _one_character(attr: AttributeSpec) -> bool:
-    """Whether ``attr`` is nominal and every value it declares is one ASCII
-    character that the writer writes bare, so that each of its cells is one
-    byte for the reader, the matcher and the writer alike."""
-    return attr.is_nominal and all(len(v) == 1 and v.isascii() and _bare(v) for v in attr.values)
+def _one_character(values: tuple[str, ...] | None) -> bool:
+    """Whether ``values`` is a nominal value list of which every value is one
+    ASCII character that the writer writes bare, so that each cell of its
+    columns is one byte for the reader, the matcher and the writer alike."""
+    return values is not None and all(len(v) == 1 and v.isascii() and _bare(v) for v in values)
 
 
-def _run_start(attributes: tuple[AttributeSpec, ...]) -> int:
-    """Where the trailing run of one-character attributes starts."""
-    start = len(attributes)
-    while start and _one_character(attributes[start - 1]):
+def _run_start(distinct: list[tuple[str, ...] | None], at: list[int]) -> int:
+    """Where the trailing run of one-character columns starts, given the
+    distinct value lists and each column's position among them."""
+    one = [_one_character(values) for values in distinct]
+    start = len(at)
+    while start and one[at[start - 1]]:
         start -= 1
     return start
 
@@ -216,8 +244,10 @@ def _run_start(attributes: tuple[AttributeSpec, ...]) -> int:
 class _RowParser:
     """Decodes the data lines of one attribute schema into the dataset's arrays.
 
-    Each column gets its decoder once: a ``token -> index`` dict lookup for a
-    nominal column, ``float`` for a numeric one.  :meth:`cells` decodes a
+    Each distinct value list gets its tables once, and its columns share
+    them: a ``token -> index`` dict lookup as the decoder of a nominal
+    column, ``float`` for a numeric one, and the byte codes and label
+    numbers of a one-character list.  :meth:`cells` decodes a
     block of lines into floats, by column where it can (:meth:`_dense`,
     :meth:`_sparse`), else through :meth:`row`, which decodes one line cell
     by cell and raises the error naming the first bad token.  Only
@@ -230,22 +260,26 @@ class _RowParser:
 
     def __init__(self, columns: tuple[AttributeSpec, ...], label_names: tuple[str, ...]):
         self.columns = columns
-        indexes = [_nominal_index(attr) if attr.is_nominal else None for attr in columns]
-        self.decoders = [float if index is None else index.__getitem__ for index in indexes]
+        self.distinct, self.at = distinct, at = _distinct_values(columns)
+        decoders = [float if v is None else _nominal_index(v).__getitem__ for v in distinct]
+        self.decoders = [decoders[g] for g in at]
         # the trailing run of one-character columns, from self.head on, and per
         # such column the code of each byte its decoder reads, -1 for the rest
-        self.head = _run_start(columns)
+        self.head = _run_start(distinct, at)
         # numpy reads the numeric columns before them as float() does, and the
         # nominal ones through their decoders
         self.head_converters = {
             j: decode for j, decode in enumerate(self.decoders[: self.head]) if decode is not float
         }
-        self.tail_codes = np.full((len(columns) - self.head, 256), -1, np.int16)
-        for codes, attr in zip(self.tail_codes, columns[self.head :]):
-            codes[list(map(ord, attr.values))] = range(len(attr.values))
+        tail = at[self.head :]
+        codes = np.full((len(distinct), 256), -1, np.int16)
+        for g in set(tail):
+            codes[g, list(map(ord, distinct[g]))] = range(len(distinct[g]))
+        self.tail_codes = codes[tail]
         self.defaults = [0 if attr.is_nominal else 0.0 for attr in columns]
+        names = set(label_names)
         self.finite = np.array(
-            [not attr.is_nominal and attr.name not in label_names for attr in columns], bool
+            [not attr.is_nominal and attr.name not in names for attr in columns], bool
         )
         # the label columns in XML order (a label missing from the ARFF
         # attributes is reported after the data), and the feature columns
@@ -260,11 +294,12 @@ class _RowParser:
         self.nominal_labels = [
             j for j, i in enumerate(self.label_columns) if columns[i].is_nominal
         ]
-        nominal = [columns[self.label_columns[j]] for j in self.nominal_labels]
-        width = max((len(attr.values) for attr in nominal), default=0) + 1
-        self.label_numbers = np.array(
-            [_label_numbers(attr, width) for attr in nominal]
-        ).reshape(len(nominal), width)
+        nominal = [at[self.label_columns[j]] for j in self.nominal_labels]
+        width = max((len(distinct[g]) for g in set(nominal)), default=0) + 1
+        numbers = np.empty((len(distinct), width))
+        for g in set(nominal):
+            numbers[g] = _label_numbers(distinct[g], width)
+        self.label_numbers = numbers[nominal]
 
     def cell(self, i: int, token: str, line_no: int) -> float | int | None:
         if token == "?":
@@ -488,14 +523,14 @@ def _check_label(value: float | int | None, attr: AttributeSpec, line_no: int) -
         raise MulanFormatError(f"non-binary value {value!r} in label column {attr.name!r}", line_no)
 
 
-def _label_numbers(attr: AttributeSpec, width: int) -> np.ndarray:
-    """The number each code of a nominal label column reads as, NaN unless it is 0 or 1.
+def _label_numbers(values: tuple[str, ...], width: int) -> np.ndarray:
+    """The number each code of a nominal label's ``values`` reads as, NaN unless it is 0 or 1.
 
     ``width`` exceeds the number of codes, so the NaN entry at the end is what
     the missing code -1 picks.
     """
     numbers = np.full(width, np.nan)
-    for code, symbol in enumerate(attr.values):
+    for code, symbol in enumerate(values):
         try:
             number = float(symbol)
         except ValueError:
@@ -531,18 +566,22 @@ def _writer_lines(parser: _RowParser) -> Callable[[list[str], np.ndarray], np.nd
     """
     if parser.feature_columns + parser.label_columns != list(range(len(parser.columns))):
         return None
-    features, head = parser.columns[: len(parser.feature_columns)], parser.head
-    if not head or _run_start(features) != head:
+    # the writer's run starts where the parser's does when it starts among the
+    # features, that is when every label is one-character
+    head, distinct, at = parser.head, parser.distinct, parser.at
+    if not head or head > len(parser.feature_columns):
         return None
-    nominal = [j for j, attr in enumerate(features[:head]) if attr.is_nominal]
+    nominal = [j for j in range(head) if distinct[at[j]] is not None]
     # per nominal head column, the size of each value the writer writes bare,
     # -1 for the others
-    width = max((len(features[j].values) for j in nominal), default=0)
-    sizes = np.full((len(nominal), width), -1, np.intp)
-    for row, j in zip(sizes, nominal):
-        for code, value in enumerate(features[j].values):
+    lists = {at[j] for j in nominal}
+    width = max((len(distinct[g]) for g in lists), default=0)
+    sizes = np.full((len(distinct), width), -1, np.intp)
+    for g in lists:
+        for code, value in enumerate(distinct[g]):
             if _bare(value):
-                row[code] = len(value)
+                sizes[g, code] = len(value)
+    sizes = sizes[[at[j] for j in nominal]]
 
     def match(heads: list[str], codes: np.ndarray) -> np.ndarray:
         if not heads:  # the empty last block
@@ -604,6 +643,7 @@ def _parse(
 
     relation = "unnamed"
     columns: list[AttributeSpec] = []
+    declared: dict[str, tuple[str, ...] | None] = {}
     # every _PARSE_ROWS data lines are decoded into arrays, so that their
     # tokens never exist as Python objects all at once
     blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -632,7 +672,7 @@ def _parse(
         elif line.lower().startswith("@relation"):
             relation, _ = _take_token(line[len("@relation") :], line_no)
         elif line.lower().startswith("@attribute"):
-            columns.append(_parse_attribute(line[len("@attribute") :], line_no))
+            columns.append(_parse_attribute(line[len("@attribute") :], line_no, declared))
         elif line.lower().startswith("@data"):
             in_data = True
             parser = _RowParser(tuple(columns), label_names)
@@ -750,7 +790,8 @@ class RowFormatter:
     def __init__(self, attributes: tuple[AttributeSpec, ...], k: int):
         self.attributes = attributes
         self.k = k
-        self._head = _run_start(attributes)
+        self._distinct, self._at = _distinct_values(attributes)
+        self._head = _run_start(self._distinct, self._at)
         # the nominal attributes in the head come before those in the run
         self._head_codes = sum(attr.is_nominal for attr in attributes[: self._head])
         n_numeric = sum(not attr.is_nominal for attr in attributes)
@@ -764,28 +805,37 @@ class RowFormatter:
     @cached_property
     def declarations(self) -> list[str]:
         """The ``@attribute`` line of each feature."""
-        return [
-            f"@attribute {_quote(attr.name)} "
-            + ("{" + ",".join(map(_quote, attr.values)) + "}" if attr.is_nominal else "numeric")
-            for attr in self.attributes
-        ]
+        # each value list is quoted once, after the name of its first
+        # attribute, so that the first token the writer cannot write raises
+        spelled: dict[int, str] = {}
+        lines = []
+        for attr, g in zip(self.attributes, self._at):
+            name = _quote(attr.name)
+            if g not in spelled:
+                values = self._distinct[g]
+                spelled[g] = "numeric" if values is None else "{" + ",".join(map(_quote, values)) + "}"
+            lines.append(f"@attribute {name} {spelled[g]}")
+        return lines
 
     @cached_property
     def _symbols(self) -> list[tuple[str, ...]]:
         """Per nominal attribute of the head its quoted symbols, then the "?"
         that the missing code -1 picks."""
-        head = self.attributes[: self._head]
-        return [(*(_quote(v) for v in attr.values), "?") for attr in head if attr.is_nominal]
+        at = [g for g in self._at[: self._head] if self._distinct[g] is not None]
+        symbols = {g: (*map(_quote, self._distinct[g]), "?") for g in dict.fromkeys(at)}
+        return [symbols[g] for g in at]
 
     @cached_property
     def _letters(self) -> np.ndarray:
         """Per tail cell, the run's attributes and then the labels, "?" and
         then the byte of each code, so that code ``c`` is at ``c + 1``."""
-        cells = [attr.values for attr in self.attributes[self._head :]] + [("0", "1")] * self.k
-        letters = np.zeros((len(cells), 1 + max(map(len, cells), default=0)), np.uint8)
-        for row, values in zip(letters, cells):
-            row[: 1 + len(values)] = list(("?" + "".join(values)).encode())
-        return letters
+        values = [*self._distinct, ("0", "1")]
+        cells = self._at[self._head :] + [len(self._distinct)] * self.k
+        used = set(cells)
+        letters = np.zeros((len(values), 1 + max((len(values[g]) for g in used), default=0)), np.uint8)
+        for g in used:
+            letters[g, : 1 + len(values[g])] = list(("?" + "".join(values[g])).encode())
+        return letters[cells]
 
     def _tails(self, codes: np.ndarray, y: np.ndarray) -> str:
         """The tails of the rows, spelled as bytes one after the other, each a

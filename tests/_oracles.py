@@ -14,8 +14,8 @@ from itertools import groupby
 
 import numpy as np
 
-from mlresample import MulanFormatError
-from mlresample.arff import _bare, _run_start
+from mlresample import AttributeSpec, MulanFormatError
+from mlresample.arff import _NUMERIC_KINDS, _bare, _split, _unquote
 
 
 Row = namedtuple("Row", "features labels")
@@ -432,6 +432,82 @@ def oracle_split(text, sep, line_no) -> list[str]:
     return parts
 
 
+def oracle_take_token(text: str, line_no: int) -> tuple[str, str]:
+    """The ARFF reader's original ``_take_token``: split off one (possibly
+    quoted) leading token, returning (token, rest), with a scan over every
+    character."""
+    text = text.lstrip()
+    if not text:
+        raise MulanFormatError("missing token", line_no)
+    if text[0] in "'\"":
+        quote = text[0]
+        end = text.find(quote, 1)
+        if end < 0:
+            raise MulanFormatError("unterminated quote", line_no)
+        return text[1:end], text[end + 1 :]
+    for i, ch in enumerate(text):
+        if ch.isspace():
+            return text[:i], text[i:]
+    return text, ""
+
+
+def oracle_parse_attribute(rest: str, line_no: int) -> AttributeSpec:
+    """The ARFF reader's original ``_parse_attribute``, one ``@attribute``
+    line at a time."""
+    name, remainder = oracle_take_token(rest, line_no)
+    kind = remainder.strip()
+    if not kind:
+        raise MulanFormatError(f"attribute {name!r} has no type", line_no)
+    if kind.startswith("{"):
+        if not kind.endswith("}"):
+            raise MulanFormatError(f"attribute {name!r}: unterminated value list", line_no)
+        raw = _split(kind[1:-1], ",", line_no)
+        values = tuple(_unquote(v) for v in raw)
+        if any(v == "" for v in values):
+            raise MulanFormatError(f"attribute {name!r}: empty nominal value", line_no)
+        try:
+            return AttributeSpec(name=name, values=values)
+        except ValueError as exc:
+            raise MulanFormatError(str(exc), line_no) from exc
+    if kind.lower() in _NUMERIC_KINDS:
+        return AttributeSpec(name=name)
+    raise MulanFormatError(f"attribute {name!r}: unsupported type {kind!r}", line_no)
+
+
+def oracle_nominal_index(attr: AttributeSpec) -> dict[str, int]:
+    """The ARFF reader's original ``_nominal_index``: value index of every
+    raw token that names a declared value, quoted or not, built per column.
+
+    ``?`` is left out: it is the missing value even where a value is spelled ``?``.
+    """
+    index = {}
+    for i, value in enumerate(attr.values):
+        index[f"'{value}'"] = i
+        index[f'"{value}"'] = i
+        # the row path strips its tokens, so only a value without whitespace
+        # at its edges can be named unquoted
+        if _unquote(value) == value and value == value.strip():
+            index[value] = i
+    index.pop("?", None)
+    return index
+
+
+def oracle_one_character(attr: AttributeSpec) -> bool:
+    """The ARFF reader's original ``_one_character``: whether ``attr`` is
+    nominal and every value it declares is one ASCII character that the
+    writer writes bare."""
+    return attr.is_nominal and all(len(v) == 1 and v.isascii() and _bare(v) for v in attr.values)
+
+
+def oracle_run_start(attributes) -> int:
+    """The ARFF reader's original ``_run_start``: where the trailing run of
+    one-character attributes starts, one attribute at a time."""
+    start = len(attributes)
+    while start and oracle_one_character(attributes[start - 1]):
+        start -= 1
+    return start
+
+
 def _oracle_quote(text) -> str:
     if text and not any(c.isspace() or c in ",{}%'\"" for c in text):
         return text
@@ -501,7 +577,7 @@ def oracle_writer_lines(parser):
     if parser.feature_columns + parser.label_columns != list(range(len(parser.columns))):
         return None
     features = parser.columns[: len(parser.feature_columns)]
-    head = _run_start(features)
+    head = oracle_run_start(features)
     if not head:
         return None
     cells = []

@@ -24,7 +24,17 @@ from mlresample.arff import RowFormatter, _split, parse_label_header
 
 from conftest import datasets, make_dataset, spelled_heads
 from mlresample import AttributeSpec
-from _oracles import CANONICAL_NUMBER, oracle_split, oracle_write_mulan, oracle_writer_lines, rows
+from _oracles import (
+    CANONICAL_NUMBER,
+    oracle_nominal_index,
+    oracle_parse_attribute,
+    oracle_run_start,
+    oracle_split,
+    oracle_take_token,
+    oracle_write_mulan,
+    oracle_writer_lines,
+    rows,
+)
 
 XML_TWO = """<?xml version="1.0" encoding="utf-8"?>
 <labels xmlns="http://mulan.sourceforge.net/labels">
@@ -32,6 +42,7 @@ XML_TWO = """<?xml version="1.0" encoding="utf-8"?>
   <label name="q"></label>
 </labels>
 """
+XML_P = '<labels><label name="p"></label></labels>'
 
 DENSE_TWO = """@relation demo
 @attribute height numeric
@@ -150,6 +161,35 @@ class TestParseErrors:
     def test_missing_data_section(self):
         with pytest.raises(MulanFormatError, match="@data"):
             parse_mulan("@relation x\n@attribute a numeric\n", XML_TWO)
+
+    @pytest.mark.parametrize("kind", ["numeric", "{x,y}"])
+    def test_empty_attribute_name_reports_its_line(self, kind):
+        text = f"@relation r\n@attribute '' {kind}\n@attribute p {{0,1}}\n@data\n"
+        with pytest.raises(MulanFormatError, match="attribute name must be non-empty") as err:
+            parse_mulan(text, XML_P)
+        assert err.value.line == 2
+
+
+class TestReusedDeclarations:
+    """An attribute whose type text an earlier line declared takes its value
+    list, and still raises the errors of its own line."""
+
+    def test_empty_name_reports_its_own_line(self):
+        text = "@relation r\n@attribute a {x,y}\n@attribute '' {x,y}\n@attribute p {0,1}\n@data\n"
+        with pytest.raises(MulanFormatError, match="attribute name must be non-empty") as err:
+            parse_mulan(text, XML_P)
+        assert err.value.line == 3
+
+    def test_duplicate_values_report_the_first_line(self):
+        text = "@relation r\n@attribute a {x,x}\n@attribute b {x,x}\n@attribute p {0,1}\n@data\n"
+        with pytest.raises(MulanFormatError, match="'a' declares duplicate values") as err:
+            parse_mulan(text, XML_P)
+        assert err.value.line == 2
+
+    def test_duplicate_names_with_one_type_text(self):
+        text = "@relation r\n@attribute a {x,y}\n@attribute a {x,y}\n@attribute p {0,1}\n@data\nx,y,1\n"
+        with pytest.raises(MulanFormatError, match="duplicate attribute names"):
+            parse_mulan(text, XML_P)
 
 
 class TestQuotedTokens:
@@ -360,6 +400,143 @@ def test_tokeniser_matches_character_scanner(line):
         assert (str(err.value), err.value.line) == (str(exc), exc.line)
     else:
         assert _split(line, ",", 3) == expected
+
+
+def test_name_token_ends_at_every_whitespace_character():
+    """The name of an ``@attribute`` line ends where the per-character scan
+    ended it; the type text after it is stripped."""
+    for c in map(chr, range(0x110000)):
+        token, rest = arff._take_token(f"a{c}b ", 2)
+        expected, remainder = oracle_take_token(f"a{c}b ", 2)
+        assert (token, rest.strip()) == (expected, remainder.strip()), repr(c)
+
+
+# type texts that declare the same value lists in other spellings, and ones
+# that fail, each with its own message
+GOOD_TYPES = ["{0,1}", "{ 0 , 1 }", "{'0',\"1\"}", "{a,bb,c}", "numeric", "REAL", "Integer"]
+BAD_TYPES = ["{x,x}", "{a,}", "{a", "{'a,b}", "string", ""]
+HEADER_NAMES = ["w0", "w1", "w2", "T0", "T1", "a b", ""]
+
+
+@st.composite
+def headers(draw):
+    """An ARFF header whose attributes repeat a few type texts, with bare or
+    quoted names separated from their type by a space, a tab or ``\\x1f``,
+    and in one header of four a bad type text; with an XML header whose
+    labels are the last attributes, in the writer's order, or some of the
+    names, each an attribute or not."""
+    n = draw(st.integers(1, 10))
+    bad = draw(st.integers(0, 4 * n - 1))
+    lines, names = ["@relation r"], []
+    for i in range(n):
+        # the empty name, which only quotes spell, in about one line of ten
+        name = draw(st.sampled_from(HEADER_NAMES[:-1] if draw(st.integers(0, 9)) else HEADER_NAMES))
+        names.append(name)
+        if not name or " " in name or draw(st.booleans()):
+            quote = draw(st.sampled_from("'\""))
+            name = quote + name + quote
+        kind = draw(st.sampled_from(BAD_TYPES if i == bad else GOOD_TYPES))
+        lines.append(f"@attribute {name}{draw(st.sampled_from([' ', '  ', chr(9), chr(31)]))}{kind}")
+    if draw(st.booleans()):
+        labels = list(dict.fromkeys(names[-draw(st.integers(1, min(n, 3))) :]))
+    else:
+        labels = draw(st.lists(st.sampled_from(HEADER_NAMES[:-1]), min_size=1, max_size=4, unique=True))
+    labels = [name for name in labels if name] or ["T0"]
+    xml = "<labels>" + "".join(f'<label name="{name}"></label>' for name in labels) + "</labels>"
+    return "\n".join([*lines, "@data", ""]), xml, tuple(labels)
+
+
+def read_parser(arff_text, xml_text):
+    """The row parser that ``read_mulan`` built and whether its line matcher
+    was made; or the format error its header raised."""
+    made = []
+    writer_lines = arff._writer_lines
+
+    def recorded(parser):
+        made.append((parser, writer_lines(parser)))
+        return made[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arff, "_writer_lines", recorded)
+        try:
+            arff.read_mulan(arff_text, xml_text)
+        except MulanFormatError as exc:
+            if not made:
+                return exc
+    return made[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(headers())
+def test_schema_tables_match_the_per_column_functions(header):
+    """Each distinct declaration is parsed once and its tables are shared by
+    its columns; every table equals the one the per-line functions build
+    for each column alone, and a bad declaration raises the same message at
+    the same line."""
+    arff_text, xml_text, labels = header
+    columns = []
+    try:
+        for line_no, line in enumerate(arff_text.splitlines()[1:-1], start=2):
+            columns.append(oracle_parse_attribute(line[len("@attribute") :], line_no))
+    except ValueError as exc:
+        # the per-line function lets the name error of a numeric attribute
+        # escape without its line, which the reader now adds
+        if not isinstance(exc, MulanFormatError):
+            exc = MulanFormatError(str(exc), line_no)
+        error = read_parser(arff_text, xml_text)
+        assert isinstance(error, MulanFormatError)
+        assert (str(error), error.line) == (str(exc), exc.line)
+        return
+    parser, match = read_parser(arff_text, xml_text)
+    assert list(parser.columns) == columns
+    head = oracle_run_start(columns)
+    assert parser.head == head
+    assert sorted(parser.head_converters) == [j for j in range(head) if columns[j].is_nominal]
+    tail_codes = np.full((len(columns) - head, 256), -1, np.int16)
+    for codes, attr in zip(tail_codes, columns[head:]):
+        codes[[ord(v) for v in attr.values]] = range(len(attr.values))
+    assert parser.tail_codes.dtype == np.int16
+    assert np.array_equal(parser.tail_codes, tail_codes)
+    finite = [not attr.is_nominal and attr.name not in labels for attr in columns]
+    assert parser.finite.tolist() == finite
+    nominal = [columns[i] for i in parser.label_columns if columns[i].is_nominal]
+    width = max((len(attr.values) for attr in nominal), default=0) + 1
+    numbers = np.full((len(nominal), width), np.nan)
+    for row, attr in zip(numbers, nominal):
+        for code, value in enumerate(attr.values):
+            try:
+                number = float(value)
+            except ValueError:
+                continue
+            if number in (0.0, 1.0):
+                row[code] = number
+    assert np.array_equal(parser.label_numbers, numbers, equal_nan=True)
+    # one decoder per distinct value list, numeric columns sharing float
+    assert len(set(map(id, parser.decoders))) == len({attr.values for attr in columns})
+    for attr, decode in zip(columns, parser.decoders):
+        if not attr.is_nominal:
+            assert decode is float
+            continue
+        index = oracle_nominal_index(attr)
+        for token in [spelled for v in attr.values for spelled in (v, f"'{v}'", f'"{v}"', f" {v}")]:
+            expected = index.get(token)
+            if expected is None:
+                with pytest.raises(KeyError):
+                    decode(token)
+            else:
+                assert decode(token) == expected
+    # a matcher needs the columns in the writer's order, a head, and the
+    # writer's run, over the features alone, to start where the parser's does
+    features = tuple(columns[i] for i in parser.feature_columns)
+    in_order = parser.feature_columns + parser.label_columns == list(range(len(columns)))
+    assert (match is not None) == (in_order and 0 < head == oracle_run_start(features))
+    formatter = RowFormatter(features, len(parser.label_columns))
+    assert formatter._head == oracle_run_start(features)
+    assert formatter.declarations == [
+        f"@attribute {arff._quote(attr.name)} "
+        + ("{" + ",".join(map(arff._quote, attr.values)) + "}" if attr.is_nominal else "numeric")
+        for attr in features
+    ]
 
 
 @settings(max_examples=60, deadline=None)

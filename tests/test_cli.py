@@ -85,6 +85,15 @@ class TestInfo:
         assert code == 2
         assert "line" in err
 
+    def test_empty_numeric_attribute_name_exits_2(self, toy6_files, tmp_path):
+        """A file error, with its line, not a bad parameter."""
+        _, xml = toy6_files
+        bad = tmp_path / "bad.arff"
+        bad.write_text("@relation x\n@attribute '' numeric\n@attribute A {0,1}\n@data\n1.0,1\n")
+        code, _, err = run_cli(["info", bad, xml])
+        assert code == 2
+        assert "line 2: attribute name must be non-empty" in err
+
     def test_non_finite_value_exits_2(self, toy6_files, tmp_path):
         _, xml = toy6_files
         bad = tmp_path / "bad.arff"
