@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import MultiLabelDataset
 from .metrics import profile
-from .resampling import AddedInstance, ResampleMethod, ResampleReport, _check_run, _report, resample
+from .resampling import AddedInstance, ResampleMethod, ResampleReport, _check_run, _report, _resample
 
 PERCENTILE_PRESETS = (0.25, 0.37, 0.50, 0.62, 0.75)
 
@@ -130,7 +130,8 @@ def hybrid_resample(
     """
     _check_run(method, seed)
     decoupled_d, first = remedial(d, decouple)
-    out, second = resample(decoupled_d, method, seed)
+    # the decoupling pass has profiled the decoupled dataset already
+    out, second = _resample(decoupled_d, method, seed, first.profile_after)
     return out, ResampleReport(
         instances_before=d.n,
         instances_after=out.n,

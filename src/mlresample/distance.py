@@ -16,15 +16,18 @@ distance matrix: one loop walks the query a block of rows at a time.
 Every distance that decides a neighbour is an *exact cell*: numeric terms
 summed column by column in attribute order (a NaN term counts 1.0), then one
 ``+1.0`` per mismatching nominal column, then ``sqrt``.  In an exact
-block the nominal mismatch count of all columns comes from one float32
-matrix product of code indicators (``n_nominal - q_hot @ r_hot.T``), which
-is exact because it only adds small integers; the estimate takes the same
-indicators in float64.  A column whose reference codes all lie in {0, 1}, such
-as a binary word, has one indicator: x = (code == 1) on the reference side
-and v = 2x - present on the query side (present: the code is 0 or 1).  A
-query code equals a reference code in present_q - x_q + v * x_r of them, and
-the first two terms, summed over such columns, are one more indicator
-against a constant 1.  Every other column has one indicator per code.
+block the nominal mismatch count of all columns comes from one matrix
+product of code indicators (``n_nominal - q_hot @ r_hot.T``), which is
+exact because it only adds small integers.  The reference indicators are
+held once: as float64 rows of the estimate's fused matrix when it exists,
+which the exact block and the estimate both multiply, and otherwise as a
+float32 matrix of their own.  A column whose reference codes all lie in {0,
+1}, such as a binary word, has one indicator: x = (code == 1) on the
+reference side and v = 2x - present on the query side (present: the code is
+0 or 1).  A query code equals a reference code in present_q - x_q + v * x_r
+of them, and the first two terms, summed over such columns, are one more
+indicator against a constant 1.  Every other column has one indicator per
+code.
 
 With numeric columns, a block is first estimated by one matrix product
 (:func:`_estimate`): the Gram form ``|q|^2 + |r|^2 - 2 q.r`` over the columns
@@ -113,10 +116,8 @@ _UNDERFLOW_SLACK = 2.0**-1000
 
 
 class FeatureSpace:
-    """Precomputed scaling for one attribute schema, anchored to a reference dataset.
-
-    ``encoded`` is the reference's own :meth:`encode` pair.
-    """
+    """Precomputed scaling for one attribute schema, anchored to a reference
+    dataset; it holds no encoded rows, which :meth:`encode` returns."""
 
     def __init__(self, reference: MultiLabelDataset):
         self.attributes = reference.attributes
@@ -133,7 +134,6 @@ class FeatureSpace:
         self._scales = scales
         self._mins = lo
         self._spans = np.where(hi > lo, hi - lo, 1.0)
-        self.encoded = self.encode(reference)
 
     def encode(self, d: MultiLabelDataset) -> tuple[np.ndarray, np.ndarray]:
         """Scaled numeric matrix (NaN = missing) and nominal code matrix (-1 = missing) of ``d``.
@@ -154,17 +154,19 @@ class Reference:
 
     ``columns`` is the transpose of the :meth:`FeatureSpace.encode` pair's
     numeric matrix, C-contiguous, and ``nominal`` its code matrix.
-    ``one_hot`` holds the rows' nominal indicators (see :func:`_one_hot`): a
-    constant 1, then one indicator (code == 1) per column of ``two_valued``,
-    the nominal columns whose codes all lie in {0, 1}, then for every other
-    column ``c`` one indicator per code, ``offsets[c]:offsets[c] +
-    widths[c]`` (width = the column's largest code + 1, and 0 for a
-    two-valued column).  ``finite`` marks the numeric columns without a NaN
-    or infinity.  ``fused`` is the reference side of :func:`_estimate` over
-    them (see :func:`_fused`), None when no numeric column is finite, and
-    ``max_norm`` the largest norm in it.  When every numeric column is
-    finite, ``columns`` is a view of ``fused``'s first rows, so the numeric
-    matrix is held once; otherwise it is a view of the encoded matrix.
+    ``one_hot`` holds the rows' nominal indicators, one row per reference
+    row (see :func:`_one_hot`): a constant 1, then one indicator (code == 1)
+    per column of ``two_valued``, the nominal columns whose codes all lie in
+    {0, 1}, then for every other column ``c`` one indicator per code,
+    ``offsets[c]:offsets[c] + widths[c]`` (width = the column's largest code
+    + 1, and 0 for a two-valued column).  ``finite`` marks the numeric
+    columns without a NaN or infinity.  ``fused`` is the reference side of
+    :func:`_estimate` over them (see :func:`_fused`), None when no numeric
+    column is finite, and ``max_norm`` the largest norm in it.  Each value
+    is held once: ``one_hot`` is the transpose of ``fused``'s float64
+    indicator rows when ``fused`` exists, and a float32 matrix of its own
+    otherwise.  When every numeric column is finite, ``columns`` is a view
+    of ``fused``'s first rows; otherwise it is a view of the encoded matrix.
     """
 
     columns: np.ndarray
@@ -182,20 +184,19 @@ class Reference:
         return self.columns.shape[1]
 
 
-def _fused(rows: np.ndarray, one_hot: np.ndarray) -> tuple[np.ndarray, float]:
+def _fused(rows: np.ndarray, width: int) -> tuple[np.ndarray, float]:
     """The reference side of the fused estimate, and the largest norm in it.
 
     One C-contiguous float64 matrix: the numeric ``rows`` (one per column),
-    a row of ones, the squared norms over ``rows``, ``one_hot`` transposed
-    and another row of ones.
+    a row of ones, the squared norms over ``rows``, ``width`` rows for the
+    nominal indicators, which the caller writes, and another row of ones.
     """
     f = rows.shape[0]
-    fused = np.empty((f + 3 + one_hot.shape[1], rows.shape[1]))
+    fused = np.empty((f + 3 + width, rows.shape[1]))
     fused[:f] = rows
     fused[f] = 1.0
     with np.errstate(over="ignore"):
         np.einsum("ij,ij->j", fused[:f], fused[:f], out=fused[f + 1])
-    fused[f + 2 : -1] = one_hot.T
     fused[-1] = 1.0
     return fused, math.sqrt(fused[f + 1].max(initial=0.0))
 
@@ -203,11 +204,12 @@ def _fused(rows: np.ndarray, one_hot: np.ndarray) -> tuple[np.ndarray, float]:
 def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
     """Everything :func:`neighbors` needs of the reference rows, built once.
 
-    Besides the encoded pair it holds the nominal indicators (n_ref * 4
-    bytes per two-valued column, and per code of every other column) and,
-    when some numeric column is finite, the fused matrix of
-    :func:`_fused` (n_ref * 8 bytes per finite numeric column and per
-    indicator, plus three rows).  The fused matrix takes a copy of the
+    Besides the encoded pair it holds the nominal indicators, one per
+    two-valued column and per code of every other column, plus a constant
+    one.  When some numeric column is finite they are rows of the fused
+    matrix of :func:`_fused`, which holds n_ref * 8 bytes per finite
+    numeric column and per indicator, plus three rows; otherwise they take
+    n_ref * 4 bytes each as float32.  The fused matrix takes a copy of the
     finite numeric columns; when they are all the columns, ``columns`` is a
     view of that copy, and otherwise a view of the encoded column-major
     numeric matrix (a copy of any other layout).
@@ -219,22 +221,19 @@ def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
     widths = np.maximum(highest + 1, 0)
     widths[two_valued] = 0
     offsets = 1 + two_valued.size + np.cumsum(widths) - widths
-    one_hot = np.empty((n_ref, 1 + two_valued.size + int(widths.sum())), dtype=np.float32)
-    # in chunks, so the index temporaries stay about _BLOCK_CELLS long
-    chunk = max(1, _BLOCK_CELLS // max(n_nominal, 1))
-    layout = two_valued, offsets, widths
-    for at in range(0, n_ref, chunk):
-        _one_hot(nominal[at : at + chunk], *layout, one_hot[at : at + chunk], query=False)
+    width = 1 + two_valued.size + int(widths.sum())
     finite = np.isfinite(numeric).all(axis=0)
     fused, max_norm = None, 0.0
     if finite.all() and finite.size:
-        fused, max_norm = _fused(numeric.T, one_hot)
+        fused, max_norm = _fused(numeric.T, width)
         columns = fused[: finite.size]
     else:
         columns = np.ascontiguousarray(numeric.T)
         if finite.any():
-            fused, max_norm = _fused(columns[finite], one_hot)
-    return Reference(
+            fused, max_norm = _fused(columns[finite], width)
+    # the indicators are written once: into the fused matrix's rows when it exists
+    one_hot = np.empty((n_ref, width), np.float32) if fused is None else fused[-1 - width : -1].T
+    reference = Reference(
         columns=columns,
         nominal=nominal,
         two_valued=two_valued,
@@ -245,19 +244,17 @@ def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
         fused=fused,
         max_norm=max_norm,
     )
+    # written in place, in chunks so that the index temporaries stay about _BLOCK_CELLS long
+    chunk = max(1, _BLOCK_CELLS // max(n_nominal, 1))
+    for at in range(0, n_ref, chunk):
+        _one_hot(nominal[at : at + chunk], reference, one_hot[at : at + chunk], query=False)
+    return reference
 
 
-def _one_hot(
-    codes: np.ndarray,
-    two_valued: np.ndarray,
-    offsets: np.ndarray,
-    widths: np.ndarray,
-    out: np.ndarray,
-    query: bool,
-) -> None:
+def _one_hot(codes: np.ndarray, reference: Reference, out: np.ndarray, query: bool) -> None:
     """Write into ``out`` the nominal indicators of each row of ``codes``, on
-    the reference side or the ``query`` side, so that ``q_hot @ r_hot.T``
-    counts each pair's equal, present codes.
+    the reference side or the ``query`` side, in ``reference``'s layout, so
+    that ``q_hot @ r_hot.T`` counts each pair's equal, present codes.
 
     - Indicator 0 is 1 on the reference side and, on the query side, the
       row's count of code 0 in the ``two_valued`` columns.
@@ -270,6 +267,7 @@ def _one_hot(
       widths[c]``, one per code.  A missing code (-1), or one at or past the
       column's width, sets none, so it matches nothing.
     """
+    two_valued, offsets, widths = reference.two_valued, reference.offsets, reference.widths
     out.fill(0.0)
     valid = (codes >= 0) & (codes < widths)
     out[np.nonzero(valid)[0], (codes + offsets)[valid]] = 1.0
@@ -297,8 +295,9 @@ class _Buffers:
             # the query side of the fused estimate, K columns wide at most
             self.fused = np.empty((rows, reference.fused.shape[0]))
         if n_nominal:
-            self.q_hot = np.empty((rows, reference.one_hot.shape[1]), dtype=np.float32)
-            self.count = np.empty((rows, reference.n), dtype=np.float32)
+            # in the indicators' dtype: float64 beside a fused matrix, else float32
+            self.q_hot = np.empty((rows, reference.one_hot.shape[1]), reference.one_hot.dtype)
+            self.count = np.empty((rows, reference.n), reference.one_hot.dtype)
 
 
 def _add_terms(
@@ -321,16 +320,16 @@ def _add_terms(
 
 
 def _mismatches(q_nom: np.ndarray, reference: Reference, buffers: _Buffers) -> np.ndarray:
-    """Nominal mismatch counts of ``q_nom``'s rows against every reference row (float32, exact).
+    """Nominal mismatch counts of ``q_nom``'s rows against every reference row, exact.
 
-    matches = q_hot @ r_hot.T counts equal, present codes; every partial sum
-    is an integer of magnitude at most twice the column count, so float32
-    counts them exactly in any order.
+    matches = q_hot @ r_hot.T counts equal, present codes, in the dtype of
+    ``reference.one_hot``: float64 against the fused matrix's rows, float32
+    without one.  Every partial sum is an integer of magnitude at most twice
+    the column count, so either precision counts them exactly in any order.
     """
     rows = q_nom.shape[0]
     q_hot, count = buffers.q_hot[:rows], buffers.count[:rows]
-    layout = reference.two_valued, reference.offsets, reference.widths
-    _one_hot(q_nom, *layout, q_hot, query=True)
+    _one_hot(q_nom, reference, q_hot, query=True)
     np.matmul(q_hot, reference.one_hot.T, out=count)
     np.subtract(q_nom.shape[1], count, out=count)
     return count
@@ -403,7 +402,9 @@ def _fused_for(reference: Reference, mask: np.ndarray) -> tuple[np.ndarray, floa
     prepared one when ``mask`` is every finite column, else built anew."""
     if np.array_equal(mask, reference.finite):
         return reference.fused, reference.max_norm
-    return _fused(reference.columns[mask], reference.one_hot)
+    fused, max_norm = _fused(reference.columns[mask], reference.one_hot.shape[1])
+    fused[-1 - reference.one_hot.shape[1] : -1] = reference.one_hot.T
+    return fused, max_norm
 
 
 def _estimate(
@@ -460,7 +461,7 @@ def _estimate(
         q[:, :f] *= -2.0
         q[:, f + 1] = 1.0
         hot = q[:, f + 2 : -1]
-        _one_hot(q_nom, reference.two_valued, reference.offsets, reference.widths, hot, query=True)
+        _one_hot(q_nom, reference, hot, query=True)
         # not np.negative, which in numpy 2.4.6 negates a view whose rows lie
         # 64 bytes apart in place from the wrong elements
         hot *= -1.0
@@ -527,7 +528,6 @@ def _shortlist_heads(
         groups = _groups(m, reference.n)
         whole = reference.n - reference.n % groups
     buffers = _Buffers(min(rows, q_num.shape[0]), reference)
-    picks = np.arange(m)
     for start in range(0, q_num.shape[0], rows):
         stop = min(start + rows, q_num.shape[0])
         head = np.empty((stop - start, m), dtype=np.intp)
@@ -554,13 +554,9 @@ def _shortlist_heads(
             if kept.size > _MAX_SHORTLIST_SHARE * est.size:
                 exact = np.arange(stop - start)
             else:
-                # flat indices ascend, so each row's columns come in ascending order
                 r, c = np.divmod(kept, reference.n)
                 dist = _pair_distances(q_num, q_nom, at[r], reference, c)
-                # lexsort is stable, so equal distances keep the ascending columns
-                order = np.lexsort((dist, r))
-                first = np.searchsorted(r, np.arange(sure.size))
-                head[sure] = c[order[first[:, None] + picks]]
+                head[sure] = _first_m(r, c, dist, sure.size, m)
         if exact.size:
             at = start + exact
             total = _exact_totals(q_num[at], q_nom[at], reference, nan_cols, buffers)
@@ -580,13 +576,20 @@ def _nearest(block: np.ndarray, m: int) -> np.ndarray:
         kth = np.partition(block, m - 1, axis=1)[:, m - 1, None]
         shortlist = block <= kth
         if np.count_nonzero(shortlist) <= _MAX_SHORTLIST_SHARE * block.size:
-            # flat indices ascend, so each row's columns come in ascending order
             rows, cols = np.divmod(np.flatnonzero(shortlist), block.shape[1])
-            # lexsort is stable, so equal distances keep the ascending columns
-            order = np.lexsort((block[shortlist], rows))
-            first = np.searchsorted(rows, np.arange(block.shape[0]))
-            return cols[order[first[:, None] + np.arange(m)]]
+            return _first_m(rows, cols, block[shortlist], block.shape[0], m)
     return np.argsort(block, axis=1, kind="stable")[:, :m]
+
+
+def _first_m(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Column indices of the ``m`` nearest of the cells ``(rows[i], cols[i])`` at
+    ``dist[i]`` in each of rows ``0:n``, nearest first, ties to the lower
+    column.  The cells come in row-major order, as the flat indices of a
+    mask list them, and every row holds at least ``m`` of them."""
+    # lexsort is stable, so equal distances keep the ascending columns
+    order = np.lexsort((dist, rows))
+    first = np.searchsorted(rows, np.arange(n))
+    return cols[order[first[:, None] + np.arange(m)]]
 
 
 def neighbors(

@@ -59,15 +59,15 @@ def mlknn_train(d_train: MultiLabelDataset, k_nn: int = 10, smoothing: float = 1
     if k_nn >= d_train.n:
         raise ValueError(f"k_nn ({k_nn}) must be smaller than the training size ({d_train.n})")
     space = FeatureSpace(d_train)
-    reference = prepare_reference(space.encoded)
-    # the model holds the numeric matrix once: the reference's copy, when it took one
-    space.encoded = encoded = reference.columns.T, reference.nominal
+    reference = prepare_reference(space.encode(d_train))
+    # the reference's own matrices, so that no other encoded numeric matrix stays alive
+    query = reference.columns.T, reference.nominal
     y = d_train.y
     n, k = y.shape
 
     prior = (smoothing + y.sum(axis=0)) / (2 * smoothing + n)
 
-    neighbor_counts = y[neighbors(encoded, reference, k_nn, exclude=np.arange(n))].sum(axis=1)
+    neighbor_counts = y[neighbors(query, reference, k_nn, exclude=np.arange(n))].sum(axis=1)
 
     # histogram[a, l, c]: training rows with label l active (a = 1) or not (a = 0)
     # whose neighbours carry l c times

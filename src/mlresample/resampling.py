@@ -179,7 +179,7 @@ def _report(
 
 
 def _ml_ros(
-    d: MultiLabelDataset, config: MLROSConfig, rng: np.random.Generator
+    d: MultiLabelDataset, before: ImbalanceProfile, config: MLROSConfig, rng: np.random.Generator
 ) -> tuple[MultiLabelDataset, ResampleReport]:
     """Random oversampling of minority-label bags.
 
@@ -191,7 +191,6 @@ def _ml_ros(
     retired once it no longer exceeds the initial MeanIR.  The loop ends when
     the budget is spent or every bag is retired.
     """
-    before = profile(d)
     budget = math.floor(d.n * config.p / 100.0)
     minority = np.flatnonzero(before.minority).tolist()
     if not minority or budget == 0:
@@ -225,7 +224,9 @@ def _adjusted_hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(union > 0, differ / np.maximum(union, 1), 0.0)
 
 
-def _mlenn(d: MultiLabelDataset, config: MLENNConfig) -> tuple[MultiLabelDataset, ResampleReport]:
+def _mlenn(
+    d: MultiLabelDataset, before: ImbalanceProfile, config: MLENNConfig
+) -> tuple[MultiLabelDataset, ResampleReport]:
     """Edited-nearest-neighbor undersampling.
 
     An instance is a removal candidate only when none of its labels is a
@@ -236,11 +237,8 @@ def _mlenn(d: MultiLabelDataset, config: MLENNConfig) -> tuple[MultiLabelDataset
     is independent of iteration order.
     """
     ht, nn = config.ht, config.nn
-    if nn >= d.n:
-        raise ValueError(f"need more instances ({d.n}) than neighbors ({nn})")
-    before = profile(d)
     candidates = np.flatnonzero(~d.y[:, before.minority].any(axis=1))
-    reference = prepare_reference(FeatureSpace(d).encoded)
+    reference = prepare_reference(FeatureSpace(d).encode(d))
     query = (reference.columns.T[candidates], reference.nominal[candidates])
     nearest = neighbors(query, reference, nn, exclude=candidates)
     far = _adjusted_hamming(d.y[candidates, None, :], d.y[nearest]) > ht
@@ -318,7 +316,7 @@ def _synthesize(
 
 
 def _mlsmote(
-    d: MultiLabelDataset, config: MLSMOTEConfig, rng: np.random.Generator
+    d: MultiLabelDataset, before: ImbalanceProfile, config: MLSMOTEConfig, rng: np.random.Generator
 ) -> tuple[MultiLabelDataset, ResampleReport]:
     """Synthetic minority oversampling.
 
@@ -329,11 +327,7 @@ def _mlsmote(
     interpolation, and one synthetic instance is appended per seed
     (:func:`_synthesize`).  Bags with a single member yield nothing.
     """
-    k_neighbors = config.k_neighbors
-    if k_neighbors >= d.n:
-        raise ValueError(f"k_neighbors ({k_neighbors}) must be smaller than the dataset size ({d.n})")
-    before = profile(d)
-    encoded = FeatureSpace(d).encoded
+    encoded = FeatureSpace(d).encode(d)
     sizes = _nominal_sizes(d.attributes)
     rows = d.numeric, d.nominal, d.y
     parts = [rows]
@@ -343,7 +337,7 @@ def _mlsmote(
         if len(bag) < 2:
             continue
         bag_encoded = (encoded[0][bag], encoded[1][bag])
-        want = min(k_neighbors, len(bag) - 1)
+        want = min(config.k_neighbors, len(bag) - 1)
         reference = prepare_reference(bag_encoded)
         nearest = bag[neighbors(bag_encoded, reference, want, exclude=np.arange(len(bag)))]
         parts.append(
@@ -361,9 +355,27 @@ def resample(
 ) -> tuple[MultiLabelDataset, ResampleReport]:
     """Run ``method`` with a fresh PCG64 generator from ``seed``, in 0 to 2**64 - 1."""
     _check_run(method, seed)
+    return _resample(d, method, seed)
+
+
+def _resample(
+    d: MultiLabelDataset, method: ResampleMethod, seed: int, before: ImbalanceProfile | None = None
+) -> tuple[MultiLabelDataset, ResampleReport]:
+    """:func:`resample` once ``method`` and ``seed`` passed their checks.
+
+    ``before`` is ``d``'s profile, computed here, after ``d`` is checked
+    against ``method``, when the caller does not hold it.
+    """
+    if isinstance(method, MLENNConfig) and method.nn >= d.n:
+        raise ValueError(f"need more instances ({d.n}) than neighbors ({method.nn})")
+    if isinstance(method, MLSMOTEConfig) and method.k_neighbors >= d.n:
+        raise ValueError(
+            f"k_neighbors ({method.k_neighbors}) must be smaller than the dataset size ({d.n})"
+        )
+    before = profile(d) if before is None else before
     rng = np.random.default_rng(seed)
     if isinstance(method, MLROSConfig):
-        return _ml_ros(d, method, rng)
+        return _ml_ros(d, before, method, rng)
     if isinstance(method, MLENNConfig):
-        return _mlenn(d, method)
-    return _mlsmote(d, method, rng)
+        return _mlenn(d, before, method)
+    return _mlsmote(d, before, method, rng)

@@ -569,12 +569,16 @@ def oracle_writer_lines(parser):
     the head that the writer writes for the row it decodes to, as one regex
     per line; or None when no line can be copied.
 
-    The columns must be in the writer's order and its lines must have a
-    head.  The tail, the last ``2t`` characters, must have a comma before
-    each cell; the head before it is ``?``, a declared value the writer
-    writes bare, or a :data:`CANONICAL_NUMBER` per cell.
+    The columns must be in the writer's order, every label must be
+    one-character, so that the parser's trailing run of one-character
+    columns starts where the features' run does, and the writer's lines
+    must have a head.  The tail, the last ``2t`` characters, must have a
+    comma before each cell; the head before it is ``?``, a declared value
+    the writer writes bare, or a :data:`CANONICAL_NUMBER` per cell.
     """
     if parser.feature_columns + parser.label_columns != list(range(len(parser.columns))):
+        return None
+    if not all(oracle_one_character(parser.columns[i]) for i in parser.label_columns):
         return None
     features = parser.columns[: len(parser.feature_columns)]
     head = oracle_run_start(features)

@@ -20,7 +20,8 @@ from mlresample import (
     remedial,
     stratified_kfold,
 )
-from mlresample import decoupling
+from mlresample import decoupling, resampling
+from mlresample.synthetic import imbalanced_dataset
 
 from _oracles import rows
 from conftest import datasets, make_dataset
@@ -246,6 +247,22 @@ class TestHybrid:
         )
         assert report.profile_before == first.profile_before
         assert report.profile_after == second.profile_after
+
+    def test_the_decoupled_dataset_is_profiled_once(self, monkeypatch):
+        d = imbalanced_dataset(0, n=500, k=8)
+        profiled = []
+
+        def counted(data):
+            profiled.append(data.n)
+            return profile(data)
+
+        for module in decoupling, resampling:
+            monkeypatch.setattr(module, "profile", counted)
+        out, report = hybrid_resample(d, DecoupleConfig.from_spec("p25"), MLROSConfig(), seed=0)
+        first, second = report.stages
+        # the input, the decoupled dataset and the output
+        assert profiled == [d.n, first.instances_after, out.n]
+        assert second.profile_before is first.profile_after
 
     def test_method_and_seed_are_checked_before_decoupling(self, toy6, monkeypatch):
         monkeypatch.setattr(decoupling, "remedial", lambda *args: pytest.fail("decoupled"))

@@ -689,13 +689,19 @@ def nominal_pairs(draw):
 @example((np.array([[0, 1, -1, 2]]), np.array([[0, 0, 0, 0], [1, 0, 1, 1]])))
 @example((np.array([[0, 1], [-1, 3]]), np.array([[-1, 0], [1, 0], [0, 2]])))
 def test_mismatch_counts_equal_the_full_one_hot_kernel(pair):
-    """Bit for bit the counts of the kernel that gave every column one indicator per code."""
+    """The counts of the kernel that gave every column one indicator per code: bit
+    for bit in float32 without a numeric column, and in value from the fused
+    matrix's float64 rows beside a finite one."""
     query, reference = pair
-    prepared = prepare_reference((np.zeros((reference.shape[0], 0)), reference))
-    got = distance._mismatches(query, prepared, distance._Buffers(query.shape[0], prepared))
     want = oracle_one_hot_mismatches(query, reference)
-    assert got.dtype == want.dtype == np.float32
-    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    for n_numeric in 0, 1:
+        prepared = prepare_reference((np.zeros((reference.shape[0], n_numeric)), reference))
+        got = distance._mismatches(query, prepared, distance._Buffers(query.shape[0], prepared))
+        if n_numeric:
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+        else:
+            assert got.dtype == want.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -775,9 +781,10 @@ class TestScalingFromColumns:
 def test_the_prepared_reference_keeps_the_encoded_numeric_matrix_once(d):
     space = FeatureSpace(d)
     numeric, nominal = space.encode(d)
-    # the reference's own pair, from the conversion that fitted the scaling
-    assert np.array_equal(space.encoded[0].view(np.uint64), numeric.view(np.uint64))
-    assert np.array_equal(space.encoded[1], nominal)
+    # the scaling alone: each encode gives the same bits, and the codes are the dataset's
+    assert not hasattr(space, "encoded")
+    assert np.array_equal(space.encode(d)[0].view(np.uint64), numeric.view(np.uint64))
+    assert nominal is d.nominal
     # the same bits as scaling a row-major matrix of the raw values
     columns = [i for i, a in enumerate(d.attributes) if not a.is_nominal]
     raw = np.array([[inst.features[i] for i in columns] for inst in rows(d)], dtype=float)
@@ -791,6 +798,8 @@ def test_the_prepared_reference_keeps_the_encoded_numeric_matrix_once(d):
     columns = prepared.columns
     assert columns.flags.c_contiguous and np.array_equal(columns.T, numeric, equal_nan=True)
     assert numeric.size == 0 or np.shares_memory(columns, prepared.fused if finite else numeric)
-    own = prepare_reference(space.encoded)
-    holder = own.fused if finite else space.encoded[0]
+    own = prepare_reference((numeric, nominal))
+    holder = own.fused if finite else numeric
     assert numeric.size == 0 or np.shares_memory(own.columns, holder)
+    # the nominal indicators are held once: as the fused matrix's rows whenever it exists
+    assert own.fused is None or np.shares_memory(own.one_hot, own.fused)

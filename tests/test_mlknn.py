@@ -41,9 +41,10 @@ class TestTraining:
     def test_the_model_holds_the_numeric_matrix_once(self):
         train, _ = separable_clusters(seed=1)
         model = mlknn_train(train, k_nn=3)
-        numeric = model.space.encoded[0]
+        numeric = model.reference.columns.T
         assert np.array_equal(numeric, model.space.encode(train)[0])
-        # the scaling's copy of the training rows is the reference's fused matrix
+        # the one copy of the training rows is the reference's fused matrix
+        assert not hasattr(model.space, "encoded")
         assert np.shares_memory(numeric, model.reference.fused)
 
     def test_k_nn_bounds(self, toy6):

@@ -456,6 +456,19 @@ class TestDispatcher:
         with pytest.raises(ValueError, match="smaller than the dataset"):
             resample(toy6, MLSMOTEConfig(k_neighbors=10))
 
+    @pytest.mark.parametrize(
+        "method, message",
+        [
+            (MLROSConfig(), r"^metric requires a dataset with at least one instance$"),
+            (MLENNConfig(), r"^need more instances \(0\) than neighbors \(3\)$"),
+            (MLSMOTEConfig(), r"^k_neighbors \(5\) must be smaller than the dataset size \(0\)$"),
+        ],
+    )
+    def test_an_empty_dataset_fails_the_neighbour_count_before_the_profile(self, method, message):
+        d = make_dataset([AttributeSpec("a")], ("A",), [])
+        with pytest.raises(ValueError, match=message):
+            resample(d, method)
+
 
 @st.composite
 def vote_cases(draw):
