@@ -167,6 +167,13 @@ def _take_token(text: str, line_no: int) -> tuple[str, str]:
     return token, "".join(rest)
 
 
+def _opens_with(line: str, keyword: str) -> bool:
+    """Whether ``line`` opens with ``keyword`` (lower case, matched in any case)
+    as a whole word: followed by the end of the line, whitespace or a quote."""
+    after = line[len(keyword) : len(keyword) + 1]
+    return line[: len(keyword)].lower() == keyword and (after.isspace() or after in "'\"")
+
+
 def _parse_attribute(
     rest: str, line_no: int, declared: dict[str, tuple[str, ...] | None]
 ) -> AttributeSpec:
@@ -669,11 +676,11 @@ def _parse(
             if len(lines) == _PARSE_ROWS:
                 decode(lines)
                 lines = []
-        elif line.lower().startswith("@relation"):
+        elif _opens_with(line, "@relation"):
             relation, _ = _take_token(line[len("@relation") :], line_no)
-        elif line.lower().startswith("@attribute"):
+        elif _opens_with(line, "@attribute"):
             columns.append(_parse_attribute(line[len("@attribute") :], line_no, declared))
-        elif line.lower().startswith("@data"):
+        elif line.lower() == "@data":
             in_data = True
             parser = _RowParser(tuple(columns), label_names)
             match = _writer_lines(parser) if match_lines else None

@@ -48,7 +48,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # utf-8-sig also drops a leading byte-order mark, which some editors write
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MulanFormatError(f"cannot decode {path}: {exc}") from None
 

@@ -10,7 +10,10 @@ Euclidean norm over the per-attribute terms.
 :class:`FeatureSpace` scales a dataset's numeric matrix, :func:`prepare_reference`
 prepares encoded rows once for any number of queries, and :func:`neighbors`
 answers "which k reference rows are nearest?" for MLeNN, MLSMOTE and ML-kNN
-alike, nearest first with ties to the lower index.  It never holds the full
+alike, nearest first with ties to the lower index.  Its query names reference
+rows by index, each of which skips itself (MLeNN's candidates, an MLSMOTE
+bag, ML-kNN's training set), or is a foreign encoded pair (ML-kNN's test
+set); this module alone reads the prepared rows.  It never holds the full
 distance matrix: one loop walks the query a block of rows at a time.
 
 Every distance that decides a neighbour is an *exact cell*: numeric terms
@@ -34,7 +37,7 @@ With numeric columns, a block is first estimated by one matrix product
 that hold only finite values and the nominal mismatch count come out of the
 same product, and the exact terms of the other columns are added to it.  The
 reference columns fall into strided groups, and each row's m-th smallest
-group minimum (m = k, plus one when the row excludes an index) bounds the
+group minimum (m = k, plus one when the row skips itself) bounds the
 row's answer: at least m cells lie within it.  Every cell whose estimate
 could still be within it is kept, by a rigorous error bound (Higham,
 *Accuracy and Stability of Numerical Algorithms*, section 3.1), and only the
@@ -102,7 +105,7 @@ _MIN_BLOCK_ROWS = 32
 # Query rows per block, at least, without numeric columns.  The block is one
 # matrix product, which streams the whole reference indicator matrix, so
 # more rows per block read it fewer times.  13,766 rows x 500 binary columns
-# (k = 10, exclude, BLAS on one thread) took 4.9 s at 32 rows of float64
+# (k = 10, a self-query, BLAS on one thread) took 4.9 s at 32 rows of float64
 # distances and 2.6-2.7 s at 128 rows of float32 counts.  Such a block holds
 # about 9 bytes per cell (counts, their partitioned copy and the shortlist
 # mask): 51 MB at 43,907 reference rows.
@@ -593,37 +596,42 @@ def _first_m(rows: np.ndarray, cols: np.ndarray, dist: np.ndarray, n: int, m: in
 
 
 def neighbors(
-    query: tuple[np.ndarray, np.ndarray],
     reference: Reference,
     k: int,
-    exclude: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
+    query: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Indices of the ``k`` reference rows nearest to each query row.
 
-    ``query`` is a ``(numeric, nominal)`` pair from :meth:`FeatureSpace.encode`
-    and ``reference`` a :func:`prepare_reference` of another such pair.  Rows
-    come out nearest first, ties broken toward the lower reference index.
-    ``exclude``, when given, holds one reference index per query row that the
-    row never picks (``np.arange(n)`` when the query is the reference itself).
-    One loop builds distances for one block of query rows at a time, so
-    memory stays O(block * n_ref) beside the prepared reference; each row
-    is re-ranked from its estimates or takes the exact block (see the
-    module docstring).
+    ``reference`` is a :func:`prepare_reference` of a ``(numeric, nominal)``
+    pair from :meth:`FeatureSpace.encode`.  By default the query is the
+    reference itself, a *self-query*: each reference row in ``rows`` (every
+    row when None, read through the prepared matrices without a copy) asks
+    for its ``k`` nearest other rows and never picks its own index.  A
+    ``query`` pair from :meth:`FeatureSpace.encode` asks instead, and picks
+    from every reference row.  Rows come out nearest first, ties broken
+    toward the lower reference index.  One loop builds distances for one
+    block of query rows at a time, so memory stays O(block * n_ref) beside
+    the prepared reference; each row is re-ranked from its estimates or
+    takes the exact block (see the module docstring).
     """
-    n_query, n_ref = query[0].shape[0], reference.n
-    skip = exclude is not None
-    if not 0 < k <= n_ref - skip:
-        raise ValueError(f"cannot pick {k} neighbors from {n_ref} reference rows")
-    if skip and np.shape(exclude) != (n_query,):
-        raise ValueError(f"need one excluded index per query row, got shape {np.shape(exclude)}")
-    out = np.empty((n_query, k), dtype=np.intp)
+    if rows is not None and query is not None:
+        raise ValueError("a query takes reference rows or its own encoded rows, not both")
+    skip = query is None
+    if not 0 < k <= reference.n - skip:
+        raise ValueError(f"cannot pick {k} neighbors from {reference.n} reference rows")
+    if skip:
+        at = slice(None) if rows is None else rows
+        query = reference.columns.T[at], reference.nominal[at]
+        rows = np.arange(reference.n) if rows is None else rows
+    out = np.empty((query[0].shape[0], k), dtype=np.intp)
     for start, head in _shortlist_heads(query, reference, k + skip):
         stop = start + head.shape[0]
         if not skip:
             out[start:stop] = head
             continue
-        keep = head != exclude[start:stop, None]
-        # a row whose excluded index fell outside the first k + 1 drops its last pick
+        keep = head != rows[start:stop, None]
+        # a row whose own index fell outside the first k + 1 drops its last pick
         keep[keep.all(axis=1), k] = False
         out[start:stop] = head[keep].reshape(stop - start, k)
     return out

@@ -60,14 +60,13 @@ def mlknn_train(d_train: MultiLabelDataset, k_nn: int = 10, smoothing: float = 1
         raise ValueError(f"k_nn ({k_nn}) must be smaller than the training size ({d_train.n})")
     space = FeatureSpace(d_train)
     reference = prepare_reference(space.encode(d_train))
-    # the reference's own matrices, so that no other encoded numeric matrix stays alive
-    query = reference.columns.T, reference.nominal
     y = d_train.y
     n, k = y.shape
 
     prior = (smoothing + y.sum(axis=0)) / (2 * smoothing + n)
 
-    neighbor_counts = y[neighbors(query, reference, k_nn, exclude=np.arange(n))].sum(axis=1)
+    # leave-one-out: each training row's neighbours among the others
+    neighbor_counts = y[neighbors(reference, k_nn)].sum(axis=1)
 
     # histogram[a, l, c]: training rows with label l active (a = 1) or not (a = 0)
     # whose neighbours carry l c times
@@ -103,8 +102,7 @@ def mlknn_predict(model: MLkNNModel, d_test: MultiLabelDataset) -> PredictionSet
         raise ValueError("test dataset declares different labels than the model")
     if tuple(d_test.attributes) != tuple(model.space.attributes):
         raise ValueError("test dataset schema does not match the model")
-    test_encoded = model.space.encode(d_test)
-    nearest = neighbors(test_encoded, model.reference, model.k_nn)
+    nearest = neighbors(model.reference, model.k_nn, query=model.space.encode(d_test))
     neighbor_counts = model.train_labels[nearest].sum(axis=1)
 
     # column l of each lookup reads label l's row of the conditionals

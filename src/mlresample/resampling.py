@@ -25,7 +25,7 @@ present.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,9 +238,7 @@ def _mlenn(
     """
     ht, nn = config.ht, config.nn
     candidates = np.flatnonzero(~d.y[:, before.minority].any(axis=1))
-    reference = prepare_reference(FeatureSpace(d).encode(d))
-    query = (reference.columns.T[candidates], reference.nominal[candidates])
-    nearest = neighbors(query, reference, nn, exclude=candidates)
+    nearest = neighbors(prepare_reference(FeatureSpace(d).encode(d)), nn, rows=candidates)
     far = _adjusted_hamming(d.y[candidates, None, :], d.y[nearest]) > ht
     marked = candidates[np.count_nonzero(far, axis=1) >= nn / 2]
     out = d.subset(np.delete(np.arange(d.n), marked))
@@ -281,7 +279,6 @@ def _synthesize(
     rows: tuple[np.ndarray, np.ndarray, np.ndarray],
     seeds: np.ndarray,
     nearest: np.ndarray,
-    choose: Callable[[int], int],
     sizes: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -295,15 +292,16 @@ def _synthesize(
     label active in more than half of seed-plus-neighbours.
 
     ``rows`` holds the arrays that the indices refer to: seed ``i`` is row
-    ``seeds[i]``, its neighbours are rows ``nearest[i]``, and its reference
-    row is ``choose(i)``, called just before that seed's draws: one per
-    numeric column with both endpoints present, in column order
-    (``rng.random(c)`` gives the same values as ``c`` single draws).
+    ``seeds[i]`` and its neighbours are rows ``nearest[i]``.  Per seed, one
+    ``integers`` draw picks its reference among its neighbours, just before
+    the seed's feature draws: one per numeric column with both endpoints
+    present, in column order (``rng.random(c)`` gives the same values as
+    ``c`` single draws).
     """
     numeric, nominal, y = rows
     made = numeric[seeds]
     for i, seed in enumerate(made):
-        ref = numeric[choose(i)]
+        ref = numeric[nearest[i, rng.integers(0, nearest.shape[1])]]
         both = np.flatnonzero(~np.isnan(seed) & ~np.isnan(ref))
         r, sv, rv = rng.random(both.size), seed[both], ref[both]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -336,13 +334,9 @@ def _mlsmote(
         bag = np.flatnonzero(d.y[:, label])
         if len(bag) < 2:
             continue
-        bag_encoded = (encoded[0][bag], encoded[1][bag])
         want = min(config.k_neighbors, len(bag) - 1)
-        reference = prepare_reference(bag_encoded)
-        nearest = bag[neighbors(bag_encoded, reference, want, exclude=np.arange(len(bag)))]
-        parts.append(
-            _synthesize(rows, bag, nearest, lambda i: nearest[i, rng.integers(0, want)], sizes, rng)
-        )
+        nearest = bag[neighbors(prepare_reference((encoded[0][bag], encoded[1][bag])), want)]
+        parts.append(_synthesize(rows, bag, nearest, sizes, rng))
         added.extend(AddedInstance(kind="synthetic", source=i) for i in bag.tolist())
     # synthetic rows are checked with the rest, numbered after the input's
     numeric, nominal, y = (np.concatenate(arrays) for arrays in zip(*parts))

@@ -169,6 +169,21 @@ class TestParseErrors:
             parse_mulan(text, XML_P)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "line",
+        ["@data 9.5,1", "@data\t%", "@datas", "@relationship t", "@relation-x t", "@attributes a numeric"],
+    )
+    def test_a_keyword_is_a_whole_word_and_data_ends_its_line(self, line):
+        text = f"@relation r\n@attribute a numeric\n@attribute p {{0,1}}\n{line}\n@data\n1,0\n2,1\n"
+        with pytest.raises(MulanFormatError, match="unexpected content") as err:
+            parse_mulan(text, XML_P)
+        assert err.value.line == 4
+
+    def test_a_keyword_ends_before_whitespace_or_a_quote_in_any_case(self):
+        text = "@RELATION\t'r s'\n@Attribute'a b' numeric\n@attribute p {0,1}\n@DATA\n1,0\n2,1\n"
+        d = parse_mulan(text, XML_P)
+        assert (d.name, d.attributes[0].name, d.n) == ("r s", "a b", 2)
+
 
 class TestReusedDeclarations:
     """An attribute whose type text an earlier line declared takes its value

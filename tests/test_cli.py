@@ -20,7 +20,7 @@ from mlresample import (
     stratified_kfold,
     write_mulan,
 )
-from mlresample.cli import main
+from mlresample.cli import _read_dataset, main
 from mlresample.synthetic import imbalanced_dataset, separable_clusters
 
 from conftest import (
@@ -69,6 +69,19 @@ class TestInfo:
         payload = json.loads((tmp_path / "p.json").read_text())
         assert payload["distinct_labelsets"] == 4
         assert (tmp_path / "p.json.manifest.json").exists()
+
+    def test_a_pair_that_opens_with_a_byte_order_mark(self, toy6_files, tmp_path, capsys):
+        """Each file opening with the UTF-8 byte-order mark reads as the plain pair."""
+        marked = []
+        for path in toy6_files:
+            copy = tmp_path / f"marked-{path.name}"
+            copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            marked.append(str(copy))
+        assert main(["info", *map(str, toy6_files)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["info", *marked]) == 0
+        assert capsys.readouterr().out == plain and plain.splitlines()[1].startswith("toy6 ")
+        assert _read_dataset(*marked) == _read_dataset(*map(str, toy6_files))
 
     def test_missing_xml_exits_2(self, toy6_files, tmp_path):
         arff, _ = toy6_files

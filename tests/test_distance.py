@@ -60,7 +60,7 @@ class TestNeighborsAgainstOracle:
     def test_square_excluding_self(self, seed, k):
         ref, _ = reference_and_query(seed, 30, 0)
         enc = FeatureSpace(ref).encode(ref)
-        got = neighbors(enc, prepare_reference(enc), k, exclude=np.arange(ref.n))
+        got = neighbors(prepare_reference(enc), k)
         assert got.tolist() == oracle_neighbors(ref, rows(ref), k, exclude_self=True)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -68,7 +68,7 @@ class TestNeighborsAgainstOracle:
     def test_square_including_self(self, seed, k):
         ref, _ = reference_and_query(seed, 30, 0)
         enc = FeatureSpace(ref).encode(ref)
-        got = neighbors(enc, prepare_reference(enc), k)
+        got = neighbors(prepare_reference(enc), k, query=enc)
         assert got.tolist() == oracle_neighbors(ref, rows(ref), k)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -76,7 +76,7 @@ class TestNeighborsAgainstOracle:
     def test_rectangular(self, seed, n_query):
         ref, query = reference_and_query(seed, 25, n_query)
         space = FeatureSpace(ref)
-        got = neighbors(space.encode(query), prepare_reference(space.encode(ref)), 5)
+        got = neighbors(prepare_reference(space.encode(ref)), 5, query=space.encode(query))
         assert got.shape == (n_query, 5)
         assert got.tolist() == oracle_neighbors(ref, rows(query), 5)
 
@@ -87,15 +87,18 @@ class TestNeighborsAgainstOracle:
         monkeypatch.setattr(distance, "_MIN_BLOCK_ROWS", 1)
         ref, _ = reference_and_query(11, 40, 0)
         enc = FeatureSpace(ref).encode(ref)
-        exclude = np.arange(ref.n) if exclude_self else None
-        got = neighbors(enc, prepare_reference(enc), 6, exclude=exclude)
+        prepared = prepare_reference(enc)
+        if exclude_self:
+            got = neighbors(prepared, 6, rows=np.arange(ref.n))
+        else:
+            got = neighbors(prepared, 6, query=enc)
         assert got.tolist() == oracle_neighbors(ref, rows(ref), 6, exclude_self)
 
     def test_duplicates_tie_to_lower_index(self):
         rows = [((1.0, 0, 1.0), [0])] * 5 + [((0.0, 1, 0.0), [1])]
         d = make_dataset(ATTRS, ("A", "B"), rows)
         enc = FeatureSpace(d).encode(d)
-        assert neighbors(enc, prepare_reference(enc), 3, exclude=np.arange(6)).tolist() == [
+        assert neighbors(prepare_reference(enc), 3).tolist() == [
             [1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2], [0, 1, 2], [0, 1, 2]
         ]
 
@@ -107,19 +110,27 @@ class TestNeighborsAgainstOracle:
         d = make_dataset(ATTRS, ("A", "B"), rows)
         enc = FeatureSpace(d).encode(d)
         prepared = prepare_reference(enc)
-        assert neighbors(enc, prepared, 4).tolist()[3] == [0, 1, 2, 3]
-        assert neighbors(enc, prepared, 2, exclude=np.arange(5)).tolist()[3] == [0, 1]
-        assert neighbors(enc, prepared, 4, exclude=np.arange(5)).tolist()[3] == [0, 1, 2, 4]
+        assert neighbors(prepared, 4, query=enc).tolist()[3] == [0, 1, 2, 3]
+        assert neighbors(prepared, 2).tolist()[3] == [0, 1]
+        assert neighbors(prepared, 4).tolist()[3] == [0, 1, 2, 4]
 
 
 class TestNeighborsArguments:
     def test_k_out_of_range(self, toy6):
         enc = FeatureSpace(toy6).encode(toy6)
+        prepared = prepare_reference(enc)
         with pytest.raises(ValueError):
-            neighbors(enc, prepare_reference(enc), 0)
+            neighbors(prepared, 0, query=enc)
         with pytest.raises(ValueError):
-            neighbors(enc, prepare_reference(enc), 6, exclude=np.arange(6))
-        assert neighbors(enc, prepare_reference(enc), 6).shape == (6, 6)
+            neighbors(prepared, 6)
+        with pytest.raises(ValueError):
+            neighbors(prepared, 6, rows=np.arange(2))
+        assert neighbors(prepared, 6, query=enc).shape == (6, 6)
+
+    def test_rows_and_query_together(self, toy6):
+        enc = FeatureSpace(toy6).encode(toy6)
+        with pytest.raises(ValueError, match="not both"):
+            neighbors(prepare_reference(enc), 2, rows=np.arange(6), query=enc)
 
 
 def full_matrix(query, reference):
@@ -156,10 +167,14 @@ ENGINE_BLOCKS = distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS, distance._MIN_N
 
 @st.composite
 def encoded_cases(draw):
-    """(query, reference, k, exclude, blocks) over a mixed schema with missing values.
+    """(query, reference, k, rows, blocks) over a mixed schema with missing values.
 
     Rows repeat a few distinct ones, so many distances tie.  The query is the
     reference itself, a subset of its rows (as MLeNN asks) or other rows.
+    ``rows`` names the query's reference rows for a self-query, in which each
+    row skips its own index; it is None when the engine takes the query's
+    encoded pair and skips nothing: always for other rows, and in some draws
+    for the reference's own.
     ``blocks`` is the engine's (block cells, row floor with numeric columns,
     row floor without).  In the binary-heavy mode the reference's codes lie
     in {0, 1} and some of its columns hold only 0; the other query rows also
@@ -192,32 +207,46 @@ def encoded_cases(draw):
     if kind == "other":
         others = draw(st.lists(row(other_codes), max_size=4))
         query_rows = [distinct[i] for i in draw(picks)] + others
-        n_query = len(query_rows)
-        own = draw(st.lists(st.integers(0, n_ref - 1), min_size=n_query, max_size=n_query))
+        own = None
     else:
         own = list(range(n_ref))
         if kind == "subset":
             own = sorted(set(draw(st.lists(st.integers(0, n_ref - 1), max_size=n_ref))))
         query_rows = [ref_rows[i] for i in own]
     query = encode_rows(query_rows, n_numeric, n_nominal)
-    exclude = np.array(own, dtype=np.intp) if n_ref > 1 and draw(st.booleans()) else None
-    k = draw(st.integers(1, n_ref - (exclude is not None)))
-    return query, reference, k, exclude, draw(st.sampled_from([(1, 1, 1), (7, 1, 1), ENGINE_BLOCKS]))
+    skip = own is not None and n_ref > 1 and draw(st.booleans())
+    k = draw(st.integers(1, n_ref - skip))
+    own = np.array(own, dtype=np.intp) if skip else None
+    return query, reference, k, own, draw(st.sampled_from([(1, 1, 1), (7, 1, 1), ENGINE_BLOCKS]))
 
 
 def pinned_case(numeric, k, exclude, nominal=None):
-    """A square case: one numeric column, and nominal codes (one column of 0 by default)."""
+    """A square case: one numeric column, and nominal codes (one column of 0 by
+    default); with ``exclude`` a self-query of every row, else a foreign query."""
     nominal = nominal or [(0,)] * len(numeric)
     enc = encode_rows([((v,), codes) for v, codes in zip(numeric, nominal)], 1, len(nominal[0]))
     return enc, enc, k, np.arange(len(numeric)) if exclude else None, ENGINE_BLOCKS
 
 
-def rect_case(query_rows, ref_rows, k, exclude=None, blocks=ENGINE_BLOCKS):
-    """A case of explicit ``(numeric, nominal)`` rows."""
+def rect_case(query_rows, ref_rows, k, rows=None, blocks=ENGINE_BLOCKS):
+    """A case of explicit ``(numeric, nominal)`` rows; a self-query by ``rows``
+    when given, whose query rows must be those reference rows."""
     shape = len(ref_rows[0][0]), len(ref_rows[0][1])
-    exclude = None if exclude is None else np.array(exclude, dtype=np.intp)
+    rows = None if rows is None else np.array(rows, dtype=np.intp)
     query, reference = encode_rows(query_rows, *shape), encode_rows(ref_rows, *shape)
-    return query, reference, k, exclude, blocks
+    return query, reference, k, rows, blocks
+
+
+def ask(query, reference, k, rows):
+    """The engine's lists for a case: a self-query by ``rows``, or ``query`` as a
+    foreign query when ``rows`` is None."""
+    prepared = prepare_reference(reference)
+    if rows is None:
+        return neighbors(prepared, k, query=query)
+    # a self-query's encoded rows are the reference's own
+    assert np.array_equal(query[0], reference[0][rows], equal_nan=True)
+    assert np.array_equal(query[1], reference[1][rows])
+    return neighbors(prepared, k, rows=rows)
 
 
 def binary_rows(n, seed, codes, zero_columns=()):
@@ -260,22 +289,22 @@ NO_COLUMNS = [((), ())] * 5
 @given(encoded_cases())
 # the first row's norm overflows and takes the exact block; the others are estimated
 @example(rect_case([((1.3e154,), ()), ((0.5,), ()), ((0.2,), ())], UNIT_GRID, 2))
-@example(rect_case(HUGE_ROWS, HUGE_ROWS, 2, exclude=range(6)))
-@example(rect_case(TINY_ROWS, TINY_ROWS, 2, exclude=range(6)))
+@example(rect_case(HUGE_ROWS, HUGE_ROWS, 2, rows=range(6)))
+@example(rect_case(TINY_ROWS, TINY_ROWS, 2, rows=range(6)))
 @example(rect_case(TINY_ROWS[:2], TINY_ROWS, 4))
 # row 0 ties row 1 at distance 0, but only row 1's estimate underflows to 0
 @example(rect_case([((3e-162,), ())], [((2e-162,), ()), ((3e-162,), ()), ((5e-162,), ())], 1))
 # rows missing every numeric value, on both sides
-@example(rect_case(MISSING_ROWS, MISSING_ROWS, 2, exclude=range(5)))
+@example(rect_case(MISSING_ROWS, MISSING_ROWS, 2, rows=range(5)))
 @example(rect_case(MISSING_ROWS[1:3], MISSING_ROWS[2:], 2))
 # a reference without numeric columns: the nominal count is exact already
-@example(rect_case(NOMINAL_ROWS, NOMINAL_ROWS, 3, exclude=range(6)))
+@example(rect_case(NOMINAL_ROWS, NOMINAL_ROWS, 3, rows=range(6)))
 @example(rect_case(NOMINAL_ROWS[2:4], NOMINAL_ROWS, 2))
 # nominal columns only, k plus the excluded index spans the whole reference:
 # the stable argsort of the counts
-@example(rect_case(NOMINAL_ROWS, NOMINAL_ROWS, 5, exclude=range(6)))
+@example(rect_case(NOMINAL_ROWS, NOMINAL_ROWS, 5, rows=range(6)))
 # no columns at all: every distance is 0
-@example(rect_case(NO_COLUMNS, NO_COLUMNS, 2, exclude=range(5)))
+@example(rect_case(NO_COLUMNS, NO_COLUMNS, 2, rows=range(5)))
 @example(rect_case(NO_COLUMNS[:2], NO_COLUMNS, 5))
 # k plus the excluded index spans the whole reference: the full stable sort
 @example(pinned_case([0.0, 1.0, 0.5, 0.5, 1.0], 4, exclude=True))
@@ -289,10 +318,10 @@ NO_COLUMNS = [((), ())] * 5
 @example(pinned_case([0.0, 0.7], 1, exclude=False, nominal=[(0, 0), (1, 1)]))
 # two-valued columns, blocked by the nominal row floor: 129 rows in two
 # blocks, 127 in one; with a numeric column, 129 rows in five blocks
-@example(rect_case(FLOOR_SELF, FLOOR_SELF, 3, exclude=range(len(FLOOR_SELF)), blocks=FLOOR_BLOCKS))
+@example(rect_case(FLOOR_SELF, FLOOR_SELF, 3, rows=range(len(FLOOR_SELF)), blocks=FLOOR_BLOCKS))
 @example(rect_case(FLOOR_QUERY, FLOOR_SELF, 4, blocks=FLOOR_BLOCKS))
-@example(rect_case(NUMERIC_FLOOR, NUMERIC_FLOOR, 3, exclude=range(129), blocks=FLOOR_BLOCKS))
-@example(rect_case(NAN_FLOOR, NAN_FLOOR, 3, exclude=range(129), blocks=FLOOR_BLOCKS))
+@example(rect_case(NUMERIC_FLOOR, NUMERIC_FLOOR, 3, rows=range(129), blocks=FLOOR_BLOCKS))
+@example(rect_case(NAN_FLOOR, NAN_FLOOR, 3, rows=range(129), blocks=FLOOR_BLOCKS))
 def test_engine_matches_the_per_column_kernel_and_a_full_sort(case):
     check_engine(case)
 
@@ -300,13 +329,13 @@ def test_engine_matches_the_per_column_kernel_and_a_full_sort(case):
 def estimates(case):
     """Whether the engine ranks this case by estimates: some numeric column is
     finite on both sides and a row needs fewer cells than the reference holds."""
-    query, reference, k, exclude, _ = case
+    query, reference, k, rows, _ = case
     finite = np.isfinite(query[0]).all(axis=0) & np.isfinite(reference[0]).all(axis=0)
-    return finite.any() and k + (exclude is not None) < reference[0].shape[0]
+    return finite.any() and k + (rows is not None) < reference[0].shape[0]
 
 
 def check_engine(case):
-    query, reference, k, exclude, blocks = case
+    query, reference, k, own, blocks = case
     floors = "_BLOCK_CELLS", "_MIN_BLOCK_ROWS", "_MIN_NOMINAL_ROWS"
     saved = [getattr(distance, name) for name in floors], distance._estimate
     real_estimate = saved[1]
@@ -322,7 +351,7 @@ def check_engine(case):
             setattr(distance, name, value)
         distance._estimate = recording_estimate
         got_cells = full_matrix(query, reference)
-        got = neighbors(query, prepare_reference(reference), k, exclude=exclude)
+        got = ask(query, reference, k, own)
     finally:
         for name, value in zip(floors, saved[0]):
             setattr(distance, name, value)
@@ -334,7 +363,7 @@ def check_engine(case):
     if rows.size and query[0].shape[1]:
         pairs = distance._pair_distances(*query, rows, prepare_reference(reference), cols)
         assert np.array_equal(pairs.view(np.uint64), want_cells.ravel().view(np.uint64))
-    assert got.tolist() == oracle_encoded_neighbors(query, reference, k, exclude).tolist()
+    assert got.tolist() == oracle_encoded_neighbors(query, reference, k, own).tolist()
     assert sum(estimated) == (query[0].shape[0] if estimates(case) else 0)
 
 
@@ -366,7 +395,7 @@ def test_tie_heavy_blocks_take_the_full_sort(monkeypatch):
     rows = [((0.25,), (0,))] * 70 + [((float(i),), (1,)) for i in range(10)]
     enc = encode_rows(rows, 1, 1)
     monkeypatch.setattr(distance.np, "argsort", recording_argsort)
-    got = neighbors(enc, prepare_reference(enc), 2, exclude=np.arange(80))
+    got = neighbors(prepare_reference(enc), 2)
     assert sorted_shapes == [(80, 80)]
     assert got.tolist() == oracle_encoded_neighbors(enc, enc, 2, np.arange(80)).tolist()
 
@@ -384,7 +413,7 @@ class TestExactBlocks:
     ``_MIN_NOMINAL_ROWS`` rows, ranked on the float32 mismatch counts; one
     with numeric columns keeps ``_MIN_BLOCK_ROWS``."""
 
-    def run(self, monkeypatch, query, reference, k, exclude=None):
+    def run(self, monkeypatch, query, reference, k, rows=None):
         """The engine's lists, checked against a full sort; returns the (rows, dtype)
         of every block it ranked and the shapes it sorted whole."""
         ranked, sorted_shapes = [], []
@@ -400,49 +429,49 @@ class TestExactBlocks:
 
         monkeypatch.setattr(distance, "_nearest", recording_nearest)
         monkeypatch.setattr(distance.np, "argsort", recording_argsort)
-        got = neighbors(query, prepare_reference(reference), k, exclude=exclude)
+        got = ask(query, reference, k, rows)
         monkeypatch.undo()
-        assert got.tolist() == oracle_encoded_neighbors(query, reference, k, exclude).tolist()
+        assert got.tolist() == oracle_encoded_neighbors(query, reference, k, rows).tolist()
         return ranked, sorted_shapes
 
     @pytest.mark.parametrize("n", [distance._MIN_NOMINAL_ROWS - 1, distance._MIN_NOMINAL_ROWS + 1])
     def test_one_row_fewer_and_one_more_than_the_floor(self, monkeypatch, n):
         monkeypatch.setattr(distance, "_BLOCK_CELLS", 1)
         enc = word_rows(n, n)
-        ranked, _ = self.run(monkeypatch, enc, enc, 4, exclude=np.arange(n))
+        ranked, _ = self.run(monkeypatch, enc, enc, 4, rows=np.arange(n))
         floor = distance._MIN_NOMINAL_ROWS
         assert ranked == [(min(n, floor), np.float32)] + [(1, np.float32)] * (n > floor)
 
     def test_the_floor_holds_beyond_the_block_cells(self, monkeypatch):
         # 300 reference rows: _BLOCK_CELLS alone would give blocks of 109 rows
         enc = word_rows(300, 1)
-        ranked, _ = self.run(monkeypatch, enc, enc, 10, exclude=np.arange(300))
+        ranked, _ = self.run(monkeypatch, enc, enc, 10, rows=np.arange(300))
         assert ranked == [(128, np.float32), (128, np.float32), (44, np.float32)]
 
     def test_k_plus_the_excluded_index_spans_the_reference(self, monkeypatch):
         enc = word_rows(30, 2, repeated=10)
-        ranked, sorted_shapes = self.run(monkeypatch, enc, enc, 29, exclude=np.arange(30))
+        ranked, sorted_shapes = self.run(monkeypatch, enc, enc, 29, rows=np.arange(30))
         assert ranked == [(30, np.float32)] and sorted_shapes == [(30, 30)]
 
     def test_tie_heavy_blocks_past_the_shortlist_share_take_the_full_sort(self, monkeypatch):
         # row 0 and its 280 copies, of 300 rows: each ties with 280 others at 0
         enc = word_rows(300, 3, repeated=280)
-        ranked, sorted_shapes = self.run(monkeypatch, enc, enc, 3, exclude=np.arange(300))
+        ranked, sorted_shapes = self.run(monkeypatch, enc, enc, 3, rows=np.arange(300))
         assert [rows for rows, _ in ranked] == [128, 128, 44]
         assert sorted_shapes == [(128, 300), (128, 300), (44, 300)]
 
     def test_a_query_without_columns_ranks_float64_zeros(self, monkeypatch):
         enc = np.zeros((5, 0)), np.zeros((5, 0), dtype=np.int64)
-        ranked, _ = self.run(monkeypatch, enc, enc, 2, exclude=np.arange(5))
+        ranked, _ = self.run(monkeypatch, enc, enc, 2, rows=np.arange(5))
         assert ranked == [(5, np.float64)]
-        got = neighbors(enc, prepare_reference(enc), 2, exclude=np.arange(5))
+        got = neighbors(prepare_reference(enc), 2)
         assert got.tolist() == [[1, 2], [0, 2], [0, 1], [0, 1], [0, 1]]
 
     def test_numeric_columns_keep_the_lower_floor(self, monkeypatch):
         # one NaN: never estimated, and ranked on float64 distances
         monkeypatch.setattr(distance, "_BLOCK_CELLS", 1)
         enc = encode_rows(NAN_FLOOR, 1, 4)
-        ranked, _ = self.run(monkeypatch, enc, enc, 3, exclude=np.arange(129))
+        ranked, _ = self.run(monkeypatch, enc, enc, 3, rows=np.arange(129))
         assert ranked == [(32, np.float64)] * 4 + [(1, np.float64)]
 
     def test_no_float64_block_buffers(self):
@@ -478,7 +507,7 @@ def test_cells_one_ulp_apart_that_the_estimates_misorder():
             if exact[j] == np.nextafter(exact[i], math.inf)
         )
         for k in (1, 2, 7, 29):
-            got = neighbors(query, prepared, k)
+            got = neighbors(prepared, k, query=query)
             assert got.tolist() == oracle_encoded_neighbors(query, reference, k).tolist()
     assert misordered
 
@@ -487,7 +516,7 @@ def test_cells_one_ulp_apart_that_the_estimates_misorder():
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
 @settings(max_examples=100, deadline=None)
 @given(case=encoded_cases(), seed=st.integers(0, 2**32 - 1))
-@example(case=rect_case(TINY_ROWS, TINY_ROWS, 2, exclude=range(6)), seed=0)
+@example(case=rect_case(TINY_ROWS, TINY_ROWS, 2, rows=range(6)), seed=0)
 @example(case=pinned_case([0.25] * 6, 3, exclude=True), seed=0)
 def test_estimates_anywhere_within_their_bound_give_the_same_lists(noise, case, seed):
     """Replace every usable estimate by the exact squared cell plus noise up to its row's bound."""
@@ -569,7 +598,7 @@ def test_the_fused_estimate_errs_by_at_most_its_bound(case):
     assert (error <= (bound + 4 * gamma * exact)[finite]).all()
 
 
-def run_recorded(monkeypatch, query, reference, k, exclude=None, groups=None):
+def run_recorded(monkeypatch, query, reference, k, rows=None, groups=None):
     """The engine's lists, checked against a full sort; returns the group counts
     it chose and whether it built an exact block."""
     real_groups, real_exact = distance._groups, distance._exact_totals
@@ -585,8 +614,8 @@ def run_recorded(monkeypatch, query, reference, k, exclude=None, groups=None):
 
     monkeypatch.setattr(distance, "_groups", recording_groups)
     monkeypatch.setattr(distance, "_exact_totals", recording_exact)
-    got = neighbors(query, prepare_reference(reference), k, exclude=exclude)
-    assert got.tolist() == oracle_encoded_neighbors(query, reference, k, exclude).tolist()
+    got = ask(query, reference, k, rows)
+    assert got.tolist() == oracle_encoded_neighbors(query, reference, k, rows).tolist()
     return chosen, bool(exact_blocks)
 
 
@@ -627,15 +656,14 @@ class TestCutoff:
     def test_a_small_reference_has_one_group_per_column(self, monkeypatch):
         rng = np.random.default_rng(0)
         reference = encode_rows([((a, b), ()) for a, b in rng.random((20, 2))], 2, 0)
-        exclude = np.arange(20)
-        chosen, exact = run_recorded(monkeypatch, reference, reference, 2, exclude=exclude)
+        chosen, exact = run_recorded(monkeypatch, reference, reference, 2, rows=np.arange(20))
         assert chosen == [20] and not exact
 
     def test_tie_heavy_rows_past_the_shortlist_share_take_the_exact_block(self, monkeypatch):
         # 150 identical rows of 200 tie with every such row's 3rd nearest
         rows = [((0.25,), (0,))] * 150 + [((1.0 + i,), (1,)) for i in range(50)]
         enc = encode_rows(rows, 1, 1)
-        chosen, exact = run_recorded(monkeypatch, enc, enc, 2, exclude=np.arange(200))
+        chosen, exact = run_recorded(monkeypatch, enc, enc, 2, rows=np.arange(200))
         assert chosen == [48] and exact
 
 
@@ -655,18 +683,31 @@ def binary_datasets(draw, max_n=40):
 @given(datasets(max_n=25) | binary_datasets())
 def test_block_size_never_changes_the_answer(d):
     enc = FeatureSpace(d).encode(d)
-    exclude = np.arange(d.n) if d.n > 1 else None
+    # a self-query of every row, or of the one row as a foreign query
+    query = None if d.n > 1 else enc
     # every other row needs every cell; the nearest one leaves room for estimates
     for k in {max(d.n - 1, 1), 1}:
-        whole = neighbors(enc, prepare_reference(enc), k, exclude=exclude)
+        whole = neighbors(prepare_reference(enc), k, query=query)
         original = distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS, distance._MIN_NOMINAL_ROWS
         try:
             # one query row per block on the estimated path as well as the exact one
             distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS, distance._MIN_NOMINAL_ROWS = 1, 1, 1
-            one_row = neighbors(enc, prepare_reference(enc), k, exclude=exclude)
+            one_row = neighbors(prepare_reference(enc), k, query=query)
         finally:
             distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS, distance._MIN_NOMINAL_ROWS = original
         assert np.array_equal(whole, one_row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets(max_n=25) | binary_datasets())
+def test_a_self_query_of_every_row_names_them_all(d):
+    """``rows=None`` reads every prepared row in place and gives the lists of
+    ``rows=np.arange(n)`` bit for bit."""
+    prepared = prepare_reference(FeatureSpace(d).encode(d))
+    for k in {1, d.n - 1} if d.n > 1 else ():
+        every = neighbors(prepared, k)
+        named = neighbors(prepared, k, rows=np.arange(d.n))
+        assert every.dtype == named.dtype and np.array_equal(every, named)
 
 
 @st.composite

@@ -273,13 +273,14 @@ class TestMLeNN:
         assert rows(out) == kept
 
 
-def synthesize(attrs, seed, ref, neighbors, rng):
-    """The row ``resampling._synthesize`` makes from a seed, its reference and its
-    neighbours, each given as (features, label indices)."""
-    d = make_dataset(attrs, ("A", "B", "C"), [seed, ref, *neighbors])
-    nearest, sizes = np.arange(2, d.n)[None, :], resampling._nominal_sizes(attrs)
+def synthesize(attrs, seed, neighbors, rng):
+    """The row ``resampling._synthesize`` makes from a seed and its neighbours,
+    each given as (features, label indices); ``rng`` draws the reference among
+    the neighbours."""
+    d = make_dataset(attrs, ("A", "B", "C"), [seed, *neighbors])
+    nearest, sizes = np.arange(1, d.n)[None, :], resampling._nominal_sizes(attrs)
     arrays = d.numeric, d.nominal, d.y
-    made = resampling._synthesize(arrays, np.array([0]), nearest, lambda i: 1, sizes, rng)
+    made = resampling._synthesize(arrays, np.array([0]), nearest, sizes, rng)
     return rows(MultiLabelDataset(attrs, d.labels, *made))[0]
 
 
@@ -289,33 +290,36 @@ class TestNewSample:
     def test_labelset_vote(self):
         attrs = (AttributeSpec("x"),)
         n1, n2 = ((1.0,), [0]), ((2.0,), [0, 2])
-        synth = synthesize(attrs, ((0.0,), [0, 2]), n1, [n1, n2], np.random.default_rng(0))
+        synth = synthesize(attrs, ((0.0,), [0, 2]), [n1, n2], np.random.default_rng(0))
         assert synth.labels == (0, 2)  # counts 3 and 2, threshold 1.5
 
     def test_zero_interpolation_span(self):
         attrs = (AttributeSpec("x"), AttributeSpec("y"))
         seed = ((1.5, -2.0), [0])
-        synth = synthesize(attrs, seed, seed, [seed], np.random.default_rng(0))
+        synth = synthesize(attrs, seed, [seed], np.random.default_rng(0))
         assert synth.features == (1.5, -2.0)
 
     def test_numeric_within_interval(self):
         attrs = (AttributeSpec("x"),)
         seed, ref = ((0.0,), [0]), ((10.0,), [0])
         for s in range(20):
-            synth = synthesize(attrs, seed, ref, [ref], np.random.default_rng(s))
+            synth = synthesize(attrs, seed, [ref], np.random.default_rng(s))
             assert 0.0 <= synth.features[0] <= 10.0
 
     def test_nominal_majority_with_tie_to_lowest(self):
         attrs = (AttributeSpec("c", values=("u", "v", "w")),)
         n1, n2 = ((2,), [0]), ((1,), [0])
-        synth = synthesize(attrs, ((0,), [0]), n1, [n1, n2], np.random.default_rng(0))
+        synth = synthesize(attrs, ((0,), [0]), [n1, n2], np.random.default_rng(0))
         assert synth.features == (1,)
 
     def test_span_past_the_float_maximum(self):
         attrs = (AttributeSpec("x"), AttributeSpec("y"))
         seed, ref = ((-1.7e308, 1.0), [0]), ((1.7e308, 3.0), [0])
-        synth = synthesize(attrs, seed, ref, [ref], np.random.default_rng(0))
-        r_x, r_y = np.random.default_rng(0).random(2)
+        synth = synthesize(attrs, seed, [ref], np.random.default_rng(0))
+        # the reference's draw among one neighbour, then one draw per feature
+        rng = np.random.default_rng(0)
+        rng.integers(0, 1)
+        r_x, r_y = rng.random(2)
         # only the overflowing feature takes the weighted mean
         assert synth.features == (-1.7e308 * (1 - r_x) + r_x * 1.7e308, 1.0 + r_y * 2.0)
         assert -1.7e308 <= synth.features[0] <= 1.7e308
@@ -323,7 +327,7 @@ class TestNewSample:
     def test_missing_endpoint_falls_back(self):
         attrs = (AttributeSpec("x"),)
         seed, ref = ((None,), [0]), ((3.0,), [0])
-        synth = synthesize(attrs, seed, ref, [ref], np.random.default_rng(0))
+        synth = synthesize(attrs, seed, [ref], np.random.default_rng(0))
         assert synth.features == (3.0,)
 
 
