@@ -677,7 +677,9 @@ def _parse(
                 decode(lines)
                 lines = []
         elif _opens_with(line, "@relation"):
-            relation, _ = _take_token(line[len("@relation") :], line_no)
+            relation, rest = _take_token(line[len("@relation") :], line_no)
+            if rest.strip():
+                raise MulanFormatError(f"text after the relation name: {rest.strip()!r}", line_no)
         elif _opens_with(line, "@attribute"):
             columns.append(_parse_attribute(line[len("@attribute") :], line_no, declared))
         elif line.lower() == "@data":

@@ -22,9 +22,9 @@ summed column by column in attribute order (a NaN term counts 1.0), then one
 block the nominal mismatch count of all columns comes from one matrix
 product of code indicators (``n_nominal - q_hot @ r_hot.T``), which is
 exact because it only adds small integers.  The reference indicators are
-held once: as float64 rows of the estimate's fused matrix when it exists,
-which the exact block and the estimate both multiply, and otherwise as a
-float32 matrix of their own.  A column whose reference codes all lie in {0,
+held once, in float32: as rows of the estimate's fused matrix when it
+exists, which the exact block and the estimate both multiply, and otherwise
+as a matrix of their own.  A column whose reference codes all lie in {0,
 1}, such as a binary word, has one indicator: x = (code == 1) on the
 reference side and v = 2x - present on the query side (present: the code is
 0 or 1).  A query code equals a reference code in present_q - x_q + v * x_r
@@ -32,27 +32,28 @@ of them, and the first two terms, summed over such columns, are one more
 indicator against a constant 1.  Every other column has one indicator per
 code.
 
-With numeric columns, a block is first estimated by one matrix product
-(:func:`_estimate`): the Gram form ``|q|^2 + |r|^2 - 2 q.r`` over the columns
-that hold only finite values and the nominal mismatch count come out of the
-same product, and the exact terms of the other columns are added to it.  The
-reference columns fall into strided groups, and each row's m-th smallest
-group minimum (m = k, plus one when the row skips itself) bounds the
-row's answer: at least m cells lie within it.  Every cell whose estimate
+With numeric columns, a block is first estimated by one float32 matrix
+product (:func:`_estimate`): the Gram form ``|q|^2 + |r|^2 - 2 q.r`` over
+the columns that hold only finite values and the nominal mismatch count
+come out of the same product, and the exact terms of the other columns are
+added to it.  The reference columns fall into strided groups, and each
+row's m-th smallest group minimum (m = k, plus one when the row skips
+itself) bounds the row's answer: at least m cells lie within it.  Every cell whose estimate
 could still be within it is kept, by a rigorous error bound (Higham,
 *Accuracy and Stability of Numerical Algorithms*, section 3.1), and only the
 kept cells are computed exactly and sorted.  The estimate only filters
 cells, so the order of a BLAS product, its threads and fused multiply-adds
-never change a neighbour list.  A row whose norms could overflow, and a
-block whose kept cells are more than ``_MAX_SHORTLIST_SHARE`` of it, take
-the exact block instead.  So does every row of a query when no numeric
-column is finite on both sides (with no numeric column at all the nominal
-count is exact already) or when a row needs every reference row; such a
-query is never estimated.  A block holds ``_BLOCK_CELLS // n_ref`` query
-rows, and at least ``_MIN_NOMINAL_ROWS`` when the query has no numeric
-column or ``_MIN_BLOCK_ROWS`` when it has one (:func:`_block_rows`).  A
-query with nominal columns and no numeric one ranks its exact block on the
-float32 mismatch counts themselves: they are exact small integers and
+never change a neighbour list.  A row whose product could pass float32's
+range, and rows whose kept cells are more than ``_MAX_SHORTLIST_SHARE`` of
+theirs, take the exact block instead.  So does every row of a query when no
+numeric column is finite on both sides (with no numeric column at all the
+nominal count is exact already) or when a row needs every reference row;
+such a query is never estimated.  A block holds ``_BLOCK_BYTES`` per array
+of its cells, and at least ``_MIN_BLOCK_ROWS`` rows when it is one float32
+product, estimated or all-nominal; its float64 cells are taken
+``_BLOCK_BYTES`` per array at a time (:func:`_block_rows`).  A query with
+nominal columns and no numeric one ranks its exact block on the float32
+mismatch counts themselves: they are exact small integers and
 ``sqrt`` is strictly monotone on them, so they order and tie as the
 distances do.  The exact block picks from a shortlist: the cells no
 farther than each row's m-th smallest distance, found with ``np.partition``
@@ -66,17 +67,18 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dataset import MultiLabelDataset
 
-# Distance cells per query block, down to a row floor (_block_rows).  Up to
-# about 250 reference rows without numeric columns, and about 1000 with them,
-# it bounds the block's distance, temporary and sort arrays; at 256 KB
-# per array they stay in cache, which measured faster than 2 MB blocks on
-# 2000-8000 rows.  Beyond that the row floor sets the block.
-_BLOCK_CELLS = 1 << 15
+# Bytes per block array (_block_rows): 4 per cell of float32 estimates or
+# counts, 8 of float64 totals.  Float64 cells summed column by column slow
+# once they leave the cache: a 4000-row self-query of 20 columns, each
+# holding a NaN (k = 10, BLAS on one thread), took 0.59 s at 32 rows (256
+# KB) and 0.78 s at 128.
+_BLOCK_BYTES = 1 << 18
 
 # Above this share of a block's cells the shortlist is slower than a stable
 # argsort of the block, which takes runs of equal distances in linear time.
@@ -92,30 +94,21 @@ _BLOCK_CELLS = 1 << 15
 # re-ranked in 5.6 s against 3.0 s for the exact blocks.
 _MAX_SHORTLIST_SHARE = 0.5
 
-# Query rows per block, at least, with numeric columns.  With fewer, the
-# per-block numpy calls outweigh the matrix products once the reference has
-# thousands of rows.  On 8000 rows x 50 columns (k = 3) a self-query took
-# 1.30 s at _BLOCK_CELLS alone (4 rows per block) against 0.71 s at 32 rows,
-# and 64 or 128 rows gave no more than 3% over 32.  A query that is never
-# estimated sums its terms column by column over the block, which slows once
-# the block leaves the cache: 4000 rows x 20 columns, each holding a NaN
-# (k = 10, BLAS on one thread), took 1.0 s at 32 rows and 1.2 s at 128.
-_MIN_BLOCK_ROWS = 32
+# Query rows per block, at least, when a block is one float32 product that
+# streams the whole reference matrix (an estimated or all-nominal query):
+# more rows read it fewer times, and spread each block's 25 or so numpy
+# calls.  A 10,000-row self-query of 120 columns (k = 10, BLAS on one
+# thread) took 0.58 s at 32 rows and 0.45 s at 128.  The float32 estimate
+# and its kept-cell mask hold 5 bytes per cell: 25 MB at 39,516 rows.
+_MIN_BLOCK_ROWS = 128
 
-# Query rows per block, at least, without numeric columns.  The block is one
-# matrix product, which streams the whole reference indicator matrix, so
-# more rows per block read it fewer times.  13,766 rows x 500 binary columns
-# (k = 10, a self-query, BLAS on one thread) took 4.9 s at 32 rows of float64
-# distances and 2.6-2.7 s at 128 rows of float32 counts.  Such a block holds
-# about 9 bytes per cell (counts, their partitioned copy and the shortlist
-# mask): 51 MB at 43,907 reference rows.
-_MIN_NOMINAL_ROWS = 128
-
-_UNIT_ROUNDOFF = 2.0**-53
-# An operation that underflows errs by at most 2**-1075 beyond its relative
-# error; this absolute slack covers all of an estimate's and a cell's
-# operations for any column count below 2**70.
-_UNDERFLOW_SLACK = 2.0**-1000
+# The estimate's product is in float32 (see _estimate).  A float32 operation
+# or conversion that underflows errs by at most 2**-150 beyond its relative
+# error; this absolute slack covers all of an estimate's for fewer than 2**48
+# columns and indicators.
+_UNIT_ROUNDOFF = 2.0**-24
+_UNDERFLOW_SLACK = 2.0**-100
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class FeatureSpace:
@@ -163,13 +156,12 @@ class Reference:
     {0, 1}, then for every other column ``c`` one indicator per code,
     ``offsets[c]:offsets[c] + widths[c]`` (width = the column's largest code
     + 1, and 0 for a two-valued column).  ``finite`` marks the numeric
-    columns without a NaN or infinity.  ``fused`` is the reference side of
-    :func:`_estimate` over them (see :func:`_fused`), None when no numeric
-    column is finite, and ``max_norm`` the largest norm in it.  Each value
-    is held once: ``one_hot`` is the transpose of ``fused``'s float64
-    indicator rows when ``fused`` exists, and a float32 matrix of its own
-    otherwise.  When every numeric column is finite, ``columns`` is a view
-    of ``fused``'s first rows; otherwise it is a view of the encoded matrix.
+    columns without a NaN or infinity.  ``fused`` is the float32 reference
+    side of :func:`_estimate` over them (see :func:`_fused`), None when no
+    numeric column is finite, and ``max_norm`` the largest norm in it.  The
+    indicators are held once, in float32: ``one_hot`` is the transpose of
+    ``fused``'s indicator rows when ``fused`` exists, and a matrix of its
+    own otherwise.
     """
 
     columns: np.ndarray
@@ -190,18 +182,21 @@ class Reference:
 def _fused(rows: np.ndarray, width: int) -> tuple[np.ndarray, float]:
     """The reference side of the fused estimate, and the largest norm in it.
 
-    One C-contiguous float64 matrix: the numeric ``rows`` (one per column),
-    a row of ones, the squared norms over ``rows``, ``width`` rows for the
-    nominal indicators, which the caller writes, and another row of ones.
+    One C-contiguous float32 matrix: the float64 numeric ``rows`` (one per
+    column) rounded, a row of ones, their squared norms summed in float64
+    and rounded, ``width`` rows for the nominal indicators, which the caller
+    writes, and another row of ones.  Past float32's range a value rounds to
+    infinity, and then :func:`_estimate` uses none of them.
     """
     f = rows.shape[0]
-    fused = np.empty((f + 3 + width, rows.shape[1]))
-    fused[:f] = rows
-    fused[f] = 1.0
+    fused = np.empty((f + 3 + width, rows.shape[1]), np.float32)
     with np.errstate(over="ignore"):
-        np.einsum("ij,ij->j", fused[:f], fused[:f], out=fused[f + 1])
+        norms = np.einsum("ij,ij->j", rows, rows)
+        fused[:f] = rows
+        fused[f + 1] = norms
+    fused[f] = 1.0
     fused[-1] = 1.0
-    return fused, math.sqrt(fused[f + 1].max(initial=0.0))
+    return fused, math.sqrt(norms.max(initial=0.0))
 
 
 def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
@@ -209,13 +204,11 @@ def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
 
     Besides the encoded pair it holds the nominal indicators, one per
     two-valued column and per code of every other column, plus a constant
-    one.  When some numeric column is finite they are rows of the fused
-    matrix of :func:`_fused`, which holds n_ref * 8 bytes per finite
-    numeric column and per indicator, plus three rows; otherwise they take
-    n_ref * 4 bytes each as float32.  The fused matrix takes a copy of the
-    finite numeric columns; when they are all the columns, ``columns`` is a
-    view of that copy, and otherwise a view of the encoded column-major
-    numeric matrix (a copy of any other layout).
+    one, n_ref * 4 bytes each.  When some numeric column is finite they are
+    rows of the float32 fused matrix of :func:`_fused`, which also holds
+    n_ref * 4 bytes per finite numeric column, plus three rows.
+    ``columns`` is a view of the encoded column-major numeric matrix (a copy
+    of any other layout).
     """
     numeric, nominal = encoded
     n_ref, n_nominal = nominal.shape
@@ -226,14 +219,10 @@ def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
     offsets = 1 + two_valued.size + np.cumsum(widths) - widths
     width = 1 + two_valued.size + int(widths.sum())
     finite = np.isfinite(numeric).all(axis=0)
+    columns = np.ascontiguousarray(numeric.T)
     fused, max_norm = None, 0.0
-    if finite.all() and finite.size:
-        fused, max_norm = _fused(numeric.T, width)
-        columns = fused[: finite.size]
-    else:
-        columns = np.ascontiguousarray(numeric.T)
-        if finite.any():
-            fused, max_norm = _fused(columns[finite], width)
+    if finite.any():
+        fused, max_norm = _fused(columns if finite.all() else columns[finite], width)
     # the indicators are written once: into the fused matrix's rows when it exists
     one_hot = np.empty((n_ref, width), np.float32) if fused is None else fused[-1 - width : -1].T
     reference = Reference(
@@ -247,8 +236,8 @@ def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
         fused=fused,
         max_norm=max_norm,
     )
-    # written in place, in chunks so that the index temporaries stay about _BLOCK_CELLS long
-    chunk = max(1, _BLOCK_CELLS // max(n_nominal, 1))
+    # written in place, in chunks so that the index temporaries stay about a block array long
+    chunk = max(1, _BLOCK_BYTES // (8 * max(n_nominal, 1)))
     for at in range(0, n_ref, chunk):
         _one_hot(nominal[at : at + chunk], reference, one_hot[at : at + chunk], query=False)
     return reference
@@ -286,21 +275,38 @@ def _one_hot(codes: np.ndarray, reference: Reference, out: np.ndarray, query: bo
 
 
 class _Buffers:
-    """Block-sized arrays that every block of one query reuses."""
+    """Block-sized arrays that every block of one query reuses, each made when
+    a block first needs it: ``rows`` rows of float32 cells and ``wide_rows``
+    of float64 cells."""
 
-    def __init__(self, rows: int, reference: Reference):
-        n_numeric, n_nominal = reference.columns.shape[0], reference.nominal.shape[1]
-        if n_numeric or not n_nominal:
-            # a query of nominal columns alone ranks on its float32 counts
-            self.total = np.zeros((rows, reference.n))
-            self.terms = np.empty_like(self.total) if n_numeric else None
-        if reference.fused is not None:
-            # the query side of the fused estimate, K columns wide at most
-            self.fused = np.empty((rows, reference.fused.shape[0]))
-        if n_nominal:
-            # in the indicators' dtype: float64 beside a fused matrix, else float32
-            self.q_hot = np.empty((rows, reference.one_hot.shape[1]), reference.one_hot.dtype)
-            self.count = np.empty((rows, reference.n), reference.one_hot.dtype)
+    def __init__(self, rows: int, wide_rows: int, reference: Reference):
+        self.rows, self.wide_rows, self.reference = rows, wide_rows, reference
+
+    @cached_property
+    def total(self) -> np.ndarray:
+        # zeros: the distances of a query without columns
+        return np.zeros((self.wide_rows, self.reference.n))
+
+    @cached_property
+    def terms(self) -> np.ndarray:
+        return np.empty((self.wide_rows, self.reference.n))
+
+    @cached_property
+    def fused(self) -> np.ndarray:
+        # the query side of the fused estimate, K columns wide at most
+        return np.empty((self.rows, self.reference.fused.shape[0]), np.float32)
+
+    @cached_property
+    def est(self) -> np.ndarray:
+        return np.empty((self.rows, self.reference.n), np.float32)
+
+    @cached_property
+    def q_hot(self) -> np.ndarray:
+        return np.empty((self.rows, self.reference.one_hot.shape[1]), np.float32)
+
+    @cached_property
+    def count(self) -> np.ndarray:
+        return np.empty((self.rows, self.reference.n), np.float32)
 
 
 def _add_terms(
@@ -325,10 +331,9 @@ def _add_terms(
 def _mismatches(q_nom: np.ndarray, reference: Reference, buffers: _Buffers) -> np.ndarray:
     """Nominal mismatch counts of ``q_nom``'s rows against every reference row, exact.
 
-    matches = q_hot @ r_hot.T counts equal, present codes, in the dtype of
-    ``reference.one_hot``: float64 against the fused matrix's rows, float32
-    without one.  Every partial sum is an integer of magnitude at most twice
-    the column count, so either precision counts them exactly in any order.
+    matches = q_hot @ r_hot.T counts equal, present codes in float32.  Every
+    partial sum is an integer of magnitude at most twice the column count,
+    so float32 counts them exactly in any order.
     """
     rows = q_nom.shape[0]
     q_hot, count = buffers.q_hot[:rows], buffers.count[:rows]
@@ -393,10 +398,11 @@ def _pair_distances(
     return np.sqrt(total, out=total)
 
 
-def _rounding_factor(reference: Reference, fused: np.ndarray) -> float:
-    """gamma_n = nu / (1 - nu) (Higham, section 3.1) for n = K + D + 3: the
-    ``fused`` matrix's K rows and the D summed terms of a cell."""
-    n = fused.shape[0] + reference.columns.shape[0] + reference.nominal.shape[1] + 3
+def _rounding_factor(fused: np.ndarray) -> float:
+    """gamma_n = nu / (1 - nu) (Higham, section 3.1) at float32's u for n = K
+    + 6: the ``fused`` matrix's K rows and six more roundings (see
+    :func:`_estimate`)."""
+    n = fused.shape[0] + 6
     return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
 
 
@@ -422,46 +428,49 @@ def _estimate(
 
     ``fused`` is :func:`_fused_for` over the columns outside ``nan_cols``:
     R, with rows r (f finite columns), 1, |r|^2, the reference indicators
-    and 1, and the largest |r|.  The block fills Q with -2q, |q|^2, 1, minus
-    the query indicators and the nominal column count, so that one product
-    ``Q @ R`` gives ``|q|^2 + |r|^2 - 2 q.r + (n_nominal - matches)``.  The
-    exact terms of the ``nan_cols`` are then added one column at a time.
+    and 1, in float32, and the largest |r|.  The block fills Q with -2q,
+    |q|^2 (summed in float64), 1, minus the query indicators and the nominal
+    column count, rounded to float32, so that one float32 product ``Q @ R``
+    gives ``|q|^2 + |r|^2 - 2 q.r + (n_nominal - matches)``.  The exact terms
+    of the ``nan_cols`` are then added in float64 (:func:`_with_exact_terms`).
 
-    Error bound.  Let X be the kernel's own squared total of a cell
-    (:func:`_exact_totals`) and V the real sum of its terms, taking the terms
-    of the ``nan_cols`` as computed.  X adds D = n_numeric + n_nominal terms
-    of at most two roundings each in at most D - 1 additions, so |X - V| <=
-    gamma_{D+1} V.  The stored norms |q|^2 and |r|^2 err by at most gamma_f
-    relative.  The product sums its K = f + 3 + width terms in any order, so
-    it errs by at most gamma_K times the sum of their magnitudes (Higham,
-    section 3.1).  That sum is at most (1 + gamma_f)(|q| + |r|)^2 for the
-    numeric part, since |q.r| <= |q||r|, plus 3 n_nominal for the nominal
-    part: indicator 0 pairs a count of code 0 (at most one per two-valued
-    column) with 1, every other pair of indicators multiplies to -1, 0 or 1
-    with at most one nonzero pair per column, and the last pair is n_nominal
-    times 1.  Adding the g exact terms errs by gamma_g relative.  With gamma
-    = :func:`_rounding_factor` >= gamma_{K+D} these give |E - X| <= gamma
-    ((|q| + max |r|)^2 + 3 n_nominal) + 4 gamma X.  The returned ``bound`` is
-    twice that first term, which covers the rounding of the computed norms it
-    is made of, plus ``_UNDERFLOW_SLACK`` for operations that underflow.  No
-    magnitude in the product exceeds half of ``bound / gamma``, so where that
-    is finite nothing overflows; a row where it is not gets an infinite bound
-    and must not use its estimates.
+    Error bound, with u = 2^-24 and S = |q| + max |r|.  The indicators and
+    counts are small integers, exact in float32.  Rounding q and r to
+    float32 moves 2 q.r by at most 2(2u + u^2)|q||r| <= (u + u^2) S^2, and
+    the norms, summed in float64 and rounded, err by at most 2u relative.
+    The product sums its K = f + 3 + width terms in any order, so it errs by
+    at most gamma_K times the sum of their magnitudes (Higham, section 3.1):
+    at most (1 + 3u) S^2 for the numeric part and 3 n_nominal for the
+    nominal part, since indicator 0 pairs a count of code 0 (at most one per
+    two-valued column) with 1, every other pair of indicators multiplies to
+    -1, 0 or 1 with at most one nonzero pair per column, and the last pair
+    is n_nominal times 1.  Let X be the kernel's own squared total of a cell
+    (:func:`_exact_totals`); its float64 roundings, and those of adding the
+    exact terms, err by at most u (X + S^2) for fewer than 2^27 columns.  A
+    subnormal operand errs by at most 2^-150 absolute, which adds at most u
+    S^2 beyond ``_UNDERFLOW_SLACK``.  With gamma = :func:`_rounding_factor` =
+    gamma_{K+6} these give |E - X| <= gamma (S^2 + 3 n_nominal) + 4 gamma X.
+    The returned ``bound`` is twice that first term, which covers the
+    rounding of the computed norms it is made of, plus ``_UNDERFLOW_SLACK``.
+    No magnitude in the product exceeds half of ``bound / gamma``; a row
+    where that passes float32's range gets an infinite bound and must not
+    use its estimates.
     """
     r_fused, r_max = fused
     rows, n_nominal = q_num.shape[0], q_nom.shape[1]
     f = r_fused.shape[0] - reference.one_hot.shape[1] - 3
-    gamma = _rounding_factor(reference, r_fused)
+    gamma = _rounding_factor(r_fused)
     q = buffers.fused[:rows, : r_fused.shape[0]]
-    est = buffers.total[:rows]
+    est = buffers.est[:rows]
     with np.errstate(over="ignore", invalid="ignore"):
-        np.compress(~nan_cols, q_num, axis=1, out=q[:, :f])
-        q_norms = q[:, f]
-        np.einsum("ij,ij->i", q[:, :f], q[:, :f], out=q_norms)
+        finite = q_num[:, ~nan_cols] if nan_cols.any() else q_num
+        q_norms = np.einsum("ij,ij->i", finite, finite)
         reach = (np.sqrt(q_norms) + r_max) ** 2 + 3.0 * n_nominal
-        bound = np.where(np.isfinite(2.0 * reach), 2.0 * gamma * reach + _UNDERFLOW_SLACK, np.inf)
-        # scaling by -2 is exact
-        q[:, :f] *= -2.0
+        usable = 2.0 * reach <= _FLOAT32_MAX
+        bound = np.where(usable, 2.0 * gamma * reach + _UNDERFLOW_SLACK, np.inf)
+        # -2q is exact in float64, then rounded like q
+        np.multiply(finite, -2.0, out=q[:, :f])
+        q[:, f] = q_norms
         q[:, f + 1] = 1.0
         hot = q[:, f + 2 : -1]
         _one_hot(q_nom, reference, hot, query=True)
@@ -470,9 +479,24 @@ def _estimate(
         hot *= -1.0
         q[:, -1] = n_nominal
         np.matmul(q, r_fused, out=est)
-        exact_cols = np.flatnonzero(nan_cols)
-        _add_terms(est, q_num, reference, exact_cols, nan_cols, buffers.terms, write_first=False)
     return est, bound
+
+
+def _with_exact_terms(
+    est: np.ndarray,
+    q_num: np.ndarray,
+    reference: Reference,
+    nan_cols: np.ndarray,
+    buffers: _Buffers,
+) -> np.ndarray:
+    """The estimates ``est`` of ``q_num``'s rows in float64, with the exact terms
+    of the ``nan_cols`` added one column at a time."""
+    total = buffers.total[: est.shape[0]]
+    total[...] = est
+    with np.errstate(over="ignore", invalid="ignore"):
+        cols = np.flatnonzero(nan_cols)
+        _add_terms(total, q_num, reference, cols, nan_cols, buffers.terms, write_first=False)
+    return total
 
 
 def _groups(m: int, n_ref: int) -> int:
@@ -491,11 +515,14 @@ def _groups(m: int, n_ref: int) -> int:
     return n_ref if n_ref < 2 * groups else groups
 
 
-def _block_rows(n_numeric: int, n_ref: int) -> int:
-    """Query rows per block against ``n_ref`` reference rows: ``_BLOCK_CELLS //
-    n_ref``, and at least ``_MIN_BLOCK_ROWS`` when the query has numeric
-    columns (``n_numeric`` > 0) or ``_MIN_NOMINAL_ROWS`` when it has none."""
-    return max(_MIN_BLOCK_ROWS if n_numeric else _MIN_NOMINAL_ROWS, _BLOCK_CELLS // n_ref)
+def _block_rows(n_ref: int, product: bool) -> int:
+    """Query rows per block against ``n_ref`` reference rows: ``_BLOCK_BYTES``
+    per array of float32 cells and at least ``_MIN_BLOCK_ROWS`` when each
+    block is a float32 ``product`` (estimated or all-nominal), and otherwise
+    ``_BLOCK_BYTES`` per array of float64 cells, at least one row."""
+    if product:
+        return max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (4 * n_ref))
+    return max(1, _BLOCK_BYTES // (8 * n_ref))
 
 
 def _shortlist_heads(
@@ -512,63 +539,90 @@ def _shortlist_heads(
     the estimates: m cells, one per group, have E <= t, so by
     :func:`_estimate`'s bound their totals are X <= C^2 = (t + b)/(1 - 4
     gamma).  ``sqrt`` rounds correctly, so the row's m-th smallest distance
-    is at most C (1 + u), and a cell no farther has X <= C^2 (1 + 5u) and an
-    estimate of at most C^2 (1 + 5u)(1 + 4 gamma) + b.  The block keeps every
-    cell within ``(t + b)(1 + 8 gamma)/(1 - 4 gamma) + 2b``, which exceeds
-    that despite the rounding of its own operations (gamma >= 8u), computes
-    only those cells exactly and sorts them; the row's m nearest are among
-    them.  Every other row takes the exact block, written in place into
-    buffers that the next block reuses.
+    is at most C (1 + u) with float64's u = 2^-53, and a cell no farther has
+    X <= C^2 (1 + 5u) and an estimate of at most C^2 (1 + 5u)(1 + 4 gamma) +
+    b.  The block keeps every cell within ``(t + b)(1 + 8 gamma)/(1 - 4
+    gamma) + 2b``, rounded up to float32, which exceeds that despite the
+    rounding of its own float64 operations (gamma >= 8u) (:func:`_kept`),
+    computes only those cells exactly and sorts them; the row's m nearest
+    are among them.  Rows with an infinite bound, and rows whose kept cells
+    are more than ``_MAX_SHORTLIST_SHARE`` of theirs, take the exact block.
+    Float64 cells (estimates with exact terms, and exact blocks beside
+    numeric columns) are taken ``_block_rows(n_ref, product=False)`` rows at
+    a time, written in place into buffers that the next block reuses.
     """
     q_num, q_nom = query
     nan_cols = _non_finite_columns(q_num, reference)
     estimated = m < reference.n and not nan_cols.all()
-    rows = _block_rows(q_num.shape[1], reference.n)
+    rows = _block_rows(reference.n, product=estimated or not q_num.shape[1])
+    # float64 cells (exact totals beside numeric columns, and estimates with
+    # exact terms) are taken a float64 block of rows at a time
+    wide = _block_rows(reference.n, product=False) if q_num.shape[1] else rows
     if estimated:
         fused = _fused_for(reference, ~nan_cols)
-        gamma = _rounding_factor(reference, fused[0])
+        gamma = _rounding_factor(fused[0])
         grow = (1.0 + 8.0 * gamma) / (1.0 - 4.0 * gamma)
         groups = _groups(m, reference.n)
-        whole = reference.n - reference.n % groups
-    buffers = _Buffers(min(rows, q_num.shape[0]), reference)
-    for start in range(0, q_num.shape[0], rows):
-        stop = min(start + rows, q_num.shape[0])
+    n_query = q_num.shape[0]
+    buffers = _Buffers(min(rows, n_query), min(wide, n_query), reference)
+    for start in range(0, n_query, rows):
+        stop = min(start + rows, n_query)
         head = np.empty((stop - start, m), dtype=np.intp)
-        # rows re-ranked from their estimates, and rows that take the exact block
-        sure, exact = np.arange(0), np.arange(stop - start)
+        # rows that take the exact block
+        exact = [np.arange(stop - start)]
         if estimated:
             block = q_num[start:stop], q_nom[start:stop]
             est, bound = _estimate(*block, reference, fused, nan_cols, buffers)
+            exact = [np.flatnonzero(~np.isfinite(bound))]
             sure = np.flatnonzero(np.isfinite(bound))
-            exact = np.flatnonzero(~np.isfinite(bound))
-        if sure.size:
-            if exact.size:
-                est, bound = est[sure], bound[sure]
-            at = start + sure
-            # each row's smallest estimate per group, one slice of G columns at
-            # a time; the columns past the last whole slice join the first groups
-            mins = np.minimum.reduce(est[:, :whole].reshape(sure.size, -1, groups), axis=1)
-            rest = est[:, whole:]
-            np.minimum(mins[:, : rest.shape[1]], rest, out=mins[:, : rest.shape[1]])
-            t = np.partition(mins, m - 1, axis=1)[:, m - 1]
-            with np.errstate(over="ignore"):
-                limit = (t + bound) * grow + 2.0 * bound
-            kept = np.flatnonzero(est <= limit[:, None])
-            if kept.size > _MAX_SHORTLIST_SHARE * est.size:
-                exact = np.arange(stop - start)
-            else:
+            step = wide if nan_cols.any() else max(sure.size, 1)
+            for part in (sure[i : i + step] for i in range(0, sure.size, step)):
+                cells = est if part.size == est.shape[0] else est[part]
+                if nan_cols.any():
+                    q_part = q_num[start + part]
+                    cells = _with_exact_terms(cells, q_part, reference, nan_cols, buffers)
+                kept = _kept(cells, bound[part], m, groups, grow)
+                if kept is None:
+                    exact.append(part)
+                    continue
                 r, c = np.divmod(kept, reference.n)
-                dist = _pair_distances(q_num, q_nom, at[r], reference, c)
-                head[sure] = _first_m(r, c, dist, sure.size, m)
-        if exact.size:
-            at = start + exact
+                dist = _pair_distances(q_num, q_nom, start + part[r], reference, c)
+                head[part] = _first_m(r, c, dist, part.size, m)
+        exact = np.concatenate(exact)
+        for part in (exact[i : i + wide] for i in range(0, exact.size, wide)):
+            at = start + part
             total = _exact_totals(q_num[at], q_nom[at], reference, nan_cols, buffers)
             if q_num.shape[1]:
                 np.sqrt(total, out=total)
             # without numeric columns the totals are counts (or all 0), which
             # sqrt maps strictly increasingly: they rank as the distances do
-            head[exact] = _nearest(total, m)
+            head[part] = _nearest(total, m)
         yield start, head
+
+
+def _kept(
+    est: np.ndarray, bound: np.ndarray, m: int, groups: int, grow: float
+) -> np.ndarray | None:
+    """Flat indices of the cells of ``est`` that may hold their row's ``m``
+    nearest, by the cutoff of :func:`_shortlist_heads` over ``groups``
+    strided groups of columns; None when they are more than
+    ``_MAX_SHORTLIST_SHARE`` of the cells."""
+    rows, n_ref = est.shape
+    whole = n_ref - n_ref % groups
+    # each row's smallest estimate per group, one slice of G columns at a time;
+    # the columns past the last whole slice join the first groups
+    mins = np.minimum.reduce(est[:, :whole].reshape(rows, -1, groups), axis=1)
+    rest = est[:, whole:]
+    np.minimum(mins[:, : rest.shape[1]], rest, out=mins[:, : rest.shape[1]])
+    t = np.partition(mins, m - 1, axis=1)[:, m - 1]
+    with np.errstate(over="ignore"):
+        limit = (t + bound) * grow + 2.0 * bound
+        # the next float32 above the nearest: est <= limit keeps every cell within
+        limit = np.nextafter(limit.astype(np.float32), np.float32(np.inf))
+    kept = est <= limit[:, None]
+    if np.count_nonzero(kept) > _MAX_SHORTLIST_SHARE * kept.size:
+        return None
+    return np.flatnonzero(kept)
 
 
 def _nearest(block: np.ndarray, m: int) -> np.ndarray:

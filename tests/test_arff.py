@@ -179,6 +179,17 @@ class TestParseErrors:
             parse_mulan(text, XML_P)
         assert err.value.line == 4
 
+    @pytest.mark.parametrize("line", ["@relation x y z", "@relation 'x y' z", "@relation x\t'y'"])
+    def test_text_after_the_relation_name(self, line):
+        text = f"{line}\n@attribute a numeric\n@attribute p {{0,1}}\n@data\n1,0\n"
+        with pytest.raises(MulanFormatError, match="text after the relation name") as err:
+            parse_mulan(text, XML_P)
+        assert err.value.line == 1
+
+    def test_a_quoted_relation_name_holds_spaces(self):
+        text = "@relation 'x y z' \t\n@attribute a numeric\n@attribute p {0,1}\n@data\n1,0\n"
+        assert parse_mulan(text, XML_P).name == "x y z"
+
     def test_a_keyword_ends_before_whitespace_or_a_quote_in_any_case(self):
         text = "@RELATION\t'r s'\n@Attribute'a b' numeric\n@attribute p {0,1}\n@DATA\n1,0\n2,1\n"
         d = parse_mulan(text, XML_P)

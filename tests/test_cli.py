@@ -98,6 +98,14 @@ class TestInfo:
         assert code == 2
         assert "line" in err
 
+    def test_text_after_the_relation_name_exits_2(self, toy6_files, tmp_path):
+        _, xml = toy6_files
+        bad = tmp_path / "bad.arff"
+        bad.write_text("@relation x y z\n@attribute f0 numeric\n@data\n1.0\n")
+        code, _, err = run_cli(["info", bad, xml])
+        assert code == 2
+        assert "line 1: text after the relation name: 'y z'" in err
+
     def test_empty_numeric_attribute_name_exits_2(self, toy6_files, tmp_path):
         """A file error, with its line, not a bad parameter."""
         _, xml = toy6_files

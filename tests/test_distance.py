@@ -80,10 +80,12 @@ class TestNeighborsAgainstOracle:
         assert got.shape == (n_query, 5)
         assert got.tolist() == oracle_neighbors(ref, rows(query), 5)
 
-    @pytest.mark.parametrize("cells", [1, 100, 500])  # 1, 2 and 12 rows per block
+    # float64 cells per block array: 1, 2 and 12 rows per block, and 1, 5
+    # and 25 of float32 cells
+    @pytest.mark.parametrize("cells", [1, 100, 500])
     @pytest.mark.parametrize("exclude_self", [False, True])
     def test_many_blocks(self, monkeypatch, cells, exclude_self):
-        monkeypatch.setattr(distance, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(distance, "_BLOCK_BYTES", 8 * cells)
         monkeypatch.setattr(distance, "_MIN_BLOCK_ROWS", 1)
         ref, _ = reference_and_query(11, 40, 0)
         enc = FeatureSpace(ref).encode(ref)
@@ -136,12 +138,13 @@ class TestNeighborsArguments:
 def full_matrix(query, reference):
     """Every distance cell from the engine's exact kernel, one block of query rows
     at a time in the block buffers that every block reuses, blocked as the engine
-    blocks.  The float32 counts of a query without numeric columns take their
-    square root in float64."""
+    blocks a query that it never estimates.  The float32 counts of a query
+    without numeric columns take their square root in float64."""
     prepared = prepare_reference(reference)
     q_num, q_nom = query
-    rows = distance._block_rows(q_num.shape[1], prepared.n)
-    buffers = distance._Buffers(min(rows, q_num.shape[0]), prepared)
+    rows = distance._block_rows(prepared.n, product=not q_num.shape[1])
+    n = min(rows, q_num.shape[0])
+    buffers = distance._Buffers(n, n, prepared)
     nan_cols = distance._non_finite_columns(q_num, prepared)
     blocks = []
     for at in range(0, q_num.shape[0], rows):
@@ -162,7 +165,7 @@ COARSE_VALUES = [0.0, 0.25, 1 / 3, 0.5, 1.0, math.nan, math.inf]
 NUMERIC_VALUES = st.sampled_from(COARSE_VALUES) | st.floats(-2, 2)
 
 
-ENGINE_BLOCKS = distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS, distance._MIN_NOMINAL_ROWS
+ENGINE_BLOCKS = distance._BLOCK_BYTES, distance._MIN_BLOCK_ROWS
 
 
 @st.composite
@@ -175,8 +178,8 @@ def encoded_cases(draw):
     row skips its own index; it is None when the engine takes the query's
     encoded pair and skips nothing: always for other rows, and in some draws
     for the reference's own.
-    ``blocks`` is the engine's (block cells, row floor with numeric columns,
-    row floor without).  In the binary-heavy mode the reference's codes lie
+    ``blocks`` is the engine's (bytes per block array, row floor of a float32
+    product block).  In the binary-heavy mode the reference's codes lie
     in {0, 1} and some of its columns hold only 0; the other query rows also
     hold codes of 2 or more, past the reference's width, and -1 appears in
     the reference's rows or in those other rows, never both.
@@ -217,7 +220,7 @@ def encoded_cases(draw):
     skip = own is not None and n_ref > 1 and draw(st.booleans())
     k = draw(st.integers(1, n_ref - skip))
     own = np.array(own, dtype=np.intp) if skip else None
-    return query, reference, k, own, draw(st.sampled_from([(1, 1, 1), (7, 1, 1), ENGINE_BLOCKS]))
+    return query, reference, k, own, draw(st.sampled_from([(1, 1), (56, 1), ENGINE_BLOCKS]))
 
 
 def pinned_case(numeric, k, exclude, nominal=None):
@@ -258,15 +261,15 @@ def binary_rows(n, seed, codes, zero_columns=()):
     return [((), tuple(distinct[i])) for i in rng.integers(0, 5, n)]
 
 
-# one query row more, and one fewer, than the nominal row floor, over one block
-# cell per reference row, so that the floor alone sets the blocks.  The
+# one query row more, and one fewer, than the row floor, over one byte per
+# block array, so that the floor alone sets the product blocks.  The
 # reference is two-valued and its third column holds only 0; the query holds
 # missing codes, codes past the reference's width and 1 in that column.
-FLOOR_BLOCKS = 1, distance._MIN_BLOCK_ROWS, distance._MIN_NOMINAL_ROWS
-FLOOR_SELF = binary_rows(distance._MIN_NOMINAL_ROWS + 1, 0, (0, 1), zero_columns=[2])
-FLOOR_QUERY = binary_rows(distance._MIN_NOMINAL_ROWS - 1, 4, (-1, 0, 1, 2))
-# the same codes beside a numeric column, finite (estimated) or with a NaN
-# (never estimated): blocks of the lower floor
+FLOOR_BLOCKS = 1, distance._MIN_BLOCK_ROWS
+FLOOR_SELF = binary_rows(distance._MIN_BLOCK_ROWS + 1, 0, (0, 1), zero_columns=[2])
+FLOOR_QUERY = binary_rows(distance._MIN_BLOCK_ROWS - 1, 4, (-1, 0, 1, 2))
+# the same codes beside a numeric column, finite (estimated: blocks of the
+# floor) or with a NaN (never estimated: blocks of one row)
 NUMERIC_FLOOR = [((i / 10,), codes) for i, (_, codes) in enumerate(FLOOR_SELF)]
 NAN_FLOOR = [((math.nan,), NUMERIC_FLOOR[0][1])] + NUMERIC_FLOOR[1:]
 
@@ -280,6 +283,14 @@ MISSING_ROWS = [
     ((0.0, 1.0), (0,)), ((math.nan, math.nan), (0,)), ((1.0, 0.0), (1,)),
     ((0.5, 0.5), (-1,)), ((math.nan, math.nan), (-1,)),
 ]
+# past float32's range: the first row's |q|^2 (1e20 times the span) and the
+# third row's value (1e39) take the exact block; the others are estimated
+BEYOND_FLOAT32 = [((1e20,), ()), ((0.3,), ()), ((1e39,), ()), ((0.6,), ())]
+# float32 subnormals: the estimates are all within the underflow slack
+SUBNORMAL_ROWS = [((v, 0.0), ()) for v in (0.0, 1e-40, 3e-40, 2e-40, 1e-39, 2.5e-40)]
+# four rows at 0.25 from 0.5, beside a nearer one and 20 far ones: the kept
+# cells tie, and the re-rank orders them by index
+TIED_KEPT = [((v,), ()) for v in (0.75, 0.25, 0.7, 0.75, 0.25, *range(2, 22))]
 NOMINAL_ROWS = [((), (a, b)) for a, b in [(0, 1), (1, 1), (-1, 0), (0, 1), (2, -1), (1, 0)]]
 NO_COLUMNS = [((), ())] * 5
 
@@ -294,6 +305,9 @@ NO_COLUMNS = [((), ())] * 5
 @example(rect_case(TINY_ROWS[:2], TINY_ROWS, 4))
 # row 0 ties row 1 at distance 0, but only row 1's estimate underflows to 0
 @example(rect_case([((3e-162,), ())], [((2e-162,), ()), ((3e-162,), ()), ((5e-162,), ())], 1))
+@example(rect_case(BEYOND_FLOAT32, UNIT_GRID, 2))
+@example(rect_case(SUBNORMAL_ROWS[2:4], SUBNORMAL_ROWS, 3))
+@example(rect_case([((0.5,), ()), ((0.45,), ())], TIED_KEPT, 3))
 # rows missing every numeric value, on both sides
 @example(rect_case(MISSING_ROWS, MISSING_ROWS, 2, rows=range(5)))
 @example(rect_case(MISSING_ROWS[1:3], MISSING_ROWS[2:], 2))
@@ -316,8 +330,8 @@ NO_COLUMNS = [((), ())] * 5
 @example(pinned_case([0.0, 0.0, 0.0, math.nan, 1.0], 2, exclude=True))
 # two mismatches after a numeric term: 0.49 + 1.0 + 1.0 is not 0.49 + 2.0
 @example(pinned_case([0.0, 0.7], 1, exclude=False, nominal=[(0, 0), (1, 1)]))
-# two-valued columns, blocked by the nominal row floor: 129 rows in two
-# blocks, 127 in one; with a numeric column, 129 rows in five blocks
+# two-valued columns, blocked by the row floor: 129 rows in two blocks, 127
+# in one; with a NaN in the numeric column, 129 blocks of one row
 @example(rect_case(FLOOR_SELF, FLOOR_SELF, 3, rows=range(len(FLOOR_SELF)), blocks=FLOOR_BLOCKS))
 @example(rect_case(FLOOR_QUERY, FLOOR_SELF, 4, blocks=FLOOR_BLOCKS))
 @example(rect_case(NUMERIC_FLOOR, NUMERIC_FLOOR, 3, rows=range(129), blocks=FLOOR_BLOCKS))
@@ -336,7 +350,7 @@ def estimates(case):
 
 def check_engine(case):
     query, reference, k, own, blocks = case
-    floors = "_BLOCK_CELLS", "_MIN_BLOCK_ROWS", "_MIN_NOMINAL_ROWS"
+    floors = "_BLOCK_BYTES", "_MIN_BLOCK_ROWS"
     saved = [getattr(distance, name) for name in floors], distance._estimate
     real_estimate = saved[1]
     estimated = []
@@ -346,7 +360,7 @@ def check_engine(case):
         return real_estimate(*args)
 
     try:
-        # small cells and floors of 1 give several blocks on either path
+        # small blocks and a floor of 1 give several blocks on either path
         for name, value in zip(floors, blocks):
             setattr(distance, name, value)
         distance._estimate = recording_estimate
@@ -410,8 +424,8 @@ def word_rows(n, seed, repeated=0):
 
 class TestExactBlocks:
     """A query without numeric columns takes blocks of at least
-    ``_MIN_NOMINAL_ROWS`` rows, ranked on the float32 mismatch counts; one
-    with numeric columns keeps ``_MIN_BLOCK_ROWS``."""
+    ``_MIN_BLOCK_ROWS`` rows, ranked on the float32 mismatch counts; one
+    with numeric columns that is never estimated has no such floor."""
 
     def run(self, monkeypatch, query, reference, k, rows=None):
         """The engine's lists, checked against a full sort; returns the (rows, dtype)
@@ -434,16 +448,17 @@ class TestExactBlocks:
         assert got.tolist() == oracle_encoded_neighbors(query, reference, k, rows).tolist()
         return ranked, sorted_shapes
 
-    @pytest.mark.parametrize("n", [distance._MIN_NOMINAL_ROWS - 1, distance._MIN_NOMINAL_ROWS + 1])
+    @pytest.mark.parametrize("n", [distance._MIN_BLOCK_ROWS - 1, distance._MIN_BLOCK_ROWS + 1])
     def test_one_row_fewer_and_one_more_than_the_floor(self, monkeypatch, n):
-        monkeypatch.setattr(distance, "_BLOCK_CELLS", 1)
+        monkeypatch.setattr(distance, "_BLOCK_BYTES", 1)
         enc = word_rows(n, n)
         ranked, _ = self.run(monkeypatch, enc, enc, 4, rows=np.arange(n))
-        floor = distance._MIN_NOMINAL_ROWS
+        floor = distance._MIN_BLOCK_ROWS
         assert ranked == [(min(n, floor), np.float32)] + [(1, np.float32)] * (n > floor)
 
     def test_the_floor_holds_beyond_the_block_cells(self, monkeypatch):
-        # 300 reference rows: _BLOCK_CELLS alone would give blocks of 109 rows
+        # 300 reference rows: 100 KB per block array alone would give blocks of 85 rows
+        monkeypatch.setattr(distance, "_BLOCK_BYTES", 100_000)
         enc = word_rows(300, 1)
         ranked, _ = self.run(monkeypatch, enc, enc, 10, rows=np.arange(300))
         assert ranked == [(128, np.float32), (128, np.float32), (44, np.float32)]
@@ -454,7 +469,9 @@ class TestExactBlocks:
         assert ranked == [(30, np.float32)] and sorted_shapes == [(30, 30)]
 
     def test_tie_heavy_blocks_past_the_shortlist_share_take_the_full_sort(self, monkeypatch):
-        # row 0 and its 280 copies, of 300 rows: each ties with 280 others at 0
+        # row 0 and its 280 copies, of 300 rows: each ties with 280 others at 0;
+        # blocks of the row floor
+        monkeypatch.setattr(distance, "_BLOCK_BYTES", 1)
         enc = word_rows(300, 3, repeated=280)
         ranked, sorted_shapes = self.run(monkeypatch, enc, enc, 3, rows=np.arange(300))
         assert [rows for rows, _ in ranked] == [128, 128, 44]
@@ -468,28 +485,56 @@ class TestExactBlocks:
         assert got.tolist() == [[1, 2], [0, 2], [0, 1], [0, 1], [0, 1]]
 
     def test_numeric_columns_keep_the_lower_floor(self, monkeypatch):
-        # one NaN: never estimated, and ranked on float64 distances
-        monkeypatch.setattr(distance, "_BLOCK_CELLS", 1)
+        # one NaN: never estimated, and ranked on float64 distances in blocks
+        # of 32 rows, below the product blocks' floor
+        monkeypatch.setattr(distance, "_BLOCK_BYTES", 32 * 8 * 129)
         enc = encode_rows(NAN_FLOOR, 1, 4)
         ranked, _ = self.run(monkeypatch, enc, enc, 3, rows=np.arange(129))
         assert ranked == [(32, np.float64)] * 4 + [(1, np.float64)]
 
-    def test_no_float64_block_buffers(self):
-        prepared = prepare_reference(word_rows(50, 4))
-        buffers = distance._Buffers(10, prepared)
-        assert not hasattr(buffers, "total") and buffers.count.shape == (10, 50)
+    def test_no_float64_block_buffers(self, monkeypatch):
+        made = []
+
+        class Recording(distance._Buffers):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(distance, "_Buffers", Recording)
+        neighbors(prepare_reference(word_rows(50, 4)), 3)
+        # each buffer is made on first use: a query of nominal columns makes only its counts'
+        assert [sorted(vars(b).keys() - {"rows", "wide_rows", "reference"}) for b in made] == [
+            ["count", "q_hot"]
+        ]
+        assert made[0].count.shape == (50, 50) and made[0].count.dtype == np.float32
 
 
-def test_cells_one_ulp_apart_that_the_estimates_misorder():
+def test_cells_one_ulp_apart_that_the_estimates_misorder(monkeypatch):
     """Rows a few ulps apart: their exact distances differ by single ulps, which the
-    fused estimates cannot resolve; only the exact re-rank orders them."""
-    misordered = 0
+    float32 estimates cannot resolve (they tie or misorder such cells); only
+    the exact re-rank of the kept cells orders them."""
+    paths = []
+
+    def recording(name):
+        real = getattr(distance, name)
+
+        def record(*args):
+            paths.append(name)
+            return real(*args)
+
+        return record
+
+    for name in ("_pair_distances", "_exact_totals"):
+        monkeypatch.setattr(distance, name, recording(name))
+    unordered = 0
     for seed in range(10):
         rng = np.random.default_rng(seed)
         base = rng.random(3)
         rows = base + rng.integers(-3, 4, (30, 3)) * np.spacing(base)
+        # 40 far rows, so that the 30 close cells are under half of the row's and are kept
+        far = 5.0 + rng.random((40, 3))
         query = (rng.random((1, 3)), np.zeros((1, 0), dtype=np.int64))
-        reference = (rows, np.zeros((30, 0), dtype=np.int64))
+        reference = (np.vstack([rows, far]), np.zeros((70, 0), dtype=np.int64))
         prepared = prepare_reference(reference)
         nan_cols = distance._non_finite_columns(query[0], prepared)
         est, _ = distance._estimate(
@@ -497,19 +542,22 @@ def test_cells_one_ulp_apart_that_the_estimates_misorder():
             prepared,
             distance._fused_for(prepared, ~nan_cols),
             nan_cols,
-            distance._Buffers(1, prepared),
+            distance._Buffers(1, 1, prepared),
         )
         est, exact = est[0].copy(), oracle_distances(query, reference)[0]
-        misordered += sum(
-            est[i] > est[j]
+        unordered += sum(
+            est[i] >= est[j]
             for i in range(30)
             for j in range(30)
             if exact[j] == np.nextafter(exact[i], math.inf)
         )
         for k in (1, 2, 7, 29):
+            paths.clear()
             got = neighbors(prepared, k, query=query)
             assert got.tolist() == oracle_encoded_neighbors(query, reference, k).tolist()
-    assert misordered
+            # the close cells were re-ranked one by one, not sent to the full sort
+            assert paths == ["_pair_distances"]
+    assert unordered
 
 
 @pytest.mark.parametrize("noise", ["up", "down", "signs", "uniform", "adversarial"])
@@ -526,6 +574,8 @@ def test_estimates_anywhere_within_their_bound_give_the_same_lists(noise, case, 
 
     def perturbed(q_num, q_nom, reference, *rest):
         est, bound = real_estimate(q_num, q_nom, reference, *rest)
+        # in float64, so that the noise is not rounded away
+        est = est.astype(np.float64)
         exact = oracle_squared_distances((q_num, q_nom), (reference.columns.T, reference.nominal))
         if noise == "adversarial":
             # the true nearest look farther and every other cell nearer
@@ -542,20 +592,26 @@ def test_estimates_anywhere_within_their_bound_give_the_same_lists(noise, case, 
         est[usable] = exact[usable] + sign[usable] * bound[usable, None]
         return est, bound
 
+    real_with_exact_terms = distance._with_exact_terms
     try:
         distance._estimate = perturbed
+        # the noisy estimates hold the exact terms already
+        distance._with_exact_terms = lambda est, *rest: est
         check_engine(case)
     finally:
         distance._estimate = real_estimate
+        distance._with_exact_terms = real_with_exact_terms
 
 
 @st.composite
 def bound_cases(draw):
     """(query, reference) of :func:`encoded_cases`, with the numeric values scaled
-    from far below 1 up to near overflow and the nominal codes spread over up
-    to 40 values.  Unscaled codes keep the two-valued columns."""
+    from float32's subnormals up to near float64's overflow, past float32's,
+    and the nominal codes spread over up to 40 values.  Unscaled codes keep
+    the two-valued columns."""
     query, reference, *_ = draw(encoded_cases())
-    scale = draw(st.sampled_from([1.0, 1e-10, 1e-8, 1e100, 1e152, 1e153, 2e153]))
+    scales = [1.0, 1e-40, 1e-22, 1e-10, 1e-8, 1e18, 1e19, 1e100, 1e152, 1e153, 2e153]
+    scale = draw(st.sampled_from(scales))
     spread = draw(st.sampled_from([1, 5, 13]))
 
     def widen(pair):
@@ -576,6 +632,9 @@ TINY_MATCHING = [((1e-9 * i, 2e-9), (i % 3, 7, 1)) for i in range(6)]
 @example(tuple(encode_rows(TINY_MATCHING, 2, 3) for _ in range(2)))
 @example((encode_rows(HUGE_ROWS, 3, 0), encode_rows(HUGE_ROWS, 3, 0)))
 @example((encode_rows(MISSING_ROWS, 2, 1), encode_rows(MISSING_ROWS[::-1], 2, 1)))
+@example((encode_rows(BEYOND_FLOAT32, 1, 0), encode_rows(UNIT_GRID, 1, 0)))
+@example((encode_rows(SUBNORMAL_ROWS, 2, 0), encode_rows(SUBNORMAL_ROWS[::-1], 2, 0)))
+@example((encode_rows([((0.5,), ())] * 2, 1, 0), encode_rows(TIED_KEPT, 1, 0)))
 def test_the_fused_estimate_errs_by_at_most_its_bound(case):
     """|E - X| <= bound + 4 gamma X for every cell of a row with a finite bound,
     where X is the kernel's own squared total."""
@@ -585,9 +644,11 @@ def test_the_fused_estimate_errs_by_at_most_its_bound(case):
     if nan_cols.all():
         return  # no numeric column to estimate with
     fused = distance._fused_for(prepared, ~nan_cols)
-    buffers = distance._Buffers(query[0].shape[0], prepared)
+    buffers = distance._Buffers(query[0].shape[0], query[0].shape[0], prepared)
     est, bound = distance._estimate(*query, prepared, fused, nan_cols, buffers)
-    gamma = distance._rounding_factor(prepared, fused[0])
+    if nan_cols.any():
+        est = distance._with_exact_terms(est, query[0], prepared, nan_cols, buffers)
+    gamma = distance._rounding_factor(fused[0])
     usable = np.isfinite(bound)
     est, bound = est[usable], bound[usable, None]
     exact = oracle_squared_distances(query, reference)[usable]
@@ -688,13 +749,13 @@ def test_block_size_never_changes_the_answer(d):
     # every other row needs every cell; the nearest one leaves room for estimates
     for k in {max(d.n - 1, 1), 1}:
         whole = neighbors(prepare_reference(enc), k, query=query)
-        original = distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS, distance._MIN_NOMINAL_ROWS
+        original = distance._BLOCK_BYTES, distance._MIN_BLOCK_ROWS
         try:
             # one query row per block on the estimated path as well as the exact one
-            distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS, distance._MIN_NOMINAL_ROWS = 1, 1, 1
+            distance._BLOCK_BYTES, distance._MIN_BLOCK_ROWS = 1, 1
             one_row = neighbors(prepare_reference(enc), k, query=query)
         finally:
-            distance._BLOCK_CELLS, distance._MIN_BLOCK_ROWS, distance._MIN_NOMINAL_ROWS = original
+            distance._BLOCK_BYTES, distance._MIN_BLOCK_ROWS = original
         assert np.array_equal(whole, one_row)
 
 
@@ -730,19 +791,17 @@ def nominal_pairs(draw):
 @example((np.array([[0, 1, -1, 2]]), np.array([[0, 0, 0, 0], [1, 0, 1, 1]])))
 @example((np.array([[0, 1], [-1, 3]]), np.array([[-1, 0], [1, 0], [0, 2]])))
 def test_mismatch_counts_equal_the_full_one_hot_kernel(pair):
-    """The counts of the kernel that gave every column one indicator per code: bit
-    for bit in float32 without a numeric column, and in value from the fused
-    matrix's float64 rows beside a finite one."""
+    """The counts of the kernel that gave every column one indicator per code, bit
+    for bit in float32, without a numeric column and from the fused matrix's
+    rows beside a finite one."""
     query, reference = pair
     want = oracle_one_hot_mismatches(query, reference)
     for n_numeric in 0, 1:
         prepared = prepare_reference((np.zeros((reference.shape[0], n_numeric)), reference))
-        got = distance._mismatches(query, prepared, distance._Buffers(query.shape[0], prepared))
-        if n_numeric:
-            assert got.dtype == np.float64 and np.array_equal(got, want)
-        else:
-            assert got.dtype == want.dtype == np.float32
-            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        buffers = distance._Buffers(query.shape[0], query.shape[0], prepared)
+        got = distance._mismatches(query, prepared, buffers)
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -832,15 +891,14 @@ def test_the_prepared_reference_keeps_the_encoded_numeric_matrix_once(d):
     raw = raw.reshape(d.n, len(columns))
     expected = (raw * space._scales - space._mins) / space._spans
     assert np.array_equal(numeric.view(np.uint64), expected.view(np.uint64))
-    # one numeric matrix: the fused matrix's first rows when every column is
-    # finite, and otherwise the encoded matrix itself
-    finite = np.isfinite(numeric).all()
+    # one float64 numeric matrix, the encoded one itself; the fused matrix
+    # holds the finite columns rounded to float32
     prepared = prepare_reference((numeric, np.zeros((d.n, 0), dtype=np.int64)))
     columns = prepared.columns
     assert columns.flags.c_contiguous and np.array_equal(columns.T, numeric, equal_nan=True)
-    assert numeric.size == 0 or np.shares_memory(columns, prepared.fused if finite else numeric)
+    assert numeric.size == 0 or np.shares_memory(columns, numeric)
     own = prepare_reference((numeric, nominal))
-    holder = own.fused if finite else numeric
-    assert numeric.size == 0 or np.shares_memory(own.columns, holder)
+    assert numeric.size == 0 or np.shares_memory(own.columns, numeric)
+    assert own.fused is None or own.fused.dtype == np.float32
     # the nominal indicators are held once: as the fused matrix's rows whenever it exists
     assert own.fused is None or np.shares_memory(own.one_hot, own.fused)

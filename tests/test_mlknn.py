@@ -43,9 +43,11 @@ class TestTraining:
         model = mlknn_train(train, k_nn=3)
         numeric = model.reference.columns.T
         assert np.array_equal(numeric, model.space.encode(train)[0])
-        # the one copy of the training rows is the reference's fused matrix
+        # the one float64 copy of the training rows is the encoded matrix, which
+        # the reference views whole; the fused matrix holds them in float32
         assert not hasattr(model.space, "encoded")
-        assert np.shares_memory(numeric, model.reference.fused)
+        assert numeric.base is not None and numeric.base.nbytes == numeric.nbytes
+        assert model.reference.fused.dtype == np.float32
 
     def test_k_nn_bounds(self, toy6):
         with pytest.raises(ValueError):
@@ -120,8 +122,10 @@ class TestAllNominal:
     K_NN = 10
 
     def test_training_counts_and_predictions_follow_the_oracle_neighbours(self, monkeypatch):
-        # 300 training rows: more than two blocks of the nominal row floor
+        # 300 training rows: more than two blocks of the row floor, which alone
+        # sets them at one byte per block array
         train, test = bag_of_words(0, 300), bag_of_words(1, 80)
+        monkeypatch.setattr(distance, "_BLOCK_BYTES", 1)
         ranked = []
         real_nearest = distance._nearest
 
