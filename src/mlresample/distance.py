@@ -33,33 +33,31 @@ indicator against a constant 1.  Every other column has one indicator per
 code.
 
 With numeric columns, a block is first estimated by one float32 matrix
-product (:func:`_estimate`): the Gram form ``|q|^2 + |r|^2 - 2 q.r`` over
-the columns that hold only finite values and the nominal mismatch count
-come out of the same product, and the exact terms of the other columns are
-added to it.  The reference columns fall into strided groups, and each
-row's m-th smallest group minimum (m = k, plus one when the row skips
-itself) bounds the row's answer: at least m cells lie within it.  Every cell whose estimate
-could still be within it is kept, by a rigorous error bound (Higham,
-*Accuracy and Stability of Numerical Algorithms*, section 3.1), and only the
-kept cells are computed exactly and sorted.  The estimate only filters
-cells, so the order of a BLAS product, its threads and fused multiply-adds
-never change a neighbour list.  A row whose product could pass float32's
-range, and rows whose kept cells are more than ``_MAX_SHORTLIST_SHARE`` of
-theirs, take the exact block instead.  So does every row of a query when no
-numeric column is finite on both sides (with no numeric column at all the
-nominal count is exact already) or when a row needs every reference row;
-such a query is never estimated.  A block holds ``_BLOCK_BYTES`` per array
-of its cells, and at least ``_MIN_BLOCK_ROWS`` rows when it is one float32
-product, estimated or all-nominal; its float64 cells are taken
-``_BLOCK_BYTES`` per array at a time (:func:`_block_rows`).  A query with
-nominal columns and no numeric one ranks its exact block on the float32
-mismatch counts themselves: they are exact small integers and
-``sqrt`` is strictly monotone on them, so they order and tie as the
-distances do.  The exact block picks from a shortlist: the cells no
-farther than each row's m-th smallest distance, found with ``np.partition``
-and ordered by distance, then index.  When ties make that shortlist more
-than half of a block, a stable ``argsort`` of the whole block picks them
-instead.  No option changes any of this.
+product (:func:`_estimate`): the Gram form ``|q|^2 + |r|^2 - 2 q.r``, the
+terms of the columns that hold a missing value and the nominal mismatch
+count come out of the same product.  The reference columns fall into
+strided groups, and each row's m-th smallest group minimum (m = k, plus one
+when the row skips itself) bounds the row's answer: at least m cells lie
+within it.  Every cell whose estimate could still be within it is kept, by
+a rigorous error bound (Higham, *Accuracy and Stability of Numerical
+Algorithms*, section 3.1), and only the kept cells are computed exactly and
+sorted.  The estimate only filters cells, so the order of a BLAS product,
+its threads and fused multiply-adds never change a neighbour list.  A row
+whose product could pass float32's range (an infinity among them), and rows
+whose kept cells are more than ``_MAX_SHORTLIST_SHARE`` of theirs, take the
+exact block instead.  So does every row of a query that needs every
+reference row; with no numeric column the nominal count is exact already.
+A block holds ``_BLOCK_BYTES`` per array of its cells, and at least
+``_MIN_BLOCK_ROWS`` rows when it is one float32 product, estimated or
+all-nominal; its float64 cells are taken ``_BLOCK_BYTES`` per array at a
+time (:func:`_block_rows`).  A query with nominal columns and no numeric
+one ranks its exact block on the float32 mismatch counts themselves: they
+are exact small integers and ``sqrt`` is strictly monotone on them, so they
+order and tie as the distances do.  The exact block picks from a
+shortlist: the cells no farther than each row's m-th smallest distance,
+found with ``np.partition`` and ordered by distance, then index.  When ties
+make that shortlist more than half of a block, a stable ``argsort`` of the
+whole block picks them instead.  No option changes any of this.
 """
 
 from __future__ import annotations
@@ -75,9 +73,9 @@ from .dataset import MultiLabelDataset
 
 # Bytes per block array (_block_rows): 4 per cell of float32 estimates or
 # counts, 8 of float64 totals.  Float64 cells summed column by column slow
-# once they leave the cache: a 4000-row self-query of 20 columns, each
-# holding a NaN (k = 10, BLAS on one thread), took 0.59 s at 32 rows (256
-# KB) and 0.78 s at 128.
+# once they leave the cache: the exact blocks of a 4000-row self-query of 20
+# columns (k = 10, BLAS on one thread) took 0.59 s at 32 rows (256 KB) and
+# 0.78 s at 128.
 _BLOCK_BYTES = 1 << 18
 
 # Above this share of a block's cells the shortlist is slower than a stable
@@ -155,13 +153,12 @@ class Reference:
     per column of ``two_valued``, the nominal columns whose codes all lie in
     {0, 1}, then for every other column ``c`` one indicator per code,
     ``offsets[c]:offsets[c] + widths[c]`` (width = the column's largest code
-    + 1, and 0 for a two-valued column).  ``finite`` marks the numeric
-    columns without a NaN or infinity.  ``fused`` is the float32 reference
-    side of :func:`_estimate` over them (see :func:`_fused`), None when no
-    numeric column is finite, and ``max_norm`` the largest norm in it.  The
-    indicators are held once, in float32: ``one_hot`` is the transpose of
-    ``fused``'s indicator rows when ``fused`` exists, and a matrix of its
-    own otherwise.
+    + 1, and 0 for a two-valued column).  ``gappy`` marks the numeric
+    columns that hold a NaN.  ``fused`` is the float32 reference side of
+    :func:`_estimate` (see :func:`_fused`), None without numeric columns,
+    and ``max_norm`` the largest norm in it.  The indicators are held once,
+    in float32: ``one_hot`` is the transpose of ``fused``'s indicator rows
+    when ``fused`` exists, and a matrix of its own otherwise.
     """
 
     columns: np.ndarray
@@ -170,7 +167,7 @@ class Reference:
     widths: np.ndarray
     offsets: np.ndarray
     one_hot: np.ndarray
-    finite: np.ndarray
+    gappy: np.ndarray
     fused: np.ndarray | None
     max_norm: float
 
@@ -179,22 +176,35 @@ class Reference:
         return self.columns.shape[1]
 
 
-def _fused(rows: np.ndarray, width: int) -> tuple[np.ndarray, float]:
+def _fused(rows: np.ndarray, gappy: np.ndarray, width: int) -> tuple[np.ndarray, float]:
     """The reference side of the fused estimate, and the largest norm in it.
 
     One C-contiguous float32 matrix: the float64 numeric ``rows`` (one per
-    column) rounded, a row of ones, their squared norms summed in float64
-    and rounded, ``width`` rows for the nominal indicators, which the caller
-    writes, and another row of ones.  Past float32's range a value rounds to
-    infinity, and then :func:`_estimate` uses none of them.
+    column, 0 where missing) rounded; for the ``gappy`` columns, presence
+    bits b, then squares r^2 computed in float64 and rounded; a row of ones;
+    the squared norms of the other columns summed in float64 and rounded;
+    ``width`` rows for the nominal indicators, which the caller writes; and
+    another row of ones.  Past float32's range a value rounds to infinity,
+    and then :func:`_estimate` uses none of them.
     """
-    f = rows.shape[0]
-    fused = np.empty((f + 3 + width, rows.shape[1]), np.float32)
+    f, holes = rows.shape[0], np.flatnonzero(gappy)
+    g = holes.size
+    fused = np.empty((f + 2 * g + 3 + width, rows.shape[1]), np.float32)
     with np.errstate(over="ignore"):
-        norms = np.einsum("ij,ij->j", rows, rows)
+        complete = rows[~gappy] if g else rows
+        norms = np.einsum("ij,ij->j", complete, complete)
         fused[:f] = rows
-        fused[f + 1] = norms
-    fused[f] = 1.0
+        fused[f + 2 * g + 1] = norms
+        # a column at a time, so that the float64 temporaries stay one row long
+        for i, col in enumerate(holes):
+            missing = np.isnan(rows[col])
+            value = np.where(missing, 0.0, rows[col])
+            fused[col] = value
+            fused[f + i] = ~missing
+            np.multiply(value, value, out=value)
+            fused[f + g + i] = value
+            norms += value
+    fused[f + 2 * g] = 1.0
     fused[-1] = 1.0
     return fused, math.sqrt(norms.max(initial=0.0))
 
@@ -204,11 +214,11 @@ def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
 
     Besides the encoded pair it holds the nominal indicators, one per
     two-valued column and per code of every other column, plus a constant
-    one, n_ref * 4 bytes each.  When some numeric column is finite they are
-    rows of the float32 fused matrix of :func:`_fused`, which also holds
-    n_ref * 4 bytes per finite numeric column, plus three rows.
-    ``columns`` is a view of the encoded column-major numeric matrix (a copy
-    of any other layout).
+    one, n_ref * 4 bytes each.  With numeric columns they are rows of the
+    float32 fused matrix of :func:`_fused`, which also holds n_ref * 4 bytes
+    per numeric column and two more per column that holds a NaN, plus three
+    rows.  ``columns`` is a view of the encoded column-major numeric matrix
+    (a copy of any other layout).
     """
     numeric, nominal = encoded
     n_ref, n_nominal = nominal.shape
@@ -218,11 +228,11 @@ def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
     widths[two_valued] = 0
     offsets = 1 + two_valued.size + np.cumsum(widths) - widths
     width = 1 + two_valued.size + int(widths.sum())
-    finite = np.isfinite(numeric).all(axis=0)
+    gappy = np.isnan(numeric).any(axis=0)
     columns = np.ascontiguousarray(numeric.T)
     fused, max_norm = None, 0.0
-    if finite.any():
-        fused, max_norm = _fused(columns if finite.all() else columns[finite], width)
+    if gappy.size:
+        fused, max_norm = _fused(columns, gappy, width)
     # the indicators are written once: into the fused matrix's rows when it exists
     one_hot = np.empty((n_ref, width), np.float32) if fused is None else fused[-1 - width : -1].T
     reference = Reference(
@@ -232,7 +242,7 @@ def prepare_reference(encoded: tuple[np.ndarray, np.ndarray]) -> Reference:
         widths=widths,
         offsets=offsets,
         one_hot=one_hot,
-        finite=finite,
+        gappy=gappy,
         fused=fused,
         max_norm=max_norm,
     )
@@ -293,8 +303,9 @@ class _Buffers:
 
     @cached_property
     def fused(self) -> np.ndarray:
-        # the query side of the fused estimate, K columns wide at most
-        return np.empty((self.rows, self.reference.fused.shape[0]), np.float32)
+        # the query side of the fused estimate, wide enough for every numeric column gappy
+        width = 3 * self.reference.columns.shape[0] + 3 + self.reference.one_hot.shape[1]
+        return np.empty((self.rows, width), np.float32)
 
     @cached_property
     def est(self) -> np.ndarray:
@@ -307,25 +318,6 @@ class _Buffers:
     @cached_property
     def count(self) -> np.ndarray:
         return np.empty((self.rows, self.reference.n), np.float32)
-
-
-def _add_terms(
-    total: np.ndarray, q_num: np.ndarray, reference: Reference, cols, nan_cols, terms, write_first
-) -> None:
-    """Add to ``total`` the squared numeric terms of ``cols``, one column at a time in order.
-
-    A NaN term (a missing value, or inf - inf) counts 1.0.  With
-    ``write_first`` the first column's terms are written, not added:
-    0.0 + term is term.
-    """
-    for i, col in enumerate(cols):
-        term = total if write_first and i == 0 else terms[: total.shape[0]]
-        np.subtract(q_num[:, col, None], reference.columns[col], out=term)
-        np.multiply(term, term, out=term)
-        if nan_cols[col]:
-            term[np.isnan(term)] = 1.0
-        if term is not total:
-            total += term
 
 
 def _mismatches(q_nom: np.ndarray, reference: Reference, buffers: _Buffers) -> np.ndarray:
@@ -361,25 +353,34 @@ def _exact_totals(
 ) -> np.ndarray:
     """Squared distances of the given query rows to every reference row, written in place.
 
-    Numeric terms are summed column by column in attribute order, then the
-    nominal mismatch count is added, so every cell is bit-identical to a
-    per-column sum of the HEOM terms.  With nominal columns alone the totals
-    are the float32 mismatch counts themselves: integer sums from 0.0, exact
-    whatever the order.
+    Numeric terms are summed column by column in attribute order (a NaN term,
+    from a missing value or inf - inf, counts 1.0; 0.0 + term is term, so the
+    first is written), then the nominal mismatch count is added, so every
+    cell is bit-identical to a per-column sum of the HEOM terms.  With
+    nominal columns alone the totals are the float32 mismatch counts
+    themselves: integer sums from 0.0, exact whatever the order.
     """
     n_numeric, n_nominal = q_num.shape[1], q_nom.shape[1]
     if n_nominal and not n_numeric:
         return _mismatches(q_nom, reference, buffers)
     total = buffers.total[: q_num.shape[0]]
-    _add_terms(total, q_num, reference, range(n_numeric), nan_cols, buffers.terms, write_first=True)
+    for col in range(n_numeric):
+        term = buffers.terms[: total.shape[0]] if col else total
+        np.subtract(q_num[:, col, None], reference.columns[col], out=term)
+        np.multiply(term, term, out=term)
+        if nan_cols[col]:
+            term[np.isnan(term)] = 1.0
+        if col:
+            total += term
     if n_nominal:
         _add_ones(total, _mismatches(q_nom, reference, buffers))
     return total
 
 
 def _non_finite_columns(q_num: np.ndarray, reference: Reference) -> np.ndarray:
-    """Numeric columns where a term can be NaN: a NaN (missing) or an infinity on either side."""
-    return ~(np.isfinite(q_num).all(axis=0) & reference.finite)
+    """Numeric columns where a term can be NaN: a NaN (missing) on either side, or
+    an infinity in the query (inf - inf)."""
+    return ~np.isfinite(q_num).all(axis=0) | reference.gappy
 
 
 def _pair_distances(
@@ -406,73 +407,89 @@ def _rounding_factor(fused: np.ndarray) -> float:
     return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
 
 
-def _fused_for(reference: Reference, mask: np.ndarray) -> tuple[np.ndarray, float]:
-    """:func:`_fused` over the numeric columns in ``mask``, all of them finite: the
-    prepared one when ``mask`` is every finite column, else built anew."""
-    if np.array_equal(mask, reference.finite):
-        return reference.fused, reference.max_norm
-    fused, max_norm = _fused(reference.columns[mask], reference.one_hot.shape[1])
-    fused[-1 - reference.one_hot.shape[1] : -1] = reference.one_hot.T
-    return fused, max_norm
+def _fused_for(reference: Reference, q_num: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """:func:`_fused` for the query ``q_num``, its largest norm and its gappy
+    columns: the reference's and those where ``q_num`` holds a NaN.  The
+    prepared matrix serves when they are the reference's own, as for every
+    self-query, and otherwise it is built anew."""
+    gappy = reference.gappy | np.isnan(q_num).any(axis=0)
+    if np.array_equal(gappy, reference.gappy):
+        return reference.fused, reference.max_norm, gappy
+    width = reference.one_hot.shape[1]
+    fused, max_norm = _fused(reference.columns, gappy, width)
+    fused[-1 - width : -1] = reference.one_hot.T
+    return fused, max_norm, gappy
 
 
 def _estimate(
     q_num: np.ndarray,
     q_nom: np.ndarray,
     reference: Reference,
-    fused: tuple[np.ndarray, float],
-    nan_cols: np.ndarray,
+    fused: tuple[np.ndarray, float, np.ndarray],
     buffers: _Buffers,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimated squared distances of a block of query rows, and each row's error bound.
 
-    ``fused`` is :func:`_fused_for` over the columns outside ``nan_cols``:
-    R, with rows r (f finite columns), 1, |r|^2, the reference indicators
-    and 1, in float32, and the largest |r|.  The block fills Q with -2q,
-    |q|^2 (summed in float64), 1, minus the query indicators and the nominal
-    column count, rounded to float32, so that one float32 product ``Q @ R``
-    gives ``|q|^2 + |r|^2 - 2 q.r + (n_nominal - matches)``.  The exact terms
-    of the ``nan_cols`` are then added in float64 (:func:`_with_exact_terms`).
+    ``fused`` is :func:`_fused_for` the query: R, with rows r (f numeric
+    columns, 0 where missing), b and r^2 (G gappy columns), 1, |r|^2 (the
+    other columns), the reference indicators and 1, in float32; the largest
+    |r|; and the gappy columns.  The block fills Q with -2q, q^2 - a and a
+    (gappy columns; a is 0 where q is missing, and then q is 0), |q|^2 (the
+    other columns, summed in float64) + G, 1, minus the query indicators and
+    the nominal column count, rounded to float32, so that one float32
+    product ``Q @ R`` gives ``|q|^2 + |r|^2 - 2 q.r`` over the other columns,
+    b (q^2 - a) + a r^2 - 2 q r + 1 per gappy column, which is (q - r)^2
+    when both values are present and 1 otherwise, and ``n_nominal -
+    matches``.
 
-    Error bound, with u = 2^-24 and S = |q| + max |r|.  The indicators and
-    counts are small integers, exact in float32.  Rounding q and r to
-    float32 moves 2 q.r by at most 2(2u + u^2)|q||r| <= (u + u^2) S^2, and
-    the norms, summed in float64 and rounded, err by at most 2u relative.
-    The product sums its K = f + 3 + width terms in any order, so it errs by
-    at most gamma_K times the sum of their magnitudes (Higham, section 3.1):
-    at most (1 + 3u) S^2 for the numeric part and 3 n_nominal for the
-    nominal part, since indicator 0 pairs a count of code 0 (at most one per
-    two-valued column) with 1, every other pair of indicators multiplies to
-    -1, 0 or 1 with at most one nonzero pair per column, and the last pair
-    is n_nominal times 1.  Let X be the kernel's own squared total of a cell
-    (:func:`_exact_totals`); its float64 roundings, and those of adding the
-    exact terms, err by at most u (X + S^2) for fewer than 2^27 columns.  A
+    Error bound, with u = 2^-24 and S = |q| + max |r| (over present values).
+    The presence bits, indicators and counts are small integers, exact in
+    float32.  Rounding q and r to float32 moves 2 q.r by at most 2(2u +
+    u^2)|q||r| <= (u + u^2) S^2, and q^2 - a, r^2 and the norms, each
+    rounded once from float64, err by at most 2u times q^2 + 1, r^2 and the
+    norm.  The product sums its K = f + 2G + 3 + width terms in any order,
+    so it errs by at most gamma_K times the sum of their magnitudes (Higham,
+    section 3.1): at most (1 + 3u)(S^2 + 2G) for the numeric part and 3
+    n_nominal for the nominal part, since indicator 0 pairs a count of code
+    0 (at most one per two-valued column) with 1, every other pair of
+    indicators multiplies to -1, 0 or 1 with at most one nonzero pair per
+    column, and the last pair is n_nominal times 1.  Let X be the kernel's
+    own squared total of a cell (:func:`_exact_totals`); its float64
+    roundings err by at most u (X + S^2) for fewer than 2^27 columns.  A
     subnormal operand errs by at most 2^-150 absolute, which adds at most u
-    S^2 beyond ``_UNDERFLOW_SLACK``.  With gamma = :func:`_rounding_factor` =
-    gamma_{K+6} these give |E - X| <= gamma (S^2 + 3 n_nominal) + 4 gamma X.
-    The returned ``bound`` is twice that first term, which covers the
-    rounding of the computed norms it is made of, plus ``_UNDERFLOW_SLACK``.
-    No magnitude in the product exceeds half of ``bound / gamma``; a row
-    where that passes float32's range gets an infinite bound and must not
-    use its estimates.
+    S^2 beyond ``_UNDERFLOW_SLACK``.  With gamma = :func:`_rounding_factor`
+    = gamma_{K+6} these give |E - X| <= gamma (S^2 + 2G + 3 n_nominal) + 4
+    gamma X.  The returned ``bound`` is twice that first term, which covers
+    the rounding of the computed norms it is made of, plus
+    ``_UNDERFLOW_SLACK``.  No magnitude in the product exceeds half of
+    ``bound / gamma``; a row where that passes float32's range, as an
+    infinity does, gets an infinite bound and must not use its estimates.
     """
-    r_fused, r_max = fused
-    rows, n_nominal = q_num.shape[0], q_nom.shape[1]
-    f = r_fused.shape[0] - reference.one_hot.shape[1] - 3
+    r_fused, r_max, gappy = fused
+    rows, (f, n_nominal) = q_num.shape[0], (q_num.shape[1], q_nom.shape[1])
+    holes = np.flatnonzero(gappy)
+    g = holes.size
     gamma = _rounding_factor(r_fused)
     q = buffers.fused[:rows, : r_fused.shape[0]]
     est = buffers.est[:rows]
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = q_num[:, ~nan_cols] if nan_cols.any() else q_num
-        q_norms = np.einsum("ij,ij->i", finite, finite)
-        reach = (np.sqrt(q_norms) + r_max) ** 2 + 3.0 * n_nominal
+        complete = q_num[:, ~gappy] if g else q_num
+        q_norms = np.einsum("ij,ij->i", complete, complete)
+        # -2q is exact in float64, then rounded like q
+        np.multiply(q_num, -2.0, out=q[:, :f])
+        value = q_num[:, holes]
+        present = ~np.isnan(value)
+        value[~present] = 0.0
+        q[:, holes] = -2.0 * value
+        np.multiply(value, value, out=value)
+        reach = (np.sqrt(q_norms + value.sum(axis=1)) + r_max) ** 2 + 3.0 * n_nominal + 2.0 * g
         usable = 2.0 * reach <= _FLOAT32_MAX
         bound = np.where(usable, 2.0 * gamma * reach + _UNDERFLOW_SLACK, np.inf)
-        # -2q is exact in float64, then rounded like q
-        np.multiply(finite, -2.0, out=q[:, :f])
-        q[:, f] = q_norms
-        q[:, f + 1] = 1.0
-        hot = q[:, f + 2 : -1]
+        q[:, f : f + g] = value - present
+        q[:, f + g : f + 2 * g] = present
+        q[:, f + 2 * g] = q_norms + g
+        q[:, f + 2 * g + 1] = 1.0
+        hot = q[:, f + 2 * g + 2 : -1]
         _one_hot(q_nom, reference, hot, query=True)
         # not np.negative, which in numpy 2.4.6 negates a view whose rows lie
         # 64 bytes apart in place from the wrong elements
@@ -480,23 +497,6 @@ def _estimate(
         q[:, -1] = n_nominal
         np.matmul(q, r_fused, out=est)
     return est, bound
-
-
-def _with_exact_terms(
-    est: np.ndarray,
-    q_num: np.ndarray,
-    reference: Reference,
-    nan_cols: np.ndarray,
-    buffers: _Buffers,
-) -> np.ndarray:
-    """The estimates ``est`` of ``q_num``'s rows in float64, with the exact terms
-    of the ``nan_cols`` added one column at a time."""
-    total = buffers.total[: est.shape[0]]
-    total[...] = est
-    with np.errstate(over="ignore", invalid="ignore"):
-        cols = np.flatnonzero(nan_cols)
-        _add_terms(total, q_num, reference, cols, nan_cols, buffers.terms, write_first=False)
-    return total
 
 
 def _groups(m: int, n_ref: int) -> int:
@@ -531,35 +531,34 @@ def _shortlist_heads(
     """Yield ``(start, head)``: the ``m`` nearest reference rows of query rows
     ``start:start + len(head)``, one block of rows at a time.
 
-    When some numeric column is finite on both sides and a row needs fewer
-    cells than the reference holds, each block is estimated first.  The
-    reference columns fall into G >= m strided groups (``_groups``), column
-    j into group j mod G, and the columns past the last whole slice of G
-    join the first groups.  Let t be a row's m-th smallest group minimum of
-    the estimates: m cells, one per group, have E <= t, so by
-    :func:`_estimate`'s bound their totals are X <= C^2 = (t + b)/(1 - 4
-    gamma).  ``sqrt`` rounds correctly, so the row's m-th smallest distance
-    is at most C (1 + u) with float64's u = 2^-53, and a cell no farther has
-    X <= C^2 (1 + 5u) and an estimate of at most C^2 (1 + 5u)(1 + 4 gamma) +
-    b.  The block keeps every cell within ``(t + b)(1 + 8 gamma)/(1 - 4
-    gamma) + 2b``, rounded up to float32, which exceeds that despite the
-    rounding of its own float64 operations (gamma >= 8u) (:func:`_kept`),
-    computes only those cells exactly and sorts them; the row's m nearest
-    are among them.  Rows with an infinite bound, and rows whose kept cells
-    are more than ``_MAX_SHORTLIST_SHARE`` of theirs, take the exact block.
-    Float64 cells (estimates with exact terms, and exact blocks beside
-    numeric columns) are taken ``_block_rows(n_ref, product=False)`` rows at
-    a time, written in place into buffers that the next block reuses.
+    When the query has numeric columns and a row needs fewer cells than the
+    reference holds, each block is estimated first.  The reference columns
+    fall into G >= m strided groups (``_groups``), column j into group j mod
+    G, and the columns past the last whole slice of G join the first groups.
+    Let t be a row's m-th smallest group minimum of the estimates: m cells,
+    one per group, have E <= t, so by :func:`_estimate`'s bound their totals
+    are X <= C^2 = (t + b)/(1 - 4 gamma).  ``sqrt`` rounds correctly, so the
+    row's m-th smallest distance is at most C (1 + u) with float64's u =
+    2^-53, and a cell no farther has X <= C^2 (1 + 5u) and an estimate of at
+    most C^2 (1 + 5u)(1 + 4 gamma) + b.  The block keeps every cell within
+    ``(t + b)(1 + 8 gamma)/(1 - 4 gamma) + 2b``, rounded up to float32,
+    which exceeds that despite the rounding of its own float64 operations
+    (gamma >= 8u) (:func:`_kept`), computes only those cells exactly and
+    sorts them; the row's m nearest are among them.  Rows with an infinite
+    bound take the exact block, and so does the whole block when its kept
+    cells are more than ``_MAX_SHORTLIST_SHARE`` of theirs.  Exact blocks
+    beside numeric columns are taken ``_block_rows(n_ref, product=False)``
+    rows at a time, written in place into buffers that the next block
+    reuses.
     """
     q_num, q_nom = query
     nan_cols = _non_finite_columns(q_num, reference)
-    estimated = m < reference.n and not nan_cols.all()
+    estimated = m < reference.n and q_num.shape[1] > 0
     rows = _block_rows(reference.n, product=estimated or not q_num.shape[1])
-    # float64 cells (exact totals beside numeric columns, and estimates with
-    # exact terms) are taken a float64 block of rows at a time
+    # exact totals beside numeric columns are taken a float64 block of rows at a time
     wide = _block_rows(reference.n, product=False) if q_num.shape[1] else rows
     if estimated:
-        fused = _fused_for(reference, ~nan_cols)
+        fused = _fused_for(reference, q_num)
         gamma = _rounding_factor(fused[0])
         grow = (1.0 + 8.0 * gamma) / (1.0 - 4.0 * gamma)
         groups = _groups(m, reference.n)
@@ -569,26 +568,18 @@ def _shortlist_heads(
         stop = min(start + rows, n_query)
         head = np.empty((stop - start, m), dtype=np.intp)
         # rows that take the exact block
-        exact = [np.arange(stop - start)]
+        exact = np.arange(stop - start)
         if estimated:
-            block = q_num[start:stop], q_nom[start:stop]
-            est, bound = _estimate(*block, reference, fused, nan_cols, buffers)
-            exact = [np.flatnonzero(~np.isfinite(bound))]
-            sure = np.flatnonzero(np.isfinite(bound))
-            step = wide if nan_cols.any() else max(sure.size, 1)
-            for part in (sure[i : i + step] for i in range(0, sure.size, step)):
-                cells = est if part.size == est.shape[0] else est[part]
-                if nan_cols.any():
-                    q_part = q_num[start + part]
-                    cells = _with_exact_terms(cells, q_part, reference, nan_cols, buffers)
-                kept = _kept(cells, bound[part], m, groups, grow)
-                if kept is None:
-                    exact.append(part)
-                    continue
+            est, bound = _estimate(q_num[start:stop], q_nom[start:stop], reference, fused, buffers)
+            sure = np.isfinite(bound)
+            cells = est if sure.all() else est[sure]
+            kept = _kept(cells, bound[sure], m, groups, grow) if sure.any() else None
+            if kept is not None:
+                part = np.flatnonzero(sure)
                 r, c = np.divmod(kept, reference.n)
                 dist = _pair_distances(q_num, q_nom, start + part[r], reference, c)
                 head[part] = _first_m(r, c, dist, part.size, m)
-        exact = np.concatenate(exact)
+                exact = np.flatnonzero(~sure)
         for part in (exact[i : i + wide] for i in range(0, exact.size, wide)):
             at = start + part
             total = _exact_totals(q_num[at], q_nom[at], reference, nan_cols, buffers)

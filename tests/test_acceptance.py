@@ -23,6 +23,7 @@ from mlresample import (
     MLENNConfig,
     MLROSConfig,
     MLSMOTEConfig,
+    MultiLabelDataset,
     PredictionSet,
     evaluate,
     fold_datasets,
@@ -463,12 +464,13 @@ BLAS_CORE_TYPES = (("Sandybridge", "AVX"), ("Haswell", "AVX2"))
 class TestBlasSettings:
     """Every output byte is the same whatever BLAS thread count or kernel runs.
 
-    Each setting runs the same four commands in a child process: two
-    resamplings, a partition and an evaluation of fold 0.  The settings are
-    ``OPENBLAS_NUM_THREADS`` 1 and 2, and ``OPENBLAS_CORETYPE`` forced to each
-    kernel of ``BLAS_CORE_TYPES`` that the CPU supports.  A numpy built
-    without OpenBLAS ignores these variables, and then the test only shows
-    that the runs repeat.
+    Each setting runs the same commands in a child process: on the fixture,
+    two resamplings, a partition and an evaluation of fold 0, and on the
+    fixture with about 1% of its numeric cells missing, MLeNN, a partition
+    and an evaluation.  The settings are ``OPENBLAS_NUM_THREADS`` 1 and 2,
+    and ``OPENBLAS_CORETYPE`` forced to each kernel of ``BLAS_CORE_TYPES``
+    that the CPU supports.  A numpy built without OpenBLAS ignores these
+    variables, and then the test only shows that the runs repeat.
     """
 
     def test_outputs_do_not_depend_on_blas_settings(self, tmp_path):
@@ -482,6 +484,25 @@ class TestBlasSettings:
             ["evaluate", "folds/fold0-train.arff", "folds/fold0-test.arff",
              "--out", "eval.json"],
         ]
+        self.check(tmp_path, commands, "hybrid/resampled.arff")
+
+    def test_outputs_with_missing_values_do_not_depend_on_blas_settings(self, tmp_path):
+        data = imbalanced_dataset(0, n=1500, k=12, n_numeric=50)
+        numeric = data.numeric.copy()
+        numeric[np.random.default_rng(0).random(numeric.shape) < 0.01] = math.nan
+        gappy = MultiLabelDataset(data.attributes, data.labels, numeric, data.nominal, data.y)
+        arff, xml = write_dataset_files(gappy, tmp_path, "fixture")
+        assert arff.read_text().count("?") > 0.005 * numeric.size
+        commands = [
+            ["resample", arff, xml, "--method", "mlenn", "--out-dir", "mlenn"],
+            ["partition", arff, xml, "--folds", 2, "--out-dir", "folds"],
+            ["evaluate", "folds/fold0-train.arff", "folds/fold0-test.arff",
+             "--out", "eval.json"],
+        ]
+        self.check(tmp_path, commands, "mlenn/resampled.arff")
+
+    def check(self, tmp_path, commands, written):
+        """Run ``commands`` under every setting and compare every output file's digest."""
         features = _cpu_features()
         settings = [("OPENBLAS_NUM_THREADS", "1"), ("OPENBLAS_NUM_THREADS", "2")]
         settings += [
@@ -512,7 +533,7 @@ class TestBlasSettings:
                 if path.is_file()
             }
         (first, expected), *others = hashes.items()
-        assert "eval.json" in expected and "hybrid/resampled.arff" in expected
+        assert "eval.json" in expected and written in expected
         for label, got in others:
             assert got.keys() == expected.keys(), f"{label} wrote other files than {first}"
             for name in expected:

@@ -268,8 +268,8 @@ def binary_rows(n, seed, codes, zero_columns=()):
 FLOOR_BLOCKS = 1, distance._MIN_BLOCK_ROWS
 FLOOR_SELF = binary_rows(distance._MIN_BLOCK_ROWS + 1, 0, (0, 1), zero_columns=[2])
 FLOOR_QUERY = binary_rows(distance._MIN_BLOCK_ROWS - 1, 4, (-1, 0, 1, 2))
-# the same codes beside a numeric column, finite (estimated: blocks of the
-# floor) or with a NaN (never estimated: blocks of one row)
+# the same codes beside a numeric column, finite or with a NaN (estimated
+# either way: blocks of the floor)
 NUMERIC_FLOOR = [((i / 10,), codes) for i, (_, codes) in enumerate(FLOOR_SELF)]
 NAN_FLOOR = [((math.nan,), NUMERIC_FLOOR[0][1])] + NUMERIC_FLOOR[1:]
 
@@ -331,7 +331,7 @@ NO_COLUMNS = [((), ())] * 5
 # two mismatches after a numeric term: 0.49 + 1.0 + 1.0 is not 0.49 + 2.0
 @example(pinned_case([0.0, 0.7], 1, exclude=False, nominal=[(0, 0), (1, 1)]))
 # two-valued columns, blocked by the row floor: 129 rows in two blocks, 127
-# in one; with a NaN in the numeric column, 129 blocks of one row
+# in one, beside a numeric column too, with a NaN or without
 @example(rect_case(FLOOR_SELF, FLOOR_SELF, 3, rows=range(len(FLOOR_SELF)), blocks=FLOOR_BLOCKS))
 @example(rect_case(FLOOR_QUERY, FLOOR_SELF, 4, blocks=FLOOR_BLOCKS))
 @example(rect_case(NUMERIC_FLOOR, NUMERIC_FLOOR, 3, rows=range(129), blocks=FLOOR_BLOCKS))
@@ -341,11 +341,10 @@ def test_engine_matches_the_per_column_kernel_and_a_full_sort(case):
 
 
 def estimates(case):
-    """Whether the engine ranks this case by estimates: some numeric column is
-    finite on both sides and a row needs fewer cells than the reference holds."""
+    """Whether the engine ranks this case by estimates: it has a numeric column,
+    missing values or not, and a row needs fewer cells than the reference holds."""
     query, reference, k, rows, _ = case
-    finite = np.isfinite(query[0]).all(axis=0) & np.isfinite(reference[0]).all(axis=0)
-    return finite.any() and k + (rows is not None) < reference[0].shape[0]
+    return query[0].shape[1] > 0 and k + (rows is not None) < reference[0].shape[0]
 
 
 def check_engine(case):
@@ -485,11 +484,11 @@ class TestExactBlocks:
         assert got.tolist() == [[1, 2], [0, 2], [0, 1], [0, 1], [0, 1]]
 
     def test_numeric_columns_keep_the_lower_floor(self, monkeypatch):
-        # one NaN: never estimated, and ranked on float64 distances in blocks
-        # of 32 rows, below the product blocks' floor
+        # each row needs every other row: never estimated, and ranked on
+        # float64 distances in blocks of 32 rows, below the product blocks' floor
         monkeypatch.setattr(distance, "_BLOCK_BYTES", 32 * 8 * 129)
         enc = encode_rows(NAN_FLOOR, 1, 4)
-        ranked, _ = self.run(monkeypatch, enc, enc, 3, rows=np.arange(129))
+        ranked, _ = self.run(monkeypatch, enc, enc, 128, rows=np.arange(129))
         assert ranked == [(32, np.float64)] * 4 + [(1, np.float64)]
 
     def test_no_float64_block_buffers(self, monkeypatch):
@@ -536,14 +535,8 @@ def test_cells_one_ulp_apart_that_the_estimates_misorder(monkeypatch):
         query = (rng.random((1, 3)), np.zeros((1, 0), dtype=np.int64))
         reference = (np.vstack([rows, far]), np.zeros((70, 0), dtype=np.int64))
         prepared = prepare_reference(reference)
-        nan_cols = distance._non_finite_columns(query[0], prepared)
-        est, _ = distance._estimate(
-            *query,
-            prepared,
-            distance._fused_for(prepared, ~nan_cols),
-            nan_cols,
-            distance._Buffers(1, 1, prepared),
-        )
+        fused = distance._fused_for(prepared, query[0])
+        est, _ = distance._estimate(*query, prepared, fused, distance._Buffers(1, 1, prepared))
         est, exact = est[0].copy(), oracle_distances(query, reference)[0]
         unordered += sum(
             est[i] >= est[j]
@@ -592,15 +585,11 @@ def test_estimates_anywhere_within_their_bound_give_the_same_lists(noise, case, 
         est[usable] = exact[usable] + sign[usable] * bound[usable, None]
         return est, bound
 
-    real_with_exact_terms = distance._with_exact_terms
     try:
         distance._estimate = perturbed
-        # the noisy estimates hold the exact terms already
-        distance._with_exact_terms = lambda est, *rest: est
         check_engine(case)
     finally:
         distance._estimate = real_estimate
-        distance._with_exact_terms = real_with_exact_terms
 
 
 @st.composite
@@ -639,15 +628,12 @@ def test_the_fused_estimate_errs_by_at_most_its_bound(case):
     """|E - X| <= bound + 4 gamma X for every cell of a row with a finite bound,
     where X is the kernel's own squared total."""
     query, reference = case
-    prepared = prepare_reference(reference)
-    nan_cols = distance._non_finite_columns(query[0], prepared)
-    if nan_cols.all():
+    if not query[0].shape[1]:
         return  # no numeric column to estimate with
-    fused = distance._fused_for(prepared, ~nan_cols)
+    prepared = prepare_reference(reference)
+    fused = distance._fused_for(prepared, query[0])
     buffers = distance._Buffers(query[0].shape[0], query[0].shape[0], prepared)
-    est, bound = distance._estimate(*query, prepared, fused, nan_cols, buffers)
-    if nan_cols.any():
-        est = distance._with_exact_terms(est, query[0], prepared, nan_cols, buffers)
+    est, bound = distance._estimate(*query, prepared, fused, buffers)
     gamma = distance._rounding_factor(fused[0])
     usable = np.isfinite(bound)
     est, bound = est[usable], bound[usable, None]
@@ -726,6 +712,85 @@ class TestCutoff:
         enc = encode_rows(rows, 1, 1)
         chosen, exact = run_recorded(monkeypatch, enc, enc, 2, rows=np.arange(200))
         assert chosen == [48] and exact
+
+
+class TestMissingValues:
+    """Missing values are estimated in the one fused product, a query's NaN in a
+    column that the reference holds complete by a fused matrix built for it;
+    a row holding an infinity takes the exact block."""
+
+    def run(self, monkeypatch, query, reference, k, rows=None):
+        """The engine's lists, checked against a full sort; returns the query rows
+        of each exact block and the height of each fused matrix it used."""
+        exact, heights = [], []
+        real_exact, real_fused_for = distance._exact_totals, distance._fused_for
+
+        def recording_exact(q_num, *rest):
+            exact.append(q_num.copy())
+            return real_exact(q_num, *rest)
+
+        def recording_fused_for(*args):
+            fused = real_fused_for(*args)
+            heights.append(fused[0].shape[0])
+            return fused
+
+        monkeypatch.setattr(distance, "_exact_totals", recording_exact)
+        monkeypatch.setattr(distance, "_fused_for", recording_fused_for)
+        got = ask(query, reference, k, rows)
+        monkeypatch.undo()
+        assert got.tolist() == oracle_encoded_neighbors(query, reference, k, rows).tolist()
+        return exact, heights
+
+    def test_a_nan_in_every_numeric_column(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        numeric = rng.random((60, 3))
+        numeric[[5, 17, 40], [0, 1, 2]] = math.nan
+        enc = numeric, rng.integers(0, 3, (60, 1))
+        prepared = prepare_reference(enc)
+        # 3 numeric rows, a presence and a square row per gappy column, 3 more
+        # rows and 4 indicators
+        assert prepared.gappy.all() and prepared.fused.shape[0] == 3 + 2 * 3 + 3 + 4
+        for rows in np.arange(60), np.arange(0, 60, 7):
+            exact, heights = self.run(monkeypatch, (numeric[rows], enc[1][rows]), enc, 3, rows)
+            assert exact == [] and heights == [prepared.fused.shape[0]]
+
+    def test_an_all_missing_row(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        numeric, codes = rng.random((60, 2)), rng.integers(0, 3, (60, 2))
+        numeric[7], codes[7] = math.nan, -1
+        exact, _ = self.run(monkeypatch, (numeric, codes), (numeric, codes), 4, np.arange(60))
+        assert exact == []
+        # as a foreign row beside others, against a reference without it
+        query = rng.random((10, 2)), rng.integers(0, 3, (10, 2))
+        query[0][3], query[1][3] = math.nan, -1
+        reference = np.delete(numeric, 7, axis=0), np.delete(codes, 7, axis=0)
+        exact, heights = self.run(monkeypatch, query, reference, 4)
+        assert exact == [] and heights == [prepare_reference(reference).fused.shape[0] + 2 * 2]
+
+    def test_a_foreign_nan_where_the_reference_is_complete(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        reference = rng.random((60, 4)), rng.integers(0, 3, (60, 1))
+        reference[0][[3, 9], 1] = math.nan
+        query = rng.random((8, 4)), rng.integers(0, 3, (8, 1))
+        query[0][5, 2] = math.nan
+        prepared = prepare_reference(reference)
+        assert prepared.gappy.tolist() == [False, True, False, False]
+        # the fused matrix is built for gappy columns 1 and 2: two rows more
+        exact, heights = self.run(monkeypatch, query, reference, 3)
+        assert exact == [] and heights == [prepared.fused.shape[0] + 2]
+
+    def test_an_infinity_takes_the_exact_block(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        reference = rng.random((60, 2)), rng.integers(0, 3, (60, 1))
+        numeric = rng.random((6, 2))
+        numeric[2, 0], numeric[4, 1] = math.inf, -math.inf
+        query = numeric, rng.integers(0, 3, (6, 1))
+        exact, _ = self.run(monkeypatch, query, reference, 3)
+        assert len(exact) == 1 and np.array_equal(exact[0], numeric[[2, 4]])
+        # an infinity in a hand-built reference sends every row there
+        reference[0][10, 1] = math.inf
+        exact, _ = self.run(monkeypatch, query, reference, 3)
+        assert len(exact) == 1 and np.array_equal(exact[0], numeric)
 
 
 @st.composite
@@ -892,7 +957,7 @@ def test_the_prepared_reference_keeps_the_encoded_numeric_matrix_once(d):
     expected = (raw * space._scales - space._mins) / space._spans
     assert np.array_equal(numeric.view(np.uint64), expected.view(np.uint64))
     # one float64 numeric matrix, the encoded one itself; the fused matrix
-    # holds the finite columns rounded to float32
+    # holds the numeric columns rounded to float32
     prepared = prepare_reference((numeric, np.zeros((d.n, 0), dtype=np.int64)))
     columns = prepared.columns
     assert columns.flags.c_contiguous and np.array_equal(columns.T, numeric, equal_nan=True)
